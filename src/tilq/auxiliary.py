@@ -23,6 +23,32 @@ Picard iteration: freeze phi, rebuild Upsilon/btilde/Sbb, integrate backward
 with RK4, repeat.  The nonlocal map is affine in phi, which keeps the
 iteration contractive at the scales this library targets; non-convergence
 is reported, never masked.
+
+btilde is tabulated by the node trapezoid rule in tau, which runs as a
+recursion over the start time t:
+
+    btilde(s, s) = 0,
+    btilde(s, t_i) = btilde(s, t_{i+1})
+                     + h/2 (E_cl(s, t_i) d_i + E_cl(s, t_{i+1}) d_{i+1}),
+
+with the drive d = b - B Upsilon.  Each step adds the one trapezoid cell
+[t_i, t_{i+1}] that the sum over [t_i, s] has and the sum over [t_{i+1}, s]
+lacks, so the recursion is that sum term for term (only the order of
+additions differs).  The table is held in the pair layout of
+:mod:`tilq.tables`, where the recursion runs down the rows.  Sbb and omega
+are W-weighted row sums over the same layout, from the identities
+
+    vec   = Q_t btilde + q_t - S_t^T w
+            + Gain^T (M_t w - S_t btilde - rho_t),
+    Sbb   = E_cl(T,t)^T (g'(t) + G'(t) btilde(T,t))
+            + int_t^T E_cl(s,t)^T vec(t,s) ds,
+    omega = <G'(t) btilde(T,t) + 2 g'(t), btilde(T,t)>
+            + int_t^T <btilde, Q_t btilde + 2 q_t>
+                      + <w, M_t w - 2 S_t btilde - 2 rho_t> ds,
+
+where w(t,s) = Upsilon(s) + Gain(s) btilde(s,t) and the kernels are taken
+at (t, s).  Both expand to the defining integrands that :func:`sbb_at` and
+:func:`omega_at` evaluate row by row.
 """
 
 from __future__ import annotations
@@ -33,11 +59,12 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import AssumptionError, TilqError
-from .grid import TimeGrid, TransitionTable, quadrature
+from .grid import (TimeGrid, TransitionTable, from_pair_layout, quadrature,
+                   to_pair_layout)
 from .problem import ProblemSpec
 from .riccati import (FixedPointDiagnostics, RiccatiSolution, SolveOptions,
-                      damped_fixed_point)
-from .tables import SpecTables, cumulative_trapezoid
+                      _initial_table, damped_fixed_point)
+from .tables import SpecTables, cumulative_trapezoid, pair_blocks
 
 
 @dataclass
@@ -46,7 +73,8 @@ class PhiSolution:
 
     phi: np.ndarray       # (N+1, n)
     upsilon: np.ndarray   # (N+1, m)
-    btilde: np.ndarray    # (N+1, N+1, n), [s_idx, t_idx], zero for s < t
+    btilde: np.ndarray    # (N+1, N+1, n), [s_idx, t_idx], zero for s < t;
+                          # a view of the pair-layout table
     sbb: np.ndarray       # (N+1, n)
     diagnostics: FixedPointDiagnostics
 
@@ -91,28 +119,34 @@ def btilde_table(closed_loop: TransitionTable, upsilon: np.ndarray,
     """Zero-state responses btilde(s, t) for every node pair t <= s.
 
     Entry [j, i] holds btilde(t_j, t_i); the strict lower region s < t is
-    zero, as is the whole diagonal btilde(t, t) = 0.
+    zero, as is the whole diagonal btilde(t, t) = 0.  The result is a view
+    of the pair-layout table.
     """
     from .grid import _eval_dynamics
 
     upsilon = np.asarray(upsilon, dtype=float)
-    N = grid.N
     n = closed_loop.dim
     m = upsilon.shape[1]
     b_nodes = _eval_dynamics(dynamics.b, grid.nodes, (n,))
     B_nodes = _eval_dynamics(dynamics.B, grid.nodes, (n, m))
     drive = b_nodes - np.einsum("tab,tb->ta", B_nodes, upsilon)
-    return _btilde_from_drive(closed_loop.full_table(), drive, grid)
+    return from_pair_layout(
+        _btilde_from_drive(closed_loop.pair_table(), drive, grid))
 
 
-def _btilde_from_drive(cl_full: np.ndarray, drive: np.ndarray,
+def _btilde_from_drive(cl_pairs: np.ndarray, drive: np.ndarray,
                        grid: TimeGrid) -> np.ndarray:
-    moved = np.einsum("jtab,tb->jta", cl_full, drive, optimize=True)
-    running = cumulative_trapezoid(moved, grid.h, axis=1)
-    diag = running[np.arange(grid.N + 1), np.arange(grid.N + 1)]
-    bt = diag[:, None, :] - running
-    il, jl = np.tril_indices(grid.N + 1, k=-1)
-    bt[jl, il] = 0.0  # zero out s < t, including any cumsum spill
+    """Pair table [a, i, j] = btilde(t_j, t_i)[a] by the recursion over t."""
+    N = grid.N
+    bt = np.einsum("abij,ib->aij", cl_pairs, drive)  # E_cl(t_j, t_i) d_i
+    for i in range(N):
+        # cell sums E(t_j, t_i) d_i + E(t_j, t_{i+1}) d_{i+1}; row i+1 is untouched
+        bt[:, i, i + 1:] += bt[:, i + 1, i + 1:]
+    bt *= 0.5 * grid.h
+    diag = np.arange(N + 1)
+    bt[:, diag, diag] = 0.0  # btilde(t, t) = 0
+    for i in range(N - 2, -1, -1):
+        bt[:, i, i + 1:] += bt[:, i + 1, i + 1:]
     return bt
 
 
@@ -189,38 +223,56 @@ def _upsilon_table(phi: np.ndarray, tables: SpecTables) -> np.ndarray:
     return tables.solve_md(rhs)
 
 
-def _sbb_table(gain, upsilon, bt, cl_full, tables: SpecTables) -> np.ndarray:
-    Gb = np.einsum("jmn,jin->ijm", gain, bt, optimize=True)
-    w = upsilon[None, :, :] + Gb
-    vec = np.einsum("ijab,jib->ija", tables.Qt, bt, optimize=True)
-    vec -= np.einsum("jma,ijmn,jin->ija", gain, tables.St, bt, optimize=True)
-    vec -= np.einsum("ijmn,ijm->ijn", tables.St, Gb, optimize=True)
-    vec += tables.qt
-    vec -= np.einsum("ijmn,jm->ijn", tables.St, upsilon, optimize=True)
-    vec += np.einsum("jma,ijmp,ijp->ija", gain, tables.Mt, w, optimize=True)
-    vec -= np.einsum("jma,ijm->ija", gain, tables.rhot, optimize=True)
-    out = np.einsum("jiab,ija,ij->ib", cl_full, vec, tables.W, optimize=True)
-    EN = cl_full[tables.grid.N]
-    out += np.einsum("iba,ib->ia", EN,
-                     tables.gdot + np.einsum("iab,ib->ia", tables.Gdot,
-                                             bt[tables.grid.N]))
+def _sbb_table(gain, upsilon, bt, cl_pairs, tables: SpecTables) -> np.ndarray:
+    """Sbb at every node from the btilde and closed-loop pair tables."""
+    N, n = tables.grid.N, tables.n
+    g = np.ascontiguousarray(np.moveaxis(gain, 0, -1))  # Gain(t_j) on column j
+    u = upsilon.T
+    out = np.empty((N + 1, n))
+    for rows, cols in pair_blocks(N + 1, n * n):
+        blk = (Ellipsis, rows, cols)
+        gb, b = g[..., cols], bt[blk]
+        w = np.einsum("paj,aij->pij", gb, b)
+        w += u[:, None, cols]
+        r = np.einsum("pqij,qij->pij", tables.Mt[blk], w)
+        r -= np.einsum("pbij,bij->pij", tables.St[blk], b)
+        r -= tables.rhot[blk]
+        vec = np.einsum("abij,bij->aij", tables.Qt[blk], b)
+        vec += tables.qt[blk]
+        vec -= np.einsum("paij,pij->aij", tables.St[blk], w)
+        vec += np.einsum("paj,pij->aij", gb, r)
+        vec *= tables.W[blk]
+        out[rows] = np.einsum("acij,aij->ic", cl_pairs[blk], vec)
+    btN = bt[..., N]  # btilde(T, t_i) along i
+    out += np.einsum("aci,ia->ic", cl_pairs[..., N],
+                     tables.gdot + np.einsum("iab,bi->ia", tables.Gdot, btN))
     return out
 
 
 def _omega_table(gain, upsilon, bt, tables: SpecTables) -> np.ndarray:
-    Gb = np.einsum("jmn,jin->ijm", gain, bt, optimize=True)
-    w = upsilon[None, :, :] + Gb
-    quad_term = np.einsum("ijac,jic,jia->ij", tables.Qt, bt, bt, optimize=True)
-    cross = tables.qt - np.einsum("jma,ijmn,jin->ija", gain, tables.St, bt,
-                                  optimize=True)
-    cross -= np.einsum("ijmn,jm->ijn", tables.St, upsilon, optimize=True)
-    lin_term = 2.0 * np.einsum("ija,jia->ij", cross, bt, optimize=True)
-    ctl_term = (np.einsum("ijmp,ijp,ijm->ij", tables.Mt, w, w, optimize=True)
-                - 2.0 * np.einsum("ijm,ijm->ij", tables.rhot, w, optimize=True))
-    out = np.einsum("ij,ij->i", quad_term + lin_term + ctl_term, tables.W)
-    btN = bt[tables.grid.N]
-    out += np.einsum("ia,ia->i",
-                     np.einsum("iab,ib->ia", tables.Gdot, btN) + 2.0 * tables.gdot,
+    """omega at every node from the btilde pair table."""
+    N, n = tables.grid.N, tables.n
+    g = np.ascontiguousarray(np.moveaxis(gain, 0, -1))
+    u = upsilon.T
+    out = np.empty(N + 1)
+    for rows, cols in pair_blocks(N + 1, n * n):
+        blk = (Ellipsis, rows, cols)
+        gb, b = g[..., cols], bt[blk]
+        w = np.einsum("paj,aij->pij", gb, b)
+        w += u[:, None, cols]
+        acc = np.einsum("abij,bij->aij", tables.Qt[blk], b)
+        acc += 2.0 * tables.qt[blk]
+        term = np.einsum("aij,aij->ij", b, acc)
+        ctl = np.einsum("pbij,bij->pij", tables.St[blk], b)
+        ctl += tables.rhot[blk]
+        ctl *= -2.0
+        ctl += np.einsum("pqij,qij->pij", tables.Mt[blk], w)
+        term += np.einsum("pij,pij->ij", w, ctl)
+        term *= tables.W[blk]
+        out[rows] = term.sum(axis=-1)
+    btN = bt[..., N]
+    out += np.einsum("ia,ai->i",
+                     np.einsum("iab,bi->ia", tables.Gdot, btN) + 2.0 * tables.gdot,
                      btN)
     return out
 
@@ -268,9 +320,8 @@ def solve_phi(spec: ProblemSpec, grid: TimeGrid, riccati: RiccatiSolution,
     tables = riccati.tables
     if tables.grid.N != grid.N or tables.grid.T != grid.T:
         raise TilqError("riccati solution was computed on a different grid")
-    cl_full = riccati.closed_loop.full_table()
+    cl_pairs = riccati.closed_loop.pair_table()
     gain = riccati.gain
-    N, n = grid.N, spec.dims.n
     h = grid.h
 
     D_nodes = np.swapaxes(tables.A - tables.B @ gain, -1, -2)
@@ -283,26 +334,22 @@ def solve_phi(spec: ProblemSpec, grid: TimeGrid, riccati: RiccatiSolution,
     def sweep(phi):
         ups = _upsilon_table(phi, tables)
         drive = tables.b - np.einsum("tab,tb->ta", tables.B, ups)
-        bt = _btilde_from_drive(cl_full, drive, grid)
-        sbb = _sbb_table(gain, ups, bt, cl_full, tables)
+        bt = _btilde_from_drive(cl_pairs, drive, grid)
+        sbb = _sbb_table(gain, ups, bt, cl_pairs, tables)
         c_nodes = -sbb + Pb + tables.qd - g_rho
         c_half = -_interp_half(sbb) + Pb_half + tables.qd_half - g_rho_half
         return _affine_backward_rk4(D_nodes, D_half, c_nodes, c_half,
                                     tables.g_T, h)
 
-    if isinstance(opts.initial, str) and opts.initial == "terminal":
-        phi0 = np.broadcast_to(tables.g_T, (N + 1, n)).copy()
-    elif isinstance(opts.initial, str) and opts.initial == "zero":
-        phi0 = np.zeros((N + 1, n))
-    else:
-        phi0 = np.asarray(opts.initial, dtype=float).reshape(N + 1, n).copy()
+    phi0 = _initial_table(opts.initial, tables.g_T, grid.N, "phi")
     phi, diag = damped_fixed_point(phi0, sweep, opts, "affine coefficient")
 
     ups = _upsilon_table(phi, tables)
     drive = tables.b - np.einsum("tab,tb->ta", tables.B, ups)
-    bt = _btilde_from_drive(cl_full, drive, grid)
-    sbb = _sbb_table(gain, ups, bt, cl_full, tables)
-    return PhiSolution(phi=phi, upsilon=ups, btilde=bt, sbb=sbb, diagnostics=diag)
+    bt = _btilde_from_drive(cl_pairs, drive, grid)
+    sbb = _sbb_table(gain, ups, bt, cl_pairs, tables)
+    return PhiSolution(phi=phi, upsilon=ups, btilde=from_pair_layout(bt),
+                       sbb=sbb, diagnostics=diag)
 
 
 def solve_psi(spec: ProblemSpec, grid: TimeGrid, riccati: RiccatiSolution,
@@ -312,7 +359,8 @@ def solve_psi(spec: ProblemSpec, grid: TimeGrid, riccati: RiccatiSolution,
     Returns (psi, omega) on the nodes.
     """
     tables = riccati.tables
-    omega = _omega_table(riccati.gain, phi_sol.upsilon, phi_sol.btilde, tables)
+    omega = _omega_table(riccati.gain, phi_sol.upsilon,
+                         to_pair_layout(phi_sol.btilde), tables)
     drive = tables.b - np.einsum("tab,tb->ta", tables.B, phi_sol.upsilon)
     mu = np.einsum("im,im->i",
                    np.einsum("iab,ib->ia", tables.Md, phi_sol.upsilon)

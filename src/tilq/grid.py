@@ -6,6 +6,10 @@ time with classical fourth-order Runge-Kutta.  This coincides with the
 matrix-exponential formula exp(int A) whenever the system matrices commute
 pairwise and is the correct fundamental solution in general.
 
+Tables over node pairs are stored in the pair layout described in
+:mod:`tilq.tables`; :func:`from_pair_layout` gives the node-major view the
+public accessors return.
+
 All tables are immutable after construction and safe for concurrent reads.
 """
 
@@ -96,6 +100,23 @@ def _rk4_linear_steps(A_nodes: np.ndarray, A_half: np.ndarray, h: float) -> np.n
     return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def from_pair_layout(pairs: np.ndarray) -> np.ndarray:
+    """View [j, i, ...] of a pair table [..., i, j]: later time first."""
+    return np.moveaxis(np.swapaxes(pairs, -1, -2), (-2, -1), (0, 1))
+
+
+def to_pair_layout(table: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`from_pair_layout`: view [..., i, j] of a [j, i, ...] table."""
+    return np.moveaxis(table, (0, 1), (-1, -2))
+
+
+def zero_below_diagonal(pairs: np.ndarray) -> np.ndarray:
+    """Zero the entries [..., i, j] with j < i of a pair table, in place."""
+    for i in range(1, pairs.shape[-1]):
+        pairs[..., i, :i] = 0.0
+    return pairs
+
+
 class TransitionTable:
     """Propagators Phi(t_i, t_j), j <= i, of a linear time-varying system.
 
@@ -119,30 +140,39 @@ class TransitionTable:
 
     def _build_full(self) -> np.ndarray:
         N, n = self.grid.N, self.dim
-        full = np.zeros((N + 1, N + 1, n, n))
+        pairs = np.zeros((n, n, N + 1, N + 1))
         rng = np.arange(N + 1)
-        full[rng, rng] = np.eye(n)
-        for i in range(N):
-            full[i + 1, : i + 1] = self.steps[i] @ full[i, : i + 1]
-        full.flags.writeable = False
-        return full
+        pairs[:, :, rng, rng] = np.eye(n)[:, :, None]
+        for i in range(N - 1, -1, -1):
+            # Phi(t_j, t_i) = Phi(t_j, t_{i+1}) Phi_i for every j > i
+            np.einsum("acj,cb->abj", pairs[:, :, i + 1, i + 1:], self.steps[i],
+                      out=pairs[:, :, i, i + 1:])
+        pairs.flags.writeable = False
+        return pairs
 
     @property
     def stores_full(self) -> bool:
         return self._full is not None
 
-    def full_table(self) -> np.ndarray:
-        """The (N+1, N+1, n, n) array of all propagators (built if needed)."""
+    def pair_table(self) -> np.ndarray:
+        """The (n, n, N+1, N+1) pair table [a, b, i, j] = Phi(t_j, t_i)[a, b].
+
+        Zero where j < i; built if not stored.
+        """
         if self._full is None:
             return self._build_full()
         return self._full
+
+    def full_table(self) -> np.ndarray:
+        """The (N+1, N+1, n, n) view [i, j] = Phi(t_i, t_j) of the pair table."""
+        return from_pair_layout(self.pair_table())
 
     def matrix(self, i: int, j: int) -> np.ndarray:
         """Phi(t_i, t_j) for j <= i."""
         if not (0 <= j <= i <= self.grid.N):
             raise TilqError(f"propagator indices must satisfy 0 <= {j} <= {i} <= N")
         if self._full is not None:
-            return self._full[i, j]
+            return self._full[:, :, j, i]
         out = np.eye(self.dim)
         for k in range(j, i):
             out = self.steps[k] @ out

@@ -161,15 +161,25 @@ class TwoTimeField:
         shape = tuple(shape)
         pad = (1,) * len(shape)
         if callable(base):
+            # scalar pairs take the plain path; arrays call base once per
+            # element of s (once per node for a broadcast grid of pairs)
+            def weighted(weight, t, s):
+                w = np.asarray(weight(t, s), dtype=float)
+                if np.ndim(s) == 0:
+                    return w.reshape(w.shape + pad) * np.asarray(base(float(s)),
+                                                                 dtype=float)
+                s = np.asarray(s, dtype=float)
+                at_s = np.asarray([base(float(x)) for x in s.ravel()],
+                                  dtype=float).reshape(s.shape + shape)
+                return w.reshape(w.shape + pad) * at_s
+
             def value(t, s):
-                lam = np.asarray(kernel.lam(t, s), dtype=float)
-                return lam * np.asarray(base(float(s)), dtype=float)
+                return weighted(kernel.lam, t, s)
 
             def dvalue(t, s):
-                dl = np.asarray(kernel.dlam_dt(t, s), dtype=float)
-                return dl * np.asarray(base(float(s)), dtype=float)
+                return weighted(kernel.dlam_dt, t, s)
 
-            return TwoTimeField(value, dvalue, shape, vectorized=False)
+            return TwoTimeField(value, dvalue, shape, vectorized=kernel.vectorized)
 
         base_arr = _freeze(np.asarray(base, dtype=float).reshape(shape))
 
@@ -340,14 +350,21 @@ def tabulated_kernel(times, values) -> DiscountKernel:
     tab = finite_diff_t(TabulatedTwoTimeField(times, values, shape=()))
 
     # queries with t > s (outside the kernel's domain, touched only by
-    # broadcast tabulation of the unused triangle) clamp to the diagonal
+    # broadcast tabulation of the unused triangle) clamp to the diagonal;
+    # scalar pairs skip the array lookup, which costs more on one pair
+    def lookup(table, t, s):
+        if np.ndim(t) == 0 and np.ndim(s) == 0:
+            t, s = float(t), float(s)
+            return tab._interp(table, min(t, s), s)
+        t, s = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                   np.asarray(s, dtype=float))
+        return tab._interp_pairs(table, np.minimum(t, s), s)
+
     def lam(t, s):
-        return eval_pairs(lambda a, c: tab.value(min(a, c), c), t, s, (),
-                          vectorized=False)
+        return lookup(tab.table, t, s)
 
     def dlam(t, s):
-        return eval_pairs(lambda a, c: tab.dvalue_dt(min(a, c), c), t, s, (),
-                          vectorized=False)
+        return lookup(tab.dtable, t, s)
 
     return DiscountKernel("tabulated", {"times": times, "values": values},
                           lam, dlam, vectorized=True)
@@ -438,6 +455,31 @@ class TabulatedTwoTimeField(TwoTimeField):
         # diagonal cell: interpolate on the stored triangle
         f00, f01, f11 = table[i, j], table[i, j + 1], table[i + 1, j + 1]
         return f00 + a * (f11 - f01) + c * (f01 - f00)
+
+    def _interp_pairs(self, table, t, s):
+        """:meth:`_interp` over same-shape arrays of pairs, with its arithmetic."""
+        lo, hi = self.times[0], self.times[-1]
+        eps = 1e-9 * max(1.0, hi)
+        bad = (t > s + eps) | (t < lo - eps) | (s > hi + eps)
+        if np.any(bad):
+            k = tuple(np.argwhere(bad)[0])
+            raise TilqError(f"tabulated field queried outside its domain at "
+                            f"({t[k]}, {s[k]})")
+        s = np.minimum(np.maximum(s, lo), hi)
+        t = np.minimum(np.maximum(t, lo), s)
+        h = self.spacing
+        last = len(self.times) - 2
+        i = np.minimum(((t - lo) / h).astype(np.intp), last)
+        j = np.minimum(((s - lo) / h).astype(np.intp), last)
+        pad = (...,) + (None,) * len(self.shape)
+        a = ((t - self.times[i]) / h)[pad]
+        c = ((s - self.times[j]) / h)[pad]
+        f00, f01 = table[i, j], table[i, j + 1]
+        f10, f11 = table[i + 1, j], table[i + 1, j + 1]
+        inside = ((1 - a) * (1 - c) * f00 + (1 - a) * c * f01
+                  + a * (1 - c) * f10 + a * c * f11)
+        diagonal = f00 + a * (f11 - f01) + c * (f01 - f00)
+        return np.where((i < j)[pad], inside, diagonal)
 
 
 def finite_diff_t(tab: TabulatedTwoTimeField, h: float | None = None) -> TabulatedTwoTimeField:

@@ -24,6 +24,25 @@ with Gain, E_cl, Qbb all rebuilt from the incoming P, and the solver runs a
 damped fixed-point iteration on these sweeps.  When the kernels do not
 depend on the evaluation time, Qbb vanishes and the fixed point is the
 classical Riccati solution (see :func:`classical_riccati`, the oracle).
+
+Both integrals use the node trapezoid rule with the weights W[i, j] of
+:func:`tilq.tables.suffix_weights`.  Qbb is a W-weighted row sum over the
+pair tables of :mod:`tilq.tables`.  The open-loop integral is evaluated by
+the backward recursion
+
+    P_N = G(T),
+    P_i = Phi_i^T (P_{i+1} + h/2 inner_{i+1}) Phi_i + h/2 inner_i,
+
+with inner = Q(t,t) - Qbb - Gain^T M(t,t) Gain and Phi_i the open-loop RK4
+step from t_i to t_{i+1}.  This is the same trapezoid sum, reassociated, not
+a new discretization.  The propagators compose as
+E(t_j, t_i) = E(t_j, t_{i+1}) Phi_i, so Phi_i factors out of every j > i
+term of row i.  On the columns j > i, row i of W equals row i+1 except at
+j = i+1, where it is larger by exactly h/2 (h/2 becomes h, or W[N, N] = 0
+becomes W[N-1, N] = h/2); the recursion adds that h/2 inner_{i+1} inside
+the bracket and the j = i term h/2 inner_i outside it.  A sweep costs
+O(N n^3) for P instead of O(N^2 n^3), and the open-loop pair table is never
+built.
 """
 
 from __future__ import annotations
@@ -37,7 +56,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .errors import AssumptionError, ConsistencyError, ConvergenceError, TilqError
 from .grid import TimeGrid, TransitionTable, _rk4_linear_steps, open_loop_transition
 from .problem import ProblemSpec
-from .tables import SpecTables
+from .tables import SpecTables, pair_blocks
 
 SWEEP_ASYMMETRY_RTOL = 1e-8
 TIME_CONSISTENT_SUP = 1e-12
@@ -221,37 +240,51 @@ def _closed_loop_table(gain: np.ndarray, tables: SpecTables,
                            store_full=store_full)
 
 
-def _qbb_table(gain: np.ndarray, cl_full: np.ndarray,
+def _qbb_table(gain: np.ndarray, cl_pairs: np.ndarray,
                tables: SpecTables) -> np.ndarray:
-    """Qbb at every node from the full closed-loop triangle."""
-    W = tables.W
-    GS = np.einsum("jab,ijac->ijbc", gain, tables.St)
-    K = tables.Qt - GS - np.swapaxes(GS, -1, -2)
-    del GS
-    K += np.einsum("jab,ijac,jcd->ijbd", gain, tables.Mt, gain, optimize=True)
-    mid = np.einsum("jiba,ijbc->ijac", cl_full, K, optimize=True)
-    del K
-    out = np.einsum("ijac,jicd,ij->iad", mid, cl_full, W, optimize=True)
-    del mid
-    EN = cl_full[tables.grid.N]
-    out += np.einsum("iab,iac,icd->ibd", EN, tables.Gdot, EN, optimize=True)
+    """Qbb at every node from the closed-loop pair table.
+
+    Contracts K = Qt - Gain^T St - St^T Gain + Gain^T Mt Gain plane by plane,
+    then takes the W-weighted row sums of E_cl^T K E_cl, block by block.
+    """
+    N, n = tables.grid.N, tables.n
+    g = np.ascontiguousarray(np.moveaxis(gain, 0, -1))  # Gain(t_j) on column j
+    out = np.empty((N + 1, n, n))
+    for rows, cols in pair_blocks(N + 1, n * n):
+        blk = (Ellipsis, rows, cols)
+        gb = g[..., cols]
+        K = np.einsum("paj,pqij,qbj->abij", gb, tables.Mt[blk], gb)
+        buf = np.einsum("paj,pbij->abij", gb, tables.St[blk])
+        K -= buf
+        K -= np.swapaxes(buf, 0, 1)
+        K += tables.Qt[blk]
+        E = cl_pairs[blk]
+        np.einsum("ceij,edij->cdij", K, E, out=buf)
+        buf *= tables.W[blk]
+        out[rows] = np.einsum("caij,cdij->iad", E, buf)
+    EN = cl_pairs[..., N]  # E_cl(T, t_i) along i
+    out += np.einsum("cai,ice,edi->iad", EN, tables.Gdot, EN)
     return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
-def _sweep_core(P: np.ndarray, tables: SpecTables, E_full: np.ndarray):
-    """One full sweep: gain, closed loop, Qbb, then the open-loop integral."""
+def _sweep_core(P: np.ndarray, tables: SpecTables, steps: np.ndarray):
+    """One full sweep: gain, closed loop, Qbb, then the open-loop integral.
+
+    ``steps`` are the open-loop RK4 one-step propagators Phi_i; the integral
+    is the backward recursion of the module docstring.
+    """
     grid = tables.grid
+    N = grid.N
     gain = _gain_table(P, tables)
     cl = _closed_loop_table(gain, tables)
-    cl_full = cl.full_table()
-    qbb = _qbb_table(gain, cl_full, tables)
+    qbb = _qbb_table(gain, cl.pair_table(), tables)
     inner = (tables.Qd - qbb
              - np.einsum("jab,jac,jcd->jbd", gain, tables.Md, gain, optimize=True))
-    mid = np.einsum("jiba,jbc->jiac", E_full, inner, optimize=True)
-    P_out = np.einsum("jiac,jicd,ij->iad", mid, E_full, tables.W, optimize=True)
-    del mid
-    EN = E_full[grid.N]
-    P_out += np.einsum("iab,ac,icd->ibd", EN, tables.G_T, EN, optimize=True)
+    half = (0.5 * grid.h) * inner
+    P_out = np.empty_like(inner)
+    P_out[N] = tables.G_T
+    for i in range(N - 1, -1, -1):
+        P_out[i] = steps[i].T @ (P_out[i + 1] + half[i + 1]) @ steps[i] + half[i]
     asym = float(np.max(np.abs(P_out - np.swapaxes(P_out, -1, -2))))
     scale = max(1.0, float(np.max(np.abs(P_out))))
     if asym > SWEEP_ASYMMETRY_RTOL * scale:
@@ -259,7 +292,7 @@ def _sweep_core(P: np.ndarray, tables: SpecTables, E_full: np.ndarray):
             f"sweep produced an asymmetric P (relative asymmetry "
             f"{asym / scale:.3e}); check the problem data")
     P_out = 0.5 * (P_out + np.swapaxes(P_out, -1, -2))
-    P_out[grid.N] = tables.G_T
+    P_out[N] = tables.G_T
     return P_out, gain, qbb, cl
 
 
@@ -270,30 +303,38 @@ def riccati_sweep(P_in: np.ndarray, spec: ProblemSpec, grid: TimeGrid,
     if tables is None:
         tables = SpecTables(spec, grid)
     if open_loop is None:
-        open_loop = open_loop_transition(spec.dynamics, grid)
+        open_loop = open_loop_transition(spec.dynamics, grid, store_full=False)
     P_in = np.asarray(P_in, dtype=float)
     if P_in.shape != (grid.N + 1, spec.dims.n, spec.dims.n):
         raise TilqError(f"P table has shape {P_in.shape}, expected "
                         f"{(grid.N + 1, spec.dims.n, spec.dims.n)}")
-    P_out, _, _, _ = _sweep_core(P_in, tables, open_loop.full_table())
+    P_out, _, _, _ = _sweep_core(P_in, tables, open_loop.steps)
     return P_out
 
 
-def _initial_table(initial, tables: SpecTables) -> np.ndarray:
-    N, n = tables.grid.N, tables.n
+def _initial_table(initial, terminal: np.ndarray, N: int, what: str) -> np.ndarray:
+    """Starting table of a fixed-point solve from ``SolveOptions.initial``.
+
+    "terminal" repeats ``terminal`` at every node and "zero" is all zeros;
+    an array of the terminal's shape is repeated at every node, and one of
+    shape (N+1,) + that shape is used as given.
+    """
+    shape = terminal.shape
     if isinstance(initial, str):
         if initial == "terminal":
-            return np.broadcast_to(tables.G_T, (N + 1, n, n)).copy()
+            return np.broadcast_to(terminal, (N + 1,) + shape).copy()
         if initial == "zero":
-            return np.zeros((N + 1, n, n))
-        raise TilqError(f"unknown initial P choice {initial!r}")
-    arr = np.asarray(initial, dtype=float)
-    if arr.shape == (n, n):
-        return np.broadcast_to(arr, (N + 1, n, n)).copy()
-    if arr.shape != (N + 1, n, n):
-        raise TilqError(f"initial P table has shape {arr.shape}, expected "
-                        f"{(N + 1, n, n)}")
-    return arr.copy()
+            return np.zeros((N + 1,) + shape)
+        got = repr(initial)
+    else:
+        arr = np.asarray(initial, dtype=float)
+        if arr.shape == shape:
+            return np.broadcast_to(arr, (N + 1,) + shape).copy()
+        if arr.shape == (N + 1,) + shape:
+            return arr.copy()
+        got = f"a table of shape {arr.shape}"
+    raise TilqError(f"initial {what} must be 'terminal', 'zero' or a table of "
+                    f"shape {shape} or {(N + 1,) + shape}; got {got}")
 
 
 def solve_equilibrium_riccati(spec: ProblemSpec, grid: TimeGrid,
@@ -311,18 +352,17 @@ def solve_equilibrium_riccati(spec: ProblemSpec, grid: TimeGrid,
     opts = opts or SolveOptions()
     if tables is None:
         tables = SpecTables(spec, grid)
-    open_loop = open_loop_transition(spec.dynamics, grid)
-    E_full = open_loop.full_table()
+    open_loop = open_loop_transition(spec.dynamics, grid, store_full=False)
 
     def sweep(P):
-        return _sweep_core(P, tables, E_full)[0]
+        return _sweep_core(P, tables, open_loop.steps)[0]
 
-    P0 = _initial_table(opts.initial, tables)
+    P0 = _initial_table(opts.initial, tables.G_T, grid.N, "P")
     P_final, diag = damped_fixed_point(P0, sweep, opts, "equilibrium Riccati")
 
     gain = _gain_table(P_final, tables)
     cl = _closed_loop_table(gain, tables)
-    qbb = _qbb_table(gain, cl.full_table(), tables)
+    qbb = _qbb_table(gain, cl.pair_table(), tables)
     eigs = np.linalg.eigvalsh(P_final)
     min_eig = float(eigs.min())
     if min_eig < PSD_WARN_FLOOR * max(1.0, float(np.max(np.abs(P_final)))):

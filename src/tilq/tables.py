@@ -3,8 +3,32 @@
 Everything the solvers touch repeatedly is evaluated once here: dynamics at
 nodes and half nodes, diagonal kernel values K(t_i, t_i), terminal weights,
 and the O(N^2) triangles K_t(t_i, t_j) of the first-argument derivatives.
-Triangles use a single broadcast call when the field supports it, otherwise
-an explicit loop over the t <= s pairs.
+
+Pair layout.  Every (N+1)^2 table of the solver -- the kernel triangles, the
+trapezoid weights W, the closed-loop propagators and btilde -- is one
+C-contiguous array of shape ``components + (N+1, N+1)``.  Entry
+``[..., i, j]`` belongs to the node pair (t, s) = (t_i, t_j): the evaluation
+time t runs along the rows and the integration time s >= t along the
+columns, and every component (a, b) of a matrix-valued table is a separate
+(N+1, N+1) plane.  Entries with j < i lie outside the domain t <= s and are
+exactly zero.  Concretely:
+
+* ``Qt[a, b, i, j] = d/dt Q(t_i, t_j)[a, b]`` and likewise ``St``, ``Mt``,
+  ``qt[a, i, j]``, ``rhot[p, i, j]``;
+* ``W[i, j]`` is the trapezoid weight of node j in the integral over
+  [t_i, T];
+* ``TransitionTable.pair_table()[a, b, i, j] = E_cl(t_j, t_i)[a, b]``;
+* the solver's btilde table ``[a, i, j] = btilde(t_j, t_i)[a]``.
+
+Quantities integrated over s for every t -- Qbb, Sbb, omega -- are then
+W-weighted row sums of element-wise products of aligned planes, and a
+coefficient that depends on s only (the gain, Upsilon) broadcasts along
+the rows.  Row i of such a sum reads only row i of each table, so the
+kernels run over blocks of rows (:func:`pair_blocks`) whose temporaries stay
+in cache, and skip the columns left of each block, which are all zero.  The
+public node-major views (``TransitionTable.full_table()``,
+``AuxiliarySolution.btilde``) index the later time first and are views of
+these arrays, not copies.
 """
 
 from __future__ import annotations
@@ -13,34 +37,53 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import TimeGrid, _eval_dynamics
+from .grid import TimeGrid, _eval_dynamics, zero_below_diagonal
 from .problem import ProblemSpec
 
 
+# Bytes of one block of rows over all planes of a pair table: small enough
+# for a block's temporaries to stay in a core's cache, large enough that the
+# per-block interpreter overhead is a small share.
+PAIR_BLOCK_BYTES = 1 << 18
+
+
+def pair_blocks(K: int, planes: int):
+    """(rows, cols) slices covering a K x K pair table by blocks of rows.
+
+    ``cols`` starts at the block's first row: every entry left of it lies
+    below the diagonal and is zero.  ``planes`` is the number of (K, K)
+    planes a kernel reads per table and sets the block height.
+    """
+    height = max(1, PAIR_BLOCK_BYTES // (8 * K * planes))
+    for start in range(0, K, height):
+        yield slice(start, start + height), slice(start, None)
+
+
 def kernel_triangle(field, grid: TimeGrid, derivative: bool = True) -> np.ndarray:
-    """Array [i, j] = field(t_i, t_j) for j >= i; strict lower part zeroed.
+    """Pair table [..., i, j] = field(t_i, t_j) for j >= i; strict lower part zeroed.
 
     Zeroing matters: vectorized kernels may misbehave on the unused t > s
     region (divisions by zero and the like) and a stray inf would poison the
     weighted sums downstream even under zero weights.
     """
     nodes = grid.nodes
-    N = grid.N
+    K = grid.N + 1
     fn = field.dvalue_dt if derivative else field.value
     shape = tuple(field.shape)
+    out = np.zeros(shape + (K, K))
     if field.vectorized:
-        with np.errstate(all="ignore"):
-            arr = np.asarray(fn(nodes[:, None], nodes[None, :]), dtype=float)
-        arr = np.broadcast_to(arr, (N + 1, N + 1) + shape).copy()
+        for rows, cols in pair_blocks(K, int(np.prod(shape))):
+            t, s = nodes[rows, None], nodes[None, cols]
+            with np.errstate(all="ignore"):
+                blk = np.asarray(fn(t, s), dtype=float)
+            blk = np.broadcast_to(blk, np.broadcast_shapes(t.shape, s.shape) + shape)
+            out[..., rows, cols] = np.moveaxis(blk, (0, 1), (-2, -1))
     else:
-        arr = np.zeros((N + 1, N + 1) + shape)
-        for i in range(N + 1):
-            for j in range(i, N + 1):
-                arr[i, j] = np.asarray(fn(float(nodes[i]), float(nodes[j])),
-                                       dtype=float).reshape(shape)
-    il, jl = np.tril_indices(N + 1, k=-1)
-    arr[il, jl] = 0.0
-    return arr
+        for i in range(K):
+            for j in range(i, K):
+                out[..., i, j] = np.asarray(fn(float(nodes[i]), float(nodes[j])),
+                                            dtype=float).reshape(shape)
+    return zero_below_diagonal(out)
 
 
 def suffix_weights(grid: TimeGrid) -> np.ndarray:

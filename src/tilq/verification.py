@@ -35,7 +35,7 @@ import numpy as np
 
 from .auxiliary import _omega_table, _sbb_table, solve_auxiliary
 from .errors import TilqError
-from .grid import TimeGrid, quadrature
+from .grid import TimeGrid, quadrature, zero_below_diagonal
 from .policy import (EquilibriumSolution, cost, error_function_closed,
                      error_function_direct, feedback, grad_value,
                      simulate_control, simulate_equilibrium, value)
@@ -262,7 +262,7 @@ def random_candidate_controls(sol: EquilibriumSolution, t_idx: int, s_idx: int,
 
 
 def _reintegrated_offsets(sol: EquilibriumSolution) -> np.ndarray:
-    """Zero-state responses rebuilt by RK4 affine accumulation.
+    """Zero-state responses rebuilt by RK4 affine accumulation, in pair layout.
 
     Shares the closed-loop step matrices with the stored propagators but
     accumulates the drive b - B Upsilon through the RK4 stages instead of
@@ -291,11 +291,9 @@ def _reintegrated_offsets(sol: EquilibriumSolution) -> np.ndarray:
     Z = np.zeros((N + 1, n))
     for i in range(N):
         Z[i + 1] = steps[i] @ Z[i] + r[i]
-    cl_full = sol.riccati.closed_loop.full_table()
-    bt = Z[:, None, :] - np.einsum("jiab,ib->jia", cl_full, Z, optimize=True)
-    il, jl = np.tril_indices(N + 1, k=-1)
-    bt[jl, il] = 0.0
-    return bt
+    bt = np.einsum("abij,ib->aij", sol.riccati.closed_loop.pair_table(), Z)
+    np.subtract(Z.T[:, None, :], bt, out=bt)
+    return zero_below_diagonal(bt)
 
 
 def hjb_residual_all_nodes(sol: EquilibriumSolution, x) -> np.ndarray:
@@ -313,8 +311,7 @@ def hjb_residual_all_nodes(sol: EquilibriumSolution, x) -> np.ndarray:
     Qd, Sd, Md, qd, rhod = tbl.Qd, tbl.Sd, tbl.Md, tbl.qd, tbl.rhod
 
     bt_re = _reintegrated_offsets(sol)
-    cl_full = sol.riccati.closed_loop.full_table()
-    sbb_re = _sbb_table(gain, ups, bt_re, cl_full, tbl)
+    sbb_re = _sbb_table(gain, ups, bt_re, sol.riccati.closed_loop.pair_table(), tbl)
     omega_re = _omega_table(gain, ups, bt_re, tbl)
 
     GMG = np.einsum("iam,iap,ipc->imc", gain, Md, gain, optimize=True)
@@ -389,12 +386,12 @@ def hjb_integral_residual(sol: EquilibriumSolution, t_idx: int, x) -> float:
              + np.einsum("jab,jb,ja->j", tbl.Qd[sl], Y, Y)
              + 2.0 * np.einsum("ja,ja->j", tbl.qd[sl], Y))
     # F(tau, s, Y(s), grad V(s, Y(s))) on the node triangle
-    sq = np.s_[t_idx:, t_idx:]
-    F = (np.einsum("ijmp,jp,jm->ij", tbl.Mt[sq], h_ctrl, h_ctrl, optimize=True)
-         - 2.0 * np.einsum("ijmn,jn,jm->ij", tbl.St[sq], Y, h_ctrl, optimize=True)
-         - 2.0 * np.einsum("ijm,jm->ij", tbl.rhot[sq], h_ctrl, optimize=True)
-         + np.einsum("ijab,jb,ja->ij", tbl.Qt[sq], Y, Y, optimize=True)
-         + 2.0 * np.einsum("ija,ja->ij", tbl.qt[sq], Y, optimize=True))
+    sq = np.s_[..., t_idx:, t_idx:]
+    F = (np.einsum("mpij,jp,jm->ij", tbl.Mt[sq], h_ctrl, h_ctrl, optimize=True)
+         - 2.0 * np.einsum("mnij,jn,jm->ij", tbl.St[sq], Y, h_ctrl, optimize=True)
+         - 2.0 * np.einsum("mij,jm->ij", tbl.rhot[sq], h_ctrl, optimize=True)
+         + np.einsum("abij,jb,ja->ij", tbl.Qt[sq], Y, Y, optimize=True)
+         + 2.0 * np.einsum("aij,ja->ij", tbl.qt[sq], Y, optimize=True))
     inner = np.einsum("ij,ij->i", F, tbl.W[sq])
     outer = quadrature(H_run - inner, grid, t_idx, N)
     # terminal weights frozen at the start time of the representation

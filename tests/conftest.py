@@ -38,6 +38,39 @@ def twostate_spec(kernel=None):
         kernel or hyperbolic_kernel(1.0), name="twostate")
 
 
+def threestate_spec():
+    """n = 3, m = 2: A(t), B(t) vary in time and do not commute, G'(t) != 0.
+
+    Every cost matrix is full (S is non-square), so a transposed index in a
+    pair contraction changes the numbers, which n = 1 cannot show.  Q has a
+    callable base, which takes the vectorized callable-base path.
+    """
+    def A(t):
+        return np.array([[-0.3, 1.0 + t, 0.0],
+                         [-0.5 * t, -0.2, 0.4],
+                         [0.2, -t * t, -0.1]])
+
+    def B(t):
+        return np.array([[1.0, 0.0], [0.3 * t, 1.0], [0.0, 0.5 - 0.2 * t]])
+
+    def b(t):
+        return np.array([0.05, -0.02 * t, 0.03])
+
+    def Q(s):
+        return np.array([[1.0 + 0.3 * s, 0.2, 0.1],
+                         [0.2, 0.8, -0.1 * s],
+                         [0.1, -0.1 * s, 0.6]])
+
+    return make_discounted(
+        Dimensions(3, 2), 1.0, DynamicsField(A=A, B=B, b=b),
+        BaseCosts(Q=Q, S=[[0.1, 0.05, 0.0], [0.0, 0.1, -0.05]],
+                  M=[[1.0, 0.2], [0.2, 0.7]], q=[0.02, -0.01, 0.03],
+                  rho=[0.01, -0.02], G=[[0.5, 0.1, 0.0], [0.1, 0.4, 0.05],
+                                        [0.0, 0.05, 0.3]],
+                  g=[0.05, 0.0, -0.02]),
+        hyperbolic_kernel(1.0), name="threestate")
+
+
 def zero_cost_spec():
     return make_discounted(
         Dimensions(1, 1), 1.0,

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from tilq import (BaseCosts, Dimensions, DynamicsField, SolveOptions,
-                  build_grid, btilde_table, exponential_kernel,
-                  make_discounted, omega_at, open_loop_transition, sbb_at,
-                  solve_auxiliary, solve_equilibrium_riccati, solve_phi,
-                  solve_psi, upsilon_from_phi)
+                  TilqError, build_grid, btilde_table, exponential_kernel,
+                  make_discounted, omega_at, open_loop_transition, quadrature,
+                  sbb_at, solve_auxiliary, solve_equilibrium_riccati,
+                  solve_phi, solve_psi, upsilon_from_phi)
 from tilq.auxiliary import _affine_backward_rk4
 from tilq.tables import SpecTables
 from conftest import (classical_scalar_spec, hyperbolic_scalar_spec,
-                      twostate_spec, zero_cost_spec)
+                      threestate_spec, twostate_spec, zero_cost_spec)
 
 
 def forced_scalar_spec(kernel=None):
@@ -80,6 +80,21 @@ class TestBtilde:
             worst = max(worst, abs(bt[j, i, 0] - exact))
         assert worst < 1e-6
 
+    def test_matches_direct_trapezoid_sum(self):
+        # btilde(s, t) = int_t^s E_cl(s, tau) (b - B Upsilon)(tau) dtau
+        spec = threestate_spec()
+        grid = build_grid(1.0, 40)
+        riccati = solve_equilibrium_riccati(spec, grid)
+        ups = np.column_stack([0.3 - grid.nodes, 0.1 * np.cos(3 * grid.nodes)])
+        bt = btilde_table(riccati.closed_loop, ups, spec.dynamics, grid)
+        cl = riccati.closed_loop
+        drive = [spec.dynamics.b(float(t)) - spec.dynamics.B(float(t)) @ ups[k]
+                 for k, t in enumerate(grid.nodes)]
+        for (j, i) in [(40, 0), (31, 7), (12, 11), (25, 25)]:
+            terms = np.array([cl.matrix(j, k) @ drive[k] for k in range(i, j + 1)])
+            np.testing.assert_allclose(bt[j, i], quadrature(terms, grid, i, j),
+                                       rtol=0, atol=1e-13)
+
     def test_diagonal_zero(self):
         spec = hyperbolic_scalar_spec()
         grid = build_grid(1.0, 80)
@@ -138,17 +153,19 @@ class TestSbbOmegaPointwise:
         assert got == pytest.approx(c * u0 * u0, abs=1e-12)
 
     def test_pointwise_matches_batched(self):
-        spec = hyperbolic_scalar_spec()
+        # the three-state input has full, non-square blocks: n = 1 alone
+        # cannot show a transposed index
         grid = build_grid(1.0, 150)
-        riccati = solve_equilibrium_riccati(spec, grid)
-        aux = solve_auxiliary(spec, grid, riccati)
-        for i in (0, 50, 149):
-            s_direct = sbb_at(i, spec, grid, riccati.closed_loop,
-                              riccati.gain, aux.upsilon, aux.btilde)
-            np.testing.assert_allclose(s_direct, aux.sbb[i], atol=1e-13)
-            w_direct = omega_at(i, spec, grid, riccati.gain, aux.upsilon,
-                                aux.btilde)
-            assert w_direct == pytest.approx(float(aux.omega[i]), abs=1e-13)
+        for spec in (hyperbolic_scalar_spec(), threestate_spec()):
+            riccati = solve_equilibrium_riccati(spec, grid)
+            aux = solve_auxiliary(spec, grid, riccati)
+            for i in (0, 50, 149):
+                s_direct = sbb_at(i, spec, grid, riccati.closed_loop,
+                                  riccati.gain, aux.upsilon, aux.btilde)
+                np.testing.assert_allclose(s_direct, aux.sbb[i], atol=1e-13)
+                w_direct = omega_at(i, spec, grid, riccati.gain, aux.upsilon,
+                                    aux.btilde)
+                assert w_direct == pytest.approx(float(aux.omega[i]), abs=1e-13)
 
     def test_fine_grid_oracle(self):
         spec = forced_scalar_spec(exponential_kernel(0.5))
@@ -181,6 +198,20 @@ class TestSolvePhi:
         np.testing.assert_array_equal(phi_sol.upsilon,
                                       np.zeros_like(phi_sol.upsilon))
         np.testing.assert_array_equal(phi_sol.sbb, np.zeros_like(phi_sol.sbb))
+
+    def test_explicit_initial_tables(self):
+        # SolveOptions.initial reaches phi too (solve_equilibrium passes one
+        # options object to both stages); only phi-shaped tables apply
+        spec = twostate_spec()
+        grid = build_grid(1.0, 50)
+        riccati = solve_equilibrium_riccati(spec, grid)
+        ref = solve_phi(spec, grid, riccati).phi
+        for init in ([0.1, -0.2], np.full((51, 2), 0.3), "zero"):
+            got = solve_phi(spec, grid, riccati, SolveOptions(initial=init)).phi
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-9)
+        for bad in (np.eye(2), np.zeros((50, 2)), "warm"):
+            with pytest.raises(TilqError, match="initial phi"):
+                solve_phi(spec, grid, riccati, SolveOptions(initial=bad))
 
     def test_terminal_condition_exact(self):
         spec = hyperbolic_scalar_spec()

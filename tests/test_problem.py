@@ -132,6 +132,37 @@ class TestMakeDiscounted:
         np.testing.assert_array_equal(Q, Q.T)
 
 
+class TestKernelTriangle:
+    def test_broadcast_path_matches_scalar_queries(self):
+        # tabulated kernel with callable and constant bases: the array
+        # lookup must reproduce the scalar per-pair values bit for bit, off
+        # the table's nodes too (30 grid cells against 40 table cells)
+        from tilq import build_grid
+        from tilq.tables import kernel_triangle
+        times = np.linspace(0.0, 1.0, 41)
+        table = 1.0 / (1.0 + np.clip(times[None, :] - times[:, None], 0.0,
+                                     None))
+        spec = make_discounted(
+            Dimensions(2, 1), 1.0,
+            DynamicsField.constant(np.zeros((2, 2)), [[0.0], [1.0]], [0.0, 0.0]),
+            BaseCosts(Q=lambda s: np.array([[1.0 + s, 0.1], [0.1, 0.5]]),
+                      S=[[0.1, 0.0]], M=lambda s: np.array([[1.0 + 0.5 * s]]),
+                      q=[0.02, 0.0], rho=[0.01], G=np.eye(2), g=[0.0, 0.0]),
+            tabulated_kernel(times, table))
+        grid = build_grid(1.0, 30)
+        nodes = [float(t) for t in grid.nodes]
+        for field in (spec.Q, spec.S, spec.M, spec.q):
+            assert field.vectorized
+            for derivative in (True, False):
+                tri = kernel_triangle(field, grid, derivative)
+                query = field.dt if derivative else field
+                for i in range(31):
+                    np.testing.assert_array_equal(tri[..., i, :i], 0.0)
+                    for j in range(i, 31):
+                        np.testing.assert_array_equal(
+                            tri[..., i, j], query(nodes[i], nodes[j]))
+
+
 class TestValidate:
     def test_clean_scalar_passes(self):
         assert validate(scalar_spec(), 100).ok

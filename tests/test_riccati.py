@@ -3,13 +3,15 @@ import pytest
 
 from tilq import (AssumptionError, BaseCosts, Dimensions, DynamicsField,
                   SolveOptions, build_grid, classical_riccati,
-                  exponential_kernel, gamma_from_p, make_discounted,
-                  qbb_from_gamma, riccati_sweep, solve_equilibrium_riccati)
+                  closed_loop_transition, exponential_kernel, gamma_from_p,
+                  make_discounted, open_loop_transition, qbb_from_gamma,
+                  quadrature, riccati_sweep, solve_equilibrium_riccati)
 from tilq.errors import ConvergenceError
 from tilq.riccati import _closed_loop_table, _qbb_table
 from tilq.tables import SpecTables
 from conftest import (classical_exact_p, classical_scalar_spec,
-                      hyperbolic_scalar_spec, twostate_spec, zero_cost_spec)
+                      hyperbolic_scalar_spec, threestate_spec, twostate_spec,
+                      zero_cost_spec)
 
 
 class TestGainFromP:
@@ -60,7 +62,7 @@ class TestQbb:
         tables = SpecTables(spec, grid)
         gain = np.ones((51, 1, 1))
         cl = _closed_loop_table(gain, tables)
-        qbb = _qbb_table(gain, cl.full_table(), tables)
+        qbb = _qbb_table(gain, cl.pair_table(), tables)
         np.testing.assert_array_equal(qbb, np.zeros_like(qbb))
 
     def test_terminal_term_only(self):
@@ -83,12 +85,14 @@ class TestQbb:
         assert qbb[0, 0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_per_node_matches_batched(self):
-        spec = hyperbolic_scalar_spec()
+        # the three-state input has full, non-square blocks: n = 1 alone
+        # cannot show a transposed index
         grid = build_grid(1.0, 200)
-        sol = solve_equilibrium_riccati(spec, grid)
-        for i in (0, 77, 199, 200):
-            direct = qbb_from_gamma(sol.gain, sol.closed_loop, spec, grid, i)
-            np.testing.assert_allclose(direct, sol.qbb[i], atol=1e-13)
+        for spec in (hyperbolic_scalar_spec(), threestate_spec()):
+            sol = solve_equilibrium_riccati(spec, grid)
+            for i in (0, 77, 199, 200):
+                direct = qbb_from_gamma(sol.gain, sol.closed_loop, spec, grid, i)
+                np.testing.assert_allclose(direct, sol.qbb[i], atol=1e-13)
 
     def test_matches_fine_grid_quadrature(self):
         # rebuild Qbb on a 10x finer grid from the interpolated gain
@@ -141,6 +145,32 @@ class TestSweep:
         out = riccati_sweep(sol.P, spec, grid)
         assert np.max(np.abs(out - sol.P)) <= 10 * 1e-10
 
+    def test_matches_explicit_trapezoid_sum(self):
+        # the backward recursion against the O(N^2) double sum it reassociates
+        spec = threestate_spec()
+        grid = build_grid(1.0, 24)
+        N, T = grid.N, grid.T
+        rng = np.random.default_rng(3)
+        X = rng.uniform(-0.3, 0.3, size=(N + 1, 3, 3))
+        P_in = 0.5 * np.eye(3) + X + np.swapaxes(X, -1, -2)
+        nodes = [float(t) for t in grid.nodes]
+        gain = np.array([gamma_from_p(P_in[i], spec, nodes[i])
+                         for i in range(N + 1)])
+        cl = closed_loop_transition(spec.dynamics, gain, grid)
+        inner = np.array([spec.Q(t, t) - qbb_from_gamma(gain, cl, spec, grid, i)
+                          - gain[i].T @ spec.M(t, t) @ gain[i]
+                          for i, t in enumerate(nodes)])
+        E = open_loop_transition(spec.dynamics, grid)
+        G_T = np.asarray(spec.terminal.G(T), dtype=float)
+        expected = np.empty_like(P_in)
+        for i in range(N + 1):
+            terms = np.array([E.matrix(j, i).T @ inner[j] @ E.matrix(j, i)
+                              for j in range(i, N + 1)])
+            expected[i] = (quadrature(terms, grid, i, N)
+                           + E.matrix(N, i).T @ G_T @ E.matrix(N, i))
+        got = riccati_sweep(P_in, spec, grid)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
+
     def test_closed_loop_integral_form_holds(self):
         # the converged open-loop fixed point must also satisfy the
         # equivalent closed-loop representation
@@ -151,16 +181,15 @@ class TestSweep:
         grid = build_grid(1.0, 300)
         sol = solve_equilibrium_riccati(spec, grid)
         tbl = sol.tables
-        cl = sol.closed_loop.full_table()
+        cl = sol.closed_loop.pair_table()
         SMS = np.einsum("jmn,jmp,jpk->jnk", tbl.Sd,
                         np.linalg.inv(tbl.Md), tbl.Sd)
         BP = np.einsum("jam,jab->jmb", tbl.B, sol.P)
         PBMBP = np.einsum("jma,jmp,jpb->jab", BP, np.linalg.inv(tbl.Md), BP)
         inner = tbl.Qd - SMS - sol.qbb + PBMBP
-        mid = np.einsum("jiba,jbc->jiac", cl, inner)
-        integral = np.einsum("jiac,jicd,ij->iad", mid, cl, tbl.W)
-        EN = cl[grid.N]
-        rhs = integral + np.einsum("iab,ac,icd->ibd", EN, tbl.G_T, EN)
+        integral = np.einsum("caij,jce,edij,ij->iad", cl, inner, cl, tbl.W)
+        EN = cl[..., grid.N]
+        rhs = integral + np.einsum("cai,ce,edi->iad", EN, tbl.G_T, EN)
         scale = 1.0 + np.max(np.abs(sol.P))
         assert np.max(np.abs(rhs - sol.P)) <= 10 * grid.h ** 2 * scale
 
