@@ -16,6 +16,8 @@ from .errors import (AssumptionError, ConsistencyError, ConvergenceError,
                      ProblemFileError, TilqError)
 from .grid import (TimeGrid, TransitionTable, build_grid, closed_loop_transition,
                    open_loop_transition, quadrature)
+from .local import (ExponentialSum, fit_exponential_sum, local_expansion,
+                    solve_local)
 from .policy import (EquilibriumSolution, Trajectory, cost,
                      error_function_closed, error_function_direct, feedback,
                      grad_value, simulate_control, simulate_equilibrium,

@@ -53,7 +53,7 @@ at (t, s).  Both expand to the defining integrands that :func:`sbb_at` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -81,19 +81,34 @@ class PhiSolution:
 
 @dataclass
 class AuxiliarySolution:
-    """phi, psi and every nonlocal quantity entering them."""
+    """phi, psi and every nonlocal quantity entering them.
+
+    The btilde pair table is built from ``closed_loop`` and ``drive`` on its
+    first use and kept.
+    """
 
     phi: np.ndarray
     psi: np.ndarray       # (N+1,)
     upsilon: np.ndarray
     sbb: np.ndarray
     omega: np.ndarray     # (N+1,)
-    btilde: np.ndarray
     diagnostics: FixedPointDiagnostics
+    closed_loop: TransitionTable = field(repr=False)
+    drive: np.ndarray = field(repr=False)  # (N+1, n), b - B Upsilon
+    _btilde: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def converged(self) -> bool:
         return self.diagnostics.converged
+
+    @property
+    def btilde(self) -> np.ndarray:
+        """(N+1, N+1, n) [s_idx, t_idx]: a view of the pair-layout table."""
+        if self._btilde is None:
+            cl = self.closed_loop
+            self._btilde = from_pair_layout(
+                _btilde_from_drive(cl.pair_table(), self.drive, cl.grid))
+        return self._btilde
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +391,11 @@ def solve_auxiliary(spec: ProblemSpec, grid: TimeGrid, riccati: RiccatiSolution,
     """phi then psi, with all dependent tables mutually consistent."""
     phi_sol = solve_phi(spec, grid, riccati, opts)
     psi, omega = solve_psi(spec, grid, riccati, phi_sol)
-    return AuxiliarySolution(phi=phi_sol.phi, psi=psi, upsilon=phi_sol.upsilon,
-                             sbb=phi_sol.sbb, omega=omega,
-                             btilde=phi_sol.btilde, diagnostics=phi_sol.diagnostics)
+    tables = riccati.tables
+    aux = AuxiliarySolution(
+        phi=phi_sol.phi, psi=psi, upsilon=phi_sol.upsilon, sbb=phi_sol.sbb,
+        omega=omega, diagnostics=phi_sol.diagnostics,
+        closed_loop=riccati.closed_loop,
+        drive=tables.b - np.einsum("tab,tb->ta", tables.B, phi_sol.upsilon))
+    aux._btilde = phi_sol.btilde
+    return aux

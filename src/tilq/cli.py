@@ -108,6 +108,17 @@ def _write_solution_tables(out: Path, loaded: LoadedProblem,
     }
 
 
+def _method(sol: EquilibriumSolution) -> tuple[dict, str]:
+    """Summary fields and a short description of the path that solved ``sol``."""
+    exp = sol.riccati.expansion
+    if exp is not None:
+        return ({"method": "local", "expansion_terms": exp.terms,
+                 "fit_error": exp.fit_error},
+                f"local (R={exp.terms}, fit error {exp.fit_error:.1e})")
+    sweeps = sol.riccati.diagnostics.iterations
+    return {"method": "fixed_point"}, f"fixed_point ({sweeps} sweeps)"
+
+
 def cmd_solve(args) -> int:
     loaded = _load(args)
     out = _out_dir(args)
@@ -118,10 +129,12 @@ def cmd_solve(args) -> int:
     elapsed = time.perf_counter() - started
     x0 = _x0(args, loaded.spec.dims.n)
     head = _write_solution_tables(out, loaded, sol, x0)
+    method, described = _method(sol)
     summary = {
         "command": "solve",
         "problem": loaded.spec.name,
         "grid_points": loaded.grid_points,
+        **method,
         "tolerance": loaded.solve_options.tolerance,
         "riccati_iterations": sol.riccati.diagnostics.iterations,
         "riccati_deltas": sol.riccati.diagnostics.deltas,
@@ -131,8 +144,7 @@ def cmd_solve(args) -> int:
         **head,
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    print(f"solved {loaded.spec.name or args.problem}: "
-          f"{sol.riccati.diagnostics.iterations} sweeps, "
+    print(f"solved {loaded.spec.name or args.problem}: method {described}, "
           f"P(0)[0,0] = {format_number(sol.riccati.P[0, 0, 0])}, "
           f"outputs in {out}")
     return EXIT_OK
@@ -174,6 +186,7 @@ def cmd_verify(args) -> int:
         "problem": loaded.spec.name,
         "grid_points": loaded.grid_points,
         "seed": loaded.verify_options.seed,
+        **_method(sol)[0],
         "passed": report.passed,
         "checks": {c.name: {"passed": c.passed, "tolerance": c.tolerance,
                             "worst": c.worst} for c in report.checks},

@@ -10,7 +10,9 @@ Tables over node pairs are stored in the pair layout described in
 :mod:`tilq.tables`; :func:`from_pair_layout` gives the node-major view the
 public accessors return.
 
-All tables are immutable after construction and safe for concurrent reads.
+A table's pair storage is built on first use and kept; every read after
+that is of an immutable array.  Two threads that both make the first use
+may each build it, with identical results.
 """
 
 from __future__ import annotations
@@ -20,11 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TilqError
-
-# Full (i, j) pair storage is kept only for grids within this budget;
-# larger tables fall back to per-step factors composed on demand.
-FULL_TABLE_MAX_N = 4000
-FULL_TABLE_MAX_DIM = 8
 
 
 @dataclass(frozen=True)
@@ -121,22 +118,21 @@ class TransitionTable:
     """Propagators Phi(t_i, t_j), j <= i, of a linear time-varying system.
 
     Phi(i, i) is the identity and the table satisfies the semigroup property
-    Phi(i, j) = Phi(i, k) Phi(k, j) up to rounding.  Construction is
-    deterministic: identical inputs give bit-identical tables.
+    Phi(i, j) = Phi(i, k) Phi(k, j) up to rounding.  Only the one-step
+    factors are computed up front; the (N+1)^2 pair table is built on the
+    first call of :meth:`pair_table`, :meth:`full_table` or :meth:`matrix`
+    and kept.  Construction is deterministic: identical inputs give
+    bit-identical tables.
     """
 
-    def __init__(self, grid: TimeGrid, steps: np.ndarray, flavor: str,
-                 store_full: bool | None = None):
+    def __init__(self, grid: TimeGrid, steps: np.ndarray, flavor: str):
         self.grid = grid
         self.flavor = flavor
         self.dim = steps.shape[-1]
         steps = np.ascontiguousarray(steps, dtype=float)
         steps.flags.writeable = False
         self.steps = steps
-        if store_full is None:
-            store_full = (grid.N <= FULL_TABLE_MAX_N
-                          and self.dim <= FULL_TABLE_MAX_DIM)
-        self._full = self._build_full() if store_full else None
+        self._pairs = None
 
     def _build_full(self) -> np.ndarray:
         N, n = self.grid.N, self.dim
@@ -150,18 +146,14 @@ class TransitionTable:
         pairs.flags.writeable = False
         return pairs
 
-    @property
-    def stores_full(self) -> bool:
-        return self._full is not None
-
     def pair_table(self) -> np.ndarray:
         """The (n, n, N+1, N+1) pair table [a, b, i, j] = Phi(t_j, t_i)[a, b].
 
-        Zero where j < i; built if not stored.
+        Zero where j < i.
         """
-        if self._full is None:
-            return self._build_full()
-        return self._full
+        if self._pairs is None:
+            self._pairs = self._build_full()
+        return self._pairs
 
     def full_table(self) -> np.ndarray:
         """The (N+1, N+1, n, n) view [i, j] = Phi(t_i, t_j) of the pair table."""
@@ -171,12 +163,7 @@ class TransitionTable:
         """Phi(t_i, t_j) for j <= i."""
         if not (0 <= j <= i <= self.grid.N):
             raise TilqError(f"propagator indices must satisfy 0 <= {j} <= {i} <= N")
-        if self._full is not None:
-            return self._full[:, :, j, i]
-        out = np.eye(self.dim)
-        for k in range(j, i):
-            out = self.steps[k] @ out
-        return out
+        return self.pair_table()[:, :, j, i]
 
 
 def _eval_dynamics(fn, times: np.ndarray, shape: tuple) -> np.ndarray:
@@ -186,18 +173,17 @@ def _eval_dynamics(fn, times: np.ndarray, shape: tuple) -> np.ndarray:
     return out
 
 
-def open_loop_transition(dynamics, grid: TimeGrid,
-                         store_full: bool | None = None) -> TransitionTable:
+def open_loop_transition(dynamics, grid: TimeGrid) -> TransitionTable:
     """Fundamental-solution table of x' = A(t) x."""
     n = np.asarray(dynamics.A(0.0), dtype=float).shape[0]
     A_nodes = _eval_dynamics(dynamics.A, grid.nodes, (n, n))
     A_half = _eval_dynamics(dynamics.A, grid.half_nodes, (n, n))
     steps = _rk4_linear_steps(A_nodes, A_half, grid.h)
-    return TransitionTable(grid, steps, flavor="open_loop", store_full=store_full)
+    return TransitionTable(grid, steps, flavor="open_loop")
 
 
-def closed_loop_transition(dynamics, gain: np.ndarray, grid: TimeGrid,
-                           store_full: bool | None = None) -> TransitionTable:
+def closed_loop_transition(dynamics, gain: np.ndarray,
+                           grid: TimeGrid) -> TransitionTable:
     """Fundamental-solution table of x' = (A(t) - B(t) Gain(t)) x.
 
     ``gain`` is tabulated on the nodes, shape (N+1, m, n); its half-step
@@ -220,4 +206,4 @@ def closed_loop_transition(dynamics, gain: np.ndarray, grid: TimeGrid,
     eff_nodes = A_nodes - B_nodes @ gain
     eff_half = A_half - B_half @ gain_half
     steps = _rk4_linear_steps(eff_nodes, eff_half, grid.h)
-    return TransitionTable(grid, steps, flavor="closed_loop", store_full=store_full)
+    return TransitionTable(grid, steps, flavor="closed_loop")

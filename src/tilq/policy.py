@@ -28,6 +28,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .auxiliary import AuxiliarySolution, solve_auxiliary
 from .errors import AssumptionError, ConsistencyError, TilqError
 from .grid import TimeGrid, quadrature
+from .local import local_expansion, solve_local
 from .problem import ProblemSpec
 from .riccati import RiccatiSolution, SolveOptions, solve_equilibrium_riccati
 from .tables import SpecTables
@@ -52,13 +53,29 @@ class EquilibriumSolution:
     def converged(self) -> bool:
         return self.riccati.converged and self.auxiliary.converged
 
+    @property
+    def method(self) -> str:
+        """"local" (one local ODE sweep) or "fixed_point"."""
+        return "fixed_point" if self.riccati.expansion is None else "local"
+
 
 def solve_equilibrium(spec: ProblemSpec, grid: TimeGrid,
                       riccati_opts: SolveOptions | None = None,
                       phi_opts: SolveOptions | None = None) -> EquilibriumSolution:
-    """Full solve: equilibrium Riccati fixed point, then the affine system."""
-    riccati = solve_equilibrium_riccati(spec, grid, riccati_opts)
-    auxiliary = solve_auxiliary(spec, grid, riccati, phi_opts)
+    """Full solve of the equilibrium Riccati, affine and scalar terms.
+
+    A separable problem whose discount derivative has an exponential-sum fit
+    on [0, T] (:func:`tilq.local.local_expansion`) is solved by one local
+    ODE sweep, which needs no options.  Every other problem goes through the
+    Riccati fixed point and then the Picard iteration for the affine term,
+    controlled by ``riccati_opts`` and ``phi_opts``.
+    """
+    expansion = local_expansion(spec)
+    if expansion is not None:
+        riccati, auxiliary = solve_local(spec, grid, expansion)
+    else:
+        riccati = solve_equilibrium_riccati(spec, grid, riccati_opts)
+        auxiliary = solve_auxiliary(spec, grid, riccati, phi_opts)
     return EquilibriumSolution(spec=spec, grid=grid, riccati=riccati,
                                auxiliary=auxiliary)
 

@@ -233,6 +233,9 @@ class ProblemSpec:
     terminal: TerminalField
     name: str = ""
     description: str = ""
+    # discount kernel of a separable problem (see make_discounted); None
+    # when the kernels are not lam(t, s) * base(s) for one known lam
+    kernel: DiscountKernel | None = dc_field(default=None, compare=False)
 
     def __post_init__(self):
         if self.horizon <= 0:
@@ -257,6 +260,11 @@ class DiscountKernel:
     lam(t, t) = 1 and lam > 0 for every family.  Non-exponential families
     make the weighted cost kernels genuinely depend on the evaluation time,
     which is what renders the control problem time-inconsistent.
+
+    ``expansion``, when present, maps a term count R to arrays (c, a) of an
+    exponential sum dlam_dt(t, s) ~= sum_r c_r exp(-a_r (s - t)).  It exists
+    only for families whose derivative depends on s - t alone; families with
+    an exact sum return it whatever R is asked for.
     """
 
     family: str
@@ -264,6 +272,7 @@ class DiscountKernel:
     lam: Callable = dc_field(repr=False, default=None)
     dlam_dt: Callable = dc_field(repr=False, default=None)
     vectorized: bool = True
+    expansion: Callable | None = dc_field(repr=False, default=None)
 
 
 def exponential_kernel(delta: float) -> DiscountKernel:
@@ -278,7 +287,11 @@ def exponential_kernel(delta: float) -> DiscountKernel:
     def dlam(t, s):
         return delta * lam(t, s)
 
-    return DiscountKernel("exponential", {"delta": delta}, lam, dlam)
+    def expansion(terms):
+        return np.array([delta]), np.array([delta])
+
+    return DiscountKernel("exponential", {"delta": delta}, lam, dlam,
+                          expansion=expansion)
 
 
 def hyperbolic_kernel(k: float) -> DiscountKernel:
@@ -294,7 +307,15 @@ def hyperbolic_kernel(k: float) -> DiscountKernel:
         d = 1.0 + k * (np.asarray(s, dtype=float) - np.asarray(t, dtype=float))
         return k / (d * d)
 
-    return DiscountKernel("hyperbolic", {"k": k}, lam, dlam)
+    def expansion(terms):
+        # k / (1 + k x)^2 = int_0^inf k u e^{-u} e^{-k u x} du, by generalized
+        # Gauss-Laguerre quadrature (weight u e^{-u}) in u; imported here so
+        # that problems which never ask for it do not load scipy.special
+        from scipy.special import roots_genlaguerre
+        nodes, weights = roots_genlaguerre(terms, 1)
+        return k * weights, k * nodes
+
+    return DiscountKernel("hyperbolic", {"k": k}, lam, dlam, expansion=expansion)
 
 
 def quasi_hyperbolic_kernel(beta: float, delta: float, width: float) -> DiscountKernel:
@@ -324,9 +345,14 @@ def quasi_hyperbolic_kernel(beta: float, delta: float, width: float) -> Discount
         return ((1.0 - beta) / width * bump * expd
                 + (beta + (1.0 - beta) * bump) * delta * expd)
 
+    def expansion(terms):
+        # lam = beta e^{-delta d} + (1 - beta) e^{-(delta + 1/width) d}
+        fast = delta + 1.0 / width
+        return np.array([beta * delta, (1.0 - beta) * fast]), np.array([delta, fast])
+
     return DiscountKernel("quasi_hyperbolic",
                           {"beta": beta, "delta": delta, "width": width},
-                          lam, dlam)
+                          lam, dlam, expansion=expansion)
 
 
 def tabulated_kernel(times, values) -> DiscountKernel:
@@ -561,6 +587,8 @@ def make_discounted(dims: Dimensions, horizon: float, dynamics: DynamicsField,
     terminal pair is G(t) = lam(t, T) G_hat, g(t) = lam(t, T) g_hat with the
     matching derivatives.  With the exponential family at rate zero every
     derivative field is identically zero and the problem is time-consistent.
+    The kernel is recorded on the spec, which lets the solver use its
+    exponential-sum expansion (:mod:`tilq.local`).
     """
     n, m = dims.n, dims.m
     T = float(horizon)
@@ -607,6 +635,7 @@ def make_discounted(dims: Dimensions, horizon: float, dynamics: DynamicsField,
         terminal=TerminalField(G=term_G, g=term_g, dG_dt=term_dG, dg_dt=term_dg),
         name=name,
         description=description,
+        kernel=kernel,
     )
 
 

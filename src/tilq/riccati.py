@@ -158,9 +158,11 @@ class RiccatiSolution:
     gain: np.ndarray       # (N+1, m, n)
     qbb: np.ndarray        # (N+1, n, n), symmetric
     closed_loop: TransitionTable
-    open_loop: TransitionTable
     diagnostics: FixedPointDiagnostics
     tables: SpecTables
+    # the kernel's exponential sum (tilq.local.ExponentialSum) when the local
+    # ODE sweep produced this solution; None on the fixed-point path
+    expansion: object = None
 
     @property
     def converged(self) -> bool:
@@ -230,14 +232,12 @@ def _gain_table(P: np.ndarray, tables: SpecTables) -> np.ndarray:
             "M(t,t) is not positive definite on the grid") from exc
 
 
-def _closed_loop_table(gain: np.ndarray, tables: SpecTables,
-                       store_full: bool | None = None) -> TransitionTable:
+def _closed_loop_table(gain: np.ndarray, tables: SpecTables) -> TransitionTable:
     gain_half = 0.5 * (gain[:-1] + gain[1:])
     eff_nodes = tables.A - tables.B @ gain
     eff_half = tables.A_half - tables.B_half @ gain_half
     steps = _rk4_linear_steps(eff_nodes, eff_half, tables.grid.h)
-    return TransitionTable(tables.grid, steps, flavor="closed_loop",
-                           store_full=store_full)
+    return TransitionTable(tables.grid, steps, flavor="closed_loop")
 
 
 def _qbb_table(gain: np.ndarray, cl_pairs: np.ndarray,
@@ -296,6 +296,16 @@ def _sweep_core(P: np.ndarray, tables: SpecTables, steps: np.ndarray):
     return P_out, gain, qbb, cl
 
 
+def warn_if_indefinite(P: np.ndarray, diag: FixedPointDiagnostics) -> None:
+    """Warn, and add to ``diag.note``, when a solved P has negative eigenvalues."""
+    min_eig = float(np.linalg.eigvalsh(P).min())
+    if min_eig < PSD_WARN_FLOOR * max(1.0, float(np.max(np.abs(P)))):
+        message = (f"P has negative eigenvalues (min {min_eig:.3e}); "
+                   f"semi-definiteness is not guaranteed for coupled costs")
+        diag.note = f"{diag.note}; {message}" if diag.note else message
+        warnings.warn(message, stacklevel=3)
+
+
 def riccati_sweep(P_in: np.ndarray, spec: ProblemSpec, grid: TimeGrid,
                   tables: SpecTables | None = None,
                   open_loop: TransitionTable | None = None) -> np.ndarray:
@@ -303,7 +313,7 @@ def riccati_sweep(P_in: np.ndarray, spec: ProblemSpec, grid: TimeGrid,
     if tables is None:
         tables = SpecTables(spec, grid)
     if open_loop is None:
-        open_loop = open_loop_transition(spec.dynamics, grid, store_full=False)
+        open_loop = open_loop_transition(spec.dynamics, grid)
     P_in = np.asarray(P_in, dtype=float)
     if P_in.shape != (grid.N + 1, spec.dims.n, spec.dims.n):
         raise TilqError(f"P table has shape {P_in.shape}, expected "
@@ -352,7 +362,7 @@ def solve_equilibrium_riccati(spec: ProblemSpec, grid: TimeGrid,
     opts = opts or SolveOptions()
     if tables is None:
         tables = SpecTables(spec, grid)
-    open_loop = open_loop_transition(spec.dynamics, grid, store_full=False)
+    open_loop = open_loop_transition(spec.dynamics, grid)
 
     def sweep(P):
         return _sweep_core(P, tables, open_loop.steps)[0]
@@ -363,15 +373,9 @@ def solve_equilibrium_riccati(spec: ProblemSpec, grid: TimeGrid,
     gain = _gain_table(P_final, tables)
     cl = _closed_loop_table(gain, tables)
     qbb = _qbb_table(gain, cl.pair_table(), tables)
-    eigs = np.linalg.eigvalsh(P_final)
-    min_eig = float(eigs.min())
-    if min_eig < PSD_WARN_FLOOR * max(1.0, float(np.max(np.abs(P_final)))):
-        diag.note = (f"P has negative eigenvalues (min {min_eig:.3e}); "
-                     f"semi-definiteness is not guaranteed for coupled costs")
-        warnings.warn(diag.note, stacklevel=2)
+    warn_if_indefinite(P_final, diag)
     return RiccatiSolution(grid=grid, P=P_final, gain=gain, qbb=qbb,
-                           closed_loop=cl, open_loop=open_loop,
-                           diagnostics=diag, tables=tables)
+                           closed_loop=cl, diagnostics=diag, tables=tables)
 
 
 # ---------------------------------------------------------------------------

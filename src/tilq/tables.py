@@ -1,8 +1,9 @@
 """Per-solve tabulation of a problem's coefficients on a time grid.
 
-Everything the solvers touch repeatedly is evaluated once here: dynamics at
-nodes and half nodes, diagonal kernel values K(t_i, t_i), terminal weights,
-and the O(N^2) triangles K_t(t_i, t_j) of the first-argument derivatives.
+Everything the solvers touch repeatedly is evaluated once here: dynamics and
+diagonal kernel values K(t, t) at nodes and half nodes, terminal weights,
+and the O(N^2) triangles K_t(t_i, t_j) of the first-argument derivatives,
+which only the fixed-point path and the verification checks build.
 
 Pair layout.  Every (N+1)^2 table of the solver -- the kernel triangles, the
 trapezoid weights W, the closed-loop propagators and btilde -- is one
@@ -38,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import TimeGrid, _eval_dynamics, zero_below_diagonal
-from .problem import ProblemSpec
+from .problem import ProblemSpec, eval_pairs
 
 
 # Bytes of one block of rows over all planes of a pair table: small enough
@@ -84,6 +85,12 @@ def kernel_triangle(field, grid: TimeGrid, derivative: bool = True) -> np.ndarra
                 out[..., i, j] = np.asarray(fn(float(nodes[i]), float(nodes[j])),
                                             dtype=float).reshape(shape)
     return zero_below_diagonal(out)
+
+
+def _on_diagonal(field, times: np.ndarray) -> np.ndarray:
+    """K(t, t) at every time, one call for a vectorized field."""
+    return np.array(eval_pairs(field.value, times, times, field.shape,
+                               field.vectorized), dtype=float)
 
 
 def suffix_weights(grid: TimeGrid) -> np.ndarray:
@@ -151,13 +158,10 @@ class SpecTables:
     # -- diagonal kernel values K(t, t) -------------------------------------
 
     def _diag(self, field) -> np.ndarray:
-        nodes = self.grid.nodes
-        return np.ascontiguousarray(
-            np.asarray([field(float(t), float(t)) for t in nodes], dtype=float))
+        return _on_diagonal(field, self.grid.nodes)
 
     def _diag_half(self, field) -> np.ndarray:
-        return np.asarray([field(float(t), float(t)) for t in self.grid.half_nodes],
-                          dtype=float)
+        return _on_diagonal(field, self.grid.half_nodes)
 
     @cached_property
     def Qd(self) -> np.ndarray:
@@ -184,6 +188,18 @@ class SpecTables:
         """Stacked Cholesky factors of M(t_i, t_i); fails fast on non-PD data."""
         sym = 0.5 * (self.Md + np.swapaxes(self.Md, -1, -2))
         return np.linalg.cholesky(sym)
+
+    @cached_property
+    def Qd_half(self) -> np.ndarray:
+        return self._diag_half(self.spec.Q)
+
+    @cached_property
+    def Sd_half(self) -> np.ndarray:
+        return self._diag_half(self.spec.S)
+
+    @cached_property
+    def Md_half(self) -> np.ndarray:
+        return self._diag_half(self.spec.M)
 
     @cached_property
     def qd_half(self) -> np.ndarray:

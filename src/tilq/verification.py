@@ -296,19 +296,27 @@ def _reintegrated_offsets(sol: EquilibriumSolution) -> np.ndarray:
     return zero_below_diagonal(bt)
 
 
-def hjb_residual_all_nodes(sol: EquilibriumSolution, x) -> np.ndarray:
-    """Stationarity residual at every node for one state."""
-    spec = sol.spec
+@dataclass
+class _StationarityTerms:
+    """State-independent tables of the pointwise residual at every node."""
+
+    P_dot: np.ndarray
+    phi_dot: np.ndarray
+    psi_dot: np.ndarray
+    grad_affine: np.ndarray   # 2 phi
+    sbb_re: np.ndarray
+    omega_re: np.ndarray
+
+
+def _stationarity_terms(sol: EquilibriumSolution) -> _StationarityTerms:
     tbl = sol.tables
-    n = spec.dims.n
-    x = np.asarray(x, dtype=float).reshape(n)
     P = sol.riccati.P
     gain = sol.riccati.gain
     qbb = sol.riccati.qbb
     phi = sol.auxiliary.phi
     ups = sol.auxiliary.upsilon
     A, B, b = tbl.A, tbl.B, tbl.b
-    Qd, Sd, Md, qd, rhod = tbl.Qd, tbl.Sd, tbl.Md, tbl.qd, tbl.rhod
+    Qd, Md, qd, rhod = tbl.Qd, tbl.Md, tbl.qd, tbl.rhod
 
     bt_re = _reintegrated_offsets(sol)
     sbb_re = _sbb_table(gain, ups, bt_re, sol.riccati.closed_loop.pair_table(), tbl)
@@ -328,9 +336,23 @@ def hjb_residual_all_nodes(sol: EquilibriumSolution, x) -> np.ndarray:
                - 2.0 * np.einsum("ia,ia->i", phi, drive)
                - np.einsum("im,im->i",
                            np.einsum("iab,ib->ia", Md, ups) - 2.0 * rhod, ups))
-    V_t = (np.einsum("a,iab,b->i", x, P_dot, x)
-           + 2.0 * np.einsum("ia,a->i", phi_dot, x) + psi_dot)
-    grad = 2.0 * (P @ x) + 2.0 * phi
+    return _StationarityTerms(P_dot=P_dot, phi_dot=phi_dot, psi_dot=psi_dot,
+                              grad_affine=2.0 * phi, sbb_re=sbb_re,
+                              omega_re=omega_re)
+
+
+def _stationarity_residual(sol: EquilibriumSolution, terms: _StationarityTerms,
+                           x: np.ndarray) -> np.ndarray:
+    tbl = sol.tables
+    P = sol.riccati.P
+    gain = sol.riccati.gain
+    qbb = sol.riccati.qbb
+    ups = sol.auxiliary.upsilon
+    A, B, b = tbl.A, tbl.B, tbl.b
+    Qd, Sd, Md, qd, rhod = tbl.Qd, tbl.Sd, tbl.Md, tbl.qd, tbl.rhod
+    V_t = (np.einsum("a,iab,b->i", x, terms.P_dot, x)
+           + 2.0 * np.einsum("ia,a->i", terms.phi_dot, x) + terms.psi_dot)
+    grad = 2.0 * (P @ x) + terms.grad_affine
     u_star = -(gain @ x) - ups
     flow = np.einsum("iab,b->ia", A, x) + np.einsum("iam,im->ia", B, u_star) + b
     ham = (np.einsum("ia,ia->i", grad, flow)
@@ -340,16 +362,28 @@ def hjb_residual_all_nodes(sol: EquilibriumSolution, x) -> np.ndarray:
            + 2.0 * np.einsum("ia,a->i", qd, x)
            + 2.0 * np.einsum("im,im->i", rhod, u_star))
     R_re = (np.einsum("a,iab,b->i", x, qbb, x)
-            + 2.0 * np.einsum("ia,a->i", sbb_re, x) + omega_re)
+            + 2.0 * np.einsum("ia,a->i", terms.sbb_re, x) + terms.omega_re)
     return V_t + ham - R_re
 
 
+def hjb_residual_all_nodes(sol: EquilibriumSolution, x) -> np.ndarray:
+    """Stationarity residual at every node for one state."""
+    x = np.asarray(x, dtype=float).reshape(sol.spec.dims.n)
+    return _stationarity_residual(sol, _stationarity_terms(sol), x)
+
+
 def hjb_residual_sup(sol: EquilibriumSolution, states) -> float:
-    """Sup of the pointwise stationarity residual over nodes and states."""
+    """Sup of the pointwise stationarity residual over nodes and states.
+
+    The state-independent tables, among them the re-integrated responses
+    and their Sbb and omega, are built once for all the states.
+    """
     states = np.atleast_2d(np.asarray(states, dtype=float))
+    terms = _stationarity_terms(sol)
     sup = 0.0
     for x in states:
-        sup = max(sup, float(np.max(np.abs(hjb_residual_all_nodes(sol, x)))))
+        x = x.reshape(sol.spec.dims.n)
+        sup = max(sup, float(np.max(np.abs(_stationarity_residual(sol, terms, x)))))
     return sup
 
 
@@ -417,16 +451,22 @@ class UniquenessProbe:
 
 def uniqueness_probe(spec: ProblemSpec, grid: TimeGrid, inits,
                      opts: SolveOptions | None = None,
-                     value_samples: int = 20, seed: int = 42) -> UniquenessProbe:
+                     value_samples: int = 20, seed: int = 42,
+                     tables: SpecTables | None = None) -> UniquenessProbe:
     """Solve from each initial table; report the max pairwise distances.
 
-    A run that fails to converge raises ConvergenceError with that run's
+    Every start runs the damped fixed point, whatever path
+    :func:`tilq.policy.solve_equilibrium` would take, because the iteration
+    from distinct starts is what the probe measures.  ``tables`` (for
+    example a solution's own) saves rebuilding the kernel triangles.  A run
+    that fails to converge raises ConvergenceError with that run's
     diagnostics attached.
     """
     if len(inits) < 2:
         raise TilqError("uniqueness probe needs at least two initial tables")
     base = opts or SolveOptions()
-    tables = SpecTables(spec, grid)
+    if tables is None:
+        tables = SpecTables(spec, grid)
     runs = []
     for init in inits:
         o = SolveOptions(tolerance=base.tolerance,
@@ -623,7 +663,7 @@ def run_verification(sol: EquilibriumSolution,
     if vopts.run_uniqueness:
         G_T = sol.tables.G_T
         probe = uniqueness_probe(spec, grid, ["zero", G_T, 5.0 * G_T],
-                                 seed=vopts.seed)
+                                 seed=vopts.seed, tables=sol.tables)
         report.add("uniqueness across initializations",
                    probe.p_distance <= vopts.uniqueness_tol,
                    vopts.uniqueness_tol, probe.p_distance)

@@ -163,6 +163,31 @@ class TestCommands:
         for name in ("P.csv", "gain.csv", "affine.csv", "correction.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_solve_reports_local_method(self, tmp_path, capsys):
+        out = tmp_path / "local"
+        rc = main(["solve", str(shipped_problem_path("hyperbolic_scalar_k1")),
+                   "-N", "100", "--out", str(out)])
+        assert rc == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["method"] == "local"
+        assert summary["expansion_terms"] == 16
+        assert 0.0 <= summary["fit_error"] <= 1e-12
+        assert "method local (R=16" in capsys.readouterr().out
+
+    def test_solve_reports_fixed_point_method(self, tmp_path, capsys):
+        doc = minimal_document(discount={"family": "tabulated",
+                                         "times": [0.0, 0.5, 1.0],
+                                         "values": [[1.0] * 3] * 3})
+        path = tmp_path / "tab.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "fixed"
+        assert main(["solve", str(path), "-N", "60", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["method"] == "fixed_point"
+        sweeps = summary["riccati_iterations"]
+        assert sweeps >= 1
+        assert f"method fixed_point ({sweeps} sweeps)" in capsys.readouterr().out
+
     def test_solve_missing_file(self, tmp_path, capsys):
         rc = main(["solve", str(tmp_path / "missing.json")])
         assert rc == 1

@@ -165,13 +165,20 @@ class TestClosedLoopTransition:
 
 class TestStorageBudget:
     def test_on_demand_matches_full(self):
+        # the first matrix() call builds the pair table, later calls read it
         dyn = DynamicsField(A=lambda t: np.array([[np.cos(2 * t)]]),
                             B=lambda t: np.ones((1, 1)),
                             b=lambda t: np.zeros(1))
         grid = build_grid(1.0, 40)
-        stored = open_loop_transition(dyn, grid, store_full=True)
-        lazy = open_loop_transition(dyn, grid, store_full=False)
-        assert not lazy.stores_full
-        for (i, j) in [(40, 0), (25, 13), (7, 7)]:
-            np.testing.assert_allclose(lazy.matrix(i, j), stored.matrix(i, j),
+        table = open_loop_transition(dyn, grid)
+        pairs = [(40, 0), (25, 13), (7, 7)]
+        first = [table.matrix(i, j).copy() for (i, j) in pairs]
+        kept = table.pair_table()
+        for (i, j), before in zip(pairs, first):
+            composed = np.eye(1)
+            for k in range(j, i):
+                composed = table.steps[k] @ composed
+            np.testing.assert_allclose(before, composed, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(table.matrix(i, j), before,
                                        rtol=0, atol=1e-13)
+        assert table.pair_table() is kept

@@ -131,6 +131,14 @@ class TestHJBResiduals:
         assert hjb_residual_sup(sol, [[1.0]]) <= 1e-3
         assert abs(hjb_integral_residual(sol, 0, [1.0])) <= 1e-3
 
+    def test_sup_is_max_over_states(self, twostate_solution):
+        from tilq.verification import hjb_residual_all_nodes
+        sol = twostate_solution
+        states = np.random.default_rng(26).uniform(-2, 2, size=(4, 2))
+        each = max(float(np.max(np.abs(hjb_residual_all_nodes(sol, x))))
+                   for x in states)
+        assert hjb_residual_sup(sol, states) == each
+
     def test_integral_residual_consistent_from_origin(self, hyperbolic_solution):
         sol = hyperbolic_solution
         a = hjb_integral_residual(sol, 0, np.zeros(1))
@@ -166,6 +174,19 @@ class TestUniqueness:
         probe = uniqueness_probe(spec, grid, ["zero", G_T, 5.0 * G_T])
         assert probe.p_distance <= 1e-6
         assert probe.value_distance <= 1e-6
+
+    def test_probe_iterates_on_a_local_path_spec(self):
+        # the spec would take the local path in solve_equilibrium; the probe
+        # must still iterate the fixed point from every start
+        spec = hyperbolic_scalar_spec()
+        grid = build_grid(1.0, 120)
+        sol = solve_equilibrium(spec, grid)
+        assert sol.method == "local"
+        probe = uniqueness_probe(spec, grid, ["zero", np.array([[5.0]])],
+                                 tables=sol.tables)
+        assert len(probe.iterations) == 2
+        assert all(k > 1 for k in probe.iterations)
+        assert probe.p_distance <= 1e-6
 
     def test_single_initialization_rejected(self):
         spec = hyperbolic_scalar_spec()
