@@ -108,15 +108,20 @@ def _write_solution_tables(out: Path, loaded: LoadedProblem,
     }
 
 
-def _method(sol: EquilibriumSolution) -> tuple[dict, str]:
-    """Summary fields and a short description of the path that solved ``sol``."""
+def _method(sol: EquilibriumSolution, tolerance: float) -> tuple[dict, str]:
+    """Summary fields and a short description of the path that solved ``sol``.
+
+    The tolerance is reported only for the fixed-point path, the one that
+    uses it.
+    """
     exp = sol.riccati.expansion
     if exp is not None:
         return ({"method": "local", "expansion_terms": exp.terms,
                  "fit_error": exp.fit_error},
                 f"local (R={exp.terms}, fit error {exp.fit_error:.1e})")
     sweeps = sol.riccati.diagnostics.iterations
-    return {"method": "fixed_point"}, f"fixed_point ({sweeps} sweeps)"
+    return ({"method": "fixed_point", "tolerance": tolerance},
+            f"fixed_point ({sweeps} sweeps)")
 
 
 def cmd_solve(args) -> int:
@@ -129,13 +134,12 @@ def cmd_solve(args) -> int:
     elapsed = time.perf_counter() - started
     x0 = _x0(args, loaded.spec.dims.n)
     head = _write_solution_tables(out, loaded, sol, x0)
-    method, described = _method(sol)
+    method, described = _method(sol, loaded.solve_options.tolerance)
     summary = {
         "command": "solve",
         "problem": loaded.spec.name,
         "grid_points": loaded.grid_points,
         **method,
-        "tolerance": loaded.solve_options.tolerance,
         "riccati_iterations": sol.riccati.diagnostics.iterations,
         "riccati_deltas": sol.riccati.diagnostics.deltas,
         "affine_iterations": sol.auxiliary.diagnostics.iterations,
@@ -186,7 +190,7 @@ def cmd_verify(args) -> int:
         "problem": loaded.spec.name,
         "grid_points": loaded.grid_points,
         "seed": loaded.verify_options.seed,
-        **_method(sol)[0],
+        **_method(sol, loaded.solve_options.tolerance)[0],
         "passed": report.passed,
         "checks": {c.name: {"passed": c.passed, "tolerance": c.tolerance,
                             "worst": c.worst} for c in report.checks},
@@ -287,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-N", "--grid-points", type=int, default=None,
                        help="override the grid resolution")
         p.add_argument("--tol", type=float, default=None,
-                       help="override the solver tolerance")
+                       help="override the fixed-point tolerance (the local "
+                            "ODE path iterates nothing and ignores it)")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--force", action="store_true",
                        help="proceed despite assumption violations")

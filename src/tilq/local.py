@@ -45,32 +45,36 @@ next to the coefficient equations themselves,
     psi' = omega - 2 <phi, d> - kappa_hat,              psi(T) = 0.
 
 Gain = M^{-1} (B^T P + S) and Upsilon = M^{-1} (B^T phi + rho) are local in
-t, so the system is one terminal-value ODE and nothing is iterated.  With
-Gain eliminated, K_hat = Q - S^T M^{-1} S + P B M^{-1} B^T P and
-A_cl = (A - B M^{-1} S) - B M^{-1} B^T P.  It splits into three levels
-solved in turn, each stacked as component 0 (P, phi, psi) and components
-1..R (Y_r, Z_r, w_r), where component 0 receives sum_r c_r times the others
-and component r decays at rate a_r backward:
+t, so the system is one terminal-value ODE and nothing is iterated.
 
-* (P, Y): the only nonlinear level; one backward step per grid interval,
-  in a Python loop over numpy arrays stacked over the R + 1 components.
-* (phi, Z): linear, x' = diag(a) x + L(t) x + f(t).  Substituting Upsilon,
-  the coupling is Z_r' gets (Y_r - P) B M^{-1} B^T phi, and the forcing
-  of every component X in {P, Y_r} is -X (b - B M^{-1} rho) + S^T M^{-1}
-  rho - q.
-* (psi, w): linear with constant coupling; the forcing of component X in
-  {phi, Z_r} is -2 <X, d> - kappa_hat.
+It is one Riccati system in n + 1 dimensions.  Bordering every quantity
+with the affine coordinate,
 
-All three use one Lawson RK4 scheme: the a_r terms enter through the exact
+    Pi  = [[P, phi], [phi^T, psi]],     Y_bar_r = [[Y_r, Z_r], [Z_r^T, w_r]],
+    A_bar = [[A, b], [0, 0]],  B_bar = [[B], [0]],  S_bar = [S, rho],
+    Q_bar = [[Q, q], [q^T, 0]],
+
+gives Gain_bar = M^{-1} (B_bar^T Pi + S_bar) = [Gain, Upsilon], the closed
+loop A_bar - B_bar Gain_bar = [[A_cl, d], [0, 0]], and the bordered K_hat
+[[K_hat, k_hat], [k_hat^T, kappa_hat]].  The blocks of
+
+    Pi'      = -A_bar_cl^T Pi - Pi A_bar_cl - K_hat_bar + sum_r c_r Y_bar_r,
+    Y_bar_r' = a_r Y_bar_r - A_bar_cl^T Y_bar_r - Y_bar_r A_bar_cl - K_hat_bar,
+
+are the six equations above, term by term (the off-diagonal block of
+-Pi A_bar_cl - K_hat_bar is -P d - k_hat = -P b - q + Gain^T rho).  With the
+gain eliminated, K_hat_bar = Q_bar_s + Pi B_bar M^{-1} B_bar^T Pi and
+A_bar_cl = A_bar_s - B_bar M^{-1} B_bar^T Pi, where A_bar_s = A_bar -
+B_bar M^{-1} S_bar and Q_bar_s = Q_bar - S_bar^T M^{-1} S_bar.
+
+The R + 1 bordered matrices (Pi, Y_bar_1..R) are stacked and stepped
+backward together, one step per grid interval, in one Python loop over
+numpy arrays of shape (R + 1, n + 1, n + 1); the work per step is
+O(R n^3).  The scheme is Lawson RK4: the a_r terms enter through the exact
 integrating factor exp(-a_r h) over a step (and exp(-a_r h/2) at the
 stages), so a large a_r h only damps and can never destabilize the step.
-Run on the whole system this is one RK4 method: the levels form a cascade,
-each reading the stage values of the ones before it.  The (P, Y) loop
-records its stage values, the two linear levels then build their one-step
-affine maps x_i = T_i x_{i+1} + r_i in batches over blocks of steps, and
-their backward recursions are a matrix-vector product per step.  The
-error is O(h^4) plus the relative fit error of the exponential sum, which
-:func:`fit_exponential_sum` keeps at or below ``FIT_RTOL``.
+The error is O(h^4) plus the relative fit error of the exponential sum,
+which :func:`fit_exponential_sum` keeps at or below ``FIT_RTOL``.
 
 Exponential discounting is the sum with R = 1 and smoothed quasi-hyperbolic
 discounting with R = 2, both exact; hyperbolic discounting uses generalized
@@ -100,8 +104,6 @@ from .tables import SpecTables
 FIT_RTOL = 1e-12
 TERM_LADDER = (1, 2, 4, 8, 12, 16, 24, 32, 48, 64)
 FIT_SAMPLES = 4097
-# Bytes of one one-step-map array of a linear level per block of steps.
-STEP_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -142,7 +144,7 @@ def local_expansion(spec: ProblemSpec) -> ExponentialSum | None:
 
 
 # ---------------------------------------------------------------------------
-# coefficients at the RK4 stage times
+# the bordered sweep
 
 
 def _stages(at_nodes: np.ndarray, at_half: np.ndarray) -> np.ndarray:
@@ -150,57 +152,39 @@ def _stages(at_nodes: np.ndarray, at_half: np.ndarray) -> np.ndarray:
     return np.stack([at_nodes[1:], at_half, at_half, at_nodes[:-1]])
 
 
-@dataclass
-class _Coefficients:
-    """Stage values of the M^{-1}-eliminated coefficients, each (4, N, ...)."""
-
-    As: np.ndarray      # A - B M^{-1} S
-    BMB: np.ndarray     # B M^{-1} B^T
-    Qs: np.ndarray      # Q - S^T M^{-1} S
-    bs: np.ndarray      # b - B M^{-1} rho
-    f0: np.ndarray      # S^T M^{-1} rho - q
-    MBt: np.ndarray     # M^{-1} B^T
-    Mrho: np.ndarray    # M^{-1} rho
-    M: np.ndarray
-    rho: np.ndarray
-
-
-def _coefficients(tables: SpecTables) -> _Coefficients:
-    parts = []
-    for A, B, b, Q, S, M, q, rho in (
-            (tables.A, tables.B, tables.b, tables.Qd, tables.Sd, tables.Md,
-             tables.qd, tables.rhod),
-            (tables.A_half, tables.B_half, tables.b_half, tables.Qd_half,
-             tables.Sd_half, tables.Md_half, tables.qd_half, tables.rhod_half)):
-        M = 0.5 * (M + np.swapaxes(M, -1, -2))
-        try:
-            np.linalg.cholesky(M)
-        except np.linalg.LinAlgError as exc:
-            raise AssumptionError(
-                "M(t,t) is not positive definite on the grid") from exc
-        Minv = np.linalg.inv(M)
-        St = np.swapaxes(S, -1, -2)
-        MBt = Minv @ np.swapaxes(B, -1, -2)
-        MS = Minv @ S
-        Mrho = np.einsum("ipq,iq->ip", Minv, rho)
-        BMB = B @ MBt
-        Qs = Q - St @ MS
-        parts.append(dict(
-            As=A - B @ MS, BMB=0.5 * (BMB + np.swapaxes(BMB, -1, -2)),
-            Qs=0.5 * (Qs + np.swapaxes(Qs, -1, -2)),
-            bs=b - np.einsum("iap,ip->ia", B, Mrho),
-            f0=np.einsum("iap,ip->ia", St, Mrho) - q,
-            MBt=MBt, Mrho=Mrho, M=M, rho=rho))
-    nodes, half = parts
-    return _Coefficients(**{k: _stages(nodes[k], half[k]) for k in nodes})
+def _bordered(A, B, b, Q, S, M, q, rho):
+    """A_bar_s, B_bar M^{-1} B_bar^T and Q_bar_s, each (k, n+1, n+1)."""
+    M = 0.5 * (M + np.swapaxes(M, -1, -2))
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
+        raise AssumptionError(
+            "M(t,t) is not positive definite on the grid") from exc
+    k, n = b.shape
+    Ab = np.zeros((k, n + 1, n + 1))
+    Ab[:, :n, :n], Ab[:, :n, n] = A, b
+    Qb = np.zeros((k, n + 1, n + 1))
+    Qb[:, :n, :n], Qb[:, :n, n], Qb[:, n, :n] = Q, q, q
+    Bb = np.concatenate([B, np.zeros((k, 1, B.shape[-1]))], axis=1)
+    Sb = np.concatenate([S, rho[..., None]], axis=2)
+    Minv = np.linalg.inv(M)
+    MS = Minv @ Sb
+    BMB = Bb @ Minv @ np.swapaxes(Bb, -1, -2)
+    Qs = Qb - np.swapaxes(Sb, -1, -2) @ MS
+    return (Ab - Bb @ MS, 0.5 * (BMB + np.swapaxes(BMB, -1, -2)),
+            0.5 * (Qs + np.swapaxes(Qs, -1, -2)))
 
 
-# ---------------------------------------------------------------------------
-# the nonlinear (P, Y) level
+def _coefficients(t: SpecTables) -> list[np.ndarray]:
+    """A_bar_s, B_bar M^{-1} B_bar^T, Q_bar_s at the RK4 stages, (4, N, ...)."""
+    nodes = _bordered(t.A, t.B, t.b, t.Qd, t.Sd, t.Md, t.qd, t.rhod)
+    half = _bordered(t.A_half, t.B_half, t.b_half, t.Qd_half, t.Sd_half,
+                     t.Md_half, t.qd_half, t.rhod_half)
+    return [_stages(x, y) for x, y in zip(nodes, half)]
 
 
-def _quadratic_rate(X, c, As, BMB, Qs):
-    """Backward-time rate of (P, Y) without the a_r Y_r terms."""
+def _rate(X, c, As, BMB, Qs):
+    """Backward-time rate of the stack (Pi, Y_bar_r) without the a_r terms."""
     P = X[0]
     BP = BMB @ P
     AX = np.matmul((As - BP).T, X)
@@ -210,144 +194,28 @@ def _quadratic_rate(X, c, As, BMB, Qs):
     return k
 
 
-def _quadratic_level(G_T, c, eh, ef, co: _Coefficients, h: float):
-    """(P, Y) at the nodes (N+1, R+1, n, n) and at the stages (4, N, ...)."""
-    N = co.As.shape[1]
-    n = G_T.shape[0]
-    X = np.broadcast_to(G_T, (len(c) + 1, n, n)).copy()
+def _sweep(X_T, c, eh, ef, coefficients, h: float) -> np.ndarray:
+    """The stack (Pi, Y_bar_1..R) at the nodes, (N+1, R+1, n+1, n+1)."""
+    As, BMB, Qs = coefficients
+    N = As.shape[1]
+    X = np.broadcast_to(X_T, (len(c) + 1,) + X_T.shape).copy()
     nodes = np.empty((N + 1,) + X.shape)
-    stages = np.empty((4, N) + X.shape)
     nodes[N] = X
     hh, h6, heh, eh2 = 0.5 * h, h / 6.0, h * eh, 2.0 * eh
-    As, BMB, Qs = co.As, co.BMB, co.Qs
     for i in range(N - 1, -1, -1):
-        X1 = X
-        k1 = _quadratic_rate(X1, c, As[0, i], BMB[0, i], Qs[0, i])
-        X2 = eh * (X1 + hh * k1)
-        k2 = _quadratic_rate(X2, c, As[1, i], BMB[1, i], Qs[1, i])
-        X3 = eh * X1 + hh * k2
-        k3 = _quadratic_rate(X3, c, As[2, i], BMB[2, i], Qs[2, i])
-        X4 = ef * X1 + heh * k3
-        k4 = _quadratic_rate(X4, c, As[3, i], BMB[3, i], Qs[3, i])
-        X = ef * X1 + h6 * (ef * k1 + eh2 * (k2 + k3) + k4)
-        if n > 1:
-            X = 0.5 * (X + X.transpose(0, 2, 1))
+        k1 = _rate(X, c, As[0, i], BMB[0, i], Qs[0, i])
+        k2 = _rate(eh * (X + hh * k1), c, As[1, i], BMB[1, i], Qs[1, i])
+        k3 = _rate(eh * X + hh * k2, c, As[2, i], BMB[2, i], Qs[2, i])
+        k4 = _rate(ef * X + heh * k3, c, As[3, i], BMB[3, i], Qs[3, i])
+        X = ef * X + h6 * (ef * k1 + eh2 * (k2 + k3) + k4)
+        X = 0.5 * (X + X.transpose(0, 2, 1))
         nodes[i] = X
-        stages[1, i], stages[2, i], stages[3, i] = X2, X3, X4
-    stages[0] = nodes[1:]
-    return nodes, stages
+    return nodes
 
 
-# ---------------------------------------------------------------------------
-# the linear levels
-
-
-def _lawson_maps(apply, forcing, eh, ef, h):
-    """One-step and stage maps of a backward Lawson RK4 step, batched over steps.
-
-    The level is x' = diag(rates) x + L_j x + f_j, with x stacked as
-    (C, d) and ``apply(j, V)`` giving L_j V at stage j for arrays V of shape
-    (steps, C, d, k).  Every map x_{i+1} -> x is returned augmented,
-    (steps, C, d, C d + 1), its last column the offset.  Returns the
-    one-step map and the maps to the stage values 2 to 4 (stage 1 is
-    x_{i+1} itself).
-    """
-    _, S, C, d = forcing.shape
-    D = C * d
-    V1 = np.zeros((1, C, d, D + 1))
-    V1[0, ..., :D] = np.eye(D).reshape(C, d, D)
-
-    def rate(j, V):
-        out = apply(j, V)
-        out[..., D] += forcing[j]
-        out *= -1.0
-        return out
-
-    K1 = rate(0, V1)
-    V2 = eh * (V1 + 0.5 * h * K1)
-    K2 = rate(1, V2)
-    V3 = eh * V1 + 0.5 * h * K2
-    K3 = rate(2, V3)
-    V4 = ef * V1 + h * eh * K3
-    K4 = rate(3, V4)
-    T = ef * V1 + (h / 6.0) * (ef * K1 + 2.0 * eh * (K2 + K3) + K4)
-    return T, (V2, V3, V4)
-
-
-def _backward(T, x_end):
-    """x_i = T_i [x_{i+1}; 1] over the block's steps, last step first."""
-    S = T.shape[0]
-    flat = T.reshape(S, -1, T.shape[-1])
-    lin, off = flat[..., :-1], flat[..., -1]
-    out = np.empty((S + 1, flat.shape[1]))
-    out[S] = x_end.ravel()
-    for i in range(S - 1, -1, -1):
-        out[i] = lin[i] @ out[i + 1] + off[i]
-    return out.reshape((S + 1,) + x_end.shape)
-
-
-def _stage_values(maps, x):
-    """(4, S, C, d) stage values from the stage maps and the block's nodes."""
-    aug = np.concatenate([x[1:].reshape(len(x) - 1, -1),
-                          np.ones((len(x) - 1, 1))], axis=1)
-    return np.stack([x[1:]] + [np.einsum("scdk,sk->scd", V, aug) for V in maps])
-
-
-def _linear_levels(XY_stages, c, eh, ef, co: _Coefficients, g_T, h):
-    """(phi, Z) as (N+1, R+1, n) and (psi, w) as (N+1, R+1, 1) at the nodes."""
-    _, N, C, n, _ = XY_stages.shape
-    x = np.empty((N + 1, C, n))
-    y = np.empty((N + 1, C, 1))
-    x[N] = g_T
-    y[N] = 0.0
-    block = max(1, STEP_BLOCK_BYTES // (8 * C * n * (C * n + 1)))
-    for stop in range(N, 0, -block):
-        sl = slice(max(0, stop - block), stop)
-        XY = XY_stages[:, sl]
-        P = XY[:, :, 0]
-        AclT = np.swapaxes(co.As[:, sl] - co.BMB[:, sl] @ P, -1, -2)
-        DY = (XY[:, :, 1:] - P[:, :, None]) @ co.BMB[:, sl, None]
-        bs = co.bs[:, sl]
-        f_x = co.f0[:, sl, None] - np.einsum("jscab,jsb->jsca", XY, bs)
-
-        def apply_x(j, V):
-            out = -(AclT[j][:, None] @ V)
-            out[:, 0] += np.einsum("r,srdk->sdk", c, V[:, 1:])
-            out[:, 1:] += DY[j] @ V[:, :1]
-            return out
-
-        T, maps = _lawson_maps(apply_x, f_x, eh, ef, h)
-        xb = _backward(T, x[stop])
-        x[sl] = xb[:-1]
-        xs = _stage_values(maps, xb)
-
-        phi = xs[:, :, 0]
-        ups = (np.einsum("jspa,jsa->jsp", co.MBt[:, sl], phi) + co.Mrho[:, sl])
-        drive = bs - np.einsum("jsab,jsb->jsa", co.BMB[:, sl], phi)
-        kappa = np.einsum("jsp,jsp->js", ups,
-                          np.einsum("jspq,jsq->jsp", co.M[:, sl], ups)
-                          - 2.0 * co.rho[:, sl])
-        f_y = -(2.0 * np.einsum("jsca,jsa->jsc", xs, drive)
-                + kappa[..., None])[..., None]
-
-        def apply_y(j, V):
-            out = np.zeros((f_y.shape[1],) + V.shape[1:])
-            out[:, 0] = np.einsum("r,srdk->sdk", c, V[:, 1:])
-            return out
-
-        T, _ = _lawson_maps(apply_y, f_y, eh, ef, h)
-        y[sl] = _backward(T, y[stop])[:-1]
-    return x, y
-
-
-# ---------------------------------------------------------------------------
-# the full sweep
-
-
-def solve_local(spec: ProblemSpec, grid: TimeGrid, expansion: ExponentialSum,
-                tables: SpecTables | None = None
+def solve_local(spec: ProblemSpec, grid: TimeGrid, expansion: ExponentialSum
                 ) -> tuple[RiccatiSolution, AuxiliarySolution]:
-    """One backward Lawson RK4 sweep over (P, Y, phi, Z, psi, w).
+    """One backward Lawson RK4 sweep over the bordered (Pi, Y_bar_r).
 
     ``expansion`` is the kernel's exponential sum (:func:`local_expansion`);
     ``spec`` must be separable in that kernel.  Returns the Riccati and
@@ -355,20 +223,20 @@ def solve_local(spec: ProblemSpec, grid: TimeGrid, expansion: ExponentialSum,
     (N+1)^2 table is built: the closed-loop pair table and btilde are built
     on their first use.
     """
-    if tables is None:
-        tables = SpecTables(spec, grid)
-    h = grid.h
+    tables = SpecTables(spec, grid)
+    n, h = spec.dims.n, grid.h
     c = expansion.weights
     rates = np.concatenate([[0.0], expansion.rates])[:, None, None]
-    eh, ef = np.exp(-0.5 * h * rates), np.exp(-h * rates)
-    co = _coefficients(tables)
-
-    XY, XY_stages = _quadratic_level(tables.G_T, c, eh, ef, co, h)
-    P = np.ascontiguousarray(XY[:, 0])
-    qbb = np.einsum("r,irab->iab", c, XY[:, 1:])
-    x, y = _linear_levels(XY_stages, c, eh, ef, co, tables.g_T, h)
-    phi, sbb = np.ascontiguousarray(x[:, 0]), np.einsum("r,ira->ia", c, x[:, 1:])
-    psi, omega = np.ascontiguousarray(y[:, 0, 0]), y[:, 1:, 0] @ c
+    X_T = np.zeros((n + 1, n + 1))
+    X_T[:n, :n] = tables.G_T
+    X_T[:n, n] = X_T[n, :n] = tables.g_T
+    X = _sweep(X_T, c, np.exp(-0.5 * h * rates), np.exp(-h * rates),
+               _coefficients(tables), h)
+    Pi, bar = X[:, 0], np.einsum("r,irab->iab", c, X[:, 1:])
+    P, phi, psi = (np.ascontiguousarray(v)
+                   for v in (Pi[:, :n, :n], Pi[:, :n, n], Pi[:, n, n]))
+    qbb, sbb, omega = (np.ascontiguousarray(v)
+                       for v in (bar[:, :n, :n], bar[:, :n, n], bar[:, n, n]))
 
     diag = FixedPointDiagnostics(
         iterations=1, deltas=[expansion.fit_error], converged=True,

@@ -30,7 +30,8 @@ from .errors import AssumptionError, ConsistencyError, TilqError
 from .grid import TimeGrid, quadrature
 from .local import local_expansion, solve_local
 from .problem import ProblemSpec
-from .riccati import RiccatiSolution, SolveOptions, solve_equilibrium_riccati
+from .riccati import (RiccatiSolution, SolveOptions, _initial_table,
+                      solve_equilibrium_riccati)
 from .tables import SpecTables
 
 FEEDBACK_MATCH_TOL = 1e-10
@@ -66,12 +67,19 @@ def solve_equilibrium(spec: ProblemSpec, grid: TimeGrid,
 
     A separable problem whose discount derivative has an exponential-sum fit
     on [0, T] (:func:`tilq.local.local_expansion`) is solved by one local
-    ODE sweep, which needs no options.  Every other problem goes through the
+    ODE sweep, which iterates nothing: the options' tolerance, iteration and
+    damping settings do not apply to it, but their ``initial`` tables are
+    checked the same way on both paths.  Every other problem goes through the
     Riccati fixed point and then the Picard iteration for the affine term,
     controlled by ``riccati_opts`` and ``phi_opts``.
     """
     expansion = local_expansion(spec)
     if expansion is not None:
+        n = spec.dims.n
+        for opts, shape, what in ((riccati_opts, (n, n), "P"),
+                                  (phi_opts, (n,), "phi")):
+            if opts is not None:
+                _initial_table(opts.initial, np.zeros(shape), grid.N, what)
         riccati, auxiliary = solve_local(spec, grid, expansion)
     else:
         riccati = solve_equilibrium_riccati(spec, grid, riccati_opts)

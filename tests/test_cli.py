@@ -172,6 +172,7 @@ class TestCommands:
         assert summary["method"] == "local"
         assert summary["expansion_terms"] == 16
         assert 0.0 <= summary["fit_error"] <= 1e-12
+        assert "tolerance" not in summary  # the local path iterates nothing
         assert "method local (R=16" in capsys.readouterr().out
 
     def test_solve_reports_fixed_point_method(self, tmp_path, capsys):
@@ -184,6 +185,7 @@ class TestCommands:
         assert main(["solve", str(path), "-N", "60", "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["method"] == "fixed_point"
+        assert summary["tolerance"] == 1e-10
         sweeps = summary["riccati_iterations"]
         assert sweeps >= 1
         assert f"method fixed_point ({sweeps} sweeps)" in capsys.readouterr().out

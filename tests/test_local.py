@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from tilq import (BaseCosts, build_grid, classical_riccati, cost,
-                  exponential_kernel, feedback, hyperbolic_kernel,
-                  make_discounted, quasi_hyperbolic_kernel, simulate_control,
-                  solve_auxiliary, solve_equilibrium, solve_equilibrium_riccati,
-                  tabulated_kernel, value)
+from tilq import (BaseCosts, SolveOptions, TilqError, build_grid,
+                  classical_riccati, cost, exponential_kernel, feedback,
+                  hyperbolic_kernel, make_discounted, quasi_hyperbolic_kernel,
+                  simulate_control, solve_auxiliary, solve_equilibrium,
+                  solve_equilibrium_riccati, tabulated_kernel, value)
 from tilq.local import (FIT_RTOL, TERM_LADDER, fit_exponential_sum,
                         local_expansion, solve_local)
 from conftest import (classical_scalar_spec, hyperbolic_scalar_spec,
@@ -129,6 +129,14 @@ class TestDispatch:
         assert diag.iterations == 1
         assert diag.deltas == [sol.riccati.expansion.fit_error]
         assert "local" in diag.note and "R=16" in diag.note
+
+    @pytest.mark.parametrize("which", ["riccati", "phi"])
+    def test_bad_initial_is_refused_on_the_local_path(self, which):
+        bad = SolveOptions(initial=np.eye(3))
+        opts = {"riccati_opts": bad} if which == "riccati" else {"phi_opts": bad}
+        with pytest.raises(TilqError, match="initial"):
+            solve_equilibrium(hyperbolic_scalar_spec(), build_grid(1.0, 20),
+                              **opts)
 
     @pytest.mark.filterwarnings("ignore:P has negative eigenvalues")
     def test_steep_hyperbolic_falls_back(self):
