@@ -56,15 +56,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .errors import AssumptionError, TilqError
-from .grid import (TimeGrid, TransitionTable, from_pair_layout, quadrature,
-                   to_pair_layout)
+from .errors import TilqError
+from .grid import (TimeGrid, TransitionTable, _eval_dynamics, _interp_half,
+                   closed_loop_drive, closed_loop_matrices, from_pair_layout,
+                   quadrature, to_pair_layout)
 from .problem import ProblemSpec
 from .riccati import (FixedPointDiagnostics, RiccatiSolution, SolveOptions,
                       _initial_table, damped_fixed_point)
-from .tables import SpecTables, cumulative_trapezoid, pair_blocks
+from .tables import (SpecTables, cumulative_trapezoid, factor_md, pair_blocks,
+                     solve_chol)
 
 
 @dataclass
@@ -77,6 +78,8 @@ class PhiSolution:
                           # a view of the pair-layout table
     sbb: np.ndarray       # (N+1, n)
     diagnostics: FixedPointDiagnostics
+    # (N+1, n), b - B Upsilon; set by solve_phi
+    drive: np.ndarray = field(init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -118,15 +121,9 @@ class AuxiliarySolution:
 def upsilon_from_phi(phi: np.ndarray, spec: ProblemSpec, t: float) -> np.ndarray:
     """Affine feedback component M(t,t)^{-1} (B^T(t) phi + rho(t,t))."""
     phi = np.asarray(phi, dtype=float)
-    M = np.asarray(spec.M(t, t), dtype=float)
     rhs = np.asarray(spec.dynamics.B(t), dtype=float).T @ phi + np.asarray(
         spec.rho(t, t), dtype=float)
-    try:
-        factor = cho_factor(0.5 * (M + M.T), lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise AssumptionError(
-            f"M(t,t) is not positive definite at t={t:.6g}") from exc
-    return cho_solve(factor, rhs)
+    return solve_chol(factor_md(spec.M(t, t), t), rhs)
 
 
 def btilde_table(closed_loop: TransitionTable, upsilon: np.ndarray,
@@ -137,14 +134,12 @@ def btilde_table(closed_loop: TransitionTable, upsilon: np.ndarray,
     zero, as is the whole diagonal btilde(t, t) = 0.  The result is a view
     of the pair-layout table.
     """
-    from .grid import _eval_dynamics
-
     upsilon = np.asarray(upsilon, dtype=float)
     n = closed_loop.dim
     m = upsilon.shape[1]
-    b_nodes = _eval_dynamics(dynamics.b, grid.nodes, (n,))
-    B_nodes = _eval_dynamics(dynamics.B, grid.nodes, (n, m))
-    drive = b_nodes - np.einsum("tab,tb->ta", B_nodes, upsilon)
+    drive = closed_loop_drive(_eval_dynamics(dynamics.b, grid.nodes, (n,)),
+                              _eval_dynamics(dynamics.B, grid.nodes, (n, m)),
+                              upsilon)
     return from_pair_layout(
         _btilde_from_drive(closed_loop.pair_table(), drive, grid))
 
@@ -165,6 +160,22 @@ def _btilde_from_drive(cl_pairs: np.ndarray, drive: np.ndarray,
     return bt
 
 
+def _row_terms(t_idx: int, spec: ProblemSpec, grid: TimeGrid, gain: np.ndarray,
+               upsilon: np.ndarray, btilde: np.ndarray) -> tuple:
+    """Gain, Upsilon, btilde(., t_i), w, the kernels' t-derivatives, g', G'."""
+    t = float(grid.nodes[t_idx])
+    s_range = grid.nodes[t_idx:]
+    G = np.asarray(gain, dtype=float)[t_idx:]
+    U = np.asarray(upsilon, dtype=float)[t_idx:]
+    bt = np.asarray(btilde, dtype=float)[t_idx:, t_idx]
+    w = U + np.einsum("jmn,jn->jm", G, bt)
+    rows = tuple(f.row(t, s_range, derivative=True)
+                 for f in (spec.Q, spec.S, spec.M, spec.q, spec.rho))
+    gdot = np.asarray(spec.terminal.dg_dt(t), dtype=float).reshape(-1)
+    Gdot = np.asarray(spec.terminal.dG_dt(t), dtype=float)
+    return (G, U, bt, w) + rows + (gdot, Gdot)
+
+
 def sbb_at(t_idx: int, spec: ProblemSpec, grid: TimeGrid,
            closed_loop: TransitionTable, gain: np.ndarray,
            upsilon: np.ndarray, btilde: np.ndarray) -> np.ndarray:
@@ -174,17 +185,8 @@ def sbb_at(t_idx: int, spec: ProblemSpec, grid: TimeGrid,
     supplied ingredient tables; independent of the batched solver path.
     """
     N = grid.N
-    t = float(grid.nodes[t_idx])
-    s_range = grid.nodes[t_idx:]
-    G = np.asarray(gain, dtype=float)[t_idx:]
-    U = np.asarray(upsilon, dtype=float)[t_idx:]
-    bt = np.asarray(btilde, dtype=float)[t_idx:, t_idx]
-    Qt = spec.Q.row(t, s_range, derivative=True)
-    St = spec.S.row(t, s_range, derivative=True)
-    Mt = spec.M.row(t, s_range, derivative=True)
-    qt = spec.q.row(t, s_range, derivative=True)
-    rhot = spec.rho.row(t, s_range, derivative=True)
-    w = U + np.einsum("jmn,jn->jm", G, bt)
+    G, U, bt, w, Qt, St, Mt, qt, rhot, gdot, Gdot = _row_terms(
+        t_idx, spec, grid, gain, upsilon, btilde)
     vec = (np.einsum("jab,jb->ja", Qt, bt)
            - np.einsum("jma,jmn,jn->ja", G, St, bt)
            - np.einsum("jmn,jm->jn", St, np.einsum("jmn,jn->jm", G, bt))
@@ -195,8 +197,6 @@ def sbb_at(t_idx: int, spec: ProblemSpec, grid: TimeGrid,
     prop = np.asarray([closed_loop.matrix(j, t_idx) for j in range(t_idx, N + 1)])
     integ = quadrature(np.einsum("jba,jb->ja", prop, vec), grid, t_idx, N)
     EN = closed_loop.matrix(N, t_idx)
-    gdot = np.asarray(spec.terminal.dg_dt(t), dtype=float).reshape(-1)
-    Gdot = np.asarray(spec.terminal.dG_dt(t), dtype=float)
     return EN.T @ (gdot + Gdot @ bt[-1]) + integ
 
 
@@ -205,17 +205,8 @@ def omega_at(t_idx: int, spec: ProblemSpec, grid: TimeGrid,
              btilde: np.ndarray) -> float:
     """Scalar correction omega(t_i) by direct node quadrature."""
     N = grid.N
-    t = float(grid.nodes[t_idx])
-    s_range = grid.nodes[t_idx:]
-    G = np.asarray(gain, dtype=float)[t_idx:]
-    U = np.asarray(upsilon, dtype=float)[t_idx:]
-    bt = np.asarray(btilde, dtype=float)[t_idx:, t_idx]
-    Qt = spec.Q.row(t, s_range, derivative=True)
-    St = spec.S.row(t, s_range, derivative=True)
-    Mt = spec.M.row(t, s_range, derivative=True)
-    qt = spec.q.row(t, s_range, derivative=True)
-    rhot = spec.rho.row(t, s_range, derivative=True)
-    w = U + np.einsum("jmn,jn->jm", G, bt)
+    G, U, bt, w, Qt, St, Mt, qt, rhot, gdot, Gdot = _row_terms(
+        t_idx, spec, grid, gain, upsilon, btilde)
     quad_term = np.einsum("jac,jc,ja->j", Qt, bt, bt)
     cross = qt - np.einsum("jma,jmn,jn->ja", G, St, bt) \
         - np.einsum("jmn,jm->jn", St, U)
@@ -223,8 +214,6 @@ def omega_at(t_idx: int, spec: ProblemSpec, grid: TimeGrid,
     ctl_term = (np.einsum("jmp,jp,jm->j", Mt, w, w)
                 - 2.0 * np.einsum("jm,jm->j", rhot, w))
     integ = float(quadrature(quad_term + lin_term + ctl_term, grid, t_idx, N))
-    gdot = np.asarray(spec.terminal.dg_dt(t), dtype=float).reshape(-1)
-    Gdot = np.asarray(spec.terminal.dG_dt(t), dtype=float)
     bT = bt[-1]
     return float(np.dot(Gdot @ bT + 2.0 * gdot, bT)) + integ
 
@@ -238,17 +227,23 @@ def _upsilon_table(phi: np.ndarray, tables: SpecTables) -> np.ndarray:
     return tables.solve_md(rhs)
 
 
-def _sbb_table(gain, upsilon, bt, cl_pairs, tables: SpecTables) -> np.ndarray:
-    """Sbb at every node from the btilde and closed-loop pair tables."""
-    N, n = tables.grid.N, tables.n
+def _control_blocks(gain, upsilon, bt, tables: SpecTables):
+    """Row blocks: (rows, index, Gain, btilde, w = Upsilon + Gain btilde)."""
     g = np.ascontiguousarray(np.moveaxis(gain, 0, -1))  # Gain(t_j) on column j
     u = upsilon.T
-    out = np.empty((N + 1, n))
-    for rows, cols in pair_blocks(N + 1, n * n):
+    for rows, cols in pair_blocks(tables.grid.N + 1, tables.n * tables.n):
         blk = (Ellipsis, rows, cols)
         gb, b = g[..., cols], bt[blk]
         w = np.einsum("paj,aij->pij", gb, b)
         w += u[:, None, cols]
+        yield rows, blk, gb, b, w
+
+
+def _sbb_table(gain, upsilon, bt, cl_pairs, tables: SpecTables) -> np.ndarray:
+    """Sbb at every node from the btilde and closed-loop pair tables."""
+    N = tables.grid.N
+    out = np.empty((N + 1, tables.n))
+    for rows, blk, gb, b, w in _control_blocks(gain, upsilon, bt, tables):
         r = np.einsum("pqij,qij->pij", tables.Mt[blk], w)
         r -= np.einsum("pbij,bij->pij", tables.St[blk], b)
         r -= tables.rhot[blk]
@@ -266,15 +261,9 @@ def _sbb_table(gain, upsilon, bt, cl_pairs, tables: SpecTables) -> np.ndarray:
 
 def _omega_table(gain, upsilon, bt, tables: SpecTables) -> np.ndarray:
     """omega at every node from the btilde pair table."""
-    N, n = tables.grid.N, tables.n
-    g = np.ascontiguousarray(np.moveaxis(gain, 0, -1))
-    u = upsilon.T
+    N = tables.grid.N
     out = np.empty(N + 1)
-    for rows, cols in pair_blocks(N + 1, n * n):
-        blk = (Ellipsis, rows, cols)
-        gb, b = g[..., cols], bt[blk]
-        w = np.einsum("paj,aij->pij", gb, b)
-        w += u[:, None, cols]
+    for rows, blk, _, b, w in _control_blocks(gain, upsilon, bt, tables):
         acc = np.einsum("abij,bij->aij", tables.Qt[blk], b)
         acc += 2.0 * tables.qt[blk]
         term = np.einsum("aij,aij->ij", b, acc)
@@ -318,8 +307,13 @@ def _affine_backward_rk4(D_nodes, D_half, c_nodes, c_half, terminal, h):
     return out
 
 
-def _interp_half(table: np.ndarray) -> np.ndarray:
-    return 0.5 * (table[:-1] + table[1:])
+def _psi_rate(phi, upsilon, omega, tables: SpecTables) -> np.ndarray:
+    """psi' = omega - 2 <phi, b - B Upsilon> - <M Upsilon - 2 rho, Upsilon>."""
+    drive = closed_loop_drive(tables.b, tables.B, upsilon)
+    mu = np.einsum("im,im->i",
+                   np.einsum("iab,ib->ia", tables.Md, upsilon) - 2.0 * tables.rhod,
+                   upsilon)
+    return omega - 2.0 * np.einsum("ia,ia->i", phi, drive) - mu
 
 
 def solve_phi(spec: ProblemSpec, grid: TimeGrid, riccati: RiccatiSolution,
@@ -339,8 +333,8 @@ def solve_phi(spec: ProblemSpec, grid: TimeGrid, riccati: RiccatiSolution,
     gain = riccati.gain
     h = grid.h
 
-    D_nodes = np.swapaxes(tables.A - tables.B @ gain, -1, -2)
-    D_half = np.swapaxes(tables.A_half - tables.B_half @ _interp_half(gain), -1, -2)
+    D_nodes, D_half = (np.swapaxes(F, -1, -2) for F in closed_loop_matrices(
+        tables.A, tables.A_half, tables.B, tables.B_half, gain))
     Pb = np.einsum("iab,ib->ia", riccati.P, tables.b)
     Pb_half = np.einsum("iab,ib->ia", _interp_half(riccati.P), tables.b_half)
     g_rho = np.einsum("ima,im->ia", gain, tables.rhod)
@@ -348,7 +342,7 @@ def solve_phi(spec: ProblemSpec, grid: TimeGrid, riccati: RiccatiSolution,
 
     def sweep(phi):
         ups = _upsilon_table(phi, tables)
-        drive = tables.b - np.einsum("tab,tb->ta", tables.B, ups)
+        drive = closed_loop_drive(tables.b, tables.B, ups)
         bt = _btilde_from_drive(cl_pairs, drive, grid)
         sbb = _sbb_table(gain, ups, bt, cl_pairs, tables)
         c_nodes = -sbb + Pb + tables.qd - g_rho
@@ -360,11 +354,13 @@ def solve_phi(spec: ProblemSpec, grid: TimeGrid, riccati: RiccatiSolution,
     phi, diag = damped_fixed_point(phi0, sweep, opts, "affine coefficient")
 
     ups = _upsilon_table(phi, tables)
-    drive = tables.b - np.einsum("tab,tb->ta", tables.B, ups)
+    drive = closed_loop_drive(tables.b, tables.B, ups)
     bt = _btilde_from_drive(cl_pairs, drive, grid)
     sbb = _sbb_table(gain, ups, bt, cl_pairs, tables)
-    return PhiSolution(phi=phi, upsilon=ups, btilde=from_pair_layout(bt),
-                       sbb=sbb, diagnostics=diag)
+    phi_sol = PhiSolution(phi=phi, upsilon=ups, btilde=from_pair_layout(bt),
+                          sbb=sbb, diagnostics=diag)
+    phi_sol.drive = drive
+    return phi_sol
 
 
 def solve_psi(spec: ProblemSpec, grid: TimeGrid, riccati: RiccatiSolution,
@@ -376,12 +372,8 @@ def solve_psi(spec: ProblemSpec, grid: TimeGrid, riccati: RiccatiSolution,
     tables = riccati.tables
     omega = _omega_table(riccati.gain, phi_sol.upsilon,
                          to_pair_layout(phi_sol.btilde), tables)
-    drive = tables.b - np.einsum("tab,tb->ta", tables.B, phi_sol.upsilon)
-    mu = np.einsum("im,im->i",
-                   np.einsum("iab,ib->ia", tables.Md, phi_sol.upsilon)
-                   - 2.0 * tables.rhod, phi_sol.upsilon)
-    integrand = 2.0 * np.einsum("ia,ia->i", phi_sol.phi, drive) - omega + mu
-    running = cumulative_trapezoid(integrand, grid.h, axis=0)
+    rate = _psi_rate(phi_sol.phi, phi_sol.upsilon, omega, tables)
+    running = cumulative_trapezoid(-rate, grid.h, axis=0)
     psi = running[-1] - running
     return psi, omega
 
@@ -391,11 +383,9 @@ def solve_auxiliary(spec: ProblemSpec, grid: TimeGrid, riccati: RiccatiSolution,
     """phi then psi, with all dependent tables mutually consistent."""
     phi_sol = solve_phi(spec, grid, riccati, opts)
     psi, omega = solve_psi(spec, grid, riccati, phi_sol)
-    tables = riccati.tables
     aux = AuxiliarySolution(
         phi=phi_sol.phi, psi=psi, upsilon=phi_sol.upsilon, sbb=phi_sol.sbb,
         omega=omega, diagnostics=phi_sol.diagnostics,
-        closed_loop=riccati.closed_loop,
-        drive=tables.b - np.einsum("tab,tb->ta", tables.B, phi_sol.upsilon))
+        closed_loop=riccati.closed_loop, drive=phi_sol.drive)
     aux._btilde = phi_sol.btilde
     return aux

@@ -182,6 +182,23 @@ def open_loop_transition(dynamics, grid: TimeGrid) -> TransitionTable:
     return TransitionTable(grid, steps, flavor="open_loop")
 
 
+def _interp_half(table: np.ndarray) -> np.ndarray:
+    """Linear interpolant at the half nodes of a node table."""
+    return 0.5 * (table[:-1] + table[1:])
+
+
+def closed_loop_matrices(A: np.ndarray, A_half: np.ndarray, B: np.ndarray,
+                         B_half: np.ndarray, gain: np.ndarray):
+    """A - B Gain at the nodes and at the half nodes, from Gain at the nodes."""
+    return A - B @ gain, A_half - B_half @ _interp_half(gain)
+
+
+def closed_loop_drive(b: np.ndarray, B: np.ndarray,
+                      upsilon: np.ndarray) -> np.ndarray:
+    """The closed loop's drive b - B Upsilon at each tabulated time."""
+    return b - np.einsum("tab,tb->ta", B, upsilon)
+
+
 def closed_loop_transition(dynamics, gain: np.ndarray,
                            grid: TimeGrid) -> TransitionTable:
     """Fundamental-solution table of x' = (A(t) - B(t) Gain(t)) x.
@@ -198,12 +215,10 @@ def closed_loop_transition(dynamics, gain: np.ndarray,
             f"gain table has shape {gain.shape}, expected {(grid.N + 1, m, n)}")
     if A0.shape != (n, n):
         raise TilqError(f"A(t) has shape {A0.shape}, expected {(n, n)}")
-    A_nodes = _eval_dynamics(dynamics.A, grid.nodes, (n, n))
-    A_half = _eval_dynamics(dynamics.A, grid.half_nodes, (n, n))
-    B_nodes = _eval_dynamics(dynamics.B, grid.nodes, (n, m))
-    B_half = _eval_dynamics(dynamics.B, grid.half_nodes, (n, m))
-    gain_half = 0.5 * (gain[:-1] + gain[1:])
-    eff_nodes = A_nodes - B_nodes @ gain
-    eff_half = A_half - B_half @ gain_half
-    steps = _rk4_linear_steps(eff_nodes, eff_half, grid.h)
+    eff = closed_loop_matrices(
+        _eval_dynamics(dynamics.A, grid.nodes, (n, n)),
+        _eval_dynamics(dynamics.A, grid.half_nodes, (n, n)),
+        _eval_dynamics(dynamics.B, grid.nodes, (n, m)),
+        _eval_dynamics(dynamics.B, grid.half_nodes, (n, m)), gain)
+    steps = _rk4_linear_steps(*eff, grid.h)
     return TransitionTable(grid, steps, flavor="closed_loop")

@@ -90,12 +90,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .auxiliary import AuxiliarySolution, _upsilon_table
-from .errors import AssumptionError
-from .grid import TimeGrid
+from .grid import TimeGrid, closed_loop_drive
 from .problem import DiscountKernel, ProblemSpec
 from .riccati import (FixedPointDiagnostics, RiccatiSolution, _closed_loop_table,
                       _gain_table, warn_if_indefinite)
-from .tables import SpecTables
+from .tables import SpecTables, factor_md
 
 # An expansion is used only when its relative sup error on [0, T] is at most
 # FIT_RTOL; the term counts tried, smallest first.  Both are constants of
@@ -152,14 +151,10 @@ def _stages(at_nodes: np.ndarray, at_half: np.ndarray) -> np.ndarray:
     return np.stack([at_nodes[1:], at_half, at_half, at_nodes[:-1]])
 
 
-def _bordered(A, B, b, Q, S, M, q, rho):
+def _bordered(times, A, B, b, Q, S, M, q, rho):
     """A_bar_s, B_bar M^{-1} B_bar^T and Q_bar_s, each (k, n+1, n+1)."""
+    factor_md(M, times)  # refuses a non-PD M(t,t), naming the first bad time
     M = 0.5 * (M + np.swapaxes(M, -1, -2))
-    try:
-        np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise AssumptionError(
-            "M(t,t) is not positive definite on the grid") from exc
     k, n = b.shape
     Ab = np.zeros((k, n + 1, n + 1))
     Ab[:, :n, :n], Ab[:, :n, n] = A, b
@@ -177,9 +172,10 @@ def _bordered(A, B, b, Q, S, M, q, rho):
 
 def _coefficients(t: SpecTables) -> list[np.ndarray]:
     """A_bar_s, B_bar M^{-1} B_bar^T, Q_bar_s at the RK4 stages, (4, N, ...)."""
-    nodes = _bordered(t.A, t.B, t.b, t.Qd, t.Sd, t.Md, t.qd, t.rhod)
-    half = _bordered(t.A_half, t.B_half, t.b_half, t.Qd_half, t.Sd_half,
-                     t.Md_half, t.qd_half, t.rhod_half)
+    nodes = _bordered(t.grid.nodes, t.A, t.B, t.b, t.Qd, t.Sd, t.Md, t.qd,
+                      t.rhod)
+    half = _bordered(t.grid.half_nodes, t.A_half, t.B_half, t.b_half, t.Qd_half,
+                     t.Sd_half, t.Md_half, t.qd_half, t.rhod_half)
     return [_stages(x, y) for x, y in zip(nodes, half)]
 
 
@@ -251,6 +247,5 @@ def solve_local(spec: ProblemSpec, grid: TimeGrid, expansion: ExponentialSum
     ups = _upsilon_table(phi, tables)
     auxiliary = AuxiliarySolution(
         phi=phi, psi=psi, upsilon=ups, sbb=sbb, omega=omega, diagnostics=diag,
-        closed_loop=closed_loop,
-        drive=tables.b - np.einsum("tab,tb->ta", tables.B, ups))
+        closed_loop=closed_loop, drive=closed_loop_drive(tables.b, tables.B, ups))
     return riccati, auxiliary

@@ -23,16 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .auxiliary import AuxiliarySolution, solve_auxiliary
-from .errors import AssumptionError, ConsistencyError, TilqError
+from .errors import ConsistencyError, TilqError
 from .grid import TimeGrid, quadrature
 from .local import local_expansion, solve_local
 from .problem import ProblemSpec
 from .riccati import (RiccatiSolution, SolveOptions, _initial_table,
                       solve_equilibrium_riccati)
-from .tables import SpecTables
+from .tables import SpecTables, factor_md, solve_chol
 
 FEEDBACK_MATCH_TOL = 1e-10
 
@@ -153,15 +152,10 @@ def feedback(sol: EquilibriumSolution, t: float, x) -> np.ndarray:
     """
     spec = sol.spec
     x = np.asarray(x, dtype=float).reshape(spec.dims.n)
-    M = np.asarray(spec.M(t, t), dtype=float)
     rhs = (0.5 * np.asarray(spec.dynamics.B(t), dtype=float).T @ grad_value(sol, t, x)
            + np.asarray(spec.S(t, t), dtype=float) @ x
            + np.asarray(spec.rho(t, t), dtype=float))
-    try:
-        factor = cho_factor(0.5 * (M + M.T), lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise AssumptionError(f"M(t,t) not positive definite at t={t:.6g}") from exc
-    u = -cho_solve(factor, rhs)
+    u = -solve_chol(factor_md(spec.M(t, t), t), rhs)
     i, w = _locate(sol.grid, t)
     if w == 0.0 or w == 1.0:
         j = i if w == 0.0 else i + 1
@@ -267,6 +261,44 @@ def simulate_equilibrium(sol: EquilibriumSolution, t_idx: int, x) -> Trajectory:
 # cost and error functions
 
 
+def _running_cost(Q, S, M, q, rho, Y: np.ndarray, U: np.ndarray,
+                  start=0.0) -> np.ndarray:
+    """start + <Q y, y> + 2 <S y, u> + <M u, u> + 2 <q, y> + 2 <rho, u> per node.
+
+    The terms are added left to right onto ``start``.
+    """
+    return (start + np.einsum("jab,jb,ja->j", Q, Y, Y)
+            + 2.0 * np.einsum("jmn,jn,jm->j", S, Y, U)
+            + np.einsum("jmp,jp,jm->j", M, U, U)
+            + 2.0 * np.einsum("ja,ja->j", q, Y)
+            + 2.0 * np.einsum("jm,jm->j", rho, U))
+
+
+def _terminal_cost(spec: ProblemSpec, t: float, yT: np.ndarray,
+                  derivative: bool = False) -> float:
+    """<G(t) y, y> + 2 <g(t), y>, or the same form in G'(t), g'(t)."""
+    term = spec.terminal
+    G, g = (term.dG_dt, term.dg_dt) if derivative else (term.G, term.g)
+    G = np.asarray(G(t), dtype=float)
+    g = np.asarray(g(t), dtype=float).reshape(-1)
+    return float(yT @ G @ yT + 2.0 * g @ yT)
+
+
+def _frozen_running_cost(spec: ProblemSpec, grid: TimeGrid, t: float, a_idx: int,
+                        b_idx: int, Y: np.ndarray, U: np.ndarray,
+                        derivative: bool = False) -> float:
+    """Trapezoid integral over nodes a..b of the running cost, kernels at (t, s).
+
+    With ``derivative`` the kernels are their t-derivatives.
+    """
+    if a_idx == b_idx:
+        return 0.0
+    s = grid.nodes[a_idx:b_idx + 1]
+    kernels = (f.row(t, s, derivative)
+               for f in (spec.Q, spec.S, spec.M, spec.q, spec.rho))
+    return float(quadrature(_running_cost(*kernels, Y, U), grid, a_idx, b_idx))
+
+
 def cost(spec: ProblemSpec, grid: TimeGrid, traj: Trajectory, t_idx: int) -> float:
     """J(t, x; u) along a trajectory, kernels frozen at t = nodes[t_idx]."""
     if traj.start_index != t_idx:
@@ -275,24 +307,9 @@ def cost(spec: ProblemSpec, grid: TimeGrid, traj: Trajectory, t_idx: int) -> flo
     if traj.states.shape[0] != grid.N + 1 - t_idx:
         raise TilqError("trajectory does not span [t, T] on this grid")
     t = float(grid.nodes[t_idx])
-    s = grid.nodes[t_idx:]
-    Y = traj.states
-    U = traj.controls
-    Qr = spec.Q.row(t, s)
-    Sr = spec.S.row(t, s)
-    Mr = spec.M.row(t, s)
-    qr = spec.q.row(t, s)
-    rr = spec.rho.row(t, s)
-    running = (np.einsum("jab,jb,ja->j", Qr, Y, Y)
-               + 2.0 * np.einsum("jmn,jn,jm->j", Sr, Y, U)
-               + np.einsum("jmp,jp,jm->j", Mr, U, U)
-               + 2.0 * np.einsum("ja,ja->j", qr, Y)
-               + 2.0 * np.einsum("jm,jm->j", rr, U))
-    J = float(quadrature(running, grid, t_idx, grid.N))
-    G = np.asarray(spec.terminal.G(t), dtype=float)
-    g = np.asarray(spec.terminal.g(t), dtype=float).reshape(-1)
-    yT = Y[-1]
-    return J + float(yT @ G @ yT + 2.0 * g @ yT)
+    return (_frozen_running_cost(spec, grid, t, t_idx, grid.N, traj.states,
+                                traj.controls)
+            + _terminal_cost(spec, t, traj.states[-1]))
 
 
 def error_function_direct(sol: EquilibriumSolution, t_idx: int, x) -> float:
@@ -301,28 +318,12 @@ def error_function_direct(sol: EquilibriumSolution, t_idx: int, x) -> float:
     Simulates the equilibrium path from (t, x) and integrates the kernel
     time-derivatives along it; the terminal term uses G'(t), g'(t).
     """
-    spec = sol.spec
     grid = sol.grid
     traj = simulate_equilibrium(sol, t_idx, x)
     t = float(grid.nodes[t_idx])
-    s = grid.nodes[t_idx:]
-    Y = traj.states
-    U = traj.controls
-    Qt = spec.Q.row(t, s, derivative=True)
-    St = spec.S.row(t, s, derivative=True)
-    Mt = spec.M.row(t, s, derivative=True)
-    qt = spec.q.row(t, s, derivative=True)
-    rhot = spec.rho.row(t, s, derivative=True)
-    running = (np.einsum("jab,jb,ja->j", Qt, Y, Y)
-               + 2.0 * np.einsum("ja,ja->j", qt, Y)
-               + np.einsum("jmp,jp,jm->j", Mt, U, U)
-               + 2.0 * np.einsum("jmn,jn,jm->j", St, Y, U)
-               + 2.0 * np.einsum("jm,jm->j", rhot, U))
-    R = float(quadrature(running, grid, t_idx, grid.N))
-    Gdot = np.asarray(spec.terminal.dG_dt(t), dtype=float)
-    gdot = np.asarray(spec.terminal.dg_dt(t), dtype=float).reshape(-1)
-    yT = Y[-1]
-    return R + float(yT @ Gdot @ yT + 2.0 * gdot @ yT)
+    return (_frozen_running_cost(sol.spec, grid, t, t_idx, grid.N, traj.states,
+                                traj.controls, derivative=True)
+            + _terminal_cost(sol.spec, t, traj.states[-1], derivative=True))
 
 
 def error_function_closed(sol: EquilibriumSolution, t_idx: int, x) -> float:

@@ -299,6 +299,9 @@ def hyperbolic_kernel(k: float) -> DiscountKernel:
     if k < 0:
         raise TilqError(f"hyperbolic discount slope must be >= 0, got {k!r}")
     k = float(k)
+    # imported with the kernel, not in its first solve; problems without a
+    # hyperbolic kernel never load scipy.special (nor, through it, scipy.linalg)
+    from scipy.special import roots_genlaguerre
 
     def lam(t, s):
         return 1.0 / (1.0 + k * (np.asarray(s, dtype=float) - np.asarray(t, dtype=float)))
@@ -309,9 +312,7 @@ def hyperbolic_kernel(k: float) -> DiscountKernel:
 
     def expansion(terms):
         # k / (1 + k x)^2 = int_0^inf k u e^{-u} e^{-k u x} du, by generalized
-        # Gauss-Laguerre quadrature (weight u e^{-u}) in u; imported here so
-        # that problems which never ask for it do not load scipy.special
-        from scipy.special import roots_genlaguerre
+        # Gauss-Laguerre quadrature (weight u e^{-u}) in u
         nodes, weights = roots_genlaguerre(terms, 1)
         return k * weights, k * nodes
 

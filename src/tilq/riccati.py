@@ -51,12 +51,12 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import AssumptionError, ConsistencyError, ConvergenceError, TilqError
-from .grid import TimeGrid, TransitionTable, _rk4_linear_steps, open_loop_transition
+from .grid import (TimeGrid, TransitionTable, _rk4_linear_steps,
+                   closed_loop_matrices, open_loop_transition)
 from .problem import ProblemSpec
-from .tables import SpecTables, pair_blocks
+from .tables import SpecTables, factor_md, pair_blocks, solve_chol
 
 SWEEP_ASYMMETRY_RTOL = 1e-8
 TIME_CONSISTENT_SUP = 1e-12
@@ -176,16 +176,9 @@ class RiccatiSolution:
 def gamma_from_p(P: np.ndarray, spec: ProblemSpec, t: float) -> np.ndarray:
     """Feedback gain M(t,t)^{-1} (B^T(t) P + S(t,t)) through a Cholesky solve."""
     P = np.asarray(P, dtype=float)
-    M = np.asarray(spec.M(t, t), dtype=float)
     rhs = np.asarray(spec.dynamics.B(t), dtype=float).T @ P + np.asarray(
         spec.S(t, t), dtype=float)
-    try:
-        factor = cho_factor(0.5 * (M + M.T), lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise AssumptionError(
-            f"M(t,t) is not positive definite at t={t:.6g}; the running "
-            f"control weight must be positive definite") from exc
-    return cho_solve(factor, rhs)
+    return solve_chol(factor_md(spec.M(t, t), t), rhs)
 
 
 def qbb_from_gamma(gain: np.ndarray, closed_loop: TransitionTable,
@@ -225,18 +218,13 @@ def qbb_from_gamma(gain: np.ndarray, closed_loop: TransitionTable,
 
 def _gain_table(P: np.ndarray, tables: SpecTables) -> np.ndarray:
     rhs = np.swapaxes(tables.B, -1, -2) @ P + tables.Sd
-    try:
-        return tables.solve_md(rhs)
-    except np.linalg.LinAlgError as exc:
-        raise AssumptionError(
-            "M(t,t) is not positive definite on the grid") from exc
+    return tables.solve_md(rhs)
 
 
 def _closed_loop_table(gain: np.ndarray, tables: SpecTables) -> TransitionTable:
-    gain_half = 0.5 * (gain[:-1] + gain[1:])
-    eff_nodes = tables.A - tables.B @ gain
-    eff_half = tables.A_half - tables.B_half @ gain_half
-    steps = _rk4_linear_steps(eff_nodes, eff_half, tables.grid.h)
+    eff = closed_loop_matrices(tables.A, tables.A_half, tables.B, tables.B_half,
+                               gain)
+    steps = _rk4_linear_steps(*eff, tables.grid.h)
     return TransitionTable(tables.grid, steps, flavor="closed_loop")
 
 

@@ -38,6 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import AssumptionError
 from .grid import TimeGrid, _eval_dynamics, zero_below_diagonal
 from .problem import ProblemSpec, eval_pairs
 
@@ -85,6 +86,39 @@ def kernel_triangle(field, grid: TimeGrid, derivative: bool = True) -> np.ndarra
                 out[..., i, j] = np.asarray(fn(float(nodes[i]), float(nodes[j])),
                                             dtype=float).reshape(shape)
     return zero_below_diagonal(out)
+
+
+def factor_md(M: np.ndarray, times) -> np.ndarray:
+    """Cholesky factors of the symmetric part of M(t, t) at a time or a stack.
+
+    Raises AssumptionError naming the first time where the factorization fails.
+    """
+    M = np.asarray(M, dtype=float)
+    sym = 0.5 * (M + np.swapaxes(M, -1, -2))
+    try:
+        return np.linalg.cholesky(sym)
+    except np.linalg.LinAlgError as exc:
+        error = exc
+    times = np.ravel(times)
+    for k, X in enumerate(sym.reshape((-1,) + sym.shape[-2:])):
+        try:
+            np.linalg.cholesky(X)
+        except np.linalg.LinAlgError:
+            break
+    raise AssumptionError(
+        f"M(t,t) is not positive definite at t={times[k]:.6g}; the running "
+        f"control weight must be positive definite") from error
+
+
+def solve_chol(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """X with (L L^T) X = rhs, for one vector or matrix per factor L."""
+    rhs = np.asarray(rhs, dtype=float)
+    vec = rhs.ndim == L.ndim - 1
+    if vec:
+        rhs = rhs[..., None]
+    y = np.linalg.solve(L, rhs)
+    x = np.linalg.solve(np.swapaxes(L, -1, -2), y)
+    return x[..., 0] if vec else x
 
 
 def _on_diagonal(field, times: np.ndarray) -> np.ndarray:
@@ -186,8 +220,7 @@ class SpecTables:
     @cached_property
     def Md_chol(self) -> np.ndarray:
         """Stacked Cholesky factors of M(t_i, t_i); fails fast on non-PD data."""
-        sym = 0.5 * (self.Md + np.swapaxes(self.Md, -1, -2))
-        return np.linalg.cholesky(sym)
+        return factor_md(self.Md, self.grid.nodes)
 
     @cached_property
     def Qd_half(self) -> np.ndarray:
@@ -260,14 +293,7 @@ class SpecTables:
 
     def solve_md(self, rhs: np.ndarray) -> np.ndarray:
         """Solve M(t_i, t_i) X_i = rhs_i for every node via the Cholesky factors."""
-        L = self.Md_chol
-        rhs = np.asarray(rhs, dtype=float)
-        vec = rhs.ndim == 2
-        if vec:
-            rhs = rhs[..., None]
-        y = np.linalg.solve(L, rhs)
-        x = np.linalg.solve(np.swapaxes(L, -1, -2), y)
-        return x[..., 0] if vec else x
+        return solve_chol(self.Md_chol, rhs)
 
     def max_derivative_scale(self, samples: int = 64) -> float:
         """Sup of the t-derivative fields on a coarse probe; 0 means consistent."""

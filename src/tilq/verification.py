@@ -29,19 +29,22 @@ but never certify the infimum over all square-integrable controls.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .auxiliary import _omega_table, _sbb_table, solve_auxiliary
+from .auxiliary import _omega_table, _psi_rate, _sbb_table, solve_auxiliary
 from .errors import TilqError
-from .grid import TimeGrid, quadrature, zero_below_diagonal
-from .policy import (EquilibriumSolution, cost, error_function_closed,
+from .grid import (TimeGrid, _interp_half, closed_loop_drive,
+                   closed_loop_matrices, quadrature, zero_below_diagonal)
+from .policy import (EquilibriumSolution, _frozen_running_cost, _running_cost,
+                     _terminal_cost, cost, error_function_closed,
                      error_function_direct, feedback, grad_value,
                      simulate_control, simulate_equilibrium, value)
 from .problem import ProblemSpec
 from .riccati import SolveOptions, solve_equilibrium_riccati
-from .tables import SpecTables
+from .tables import SpecTables, solve_chol
 
 LIMINF_NOTE = ("spike limits are probed on a finite schedule of interval "
                "widths with first-order extrapolation; a finite schedule "
@@ -98,36 +101,13 @@ def spike_quotient(sol: EquilibriumSolution, t_idx: int, x, v, eps: float) -> fl
                             stop_idx=switch, tables=sol.tables)
     tail = simulate_equilibrium(sol, switch, head.states[-1])
 
-    J_pert = (_running_cost(spec, grid, t, t_idx, switch, head.states,
-                            np.broadcast_to(v, (k + 1, m)))
-              + _running_cost(spec, grid, t, switch, grid.N, tail.states,
-                              tail.controls)
+    J_pert = (_frozen_running_cost(spec, grid, t, t_idx, switch, head.states,
+                                   np.broadcast_to(v, (k + 1, m)))
+              + _frozen_running_cost(spec, grid, t, switch, grid.N, tail.states,
+                                     tail.controls)
               + _terminal_cost(spec, t, tail.states[-1]))
     J_eq = cost(spec, grid, simulate_equilibrium(sol, t_idx, x), t_idx)
     return (J_pert - J_eq) / eps_actual
-
-
-def _running_cost(spec, grid, t_frozen, a_idx, b_idx, Y, U) -> float:
-    if a_idx == b_idx:
-        return 0.0
-    s = grid.nodes[a_idx:b_idx + 1]
-    Qr = spec.Q.row(t_frozen, s)
-    Sr = spec.S.row(t_frozen, s)
-    Mr = spec.M.row(t_frozen, s)
-    qr = spec.q.row(t_frozen, s)
-    rr = spec.rho.row(t_frozen, s)
-    run = (np.einsum("jab,jb,ja->j", Qr, Y, Y)
-           + 2.0 * np.einsum("jmn,jn,jm->j", Sr, Y, U)
-           + np.einsum("jmp,jp,jm->j", Mr, U, U)
-           + 2.0 * np.einsum("ja,ja->j", qr, Y)
-           + 2.0 * np.einsum("jm,jm->j", rr, U))
-    return float(quadrature(run, grid, a_idx, b_idx))
-
-
-def _terminal_cost(spec, t_frozen, yT) -> float:
-    G = np.asarray(spec.terminal.G(t_frozen), dtype=float)
-    g = np.asarray(spec.terminal.g(t_frozen), dtype=float).reshape(-1)
-    return float(yT @ G @ yT + 2.0 * g @ yT)
 
 
 DEFAULT_SPIKE_FRACTIONS = (1 / 50, 1 / 100, 1 / 200, 1 / 400)
@@ -171,33 +151,47 @@ def spike_limit_analytic(sol: EquilibriumSolution, t_idx: int, x, v) -> float:
     from the stored closed form.  At v = u(t,x) this vanishes identically;
     shifting v adds exactly <M(t,t)(v - u), v - u>.
     """
-    spec, grid = sol.spec, sol.grid
-    tbl = sol.tables
-    i = t_idx
-    n, m = spec.dims.n, spec.dims.m
-    x = np.asarray(x, dtype=float).reshape(n)
-    v = np.asarray(v, dtype=float).reshape(m)
-    P = sol.riccati.P[i]
-    gain = sol.riccati.gain[i]
-    qbb = sol.riccati.qbb[i]
-    phi = sol.auxiliary.phi[i]
-    ups = sol.auxiliary.upsilon[i]
-    sbb = sol.auxiliary.sbb[i]
-    om = float(sol.auxiliary.omega[i])
-    A, B, b = tbl.A[i], tbl.B[i], tbl.b[i]
-    Qd, Sd, Md, qd, rhod = tbl.Qd[i], tbl.Sd[i], tbl.Md[i], tbl.qd[i], tbl.rhod[i]
+    spec = sol.spec
+    x = np.asarray(x, dtype=float).reshape(spec.dims.n)
+    v = np.asarray(v, dtype=float).reshape(1, spec.dims.m)
+    R = error_function_closed(sol, t_idx, x)
+    return float(_hamiltonian_gap(sol, _coefficient_rates(sol),
+                                  slice(t_idx, t_idx + 1), x, v, R)[0])
 
-    P_dot = -(A.T @ P + P @ A + Qd - qbb - gain.T @ Md @ gain)
-    phi_dot = sbb - (A - B @ gain).T @ phi - P @ b - qd + gain.T @ rhod
-    psi_dot = (om - 2.0 * float(phi @ (b - B @ ups))
-               - float((Md @ ups - 2.0 * rhod) @ ups))
-    V_t = float(x @ P_dot @ x + 2.0 * phi_dot @ x + psi_dot)
-    grad = 2.0 * (P @ x) + 2.0 * phi
-    R = error_function_closed(sol, i, x)
-    return (V_t + float(grad @ (A @ x + B @ v + b))
-            + float(x @ Qd @ x) + 2.0 * float((Sd @ x) @ v)
-            + float(v @ Md @ v) + 2.0 * float(qd @ x) + 2.0 * float(rhod @ v)
-            - R)
+
+def _coefficient_rates(sol: EquilibriumSolution) -> tuple:
+    """(P', phi', psi') at every node from the coefficient equations."""
+    tbl = sol.tables
+    P, gain, phi = sol.riccati.P, sol.riccati.gain, sol.auxiliary.phi
+    GMG = np.einsum("iam,iap,ipc->imc", gain, tbl.Md, gain, optimize=True)
+    P_dot = -(np.swapaxes(tbl.A, -1, -2) @ P + P @ tbl.A + tbl.Qd
+              - sol.riccati.qbb - GMG)
+    A_cl = closed_loop_matrices(tbl.A, tbl.A_half, tbl.B, tbl.B_half, gain)[0]
+    phi_dot = (sol.auxiliary.sbb
+               - np.einsum("iab,ib->ia", np.swapaxes(A_cl, -1, -2), phi)
+               - np.einsum("iab,ib->ia", P, tbl.b) - tbl.qd
+               + np.einsum("ima,im->ia", gain, tbl.rhod))
+    psi_dot = _psi_rate(phi, sol.auxiliary.upsilon, sol.auxiliary.omega, tbl)
+    return P_dot, phi_dot, psi_dot
+
+
+def _hamiltonian_gap(sol: EquilibriumSolution, rates: tuple, sl: slice,
+                     x: np.ndarray, u: np.ndarray, R) -> np.ndarray:
+    """V_t + <grad V, A x + B u + b> + running cost(t, t) - R at nodes ``sl``.
+
+    ``x`` is one state; ``u`` and ``R`` hold one control and one R per node.
+    """
+    tbl = sol.tables
+    P_dot, phi_dot, psi_dot = (r[sl] for r in rates)
+    V_t = (np.einsum("a,iab,b->i", x, P_dot, x)
+           + 2.0 * np.einsum("ia,a->i", phi_dot, x) + psi_dot)
+    grad = 2.0 * (sol.riccati.P[sl] @ x) + 2.0 * sol.auxiliary.phi[sl]
+    flow = (np.einsum("iab,b->ia", tbl.A[sl], x)
+            + np.einsum("iam,im->ia", tbl.B[sl], u) + tbl.b[sl])
+    ham = _running_cost(tbl.Qd[sl], tbl.Sd[sl], tbl.Md[sl], tbl.qd[sl],
+                        tbl.rhod[sl], np.broadcast_to(x, flow.shape), u,
+                        start=np.einsum("ia,ia->i", grad, flow))
+    return V_t + ham - R
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +218,8 @@ def bellman_residual(sol: EquilibriumSolution, t_idx: int, s_idx: int, x,
     tbl = sol.tables
     sl = slice(t_idx, s_idx + 1)
     Y, U = traj.states, traj.controls
-    run = (np.einsum("jab,jb,ja->j", tbl.Qd[sl], Y, Y)
-           + 2.0 * np.einsum("ja,ja->j", tbl.qd[sl], Y)
-           + 2.0 * np.einsum("jmn,jn,jm->j", tbl.Sd[sl], Y, U)
-           + np.einsum("jmp,jp,jm->j", tbl.Md[sl], U, U)
-           + 2.0 * np.einsum("jm,jm->j", tbl.rhod[sl], U))
+    run = _running_cost(tbl.Qd[sl], tbl.Sd[sl], tbl.Md[sl], tbl.qd[sl],
+                        tbl.rhod[sl], Y, U)
     run -= np.asarray([error_function_closed(sol, j, Y[j - t_idx])
                        for j in range(t_idx, s_idx + 1)])
     rhs = float(quadrature(run, grid, t_idx, s_idx))
@@ -274,17 +265,13 @@ def _reintegrated_offsets(sol: EquilibriumSolution) -> np.ndarray:
     gain = sol.riccati.gain
     ups = sol.auxiliary.upsilon
     h = grid.h
-    gain_h = 0.5 * (gain[:-1] + gain[1:])
-    ups_h = 0.5 * (ups[:-1] + ups[1:])
-    Fm = tbl.A_half - tbl.B_half @ gain_h
-    F1 = tbl.A[1:] - tbl.B[1:] @ gain[1:]
-    w0 = tbl.b[:-1] - np.einsum("iab,ib->ia", tbl.B[:-1], ups[:-1])
-    wm = tbl.b_half - np.einsum("iab,ib->ia", tbl.B_half, ups_h)
-    w1 = tbl.b[1:] - np.einsum("iab,ib->ia", tbl.B[1:], ups[1:])
-    k1 = w0
+    F, Fm = closed_loop_matrices(tbl.A, tbl.A_half, tbl.B, tbl.B_half, gain)
+    w = closed_loop_drive(tbl.b, tbl.B, ups)
+    wm = closed_loop_drive(tbl.b_half, tbl.B_half, _interp_half(ups))
+    k1 = w[:-1]
     k2 = 0.5 * h * np.einsum("iab,ib->ia", Fm, k1) + wm
     k3 = 0.5 * h * np.einsum("iab,ib->ia", Fm, k2) + wm
-    k4 = h * np.einsum("iab,ib->ia", F1, k3) + w1
+    k4 = h * np.einsum("iab,ib->ia", F[1:], k3) + w[1:]
     r = (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     steps = sol.riccati.closed_loop.steps
     N, n = grid.N, sol.spec.dims.n
@@ -296,95 +283,39 @@ def _reintegrated_offsets(sol: EquilibriumSolution) -> np.ndarray:
     return zero_below_diagonal(bt)
 
 
-@dataclass
-class _StationarityTerms:
-    """State-independent tables of the pointwise residual at every node."""
+def _stationarity_residuals(sol: EquilibriumSolution, states) -> list:
+    """The pointwise residual at every node, one array per state.
 
-    P_dot: np.ndarray
-    phi_dot: np.ndarray
-    psi_dot: np.ndarray
-    grad_affine: np.ndarray   # 2 phi
-    sbb_re: np.ndarray
-    omega_re: np.ndarray
-
-
-def _stationarity_terms(sol: EquilibriumSolution) -> _StationarityTerms:
-    tbl = sol.tables
-    P = sol.riccati.P
-    gain = sol.riccati.gain
-    qbb = sol.riccati.qbb
-    phi = sol.auxiliary.phi
-    ups = sol.auxiliary.upsilon
-    A, B, b = tbl.A, tbl.B, tbl.b
-    Qd, Md, qd, rhod = tbl.Qd, tbl.Md, tbl.qd, tbl.rhod
-
+    The state-independent tables, among them the re-integrated responses
+    and their Sbb and omega, are built once for all the states.  The rates
+    use the stored Sbb and omega (what phi and psi were solved against);
+    only R comes from the re-integrated route.
+    """
+    gain, ups, qbb = sol.riccati.gain, sol.auxiliary.upsilon, sol.riccati.qbb
     bt_re = _reintegrated_offsets(sol)
-    sbb_re = _sbb_table(gain, ups, bt_re, sol.riccati.closed_loop.pair_table(), tbl)
-    omega_re = _omega_table(gain, ups, bt_re, tbl)
-
-    GMG = np.einsum("iam,iap,ipc->imc", gain, Md, gain, optimize=True)
-    P_dot = -(np.swapaxes(A, -1, -2) @ P + P @ A + Qd - qbb - GMG)
-    D = np.swapaxes(A - B @ gain, -1, -2)
-    # the reconstruction uses the *stored* Sbb/omega (what phi and psi were
-    # solved against); only R below comes from the re-integrated route
-    phi_dot = (sol.auxiliary.sbb
-               - np.einsum("iab,ib->ia", D, phi)
-               - np.einsum("iab,ib->ia", P, b) - qd
-               + np.einsum("ima,im->ia", gain, rhod))
-    drive = b - np.einsum("iab,ib->ia", B, ups)
-    psi_dot = (sol.auxiliary.omega
-               - 2.0 * np.einsum("ia,ia->i", phi, drive)
-               - np.einsum("im,im->i",
-                           np.einsum("iab,ib->ia", Md, ups) - 2.0 * rhod, ups))
-    return _StationarityTerms(P_dot=P_dot, phi_dot=phi_dot, psi_dot=psi_dot,
-                              grad_affine=2.0 * phi, sbb_re=sbb_re,
-                              omega_re=omega_re)
-
-
-def _stationarity_residual(sol: EquilibriumSolution, terms: _StationarityTerms,
-                           x: np.ndarray) -> np.ndarray:
-    tbl = sol.tables
-    P = sol.riccati.P
-    gain = sol.riccati.gain
-    qbb = sol.riccati.qbb
-    ups = sol.auxiliary.upsilon
-    A, B, b = tbl.A, tbl.B, tbl.b
-    Qd, Sd, Md, qd, rhod = tbl.Qd, tbl.Sd, tbl.Md, tbl.qd, tbl.rhod
-    V_t = (np.einsum("a,iab,b->i", x, terms.P_dot, x)
-           + 2.0 * np.einsum("ia,a->i", terms.phi_dot, x) + terms.psi_dot)
-    grad = 2.0 * (P @ x) + terms.grad_affine
-    u_star = -(gain @ x) - ups
-    flow = np.einsum("iab,b->ia", A, x) + np.einsum("iam,im->ia", B, u_star) + b
-    ham = (np.einsum("ia,ia->i", grad, flow)
-           + np.einsum("a,iab,b->i", x, Qd, x)
-           + 2.0 * np.einsum("ima,a,im->i", Sd, x, u_star)
-           + np.einsum("imp,ip,im->i", Md, u_star, u_star)
-           + 2.0 * np.einsum("ia,a->i", qd, x)
-           + 2.0 * np.einsum("im,im->i", rhod, u_star))
-    R_re = (np.einsum("a,iab,b->i", x, qbb, x)
-            + 2.0 * np.einsum("ia,a->i", terms.sbb_re, x) + terms.omega_re)
-    return V_t + ham - R_re
+    sbb_re = _sbb_table(gain, ups, bt_re, sol.riccati.closed_loop.pair_table(),
+                        sol.tables)
+    omega_re = _omega_table(gain, ups, bt_re, sol.tables)
+    rates = _coefficient_rates(sol)
+    out = []
+    for x in np.atleast_2d(np.asarray(states, dtype=float)):
+        x = x.reshape(sol.spec.dims.n)
+        R_re = (np.einsum("a,iab,b->i", x, qbb, x)
+                + 2.0 * np.einsum("ia,a->i", sbb_re, x) + omega_re)
+        out.append(_hamiltonian_gap(sol, rates, slice(None), x,
+                                    -(gain @ x) - ups, R_re))
+    return out
 
 
 def hjb_residual_all_nodes(sol: EquilibriumSolution, x) -> np.ndarray:
     """Stationarity residual at every node for one state."""
-    x = np.asarray(x, dtype=float).reshape(sol.spec.dims.n)
-    return _stationarity_residual(sol, _stationarity_terms(sol), x)
+    return _stationarity_residuals(sol, [x])[0]
 
 
 def hjb_residual_sup(sol: EquilibriumSolution, states) -> float:
-    """Sup of the pointwise stationarity residual over nodes and states.
-
-    The state-independent tables, among them the re-integrated responses
-    and their Sbb and omega, are built once for all the states.
-    """
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    terms = _stationarity_terms(sol)
-    sup = 0.0
-    for x in states:
-        x = x.reshape(sol.spec.dims.n)
-        sup = max(sup, float(np.max(np.abs(_stationarity_residual(sol, terms, x)))))
-    return sup
+    """Sup of the pointwise stationarity residual over nodes and states."""
+    return max((float(np.max(np.abs(r)))
+                for r in _stationarity_residuals(sol, states)), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +344,7 @@ def hjb_integral_residual(sol: EquilibriumSolution, t_idx: int, x) -> float:
     half_bp = 0.5 * np.einsum("jam,ja->jm", tbl.B[sl], grad)
     SxY = np.einsum("jmn,jn->jm", tbl.Sd[sl], Y)
     rhs_h = half_bp + SxY + tbl.rhod[sl]
-    L = tbl.Md_chol[sl]
-    h_ctrl = np.linalg.solve(
-        np.swapaxes(L, -1, -2), np.linalg.solve(L, rhs_h[..., None]))[..., 0]
+    h_ctrl = solve_chol(tbl.Md_chol[sl], rhs_h)
     H_run = (np.einsum("jm,jm->j", half_bp - SxY - tbl.rhod[sl], h_ctrl)
              + np.einsum("jab,jb,ja->j", tbl.Qd[sl], Y, Y)
              + 2.0 * np.einsum("ja,ja->j", tbl.qd[sl], Y))
@@ -429,10 +358,7 @@ def hjb_integral_residual(sol: EquilibriumSolution, t_idx: int, x) -> float:
     inner = np.einsum("ij,ij->i", F, tbl.W[sq])
     outer = quadrature(H_run - inner, grid, t_idx, N)
     # terminal weights frozen at the start time of the representation
-    G_t = np.asarray(spec.terminal.G(t), dtype=float)
-    g_t = np.asarray(spec.terminal.g(t), dtype=float).reshape(-1)
-    yT = Y[-1]
-    rhs = float(outer) + float(yT @ G_t @ yT + 2.0 * g_t @ yT)
+    rhs = float(outer) + _terminal_cost(spec, t, Y[-1])
     return rhs - value(sol, t, x)
 
 
@@ -469,10 +395,7 @@ def uniqueness_probe(spec: ProblemSpec, grid: TimeGrid, inits,
         tables = SpecTables(spec, grid)
     runs = []
     for init in inits:
-        o = SolveOptions(tolerance=base.tolerance,
-                         max_iterations=base.max_iterations,
-                         damping=base.damping,
-                         damping_floor=base.damping_floor, initial=init)
+        o = dataclasses.replace(base, initial=init)
         riccati = solve_equilibrium_riccati(spec, grid, o, tables=tables)
         aux = solve_auxiliary(spec, grid, riccati)
         runs.append(EquilibriumSolution(spec=spec, grid=grid, riccati=riccati,

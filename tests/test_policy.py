@@ -6,7 +6,7 @@ from tilq import (BaseCosts, Dimensions, DynamicsField, TilqError, build_grid,
                   exponential_kernel, feedback, grad_value, make_discounted,
                   simulate_control, simulate_equilibrium, solve_equilibrium,
                   value)
-from conftest import classical_scalar_spec, zero_cost_spec
+from conftest import classical_scalar_spec, threestate_spec, zero_cost_spec
 
 
 class TestValueFunction:
@@ -270,3 +270,53 @@ class TestErrorFunction:
             rd = error_function_direct(sol, i, x)
             rc = error_function_closed(sol, i, x)
             assert abs(rd - rc) <= 1e-4 * (1 + max(abs(rd), abs(rc)))
+
+
+def looped_cost(spec, grid, t_idx, states, controls, derivative=False):
+    """Trapezoid sum, node by node, of the five running terms plus the terminal.
+
+    Kernels are frozen at t = nodes[t_idx]; ``derivative`` takes their
+    t-derivatives and G'(t), g'(t) instead.
+    """
+    t = float(grid.nodes[t_idx])
+    last = len(states) - 1
+    total = 0.0
+    for k, (y, u) in enumerate(zip(states, controls)):
+        s = float(grid.nodes[t_idx + k])
+        Q, S, M, q, rho = (f.dt(t, s) if derivative else f(t, s)
+                           for f in (spec.Q, spec.S, spec.M, spec.q, spec.rho))
+        run = (y @ Q @ y + 2.0 * (S @ y) @ u + u @ M @ u
+               + 2.0 * q @ y + 2.0 * rho @ u)
+        total += (0.5 * grid.h if k in (0, last) else grid.h) * run
+    term = spec.terminal
+    G, g = (term.dG_dt(t), term.dg_dt(t)) if derivative else (term.G(t), term.g(t))
+    y = states[-1]
+    return total + y @ G @ y + 2.0 * np.ravel(g) @ y
+
+
+class TestCostFormNonSquare:
+    """n = 3, m = 2: the shared cost form against a per-node loop."""
+
+    @pytest.fixture(scope="class")
+    def sol(self):
+        return solve_equilibrium(threestate_spec(), build_grid(1.0, 60))
+
+    def test_cost_matches_node_loop(self, sol):
+        rng = np.random.default_rng(21)
+        for i in (0, 17, 45):
+            x = rng.uniform(-2, 2, size=3)
+            controls = rng.uniform(-1, 1, size=(sol.grid.N + 1 - i, 2))
+            traj = simulate_control(sol.spec, sol.grid, controls, i, x)
+            ref = looped_cost(sol.spec, sol.grid, i, traj.states, traj.controls)
+            assert cost(sol.spec, sol.grid, traj, i) == pytest.approx(ref,
+                                                                       rel=1e-12)
+
+    def test_error_function_matches_node_loop(self, sol):
+        rng = np.random.default_rng(22)
+        for i in (0, 17, 45):
+            x = rng.uniform(-2, 2, size=3)
+            traj = simulate_equilibrium(sol, i, x)
+            ref = looped_cost(sol.spec, sol.grid, i, traj.states, traj.controls,
+                              derivative=True)
+            assert error_function_direct(sol, i, x) == pytest.approx(ref,
+                                                                     rel=1e-12)

@@ -1,11 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 
 from tilq import (AssumptionError, BaseCosts, Dimensions, DynamicsField,
                   SolveOptions, build_grid, classical_riccati,
                   closed_loop_transition, exponential_kernel, gamma_from_p,
-                  make_discounted, open_loop_transition, qbb_from_gamma,
-                  quadrature, riccati_sweep, solve_equilibrium_riccati)
+                  hyperbolic_kernel, local_expansion, make_discounted,
+                  open_loop_transition, qbb_from_gamma, quadrature,
+                  riccati_sweep, solve_equilibrium, solve_equilibrium_riccati,
+                  tabulated_kernel, upsilon_from_phi)
 from tilq.errors import ConvergenceError
 from tilq.riccati import _closed_loop_table, _qbb_table
 from tilq.tables import SpecTables
@@ -53,6 +57,52 @@ class TestGainFromP:
                              rho=spec.rho, terminal=spec.terminal)
         with pytest.raises(AssumptionError):
             gamma_from_p(np.array([[1.0]]), bad, 0.5)
+
+
+def losing_pd_spec(kernel):
+    """M(s) = 1 - 2s: positive definite on [0, 0.5) only."""
+    return make_discounted(
+        Dimensions(1, 1), 1.0,
+        DynamicsField.constant([[-0.2]], [[1.0]], [0.1]),
+        BaseCosts(Q=[[1.0]], S=[[0.1]], M=lambda s: np.array([[1.0 - 2.0 * s]]),
+                  q=[0.05], rho=[0.02], G=[[1.0]], g=[0.1]),
+        kernel)
+
+
+def failing_time(exc) -> float:
+    return float(re.search(r"at t=([0-9.eE+-]+)", str(exc.value)).group(1))
+
+
+class TestNonPositiveControlWeight:
+    def test_md_chol_names_first_bad_node(self):
+        grid = build_grid(1.0, 40)
+        with pytest.raises(AssumptionError) as exc:
+            SpecTables(losing_pd_spec(hyperbolic_kernel(1.0)), grid).Md_chol
+        assert failing_time(exc) == 0.5
+
+    def test_local_path_refuses(self):
+        spec = losing_pd_spec(hyperbolic_kernel(1.0))
+        assert local_expansion(spec) is not None
+        with pytest.raises(AssumptionError) as exc:
+            solve_equilibrium(spec, build_grid(1.0, 41))
+        assert failing_time(exc) >= 0.5
+
+    def test_fixed_point_path_refuses(self):
+        times = np.linspace(0.0, 1.0, 21)
+        table = 1.0 / (1.0 + np.clip(times[None, :] - times[:, None], 0.0, None))
+        spec = losing_pd_spec(tabulated_kernel(times, table))
+        assert local_expansion(spec) is None
+        with pytest.raises(AssumptionError) as exc:
+            solve_equilibrium(spec, build_grid(1.0, 41))
+        assert failing_time(exc) >= 0.5
+
+    def test_pointwise_solve_names_its_time(self):
+        spec = losing_pd_spec(hyperbolic_kernel(1.0))
+        assert upsilon_from_phi(np.ones(1), spec, 0.25)[0] == pytest.approx(
+            (1.0 + 0.02) / 0.5)
+        with pytest.raises(AssumptionError) as exc:
+            upsilon_from_phi(np.ones(1), spec, 0.75)
+        assert failing_time(exc) == 0.75
 
 
 class TestQbb:
