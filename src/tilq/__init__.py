@@ -9,13 +9,12 @@ with nonlocal correction term, assembles the quadratic value function and
 feedback law, and verifies the defining equilibrium properties numerically.
 """
 
-from .auxiliary import (AuxiliarySolution, PhiSolution, btilde_table, omega_at,
-                        sbb_at, solve_auxiliary, solve_phi, solve_psi,
-                        upsilon_from_phi)
+from .auxiliary import (AuxiliarySolution, PhiSolution, omega_at, sbb_at,
+                        solve_auxiliary, solve_phi, solve_psi, upsilon_from_phi)
 from .errors import (AssumptionError, ConsistencyError, ConvergenceError,
                      ProblemFileError, TilqError)
-from .grid import (TimeGrid, TransitionTable, build_grid, closed_loop_transition,
-                   open_loop_transition, quadrature)
+from .grid import (TimeGrid, TransitionTable, build_grid, open_loop_transition,
+                   quadrature)
 from .local import (ExponentialSum, fit_exponential_sum, local_expansion,
                     solve_local)
 from .policy import (EquilibriumSolution, Trajectory, cost,
@@ -23,11 +22,10 @@ from .policy import (EquilibriumSolution, Trajectory, cost,
                      grad_value, simulate_control, simulate_equilibrium,
                      solve_equilibrium, value)
 from .problem import (BaseCosts, Dimensions, DiscountKernel, DynamicsField,
-                      ProblemSpec, TabulatedTwoTimeField, TerminalField,
-                      TwoTimeField, ValidationReport, exponential_kernel,
-                      finite_diff_t, hyperbolic_kernel, make_discounted,
-                      make_kernel, quasi_hyperbolic_kernel, tabulated_kernel,
-                      time_consistent_projection, validate)
+                      ProblemSpec, TerminalField, TwoTimeField,
+                      ValidationReport, exponential_kernel, hyperbolic_kernel,
+                      make_discounted, make_kernel, quasi_hyperbolic_kernel,
+                      tabulated_kernel, time_consistent_projection, validate)
 from .problem_io import (LoadedProblem, load_problem, load_shipped_problem,
                          parse_problem, shipped_problem_names,
                          shipped_problem_path)

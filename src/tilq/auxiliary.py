@@ -58,9 +58,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TilqError
-from .grid import (TimeGrid, TransitionTable, _eval_dynamics, _interp_half,
-                   closed_loop_drive, closed_loop_matrices, from_pair_layout,
-                   quadrature, to_pair_layout)
+from .grid import (TimeGrid, TransitionTable, _interp_half, closed_loop_drive,
+                   closed_loop_matrices, from_pair_layout, quadrature,
+                   to_pair_layout)
 from .problem import ProblemSpec
 from .riccati import (FixedPointDiagnostics, RiccatiSolution, SolveOptions,
                       _initial_table, damped_fixed_point)
@@ -126,27 +126,12 @@ def upsilon_from_phi(phi: np.ndarray, spec: ProblemSpec, t: float) -> np.ndarray
     return solve_chol(factor_md(spec.M(t, t), t), rhs)
 
 
-def btilde_table(closed_loop: TransitionTable, upsilon: np.ndarray,
-                 dynamics, grid: TimeGrid) -> np.ndarray:
-    """Zero-state responses btilde(s, t) for every node pair t <= s.
-
-    Entry [j, i] holds btilde(t_j, t_i); the strict lower region s < t is
-    zero, as is the whole diagonal btilde(t, t) = 0.  The result is a view
-    of the pair-layout table.
-    """
-    upsilon = np.asarray(upsilon, dtype=float)
-    n = closed_loop.dim
-    m = upsilon.shape[1]
-    drive = closed_loop_drive(_eval_dynamics(dynamics.b, grid.nodes, (n,)),
-                              _eval_dynamics(dynamics.B, grid.nodes, (n, m)),
-                              upsilon)
-    return from_pair_layout(
-        _btilde_from_drive(closed_loop.pair_table(), drive, grid))
-
-
 def _btilde_from_drive(cl_pairs: np.ndarray, drive: np.ndarray,
                        grid: TimeGrid) -> np.ndarray:
-    """Pair table [a, i, j] = btilde(t_j, t_i)[a] by the recursion over t."""
+    """Pair table [a, i, j] = btilde(t_j, t_i)[a] by the recursion over t.
+
+    Zero where j <= i: below the diagonal and on it, btilde(t, t) = 0.
+    """
     N = grid.N
     bt = np.einsum("abij,ib->aij", cl_pairs, drive)  # E_cl(t_j, t_i) d_i
     for i in range(N):
@@ -373,7 +358,7 @@ def solve_psi(spec: ProblemSpec, grid: TimeGrid, riccati: RiccatiSolution,
     omega = _omega_table(riccati.gain, phi_sol.upsilon,
                          to_pair_layout(phi_sol.btilde), tables)
     rate = _psi_rate(phi_sol.phi, phi_sol.upsilon, omega, tables)
-    running = cumulative_trapezoid(-rate, grid.h, axis=0)
+    running = cumulative_trapezoid(-rate, grid.h)
     psi = running[-1] - running
     return psi, omega
 

@@ -13,6 +13,7 @@ verification or comparison failures exit 2 with the failing checks named.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -49,7 +50,8 @@ def _load(args) -> LoadedProblem:
     if args.grid_points is not None:
         loaded.grid_points = args.grid_points
     if args.tol is not None:
-        loaded.solve_options.tolerance = args.tol
+        loaded.solve_options = dataclasses.replace(loaded.solve_options,
+                                                   tolerance=args.tol)
     if getattr(args, "seed", None) is not None:
         loaded.verify_options.seed = args.seed
     return loaded

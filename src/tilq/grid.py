@@ -1,10 +1,13 @@
 """Uniform time grids, trapezoid quadrature, and state-transition tables.
 
-Propagators Phi(t_i, t_j) of the open-loop system x' = A(t) x and of the
-closed-loop system x' = (A(t) - B(t) Gain(t)) x are built one grid step at a
-time with classical fourth-order Runge-Kutta.  This coincides with the
-matrix-exponential formula exp(int A) whenever the system matrices commute
-pairwise and is the correct fundamental solution in general.
+Propagators Phi(t_i, t_j) of a linear system x' = F(t) x are built one grid
+step at a time with classical fourth-order Runge-Kutta
+(:func:`_rk4_linear_steps`).  This coincides with the matrix-exponential
+formula exp(int F) whenever the system matrices commute pairwise and is the
+correct fundamental solution in general.  :func:`open_loop_transition`
+tabulates the open loop F = A from the dynamics callables; the closed loop
+F = A - B Gain (:func:`closed_loop_matrices`) is tabulated by the solvers
+from the grid evaluations of :class:`tilq.tables.SpecTables`.
 
 Tables over node pairs are stored in the pair layout described in
 :mod:`tilq.tables`; :func:`from_pair_layout` gives the node-major view the
@@ -125,9 +128,8 @@ class TransitionTable:
     bit-identical tables.
     """
 
-    def __init__(self, grid: TimeGrid, steps: np.ndarray, flavor: str):
+    def __init__(self, grid: TimeGrid, steps: np.ndarray):
         self.grid = grid
-        self.flavor = flavor
         self.dim = steps.shape[-1]
         steps = np.ascontiguousarray(steps, dtype=float)
         steps.flags.writeable = False
@@ -179,7 +181,7 @@ def open_loop_transition(dynamics, grid: TimeGrid) -> TransitionTable:
     A_nodes = _eval_dynamics(dynamics.A, grid.nodes, (n, n))
     A_half = _eval_dynamics(dynamics.A, grid.half_nodes, (n, n))
     steps = _rk4_linear_steps(A_nodes, A_half, grid.h)
-    return TransitionTable(grid, steps, flavor="open_loop")
+    return TransitionTable(grid, steps)
 
 
 def _interp_half(table: np.ndarray) -> np.ndarray:
@@ -197,28 +199,3 @@ def closed_loop_drive(b: np.ndarray, B: np.ndarray,
                       upsilon: np.ndarray) -> np.ndarray:
     """The closed loop's drive b - B Upsilon at each tabulated time."""
     return b - np.einsum("tab,tb->ta", B, upsilon)
-
-
-def closed_loop_transition(dynamics, gain: np.ndarray,
-                           grid: TimeGrid) -> TransitionTable:
-    """Fundamental-solution table of x' = (A(t) - B(t) Gain(t)) x.
-
-    ``gain`` is tabulated on the nodes, shape (N+1, m, n); its half-step
-    values are linear interpolants (means of adjacent nodes).
-    """
-    gain = np.asarray(gain, dtype=float)
-    A0 = np.asarray(dynamics.A(0.0), dtype=float)
-    B0 = np.asarray(dynamics.B(0.0), dtype=float)
-    n, m = B0.shape
-    if gain.shape != (grid.N + 1, m, n):
-        raise TilqError(
-            f"gain table has shape {gain.shape}, expected {(grid.N + 1, m, n)}")
-    if A0.shape != (n, n):
-        raise TilqError(f"A(t) has shape {A0.shape}, expected {(n, n)}")
-    eff = closed_loop_matrices(
-        _eval_dynamics(dynamics.A, grid.nodes, (n, n)),
-        _eval_dynamics(dynamics.A, grid.half_nodes, (n, n)),
-        _eval_dynamics(dynamics.B, grid.nodes, (n, m)),
-        _eval_dynamics(dynamics.B, grid.half_nodes, (n, m)), gain)
-    steps = _rk4_linear_steps(*eff, grid.h)
-    return TransitionTable(grid, steps, flavor="closed_loop")

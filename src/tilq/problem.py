@@ -34,13 +34,6 @@ DERIVATIVE_RTOL = 5e-4        # finite-difference probe tolerance
 # helpers
 
 
-def _as_array(x, shape, what: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.shape != tuple(shape):
-        raise TilqError(f"{what} has shape {arr.shape}, expected {tuple(shape)}")
-    return arr
-
-
 def _symmetrize(arr: np.ndarray, what: str) -> np.ndarray:
     """(X + X^T)/2 with a guard against hiding genuinely asymmetric input."""
     asym = np.max(np.abs(arr - arr.T))
@@ -179,7 +172,7 @@ class TwoTimeField:
             def dvalue(t, s):
                 return weighted(kernel.dlam_dt, t, s)
 
-            return TwoTimeField(value, dvalue, shape, vectorized=kernel.vectorized)
+            return TwoTimeField(value, dvalue, shape, vectorized=True)
 
         base_arr = _freeze(np.asarray(base, dtype=float).reshape(shape))
 
@@ -191,7 +184,7 @@ class TwoTimeField:
             dl = np.asarray(kernel.dlam_dt(t, s), dtype=float)
             return dl.reshape(dl.shape + pad) * base_arr
 
-        return TwoTimeField(value, dvalue, shape, vectorized=kernel.vectorized)
+        return TwoTimeField(value, dvalue, shape, vectorized=True)
 
 
 @dataclass(frozen=True)
@@ -257,7 +250,8 @@ class ProblemSpec:
 class DiscountKernel:
     """Discount weight lam(t, s) on t <= s with its t-derivative.
 
-    lam(t, t) = 1 and lam > 0 for every family.  Non-exponential families
+    lam(t, t) = 1 and lam > 0 for every family, and lam and dlam_dt accept
+    broadcastable array arguments as well as scalars.  Non-exponential families
     make the weighted cost kernels genuinely depend on the evaluation time,
     which is what renders the control problem time-inconsistent.
 
@@ -271,7 +265,6 @@ class DiscountKernel:
     params: dict = dc_field(repr=True)
     lam: Callable = dc_field(repr=False, default=None)
     dlam_dt: Callable = dc_field(repr=False, default=None)
-    vectorized: bool = True
     expansion: Callable | None = dc_field(repr=False, default=None)
 
 
@@ -357,10 +350,14 @@ def quasi_hyperbolic_kernel(beta: float, delta: float, width: float) -> Discount
 
 
 def tabulated_kernel(times, values) -> DiscountKernel:
-    """Kernel given by samples lam(t_i, s_j) on a shared time grid.
+    """Kernel given by samples lam(t_i, s_j) on a shared uniform time grid.
 
-    Values are interpolated bilinearly; the t-derivative comes from second
-    order finite differences of the table (see :func:`finite_diff_t`).
+    Entry (i, j), i <= j, of ``values`` holds lam(times[i], times[j]).
+    Points inside a cell are interpolated bilinearly; cells crossing the
+    diagonal use the triangle (i,i), (i,j+1), (i+1,j+1) barycentrically so
+    that only stored (t <= s) corners are touched.  The t-derivative is
+    interpolated the same way from second order finite differences of the
+    table (see :func:`_dt_table`).
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -374,27 +371,99 @@ def tabulated_kernel(times, values) -> DiscountKernel:
     diag = np.diagonal(values)
     if np.max(np.abs(diag - 1.0)) > 1e-8:
         raise TilqError("tabulated kernel must satisfy lam(t, t) = 1")
-    tab = finite_diff_t(TabulatedTwoTimeField(times, values, shape=()))
+    spacing = np.diff(times)
+    if np.any(spacing <= 0) or np.max(np.abs(spacing - spacing[0])) > 1e-12 * times[-1]:
+        raise TilqError("tabulated kernel requires a uniform, increasing time grid")
+    h = float(spacing[0])
+    nodes = _freeze(times)
+    table = _freeze(values)
+    dtable = _freeze(_dt_table(table, h))
 
     # queries with t > s (outside the kernel's domain, touched only by
     # broadcast tabulation of the unused triangle) clamp to the diagonal;
     # scalar pairs skip the array lookup, which costs more on one pair
-    def lookup(table, t, s):
+    def lookup(tab, t, s):
         if np.ndim(t) == 0 and np.ndim(s) == 0:
             t, s = float(t), float(s)
-            return tab._interp(table, min(t, s), s)
+            return _interp(nodes, h, tab, min(t, s), s)
         t, s = np.broadcast_arrays(np.asarray(t, dtype=float),
                                    np.asarray(s, dtype=float))
-        return tab._interp_pairs(table, np.minimum(t, s), s)
+        return _interp_pairs(nodes, h, tab, np.minimum(t, s), s)
 
     def lam(t, s):
-        return lookup(tab.table, t, s)
+        return lookup(table, t, s)
 
     def dlam(t, s):
-        return lookup(tab.dtable, t, s)
+        return lookup(dtable, t, s)
 
     return DiscountKernel("tabulated", {"times": times, "values": values},
-                          lam, dlam, vectorized=True)
+                          lam, dlam)
+
+
+def _interp(times, h, table, t, s):
+    """Value of a stored triangle at one pair t <= s (see tabulated_kernel)."""
+    lo, hi = times[0], times[-1]
+    eps = 1e-9 * max(1.0, hi)
+    if t > s + eps or t < lo - eps or s > hi + eps:
+        raise TilqError(f"tabulated kernel queried outside its domain at "
+                        f"({t}, {s})")
+    s = min(max(s, lo), hi)
+    t = min(max(t, lo), s)
+    i = min(int((t - lo) / h), len(times) - 2)
+    j = min(int((s - lo) / h), len(times) - 2)
+    a = (t - times[i]) / h
+    c = (s - times[j]) / h
+    if i < j:
+        f00, f01 = table[i, j], table[i, j + 1]
+        f10, f11 = table[i + 1, j], table[i + 1, j + 1]
+        return ((1 - a) * (1 - c) * f00 + (1 - a) * c * f01
+                + a * (1 - c) * f10 + a * c * f11)
+    # diagonal cell: interpolate on the stored triangle
+    f00, f01, f11 = table[i, j], table[i, j + 1], table[i + 1, j + 1]
+    return f00 + a * (f11 - f01) + c * (f01 - f00)
+
+
+def _interp_pairs(times, h, table, t, s):
+    """:func:`_interp` over same-shape arrays of pairs, with its arithmetic."""
+    lo, hi = times[0], times[-1]
+    eps = 1e-9 * max(1.0, hi)
+    bad = (t > s + eps) | (t < lo - eps) | (s > hi + eps)
+    if np.any(bad):
+        k = tuple(np.argwhere(bad)[0])
+        raise TilqError(f"tabulated kernel queried outside its domain at "
+                        f"({t[k]}, {s[k]})")
+    s = np.minimum(np.maximum(s, lo), hi)
+    t = np.minimum(np.maximum(t, lo), s)
+    last = len(times) - 2
+    i = np.minimum(((t - lo) / h).astype(np.intp), last)
+    j = np.minimum(((s - lo) / h).astype(np.intp), last)
+    a = (t - times[i]) / h
+    c = (s - times[j]) / h
+    f00, f01 = table[i, j], table[i, j + 1]
+    f10, f11 = table[i + 1, j], table[i + 1, j + 1]
+    inside = ((1 - a) * (1 - c) * f00 + (1 - a) * c * f01
+              + a * (1 - c) * f10 + a * c * f11)
+    diagonal = f00 + a * (f11 - f01) + c * (f01 - f00)
+    return np.where(i < j, inside, diagonal)
+
+
+def _dt_table(table: np.ndarray, h: float) -> np.ndarray:
+    """First-argument derivative of a stored triangle by finite differences.
+
+    Central differences in the interior, second-order one-sided stencils at
+    t = 0 and at the diagonal t = s.  The column s = times[1] has two stored
+    points and takes their first-order slope; the point (0, 0) has no
+    stencil and gets zero.  Entries below the diagonal are zero.
+    """
+    K = len(table)
+    out = np.zeros_like(table)
+    out[1:-1] = (table[2:] - table[:-2]) / (2 * h)
+    out[0] = (-3 * table[0] + 4 * table[1] - table[2]) / (2 * h)
+    j = np.arange(2, K)
+    out[j, j] = (3 * table[j, j] - 4 * table[j - 1, j] + table[j - 2, j]) / (2 * h)
+    out[0, 1] = out[1, 1] = (table[1, 1] - table[0, 1]) / h
+    out[0, 0] = 0.0
+    return np.triu(out)
 
 
 _KERNEL_FACTORIES = {
@@ -411,155 +480,6 @@ def make_kernel(family: str, **params) -> DiscountKernel:
     except KeyError:
         raise TilqError(f"unknown discount family {family!r}") from None
     return factory(**params)
-
-
-# ---------------------------------------------------------------------------
-# tabulated two-time data and finite differencing
-
-
-class TabulatedTwoTimeField(TwoTimeField):
-    """Two-time field stored on the lower triangle t <= s of a uniform grid.
-
-    Entries (i, j), i <= j hold the value at (times[i], times[j]).  Points
-    inside a cell are interpolated bilinearly; cells crossing the diagonal
-    use the triangle (i,i), (i,j+1), (i+1,j+1) barycentrically so that only
-    stored (t <= s) corners are touched.
-    """
-
-    def __init__(self, times, table, shape=None, dtable=None):
-        times = np.asarray(times, dtype=float)
-        if times.ndim != 1 or len(times) < 3:
-            raise TilqError("tabulated two-time field needs at least 3 grid "
-                            "points in t")
-        spacing = np.diff(times)
-        if np.any(spacing <= 0) or np.max(np.abs(spacing - spacing[0])) > 1e-12 * times[-1]:
-            raise TilqError("tabulated two-time field requires a uniform, "
-                            "increasing time grid")
-        table = np.asarray(table, dtype=float)
-        if shape is None:
-            shape = table.shape[2:]
-        shape = tuple(shape)
-        if table.shape != (len(times), len(times)) + shape:
-            raise TilqError(f"table has shape {table.shape}, expected "
-                            f"{(len(times), len(times)) + shape}")
-        self.times = _freeze(times)
-        self.table = _freeze(table)
-        self.dtable = None if dtable is None else _freeze(np.asarray(dtable, dtype=float))
-        self.spacing = float(spacing[0])
-
-        def value(t, s):
-            return self._interp(self.table, t, s)
-
-        def dvalue(t, s):
-            if self.dtable is None:
-                raise TilqError("tabulated field has no derivative table; "
-                                "apply finite_diff_t first")
-            return self._interp(self.dtable, t, s)
-
-        super().__init__(value=value, dvalue_dt=dvalue, shape=shape,
-                         vectorized=False)
-
-    def _interp(self, table, t, s):
-        t = float(t)
-        s = float(s)
-        lo, hi = self.times[0], self.times[-1]
-        eps = 1e-9 * max(1.0, hi)
-        if t > s + eps or t < lo - eps or s > hi + eps:
-            raise TilqError(f"tabulated field queried outside its domain at "
-                            f"({t}, {s})")
-        s = min(max(s, lo), hi)
-        t = min(max(t, lo), s)
-        h = self.spacing
-        i = min(int((t - lo) / h), len(self.times) - 2)
-        j = min(int((s - lo) / h), len(self.times) - 2)
-        a = (t - self.times[i]) / h
-        c = (s - self.times[j]) / h
-        if i < j:
-            f00, f01 = table[i, j], table[i, j + 1]
-            f10, f11 = table[i + 1, j], table[i + 1, j + 1]
-            return ((1 - a) * (1 - c) * f00 + (1 - a) * c * f01
-                    + a * (1 - c) * f10 + a * c * f11)
-        # diagonal cell: interpolate on the stored triangle
-        f00, f01, f11 = table[i, j], table[i, j + 1], table[i + 1, j + 1]
-        return f00 + a * (f11 - f01) + c * (f01 - f00)
-
-    def _interp_pairs(self, table, t, s):
-        """:meth:`_interp` over same-shape arrays of pairs, with its arithmetic."""
-        lo, hi = self.times[0], self.times[-1]
-        eps = 1e-9 * max(1.0, hi)
-        bad = (t > s + eps) | (t < lo - eps) | (s > hi + eps)
-        if np.any(bad):
-            k = tuple(np.argwhere(bad)[0])
-            raise TilqError(f"tabulated field queried outside its domain at "
-                            f"({t[k]}, {s[k]})")
-        s = np.minimum(np.maximum(s, lo), hi)
-        t = np.minimum(np.maximum(t, lo), s)
-        h = self.spacing
-        last = len(self.times) - 2
-        i = np.minimum(((t - lo) / h).astype(np.intp), last)
-        j = np.minimum(((s - lo) / h).astype(np.intp), last)
-        pad = (...,) + (None,) * len(self.shape)
-        a = ((t - self.times[i]) / h)[pad]
-        c = ((s - self.times[j]) / h)[pad]
-        f00, f01 = table[i, j], table[i, j + 1]
-        f10, f11 = table[i + 1, j], table[i + 1, j + 1]
-        inside = ((1 - a) * (1 - c) * f00 + (1 - a) * c * f01
-                  + a * (1 - c) * f10 + a * c * f11)
-        diagonal = f00 + a * (f11 - f01) + c * (f01 - f00)
-        return np.where((i < j)[pad], inside, diagonal)
-
-
-def finite_diff_t(tab: TabulatedTwoTimeField, h: float | None = None) -> TabulatedTwoTimeField:
-    """Attach a first-argument derivative table built by finite differences.
-
-    Central differences in the interior, second-order one-sided stencils at
-    t = 0 and at the diagonal t = s.  Columns with fewer than three stored
-    points (s within two cells of zero) fall back to the widest available
-    first-order stencil; they carry too few samples for anything better.
-
-    ``h`` defaults to the table spacing and must not exceed it.  Off-node
-    probe points (h < spacing) are read through the interpolant.
-    """
-    if not isinstance(tab, TabulatedTwoTimeField):
-        raise TilqError("finite_diff_t expects a tabulated two-time field")
-    spacing = tab.spacing
-    if h is None:
-        h = spacing
-    if h > spacing * (1 + 1e-12):
-        raise TilqError(f"differencing step {h} exceeds the table spacing {spacing}")
-    times = tab.times
-    K = len(times)
-    on_nodes = abs(h - spacing) <= 1e-12 * spacing
-    dtable = np.zeros_like(tab.table)
-    for j in range(K):
-        s = times[j]
-        if j == 0:
-            continue  # single stored point (0, 0); no stencil exists
-        if j == 1:
-            slope = (tab.table[1, 1] - tab.table[0, 1]) / spacing
-            dtable[0, 1] = slope
-            dtable[1, 1] = slope
-            continue
-        for i in range(j + 1):
-            t = times[i]
-            if on_nodes:
-                col = tab.table[:, j]
-                if i == 0:
-                    d = (-3 * col[0] + 4 * col[1] - col[2]) / (2 * spacing)
-                elif i == j:
-                    d = (3 * col[j] - 4 * col[j - 1] + col[j - 2]) / (2 * spacing)
-                else:
-                    d = (col[i + 1] - col[i - 1]) / (2 * spacing)
-            else:
-                f = lambda tt: tab._interp(tab.table, tt, s)
-                if t - h < times[0]:
-                    d = (-3 * f(t) + 4 * f(t + h) - f(t + 2 * h)) / (2 * h)
-                elif t + h > s:
-                    d = (3 * f(t) - 4 * f(t - h) + f(t - 2 * h)) / (2 * h)
-                else:
-                    d = (f(t + h) - f(t - h)) / (2 * h)
-            dtable[i, j] = d
-    return TabulatedTwoTimeField(times, tab.table, shape=tab.shape, dtable=dtable)
 
 
 # ---------------------------------------------------------------------------

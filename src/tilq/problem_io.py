@@ -35,6 +35,9 @@ _ENTRY = {
     ]
 }
 
+# sample pairs at which a loaded problem's assumptions are probed
+VALIDATION_SAMPLES = 60
+
 _NUM_ARRAY_1D = {"type": "array", "minItems": 1, "items": {"type": "number"}}
 
 
@@ -192,8 +195,7 @@ class LoadedProblem:
 
 
 def parse_problem(document: dict, *, source: str = "<memory>",
-                  force: bool = False,
-                  validation_samples: int = 60) -> LoadedProblem:
+                  force: bool = False) -> LoadedProblem:
     """Build a validated problem from a parsed JSON document."""
     try:
         jsonschema.validate(document, PROBLEM_SCHEMA)
@@ -236,7 +238,7 @@ def parse_problem(document: dict, *, source: str = "<memory>",
     except Exception as exc:
         raise ProblemFileError(f"{source}: {exc}") from exc
 
-    report = validate(spec, validation_samples)
+    report = validate(spec, VALIDATION_SAMPLES)
     if not report.ok and not force:
         raise ProblemFileError(
             f"{source}: problem violates the standing assumptions:\n{report}")

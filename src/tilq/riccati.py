@@ -61,6 +61,8 @@ from .tables import SpecTables, factor_md, pair_blocks, solve_chol
 SWEEP_ASYMMETRY_RTOL = 1e-8
 TIME_CONSISTENT_SUP = 1e-12
 PSD_WARN_FLOOR = -1e-8
+# the fixed point's damping is never halved below this
+DAMPING_FLOOR = 0.0625
 
 
 @dataclass
@@ -70,7 +72,6 @@ class SolveOptions:
     tolerance: float = 1e-10
     max_iterations: int = 200
     damping: float = 1.0
-    damping_floor: float = 0.0625
     initial: object = "terminal"  # "terminal" | "zero" | explicit table
 
     def __post_init__(self):
@@ -95,7 +96,7 @@ def damped_fixed_point(x0: np.ndarray, sweep, opts: SolveOptions,
 
     The recorded delta is the raw residual ||sweep(x) - x||_sup, so the
     convergence test does not depend on the damping in effect.  The damping
-    starts at opts.damping and is halved (down to the floor) whenever the
+    starts at opts.damping and is halved (down to DAMPING_FLOOR) whenever the
     residual grows on two consecutive iterations.
     """
     diag = FixedPointDiagnostics()
@@ -115,11 +116,11 @@ def damped_fixed_point(x0: np.ndarray, sweep, opts: SolveOptions,
         if not np.isfinite(delta):
             # the iterate ran away; restart from the best point seen so far
             diag.deltas.append(np.inf)
-            if theta <= opts.damping_floor:
+            if theta <= DAMPING_FLOOR:
                 floor_reverts += 1
                 if floor_reverts > 1:
                     break
-            theta = max(opts.damping_floor, 0.5 * theta)
+            theta = max(DAMPING_FLOOR, 0.5 * theta)
             x = best_x
             growth_streak = 0
             continue
@@ -136,8 +137,8 @@ def damped_fixed_point(x0: np.ndarray, sweep, opts: SolveOptions,
         else:
             growth_streak = 0
             decay_streak += 1
-        if growth_streak >= 2 and theta > opts.damping_floor:
-            theta = max(opts.damping_floor, 0.5 * theta)
+        if growth_streak >= 2 and theta > DAMPING_FLOOR:
+            theta = max(DAMPING_FLOOR, 0.5 * theta)
             growth_streak = 0
         elif decay_streak >= 3 and theta < opts.damping:
             # transient over: let the damping recover toward the configured value
@@ -225,7 +226,7 @@ def _closed_loop_table(gain: np.ndarray, tables: SpecTables) -> TransitionTable:
     eff = closed_loop_matrices(tables.A, tables.A_half, tables.B, tables.B_half,
                                gain)
     steps = _rk4_linear_steps(*eff, tables.grid.h)
-    return TransitionTable(tables.grid, steps, flavor="closed_loop")
+    return TransitionTable(tables.grid, steps)
 
 
 def _qbb_table(gain: np.ndarray, cl_pairs: np.ndarray,
@@ -294,14 +295,11 @@ def warn_if_indefinite(P: np.ndarray, diag: FixedPointDiagnostics) -> None:
         warnings.warn(message, stacklevel=3)
 
 
-def riccati_sweep(P_in: np.ndarray, spec: ProblemSpec, grid: TimeGrid,
-                  tables: SpecTables | None = None,
-                  open_loop: TransitionTable | None = None) -> np.ndarray:
+def riccati_sweep(P_in: np.ndarray, spec: ProblemSpec,
+                  grid: TimeGrid) -> np.ndarray:
     """One fixed-point sweep of the integral form; returns the new P table."""
-    if tables is None:
-        tables = SpecTables(spec, grid)
-    if open_loop is None:
-        open_loop = open_loop_transition(spec.dynamics, grid)
+    tables = SpecTables(spec, grid)
+    open_loop = open_loop_transition(spec.dynamics, grid)
     P_in = np.asarray(P_in, dtype=float)
     if P_in.shape != (grid.N + 1, spec.dims.n, spec.dims.n):
         raise TilqError(f"P table has shape {P_in.shape}, expected "

@@ -3,7 +3,10 @@
 Everything the solvers touch repeatedly is evaluated once here: dynamics and
 diagonal kernel values K(t, t) at nodes and half nodes, terminal weights,
 and the O(N^2) triangles K_t(t_i, t_j) of the first-argument derivatives,
-which only the fixed-point path and the verification checks build.
+which only the fixed-point path and the verification checks build.  The
+solvers' closed-loop propagators (:func:`tilq.riccati._closed_loop_table`)
+and btilde (:func:`tilq.auxiliary._btilde_from_drive`) are built from these
+evaluations only, never again from the problem's callables.
 
 Pair layout.  Every (N+1)^2 table of the solver -- the kernel triangles, the
 trapezoid weights W, the closed-loop propagators and btilde -- is one
@@ -48,6 +51,9 @@ from .problem import ProblemSpec, eval_pairs
 # per-block interpreter overhead is a small share.
 PAIR_BLOCK_BYTES = 1 << 18
 
+# Grid nodes per axis probed by SpecTables.max_derivative_scale.
+DERIVATIVE_SCALE_SAMPLES = 64
+
 
 def pair_blocks(K: int, planes: int):
     """(rows, cols) slices covering a K x K pair table by blocks of rows.
@@ -61,8 +67,8 @@ def pair_blocks(K: int, planes: int):
         yield slice(start, start + height), slice(start, None)
 
 
-def kernel_triangle(field, grid: TimeGrid, derivative: bool = True) -> np.ndarray:
-    """Pair table [..., i, j] = field(t_i, t_j) for j >= i; strict lower part zeroed.
+def kernel_triangle(field, grid: TimeGrid) -> np.ndarray:
+    """Pair table [..., i, j] = field.dt(t_i, t_j) for j >= i; lower part zeroed.
 
     Zeroing matters: vectorized kernels may misbehave on the unused t > s
     region (divisions by zero and the like) and a stray inf would poison the
@@ -70,7 +76,7 @@ def kernel_triangle(field, grid: TimeGrid, derivative: bool = True) -> np.ndarra
     """
     nodes = grid.nodes
     K = grid.N + 1
-    fn = field.dvalue_dt if derivative else field.value
+    fn = field.dvalue_dt
     shape = tuple(field.shape)
     out = np.zeros(shape + (K, K))
     if field.vectorized:
@@ -139,13 +145,12 @@ def suffix_weights(grid: TimeGrid) -> np.ndarray:
     return W
 
 
-def cumulative_trapezoid(values: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
-    """Running integral from the first node along ``axis``; C[..., 0] = 0."""
-    values = np.moveaxis(values, axis, 0)
+def cumulative_trapezoid(values: np.ndarray, h: float) -> np.ndarray:
+    """Running integral from the first node along axis 0; C[0] = 0."""
     mids = 0.5 * h * (values[:-1] + values[1:])
     out = np.zeros_like(values)
     np.cumsum(mids, axis=0, out=out[1:])
-    return np.moveaxis(out, 0, axis)
+    return out
 
 
 class SpecTables:
@@ -295,10 +300,10 @@ class SpecTables:
         """Solve M(t_i, t_i) X_i = rhs_i for every node via the Cholesky factors."""
         return solve_chol(self.Md_chol, rhs)
 
-    def max_derivative_scale(self, samples: int = 64) -> float:
+    def max_derivative_scale(self) -> float:
         """Sup of the t-derivative fields on a coarse probe; 0 means consistent."""
         nodes = self.grid.nodes
-        step = max(1, len(nodes) // samples)
+        step = max(1, len(nodes) // DERIVATIVE_SCALE_SAMPLES)
         idx = np.arange(0, len(nodes), step)
         sup = 0.0
         for f in (self.spec.Q, self.spec.S, self.spec.M, self.spec.q, self.spec.rho):

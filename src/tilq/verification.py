@@ -46,6 +46,22 @@ from .problem import ProblemSpec
 from .riccati import SolveOptions, solve_equilibrium_riccati
 from .tables import SpecTables, solve_chol
 
+# Pass thresholds of the check battery and its fixed sample sizes.
+SPIKE_TOL = 1e-4
+SPIKE_MATCH_RTOL = 0.01
+BELLMAN_TOL = 1e-4
+EQUIVALENCE_RTOL = 1e-4
+VALUE_MATCH_TOL = 1e-3
+GRADIENT_RTOL = 1e-6
+UNIQUENESS_TOL = 1e-6
+HJB_STATES = 4
+# spike widths as fractions of the horizon
+SPIKE_FRACTIONS = (1 / 50, 1 / 100, 1 / 200, 1 / 400)
+# constant pieces of each random Bellman candidate control
+CANDIDATE_PIECES = 8
+# random (t, x) at which the uniqueness probe compares value functions
+UNIQUENESS_VALUE_SAMPLES = 20
+
 LIMINF_NOTE = ("spike limits are probed on a finite schedule of interval "
                "widths with first-order extrapolation; a finite schedule "
                "cannot distinguish liminf from lim")
@@ -110,16 +126,12 @@ def spike_quotient(sol: EquilibriumSolution, t_idx: int, x, v, eps: float) -> fl
     return (J_pert - J_eq) / eps_actual
 
 
-DEFAULT_SPIKE_FRACTIONS = (1 / 50, 1 / 100, 1 / 200, 1 / 400)
-
-
-def run_spike_check(sol: EquilibriumSolution, t_idx: int, x, v,
-                    fractions=DEFAULT_SPIKE_FRACTIONS) -> SpikeReport:
+def run_spike_check(sol: EquilibriumSolution, t_idx: int, x, v) -> SpikeReport:
     """Quotients over the spike schedule plus the extrapolated limit."""
     grid = sol.grid
     spec = sol.spec
     steps = []
-    for frac in fractions:
+    for frac in SPIKE_FRACTIONS:
         k = _snap_steps(frac * grid.T, grid)
         if t_idx + k <= grid.N and k not in steps:
             steps.append(k)
@@ -228,8 +240,7 @@ def bellman_residual(sol: EquilibriumSolution, t_idx: int, s_idx: int, x,
 
 
 def random_candidate_controls(sol: EquilibriumSolution, t_idx: int, s_idx: int,
-                              x, count: int, rng: np.random.Generator,
-                              pieces: int = 8) -> list:
+                              x, count: int, rng: np.random.Generator) -> list:
     """Piecewise-constant candidates scaled to the local equilibrium control."""
     m = sol.spec.dims.m
     scale = 1.0 + float(np.max(np.abs(
@@ -237,8 +248,8 @@ def random_candidate_controls(sol: EquilibriumSolution, t_idx: int, s_idx: int,
     k = s_idx - t_idx + 1
     out = []
     for _ in range(count):
-        breaks = np.sort(rng.integers(0, k, size=pieces - 1))
-        levels = rng.uniform(-2.0, 2.0, size=(pieces, m)) * scale
+        breaks = np.sort(rng.integers(0, k, size=CANDIDATE_PIECES - 1))
+        levels = rng.uniform(-2.0, 2.0, size=(CANDIDATE_PIECES, m)) * scale
         table = np.empty((k, m))
         start = 0
         for p, stop in enumerate(list(breaks) + [k]):
@@ -307,11 +318,6 @@ def _stationarity_residuals(sol: EquilibriumSolution, states) -> list:
     return out
 
 
-def hjb_residual_all_nodes(sol: EquilibriumSolution, x) -> np.ndarray:
-    """Stationarity residual at every node for one state."""
-    return _stationarity_residuals(sol, [x])[0]
-
-
 def hjb_residual_sup(sol: EquilibriumSolution, states) -> float:
     """Sup of the pointwise stationarity residual over nodes and states."""
     return max((float(np.max(np.abs(r)))
@@ -376,8 +382,7 @@ class UniquenessProbe:
 
 
 def uniqueness_probe(spec: ProblemSpec, grid: TimeGrid, inits,
-                     opts: SolveOptions | None = None,
-                     value_samples: int = 20, seed: int = 42,
+                     opts: SolveOptions | None = None, seed: int = 42,
                      tables: SpecTables | None = None) -> UniquenessProbe:
     """Solve from each initial table; report the max pairwise distances.
 
@@ -407,7 +412,7 @@ def uniqueness_probe(spec: ProblemSpec, grid: TimeGrid, inits,
                 runs[a].riccati.P - runs[bidx].riccati.P))))
     rng = np.random.default_rng(seed)
     v_dist = 0.0
-    for _ in range(value_samples):
+    for _ in range(UNIQUENESS_VALUE_SAMPLES):
         t = float(rng.uniform(0.0, grid.T))
         x = rng.uniform(-2.0, 2.0, size=spec.dims.n)
         vals = [value(r, t, x) for r in runs]
@@ -457,15 +462,6 @@ class VerifyOptions:
     value_points: int = 50
     gradient_points: int = 100
     state_box: float = 2.0
-    spike_tol: float = 1e-4
-    spike_match_rtol: float = 0.01
-    bellman_tol: float = 1e-4
-    equivalence_rtol: float = 1e-4
-    value_match_tol: float = 1e-3
-    gradient_rtol: float = 1e-6
-    uniqueness_tol: float = 1e-6
-    run_uniqueness: bool = True
-    hjb_states: int = 4
 
 
 def _hjb_reference_tol(grid: TimeGrid) -> float:
@@ -487,7 +483,7 @@ def run_verification(sol: EquilibriumSolution,
     # spike variation
     worst_neg, worst_at_u, worst_match = 0.0, 0.0, 0.0
     wit_neg = wit_u = wit_match = ""
-    max_frac = max(DEFAULT_SPIKE_FRACTIONS)
+    max_frac = max(SPIKE_FRACTIONS)
     for _ in range(vopts.spike_points):
         t_idx = int(rng.integers(0, int(grid.N * (1 - 2 * max_frac))))
         x = rng.uniform(-box, box, size=n)
@@ -506,12 +502,12 @@ def run_verification(sol: EquilibriumSolution,
         if abs(rep_u.extrapolated) > worst_at_u:
             worst_at_u = abs(rep_u.extrapolated)
             wit_u = f"t_idx={t_idx}"
-    report.add("spike quotient nonnegative", worst_neg <= vopts.spike_tol,
-               vopts.spike_tol, worst_neg, wit_neg)
-    report.add("spike limit zero at equilibrium", worst_at_u <= vopts.spike_tol,
-               vopts.spike_tol, worst_at_u, wit_u)
+    report.add("spike quotient nonnegative", worst_neg <= SPIKE_TOL,
+               SPIKE_TOL, worst_neg, wit_neg)
+    report.add("spike limit zero at equilibrium", worst_at_u <= SPIKE_TOL,
+               SPIKE_TOL, worst_at_u, wit_u)
     report.add("spike limit matches quadratic gap",
-               worst_match <= vopts.spike_match_rtol, vopts.spike_match_rtol,
+               worst_match <= SPIKE_MATCH_RTOL, SPIKE_MATCH_RTOL,
                worst_match, wit_match)
 
     # Bellman recursion
@@ -532,14 +528,14 @@ def run_verification(sol: EquilibriumSolution,
             if -res > worst_cand:
                 worst_cand, wit_cand = -res, f"t_idx={t_idx}; s_idx={s_idx}"
     report.add("recursion equality along equilibrium",
-               worst_eq <= vopts.bellman_tol, vopts.bellman_tol, worst_eq, wit_eq)
+               worst_eq <= BELLMAN_TOL, BELLMAN_TOL, worst_eq, wit_eq)
     report.add("recursion inequality for candidates",
-               worst_cand <= vopts.bellman_tol, vopts.bellman_tol, worst_cand,
+               worst_cand <= BELLMAN_TOL, BELLMAN_TOL, worst_cand,
                wit_cand)
 
     # pointwise and integral-form residuals
     hjb_tol = _hjb_reference_tol(grid)
-    states = rng.uniform(-box, box, size=(vopts.hjb_states, n))
+    states = rng.uniform(-box, box, size=(HJB_STATES, n))
     sup_pt = hjb_residual_sup(sol, states)
     report.add("pointwise stationarity residual", sup_pt <= hjb_tol, hjb_tol,
                sup_pt)
@@ -558,8 +554,8 @@ def run_verification(sol: EquilibriumSolution,
         rd = error_function_direct(sol, t_idx, x)
         rc = error_function_closed(sol, t_idx, x)
         worst_eqv = max(worst_eqv, abs(rd - rc) / (1.0 + max(abs(rd), abs(rc))))
-    report.add("error-function equivalence", worst_eqv <= vopts.equivalence_rtol,
-               vopts.equivalence_rtol, worst_eqv)
+    report.add("error-function equivalence", worst_eqv <= EQUIVALENCE_RTOL,
+               EQUIVALENCE_RTOL, worst_eqv)
 
     # value representation V = J along the equilibrium
     worst_rep = 0.0
@@ -569,8 +565,8 @@ def run_verification(sol: EquilibriumSolution,
         V = value(sol, float(grid.nodes[t_idx]), x)
         J = cost(spec, grid, simulate_equilibrium(sol, t_idx, x), t_idx)
         worst_rep = max(worst_rep, abs(V - J) / (1.0 + abs(V)))
-    report.add("value equals equilibrium cost", worst_rep <= vopts.value_match_tol,
-               vopts.value_match_tol, worst_rep)
+    report.add("value equals equilibrium cost", worst_rep <= VALUE_MATCH_TOL,
+               VALUE_MATCH_TOL, worst_rep)
 
     # gradient versus central differences
     worst_grad = 0.0
@@ -580,16 +576,15 @@ def run_verification(sol: EquilibriumSolution,
         g = grad_value_fd_gap(sol, t, x)
         worst_grad = max(worst_grad, g)
     report.add("gradient matches central differences",
-               worst_grad <= vopts.gradient_rtol, vopts.gradient_rtol, worst_grad)
+               worst_grad <= GRADIENT_RTOL, GRADIENT_RTOL, worst_grad)
 
     # uniqueness across initializations
-    if vopts.run_uniqueness:
-        G_T = sol.tables.G_T
-        probe = uniqueness_probe(spec, grid, ["zero", G_T, 5.0 * G_T],
-                                 seed=vopts.seed, tables=sol.tables)
-        report.add("uniqueness across initializations",
-                   probe.p_distance <= vopts.uniqueness_tol,
-                   vopts.uniqueness_tol, probe.p_distance)
+    G_T = sol.tables.G_T
+    probe = uniqueness_probe(spec, grid, ["zero", G_T, 5.0 * G_T],
+                             seed=vopts.seed, tables=sol.tables)
+    report.add("uniqueness across initializations",
+               probe.p_distance <= UNIQUENESS_TOL, UNIQUENESS_TOL,
+               probe.p_distance)
     return report
 
 

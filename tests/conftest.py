@@ -1,11 +1,14 @@
 """Shared problem builders and session-cached solves."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from tilq import (BaseCosts, Dimensions, DynamicsField, build_grid,
                   exponential_kernel, hyperbolic_kernel, make_discounted,
                   solve_equilibrium)
+from tilq.tables import SpecTables
 
 
 def classical_scalar_spec():
@@ -104,3 +107,14 @@ def twostate_solution():
 
 def classical_exact_p(nodes: np.ndarray) -> np.ndarray:
     return 1.0 / (2.0 - nodes)
+
+
+def dynamics_tables(dynamics, grid):
+    """SpecTables of bare dynamics, for the solver's closed-loop functions.
+
+    Only the dynamics evaluations (A, B, b at nodes and half nodes) exist;
+    the cost tables would fail for want of cost kernels.
+    """
+    n, m = np.atleast_2d(np.asarray(dynamics.B(0.0), dtype=float)).shape
+    return SpecTables(SimpleNamespace(dynamics=dynamics, dims=Dimensions(n, m)),
+                      grid)

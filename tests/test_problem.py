@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from tilq import (BaseCosts, Dimensions, DynamicsField, TabulatedTwoTimeField,
-                  TilqError, TwoTimeField, exponential_kernel, finite_diff_t,
-                  hyperbolic_kernel, make_discounted, quasi_hyperbolic_kernel,
-                  tabulated_kernel, time_consistent_projection, validate)
+from tilq import (BaseCosts, Dimensions, DynamicsField, TilqError,
+                  TwoTimeField, exponential_kernel, hyperbolic_kernel,
+                  make_discounted, quasi_hyperbolic_kernel, tabulated_kernel,
+                  time_consistent_projection, validate)
+from tilq.problem import _dt_table
 from conftest import classical_scalar_spec, hyperbolic_scalar_spec
 
 
@@ -135,8 +136,9 @@ class TestMakeDiscounted:
 class TestKernelTriangle:
     def test_broadcast_path_matches_scalar_queries(self):
         # tabulated kernel with callable and constant bases: the array
-        # lookup must reproduce the scalar per-pair values bit for bit, off
-        # the table's nodes too (30 grid cells against 40 table cells)
+        # lookup of the derivative must reproduce the scalar per-pair values
+        # bit for bit, off the table's nodes too (30 grid cells against 40
+        # table cells)
         from tilq import build_grid
         from tilq.tables import kernel_triangle
         times = np.linspace(0.0, 1.0, 41)
@@ -153,14 +155,12 @@ class TestKernelTriangle:
         nodes = [float(t) for t in grid.nodes]
         for field in (spec.Q, spec.S, spec.M, spec.q):
             assert field.vectorized
-            for derivative in (True, False):
-                tri = kernel_triangle(field, grid, derivative)
-                query = field.dt if derivative else field
-                for i in range(31):
-                    np.testing.assert_array_equal(tri[..., i, :i], 0.0)
-                    for j in range(i, 31):
-                        np.testing.assert_array_equal(
-                            tri[..., i, j], query(nodes[i], nodes[j]))
+            tri = kernel_triangle(field, grid)
+            for i in range(31):
+                np.testing.assert_array_equal(tri[..., i, :i], 0.0)
+                for j in range(i, 31):
+                    np.testing.assert_array_equal(tri[..., i, j],
+                                                  field.dt(nodes[i], nodes[j]))
 
 
 class TestValidate:
@@ -218,45 +218,70 @@ class TestValidate:
 class TestFiniteDiffT:
     @staticmethod
     def tabulate(fn, K):
+        # lam(t, s) on t <= s; the unused t > s part holds the diagonal's 1
         times = np.linspace(0.0, 1.0, K)
-        table = np.zeros((K, K))
+        table = np.ones((K, K))
         for i in range(K):
             for j in range(i, K):
                 table[i, j] = fn(times[i], times[j])
-        return TabulatedTwoTimeField(times, table, shape=())
+        return times, table
 
     def test_constant_gives_zero(self):
-        tab = finite_diff_t(self.tabulate(lambda t, s: 3.5, 21))
-        assert tab.dt(0.3, 0.8).item() == 0.0
+        kernel = tabulated_kernel(*self.tabulate(lambda t, s: 1.0, 21))
+        assert kernel.dlam_dt(0.3, 0.8) == 0.0
 
     def test_exponential_node_accuracy(self):
-        tab = finite_diff_t(self.tabulate(lambda t, s: np.exp(-(s - t)), 1001))
-        got = tab.dt(0.5, 1.0).item()
-        assert abs(got - np.exp(-0.5)) < 1e-6
+        kernel = tabulated_kernel(*self.tabulate(lambda t, s: np.exp(-(s - t)),
+                                                 1001))
+        assert abs(kernel.dlam_dt(0.5, 1.0) - np.exp(-0.5)) < 1e-6
 
     def test_short_grid_rejected(self):
         with pytest.raises(TilqError):
-            TabulatedTwoTimeField(np.array([0.0, 1.0]), np.zeros((2, 2)),
-                                  shape=())
+            tabulated_kernel(np.array([0.0, 1.0]), np.ones((2, 2)))
 
-    def test_step_larger_than_spacing_rejected(self):
-        tab = self.tabulate(lambda t, s: s - t, 11)
-        with pytest.raises(TilqError):
-            finite_diff_t(tab, h=0.2)
+    def test_nonuniform_grid_rejected(self):
+        times = np.array([0.0, 0.1, 0.3, 1.0])
+        with pytest.raises(TilqError, match="uniform"):
+            tabulated_kernel(times, np.ones((4, 4)))
+
+    def test_matches_per_node_stencils(self):
+        # the whole-array stencils against a per-node loop, bit for bit
+        def looped(table, h):
+            K = len(table)
+            out = np.zeros_like(table)
+            for j in range(1, K):
+                if j == 1:
+                    out[0, 1] = out[1, 1] = (table[1, 1] - table[0, 1]) / h
+                    continue
+                col = table[:, j]
+                for i in range(j + 1):
+                    if i == 0:
+                        d = (-3 * col[0] + 4 * col[1] - col[2]) / (2 * h)
+                    elif i == j:
+                        d = (3 * col[j] - 4 * col[j - 1] + col[j - 2]) / (2 * h)
+                    else:
+                        d = (col[i + 1] - col[i - 1]) / (2 * h)
+                    out[i, j] = d
+            return out
+
+        rng = np.random.default_rng(11)
+        for K in (3, 4, 21, 201):
+            table = rng.uniform(0.1, 2.0, size=(K, K))
+            h = 1.0 / (K - 1)
+            np.testing.assert_array_equal(_dt_table(table, h), looped(table, h))
 
     def test_second_order_convergence(self):
         # compare node errors against the analytic derivative on the region
         # where a three-point stencil exists (s at least two cells from 0);
         # two-sample columns are first-order by lack of information
         def err(K):
-            tab = finite_diff_t(self.tabulate(
-                lambda t, s: np.exp(-2.0 * (s - t)), K))
-            times = tab.times
+            times, table = self.tabulate(lambda t, s: np.exp(-2.0 * (s - t)), K)
+            dtable = _dt_table(table, times[1] - times[0])
             worst = 0.0
             for j in range(2, K):
                 for i in range(j + 1):
                     exact = 2.0 * np.exp(-2.0 * (times[j] - times[i]))
-                    worst = max(worst, abs(tab.dtable[i, j] - exact))
+                    worst = max(worst, abs(dtable[i, j] - exact))
             return worst
 
         e_coarse, e_fine = err(51), err(101)

@@ -5,11 +5,10 @@ import pytest
 
 from tilq import (AssumptionError, BaseCosts, Dimensions, DynamicsField,
                   SolveOptions, build_grid, classical_riccati,
-                  closed_loop_transition, exponential_kernel, gamma_from_p,
-                  hyperbolic_kernel, local_expansion, make_discounted,
-                  open_loop_transition, qbb_from_gamma, quadrature,
-                  riccati_sweep, solve_equilibrium, solve_equilibrium_riccati,
-                  tabulated_kernel, upsilon_from_phi)
+                  exponential_kernel, gamma_from_p, hyperbolic_kernel,
+                  local_expansion, make_discounted, open_loop_transition,
+                  qbb_from_gamma, quadrature, riccati_sweep, solve_equilibrium,
+                  solve_equilibrium_riccati, tabulated_kernel, upsilon_from_phi)
 from tilq.errors import ConvergenceError
 from tilq.riccati import _closed_loop_table, _qbb_table
 from tilq.tables import SpecTables
@@ -206,7 +205,7 @@ class TestSweep:
         nodes = [float(t) for t in grid.nodes]
         gain = np.array([gamma_from_p(P_in[i], spec, nodes[i])
                          for i in range(N + 1)])
-        cl = closed_loop_transition(spec.dynamics, gain, grid)
+        cl = _closed_loop_table(gain, SpecTables(spec, grid))
         inner = np.array([spec.Q(t, t) - qbb_from_gamma(gain, cl, spec, grid, i)
                           - gain[i].T @ spec.M(t, t) @ gain[i]
                           for i, t in enumerate(nodes)])

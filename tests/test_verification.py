@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from tilq import (TilqError, bellman_residual, build_grid,
-                  feedback, hjb_integral_residual, hjb_residual_sup,
-                  run_spike_check, run_verification, simulate_equilibrium,
-                  solve_equilibrium, spike_limit_analytic, spike_quotient,
-                  uniqueness_probe)
-from tilq.verification import VerifyOptions, random_candidate_controls
+from tilq import (ConvergenceError, SolveOptions, TilqError, bellman_residual,
+                  build_grid, feedback, hjb_integral_residual,
+                  hjb_residual_sup, run_spike_check, run_verification,
+                  simulate_equilibrium, solve_equilibrium,
+                  spike_limit_analytic, spike_quotient, uniqueness_probe)
+from tilq.verification import (VerifyOptions, _stationarity_residuals,
+                               random_candidate_controls)
 from conftest import hyperbolic_scalar_spec, zero_cost_spec
 
 
@@ -132,10 +133,9 @@ class TestHJBResiduals:
         assert abs(hjb_integral_residual(sol, 0, [1.0])) <= 1e-3
 
     def test_sup_is_max_over_states(self, twostate_solution):
-        from tilq.verification import hjb_residual_all_nodes
         sol = twostate_solution
         states = np.random.default_rng(26).uniform(-2, 2, size=(4, 2))
-        each = max(float(np.max(np.abs(hjb_residual_all_nodes(sol, x))))
+        each = max(float(np.max(np.abs(_stationarity_residuals(sol, [x])[0])))
                    for x in states)
         assert hjb_residual_sup(sol, states) == each
 
@@ -188,6 +188,12 @@ class TestUniqueness:
         assert all(k > 1 for k in probe.iterations)
         assert probe.p_distance <= 1e-6
 
+    def test_options_reach_every_start(self):
+        spec = hyperbolic_scalar_spec()
+        with pytest.raises(ConvergenceError):
+            uniqueness_probe(spec, build_grid(1.0, 60), ["zero", "terminal"],
+                             SolveOptions(max_iterations=1))
+
     def test_single_initialization_rejected(self):
         spec = hyperbolic_scalar_spec()
         with pytest.raises(TilqError):
@@ -212,7 +218,7 @@ class TestBattery:
         sol = solve_equilibrium(spec, build_grid(1.0, 300))
         report = run_verification(sol, VerifyOptions(
             spike_points=4, bellman_controls=10, value_points=5,
-            gradient_points=5, run_uniqueness=False))
+            gradient_points=5))
         for check in report.checks:
             assert check.tolerance > 0
             assert np.isfinite(check.worst)
