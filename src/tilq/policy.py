@@ -7,10 +7,23 @@ The solved tables assemble into the quadratic value function
 its gradient 2 P(t) x + 2 phi(t), and the equilibrium feedback
 
     u(t, x) = -M(t,t)^{-1} (1/2 B^T(t) grad V(t,x) + S(t,t) x + rho(t,t))
-            = -Gain(t) x - Upsilon(t).
+            = -K(t) x - k(t),
+
+    K(t) = M(t,t)^{-1} (B^T(t) P(t) + S(t,t)),
+    k(t) = M(t,t)^{-1} (B^T(t) phi(t) + rho(t,t)).
 
 Tabulated quantities are interpolated linearly between nodes, consistent
 with the trapezoid quadrature used everywhere else (both O(h^2)).
+
+The feedback coefficients K and k are tabulated once per solution, on its
+first feedback call, at the nodes and at the half nodes t_i + h/2 where RK4
+evaluates its middle stages (:attr:`EquilibriumSolution.feedback_table`);
+P and phi enter the half nodes by the same linear interpolation.  A feedback
+call then reads one table row, or interpolates linearly between two, and
+never factors M(t,t).  The table's node rows are checked once, when it is
+built, against the Gain and Upsilon stored by the solver: a mismatch beyond
+FEEDBACK_MATCH_TOL at any node raises ConsistencyError naming the first
+failing t.
 
 Cost evaluation freezes the first kernel argument at the evaluation time:
 J(t, x; u) integrates Q(t, s), M(t, s), ... over s with t fixed.  That
@@ -21,12 +34,13 @@ running-diagonal variant Q(s, s) appears only inside the recursion checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .auxiliary import AuxiliarySolution, solve_auxiliary
 from .errors import ConsistencyError, TilqError
-from .grid import TimeGrid, quadrature
+from .grid import TimeGrid, _interp_half, quadrature
 from .local import local_expansion, solve_local
 from .problem import ProblemSpec
 from .riccati import (RiccatiSolution, SolveOptions, _initial_table,
@@ -34,6 +48,9 @@ from .riccati import (RiccatiSolution, SolveOptions, _initial_table,
 from .tables import SpecTables, factor_md, solve_chol
 
 FEEDBACK_MATCH_TOL = 1e-10
+# A time within this many half steps of a node or half node reads that row
+# of a half-step table exactly; RK4 stage times t_i + h/2 carry rounding.
+HALF_STEP_SNAP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -57,6 +74,55 @@ class EquilibriumSolution:
     def method(self) -> str:
         """"local" (one local ODE sweep) or "fixed_point"."""
         return "fixed_point" if self.riccati.expansion is None else "local"
+
+    @cached_property
+    def feedback_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(K, k) of the feedback u = -(K x + k) on the half-step grid.
+
+        Shapes (2N+1, m, n) and (2N+1, m): row 2i belongs to node t_i and row
+        2i+1 to the half node t_i + h/2.  Built on first use, with one
+        batched factorization of M(t,t); its node rows must match the stored
+        Gain and Upsilon to FEEDBACK_MATCH_TOL, else ConsistencyError names
+        the first failing t and nothing is cached.
+        """
+        tbl, grid = self.tables, self.grid
+        P, phi = self.riccati.P, self.auxiliary.phi
+        B = _half_steps(tbl.B, tbl.B_half)
+        L = factor_md(_half_steps(tbl.Md, tbl.Md_half),
+                      _half_steps(grid.nodes, grid.half_nodes))
+        K = solve_chol(L, np.swapaxes(B, -1, -2) @ _half_steps(P, _interp_half(P))
+                       + _half_steps(tbl.Sd, tbl.Sd_half))
+        k = solve_chol(L, np.einsum("inm,in->im", B,
+                                    _half_steps(phi, _interp_half(phi)))
+                       + _half_steps(tbl.rhod, tbl.rhod_half))
+        _check_node_rows(K[::2], k[::2], self.riccati.gain,
+                         self.auxiliary.upsilon, grid)
+        K.flags.writeable = False
+        k.flags.writeable = False
+        return K, k
+
+
+def _half_steps(at_nodes: np.ndarray, at_half: np.ndarray) -> np.ndarray:
+    """Node and half-node values interleaved: t_0, t_0 + h/2, t_1, ..., t_N."""
+    out = np.empty((2 * len(at_half) + 1,) + at_nodes.shape[1:])
+    out[0::2] = at_nodes
+    out[1::2] = at_half
+    return out
+
+
+def _check_node_rows(K: np.ndarray, k: np.ndarray, gain: np.ndarray,
+                     upsilon: np.ndarray, grid: TimeGrid) -> None:
+    """Raise ConsistencyError at the first node where (K, k) != (Gain, Upsilon)."""
+    err = np.maximum(np.max(np.abs(K - gain), axis=(1, 2)),
+                     np.max(np.abs(k - upsilon), axis=1))
+    scale = 1.0 + np.maximum(np.max(np.abs(K), axis=(1, 2)),
+                             np.max(np.abs(k), axis=1))
+    bad = np.flatnonzero(~(err <= FEEDBACK_MATCH_TOL * scale))  # NaN fails too
+    if bad.size:
+        t = float(grid.nodes[bad[0]])
+        raise ConsistencyError(
+            f"feedback mismatch at node t={t:.6g}: the tabulated feedback "
+            f"and the stored gain form differ beyond {FEEDBACK_MATCH_TOL}")
 
 
 def solve_equilibrium(spec: ProblemSpec, grid: TimeGrid,
@@ -122,6 +188,20 @@ def interp_table(table: np.ndarray, grid: TimeGrid, t: float) -> np.ndarray:
     return (1.0 - w) * table[i] + w * table[i + 1]
 
 
+def _locate_half(grid: TimeGrid, t: float) -> tuple[int, float]:
+    """Row j and weight w in [0, 1) of time t in a half-step table.
+
+    w is 0 at a node or half node, up to HALF_STEP_SNAP.
+    """
+    i, w = _locate(grid, t)
+    q = 2.0 * w
+    j = round(q)
+    if abs(q - j) <= HALF_STEP_SNAP:
+        return 2 * i + j, 0.0
+    j = int(q)
+    return 2 * i + j, q - j
+
+
 # ---------------------------------------------------------------------------
 # value function and feedback
 
@@ -144,38 +224,24 @@ def grad_value(sol: EquilibriumSolution, t: float, x) -> np.ndarray:
 
 
 def feedback(sol: EquilibriumSolution, t: float, x) -> np.ndarray:
-    """Equilibrium control at (t, x).
+    """Equilibrium control u(t, x) = -(K(t) x + k(t)).
 
-    Computed from the gradient form -M^{-1}(1/2 B^T grad V + S x + rho); at
-    grid nodes the gain form -Gain(t) x - Upsilon(t) must agree to 1e-10,
-    which is checked on every call that lands on a node.
+    Reads :attr:`EquilibriumSolution.feedback_table`: the exact row at a node
+    or half node, linear interpolation between them elsewhere (O(h^2), like
+    P and phi).  The table's node rows were checked against the stored Gain
+    and Upsilon when it was built.
     """
-    spec = sol.spec
-    x = np.asarray(x, dtype=float).reshape(spec.dims.n)
-    rhs = (0.5 * np.asarray(spec.dynamics.B(t), dtype=float).T @ grad_value(sol, t, x)
-           + np.asarray(spec.S(t, t), dtype=float) @ x
-           + np.asarray(spec.rho(t, t), dtype=float))
-    u = -solve_chol(factor_md(spec.M(t, t), t), rhs)
-    i, w = _locate(sol.grid, t)
-    if w == 0.0 or w == 1.0:
-        j = i if w == 0.0 else i + 1
-        via_gain = -(sol.riccati.gain[j] @ x) - sol.auxiliary.upsilon[j]
-        scale = 1.0 + float(np.max(np.abs(u)))
-        if float(np.max(np.abs(u - via_gain))) > FEEDBACK_MATCH_TOL * scale:
-            raise ConsistencyError(
-                f"feedback mismatch at node t={t:.6g}: gradient form and "
-                f"gain form differ beyond {FEEDBACK_MATCH_TOL}")
-    return u
+    x = np.asarray(x, dtype=float).reshape(sol.spec.dims.n)
+    K, k = sol.feedback_table
+    j, w = _locate_half(sol.grid, t)
+    u = K[j] @ x + k[j]
+    if w:
+        u = (1.0 - w) * u + w * (K[j + 1] @ x + k[j + 1])
+    return -u
 
 
 # ---------------------------------------------------------------------------
 # simulation
-
-
-def _control_at(u, grid: TimeGrid, t: float, y: np.ndarray, m: int) -> np.ndarray:
-    if callable(u):
-        return np.asarray(u(t, y), dtype=float).reshape(m)
-    return np.asarray(interp_table(u, grid, t), dtype=float).reshape(m)
 
 
 def simulate_control(spec: ProblemSpec, grid: TimeGrid, u, t_idx: int, x,
@@ -183,10 +249,10 @@ def simulate_control(spec: ProblemSpec, grid: TimeGrid, u, t_idx: int, x,
                      tables: SpecTables | None = None) -> Trajectory:
     """RK4 integration of y' = A y + B u + b under a given control.
 
-    ``u`` is either a feedback law (t, y) -> control, evaluated on the
-    current stage state, or an open-loop node table interpolated linearly at
-    the half steps.  Integration runs from node t_idx to stop_idx (default
-    the horizon).
+    ``u`` is either a feedback law (t, y) -> control, called on every stage
+    state, or an open-loop node table, interpolated linearly onto every
+    stage time once per call.  Integration runs from node t_idx to stop_idx
+    (default the horizon).
     """
     if tables is None:
         tables = SpecTables(spec, grid)
@@ -197,7 +263,10 @@ def simulate_control(spec: ProblemSpec, grid: TimeGrid, u, t_idx: int, x,
     if not (0 <= t_idx <= stop_idx <= N):
         raise TilqError(f"node range [{t_idx}, {stop_idx}] invalid for N={N}")
     x = np.asarray(x, dtype=float).reshape(n)
-    if not callable(u):
+    if callable(u):
+        def control(j, t, y):
+            return np.asarray(u(t, y), dtype=float).reshape(m)
+    else:
         u = np.asarray(u, dtype=float)
         if u.shape == (stop_idx - t_idx + 1, m):
             full = np.zeros((N + 1, m))
@@ -206,6 +275,10 @@ def simulate_control(spec: ProblemSpec, grid: TimeGrid, u, t_idx: int, x,
         elif u.shape != (N + 1, m):
             raise TilqError(f"open-loop control table has shape {u.shape}; "
                             f"expected ({N + 1}, {m}) or the node range")
+        stages = _half_steps(u, _interp_half(u))
+
+        def control(j, t, y):
+            return stages[j]
     h = grid.h
     k = stop_idx - t_idx + 1
     states = np.empty((k, n))
@@ -219,18 +292,18 @@ def simulate_control(spec: ProblemSpec, grid: TimeGrid, u, t_idx: int, x,
         A0, Am, A1 = tables.A[i], tables.A_half[i], tables.A[i + 1]
         B0, Bm, B1 = tables.B[i], tables.B_half[i], tables.B[i + 1]
         b0, bm, b1 = tables.b[i], tables.b_half[i], tables.b[i + 1]
-        u0 = _control_at(u, grid, t0, y, m)
+        u0 = control(2 * i, t0, y)
         controls[step] = u0
         k1 = A0 @ y + B0 @ u0 + b0
         y2 = y + 0.5 * h * k1
-        k2 = Am @ y2 + Bm @ _control_at(u, grid, tm, y2, m) + bm
+        k2 = Am @ y2 + Bm @ control(2 * i + 1, tm, y2) + bm
         y3 = y + 0.5 * h * k2
-        k3 = Am @ y3 + Bm @ _control_at(u, grid, tm, y3, m) + bm
+        k3 = Am @ y3 + Bm @ control(2 * i + 1, tm, y3) + bm
         y4 = y + h * k3
-        k4 = A1 @ y4 + B1 @ _control_at(u, grid, t1, y4, m) + b1
+        k4 = A1 @ y4 + B1 @ control(2 * i + 2, t1, y4) + b1
         y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         states[step + 1] = y
-    controls[-1] = _control_at(u, grid, float(grid.nodes[stop_idx]), y, m)
+    controls[-1] = control(2 * stop_idx, float(grid.nodes[stop_idx]), y)
     return Trajectory(start_index=t_idx, start_state=x,
                       times=grid.nodes[t_idx:stop_idx + 1],
                       states=states, controls=controls)

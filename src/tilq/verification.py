@@ -388,21 +388,25 @@ def uniqueness_probe(spec: ProblemSpec, grid: TimeGrid, inits,
 
     Every start runs the damped fixed point, whatever path
     :func:`tilq.policy.solve_equilibrium` would take, because the iteration
-    from distinct starts is what the probe measures.  ``tables`` (for
-    example a solution's own) saves rebuilding the kernel triangles.  A run
+    from distinct starts is what the probe measures.  The tolerance,
+    iteration and damping settings of ``opts`` apply to every start's
+    Riccati and phi solves alike.  ``tables`` (for example a solution's
+    own) saves rebuilding the kernel triangles.  A run
     that fails to converge raises ConvergenceError with that run's
     diagnostics attached.
     """
     if len(inits) < 2:
         raise TilqError("uniqueness probe needs at least two initial tables")
     base = opts or SolveOptions()
+    # each start's ``initial`` is a P table; phi starts from its own default
+    phi_opts = dataclasses.replace(base, initial=SolveOptions().initial)
     if tables is None:
         tables = SpecTables(spec, grid)
     runs = []
     for init in inits:
         o = dataclasses.replace(base, initial=init)
         riccati = solve_equilibrium_riccati(spec, grid, o, tables=tables)
-        aux = solve_auxiliary(spec, grid, riccati)
+        aux = solve_auxiliary(spec, grid, riccati, phi_opts)
         runs.append(EquilibriumSolution(spec=spec, grid=grid, riccati=riccati,
                                         auxiliary=aux))
     p_dist = 0.0

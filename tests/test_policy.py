@@ -1,12 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from tilq import (BaseCosts, Dimensions, DynamicsField, TilqError, build_grid,
-                  cost, error_function_closed, error_function_direct,
-                  exponential_kernel, feedback, grad_value, make_discounted,
-                  simulate_control, simulate_equilibrium, solve_equilibrium,
-                  value)
-from conftest import classical_scalar_spec, threestate_spec, zero_cost_spec
+import tilq
+from tilq import (BaseCosts, ConsistencyError, Dimensions, DynamicsField,
+                  TilqError, build_grid, cost, error_function_closed,
+                  error_function_direct, exponential_kernel, feedback,
+                  grad_value, make_discounted, simulate_control,
+                  simulate_equilibrium, solve_equilibrium, value)
+from tilq.policy import interp_table
+from conftest import (classical_scalar_spec, hyperbolic_scalar_spec,
+                      threestate_spec, twostate_spec, zero_cost_spec)
 
 
 class TestValueFunction:
@@ -97,6 +102,130 @@ class TestFeedback:
             u = feedback(sol, float(sol.grid.nodes[i]), x)
             via_gain = -(sol.riccati.gain[i] @ x) - sol.auxiliary.upsilon[i]
             assert np.max(np.abs(u - via_gain)) <= 1e-10 * (1 + np.max(np.abs(u)))
+
+
+    def test_outside_horizon_rejected(self, hyperbolic_solution):
+        for t in (-0.1, 1.5):
+            with pytest.raises(TilqError):
+                feedback(hyperbolic_solution, t, [0.0])
+
+
+def gradient_form(sol, t, P, phi, x):
+    """-M^{-1}(1/2 B^T grad V + S x + rho) from the spec's callables."""
+    spec = sol.spec
+    grad = 2.0 * (P @ x) + 2.0 * phi
+    rhs = (0.5 * np.asarray(spec.dynamics.B(t)).T @ grad
+           + np.asarray(spec.S(t, t)) @ x + np.asarray(spec.rho(t, t)))
+    return -np.linalg.solve(np.asarray(spec.M(t, t)), rhs)
+
+
+FEEDBACK_SPECS = {"scalar": (hyperbolic_scalar_spec, 80),
+                  "twostate": (twostate_spec, 60),
+                  "threestate": (threestate_spec, 60)}
+
+
+class TestFeedbackTable:
+    """The tabulated feedback against the gradient form, computed here."""
+
+    @pytest.fixture(scope="class", params=sorted(FEEDBACK_SPECS))
+    def sol(self, request):
+        make, N = FEEDBACK_SPECS[request.param]
+        return solve_equilibrium(make(), build_grid(1.0, N))
+
+    def test_matches_gradient_form_at_nodes_and_half_nodes(self, sol):
+        grid, n = sol.grid, sol.spec.dims.n
+        P, phi = sol.riccati.P, sol.auxiliary.phi
+        rng = np.random.default_rng(31)
+        K, k = sol.feedback_table
+        assert K.shape == (2 * grid.N + 1, sol.spec.dims.m, n)
+        assert k.shape == (2 * grid.N + 1, sol.spec.dims.m)
+        for i in range(grid.N + 1):
+            x = rng.uniform(-2, 2, size=n)
+            t = float(grid.nodes[i])
+            ref = gradient_form(sol, t, P[i], phi[i], x)
+            u = feedback(sol, t, x)
+            assert np.max(np.abs(u - ref)) <= 1e-12 * (1 + np.max(np.abs(ref)))
+            if i == grid.N:
+                break
+            t = t + 0.5 * grid.h
+            ref = gradient_form(sol, t, 0.5 * (P[i] + P[i + 1]),
+                                0.5 * (phi[i] + phi[i + 1]), x)
+            u = feedback(sol, t, x)
+            assert np.max(np.abs(u - ref)) <= 1e-12 * (1 + np.max(np.abs(ref)))
+
+    def test_off_node_within_h_squared(self, sol):
+        grid, n = sol.grid, sol.spec.dims.n
+        rng = np.random.default_rng(32)
+        worst = 0.0
+        for _ in range(200):
+            t = float(rng.uniform(0.0, grid.T))
+            x = rng.uniform(-2, 2, size=n)
+            ref = gradient_form(sol, t, interp_table(sol.riccati.P, grid, t),
+                                interp_table(sol.auxiliary.phi, grid, t), x)
+            worst = max(worst, float(np.max(np.abs(feedback(sol, t, x) - ref))))
+        # C = 0.1 holds with room on threestate (about 0.03); the others are
+        # affine in P and phi, so interpolating K and k there is exact
+        assert worst <= 0.1 * grid.h ** 2
+
+    def test_open_loop_table_matches_per_stage_interpolation(self, sol):
+        spec, grid = sol.spec, sol.grid
+        n, m, N = spec.dims.n, spec.dims.m, grid.N
+        rng = np.random.default_rng(33)
+        table = rng.uniform(-1, 1, size=(N + 1, m))
+        table[N // 3:] += 2.0  # a jump, as in the Bellman candidates
+        x = rng.uniform(-2, 2, size=n)
+        t_idx = 5
+        got = simulate_control(spec, grid, table, t_idx, x, tables=sol.tables)
+        tbl, h = sol.tables, grid.h
+        y = x
+        states = [y]
+        for i in range(t_idx, N):
+            t0 = float(grid.nodes[i])
+            u0 = interp_table(table, grid, t0)
+            um = interp_table(table, grid, t0 + 0.5 * h)
+            u1 = interp_table(table, grid, float(grid.nodes[i + 1]))
+            Am, Bm, bm = tbl.A_half[i], tbl.B_half[i], tbl.b_half[i]
+            k1 = tbl.A[i] @ y + tbl.B[i] @ u0 + tbl.b[i]
+            k2 = Am @ (y + 0.5 * h * k1) + Bm @ um + bm
+            k3 = Am @ (y + 0.5 * h * k2) + Bm @ um + bm
+            k4 = tbl.A[i + 1] @ (y + h * k3) + tbl.B[i + 1] @ u1 + tbl.b[i + 1]
+            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            states.append(y)
+        scale = 1.0 + np.max(np.abs(states))
+        assert np.max(np.abs(got.states - np.array(states))) <= 1e-14 * scale
+        np.testing.assert_array_equal(got.controls, table[t_idx:])
+
+    def test_perturbed_gain_raises_at_its_node(self):
+        sol = solve_equilibrium(twostate_spec(), build_grid(1.0, 60))
+        gain = sol.riccati.gain.copy()
+        gain[17, 0, 1] += 1e-6
+        bad = dataclasses.replace(
+            sol, riccati=dataclasses.replace(sol.riccati, gain=gain))
+        t_bad = float(sol.grid.nodes[17])
+        # the first call, far from node 17, checks every node
+        with pytest.raises(ConsistencyError, match=f"t={t_bad:.6g}"):
+            feedback(bad, 0.9, [0.3, -0.2])
+        # nothing was cached: the next call raises again
+        with pytest.raises(ConsistencyError):
+            feedback(bad, 0.0, [0.3, -0.2])
+        assert feedback(sol, 0.9, [0.3, -0.2]).shape == (1,)
+
+    def test_rollout_factors_m_once(self, monkeypatch):
+        sol = solve_equilibrium(hyperbolic_scalar_spec(), build_grid(1.0, 200))
+        calls = []
+        original = tilq.tables.factor_md
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in (tilq.tables, tilq.policy, tilq.riccati, tilq.auxiliary):
+            if hasattr(module, "factor_md"):
+                monkeypatch.setattr(module, "factor_md", counting)
+        for x in ([1.0], [-0.5]):
+            simulate_control(sol.spec, sol.grid, lambda t, y: feedback(sol, t, y),
+                             0, x, tables=sol.tables)
+        assert len(calls) <= 1
 
 
 class TestSimulation:

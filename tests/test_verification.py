@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tilq
 from tilq import (ConvergenceError, SolveOptions, TilqError, bellman_residual,
                   build_grid, feedback, hjb_integral_residual,
                   hjb_residual_sup, run_spike_check, run_verification,
@@ -193,6 +194,26 @@ class TestUniqueness:
         with pytest.raises(ConvergenceError):
             uniqueness_probe(spec, build_grid(1.0, 60), ["zero", "terminal"],
                              SolveOptions(max_iterations=1))
+
+    def test_options_reach_every_phi_solve(self, monkeypatch):
+        # each start's phi stops as soon as its residual meets the caller's
+        # tolerance, not the default one
+        phi_runs = []
+        original = tilq.verification.solve_auxiliary
+
+        def recording(*args):
+            aux = original(*args)
+            phi_runs.append(aux.diagnostics)
+            return aux
+
+        monkeypatch.setattr(tilq.verification, "solve_auxiliary", recording)
+        uniqueness_probe(hyperbolic_scalar_spec(), build_grid(1.0, 100),
+                         ["zero", "terminal"], SolveOptions(tolerance=1e-3))
+        assert len(phi_runs) == 2
+        for diag in phi_runs:
+            assert diag.converged
+            assert diag.deltas[-1] <= 1e-3
+            assert all(d > 1e-3 for d in diag.deltas[:-1])
 
     def test_single_initialization_rejected(self):
         spec = hyperbolic_scalar_spec()
