@@ -5,9 +5,10 @@ step at a time with classical fourth-order Runge-Kutta
 (:func:`_rk4_linear_steps`).  This coincides with the matrix-exponential
 formula exp(int F) whenever the system matrices commute pairwise and is the
 correct fundamental solution in general.  :func:`open_loop_transition`
-tabulates the open loop F = A from the dynamics callables; the closed loop
-F = A - B Gain (:func:`closed_loop_matrices`) is tabulated by the solvers
-from the grid evaluations of :class:`tilq.tables.SpecTables`.
+tabulates the open loop F = A from the dynamics callables.  The solvers
+never call it: they take the open-loop steps and the closed loop
+F = A - B Gain (:func:`closed_loop_matrices`) from the grid evaluations of
+:class:`tilq.tables.SpecTables`.
 
 Tables over node pairs are stored in the pair layout described in
 :mod:`tilq.tables`; :func:`from_pair_layout` gives the node-major view the

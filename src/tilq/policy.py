@@ -155,7 +155,11 @@ def solve_equilibrium(spec: ProblemSpec, grid: TimeGrid,
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States and node controls from a start node to the horizon."""
+    """States and node controls from a start node to the horizon.
+
+    A stack of S runs from the same node has start states (S, n), states
+    (S, k, n) and controls (S, k, m).
+    """
 
     start_index: int
     start_state: np.ndarray
@@ -164,7 +168,7 @@ class Trajectory:
     controls: np.ndarray  # (k, m), the control applied at each node
 
     def __post_init__(self):
-        if not np.allclose(self.states[0], self.start_state):
+        if not np.allclose(self.states[..., 0, :], self.start_state):
             raise TilqError("trajectory does not start at its start state")
 
 
@@ -253,6 +257,12 @@ def simulate_control(spec: ProblemSpec, grid: TimeGrid, u, t_idx: int, x,
     state, or an open-loop node table, interpolated linearly onto every
     stage time once per call.  Integration runs from node t_idx to stop_idx
     (default the horizon).
+
+    Several runs advance together in one RK4 loop when the start states are
+    stacked (S, n), the open-loop tables are stacked (S, rows, m), or both
+    with the same S; an unstacked start or table is shared by every run.
+    Their trajectory holds states (S, k, n) and controls (S, k, m).  A
+    feedback law takes a single start.
     """
     if tables is None:
         tables = SpecTables(spec, grid)
@@ -262,36 +272,61 @@ def simulate_control(spec: ProblemSpec, grid: TimeGrid, u, t_idx: int, x,
         stop_idx = N
     if not (0 <= t_idx <= stop_idx <= N):
         raise TilqError(f"node range [{t_idx}, {stop_idx}] invalid for N={N}")
-    x = np.asarray(x, dtype=float).reshape(n)
+    k = stop_idx - t_idx + 1
+    x = np.asarray(x, dtype=float)
+    if x.ndim > 2 or (x.ndim == 2 and (x.shape[1] != n or not len(x))):
+        raise TilqError(f"start states have shape {x.shape}; expected ({n},) "
+                        f"or a stack (S, {n})")
+    runs = len(x) if x.ndim == 2 else 0
     if callable(u):
+        if runs:
+            raise TilqError("a feedback law takes a single start state")
+
         def control(j, t, y):
             return np.asarray(u(t, y), dtype=float).reshape(m)
     else:
         u = np.asarray(u, dtype=float)
-        if u.shape == (stop_idx - t_idx + 1, m):
-            full = np.zeros((N + 1, m))
+        if (u.ndim not in (2, 3) or u.shape[-1] != m or not u.size
+                or u.shape[-2] not in (k, N + 1)):
+            raise TilqError(f"open-loop control table has shape {u.shape}; "
+                            f"expected ({N + 1}, {m}) or the node range's "
+                            f"({k}, {m}), or a stack (S, rows, {m}) of either")
+        if u.ndim == 3:
+            if runs and runs != len(u):
+                raise TilqError(f"{runs} start states but {len(u)} control "
+                                f"tables")
+            runs = len(u)
+            u = np.moveaxis(u, 0, -1)  # runs along the last axis, like y
+        if u.shape[0] == k:
+            full = np.zeros((N + 1,) + u.shape[1:])
             full[t_idx:stop_idx + 1] = u
             u = full
-        elif u.shape != (N + 1, m):
-            raise TilqError(f"open-loop control table has shape {u.shape}; "
-                            f"expected ({N + 1}, {m}) or the node range")
         stages = _half_steps(u, _interp_half(u))
+        if runs and stages.ndim == 2:
+            stages = np.broadcast_to(stages[..., None], stages.shape + (runs,))
 
         def control(j, t, y):
             return stages[j]
+    # a stack of runs is carried as the columns of y, so the stages below
+    # are the same matrix products for one run and for many
+    b, b_half = tables.b, tables.b_half
+    if runs:
+        x = np.broadcast_to(x.reshape(-1, n), (runs, n))
+        b, b_half = b[..., None], b_half[..., None]
+    else:
+        x = x.reshape(n)
     h = grid.h
-    k = stop_idx - t_idx + 1
-    states = np.empty((k, n))
-    controls = np.empty((k, m))
-    states[0] = x
-    y = x
+    states = np.empty((k,) + x.T.shape)
+    controls = np.empty((k, m) + x.shape[:-1])
+    states[0] = x.T
+    y = states[0]
     for step, i in enumerate(range(t_idx, stop_idx)):
         t0 = float(grid.nodes[i])
         tm = t0 + 0.5 * h
         t1 = float(grid.nodes[i + 1])
         A0, Am, A1 = tables.A[i], tables.A_half[i], tables.A[i + 1]
         B0, Bm, B1 = tables.B[i], tables.B_half[i], tables.B[i + 1]
-        b0, bm, b1 = tables.b[i], tables.b_half[i], tables.b[i + 1]
+        b0, bm, b1 = b[i], b_half[i], b[i + 1]
         u0 = control(2 * i, t0, y)
         controls[step] = u0
         k1 = A0 @ y + B0 @ u0 + b0
@@ -304,7 +339,10 @@ def simulate_control(spec: ProblemSpec, grid: TimeGrid, u, t_idx: int, x,
         y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         states[step + 1] = y
     controls[-1] = control(2 * stop_idx, float(grid.nodes[stop_idx]), y)
-    return Trajectory(start_index=t_idx, start_state=x,
+    if runs:
+        states = np.moveaxis(states, -1, 0)
+        controls = np.moveaxis(controls, -1, 0)
+    return Trajectory(start_index=t_idx, start_state=np.array(x),
                       times=grid.nodes[t_idx:stop_idx + 1],
                       states=states, controls=controls)
 
@@ -338,13 +376,20 @@ def _running_cost(Q, S, M, q, rho, Y: np.ndarray, U: np.ndarray,
                   start=0.0) -> np.ndarray:
     """start + <Q y, y> + 2 <S y, u> + <M u, u> + 2 <q, y> + 2 <rho, u> per node.
 
-    The terms are added left to right onto ``start``.
+    The terms are added left to right onto ``start``.  ``Y`` and ``U`` may
+    carry leading stack axes, one path per run.
     """
-    return (start + np.einsum("jab,jb,ja->j", Q, Y, Y)
-            + 2.0 * np.einsum("jmn,jn,jm->j", S, Y, U)
-            + np.einsum("jmp,jp,jm->j", M, U, U)
-            + 2.0 * np.einsum("ja,ja->j", q, Y)
-            + 2.0 * np.einsum("jm,jm->j", rho, U))
+    return (start + np.einsum("jab,...jb,...ja->...j", Q, Y, Y)
+            + 2.0 * np.einsum("jmn,...jn,...jm->...j", S, Y, U)
+            + np.einsum("jmp,...jp,...jm->...j", M, U, U)
+            + 2.0 * np.einsum("ja,...ja->...j", q, Y)
+            + 2.0 * np.einsum("jm,...jm->...j", rho, U))
+
+
+def _quadratic_form(mat, vec, const, x) -> np.ndarray:
+    """<mat x, x> + 2 <vec, x> + const, over the operands' leading axes."""
+    return (np.einsum("...a,...ab,...b->...", x, mat, x)
+            + 2.0 * np.einsum("...a,...a->...", vec, x) + const)
 
 
 def _terminal_cost(spec: ProblemSpec, t: float, yT: np.ndarray,
@@ -357,18 +402,22 @@ def _terminal_cost(spec: ProblemSpec, t: float, yT: np.ndarray,
     return float(yT @ G @ yT + 2.0 * g @ yT)
 
 
-def _frozen_running_cost(spec: ProblemSpec, grid: TimeGrid, t: float, a_idx: int,
-                        b_idx: int, Y: np.ndarray, U: np.ndarray,
-                        derivative: bool = False) -> float:
-    """Trapezoid integral over nodes a..b of the running cost, kernels at (t, s).
+def _frozen_kernels(spec: ProblemSpec, t: float, s: np.ndarray,
+                    derivative: bool = False) -> tuple:
+    """Q, S, M, q, rho at (t, s) for every s, the first argument frozen at t.
 
     With ``derivative`` the kernels are their t-derivatives.
     """
-    if a_idx == b_idx:
-        return 0.0
-    s = grid.nodes[a_idx:b_idx + 1]
-    kernels = (f.row(t, s, derivative)
-               for f in (spec.Q, spec.S, spec.M, spec.q, spec.rho))
+    return tuple(f.row(t, s, derivative)
+                 for f in (spec.Q, spec.S, spec.M, spec.q, spec.rho))
+
+
+def _running_integral(kernels: tuple, grid: TimeGrid, a_idx: int, b_idx: int,
+                      Y: np.ndarray, U: np.ndarray) -> float:
+    """Trapezoid integral over nodes a..b of the running cost of one path.
+
+    ``kernels`` are the five kernel rows over the same nodes.
+    """
     return float(quadrature(_running_cost(*kernels, Y, U), grid, a_idx, b_idx))
 
 
@@ -380,8 +429,9 @@ def cost(spec: ProblemSpec, grid: TimeGrid, traj: Trajectory, t_idx: int) -> flo
     if traj.states.shape[0] != grid.N + 1 - t_idx:
         raise TilqError("trajectory does not span [t, T] on this grid")
     t = float(grid.nodes[t_idx])
-    return (_frozen_running_cost(spec, grid, t, t_idx, grid.N, traj.states,
-                                traj.controls)
+    kernels = _frozen_kernels(spec, t, grid.nodes[t_idx:])
+    return (_running_integral(kernels, grid, t_idx, grid.N, traj.states,
+                              traj.controls)
             + _terminal_cost(spec, t, traj.states[-1]))
 
 
@@ -394,15 +444,20 @@ def error_function_direct(sol: EquilibriumSolution, t_idx: int, x) -> float:
     grid = sol.grid
     traj = simulate_equilibrium(sol, t_idx, x)
     t = float(grid.nodes[t_idx])
-    return (_frozen_running_cost(sol.spec, grid, t, t_idx, grid.N, traj.states,
-                                traj.controls, derivative=True)
+    kernels = _frozen_kernels(sol.spec, t, grid.nodes[t_idx:], derivative=True)
+    return (_running_integral(kernels, grid, t_idx, grid.N, traj.states,
+                              traj.controls)
             + _terminal_cost(sol.spec, t, traj.states[-1], derivative=True))
 
 
-def error_function_closed(sol: EquilibriumSolution, t_idx: int, x) -> float:
-    """R(t, x) = <Qbb(t) x, x> + 2 <Sbb(t), x> + omega(t) from stored tables."""
-    x = np.asarray(x, dtype=float).reshape(sol.spec.dims.n)
-    qbb = sol.riccati.qbb[t_idx]
-    sbb = sol.auxiliary.sbb[t_idx]
-    om = float(sol.auxiliary.omega[t_idx])
-    return float(x @ qbb @ x + 2.0 * sbb @ x + om)
+def error_function_closed(sol: EquilibriumSolution, t_idx, x):
+    """R(t, x) = <Qbb(t) x, x> + 2 <Sbb(t), x> + omega(t) from stored tables.
+
+    ``t_idx`` is one node, giving a float for one state (n,), or a slice of
+    nodes.  States (..., n) broadcast against the nodes' tables, so a slice
+    takes one state per node on the second-to-last axis, below any stack
+    axes, and gives an array of the states' leading shape.
+    """
+    R = _quadratic_form(sol.riccati.qbb[t_idx], sol.auxiliary.sbb[t_idx],
+                        sol.auxiliary.omega[t_idx], np.asarray(x, dtype=float))
+    return float(R) if R.ndim == 0 else R

@@ -54,7 +54,10 @@ import numpy as np
 
 from .errors import AssumptionError, ConsistencyError, ConvergenceError, TilqError
 from .grid import (TimeGrid, TransitionTable, _rk4_linear_steps,
-                   closed_loop_matrices, open_loop_transition)
+                   closed_loop_matrices)
+# Not called here: the solvers read SpecTables.open_loop_steps.  The name
+# stays in this module because perfbench/spans.py wraps it here.
+from .grid import open_loop_transition  # noqa: F401
 from .problem import ProblemSpec
 from .tables import SpecTables, factor_md, pair_blocks, solve_chol
 
@@ -256,11 +259,11 @@ def _qbb_table(gain: np.ndarray, cl_pairs: np.ndarray,
     return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
-def _sweep_core(P: np.ndarray, tables: SpecTables, steps: np.ndarray):
+def _sweep_core(P: np.ndarray, tables: SpecTables):
     """One full sweep: gain, closed loop, Qbb, then the open-loop integral.
 
-    ``steps`` are the open-loop RK4 one-step propagators Phi_i; the integral
-    is the backward recursion of the module docstring.
+    The integral is the backward recursion of the module docstring, over
+    the open-loop RK4 one-step propagators Phi_i of ``tables``.
     """
     grid = tables.grid
     N = grid.N
@@ -270,6 +273,7 @@ def _sweep_core(P: np.ndarray, tables: SpecTables, steps: np.ndarray):
     inner = (tables.Qd - qbb
              - np.einsum("jab,jac,jcd->jbd", gain, tables.Md, gain, optimize=True))
     half = (0.5 * grid.h) * inner
+    steps = tables.open_loop_steps
     P_out = np.empty_like(inner)
     P_out[N] = tables.G_T
     for i in range(N - 1, -1, -1):
@@ -299,12 +303,11 @@ def riccati_sweep(P_in: np.ndarray, spec: ProblemSpec,
                   grid: TimeGrid) -> np.ndarray:
     """One fixed-point sweep of the integral form; returns the new P table."""
     tables = SpecTables(spec, grid)
-    open_loop = open_loop_transition(spec.dynamics, grid)
     P_in = np.asarray(P_in, dtype=float)
     if P_in.shape != (grid.N + 1, spec.dims.n, spec.dims.n):
         raise TilqError(f"P table has shape {P_in.shape}, expected "
                         f"{(grid.N + 1, spec.dims.n, spec.dims.n)}")
-    P_out, _, _, _ = _sweep_core(P_in, tables, open_loop.steps)
+    P_out, _, _, _ = _sweep_core(P_in, tables)
     return P_out
 
 
@@ -348,10 +351,9 @@ def solve_equilibrium_riccati(spec: ProblemSpec, grid: TimeGrid,
     opts = opts or SolveOptions()
     if tables is None:
         tables = SpecTables(spec, grid)
-    open_loop = open_loop_transition(spec.dynamics, grid)
 
     def sweep(P):
-        return _sweep_core(P, tables, open_loop.steps)[0]
+        return _sweep_core(P, tables)[0]
 
     P0 = _initial_table(opts.initial, tables.G_T, grid.N, "P")
     P_final, diag = damped_fixed_point(P0, sweep, opts, "equilibrium Riccati")

@@ -1,12 +1,13 @@
 """Per-solve tabulation of a problem's coefficients on a time grid.
 
 Everything the solvers touch repeatedly is evaluated once here: dynamics and
-diagonal kernel values K(t, t) at nodes and half nodes, terminal weights,
-and the O(N^2) triangles K_t(t_i, t_j) of the first-argument derivatives,
-which only the fixed-point path and the verification checks build.  The
-solvers' closed-loop propagators (:func:`tilq.riccati._closed_loop_table`)
-and btilde (:func:`tilq.auxiliary._btilde_from_drive`) are built from these
-evaluations only, never again from the problem's callables.
+diagonal kernel values K(t, t) at nodes and half nodes, the open-loop RK4
+steps, terminal weights, and the O(N^2) triangles K_t(t_i, t_j) of the
+first-argument derivatives, which only the fixed-point path and the
+verification checks build.  The solvers' closed-loop propagators
+(:func:`tilq.riccati._closed_loop_table`) and btilde
+(:func:`tilq.auxiliary._btilde_from_drive`) are built from these evaluations
+only, never again from the problem's callables.
 
 Pair layout.  Every (N+1)^2 table of the solver -- the kernel triangles, the
 trapezoid weights W, the closed-loop propagators and btilde -- is one
@@ -42,7 +43,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AssumptionError
-from .grid import TimeGrid, _eval_dynamics, zero_below_diagonal
+from .grid import (TimeGrid, _eval_dynamics, _rk4_linear_steps,
+                   zero_below_diagonal)
 from .problem import ProblemSpec, eval_pairs
 
 
@@ -193,6 +195,11 @@ class SpecTables:
     @cached_property
     def b_half(self) -> np.ndarray:
         return _eval_dynamics(self.spec.dynamics.b, self.grid.half_nodes, (self.n,))
+
+    @cached_property
+    def open_loop_steps(self) -> np.ndarray:
+        """RK4 one-step propagators of x' = A x, one per grid interval."""
+        return _rk4_linear_steps(self.A, self.A_half, self.grid.h)
 
     # -- diagonal kernel values K(t, t) -------------------------------------
 

@@ -38,10 +38,10 @@ from .auxiliary import _omega_table, _psi_rate, _sbb_table, solve_auxiliary
 from .errors import TilqError
 from .grid import (TimeGrid, _interp_half, closed_loop_drive,
                    closed_loop_matrices, quadrature, zero_below_diagonal)
-from .policy import (EquilibriumSolution, _frozen_running_cost, _running_cost,
-                     _terminal_cost, cost, error_function_closed,
-                     error_function_direct, feedback, grad_value,
-                     simulate_control, simulate_equilibrium, value)
+from .policy import (EquilibriumSolution, _frozen_kernels, _quadratic_form,
+                     _running_cost, _running_integral, _terminal_cost, cost,
+                     error_function_closed, error_function_direct, feedback,
+                     grad_value, simulate_control, simulate_equilibrium, value)
 from .problem import ProblemSpec
 from .riccati import SolveOptions, solve_equilibrium_riccati
 from .tables import SpecTables, solve_chol
@@ -100,34 +100,61 @@ def spike_quotient(sol: EquilibriumSolution, t_idx: int, x, v, eps: float) -> fl
     assembled piecewise so the control jump at the switch node never smears
     across a quadrature cell.
     """
-    spec, grid = sol.spec, sol.grid
-    n, m = spec.dims.n, spec.dims.m
+    grid = sol.grid
     if eps < 2 * grid.h * (1 - 1e-9):
         raise TilqError(f"spike width {eps} is below 2 grid steps")
     k = _snap_steps(eps, grid)
     if t_idx + k > grid.N:
         raise TilqError(f"spike [{t_idx}, {t_idx + k}] leaves the horizon")
+    v = np.asarray(v, dtype=float).reshape(1, sol.spec.dims.m)
+    return float(_spike_quotients(sol, t_idx, x, v, [k])[0, 0])
+
+
+def _spike_quotients(sol: EquilibriumSolution, t_idx: int, x, vs: np.ndarray,
+                     steps: list) -> np.ndarray:
+    """Spike quotients (S, W) of the constant controls ``vs`` (S, m).
+
+    Column w belongs to a spike of ``steps[w]`` grid steps.  What depends on
+    (t, x) alone is done once: the kernel rows at t over [t, T], sliced for
+    each width, the equilibrium cost, and one stacked head integration to
+    the widest spike.  A constant control is an open-loop table, so each
+    narrower head is a prefix of that integration.
+    """
+    spec, grid = sol.spec, sol.grid
+    n, m, N = spec.dims.n, spec.dims.m, grid.N
     x = np.asarray(x, dtype=float).reshape(n)
-    v = np.asarray(v, dtype=float).reshape(m)
-    eps_actual = k * grid.h
     t = float(grid.nodes[t_idx])
-    switch = t_idx + k
+    kernels = _frozen_kernels(spec, t, grid.nodes[t_idx:])
+    eq = simulate_equilibrium(sol, t_idx, x)
+    J_eq = (_running_integral(kernels, grid, t_idx, N, eq.states, eq.controls)
+            + _terminal_cost(spec, t, eq.states[-1]))
+    widest = max(steps)
+    head = simulate_control(spec, grid, np.broadcast_to(
+        vs[:, None, :], (len(vs), widest + 1, m)), t_idx, x,
+        stop_idx=t_idx + widest, tables=sol.tables)
+    out = np.empty((len(vs), len(steps)))
+    for w, k in enumerate(steps):
+        switch = t_idx + k
+        head_kernels = tuple(r[:k + 1] for r in kernels)
+        tail_kernels = tuple(r[k:] for r in kernels)
+        for j in range(len(vs)):
+            Y = head.states[j, :k + 1]
+            tail = simulate_equilibrium(sol, switch, Y[-1])
+            J_pert = (_running_integral(head_kernels, grid, t_idx, switch, Y,
+                                        head.controls[j, :k + 1])
+                      + _running_integral(tail_kernels, grid, switch, N,
+                                          tail.states, tail.controls)
+                      + _terminal_cost(spec, t, tail.states[-1]))
+            out[j, w] = (J_pert - J_eq) / (k * grid.h)
+    return out
 
-    head = simulate_control(spec, grid, lambda _t, _y: v, t_idx, x,
-                            stop_idx=switch, tables=sol.tables)
-    tail = simulate_equilibrium(sol, switch, head.states[-1])
 
-    J_pert = (_frozen_running_cost(spec, grid, t, t_idx, switch, head.states,
-                                   np.broadcast_to(v, (k + 1, m)))
-              + _frozen_running_cost(spec, grid, t, switch, grid.N, tail.states,
-                                     tail.controls)
-              + _terminal_cost(spec, t, tail.states[-1]))
-    J_eq = cost(spec, grid, simulate_equilibrium(sol, t_idx, x), t_idx)
-    return (J_pert - J_eq) / eps_actual
+def run_spike_check(sol: EquilibriumSolution, t_idx: int, x, v):
+    """Quotients over the spike schedule plus the extrapolated limit.
 
-
-def run_spike_check(sol: EquilibriumSolution, t_idx: int, x, v) -> SpikeReport:
-    """Quotients over the spike schedule plus the extrapolated limit."""
+    ``v`` is one constant control (m,), giving one report, or a stack
+    (S, m), giving a list of S reports that share the work on (t, x).
+    """
     grid = sol.grid
     spec = sol.spec
     steps = []
@@ -141,18 +168,24 @@ def run_spike_check(sol: EquilibriumSolution, t_idx: int, x, v) -> SpikeReport:
                         "refine the grid or move the probe point away from "
                         "the horizon")
     eps_list = [k * grid.h for k in steps]
-    quotients = [spike_quotient(sol, t_idx, x, v, e) for e in eps_list]
-    e1, e2 = eps_list[-2], eps_list[-1]
-    q1, q2 = quotients[-2], quotients[-1]
-    extrapolated = (e1 * q2 - e2 * q1) / (e1 - e2)
     x = np.asarray(x, dtype=float).reshape(spec.dims.n)
-    v = np.asarray(v, dtype=float).reshape(spec.dims.m)
+    vs = np.asarray(v, dtype=float)
+    single = vs.ndim <= 1
+    vs = vs.reshape(-1, spec.dims.m)
     t = float(grid.nodes[t_idx])
-    du = v - feedback(sol, t, x)
+    u_eq = feedback(sol, t, x)
     M = np.asarray(spec.M(t, t), dtype=float)
-    return SpikeReport(t_idx=t_idx, x=x, v=v, epsilons=eps_list,
-                       quotients=quotients, extrapolated=extrapolated,
-                       analytic_reference=float(du @ M @ du))
+    e1, e2 = eps_list[-2], eps_list[-1]
+    reports = []
+    for v_j, quotients in zip(vs, _spike_quotients(sol, t_idx, x, vs, steps)):
+        q1, q2 = quotients[-2], quotients[-1]
+        extrapolated = float((e1 * q2 - e2 * q1) / (e1 - e2))
+        du = v_j - u_eq
+        reports.append(SpikeReport(t_idx=t_idx, x=x, v=v_j, epsilons=eps_list,
+                                   quotients=quotients.tolist(),
+                                   extrapolated=extrapolated,
+                                   analytic_reference=float(du @ M @ du)))
+    return reports[0] if single else reports
 
 
 def spike_limit_analytic(sol: EquilibriumSolution, t_idx: int, x, v) -> float:
@@ -211,20 +244,20 @@ def _hamiltonian_gap(sol: EquilibriumSolution, rates: tuple, sl: slice,
 
 
 def bellman_residual(sol: EquilibriumSolution, t_idx: int, s_idx: int, x,
-                     u) -> float:
+                     u):
     """Recursion defect over [t, s] for a candidate control.
 
     Simulates the candidate from (t, x), accumulates the diagonal-kernel
     running cost minus the closed-form R along the path, adds V(s, y(s)),
     and subtracts V(t, x).  Zero (to discretization) along the equilibrium
-    feedback; nonnegative for every admissible candidate.
+    feedback; nonnegative for every admissible candidate.  A stack of S
+    open-loop tables (S, rows, m) is integrated as one stacked run and
+    gives an array of S residuals.
     """
     spec, grid = sol.spec, sol.grid
     if not (0 <= t_idx <= s_idx <= grid.N):
         raise TilqError(f"node range [{t_idx}, {s_idx}] invalid")
     x = np.asarray(x, dtype=float).reshape(spec.dims.n)
-    if s_idx == t_idx:
-        return 0.0
     traj = simulate_control(spec, grid, u, t_idx, x, stop_idx=s_idx,
                             tables=sol.tables)
     tbl = sol.tables
@@ -232,11 +265,15 @@ def bellman_residual(sol: EquilibriumSolution, t_idx: int, s_idx: int, x,
     Y, U = traj.states, traj.controls
     run = _running_cost(tbl.Qd[sl], tbl.Sd[sl], tbl.Md[sl], tbl.qd[sl],
                         tbl.rhod[sl], Y, U)
-    run -= np.asarray([error_function_closed(sol, j, Y[j - t_idx])
-                       for j in range(t_idx, s_idx + 1)])
-    rhs = float(quadrature(run, grid, t_idx, s_idx))
-    rhs += value(sol, float(grid.nodes[s_idx]), Y[-1])
-    return rhs - value(sol, float(grid.nodes[t_idx]), x)
+    run -= error_function_closed(sol, sl, Y)
+    t, s = float(grid.nodes[t_idx]), float(grid.nodes[s_idx])
+    # one trapezoid sum and one V(s, y(s)) per run, so that a stacked run
+    # rounds as a single run does
+    res = np.array([float(quadrature(r, grid, t_idx, s_idx)) + value(sol, s, y)
+                    for r, y in zip(run.reshape(-1, run.shape[-1]),
+                                    Y[..., -1, :].reshape(-1, spec.dims.n))])
+    res -= value(sol, t, x)
+    return res if Y.ndim == 3 else float(res[0])
 
 
 def random_candidate_controls(sol: EquilibriumSolution, t_idx: int, s_idx: int,
@@ -311,8 +348,7 @@ def _stationarity_residuals(sol: EquilibriumSolution, states) -> list:
     out = []
     for x in np.atleast_2d(np.asarray(states, dtype=float)):
         x = x.reshape(sol.spec.dims.n)
-        R_re = (np.einsum("a,iab,b->i", x, qbb, x)
-                + 2.0 * np.einsum("ia,a->i", sbb_re, x) + omega_re)
+        R_re = _quadratic_form(qbb, sbb_re, omega_re, x)
         out.append(_hamiltonian_gap(sol, rates, slice(None), x,
                                     -(gain @ x) - ups, R_re))
     return out
@@ -492,7 +528,8 @@ def run_verification(sol: EquilibriumSolution,
         t_idx = int(rng.integers(0, int(grid.N * (1 - 2 * max_frac))))
         x = rng.uniform(-box, box, size=n)
         v = rng.uniform(-box, box, size=m)
-        rep = run_spike_check(sol, t_idx, x, v)
+        u_here = feedback(sol, float(grid.nodes[t_idx]), x)
+        rep, rep_u = run_spike_check(sol, t_idx, x, np.stack([v, u_here]))
         if -rep.extrapolated > worst_neg:
             worst_neg = -rep.extrapolated
             wit_neg = f"t_idx={t_idx}"
@@ -501,8 +538,6 @@ def run_verification(sol: EquilibriumSolution,
             worst_match = abs(rep.extrapolated - rep.analytic_reference) / max(
                 1.0, abs(rep.analytic_reference))
             wit_match = f"t_idx={t_idx}"
-        u_here = feedback(sol, float(grid.nodes[t_idx]), x)
-        rep_u = run_spike_check(sol, t_idx, x, u_here)
         if abs(rep_u.extrapolated) > worst_at_u:
             worst_at_u = abs(rep_u.extrapolated)
             wit_u = f"t_idx={t_idx}"
@@ -522,15 +557,16 @@ def run_verification(sol: EquilibriumSolution,
         s_idx = int(rng.integers(t_idx + 1, grid.N))
         x = rng.uniform(-box, box, size=n)
         eq_traj = simulate_equilibrium(sol, t_idx, x)
-        res = bellman_residual(sol, t_idx, s_idx, x,
-                               eq_traj.controls[: s_idx - t_idx + 1])
-        if abs(res) > worst_eq:
-            worst_eq, wit_eq = abs(res), f"t_idx={t_idx}; s_idx={s_idx}"
-        for cand in random_candidate_controls(sol, t_idx, s_idx, x,
-                                              count=10, rng=rng):
-            res = bellman_residual(sol, t_idx, s_idx, x, cand)
-            if -res > worst_cand:
-                worst_cand, wit_cand = -res, f"t_idx={t_idx}; s_idx={s_idx}"
+        cands = random_candidate_controls(sol, t_idx, s_idx, x, count=10,
+                                          rng=rng)
+        # the equilibrium's controls and the candidates as one stack
+        res = bellman_residual(sol, t_idx, s_idx, x, np.stack(
+            [eq_traj.controls[: s_idx - t_idx + 1]] + cands))
+        if abs(res[0]) > worst_eq:
+            worst_eq, wit_eq = abs(res[0]), f"t_idx={t_idx}; s_idx={s_idx}"
+        worst_here = -res[1:].min()
+        if worst_here > worst_cand:
+            worst_cand, wit_cand = worst_here, f"t_idx={t_idx}; s_idx={s_idx}"
     report.add("recursion equality along equilibrium",
                worst_eq <= BELLMAN_TOL, BELLMAN_TOL, worst_eq, wit_eq)
     report.add("recursion inequality for candidates",

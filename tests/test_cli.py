@@ -226,6 +226,17 @@ class TestCommands:
         assert (out / "verification.csv").exists()
         assert (out / "spike_detail.csv").exists()
 
+    def test_verify_passes_on_two_state_demo(self, tmp_path):
+        # the n = 2 battery at the problem's own grid and verification keys
+        out = tmp_path / "v2"
+        rc = main(["verify", str(shipped_problem_path("twostate_hyperbolic")),
+                   "--out", str(out)])
+        assert rc == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["passed"] is True
+        assert summary["grid_points"] == 400
+        assert len(summary["checks"]) == 11
+
     def test_compare_on_time_inconsistent_spec(self, tmp_path):
         out = tmp_path / "c"
         rc = main(["compare", str(shipped_problem_path("hyperbolic_scalar_k1")),

@@ -103,6 +103,18 @@ class TestOpenLoopTransition:
         t2 = open_loop_transition(dyn, build_grid(1.0, 64))
         np.testing.assert_array_equal(t1.full_table(), t2.full_table())
 
+    def test_spec_tables_steps_are_the_same_bits(self):
+        # the solvers read SpecTables.open_loop_steps; they must be the steps
+        # this function builds from the callables, bit for bit
+        dyn = DynamicsField(A=lambda t: np.array([[np.sin(t), 1.0 + t],
+                                                  [-t * t, np.cos(t)]]),
+                            B=lambda t: np.array([[0.0], [1.0]]),
+                            b=lambda t: np.zeros(2))
+        grid = build_grid(1.0, 90)
+        np.testing.assert_array_equal(
+            dynamics_tables(dyn, grid).open_loop_steps,
+            open_loop_transition(dyn, grid).steps)
+
 
 class TestClosedLoopTransition:
     def test_zero_gain_equals_open_loop(self):

@@ -282,6 +282,78 @@ class TestSimulation:
         assert np.max(np.abs(a.states - b.states)) < 1e-6
 
 
+class TestStackedSimulation:
+    """Stacked runs of simulate_control against one run per row."""
+
+    @pytest.fixture(scope="class")
+    def sol(self):
+        return solve_equilibrium(threestate_spec(), build_grid(1.0, 60))
+
+    @staticmethod
+    def assert_rows_match(stacked, singles):
+        for j, one in enumerate(singles):
+            for got, want in ((stacked.states[j], one.states),
+                              (stacked.controls[j], one.controls)):
+                scale = 1.0 + np.max(np.abs(want))
+                assert np.max(np.abs(got - want)) <= 1e-14 * scale
+
+    def test_starts_sharing_one_table(self, sol):
+        spec, grid = sol.spec, sol.grid
+        rng = np.random.default_rng(34)
+        table = rng.uniform(-1, 1, size=(grid.N - 8, spec.dims.m))
+        starts = rng.uniform(-2, 2, size=(4, spec.dims.n))
+        stacked = simulate_control(spec, grid, table, 9, starts,
+                                   tables=sol.tables)
+        assert stacked.states.shape == (4, grid.N - 8, spec.dims.n)
+        assert stacked.controls.shape == (4, grid.N - 8, spec.dims.m)
+        np.testing.assert_array_equal(stacked.start_state, starts)
+        self.assert_rows_match(stacked, [
+            simulate_control(spec, grid, table, 9, x, tables=sol.tables)
+            for x in starts])
+
+    def test_tables_from_one_start(self, sol):
+        spec, grid = sol.spec, sol.grid
+        rng = np.random.default_rng(35)
+        tables = rng.uniform(-1, 1, size=(5, 31, spec.dims.m))
+        x = rng.uniform(-2, 2, size=spec.dims.n)
+        stacked = simulate_control(spec, grid, tables, 12, x, stop_idx=42,
+                                   tables=sol.tables)
+        self.assert_rows_match(stacked, [
+            simulate_control(spec, grid, u, 12, x, stop_idx=42,
+                             tables=sol.tables) for u in tables])
+
+    def test_starts_paired_with_tables(self, sol):
+        spec, grid = sol.spec, sol.grid
+        rng = np.random.default_rng(36)
+        tables = rng.uniform(-1, 1, size=(3, grid.N + 1, spec.dims.m))
+        starts = rng.uniform(-2, 2, size=(3, spec.dims.n))
+        stacked = simulate_control(spec, grid, tables, 0, starts,
+                                   tables=sol.tables)
+        self.assert_rows_match(stacked, [
+            simulate_control(spec, grid, u, 0, x, tables=sol.tables)
+            for u, x in zip(tables, starts)])
+
+    @pytest.mark.parametrize("starts, table", [
+        ((3, 3), (2, 61, 2)),   # stack sizes differ
+        ((3, 2), (61, 2)),      # start width is not n
+        ((0, 3), (61, 2)),      # empty stack
+        ((2, 1, 3), (61, 2)),   # start states with three axes
+        ((3,), (2, 61, 3)),     # control width is not m
+        ((3,), (2, 50, 2)),     # rows are neither N + 1 nor the range
+        ((3,), (1, 2, 61, 2)),  # tables with four axes
+    ])
+    def test_bad_stack_shape_raises(self, sol, starts, table):
+        with pytest.raises(TilqError):
+            simulate_control(sol.spec, sol.grid, np.zeros(table), 0,
+                             np.zeros(starts), tables=sol.tables)
+
+    def test_feedback_law_takes_one_start(self, sol):
+        with pytest.raises(TilqError):
+            simulate_control(sol.spec, sol.grid,
+                             lambda t, y: feedback(sol, t, y), 0,
+                             np.zeros((2, 3)), tables=sol.tables)
+
+
 class TestCost:
     def test_pure_state_cost(self):
         # u = 0, y constant 1, Q = 1, G = 1: J = 1 + 1 = 2

@@ -7,6 +7,7 @@ from tilq import (ConvergenceError, SolveOptions, TilqError, bellman_residual,
                   hjb_residual_sup, run_spike_check, run_verification,
                   simulate_equilibrium, solve_equilibrium,
                   spike_limit_analytic, spike_quotient, uniqueness_probe)
+from tilq.problem_io import load_shipped_problem
 from tilq.verification import (VerifyOptions, _stationarity_residuals,
                                random_candidate_controls)
 from conftest import hyperbolic_scalar_spec, zero_cost_spec
@@ -119,6 +120,93 @@ class TestBellman:
         x = np.array([0.6, -0.4])
         for cand in random_candidate_controls(sol, t_idx, s_idx, x, 10, rng):
             assert bellman_residual(sol, t_idx, s_idx, x, cand) >= -1e-4
+
+
+class TestBatchedChecks:
+    """Stacked Bellman trials and shared spike work against one call each."""
+
+    def test_stacked_bellman_matches_one_call_per_control(self,
+                                                          twostate_solution):
+        sol = twostate_solution
+        rng = np.random.default_rng(27)
+        t_idx, s_idx = 40, 230
+        x = np.array([0.9, -0.5])
+        eq = simulate_equilibrium(sol, t_idx, x).controls[:s_idx - t_idx + 1]
+        stack = np.stack([eq] + random_candidate_controls(
+            sol, t_idx, s_idx, x, 10, rng))
+        got = bellman_residual(sol, t_idx, s_idx, x, stack)
+        want = np.array([bellman_residual(sol, t_idx, s_idx, x, u)
+                         for u in stack])
+        assert got.shape == (11,)
+        scale = 1.0 + np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    def test_stacked_bellman_zero_length_interval(self, hyperbolic_solution):
+        got = bellman_residual(hyperbolic_solution, 100, 100, [0.5],
+                               np.zeros((3, 1, 1)))
+        np.testing.assert_array_equal(got, np.zeros(3))
+
+    @pytest.mark.parametrize("fixture", ["hyperbolic_solution",
+                                         "twostate_solution"])
+    def test_spike_stack_matches_single_calls_and_quotients(self, fixture,
+                                                            request):
+        sol = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(28)
+        n, m = sol.spec.dims.n, sol.spec.dims.m
+        t_idx = sol.grid.N // 5
+        x = rng.uniform(-2, 2, size=n)
+        vs = rng.uniform(-2, 2, size=(3, m))
+        reports = run_spike_check(sol, t_idx, x, vs)
+        assert len(reports) == 3
+        for v, rep in zip(vs, reports):
+            one = run_spike_check(sol, t_idx, x, v)
+            np.testing.assert_array_equal(rep.v, v)
+            assert rep.epsilons == one.epsilons
+            np.testing.assert_allclose(rep.quotients, one.quotients,
+                                       rtol=1e-12, atol=0)
+            assert rep.extrapolated == pytest.approx(one.extrapolated,
+                                                     rel=1e-12)
+            assert rep.analytic_reference == one.analytic_reference
+            for eps, q in zip(rep.epsilons, rep.quotients):
+                one_width = spike_quotient(sol, t_idx, x, v, eps)
+                assert q == pytest.approx(one_width, rel=1e-12)
+
+
+# run_verification on the shipped twostate_hyperbolic problem (N = 400,
+# seed 42) before the Bellman trials and the spike checks were batched
+TWOSTATE_WORST = {
+    "spike quotient nonnegative": 0.0,
+    "spike limit zero at equilibrium": 2.4460120684466347e-05,
+    "spike limit matches quadratic gap": 2.4609892206095552e-05,
+    "recursion equality along equilibrium": 1.6108789191449091e-07,
+    "recursion inequality for candidates": 0.0,
+    "pointwise stationarity residual": 1.0930451366242266e-07,
+    "integral-form residual": 5.0296483222744826e-07,
+    "error-function equivalence": 2.2890484182286321e-06,
+    "value equals equilibrium cost": 8.5656917548415765e-07,
+    "gradient matches central differences": 5.233767127242734e-12,
+    "uniqueness across initializations": 4.6390669083962166e-12,
+}
+# these two measure roundoff (a central difference of V, and the distance
+# between fixed points converged to 1e-10), which another BLAS or CPU can
+# move by more than 1e-8 relative; they are held to an absolute 1e-10
+ROUNDOFF_WORST = {"gradient matches central differences",
+                  "uniqueness across initializations"}
+
+
+def test_twostate_battery_matches_recorded_worst():
+    loaded = load_shipped_problem("twostate_hyperbolic")
+    grid = build_grid(loaded.spec.horizon, loaded.grid_points)
+    sol = solve_equilibrium(loaded.spec, grid, loaded.solve_options,
+                            loaded.solve_options)
+    assert (grid.N, loaded.verify_options.seed) == (400, 42)
+    report = run_verification(sol, loaded.verify_options)
+    assert report.passed, report.failed_names()
+    got = {c.name: c.worst for c in report.checks}
+    assert set(got) == set(TWOSTATE_WORST)
+    for name, want in TWOSTATE_WORST.items():
+        tol = 1e-10 if name in ROUNDOFF_WORST else 1e-8 * want
+        assert abs(got[name] - want) <= tol, (name, got[name], want)
 
 
 class TestHJBResiduals:
