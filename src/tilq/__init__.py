@@ -10,7 +10,7 @@ feedback law, and verifies the defining equilibrium properties numerically.
 """
 
 from .auxiliary import (AuxiliarySolution, PhiSolution, omega_at, sbb_at,
-                        solve_auxiliary, solve_phi, solve_psi, upsilon_from_phi)
+                        solve_auxiliary, solve_phi, solve_psi)
 from .errors import (AssumptionError, ConsistencyError, ConvergenceError,
                      ProblemFileError, TilqError)
 from .grid import (TimeGrid, TransitionTable, build_grid, open_loop_transition,
@@ -30,8 +30,7 @@ from .problem_io import (LoadedProblem, load_problem, load_shipped_problem,
                          parse_problem, shipped_problem_names,
                          shipped_problem_path)
 from .riccati import (RiccatiSolution, SolveOptions, classical_riccati,
-                      gamma_from_p, qbb_from_gamma, riccati_sweep,
-                      solve_equilibrium_riccati)
+                      gamma_from_p, qbb_from_gamma, solve_equilibrium_riccati)
 from .verification import (SpikeReport, UniquenessProbe, VerificationReport,
                            VerifyOptions, bellman_residual,
                            hjb_integral_residual, hjb_residual_sup,

@@ -64,8 +64,7 @@ from .grid import (TimeGrid, TransitionTable, _interp_half, closed_loop_drive,
 from .problem import ProblemSpec
 from .riccati import (FixedPointDiagnostics, RiccatiSolution, SolveOptions,
                       _initial_table, damped_fixed_point)
-from .tables import (SpecTables, cumulative_trapezoid, factor_md, pair_blocks,
-                     solve_chol)
+from .tables import SpecTables, cumulative_trapezoid, pair_blocks
 
 
 @dataclass
@@ -116,14 +115,6 @@ class AuxiliarySolution:
 
 # ---------------------------------------------------------------------------
 # public single-point / single-table operations
-
-
-def upsilon_from_phi(phi: np.ndarray, spec: ProblemSpec, t: float) -> np.ndarray:
-    """Affine feedback component M(t,t)^{-1} (B^T(t) phi + rho(t,t))."""
-    phi = np.asarray(phi, dtype=float)
-    rhs = np.asarray(spec.dynamics.B(t), dtype=float).T @ phi + np.asarray(
-        spec.rho(t, t), dtype=float)
-    return solve_chol(factor_md(spec.M(t, t), t), rhs)
 
 
 def _btilde_from_drive(cl_pairs: np.ndarray, drive: np.ndarray,

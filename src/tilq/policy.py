@@ -155,15 +155,15 @@ def solve_equilibrium(spec: ProblemSpec, grid: TimeGrid,
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States and node controls from a start node to the horizon.
+    """States and node controls over k nodes from one start state.
 
-    A stack of S runs from the same node has start states (S, n), states
-    (S, k, n) and controls (S, k, m).
+    A stack of S runs from the same start (n,) under S open-loop tables has
+    states (S, k, n) and controls (S, k, m).
     """
 
     start_index: int
-    start_state: np.ndarray
-    times: np.ndarray     # nodes t_i, i >= start_index
+    start_state: np.ndarray  # (n,)
+    times: np.ndarray     # nodes t_i, start_index <= i, k of them
     states: np.ndarray    # (k, n)
     controls: np.ndarray  # (k, m), the control applied at each node
 
@@ -253,16 +253,14 @@ def simulate_control(spec: ProblemSpec, grid: TimeGrid, u, t_idx: int, x,
                      tables: SpecTables | None = None) -> Trajectory:
     """RK4 integration of y' = A y + B u + b under a given control.
 
-    ``u`` is either a feedback law (t, y) -> control, called on every stage
-    state, or an open-loop node table, interpolated linearly onto every
-    stage time once per call.  Integration runs from node t_idx to stop_idx
-    (default the horizon).
-
-    Several runs advance together in one RK4 loop when the start states are
-    stacked (S, n), the open-loop tables are stacked (S, rows, m), or both
-    with the same S; an unstacked start or table is shared by every run.
-    Their trajectory holds states (S, k, n) and controls (S, k, m).  A
-    feedback law takes a single start.
+    Integration runs from one start state x (n,) at node t_idx to stop_idx
+    (default the horizon), over the k = stop_idx - t_idx + 1 nodes of that
+    range.  ``u`` is either a feedback law (t, y) -> control, called on
+    every stage state, or an open-loop table (k, m) of the controls at those
+    nodes, interpolated linearly onto the stage times once per call.  A
+    stack of S such tables (S, k, m) advances S runs from x in one RK4
+    loop; their trajectory holds states (S, k, n) and controls (S, k, m).
+    Any other shape raises TilqError.
     """
     if tables is None:
         tables = SpecTables(spec, grid)
@@ -274,51 +272,36 @@ def simulate_control(spec: ProblemSpec, grid: TimeGrid, u, t_idx: int, x,
         raise TilqError(f"node range [{t_idx}, {stop_idx}] invalid for N={N}")
     k = stop_idx - t_idx + 1
     x = np.asarray(x, dtype=float)
-    if x.ndim > 2 or (x.ndim == 2 and (x.shape[1] != n or not len(x))):
-        raise TilqError(f"start states have shape {x.shape}; expected ({n},) "
-                        f"or a stack (S, {n})")
-    runs = len(x) if x.ndim == 2 else 0
+    if x.shape != (n,):
+        raise TilqError(f"start state has shape {x.shape}; expected ({n},)")
     if callable(u):
-        if runs:
-            raise TilqError("a feedback law takes a single start state")
+        runs = 0
 
         def control(j, t, y):
             return np.asarray(u(t, y), dtype=float).reshape(m)
     else:
         u = np.asarray(u, dtype=float)
-        if (u.ndim not in (2, 3) or u.shape[-1] != m or not u.size
-                or u.shape[-2] not in (k, N + 1)):
+        if u.ndim not in (2, 3) or u.shape[-2:] != (k, m) or not u.size:
             raise TilqError(f"open-loop control table has shape {u.shape}; "
-                            f"expected ({N + 1}, {m}) or the node range's "
-                            f"({k}, {m}), or a stack (S, rows, {m}) of either")
-        if u.ndim == 3:
-            if runs and runs != len(u):
-                raise TilqError(f"{runs} start states but {len(u)} control "
-                                f"tables")
-            runs = len(u)
+                            f"expected the node range's ({k}, {m}) or a "
+                            f"stack (S, {k}, {m})")
+        runs = len(u) if u.ndim == 3 else 0
+        if runs:
             u = np.moveaxis(u, 0, -1)  # runs along the last axis, like y
-        if u.shape[0] == k:
-            full = np.zeros((N + 1,) + u.shape[1:])
-            full[t_idx:stop_idx + 1] = u
-            u = full
         stages = _half_steps(u, _interp_half(u))
-        if runs and stages.ndim == 2:
-            stages = np.broadcast_to(stages[..., None], stages.shape + (runs,))
 
         def control(j, t, y):
-            return stages[j]
+            return stages[j - 2 * t_idx]
     # a stack of runs is carried as the columns of y, so the stages below
     # are the same matrix products for one run and for many
     b, b_half = tables.b, tables.b_half
+    shape = (n, runs) if runs else (n,)
     if runs:
-        x = np.broadcast_to(x.reshape(-1, n), (runs, n))
         b, b_half = b[..., None], b_half[..., None]
-    else:
-        x = x.reshape(n)
     h = grid.h
-    states = np.empty((k,) + x.T.shape)
-    controls = np.empty((k, m) + x.shape[:-1])
-    states[0] = x.T
+    states = np.empty((k,) + shape)
+    controls = np.empty((k, m) + shape[1:])
+    states[0] = x[:, None] if runs else x
     y = states[0]
     for step, i in enumerate(range(t_idx, stop_idx)):
         t0 = float(grid.nodes[i])

@@ -5,7 +5,9 @@ Q(t, s), S(t, s), M(t, s), q(t, s), rho(t, s) whose dependence on the
 evaluation time t is the source of time inconsistency.  Every two-time field
 carries its derivative in the first argument; built-in discount families
 provide that derivative in closed form, tabulated data gets it from second
-order finite differences.
+order finite differences.  A two-time field's callables take broadcastable
+arrays of times (:class:`TwoTimeField`), since the solver evaluates them
+over whole blocks of node pairs at once.
 
 Standing assumptions enforced by :func:`validate`: M(t, s) symmetric positive
 definite, Q(t, s) and G(t) symmetric positive semi-definite, all fields
@@ -56,24 +58,23 @@ def _const_time_fn(arr: np.ndarray) -> Callable[[float], np.ndarray]:
     return fn
 
 
-def eval_pairs(fn, t, s, shape: tuple, vectorized: bool) -> np.ndarray:
-    """Evaluate a two-time callable at paired time arrays.
+def eval_pairs(fn, t, s, shape: tuple) -> np.ndarray:
+    """Evaluate a two-time callable once on broadcastable time arrays.
 
-    Returns an array of shape t.shape + shape.  Vectorized callables are
-    invoked once on the broadcast arguments; plain callables are looped.
+    Returns an array of shape broadcast(t, s).shape + shape; a result that
+    does not broadcast to it raises TilqError.
     """
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
     want = np.broadcast_shapes(t.shape, s.shape) + tuple(shape)
-    if vectorized:
-        out = np.asarray(fn(t, s), dtype=float)
+    out = np.asarray(fn(t, s), dtype=float)
+    try:
         return np.broadcast_to(out, want)
-    t_b, s_b = np.broadcast_arrays(t, s)
-    out = np.empty(want)
-    for idx in np.ndindex(t_b.shape):
-        out[idx] = np.asarray(fn(float(t_b[idx]), float(s_b[idx])),
-                              dtype=float).reshape(tuple(shape))
-    return out
+    except ValueError:
+        raise TilqError(f"two-time field of shape {tuple(shape)} returned "
+                        f"shape {out.shape} for time arrays of shape "
+                        f"{want[:len(want) - len(shape)]}; it must return "
+                        f"one that broadcasts to {want}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -113,14 +114,15 @@ class DynamicsField:
 class TwoTimeField:
     """A kernel on {0 <= t <= s <= T} together with its t-derivative.
 
-    ``vectorized`` callables accept broadcastable array arguments and return
-    arrays with the time dimensions leading; plain callables take scalars.
+    ``value`` and ``dvalue_dt`` take broadcastable time arrays t, s (scalars
+    included) and return an array that broadcasts to
+    broadcast(t, s).shape + shape: the time axes lead and the field's own
+    axes trail.  Kernels are evaluated over whole blocks of node pairs.
     """
 
     value: Callable
     dvalue_dt: Callable
     shape: tuple
-    vectorized: bool = False
 
     def __call__(self, t: float, s: float) -> np.ndarray:
         return np.asarray(self.value(t, s), dtype=float).reshape(self.shape)
@@ -131,22 +133,13 @@ class TwoTimeField:
     def row(self, t: float, s: np.ndarray, derivative: bool = False) -> np.ndarray:
         """Values at a fixed first argument over many second arguments."""
         fn = self.dvalue_dt if derivative else self.value
-        return eval_pairs(fn, t, s, self.shape, self.vectorized)
+        return eval_pairs(fn, t, s, self.shape)
 
     @staticmethod
     def constant(X) -> "TwoTimeField":
         X = _freeze(np.asarray(X, dtype=float))
-        shape = X.shape
-
-        def value(t, s):
-            span = np.broadcast_shapes(np.shape(t), np.shape(s))
-            return np.broadcast_to(X, span + shape)
-
-        def dvalue(t, s):
-            span = np.broadcast_shapes(np.shape(t), np.shape(s))
-            return np.zeros(span + shape)
-
-        return TwoTimeField(value, dvalue, shape, vectorized=True)
+        zero = _freeze(np.zeros_like(X))
+        return TwoTimeField(lambda t, s: X, lambda t, s: zero, X.shape)
 
     @staticmethod
     def separable(kernel: "DiscountKernel", base, shape: tuple) -> "TwoTimeField":
@@ -154,13 +147,10 @@ class TwoTimeField:
         shape = tuple(shape)
         pad = (1,) * len(shape)
         if callable(base):
-            # scalar pairs take the plain path; arrays call base once per
-            # element of s (once per node for a broadcast grid of pairs)
+            # base is called once per element of s (once per node for a
+            # broadcast grid of pairs)
             def weighted(weight, t, s):
                 w = np.asarray(weight(t, s), dtype=float)
-                if np.ndim(s) == 0:
-                    return w.reshape(w.shape + pad) * np.asarray(base(float(s)),
-                                                                 dtype=float)
                 s = np.asarray(s, dtype=float)
                 at_s = np.asarray([base(float(x)) for x in s.ravel()],
                                   dtype=float).reshape(s.shape + shape)
@@ -172,7 +162,7 @@ class TwoTimeField:
             def dvalue(t, s):
                 return weighted(kernel.dlam_dt, t, s)
 
-            return TwoTimeField(value, dvalue, shape, vectorized=True)
+            return TwoTimeField(value, dvalue, shape)
 
         base_arr = _freeze(np.asarray(base, dtype=float).reshape(shape))
 
@@ -184,7 +174,7 @@ class TwoTimeField:
             dl = np.asarray(kernel.dlam_dt(t, s), dtype=float)
             return dl.reshape(dl.shape + pad) * base_arr
 
-        return TwoTimeField(value, dvalue, shape, vectorized=True)
+        return TwoTimeField(value, dvalue, shape)
 
 
 @dataclass(frozen=True)
@@ -292,9 +282,6 @@ def hyperbolic_kernel(k: float) -> DiscountKernel:
     if k < 0:
         raise TilqError(f"hyperbolic discount slope must be >= 0, got {k!r}")
     k = float(k)
-    # imported with the kernel, not in its first solve; problems without a
-    # hyperbolic kernel never load scipy.special (nor, through it, scipy.linalg)
-    from scipy.special import roots_genlaguerre
 
     def lam(t, s):
         return 1.0 / (1.0 + k * (np.asarray(s, dtype=float) - np.asarray(t, dtype=float)))
@@ -306,10 +293,25 @@ def hyperbolic_kernel(k: float) -> DiscountKernel:
     def expansion(terms):
         # k / (1 + k x)^2 = int_0^inf k u e^{-u} e^{-k u x} du, by generalized
         # Gauss-Laguerre quadrature (weight u e^{-u}) in u
-        nodes, weights = roots_genlaguerre(terms, 1)
+        nodes, weights = _gauss_laguerre_alpha1(terms)
         return k * weights, k * nodes
 
     return DiscountKernel("hyperbolic", {"k": k}, lam, dlam, expansion=expansion)
+
+
+def _gauss_laguerre_alpha1(terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of Gauss quadrature for the weight u e^{-u} on u > 0.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    generalized Laguerre polynomials L^(1) (diagonal 2i + 2, off-diagonal
+    sqrt(i (i + 1))), and each weight is the squared first component of its
+    eigenvector times the weight's integral Gamma(2) = 1.
+    """
+    i = np.arange(terms, dtype=float)
+    off = np.sqrt(i[1:] * (i[1:] + 1.0))
+    jacobi = np.diag(2.0 * i + 2.0) + np.diag(off, 1) + np.diag(off, -1)
+    nodes, vectors = np.linalg.eigh(jacobi)
+    return nodes, vectors[0] ** 2
 
 
 def quasi_hyperbolic_kernel(beta: float, delta: float, width: float) -> DiscountKernel:
@@ -571,18 +573,9 @@ def time_consistent_projection(spec: ProblemSpec) -> ProblemSpec:
     """
 
     def project(f: TwoTimeField) -> TwoTimeField:
-        shape = tuple(f.shape)
-
-        def value(t, s):
-            out = np.asarray(f.value(s, s), dtype=float)
-            span = np.broadcast_shapes(np.shape(t), np.shape(s))
-            return np.broadcast_to(out, span + shape)
-
-        def dvalue(t, s):
-            span = np.broadcast_shapes(np.shape(t), np.shape(s))
-            return np.zeros(span + shape)
-
-        return TwoTimeField(value, dvalue, shape, vectorized=f.vectorized)
+        zero = _freeze(np.zeros(f.shape))
+        return TwoTimeField(lambda t, s: f.row(s, s), lambda t, s: zero,
+                            tuple(f.shape))
 
     T = spec.horizon
     G_T = _freeze(np.asarray(spec.terminal.G(T), dtype=float))
@@ -641,8 +634,11 @@ def validate(spec: ProblemSpec, samples: int = 100,
              derivative_rtol: float = DERIVATIVE_RTOL) -> ValidationReport:
     """Probe the standing assumptions at deterministic sample points.
 
-    Never raises on bad data: every violated assumption is reported with its
-    location so callers can list all problems at once.
+    Never raises on bad data: every violated assumption, and every
+    evaluation that raised, is reported with its location so callers can
+    list all problems at once.  Each field is evaluated once per sample
+    point; a point whose evaluation failed is skipped by the checks that
+    need its value.
     """
     out: list[Violation] = []
     T = spec.horizon
@@ -650,11 +646,17 @@ def validate(spec: ProblemSpec, samples: int = 100,
     pairs = _sample_pairs(T, samples)
     probe_h = min(1e-3 * T, 0.45 * T / max(samples, 2))
 
-    def check_finite(name, arr, loc):
+    def evaluated(name, loc, evaluate):
+        """evaluate() as a finite float array, else None with a violation."""
+        try:
+            arr = np.asarray(evaluate(), dtype=float)
+        except Exception as exc:  # noqa: BLE001 - reported, not raised
+            out.append(Violation(f"{name} evaluation failed", loc, repr(exc)))
+            return None
         if not np.all(np.isfinite(arr)):
             out.append(Violation(f"{name} not finite", loc, "non-finite entries"))
-            return False
-        return True
+            return None
+        return arr
 
     def fd_probe(evaluate, t, lo, hi):
         """Second-order central/one-sided difference of t -> evaluate(t)."""
@@ -667,45 +669,55 @@ def validate(spec: ProblemSpec, samples: int = 100,
             return (3 * evaluate(t) - 4 * evaluate(t - h) + evaluate(t - 2 * h)) / (2 * h)
         return (evaluate(t + h) - evaluate(t - h)) / (2 * h)
 
-    two_time = [("Q", spec.Q, True, False), ("S", spec.S, False, False),
-                ("M", spec.M, True, False), ("q", spec.q, False, False),
-                ("rho", spec.rho, False, False)]
+    def check_derivative(name, loc, evaluate, derivative, t, hi):
+        """Supplied t-derivative against a finite difference on [0, hi]."""
+        try:
+            fd = fd_probe(evaluate, t, 0.0, hi)
+            if fd is None:
+                return
+            dv = np.asarray(derivative(t), dtype=float)
+        except Exception as exc:  # noqa: BLE001 - reported, not raised
+            out.append(Violation(f"{name} derivative probe failed", loc,
+                                 repr(exc)))
+            return
+        err = float(np.max(np.abs(fd - dv)))
+        scale = 1.0 + float(np.max(np.abs(fd))) + float(np.max(np.abs(dv)))
+        if err > derivative_rtol * scale:
+            out.append(Violation(
+                f"{name} derivative inconsistent", loc,
+                f"finite difference {err:.3e} off the supplied value"))
+
+    def asymmetric(name, loc, v):
+        asym = np.max(np.abs(v - v.T))
+        if asym > SYMMETRY_RTOL * max(1.0, float(np.max(np.abs(v)))):
+            out.append(Violation(f"{name} not symmetric", loc,
+                                 f"asymmetry {asym:.3e}"))
+            return True
+        return False
+
+    two_time = [("Q", spec.Q, True), ("S", spec.S, False), ("M", spec.M, True),
+                ("q", spec.q, False), ("rho", spec.rho, False)]
     for t, s in pairs:
         loc = (t, s)
-        for name, f, symmetric, _ in two_time:
-            try:
-                v = f(t, s)
-            except Exception as exc:  # noqa: BLE001 - reported, not raised
-                out.append(Violation(f"{name} evaluation failed", loc, repr(exc)))
+        values = {}
+        for name, f, symmetric in two_time:
+            v = evaluated(name, loc, lambda: f(t, s))
+            if v is None:
                 continue
-            if not check_finite(name, v, loc):
-                continue
+            values[name] = v
             if symmetric:
-                asym = np.max(np.abs(v - v.T))
-                scale = max(1.0, float(np.max(np.abs(v))))
-                if asym > SYMMETRY_RTOL * scale:
-                    out.append(Violation(f"{name} not symmetric", loc,
-                                         f"asymmetry {asym:.3e}"))
-            # derivative consistency
-            fd = fd_probe(lambda tt: f(tt, s), t, 0.0, s)
-            if fd is not None:
-                dv = f.dt(t, s)
-                err = float(np.max(np.abs(fd - dv)))
-                scale = 1.0 + float(np.max(np.abs(fd))) + float(np.max(np.abs(dv)))
-                if err > derivative_rtol * scale:
-                    out.append(Violation(
-                        f"{name} derivative inconsistent", loc,
-                        f"finite difference {err:.3e} off the supplied value"))
+                asymmetric(name, loc, v)
+            check_derivative(name, loc, lambda tt: f(tt, s),
+                             lambda tt: f.dt(tt, s), t, s)
         # definiteness at this pair
-        Mv = 0.5 * (spec.M(t, s) + spec.M(t, s).T)
-        if np.all(np.isfinite(Mv)):
+        if "M" in values:
+            Mv = 0.5 * (values["M"] + values["M"].T)
             eigs = np.linalg.eigvalsh(Mv)
             if eigs[0] < PD_EIG_RTOL * max(1.0, float(np.max(np.abs(Mv)))):
                 out.append(Violation("M not positive definite", loc,
                                      f"min eigenvalue {eigs[0]:.3e}"))
-        Qv = 0.5 * (spec.Q(t, s) + spec.Q(t, s).T)
-        if np.all(np.isfinite(Qv)):
-            q_min = float(np.linalg.eigvalsh(Qv)[0])
+        if "Q" in values:
+            q_min = float(np.linalg.eigvalsh(0.5 * (values["Q"] + values["Q"].T))[0])
             if q_min < PSD_EIG_FLOOR:
                 out.append(Violation("Q not positive semi-definite", loc,
                                      f"min eigenvalue {q_min:.3e}"))
@@ -717,29 +729,17 @@ def validate(spec: ProblemSpec, samples: int = 100,
         for name, fn, shape in [("A", spec.dynamics.A, (n, n)),
                                 ("B", spec.dynamics.B, (n, m)),
                                 ("b", spec.dynamics.b, (n,))]:
-            arr = np.asarray(fn(float(t)), dtype=float)
-            if arr.shape != shape:
+            arr = evaluated(name, loc, lambda: fn(float(t)))
+            if arr is not None and arr.shape != shape:
                 out.append(Violation(f"{name} wrong shape", loc,
                                      f"{arr.shape} != {shape}"))
-                continue
-            check_finite(name, arr, loc)
-        Gv = np.asarray(spec.terminal.G(float(t)), dtype=float)
-        if check_finite("G", Gv, loc):
-            asym = np.max(np.abs(Gv - Gv.T))
-            if asym > SYMMETRY_RTOL * max(1.0, float(np.max(np.abs(Gv)))):
-                out.append(Violation("G not symmetric", loc, f"asymmetry {asym:.3e}"))
-            elif np.linalg.eigvalsh(0.5 * (Gv + Gv.T))[0] < PSD_EIG_FLOOR:
+        Gv = evaluated("G", loc, lambda: spec.terminal.G(float(t)))
+        if Gv is not None and not asymmetric("G", loc, Gv):
+            if np.linalg.eigvalsh(0.5 * (Gv + Gv.T))[0] < PSD_EIG_FLOOR:
                 out.append(Violation("G not positive semi-definite", loc, ""))
         for name, fn, dfn in [("G", spec.terminal.G, spec.terminal.dG_dt),
                               ("g", spec.terminal.g, spec.terminal.dg_dt)]:
-            fd = fd_probe(lambda tt: np.asarray(fn(float(tt)), dtype=float),
-                          t, 0.0, T)
-            if fd is None:
-                continue
-            dv = np.asarray(dfn(float(t)), dtype=float)
-            err = float(np.max(np.abs(fd - dv)))
-            scale = 1.0 + float(np.max(np.abs(fd))) + float(np.max(np.abs(dv)))
-            if err > derivative_rtol * scale:
-                out.append(Violation(f"{name} derivative inconsistent", loc,
-                                     f"finite difference {err:.3e} off"))
+            check_derivative(name, loc,
+                             lambda tt: np.asarray(fn(float(tt)), dtype=float),
+                             lambda tt: dfn(float(tt)), t, T)
     return ValidationReport(out)

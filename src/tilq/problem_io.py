@@ -125,6 +125,10 @@ PROBLEM_SCHEMA = {
     },
 }
 
+# Built once: jsonschema.validate would check PROBLEM_SCHEMA against its
+# metaschema on every call, which costs more than the rest of a load.
+_VALIDATOR = jsonschema.validators.validator_for(PROBLEM_SCHEMA)(PROBLEM_SCHEMA)
+
 
 # ---------------------------------------------------------------------------
 # coefficient construction
@@ -197,12 +201,11 @@ class LoadedProblem:
 def parse_problem(document: dict, *, source: str = "<memory>",
                   force: bool = False) -> LoadedProblem:
     """Build a validated problem from a parsed JSON document."""
-    try:
-        jsonschema.validate(document, PROBLEM_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path)
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(document))
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path)
         raise ProblemFileError(
-            f"{source}: schema violation at /{path}: {exc.message}") from exc
+            f"{source}: schema violation at /{path}: {error.message}") from error
 
     dims = Dimensions(n=document["dims"]["n"], m=document["dims"]["m"])
     n, m = dims.n, dims.m

@@ -299,18 +299,6 @@ def warn_if_indefinite(P: np.ndarray, diag: FixedPointDiagnostics) -> None:
         warnings.warn(message, stacklevel=3)
 
 
-def riccati_sweep(P_in: np.ndarray, spec: ProblemSpec,
-                  grid: TimeGrid) -> np.ndarray:
-    """One fixed-point sweep of the integral form; returns the new P table."""
-    tables = SpecTables(spec, grid)
-    P_in = np.asarray(P_in, dtype=float)
-    if P_in.shape != (grid.N + 1, spec.dims.n, spec.dims.n):
-        raise TilqError(f"P table has shape {P_in.shape}, expected "
-                        f"{(grid.N + 1, spec.dims.n, spec.dims.n)}")
-    P_out, _, _, _ = _sweep_core(P_in, tables)
-    return P_out
-
-
 def _initial_table(initial, terminal: np.ndarray, N: int, what: str) -> np.ndarray:
     """Starting table of a fixed-point solve from ``SolveOptions.initial``.
 

@@ -72,27 +72,21 @@ def pair_blocks(K: int, planes: int):
 def kernel_triangle(field, grid: TimeGrid) -> np.ndarray:
     """Pair table [..., i, j] = field.dt(t_i, t_j) for j >= i; lower part zeroed.
 
-    Zeroing matters: vectorized kernels may misbehave on the unused t > s
-    region (divisions by zero and the like) and a stray inf would poison the
-    weighted sums downstream even under zero weights.
+    The field's derivative is called once per block of rows
+    (:func:`pair_blocks`) on the block's broadcast node pairs, the unused
+    t > s part of the block included.  Zeroing matters: a kernel may
+    misbehave there (divisions by zero and the like) and a stray inf would
+    poison the weighted sums downstream even under zero weights.
     """
     nodes = grid.nodes
     K = grid.N + 1
-    fn = field.dvalue_dt
     shape = tuple(field.shape)
     out = np.zeros(shape + (K, K))
-    if field.vectorized:
-        for rows, cols in pair_blocks(K, int(np.prod(shape))):
-            t, s = nodes[rows, None], nodes[None, cols]
-            with np.errstate(all="ignore"):
-                blk = np.asarray(fn(t, s), dtype=float)
-            blk = np.broadcast_to(blk, np.broadcast_shapes(t.shape, s.shape) + shape)
-            out[..., rows, cols] = np.moveaxis(blk, (0, 1), (-2, -1))
-    else:
-        for i in range(K):
-            for j in range(i, K):
-                out[..., i, j] = np.asarray(fn(float(nodes[i]), float(nodes[j])),
-                                            dtype=float).reshape(shape)
+    for rows, cols in pair_blocks(K, int(np.prod(shape))):
+        with np.errstate(all="ignore"):
+            blk = eval_pairs(field.dvalue_dt, nodes[rows, None], nodes[None, cols],
+                             shape)
+        out[..., rows, cols] = np.moveaxis(blk, (0, 1), (-2, -1))
     return zero_below_diagonal(out)
 
 
@@ -130,9 +124,8 @@ def solve_chol(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _on_diagonal(field, times: np.ndarray) -> np.ndarray:
-    """K(t, t) at every time, one call for a vectorized field."""
-    return np.array(eval_pairs(field.value, times, times, field.shape,
-                               field.vectorized), dtype=float)
+    """K(t, t) at every time, in one call of the field."""
+    return np.array(eval_pairs(field.value, times, times, field.shape))
 
 
 def suffix_weights(grid: TimeGrid) -> np.ndarray:
@@ -308,17 +301,20 @@ class SpecTables:
         return solve_chol(self.Md_chol, rhs)
 
     def max_derivative_scale(self) -> float:
-        """Sup of the t-derivative fields on a coarse probe; 0 means consistent."""
+        """Sup of the t-derivative fields on a coarse probe; 0 means consistent.
+
+        Each field is evaluated once, over the probe's node pairs t <= s.
+        """
         nodes = self.grid.nodes
         step = max(1, len(nodes) // DERIVATIVE_SCALE_SAMPLES)
-        idx = np.arange(0, len(nodes), step)
+        probe = nodes[::step]
+        upper = probe[:, None] <= probe[None, :]
         sup = 0.0
         for f in (self.spec.Q, self.spec.S, self.spec.M, self.spec.q, self.spec.rho):
-            for i in idx:
-                for j in idx[idx >= i]:
-                    sup = max(sup, float(np.max(np.abs(f.dt(float(nodes[i]),
-                                                            float(nodes[j]))))))
-        for t in nodes[idx]:
+            with np.errstate(all="ignore"):
+                d = eval_pairs(f.dvalue_dt, probe[:, None], probe[None, :], f.shape)
+            sup = max(sup, float(np.max(np.abs(d[upper]))))
+        for t in probe:
             sup = max(sup, float(np.max(np.abs(self.spec.terminal.dG_dt(float(t))))))
             sup = max(sup, float(np.max(np.abs(self.spec.terminal.dg_dt(float(t))))))
         return sup

@@ -250,9 +250,10 @@ def bellman_residual(sol: EquilibriumSolution, t_idx: int, s_idx: int, x,
     Simulates the candidate from (t, x), accumulates the diagonal-kernel
     running cost minus the closed-form R along the path, adds V(s, y(s)),
     and subtracts V(t, x).  Zero (to discretization) along the equilibrium
-    feedback; nonnegative for every admissible candidate.  A stack of S
-    open-loop tables (S, rows, m) is integrated as one stacked run and
-    gives an array of S residuals.
+    feedback; nonnegative for every admissible candidate.  ``u`` is a
+    feedback law or an open-loop table over the nodes t..s (see
+    :func:`tilq.policy.simulate_control`); a stack of S tables (S, k, m) is
+    integrated as one stacked run and gives an array of S residuals.
     """
     spec, grid = sol.spec, sol.grid
     if not (0 <= t_idx <= s_idx <= grid.N):

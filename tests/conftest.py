@@ -46,7 +46,7 @@ def threestate_spec():
 
     Every cost matrix is full (S is non-square), so a transposed index in a
     pair contraction changes the numbers, which n = 1 cannot show.  Q has a
-    callable base, which takes the vectorized callable-base path.
+    callable base, which the separable field calls once per node.
     """
     def A(t):
         return np.array([[-0.3, 1.0 + t, 0.0],

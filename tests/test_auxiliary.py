@@ -5,8 +5,9 @@ from tilq import (BaseCosts, Dimensions, DynamicsField, SolveOptions,
                   TilqError, build_grid, exponential_kernel, make_discounted,
                   omega_at, open_loop_transition, quadrature, sbb_at,
                   solve_auxiliary, solve_equilibrium_riccati, solve_phi,
-                  solve_psi, upsilon_from_phi)
-from tilq.auxiliary import _affine_backward_rk4, _btilde_from_drive
+                  solve_psi)
+from tilq.auxiliary import (_affine_backward_rk4, _btilde_from_drive,
+                            _upsilon_table)
 from tilq.grid import closed_loop_drive, from_pair_layout
 from tilq.tables import SpecTables
 from conftest import (classical_scalar_spec, dynamics_tables,
@@ -30,10 +31,16 @@ def forced_scalar_spec(kernel=None):
         kernel or exponential_kernel(0.0))
 
 
+def upsilon_table(spec, phi, N=10):
+    """The solver's Upsilon table for phi held constant over the nodes."""
+    tables = SpecTables(spec, build_grid(spec.horizon, N))
+    return _upsilon_table(np.broadcast_to(phi, (N + 1, spec.dims.n)), tables)
+
+
 class TestUpsilonFromPhi:
     def test_zero_inputs(self):
         spec = classical_scalar_spec()
-        assert upsilon_from_phi(np.zeros(1), spec, 0.3)[0] == 0.0
+        assert np.all(upsilon_table(spec, np.zeros(1)) == 0.0)
 
     def test_scalar_arithmetic(self):
         spec = make_discounted(
@@ -43,7 +50,7 @@ class TestUpsilonFromPhi:
                       G=[[1.0]], g=[0.0]),
             exponential_kernel(0.0))
         # (1 * 3 + 1) / 2
-        assert upsilon_from_phi(np.array([3.0]), spec, 0.1)[0] == pytest.approx(2.0)
+        np.testing.assert_allclose(upsilon_table(spec, np.array([3.0])), 2.0)
 
     def test_no_actuation_leaves_rho_term(self):
         spec = make_discounted(
@@ -53,8 +60,7 @@ class TestUpsilonFromPhi:
                       G=[[1.0]], g=[0.0]),
             exponential_kernel(0.0))
         for phi in ([0.0], [17.0]):
-            assert upsilon_from_phi(np.asarray(phi), spec, 0.5)[0] == \
-                pytest.approx(0.5)
+            np.testing.assert_allclose(upsilon_table(spec, np.asarray(phi)), 0.5)
 
 
 class TestBtilde:
@@ -129,7 +135,7 @@ class TestSbbOmegaPointwise:
         spec = classical_scalar_spec()
         qfield = TwoTimeField(value=lambda t, s: np.zeros(1),
                               dvalue_dt=lambda t, s: np.array([c]),
-                              shape=(1,), vectorized=False)
+                              shape=(1,))
         dyn = DynamicsField.constant([[0.0]], [[0.0]], [0.0])
         spec = spec.__class__(dims=spec.dims, horizon=spec.horizon,
                               dynamics=dyn, Q=spec.Q, S=spec.S, M=spec.M,
@@ -150,7 +156,7 @@ class TestSbbOmegaPointwise:
         spec = classical_scalar_spec()
         mfield = TwoTimeField(value=lambda t, s: np.ones((1, 1)),
                               dvalue_dt=lambda t, s: np.array([[c]]),
-                              shape=(1, 1), vectorized=False)
+                              shape=(1, 1))
         dyn = DynamicsField.constant([[0.0]], [[0.0]], [0.0])
         spec = spec.__class__(dims=spec.dims, horizon=spec.horizon,
                               dynamics=dyn, Q=spec.Q, S=spec.S, M=mfield,
@@ -234,8 +240,10 @@ class TestSolvePhi:
         riccati = solve_equilibrium_riccati(spec, grid)
         phi_sol = solve_phi(spec, grid, riccati)
         for i in (0, 70, 150):
-            fresh = upsilon_from_phi(phi_sol.phi[i], spec,
-                                     float(grid.nodes[i]))
+            # M(t,t)^{-1} (B^T(t) phi + rho(t,t)) from the spec's callables
+            t = float(grid.nodes[i])
+            fresh = np.linalg.solve(spec.M(t, t), spec.dynamics.B(t).T
+                                    @ phi_sol.phi[i] + spec.rho(t, t))
             np.testing.assert_allclose(phi_sol.upsilon[i], fresh, atol=1e-14)
 
     def test_time_consistent_single_pass_oracle(self):

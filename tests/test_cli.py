@@ -1,12 +1,18 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
+import tilq
 from tilq import ProblemFileError, load_problem
 from tilq.cli import main
-from tilq.problem_io import (format_number, load_shipped_problem,
-                             shipped_problem_names, shipped_problem_path)
+from tilq.problem_io import (PROBLEM_SCHEMA, format_number, load_shipped_problem,
+                             parse_problem, shipped_problem_names,
+                             shipped_problem_path)
 
 
 def minimal_document(**overrides):
@@ -59,6 +65,30 @@ class TestLoadProblem:
         path.write_text(json.dumps(doc))
         with pytest.raises(ProblemFileError, match="schema violation"):
             load_problem(path)
+
+    def test_schema_is_a_valid_schema(self):
+        # parse_problem builds its validator once and never re-checks this
+        jsonschema.validators.validator_for(PROBLEM_SCHEMA).check_schema(
+            PROBLEM_SCHEMA)
+
+    def test_schema_violation_names_path_and_message(self):
+        doc = minimal_document()
+        doc["dims"]["n"] = 0
+        with pytest.raises(ProblemFileError,
+                           match="schema violation at /dims/n: 0 is less than "
+                                 "the minimum of 1"):
+            parse_problem(doc)
+
+    def test_hyperbolic_solve_loads_no_scipy(self):
+        code = ("import sys\n"
+                "from tilq import build_grid, load_shipped_problem, "
+                "solve_equilibrium\n"
+                "p = load_shipped_problem('hyperbolic_scalar_k1')\n"
+                "solve_equilibrium(p.spec, build_grid(p.spec.horizon, 100))\n"
+                "assert 'scipy' not in sys.modules, sorted(sys.modules)\n")
+        src = str(Path(tilq.__file__).resolve().parents[1])
+        subprocess.run([sys.executable, "-c", code], check=True, cwd=src,
+                       timeout=300)
 
     def test_indefinite_M_rejected(self, tmp_path):
         doc = minimal_document()

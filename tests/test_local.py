@@ -110,6 +110,18 @@ class TestExpansion:
         assert np.max(np.abs(approx - exact)) <= FIT_RTOL * max(
             np.max(np.abs(exact)), 1e-300)
 
+    def test_gauss_laguerre_rule_is_exact_on_polynomials(self):
+        # R nodes integrate u^j against u e^{-u} exactly up to j = 2R - 1;
+        # the moments are (j + 1)!
+        import math
+        from tilq.problem import _gauss_laguerre_alpha1
+        for R in (1, 4, 12):
+            nodes, weights = _gauss_laguerre_alpha1(R)
+            assert np.all(nodes > 0) and np.all(weights > 0)
+            for j in range(2 * R):
+                assert weights @ nodes ** j == pytest.approx(math.factorial(j + 1),
+                                                             rel=1e-11)
+
     def test_hyperbolic_takes_the_smallest_fitting_rung(self):
         kernel = hyperbolic_kernel(1.0)
         fit = fit_exponential_sum(kernel, 1.0)

@@ -175,7 +175,8 @@ class TestFeedbackTable:
         table[N // 3:] += 2.0  # a jump, as in the Bellman candidates
         x = rng.uniform(-2, 2, size=n)
         t_idx = 5
-        got = simulate_control(spec, grid, table, t_idx, x, tables=sol.tables)
+        got = simulate_control(spec, grid, table[t_idx:], t_idx, x,
+                               tables=sol.tables)
         tbl, h = sol.tables, grid.h
         y = x
         states = [y]
@@ -297,20 +298,6 @@ class TestStackedSimulation:
                 scale = 1.0 + np.max(np.abs(want))
                 assert np.max(np.abs(got - want)) <= 1e-14 * scale
 
-    def test_starts_sharing_one_table(self, sol):
-        spec, grid = sol.spec, sol.grid
-        rng = np.random.default_rng(34)
-        table = rng.uniform(-1, 1, size=(grid.N - 8, spec.dims.m))
-        starts = rng.uniform(-2, 2, size=(4, spec.dims.n))
-        stacked = simulate_control(spec, grid, table, 9, starts,
-                                   tables=sol.tables)
-        assert stacked.states.shape == (4, grid.N - 8, spec.dims.n)
-        assert stacked.controls.shape == (4, grid.N - 8, spec.dims.m)
-        np.testing.assert_array_equal(stacked.start_state, starts)
-        self.assert_rows_match(stacked, [
-            simulate_control(spec, grid, table, 9, x, tables=sol.tables)
-            for x in starts])
-
     def test_tables_from_one_start(self, sol):
         spec, grid = sol.spec, sol.grid
         rng = np.random.default_rng(35)
@@ -322,30 +309,33 @@ class TestStackedSimulation:
             simulate_control(spec, grid, u, 12, x, stop_idx=42,
                              tables=sol.tables) for u in tables])
 
-    def test_starts_paired_with_tables(self, sol):
-        spec, grid = sol.spec, sol.grid
-        rng = np.random.default_rng(36)
-        tables = rng.uniform(-1, 1, size=(3, grid.N + 1, spec.dims.m))
-        starts = rng.uniform(-2, 2, size=(3, spec.dims.n))
-        stacked = simulate_control(spec, grid, tables, 0, starts,
-                                   tables=sol.tables)
-        self.assert_rows_match(stacked, [
-            simulate_control(spec, grid, u, 0, x, tables=sol.tables)
-            for u, x in zip(tables, starts)])
-
     @pytest.mark.parametrize("starts, table", [
-        ((3, 3), (2, 61, 2)),   # stack sizes differ
-        ((3, 2), (61, 2)),      # start width is not n
-        ((0, 3), (61, 2)),      # empty stack
+        ((2, 3), (61, 2)),      # a stack of start states
+        ((3, 2), (61, 2)),      # start states with two axes
+        ((0, 3), (61, 2)),      # an empty stack of start states
         ((2, 1, 3), (61, 2)),   # start states with three axes
         ((3,), (2, 61, 3)),     # control width is not m
-        ((3,), (2, 50, 2)),     # rows are neither N + 1 nor the range
+        ((3,), (2, 50, 2)),     # rows are not the node range's
         ((3,), (1, 2, 61, 2)),  # tables with four axes
     ])
     def test_bad_stack_shape_raises(self, sol, starts, table):
         with pytest.raises(TilqError):
             simulate_control(sol.spec, sol.grid, np.zeros(table), 0,
                              np.zeros(starts), tables=sol.tables)
+
+    def test_table_must_cover_exactly_the_range(self, sol):
+        # a full-horizon table for a later start, or for an earlier stop,
+        # is refused rather than sliced
+        spec, grid = sol.spec, sol.grid
+        full = np.zeros((grid.N + 1, spec.dims.m))
+        x = np.zeros(spec.dims.n)
+        for t_idx, stop_idx in ((5, None), (0, 40), (5, 40)):
+            with pytest.raises(TilqError, match="node range"):
+                simulate_control(spec, grid, full, t_idx, x, stop_idx=stop_idx,
+                                 tables=sol.tables)
+            with pytest.raises(TilqError, match="node range"):
+                simulate_control(spec, grid, full[None], t_idx, x,
+                                 stop_idx=stop_idx, tables=sol.tables)
 
     def test_feedback_law_takes_one_start(self, sol):
         with pytest.raises(TilqError):
@@ -393,9 +383,9 @@ class TestCost:
         # the running time would integrate 1 + s and give 1.5.
         from tilq import TerminalField, TwoTimeField
         spec = classical_scalar_spec()
-        qfield = TwoTimeField(value=lambda t, s: np.array([[1.0 + t]]),
-                              dvalue_dt=lambda t, s: np.ones((1, 1)),
-                              shape=(1, 1), vectorized=False)
+        qfield = TwoTimeField(
+            value=lambda t, s: (1.0 + np.asarray(t, dtype=float))[..., None, None],
+            dvalue_dt=lambda t, s: np.ones((1, 1)), shape=(1, 1))
         dyn = DynamicsField.constant([[0.0]], [[0.0]], [0.0])
         spec = spec.__class__(dims=spec.dims, horizon=spec.horizon,
                               dynamics=dyn, Q=qfield, S=spec.S, M=spec.M,

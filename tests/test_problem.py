@@ -154,13 +154,54 @@ class TestKernelTriangle:
         grid = build_grid(1.0, 30)
         nodes = [float(t) for t in grid.nodes]
         for field in (spec.Q, spec.S, spec.M, spec.q):
-            assert field.vectorized
             tri = kernel_triangle(field, grid)
             for i in range(31):
                 np.testing.assert_array_equal(tri[..., i, :i], 0.0)
                 for j in range(i, 31):
                     np.testing.assert_array_equal(tri[..., i, j],
                                                   field.dt(nodes[i], nodes[j]))
+
+
+class TestFieldContract:
+    """Two-time fields take broadcastable time arrays (TwoTimeField)."""
+
+    @staticmethod
+    def per_column_field():
+        # returns (1, 1) + s.shape instead of s.shape + (1, 1)
+        return TwoTimeField(value=lambda t, s: np.array([[s]]),
+                            dvalue_dt=lambda t, s: np.array([[s]]),
+                            shape=(1, 1))
+
+    def test_wrong_shape_for_arrays_raises(self):
+        from tilq import build_grid
+        from tilq.tables import kernel_triangle
+        field = self.per_column_field()
+        assert field(0.2, 0.5).item() == 0.5  # one pair still reshapes
+        with pytest.raises(TilqError, match=r"shape \(1, 1\)"):
+            field.row(0.0, np.linspace(0.0, 1.0, 5))
+        with pytest.raises(TilqError, match=r"shape \(1, 1\)"):
+            kernel_triangle(field, build_grid(1.0, 8))
+
+    def test_derivative_probe_evaluates_each_field_once(self):
+        from tilq import build_grid
+        from tilq.tables import SpecTables
+        spec = scalar_spec(kernel=hyperbolic_kernel(1.0))
+        calls = []
+
+        def counted(f):
+            def dvalue(t, s):
+                calls.append(np.broadcast_shapes(np.shape(t), np.shape(s)))
+                return f.dvalue_dt(t, s)
+            return TwoTimeField(f.value, dvalue, f.shape)
+
+        spec = spec.__class__(
+            dims=spec.dims, horizon=spec.horizon, dynamics=spec.dynamics,
+            Q=counted(spec.Q), S=counted(spec.S), M=counted(spec.M),
+            q=counted(spec.q), rho=counted(spec.rho), terminal=spec.terminal)
+        sup = SpecTables(spec, build_grid(1.0, 200)).max_derivative_scale()
+        assert len(calls) == 5
+        # the largest t-derivative is Q_t = M_t = lam_t = 1 at t = s
+        assert sup == 1.0
 
 
 class TestValidate:
@@ -191,9 +232,9 @@ class TestValidate:
 
     def test_wrong_derivative_reported(self):
         # value is exp(-(s - t)) but the supplied t-derivative is zero
-        bad = TwoTimeField(value=lambda t, s: np.exp(-(s - t)) * np.ones((1, 1)),
-                           dvalue_dt=lambda t, s: np.zeros((1, 1)),
-                           shape=(1, 1), vectorized=False)
+        bad = TwoTimeField(
+            value=lambda t, s: np.exp(np.subtract(t, s))[..., None, None],
+            dvalue_dt=lambda t, s: np.zeros((1, 1)), shape=(1, 1))
         spec = scalar_spec()
         spec = spec.__class__(dims=spec.dims, horizon=spec.horizon,
                               dynamics=spec.dynamics, Q=bad, S=spec.S,
@@ -203,10 +244,48 @@ class TestValidate:
         assert any("Q derivative inconsistent" in str(v)
                    for v in report.violations)
 
+    def test_raising_field_reported_not_raised(self):
+        # M(t, s) = 1 fails to evaluate for s > 0.5, and so does M_t = 0
+        def undefined_late(level):
+            def fn(t, s):
+                if np.any(np.asarray(s) > 0.5):
+                    raise ValueError("M undefined for s > 0.5")
+                return np.full((1, 1), level)
+            return fn
+
+        spec = scalar_spec()
+        bad = TwoTimeField(value=undefined_late(1.0),
+                           dvalue_dt=undefined_late(0.0), shape=(1, 1))
+        spec = spec.__class__(dims=spec.dims, horizon=spec.horizon,
+                              dynamics=spec.dynamics, Q=spec.Q, S=spec.S,
+                              M=bad, q=spec.q, rho=spec.rho,
+                              terminal=spec.terminal)
+        report = validate(spec, 20)
+        assert report.violations
+        assert all(v.assumption == "M evaluation failed" and v.location[1] > 0.5
+                   for v in report.violations)
+
+    def test_raising_derivative_reported_not_raised(self):
+        spec = scalar_spec()
+
+        def no_derivative(t, s):
+            raise ArithmeticError("no t-derivative")
+
+        bad = TwoTimeField(value=spec.Q.value, dvalue_dt=no_derivative,
+                           shape=(1, 1))
+        spec = spec.__class__(dims=spec.dims, horizon=spec.horizon,
+                              dynamics=spec.dynamics, Q=bad, S=spec.S,
+                              M=spec.M, q=spec.q, rho=spec.rho,
+                              terminal=spec.terminal)
+        report = validate(spec, 20)
+        assert report.violations
+        assert all(v.assumption == "Q derivative probe failed"
+                   and "no t-derivative" in v.detail for v in report.violations)
+
     def test_nonfinite_reported(self):
         bad = TwoTimeField(value=lambda t, s: np.array([[np.inf]]),
                            dvalue_dt=lambda t, s: np.zeros((1, 1)),
-                           shape=(1, 1), vectorized=False)
+                           shape=(1, 1))
         spec = scalar_spec()
         spec = spec.__class__(dims=spec.dims, horizon=spec.horizon,
                               dynamics=spec.dynamics, Q=spec.Q, S=spec.S,

@@ -7,10 +7,10 @@ from tilq import (AssumptionError, BaseCosts, Dimensions, DynamicsField,
                   SolveOptions, build_grid, classical_riccati,
                   exponential_kernel, gamma_from_p, hyperbolic_kernel,
                   local_expansion, make_discounted, open_loop_transition,
-                  qbb_from_gamma, quadrature, riccati_sweep, solve_equilibrium,
-                  solve_equilibrium_riccati, tabulated_kernel, upsilon_from_phi)
+                  qbb_from_gamma, quadrature, solve_equilibrium,
+                  solve_equilibrium_riccati, tabulated_kernel)
 from tilq.errors import ConvergenceError
-from tilq.riccati import _closed_loop_table, _qbb_table
+from tilq.riccati import _closed_loop_table, _qbb_table, _sweep_core
 from tilq.tables import SpecTables
 from conftest import (classical_exact_p, classical_scalar_spec,
                       hyperbolic_scalar_spec, threestate_spec, twostate_spec,
@@ -97,10 +97,10 @@ class TestNonPositiveControlWeight:
 
     def test_pointwise_solve_names_its_time(self):
         spec = losing_pd_spec(hyperbolic_kernel(1.0))
-        assert upsilon_from_phi(np.ones(1), spec, 0.25)[0] == pytest.approx(
-            (1.0 + 0.02) / 0.5)
+        assert gamma_from_p(np.ones((1, 1)), spec, 0.25)[0, 0] == pytest.approx(
+            (1.0 + 0.1) / 0.5)
         with pytest.raises(AssumptionError) as exc:
-            upsilon_from_phi(np.ones(1), spec, 0.75)
+            gamma_from_p(np.ones((1, 1)), spec, 0.75)
         assert failing_time(exc) == 0.75
 
 
@@ -164,6 +164,11 @@ class TestQbb:
             assert abs(coarse_val - fine_val) < 1e-6
 
 
+def one_sweep(P_in, spec, grid):
+    """One fixed-point sweep of the integral form: the new P table."""
+    return _sweep_core(np.asarray(P_in, dtype=float), SpecTables(spec, grid))[0]
+
+
 class TestSweep:
     def test_trivial_problem_fixed_point_immediately(self):
         # no state cost, constant terminal weight, A = B = 0: the sweep map
@@ -176,7 +181,7 @@ class TestSweep:
             exponential_kernel(0.0))
         grid = build_grid(1.0, 30)
         for start in (np.zeros((31, 1, 1)), 7.0 * np.ones((31, 1, 1))):
-            out = riccati_sweep(start, spec, grid)
+            out = one_sweep(start, spec, grid)
             np.testing.assert_allclose(out, 2.5 * np.ones((31, 1, 1)),
                                        atol=1e-14)
 
@@ -184,14 +189,14 @@ class TestSweep:
         spec = classical_scalar_spec()
         grid = build_grid(1.0, 400)
         exact = classical_exact_p(grid.nodes)[:, None, None]
-        out = riccati_sweep(exact, spec, grid)
+        out = one_sweep(exact, spec, grid)
         assert np.max(np.abs(out - exact)) <= 10 * grid.h ** 2
 
     def test_converged_table_is_fixed(self):
         spec = hyperbolic_scalar_spec()
         grid = build_grid(1.0, 300)
         sol = solve_equilibrium_riccati(spec, grid)
-        out = riccati_sweep(sol.P, spec, grid)
+        out = one_sweep(sol.P, spec, grid)
         assert np.max(np.abs(out - sol.P)) <= 10 * 1e-10
 
     def test_matches_explicit_trapezoid_sum(self):
@@ -217,7 +222,7 @@ class TestSweep:
                               for j in range(i, N + 1)])
             expected[i] = (quadrature(terms, grid, i, N)
                            + E.matrix(N, i).T @ G_T @ E.matrix(N, i))
-        got = riccati_sweep(P_in, spec, grid)
+        got = one_sweep(P_in, spec, grid)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
 
     def test_closed_loop_integral_form_holds(self):
