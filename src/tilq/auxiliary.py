@@ -36,19 +36,23 @@ with the drive d = b - B Upsilon.  Each step adds the one trapezoid cell
 lacks, so the recursion is that sum term for term (only the order of
 additions differs).  The table is held in the pair layout of
 :mod:`tilq.tables`, where the recursion runs down the rows.  Sbb and omega
-are W-weighted row sums over the same layout, from the identities
+are weighted row sums over the same layout.  With w(t,s) = Upsilon(s) +
+Gain(s) btilde(s,t), their integrands reduce to the closed-loop cost
+derivatives K, k, kappa of :func:`tilq.tables.pair_costs`:
 
-    vec   = Q_t btilde + q_t - S_t^T w
-            + Gain^T (M_t w - S_t btilde - rho_t),
     Sbb   = E_cl(T,t)^T (g'(t) + G'(t) btilde(T,t))
-            + int_t^T E_cl(s,t)^T vec(t,s) ds,
+            + int_t^T E_cl(s,t)^T (K btilde + k)(t,s) ds,
     omega = <G'(t) btilde(T,t) + 2 g'(t), btilde(T,t)>
-            + int_t^T <btilde, Q_t btilde + 2 q_t>
-                      + <w, M_t w - 2 S_t btilde - 2 rho_t> ds,
+            + int_t^T <btilde, K btilde + 2 k> + kappa ds,
 
-where w(t,s) = Upsilon(s) + Gain(s) btilde(s,t) and the kernels are taken
-at (t, s).  Both expand to the defining integrands that :func:`sbb_at` and
-:func:`omega_at` evaluate row by row.
+since Q_t btilde + q_t - S_t^T w + Gain^T (M_t w - S_t btilde - rho_t)
+= K btilde + k, and <btilde, Q_t btilde + 2 q_t>
++ <w, M_t w - 2 S_t btilde - 2 rho_t> = <btilde, K btilde + 2 k> + kappa,
+the kernels taken at (t, s).  For a separable spec K(t_i, s_j) =
+dlam(t_i, s_j) K_hat(s_j), and likewise k and kappa, so the per-node
+coefficients are formed once and the weights are W * dlam.  The left-hand
+forms are the defining integrands that :func:`sbb_at` and :func:`omega_at`
+evaluate row by row.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ from .grid import (TimeGrid, TransitionTable, _interp_half, closed_loop_drive,
 from .problem import ProblemSpec
 from .riccati import (FixedPointDiagnostics, RiccatiSolution, SolveOptions,
                       _initial_table, damped_fixed_point)
-from .tables import SpecTables, cumulative_trapezoid, pair_blocks
+from .tables import SpecTables, cumulative_trapezoid, pair_costs
 
 
 @dataclass
@@ -203,31 +207,14 @@ def _upsilon_table(phi: np.ndarray, tables: SpecTables) -> np.ndarray:
     return tables.solve_md(rhs)
 
 
-def _control_blocks(gain, upsilon, bt, tables: SpecTables):
-    """Row blocks: (rows, index, Gain, btilde, w = Upsilon + Gain btilde)."""
-    g = np.ascontiguousarray(np.moveaxis(gain, 0, -1))  # Gain(t_j) on column j
-    u = upsilon.T
-    for rows, cols in pair_blocks(tables.grid.N + 1, tables.n * tables.n):
-        blk = (Ellipsis, rows, cols)
-        gb, b = g[..., cols], bt[blk]
-        w = np.einsum("paj,aij->pij", gb, b)
-        w += u[:, None, cols]
-        yield rows, blk, gb, b, w
-
-
 def _sbb_table(gain, upsilon, bt, cl_pairs, tables: SpecTables) -> np.ndarray:
     """Sbb at every node from the btilde and closed-loop pair tables."""
     N = tables.grid.N
     out = np.empty((N + 1, tables.n))
-    for rows, blk, gb, b, w in _control_blocks(gain, upsilon, bt, tables):
-        r = np.einsum("pqij,qij->pij", tables.Mt[blk], w)
-        r -= np.einsum("pbij,bij->pij", tables.St[blk], b)
-        r -= tables.rhot[blk]
-        vec = np.einsum("abij,bij->aij", tables.Qt[blk], b)
-        vec += tables.qt[blk]
-        vec -= np.einsum("paij,pij->aij", tables.St[blk], w)
-        vec += np.einsum("paj,pij->aij", gb, r)
-        vec *= tables.W[blk]
+    for rows, blk, weight, K, k, _ in pair_costs(tables, gain, upsilon):
+        vec = np.einsum("abij,bij->aij", K, bt[blk])
+        vec += k
+        vec *= weight
         out[rows] = np.einsum("acij,aij->ic", cl_pairs[blk], vec)
     btN = bt[..., N]  # btilde(T, t_i) along i
     out += np.einsum("aci,ia->ic", cl_pairs[..., N],
@@ -239,16 +226,13 @@ def _omega_table(gain, upsilon, bt, tables: SpecTables) -> np.ndarray:
     """omega at every node from the btilde pair table."""
     N = tables.grid.N
     out = np.empty(N + 1)
-    for rows, blk, _, b, w in _control_blocks(gain, upsilon, bt, tables):
-        acc = np.einsum("abij,bij->aij", tables.Qt[blk], b)
-        acc += 2.0 * tables.qt[blk]
+    for rows, blk, weight, K, k, kappa in pair_costs(tables, gain, upsilon):
+        b = bt[blk]
+        acc = np.einsum("abij,bij->aij", K, b)
+        acc += 2.0 * k
         term = np.einsum("aij,aij->ij", b, acc)
-        ctl = np.einsum("pbij,bij->pij", tables.St[blk], b)
-        ctl += tables.rhot[blk]
-        ctl *= -2.0
-        ctl += np.einsum("pqij,qij->pij", tables.Mt[blk], w)
-        term += np.einsum("pij,pij->ij", w, ctl)
-        term *= tables.W[blk]
+        term += kappa
+        term *= weight
         out[rows] = term.sum(axis=-1)
     btN = bt[..., N]
     out += np.einsum("ia,ai->i",

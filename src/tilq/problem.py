@@ -217,7 +217,8 @@ class ProblemSpec:
     name: str = ""
     description: str = ""
     # discount kernel of a separable problem (see make_discounted); None
-    # when the kernels are not lam(t, s) * base(s) for one known lam
+    # unless, for one known lam, every cost kernel is lam(t, s) * base(s)
+    # and the terminal weights are lam(t, T) times their base values
     kernel: DiscountKernel | None = dc_field(default=None, compare=False)
 
     def __post_init__(self):

@@ -26,8 +26,12 @@ depend on the evaluation time, Qbb vanishes and the fixed point is the
 classical Riccati solution (see :func:`classical_riccati`, the oracle).
 
 Both integrals use the node trapezoid rule with the weights W[i, j] of
-:func:`tilq.tables.suffix_weights`.  Qbb is a W-weighted row sum over the
-pair tables of :mod:`tilq.tables`.  The open-loop integral is evaluated by
+:func:`tilq.tables.suffix_weights`.  Qbb is a weighted row sum over the
+pair tables of :mod:`tilq.tables`, with the bracket K(t, s) of its integrand
+from :func:`tilq.tables.pair_costs`.  For a separable spec,
+K(t_i, s_j) = dlam(t_i, s_j) K_hat(s_j): K_hat is formed once per node from
+the diagonal values and the weights are W * dlam, so no kernel is
+contracted per node pair.  The open-loop integral is evaluated by
 the backward recursion
 
     P_N = G(T),
@@ -59,7 +63,7 @@ from .grid import (TimeGrid, TransitionTable, _rk4_linear_steps,
 # stays in this module because perfbench/spans.py wraps it here.
 from .grid import open_loop_transition  # noqa: F401
 from .problem import ProblemSpec
-from .tables import SpecTables, factor_md, pair_blocks, solve_chol
+from .tables import SpecTables, factor_md, pair_costs, solve_chol
 
 SWEEP_ASYMMETRY_RTOL = 1e-8
 TIME_CONSISTENT_SUP = 1e-12
@@ -236,23 +240,15 @@ def _qbb_table(gain: np.ndarray, cl_pairs: np.ndarray,
                tables: SpecTables) -> np.ndarray:
     """Qbb at every node from the closed-loop pair table.
 
-    Contracts K = Qt - Gain^T St - St^T Gain + Gain^T Mt Gain plane by plane,
-    then takes the W-weighted row sums of E_cl^T K E_cl, block by block.
+    The weighted row sums of E_cl^T K E_cl over the blocks of
+    :func:`tilq.tables.pair_costs`, plus the terminal term.
     """
     N, n = tables.grid.N, tables.n
-    g = np.ascontiguousarray(np.moveaxis(gain, 0, -1))  # Gain(t_j) on column j
     out = np.empty((N + 1, n, n))
-    for rows, cols in pair_blocks(N + 1, n * n):
-        blk = (Ellipsis, rows, cols)
-        gb = g[..., cols]
-        K = np.einsum("paj,pqij,qbj->abij", gb, tables.Mt[blk], gb)
-        buf = np.einsum("paj,pbij->abij", gb, tables.St[blk])
-        K -= buf
-        K -= np.swapaxes(buf, 0, 1)
-        K += tables.Qt[blk]
+    for rows, blk, weight, K, _, _ in pair_costs(tables, gain):
         E = cl_pairs[blk]
-        np.einsum("ceij,edij->cdij", K, E, out=buf)
-        buf *= tables.W[blk]
+        buf = np.einsum("ceij,edij->cdij", K, E)
+        buf *= weight
         out[rows] = np.einsum("caij,cdij->iad", E, buf)
     EN = cl_pairs[..., N]  # E_cl(T, t_i) along i
     out += np.einsum("cai,ice,edi->iad", EN, tables.Gdot, EN)

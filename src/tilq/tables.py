@@ -2,38 +2,51 @@
 
 Everything the solvers touch repeatedly is evaluated once here: dynamics and
 diagonal kernel values K(t, t) at nodes and half nodes, the open-loop RK4
-steps, terminal weights, and the O(N^2) triangles K_t(t_i, t_j) of the
-first-argument derivatives, which only the fixed-point path and the
-verification checks build.  The solvers' closed-loop propagators
+steps, terminal weights, and the O(N^2) first-argument derivatives
+K_t(t_i, t_j), which only the fixed-point path and the verification checks
+build.  The solvers' closed-loop propagators
 (:func:`tilq.riccati._closed_loop_table`) and btilde
 (:func:`tilq.auxiliary._btilde_from_drive`) are built from these evaluations
 only, never again from the problem's callables.
 
-Pair layout.  Every (N+1)^2 table of the solver -- the kernel triangles, the
-trapezoid weights W, the closed-loop propagators and btilde -- is one
-C-contiguous array of shape ``components + (N+1, N+1)``.  Entry
-``[..., i, j]`` belongs to the node pair (t, s) = (t_i, t_j): the evaluation
-time t runs along the rows and the integration time s >= t along the
-columns, and every component (a, b) of a matrix-valued table is a separate
-(N+1, N+1) plane.  Entries with j < i lie outside the domain t <= s and are
-exactly zero.  Concretely:
+Separable problems.  When the spec records its discount kernel
+(:func:`tilq.problem.make_discounted`), every cost kernel is
+K(t, s) = lam(t, s) K_hat(s), so K_t(t_i, s_j) = dlam(t_i, s_j) K_hat(s_j):
+one (N+1)^2 plane ``dlam`` of the kernel's t-derivative and base values
+K_hat(s_j) = K(s_j, s_j) / lam(s_j, s_j) read off the diagonal tables.  The
+terminal derivatives G'(t_i) = dlam(t_i, T) G(T) / lam(T, T), and g' alike,
+come from the plane's last column.  A spec without a recorded kernel gets
+one derivative triangle per cost kernel instead (``Qt``, ``St``, ``Mt``,
+``qt``, ``rhot``).  Every nonlocal integrand reads its kernels through
+:func:`pair_costs`, the one place that chooses between the two.
 
+Pair layout.  Every (N+1)^2 table of the solver -- the kernel plane or
+triangles, the trapezoid weights W, the closed-loop propagators and
+btilde -- is one C-contiguous array of shape ``components + (N+1, N+1)``.
+Entry ``[..., i, j]`` belongs to the node pair (t, s) = (t_i, t_j): the
+evaluation time t runs along the rows and the integration time s >= t along
+the columns, and every component (a, b) of a matrix-valued table is a
+separate (N+1, N+1) plane.  Entries with j < i lie outside the domain
+t <= s and are exactly zero.  Concretely:
+
+* ``dlam[i, j] = d/dt lam(t_i, t_j)``, and K_t(t_i, t_j) = dlam[i, j] K_hat(t_j)
+  for every cost kernel K of a separable spec;
 * ``Qt[a, b, i, j] = d/dt Q(t_i, t_j)[a, b]`` and likewise ``St``, ``Mt``,
-  ``qt[a, i, j]``, ``rhot[p, i, j]``;
+  ``qt[a, i, j]``, ``rhot[p, i, j]`` for a spec without a recorded kernel;
 * ``W[i, j]`` is the trapezoid weight of node j in the integral over
   [t_i, T];
 * ``TransitionTable.pair_table()[a, b, i, j] = E_cl(t_j, t_i)[a, b]``;
 * the solver's btilde table ``[a, i, j] = btilde(t_j, t_i)[a]``.
 
 Quantities integrated over s for every t -- Qbb, Sbb, omega -- are then
-W-weighted row sums of element-wise products of aligned planes, and a
-coefficient that depends on s only (the gain, Upsilon) broadcasts along
-the rows.  Row i of such a sum reads only row i of each table, so the
-kernels run over blocks of rows (:func:`pair_blocks`) whose temporaries stay
-in cache, and skip the columns left of each block, which are all zero.  The
-public node-major views (``TransitionTable.full_table()``,
-``AuxiliarySolution.btilde``) index the later time first and are views of
-these arrays, not copies.
+weighted row sums of element-wise products of aligned planes, and a
+coefficient that depends on s only (the gain, Upsilon, a separable
+problem's closed-loop costs) broadcasts along the rows.  Row i of such a
+sum reads only row i of each table, so the kernels run over blocks of rows
+(:func:`pair_blocks`) whose temporaries stay in cache, and skip the columns
+left of each block, which are all zero.  The public node-major views
+(``TransitionTable.full_table()``, ``AuxiliarySolution.btilde``) index the
+later time first and are views of these arrays, not copies.
 """
 
 from __future__ import annotations
@@ -45,7 +58,7 @@ import numpy as np
 from .errors import AssumptionError
 from .grid import (TimeGrid, _eval_dynamics, _rk4_linear_steps,
                    zero_below_diagonal)
-from .problem import ProblemSpec, eval_pairs
+from .problem import ProblemSpec, TwoTimeField, eval_pairs
 
 
 # Bytes of one block of rows over all planes of a pair table: small enough
@@ -57,15 +70,16 @@ PAIR_BLOCK_BYTES = 1 << 18
 DERIVATIVE_SCALE_SAMPLES = 64
 
 
-def pair_blocks(K: int, planes: int):
+def pair_blocks(K: int, planes: int, first: int = 0):
     """(rows, cols) slices covering a K x K pair table by blocks of rows.
 
-    ``cols`` starts at the block's first row: every entry left of it lies
-    below the diagonal and is zero.  ``planes`` is the number of (K, K)
-    planes a kernel reads per table and sets the block height.
+    The blocks cover rows ``first`` to K - 1.  ``cols`` starts at the
+    block's first row: every entry left of it lies below the diagonal and is
+    zero.  ``planes`` is the number of (K, K) planes a kernel reads per table
+    and sets the block height.
     """
     height = max(1, PAIR_BLOCK_BYTES // (8 * K * planes))
-    for start in range(0, K, height):
+    for start in range(first, K, height):
         yield slice(start, start + height), slice(start, None)
 
 
@@ -260,15 +274,32 @@ class SpecTables:
 
     @cached_property
     def Gdot(self) -> np.ndarray:
+        if self.spec.kernel is not None:
+            return self.dlam[:, -1, None, None] * (self.G_T / self.lam_diag[-1])
         return np.asarray([self.spec.terminal.dG_dt(float(t)) for t in self.grid.nodes],
                           dtype=float)
 
     @cached_property
     def gdot(self) -> np.ndarray:
+        if self.spec.kernel is not None:
+            return self.dlam[:, -1, None] * (self.g_T / self.lam_diag[-1])
         return np.asarray([self.spec.terminal.dg_dt(float(t)) for t in self.grid.nodes],
                           dtype=float).reshape(-1, self.n)
 
-    # -- derivative triangles and quadrature weights -------------------------
+    # -- first-argument derivatives and quadrature weights --------------------
+
+    @cached_property
+    def dlam(self) -> np.ndarray:
+        """Plane [i, j] = dlam_dt(t_i, t_j) of a separable spec's kernel."""
+        kernel = self.spec.kernel
+        return kernel_triangle(TwoTimeField(kernel.lam, kernel.dlam_dt, ()),
+                               self.grid)
+
+    @cached_property
+    def lam_diag(self) -> np.ndarray:
+        """lam(t_j, t_j) of a separable spec's kernel at every node."""
+        nodes = self.grid.nodes
+        return np.array(eval_pairs(self.spec.kernel.lam, nodes, nodes, ()))
 
     @cached_property
     def Qt(self) -> np.ndarray:
@@ -318,3 +349,70 @@ class SpecTables:
             sup = max(sup, float(np.max(np.abs(self.spec.terminal.dG_dt(float(t))))))
             sup = max(sup, float(np.max(np.abs(self.spec.terminal.dg_dt(float(t))))))
         return sup
+
+
+def _closed_loop_costs(g, u, Q, S, M, q=None, rho=None) -> tuple:
+    """K, k, kappa of :func:`pair_costs` from kernel values over pairs (i, j).
+
+    The kernels are indexed [..., i, j] and Gain ``g``, Upsilon ``u``
+    [..., j]; k and kappa are None without ``u``.
+    """
+    K = np.einsum("paj,pqij,qbj->abij", g, M, g)
+    GS = np.einsum("paj,pbij->abij", g, S)
+    K -= GS
+    K -= np.swapaxes(GS, 0, 1)
+    K += Q
+    if u is None:
+        return K, None, None
+    r = np.einsum("pqij,qj->pij", M, u)
+    r -= rho
+    k = np.einsum("paj,pij->aij", g, r)
+    k -= np.einsum("paij,pj->aij", S, u)
+    k += q
+    r -= rho
+    return K, k, np.einsum("pj,pij->ij", u, r)
+
+
+def pair_costs(tables: SpecTables, gain: np.ndarray, upsilon=None,
+               first: int = 0):
+    """Closed-loop cost derivatives over the node pairs, by blocks of rows.
+
+    Along the closed loop u = -Gain y - Upsilon the t-derivative of the
+    running cost at (t, s) is <y, K y> + 2 <k, y> + kappa, where
+
+        K     = Q_t - Gain^T S_t - S_t^T Gain + Gain^T M_t Gain,
+        k     = q_t - S_t^T Upsilon + Gain^T (M_t Upsilon - rho_t),
+        kappa = <Upsilon, M_t Upsilon - 2 rho_t>,
+
+    with the kernels at (t, s) and Gain, Upsilon at s.  Yields
+    ``(rows, blk, weight, K, k, kappa)`` for the blocks of :func:`pair_blocks`
+    from row ``first`` on: ``blk`` indexes the block's pairs, and K[a, b, i, j],
+    k[a, i, j], kappa[i, j] times weight[i, j] are the pair's coefficients
+    times its trapezoid weight in the integral over [t_i, T].  Without
+    ``upsilon`` only K is formed and k, kappa are None.
+
+    For a separable spec the coefficients are K_hat(s_j), k_hat(s_j) and
+    kappa_hat(s_j), formed once per node from the base values
+    K(s_j, s_j) / lam(s_j, s_j), with a row axis of length one that
+    broadcasts along the block's rows, and weight = W * dlam.  Otherwise
+    they are contracted pair by pair from the kernel triangles and
+    weight = W.
+    """
+    g = np.ascontiguousarray(np.moveaxis(gain, 0, -1))  # Gain(t_j) on column j
+    u = None if upsilon is None else np.ascontiguousarray(upsilon.T)
+    separable = tables.spec.kernel is not None
+    if separable:
+        costs = _closed_loop_costs(g, u, *(
+            np.moveaxis(d, 0, -1)[..., None, :] / tables.lam_diag
+            for d in (tables.Qd, tables.Sd, tables.Md, tables.qd, tables.rhod)))
+    else:
+        names = ("Qt", "St", "Mt") + (() if u is None else ("qt", "rhot"))
+    for rows, cols in pair_blocks(tables.grid.N + 1, tables.n * tables.n, first):
+        blk = (Ellipsis, rows, cols)
+        if separable:
+            yield (rows, blk, tables.W[blk] * tables.dlam[blk]) + tuple(
+                None if c is None else c[..., cols] for c in costs)
+        else:
+            yield (rows, blk, tables.W[blk]) + _closed_loop_costs(
+                g[..., cols], None if u is None else u[:, cols],
+                *(getattr(tables, name)[blk] for name in names))

@@ -44,7 +44,7 @@ from .policy import (EquilibriumSolution, _frozen_kernels, _quadratic_form,
                      grad_value, simulate_control, simulate_equilibrium, value)
 from .problem import ProblemSpec
 from .riccati import SolveOptions, solve_equilibrium_riccati
-from .tables import SpecTables, solve_chol
+from .tables import SpecTables, pair_costs, solve_chol
 
 # Pass thresholds of the check battery and its fixed sample sizes.
 SPIKE_TOL = 1e-4
@@ -369,9 +369,11 @@ def hjb_integral_residual(sol: EquilibriumSolution, t_idx: int, x) -> float:
     """Defect of the value function in its nested integral representation.
 
     Walks the equilibrium path Y from (t, x), evaluates the running
-    Hamiltonian-like term and the two-time correction integrand exactly as
-    displayed in their defining formulas (through the minimizing-control map
-    h), and compares the assembled right side against V(t, x).
+    Hamiltonian-like term through the minimizing-control map h as displayed
+    in its defining formula, and the two-time correction integrand as the
+    closed-loop cost derivative <Y, K Y> + 2 <k, Y> + kappa of
+    :func:`tilq.tables.pair_costs` (the path's control h is Gain Y + Upsilon),
+    and compares the assembled right side against V(t, x).
     """
     spec, grid = sol.spec, sol.grid
     tbl = sol.tables
@@ -391,15 +393,18 @@ def hjb_integral_residual(sol: EquilibriumSolution, t_idx: int, x) -> float:
     H_run = (np.einsum("jm,jm->j", half_bp - SxY - tbl.rhod[sl], h_ctrl)
              + np.einsum("jab,jb,ja->j", tbl.Qd[sl], Y, Y)
              + 2.0 * np.einsum("ja,ja->j", tbl.qd[sl], Y))
-    # F(tau, s, Y(s), grad V(s, Y(s))) on the node triangle
-    sq = np.s_[..., t_idx:, t_idx:]
-    F = (np.einsum("mpij,jp,jm->ij", tbl.Mt[sq], h_ctrl, h_ctrl, optimize=True)
-         - 2.0 * np.einsum("mnij,jn,jm->ij", tbl.St[sq], Y, h_ctrl, optimize=True)
-         - 2.0 * np.einsum("mij,jm->ij", tbl.rhot[sq], h_ctrl, optimize=True)
-         + np.einsum("abij,jb,ja->ij", tbl.Qt[sq], Y, Y, optimize=True)
-         + 2.0 * np.einsum("aij,ja->ij", tbl.qt[sq], Y, optimize=True))
-    inner = np.einsum("ij,ij->i", F, tbl.W[sq])
-    outer = quadrature(H_run - inner, grid, t_idx, N)
+    # F(tau, s, Y(s), grad V(s, Y(s))) on the node triangle, row sums weighted
+    Y_at = np.zeros((N + 1, spec.dims.n))
+    Y_at[sl] = Y
+    inner = np.empty(N + 1)
+    for rows, blk, weight, K, k, kappa in pair_costs(
+            tbl, sol.riccati.gain, sol.auxiliary.upsilon, t_idx):
+        y = Y_at[blk[-1]]  # Y(s_j) on the block's columns
+        F = np.einsum("abij,jb,ja->ij", K, y, y)
+        F += 2.0 * np.einsum("aij,ja->ij", k, y)
+        F += kappa
+        inner[rows] = np.einsum("ij,ij->i", F, weight)
+    outer = quadrature(H_run - inner[sl], grid, t_idx, N)
     # terminal weights frozen at the start time of the representation
     rhs = float(outer) + _terminal_cost(spec, t, Y[-1])
     return rhs - value(sol, t, x)
@@ -428,7 +433,7 @@ def uniqueness_probe(spec: ProblemSpec, grid: TimeGrid, inits,
     from distinct starts is what the probe measures.  The tolerance,
     iteration and damping settings of ``opts`` apply to every start's
     Riccati and phi solves alike.  ``tables`` (for example a solution's
-    own) saves rebuilding the kernel triangles.  A run
+    own) saves rebuilding the kernel plane or triangles.  A run
     that fails to converge raises ConvergenceError with that run's
     diagnostics attached.
     """

@@ -41,7 +41,7 @@ def twostate_spec(kernel=None):
         kernel or hyperbolic_kernel(1.0), name="twostate")
 
 
-def threestate_spec():
+def threestate_spec(kernel=None):
     """n = 3, m = 2: A(t), B(t) vary in time and do not commute, G'(t) != 0.
 
     Every cost matrix is full (S is non-square), so a transposed index in a
@@ -71,7 +71,7 @@ def threestate_spec():
                   rho=[0.01, -0.02], G=[[0.5, 0.1, 0.0], [0.1, 0.4, 0.05],
                                         [0.0, 0.05, 0.3]],
                   g=[0.05, 0.0, -0.02]),
-        hyperbolic_kernel(1.0), name="threestate")
+        kernel or hyperbolic_kernel(1.0), name="threestate")
 
 
 def zero_cost_spec():

@@ -180,7 +180,8 @@ class TestDispatch:
                                                              [1.0]))
         assert sol.riccati.closed_loop._pairs is None
         assert sol.auxiliary._btilde is None
-        assert not {"Qt", "St", "Mt", "qt", "rhot", "W"} & set(vars(sol.tables))
+        assert not ({"Qt", "St", "Mt", "qt", "rhot", "dlam", "W"}
+                    & set(vars(sol.tables)))
         # the pair tables appear on first use
         assert sol.auxiliary.btilde.shape == (101, 101, 1)
         assert sol.riccati.closed_loop._pairs is not None
