@@ -11,8 +11,12 @@ over whole blocks of node pairs at once.
 
 Standing assumptions enforced by :func:`validate`: M(t, s) symmetric positive
 definite, Q(t, s) and G(t) symmetric positive semi-definite, all fields
-finite, and the supplied first-argument derivatives consistent with the
-values under finite-difference probing.
+finite and of their declared shapes, and the supplied first-argument
+derivatives consistent with the values under finite-difference probing.
+It evaluates each two-time field over all of its sample pairs in a few
+whole-array calls, so it also checks the array contract: a field that
+evaluates pair by pair but raises on arrays of times is reported as
+rejecting time arrays, since the solver could not use it.
 """
 
 from __future__ import annotations
@@ -622,13 +626,162 @@ class ValidationReport:
 def _sample_pairs(T: float, samples: int) -> np.ndarray:
     """Deterministic low-discrepancy cover of the triangle 0 <= t <= s <= T."""
     golden = (math.sqrt(5.0) - 1.0) / 2.0
-    pts = np.empty((samples, 2))
-    for k in range(samples):
-        u = (k + 0.5) / samples
-        w = (k * golden) % 1.0
-        s = T * max(u, 1e-6)
-        pts[k] = (s * w, s)
-    return pts
+    k = np.arange(samples)
+    u = (k + 0.5) / samples
+    w = (k * golden) % 1.0
+    s = T * np.maximum(u, 1e-6)
+    return np.stack([s * w, s], axis=1)
+
+
+def _at(fn, t: np.ndarray, s: np.ndarray, shape: tuple) -> np.ndarray:
+    """:func:`eval_pairs` over 1-D arrays of pairs; no call when there are none."""
+    if not len(t):
+        return np.empty((0,) + tuple(shape))
+    return eval_pairs(fn, t, s, shape)
+
+
+# Report order within one sample pair: for each two-time field in turn its
+# value, symmetry and derivative slots, then the definiteness of M and Q.
+_TWO_TIME = (("Q", True), ("S", False), ("M", True), ("q", False),
+             ("rho", False))
+_M_SLOT = 3 * len(_TWO_TIME)
+_Q_SLOT = _M_SLOT + 1
+
+
+class _PairChecks:
+    """The two-time half of :func:`validate`: whole-array checks over pairs.
+
+    Each stage evaluates a field over all of its samples at once; when that
+    raises, :meth:`batch` names the samples that raise on their own and runs
+    the stage again without them.  Violations are kept with their sample and
+    slot and sorted into report order at the end.
+    """
+
+    def __init__(self, pairs: np.ndarray, h: float, rtol: float):
+        self.t, self.s = pairs[:, 0], pairs[:, 1]
+        self.h, self.rtol = h, rtol
+        self.found = []  # (sample, slot, Violation)
+
+    def report(self, k, slot: int, assumption: str, detail: str):
+        self.found.append((int(k), slot, Violation(
+            assumption, (self.t[k], self.s[k]), detail)))
+
+    def violations(self) -> list:
+        return [v for _, _, v in sorted(self.found, key=lambda x: x[:2])]
+
+    def batch(self, run, one, sel: np.ndarray, name: str, failure: str,
+              slot: int):
+        """(sel, run(sel)) without the samples k at which one(k) raises.
+
+        Each dropped sample is reported as ``failure`` with its exception.
+        If run still raises on the samples that evaluate one at a time, the
+        field breaks the array contract: that is reported once, at the first
+        of them, and None is returned.
+        """
+        try:
+            return sel, run(sel)
+        except Exception:  # noqa: BLE001 - narrowed to samples below
+            pass
+        keep = []
+        for k in sel:
+            try:
+                one(k)
+            except Exception as exc:  # noqa: BLE001 - reported, not raised
+                self.report(k, slot, failure, repr(exc))
+            else:
+                keep.append(k)
+        sel = np.asarray(keep, dtype=np.intp)
+        try:
+            return sel, run(sel)
+        except Exception as exc:  # noqa: BLE001 - reported, not raised
+            self.report(sel[0], slot, f"{name} rejects time arrays", repr(exc))
+            return None
+
+    def field(self, slot: int, name: str, f: TwoTimeField, symmetric: bool):
+        """Check one field: (samples, values) where it is finite, or None
+        when it rejects time arrays."""
+        t, s = self.t, self.s
+        got = self.batch(lambda sel: _at(f.value, t[sel], s[sel], f.shape),
+                         lambda k: f(t[k], s[k]), np.arange(len(t)), name,
+                         f"{name} evaluation failed", slot)
+        if got is None:
+            return None
+        sel, V = got
+        axes = tuple(range(1, V.ndim))
+        finite = np.all(np.isfinite(V), axis=axes)
+        for k in sel[~finite]:
+            self.report(k, slot, f"{name} not finite", "non-finite entries")
+        sel, V = sel[finite], V[finite]
+        if symmetric:
+            asym = np.max(np.abs(V - np.swapaxes(V, -1, -2)), axis=axes)
+            bad = asym > SYMMETRY_RTOL * np.maximum(
+                1.0, np.max(np.abs(V), axis=axes))
+            for k, a in zip(sel[bad], asym[bad]):
+                self.report(k, slot + 1, f"{name} not symmetric",
+                            f"asymmetry {a:.3e}")
+        if not self.derivative(slot + 2, name, f, sel, V):
+            return None
+        return sel, V
+
+    def derivative(self, slot: int, name: str, f: TwoTimeField,
+                   sel: np.ndarray, V: np.ndarray) -> bool:
+        """Supplied t-derivative against a second-order finite difference in
+        t on [0, s], at the samples with s >= 2h.  False when the field
+        rejects time arrays."""
+        t, s, h = self.t, self.s, self.h
+        value = np.zeros((len(t),) + V.shape[1:])
+        value[sel] = V
+
+        def branches(tt, ss):
+            # forward where t - h < 0, backward where t + h > s, else central
+            fwd = tt - h < 0.0
+            bwd = ~fwd & (tt + h > ss)
+            return ((fwd, h, 2 * h), (bwd, -h, -2 * h), (~(fwd | bwd), h, -h))
+
+        def run(sel):
+            tt, ss, v0 = t[sel], s[sel], value[sel]
+            (fwd, *_), (bwd, *_), (mid, *_) = branches(tt, ss)
+            fd = np.empty_like(v0)
+
+            def at(mask, step):
+                return _at(f.value, tt[mask] + step, ss[mask], f.shape)
+
+            fd[fwd] = (-3 * v0[fwd] + 4 * at(fwd, h) - at(fwd, 2 * h)) / (2 * h)
+            fd[bwd] = (3 * v0[bwd] - 4 * at(bwd, -h) + at(bwd, -2 * h)) / (2 * h)
+            fd[mid] = (at(mid, h) - at(mid, -h)) / (2 * h)
+            return fd, _at(f.dvalue_dt, tt, ss, f.shape)
+
+        def one(k):
+            # the scalar calls of sample k, in the order run makes them
+            for is_branch, first, second in branches(t[k], s[k]):
+                if is_branch:
+                    f(t[k] + first, s[k])
+                    f(t[k] + second, s[k])
+                    break
+            f.dt(t[k], s[k])
+
+        got = self.batch(run, one, sel[s[sel] >= 2 * h], name,
+                         f"{name} derivative probe failed", slot)
+        if got is None:
+            return False
+        sel, (fd, dv) = got
+        axes = tuple(range(1, fd.ndim))
+        err = np.max(np.abs(fd - dv), axis=axes)
+        scale = (1.0 + np.max(np.abs(fd), axis=axes)
+                 + np.max(np.abs(dv), axis=axes))
+        bad = err > self.rtol * scale
+        for k, e in zip(sel[bad], err[bad]):
+            self.report(k, slot, f"{name} derivative inconsistent",
+                        f"finite difference {e:.3e} off the supplied value")
+        return True
+
+
+def _min_eigenvalues(V: np.ndarray) -> tuple:
+    """Smallest eigenvalue of each symmetric part (V + V^T)/2, and the parts."""
+    sym = 0.5 * (V + np.swapaxes(V, -1, -2))
+    if not len(sym):
+        return np.empty(0), sym
+    return np.linalg.eigvalsh(sym)[:, 0], sym
 
 
 def validate(spec: ProblemSpec, samples: int = 100,
@@ -637,15 +790,45 @@ def validate(spec: ProblemSpec, samples: int = 100,
 
     Never raises on bad data: every violated assumption, and every
     evaluation that raised, is reported with its location so callers can
-    list all problems at once.  Each field is evaluated once per sample
-    point; a point whose evaluation failed is skipped by the checks that
-    need its value.
+    list all problems at once.  A point whose evaluation failed is skipped by
+    the checks that need its value.
+
+    Two-time fields are checked at ``samples`` pairs (t, s) of the triangle,
+    in whole-array passes: each of Q, S, M, q, rho is called once on all
+    pairs for its values, once for its supplied t-derivative, and twice per
+    finite-difference branch (central, forward where t - h < 0, backward
+    where t + h > s), each branch over its own pairs only.  When a call
+    raises, the field's pairs are evaluated one at a time to name the ones
+    that fail, and the same array checks run on the rest.  A field that
+    evaluates at each pair alone but raises on the arrays breaks the
+    contract of :class:`TwoTimeField`; it is reported once as "rejects time
+    arrays" and its remaining checks are skipped.  The single-time fields
+    A, B, b, G, g take one float each and are checked one time at a time on
+    max(8, samples // 4) equally spaced times.
     """
-    out: list[Violation] = []
     T = spec.horizon
     n, m = spec.dims.n, spec.dims.m
-    pairs = _sample_pairs(T, samples)
     probe_h = min(1e-3 * T, 0.45 * T / max(samples, 2))
+
+    checks = _PairChecks(_sample_pairs(T, samples), probe_h, derivative_rtol)
+    checked = {name: checks.field(3 * i, name, getattr(spec, name), symmetric)
+               for i, (name, symmetric) in enumerate(_TWO_TIME)}
+    if checked["M"] is not None:
+        sel, V = checked["M"]
+        low, Mv = _min_eigenvalues(V)
+        bad = low < PD_EIG_RTOL * np.maximum(
+            1.0, np.max(np.abs(Mv), axis=(-2, -1)))
+        for k, e in zip(sel[bad], low[bad]):
+            checks.report(k, _M_SLOT, "M not positive definite",
+                          f"min eigenvalue {e:.3e}")
+    if checked["Q"] is not None:
+        sel, V = checked["Q"]
+        low, _ = _min_eigenvalues(V)
+        bad = low < PSD_EIG_FLOOR
+        for k, e in zip(sel[bad], low[bad]):
+            checks.report(k, _Q_SLOT, "Q not positive semi-definite",
+                          f"min eigenvalue {e:.3e}")
+    out = checks.violations()
 
     def evaluated(name, loc, evaluate):
         """evaluate() as a finite float array, else None with a violation."""
@@ -659,88 +842,67 @@ def validate(spec: ProblemSpec, samples: int = 100,
             return None
         return arr
 
-    def fd_probe(evaluate, t, lo, hi):
-        """Second-order central/one-sided difference of t -> evaluate(t)."""
-        h = probe_h
-        if hi - lo < 2 * h:
+    def shaped(name, loc, arr, shape):
+        """arr when it has the field's shape, else None with a violation."""
+        if arr is not None and arr.shape != shape:
+            out.append(Violation(f"{name} wrong shape", loc,
+                                 f"{arr.shape} != {shape}"))
             return None
-        if t - h < lo:
+        return arr
+
+    def fd_probe(evaluate, t):
+        """Second-order central/one-sided difference of t -> evaluate(t) on
+        [0, T]."""
+        h = probe_h
+        if T < 2 * h:
+            return None
+        if t - h < 0.0:
             return (-3 * evaluate(t) + 4 * evaluate(t + h) - evaluate(t + 2 * h)) / (2 * h)
-        if t + h > hi:
+        if t + h > T:
             return (3 * evaluate(t) - 4 * evaluate(t - h) + evaluate(t - 2 * h)) / (2 * h)
         return (evaluate(t + h) - evaluate(t - h)) / (2 * h)
 
-    def check_derivative(name, loc, evaluate, derivative, t, hi):
-        """Supplied t-derivative against a finite difference on [0, hi]."""
+    def check_derivative(name, loc, evaluate, derivative, t):
+        """Supplied t-derivative against a finite difference."""
         try:
-            fd = fd_probe(evaluate, t, 0.0, hi)
+            fd = fd_probe(evaluate, t)
             if fd is None:
                 return
             dv = np.asarray(derivative(t), dtype=float)
+            err = float(np.max(np.abs(fd - dv)))
         except Exception as exc:  # noqa: BLE001 - reported, not raised
             out.append(Violation(f"{name} derivative probe failed", loc,
                                  repr(exc)))
             return
-        err = float(np.max(np.abs(fd - dv)))
         scale = 1.0 + float(np.max(np.abs(fd))) + float(np.max(np.abs(dv)))
         if err > derivative_rtol * scale:
             out.append(Violation(
                 f"{name} derivative inconsistent", loc,
                 f"finite difference {err:.3e} off the supplied value"))
 
-    def asymmetric(name, loc, v):
-        asym = np.max(np.abs(v - v.T))
-        if asym > SYMMETRY_RTOL * max(1.0, float(np.max(np.abs(v)))):
-            out.append(Violation(f"{name} not symmetric", loc,
-                                 f"asymmetry {asym:.3e}"))
-            return True
-        return False
-
-    two_time = [("Q", spec.Q, True), ("S", spec.S, False), ("M", spec.M, True),
-                ("q", spec.q, False), ("rho", spec.rho, False)]
-    for t, s in pairs:
-        loc = (t, s)
-        values = {}
-        for name, f, symmetric in two_time:
-            v = evaluated(name, loc, lambda: f(t, s))
-            if v is None:
-                continue
-            values[name] = v
-            if symmetric:
-                asymmetric(name, loc, v)
-            check_derivative(name, loc, lambda tt: f(tt, s),
-                             lambda tt: f.dt(tt, s), t, s)
-        # definiteness at this pair
-        if "M" in values:
-            Mv = 0.5 * (values["M"] + values["M"].T)
-            eigs = np.linalg.eigvalsh(Mv)
-            if eigs[0] < PD_EIG_RTOL * max(1.0, float(np.max(np.abs(Mv)))):
-                out.append(Violation("M not positive definite", loc,
-                                     f"min eigenvalue {eigs[0]:.3e}"))
-        if "Q" in values:
-            q_min = float(np.linalg.eigvalsh(0.5 * (values["Q"] + values["Q"].T))[0])
-            if q_min < PSD_EIG_FLOOR:
-                out.append(Violation("Q not positive semi-definite", loc,
-                                     f"min eigenvalue {q_min:.3e}"))
-
     # single-time fields: dynamics and terminal weights
-    t_line = np.linspace(0.0, T, max(8, samples // 4))
-    for t in t_line:
+    terminal = spec.terminal
+    for t in np.linspace(0.0, T, max(8, samples // 4)):
         loc = (t,)
         for name, fn, shape in [("A", spec.dynamics.A, (n, n)),
                                 ("B", spec.dynamics.B, (n, m)),
                                 ("b", spec.dynamics.b, (n,))]:
-            arr = evaluated(name, loc, lambda: fn(float(t)))
-            if arr is not None and arr.shape != shape:
-                out.append(Violation(f"{name} wrong shape", loc,
-                                     f"{arr.shape} != {shape}"))
-        Gv = evaluated("G", loc, lambda: spec.terminal.G(float(t)))
-        if Gv is not None and not asymmetric("G", loc, Gv):
-            if np.linalg.eigvalsh(0.5 * (Gv + Gv.T))[0] < PSD_EIG_FLOOR:
+            shaped(name, loc, evaluated(name, loc, lambda: fn(float(t))), shape)
+        Gv = shaped("G", loc, evaluated("G", loc, lambda: terminal.G(float(t))),
+                    (n, n))
+        if Gv is not None:
+            asym = np.max(np.abs(Gv - Gv.T))
+            if asym > SYMMETRY_RTOL * max(1.0, float(np.max(np.abs(Gv)))):
+                out.append(Violation("G not symmetric", loc,
+                                     f"asymmetry {asym:.3e}"))
+            elif np.linalg.eigvalsh(0.5 * (Gv + Gv.T))[0] < PSD_EIG_FLOOR:
                 out.append(Violation("G not positive semi-definite", loc, ""))
-        for name, fn, dfn in [("G", spec.terminal.G, spec.terminal.dG_dt),
-                              ("g", spec.terminal.g, spec.terminal.dg_dt)]:
-            check_derivative(name, loc,
-                             lambda tt: np.asarray(fn(float(tt)), dtype=float),
-                             lambda tt: dfn(float(tt)), t, T)
+        gv = shaped("g", loc, evaluated("g", loc, lambda: terminal.g(float(t))),
+                    (n,))
+        for name, arr, fn, dfn in [("G", Gv, terminal.G, terminal.dG_dt),
+                                   ("g", gv, terminal.g, terminal.dg_dt)]:
+            if arr is not None:
+                check_derivative(name, loc,
+                                 lambda tt: np.asarray(fn(float(tt)), dtype=float),
+                                 lambda tt: dfn(float(tt)), t)
     return ValidationReport(out)
