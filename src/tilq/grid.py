@@ -142,9 +142,11 @@ class TransitionTable:
         pairs = np.zeros((n, n, N + 1, N + 1))
         rng = np.arange(N + 1)
         pairs[:, :, rng, rng] = np.eye(n)[:, :, None]
+        stepsT = np.ascontiguousarray(np.swapaxes(self.steps, -1, -2))
         for i in range(N - 1, -1, -1):
-            # Phi(t_j, t_i) = Phi(t_j, t_{i+1}) Phi_i for every j > i
-            np.einsum("acj,cb->abj", pairs[:, :, i + 1, i + 1:], self.steps[i],
+            # Phi(t_j, t_i) = Phi(t_j, t_{i+1}) Phi_i for every j > i: for each
+            # a, the block [a, :, i, i+1:] is Phi_i^T [a, :, i+1, i+1:]
+            np.matmul(stepsT[i], pairs[:, :, i + 1, i + 1:],
                       out=pairs[:, :, i, i + 1:])
         pairs.flags.writeable = False
         return pairs

@@ -44,9 +44,11 @@ E(t_j, t_i) = E(t_j, t_{i+1}) Phi_i, so Phi_i factors out of every j > i
 term of row i.  On the columns j > i, row i of W equals row i+1 except at
 j = i+1, where it is larger by exactly h/2 (h/2 becomes h, or W[N, N] = 0
 becomes W[N-1, N] = h/2); the recursion adds that h/2 inner_{i+1} inside
-the bracket and the j = i term h/2 inner_i outside it.  A sweep costs
-O(N n^3) for P instead of O(N^2 n^3), and the open-loop pair table is never
-built.
+the bracket and the j = i term h/2 inner_i outside it.  The sweep carries
+X_i = P_i + h/2 inner_i, so each node costs one congruence and one add:
+X_N = G(T) + h/2 inner_N, X_i = Phi_i^T X_{i+1} Phi_i + h inner_i, and
+P = X - h/2 inner.  A sweep costs O(N n^3) for P instead of O(N^2 n^3), and
+the open-loop pair table is never built.
 """
 
 from __future__ import annotations
@@ -268,12 +270,14 @@ def _sweep_core(P: np.ndarray, tables: SpecTables):
     qbb = _qbb_table(gain, cl.pair_table(), tables)
     inner = (tables.Qd - qbb
              - np.einsum("jab,jac,jcd->jbd", gain, tables.Md, gain, optimize=True))
-    half = (0.5 * grid.h) * inner
+    h_inner = grid.h * inner
     steps = tables.open_loop_steps
-    P_out = np.empty_like(inner)
-    P_out[N] = tables.G_T
+    stepsT = np.swapaxes(steps, -1, -2)
+    X = np.empty_like(inner)
+    X[N] = tables.G_T + 0.5 * h_inner[N]
     for i in range(N - 1, -1, -1):
-        P_out[i] = steps[i].T @ (P_out[i + 1] + half[i + 1]) @ steps[i] + half[i]
+        X[i] = stepsT[i] @ X[i + 1] @ steps[i] + h_inner[i]
+    P_out = X - 0.5 * h_inner
     asym = float(np.max(np.abs(P_out - np.swapaxes(P_out, -1, -2))))
     scale = max(1.0, float(np.max(np.abs(P_out))))
     if asym > SWEEP_ASYMMETRY_RTOL * scale:

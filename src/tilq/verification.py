@@ -30,11 +30,15 @@ but never certify the infimum over all square-integrable controls.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .auxiliary import _omega_table, _psi_rate, _sbb_table, solve_auxiliary
+from .auxiliary import _omega_table, _psi_rate, _sbb_table
+# Not called here: the uniqueness probe solves for P only.  The name stays
+# in this module because perfbench/spans.py wraps it here.
+from .auxiliary import solve_auxiliary  # noqa: F401
 from .errors import TilqError
 from .grid import (TimeGrid, _interp_half, closed_loop_drive,
                    closed_loop_matrices, quadrature, zero_below_diagonal)
@@ -59,8 +63,6 @@ HJB_STATES = 4
 SPIKE_FRACTIONS = (1 / 50, 1 / 100, 1 / 200, 1 / 400)
 # constant pieces of each random Bellman candidate control
 CANDIDATE_PIECES = 8
-# random (t, x) at which the uniqueness probe compares value functions
-UNIQUENESS_VALUE_SAMPLES = 20
 
 LIMINF_NOTE = ("spike limits are probed on a finite schedule of interval "
                "widths with first-order extrapolation; a finite schedule "
@@ -416,56 +418,40 @@ def hjb_integral_residual(sol: EquilibriumSolution, t_idx: int, x) -> float:
 
 @dataclass
 class UniquenessProbe:
-    """Distances between solves started from different initial tables."""
+    """Largest pairwise P distance between solves from different starts."""
 
     p_distance: float
-    value_distance: float
     iterations: list
 
 
 def uniqueness_probe(spec: ProblemSpec, grid: TimeGrid, inits,
-                     opts: SolveOptions | None = None, seed: int = 42,
+                     opts: SolveOptions | None = None,
                      tables: SpecTables | None = None) -> UniquenessProbe:
-    """Solve from each initial table; report the max pairwise distances.
+    """Solve for P from each initial table; report the max pairwise distance.
 
-    Every start runs the damped fixed point, whatever path
+    Only the Riccati fixed point runs: once P is fixed, phi and psi solve
+    linear equations, so a second start could not move them.  Every start
+    runs the damped fixed point, whatever path
     :func:`tilq.policy.solve_equilibrium` would take, because the iteration
-    from distinct starts is what the probe measures.  The tolerance,
-    iteration and damping settings of ``opts`` apply to every start's
-    Riccati and phi solves alike.  ``tables`` (for example a solution's
-    own) saves rebuilding the kernel plane or triangles.  A run
-    that fails to converge raises ConvergenceError with that run's
-    diagnostics attached.
+    from distinct starts is what the probe measures.  ``opts`` applies to
+    every start.  ``tables`` (for example a solution's own) saves
+    rebuilding the kernel plane or triangles.  A run that fails to converge
+    raises ConvergenceError with that run's diagnostics attached.
     """
     if len(inits) < 2:
         raise TilqError("uniqueness probe needs at least two initial tables")
     base = opts or SolveOptions()
-    # each start's ``initial`` is a P table; phi starts from its own default
-    phi_opts = dataclasses.replace(base, initial=SolveOptions().initial)
     if tables is None:
         tables = SpecTables(spec, grid)
-    runs = []
+    Ps, iterations = [], []
     for init in inits:
-        o = dataclasses.replace(base, initial=init)
-        riccati = solve_equilibrium_riccati(spec, grid, o, tables=tables)
-        aux = solve_auxiliary(spec, grid, riccati, phi_opts)
-        runs.append(EquilibriumSolution(spec=spec, grid=grid, riccati=riccati,
-                                        auxiliary=aux))
-    p_dist = 0.0
-    for a in range(len(runs)):
-        for bidx in range(a + 1, len(runs)):
-            p_dist = max(p_dist, float(np.max(np.abs(
-                runs[a].riccati.P - runs[bidx].riccati.P))))
-    rng = np.random.default_rng(seed)
-    v_dist = 0.0
-    for _ in range(UNIQUENESS_VALUE_SAMPLES):
-        t = float(rng.uniform(0.0, grid.T))
-        x = rng.uniform(-2.0, 2.0, size=spec.dims.n)
-        vals = [value(r, t, x) for r in runs]
-        v_dist = max(v_dist, float(np.max(vals) - np.min(vals)))
-    return UniquenessProbe(p_distance=p_dist, value_distance=v_dist,
-                           iterations=[r.riccati.diagnostics.iterations
-                                       for r in runs])
+        riccati = solve_equilibrium_riccati(
+            spec, grid, dataclasses.replace(base, initial=init), tables=tables)
+        Ps.append(riccati.P)
+        iterations.append(riccati.diagnostics.iterations)
+    p_dist = max(float(np.max(np.abs(a - b)))
+                 for a, b in itertools.combinations(Ps, 2))
+    return UniquenessProbe(p_distance=p_dist, iterations=iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +613,7 @@ def run_verification(sol: EquilibriumSolution,
     # uniqueness across initializations
     G_T = sol.tables.G_T
     probe = uniqueness_probe(spec, grid, ["zero", G_T, 5.0 * G_T],
-                             seed=vopts.seed, tables=sol.tables)
+                             tables=sol.tables)
     report.add("uniqueness across initializations",
                probe.p_distance <= UNIQUENESS_TOL, UNIQUENESS_TOL,
                probe.p_distance)

@@ -66,7 +66,7 @@ def test_criterion_2_uniqueness_across_initializations():
         G_T = np.asarray(loaded.spec.terminal.G(loaded.spec.horizon))
         probe = uniqueness_probe(loaded.spec, grid,
                                  ["zero", G_T, 5.0 * G_T],
-                                 opts=loaded.solve_options, seed=SEED)
+                                 opts=loaded.solve_options)
         assert probe.p_distance <= 1e-6, (name, probe.p_distance)
         worst = max(worst, probe.p_distance)
     elapsed = time.perf_counter() - started

@@ -173,22 +173,39 @@ class TestClosedLoopTransition:
                 assert err <= 1e-8 * scale
 
 
+def _varying_gain_closed_loop(grid):
+    dyn = DynamicsField(A=lambda t: np.array([[0.0, 1.0], [-1.0, -0.3]]),
+                        B=lambda t: np.array([[0.0], [1.0 + t]]),
+                        b=lambda t: np.zeros(2))
+    gain = np.array([[[np.cos(3 * t), 1.0 + t * t]] for t in grid.nodes])
+    return _closed_loop_table(gain, dynamics_tables(dyn, grid))
+
+
 class TestStorageBudget:
     def test_on_demand_matches_full(self):
-        # the first matrix() call builds the pair table, later calls read it
-        dyn = DynamicsField(A=lambda t: np.array([[np.cos(2 * t)]]),
-                            B=lambda t: np.ones((1, 1)),
-                            b=lambda t: np.zeros(1))
+        # the first matrix() call builds the pair table, later calls read it.
+        # Only n = 2 with A(t) that do not commute, open or closed loop, can
+        # tell a step from its transpose.
         grid = build_grid(1.0, 40)
-        table = open_loop_transition(dyn, grid)
+        scalar = DynamicsField(A=lambda t: np.array([[np.cos(2 * t)]]),
+                               B=lambda t: np.ones((1, 1)),
+                               b=lambda t: np.zeros(1))
+        noncommuting = DynamicsField(
+            A=lambda t: np.array([[0.0, 1.0 + t], [-2.0 * t, np.sin(3 * t)]]),
+            B=lambda t: np.ones((2, 1)), b=lambda t: np.zeros(2))
         pairs = [(40, 0), (25, 13), (7, 7)]
-        first = [table.matrix(i, j).copy() for (i, j) in pairs]
-        kept = table.pair_table()
-        for (i, j), before in zip(pairs, first):
-            composed = np.eye(1)
-            for k in range(j, i):
-                composed = table.steps[k] @ composed
-            np.testing.assert_allclose(before, composed, rtol=0, atol=1e-13)
-            np.testing.assert_allclose(table.matrix(i, j), before,
-                                       rtol=0, atol=1e-13)
-        assert table.pair_table() is kept
+        for table in (open_loop_transition(scalar, grid),
+                      open_loop_transition(noncommuting, grid),
+                      _varying_gain_closed_loop(grid)):
+            first = [table.matrix(i, j).copy() for (i, j) in pairs]
+            kept = table.pair_table()
+            for j in range(grid.N + 1):
+                composed = np.eye(table.dim)
+                for i in range(j, grid.N + 1):
+                    np.testing.assert_allclose(table.matrix(i, j), composed,
+                                               rtol=0, atol=1e-13)
+                    if i < grid.N:
+                        composed = table.steps[i] @ composed
+            for (i, j), before in zip(pairs, first):
+                np.testing.assert_array_equal(table.matrix(i, j), before)
+            assert table.pair_table() is kept
