@@ -22,6 +22,7 @@ may each build it, with identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,13 +37,18 @@ class TimeGrid:
     N: int
     nodes: np.ndarray = field(repr=False)
 
-    @property
+    @cached_property
     def h(self) -> float:
         return self.T / self.N
 
     @property
     def half_nodes(self) -> np.ndarray:
         return 0.5 * (self.nodes[:-1] + self.nodes[1:])
+
+    @cached_property
+    def _times(self) -> list[float]:
+        """The nodes as Python floats, for per-call time lookups."""
+        return self.nodes.tolist()
 
 
 def build_grid(T: float, N: int) -> TimeGrid:

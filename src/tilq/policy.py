@@ -20,10 +20,15 @@ first feedback call, at the nodes and at the half nodes t_i + h/2 where RK4
 evaluates its middle stages (:attr:`EquilibriumSolution.feedback_table`);
 P and phi enter the half nodes by the same linear interpolation.  A feedback
 call then reads one table row, or interpolates linearly between two, and
-never factors M(t,t).  The table's node rows are checked once, when it is
-built, against the Gain and Upsilon stored by the solver: a mismatch beyond
-FEEDBACK_MATCH_TOL at any node raises ConsistencyError naming the first
-failing t.
+never factors M(t,t).  Every point evaluation (``feedback``, ``value``,
+``grad_value``, ``interp_table``) locates its time once, in Python floats
+against the grid's cached node list (:func:`_locate`); ``feedback`` reads
+its table's row exactly at a time within HALF_STEP_SNAP half steps of a
+node or half node, which is where the RK4 stages fall.  A NaN time, or one
+outside [0, T] by more than 1e-12, raises TilqError naming it.  The
+table's node rows are checked once, when it is built, against the Gain and
+Upsilon stored by the solver: a mismatch beyond FEEDBACK_MATCH_TOL at any
+node raises ConsistencyError naming the first failing t.
 
 Cost evaluation freezes the first kernel argument at the evaluation time:
 J(t, x; u) integrates Q(t, s), M(t, s), ... over s with t fixed.  That
@@ -177,19 +182,36 @@ class Trajectory:
 
 
 def _locate(grid: TimeGrid, t: float) -> tuple[int, float]:
-    if t < -1e-12 or t > grid.T + 1e-12:
-        raise TilqError(f"time {t} outside [0, {grid.T}]")
-    t = min(max(t, 0.0), grid.T)
-    i = min(int(t / grid.h), grid.N - 1)
-    return i, (t - grid.nodes[i]) / grid.h
+    """Interval i and weight w in [0, 1] of time t, as Python numbers.
+
+    A t within 1e-12 of [0, T] is clamped into it; any other t, NaN
+    included, raises TilqError naming it.
+    """
+    t = float(t)
+    T = grid.T
+    if not -1e-12 <= t <= T + 1e-12:  # NaN fails too
+        raise TilqError(f"time {t} outside [0, {T}]")
+    if t < 0.0:
+        t = 0.0
+    elif t > T:
+        t = T
+    h = grid.h
+    i = int(t / h)
+    if i >= grid.N:
+        i = grid.N - 1
+    return i, (t - grid._times[i]) / h
+
+
+def _row(table: np.ndarray, i: int, w: float) -> np.ndarray:
+    """Row i of a node table, or w of the way from it to row i + 1."""
+    if w == 0.0:
+        return table[i]
+    return (1.0 - w) * table[i] + w * table[i + 1]
 
 
 def interp_table(table: np.ndarray, grid: TimeGrid, t: float) -> np.ndarray:
     """Linear interpolation of a node-tabulated quantity."""
-    i, w = _locate(grid, t)
-    if w == 0.0:
-        return table[i]
-    return (1.0 - w) * table[i] + w * table[i + 1]
+    return _row(table, *_locate(grid, t))
 
 
 def _locate_half(grid: TimeGrid, t: float) -> tuple[int, float]:
@@ -213,18 +235,20 @@ def _locate_half(grid: TimeGrid, t: float) -> tuple[int, float]:
 def value(sol: EquilibriumSolution, t: float, x) -> float:
     """V(t, x) from the interpolated quadratic form."""
     x = np.asarray(x, dtype=float).reshape(sol.spec.dims.n)
-    P = interp_table(sol.riccati.P, sol.grid, t)
-    phi = interp_table(sol.auxiliary.phi, sol.grid, t)
-    psi = float(interp_table(sol.auxiliary.psi, sol.grid, t))
-    return float(x @ P @ x + 2.0 * phi @ x + psi)
+    i, w = _locate(sol.grid, t)
+    P = _row(sol.riccati.P, i, w)
+    phi = _row(sol.auxiliary.phi, i, w)
+    psi = float(_row(sol.auxiliary.psi, i, w))
+    return float(x.dot(P).dot(x) + (2.0 * phi).dot(x) + psi)
 
 
 def grad_value(sol: EquilibriumSolution, t: float, x) -> np.ndarray:
     """State gradient of V: 2 P(t) x + 2 phi(t)."""
     x = np.asarray(x, dtype=float).reshape(sol.spec.dims.n)
-    P = interp_table(sol.riccati.P, sol.grid, t)
-    phi = interp_table(sol.auxiliary.phi, sol.grid, t)
-    return 2.0 * (P @ x) + 2.0 * phi
+    i, w = _locate(sol.grid, t)
+    P = _row(sol.riccati.P, i, w)
+    phi = _row(sol.auxiliary.phi, i, w)
+    return 2.0 * P.dot(x) + 2.0 * phi
 
 
 def feedback(sol: EquilibriumSolution, t: float, x) -> np.ndarray:
@@ -238,9 +262,9 @@ def feedback(sol: EquilibriumSolution, t: float, x) -> np.ndarray:
     x = np.asarray(x, dtype=float).reshape(sol.spec.dims.n)
     K, k = sol.feedback_table
     j, w = _locate_half(sol.grid, t)
-    u = K[j] @ x + k[j]
+    u = K[j].dot(x) + k[j]
     if w:
-        u = (1.0 - w) * u + w * (K[j + 1] @ x + k[j + 1])
+        u = (1.0 - w) * u + w * (K[j + 1].dot(x) + k[j + 1])
     return -u
 
 
@@ -278,7 +302,12 @@ def simulate_control(spec: ProblemSpec, grid: TimeGrid, u, t_idx: int, x,
         runs = 0
 
         def control(j, t, y):
-            return np.asarray(u(t, y), dtype=float).reshape(m)
+            out = np.asarray(u(t, y), dtype=float)
+            try:
+                return out.reshape(m)
+            except ValueError:
+                raise TilqError(f"feedback law returned shape {out.shape} at "
+                                f"t={t!r}; expected ({m},)") from None
     else:
         u = np.asarray(u, dtype=float)
         if u.ndim not in (2, 3) or u.shape[-2:] != (k, m) or not u.size:
@@ -294,34 +323,37 @@ def simulate_control(spec: ProblemSpec, grid: TimeGrid, u, t_idx: int, x,
             return stages[j - 2 * t_idx]
     # a stack of runs is carried as the columns of y, so the stages below
     # are the same matrix products for one run and for many
+    A, A_half, B, B_half = tables.A, tables.A_half, tables.B, tables.B_half
     b, b_half = tables.b, tables.b_half
     shape = (n, runs) if runs else (n,)
     if runs:
         b, b_half = b[..., None], b_half[..., None]
+    times = grid._times
     h = grid.h
+    half, sixth = 0.5 * h, h / 6.0
     states = np.empty((k,) + shape)
     controls = np.empty((k, m) + shape[1:])
     states[0] = x[:, None] if runs else x
     y = states[0]
+    # each step's end-node operands are the next step's start-node operands
+    t1, A1, B1, b1 = times[t_idx], A[t_idx], B[t_idx], b[t_idx]
     for step, i in enumerate(range(t_idx, stop_idx)):
-        t0 = float(grid.nodes[i])
-        tm = t0 + 0.5 * h
-        t1 = float(grid.nodes[i + 1])
-        A0, Am, A1 = tables.A[i], tables.A_half[i], tables.A[i + 1]
-        B0, Bm, B1 = tables.B[i], tables.B_half[i], tables.B[i + 1]
-        b0, bm, b1 = b[i], b_half[i], b[i + 1]
+        t0, A0, B0, b0 = t1, A1, B1, b1
+        t1, A1, B1, b1 = times[i + 1], A[i + 1], B[i + 1], b[i + 1]
+        tm = t0 + half
+        Am, Bm, bm = A_half[i], B_half[i], b_half[i]
         u0 = control(2 * i, t0, y)
         controls[step] = u0
-        k1 = A0 @ y + B0 @ u0 + b0
-        y2 = y + 0.5 * h * k1
-        k2 = Am @ y2 + Bm @ control(2 * i + 1, tm, y2) + bm
-        y3 = y + 0.5 * h * k2
-        k3 = Am @ y3 + Bm @ control(2 * i + 1, tm, y3) + bm
+        k1 = A0.dot(y) + B0.dot(u0) + b0
+        y2 = y + half * k1
+        k2 = Am.dot(y2) + Bm.dot(control(2 * i + 1, tm, y2)) + bm
+        y3 = y + half * k2
+        k3 = Am.dot(y3) + Bm.dot(control(2 * i + 1, tm, y3)) + bm
         y4 = y + h * k3
-        k4 = A1 @ y4 + B1 @ control(2 * i + 2, t1, y4) + b1
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        k4 = A1.dot(y4) + B1.dot(control(2 * i + 2, t1, y4)) + b1
+        y = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
         states[step + 1] = y
-    controls[-1] = control(2 * stop_idx, float(grid.nodes[stop_idx]), y)
+    controls[-1] = control(2 * stop_idx, t1, y)
     if runs:
         states = np.moveaxis(states, -1, 0)
         controls = np.moveaxis(controls, -1, 0)

@@ -9,7 +9,7 @@ from tilq import (BaseCosts, ConsistencyError, Dimensions, DynamicsField,
                   error_function_direct, exponential_kernel, feedback,
                   grad_value, make_discounted, simulate_control,
                   simulate_equilibrium, solve_equilibrium, value)
-from tilq.policy import interp_table
+from tilq.policy import _locate_half, interp_table
 from conftest import (classical_scalar_spec, hyperbolic_scalar_spec,
                       threestate_spec, twostate_spec, zero_cost_spec)
 
@@ -108,6 +108,32 @@ class TestFeedback:
         for t in (-0.1, 1.5):
             with pytest.raises(TilqError):
                 feedback(hyperbolic_solution, t, [0.0])
+
+
+class TestTimeLookup:
+    @pytest.mark.parametrize("N", [400, 2000])
+    def test_rk4_stage_times_snap(self, N):
+        # simulate_control forms each middle stage time as t_i + h/2
+        grid = build_grid(1.0, N)
+        h = grid.h
+        for i in range(N):
+            t0 = float(grid.nodes[i])
+            assert _locate_half(grid, t0) == (2 * i, 0.0)
+            assert _locate_half(grid, t0 + 0.5 * h) == (2 * i + 1, 0.0)
+        assert _locate_half(grid, float(grid.nodes[N])) == (2 * N, 0.0)
+
+    @pytest.mark.parametrize("nan", [float("nan"), np.float64("nan")])
+    @pytest.mark.parametrize("entry", ["feedback", "value", "grad_value",
+                                       "interp_table"])
+    def test_nan_time_refused(self, hyperbolic_solution, entry, nan):
+        sol = hyperbolic_solution
+        call = {"feedback": lambda: feedback(sol, nan, [0.0]),
+                "value": lambda: value(sol, nan, [0.0]),
+                "grad_value": lambda: grad_value(sol, nan, [0.0]),
+                "interp_table": lambda: interp_table(sol.riccati.P, sol.grid,
+                                                     nan)}[entry]
+        with pytest.raises(TilqError, match="time nan outside"):
+            call()
 
 
 def gradient_form(sol, t, P, phi, x):
@@ -342,6 +368,15 @@ class TestStackedSimulation:
             simulate_control(sol.spec, sol.grid,
                              lambda t, y: feedback(sol, t, y), 0,
                              np.zeros((2, 3)), tables=sol.tables)
+
+    def test_wrong_shape_control_names_stage(self, twostate_solution):
+        sol = twostate_solution
+        t_idx = 7
+        t = float(sol.grid.nodes[t_idx])
+        with pytest.raises(TilqError, match=rf"shape \(3,\) at t={t!r}; "
+                                            r"expected \(1,\)"):
+            simulate_control(sol.spec, sol.grid, lambda t, y: np.zeros(3),
+                             t_idx, [0.8, -0.3], tables=sol.tables)
 
 
 class TestCost:
