@@ -10,6 +10,9 @@ never call it: they take the open-loop steps and the closed loop
 F = A - B Gain (:func:`closed_loop_matrices`) from the grid evaluations of
 :class:`tilq.tables.SpecTables`.
 
+:func:`_anchored` forms the fundamental matrices of a system from its steps,
+anchored segment by segment, for the fixed-point sweep's sums.
+
 Tables over node pairs are stored in the pair layout described in
 :mod:`tilq.tables`; :func:`from_pair_layout` gives the node-major view the
 public accessors return.
@@ -175,6 +178,72 @@ class TransitionTable:
         if not (0 <= j <= i <= self.grid.N):
             raise TilqError(f"propagator indices must satisfy 0 <= {j} <= {i} <= N")
         return self.pair_table()[:, :, j, i]
+
+
+# Bound on the 2-norm condition number of the anchored fundamental matrices
+# of :func:`_anchored`.  A sum anchored at t_a loses about eps * cond^2 of
+# them to rounding (see :mod:`tilq.riccati`).
+ANCHOR_COND = 1e2
+
+
+@dataclass(frozen=True)
+class _Anchors:
+    """Fundamental matrices of a linear system, anchored segment by segment.
+
+    Segment k holds the nodes starts[k] <= j < starts[k+1].  The last start
+    is N, and node N is a segment of its own.  ``psi[j]`` is Phi(t_j, t_a)
+    for the start a of node j's segment, so psi[a] = I and psi[N] = I, and
+    ``inv[j]`` is its inverse.  ``links[k]`` = Phi(t_{starts[k+1]},
+    t_{starts[k]}), so Phi(t_j, t_{starts[k]}) = psi[j] links[k] for the
+    nodes j of segment k+1.
+    """
+
+    starts: np.ndarray
+    psi: np.ndarray
+    inv: np.ndarray
+    links: np.ndarray
+
+
+def _anchored(steps: np.ndarray) -> _Anchors:
+    """Anchored products of the one-step propagators ``steps``.
+
+    A step with delta = ||Phi_i - I||_F < 1 has 2-norm condition number at
+    most (1 + delta) / (1 - delta), and a product's condition number is at
+    most the product of its factors'.  Each segment runs for as long as that
+    bound stays within ANCHOR_COND, and for one step at least, so a step
+    past the bound is a segment of its own.  The products within all
+    segments are formed together by a log-depth scan.
+    """
+    N, n = steps.shape[0], steps.shape[-1]
+    eye = np.eye(n)
+    delta = np.linalg.norm(steps - eye, axis=(-2, -1))
+    limit = np.log(ANCHOR_COND)
+    step_log = np.full(N, np.inf)
+    ok = delta < 1.0
+    step_log[ok] = np.log1p(delta[ok]) - np.log1p(-delta[ok])
+    # capped past the limit, so the running sum stays finite for a finite bound
+    bound = np.concatenate([[0.0], np.cumsum(np.minimum(step_log, limit + 1.0))])
+    starts = [0]
+    while starts[-1] < N:
+        a = starts[-1]
+        b = int(np.searchsorted(bound, bound[a] + limit, side="right")) - 1
+        starts.append(min(max(b, a + 1), N))
+    starts = np.array(starts)
+    lengths = np.diff(starts)
+    offset = np.arange(N + 1) - np.append(np.repeat(starts[:-1], lengths), N)
+    psi = np.empty((N + 1, n, n))
+    psi[1:] = steps
+    psi[offset == 0] = eye
+    # Hillis-Steele: after the pass of stride d, psi[j] is the product of
+    # the last min(2d, offset[j]) steps into node j
+    d = 1
+    while d < lengths.max():
+        np.copyto(psi[d:N], psi[d:N] @ psi[:N - d],
+                  where=(offset[d:N] >= d)[:, None, None])
+        d *= 2
+    last = starts[1:] - 1
+    return _Anchors(starts=starts, psi=psi, inv=np.linalg.inv(psi),
+                    links=steps[last] @ psi[last])
 
 
 def _eval_dynamics(fn, times: np.ndarray, shape: tuple) -> np.ndarray:

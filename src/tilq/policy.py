@@ -232,9 +232,18 @@ def _locate_half(grid: TimeGrid, t: float) -> tuple[int, float]:
 # value function and feedback
 
 
+def _state(x, n: int) -> np.ndarray:
+    """The state x as an (n,) array; TilqError naming both shapes otherwise."""
+    x = np.asarray(x, dtype=float)
+    try:
+        return x.reshape(n)
+    except ValueError:
+        raise TilqError(f"state has shape {x.shape}; expected ({n},)") from None
+
+
 def value(sol: EquilibriumSolution, t: float, x) -> float:
     """V(t, x) from the interpolated quadratic form."""
-    x = np.asarray(x, dtype=float).reshape(sol.spec.dims.n)
+    x = _state(x, sol.spec.dims.n)
     i, w = _locate(sol.grid, t)
     P = _row(sol.riccati.P, i, w)
     phi = _row(sol.auxiliary.phi, i, w)
@@ -244,7 +253,7 @@ def value(sol: EquilibriumSolution, t: float, x) -> float:
 
 def grad_value(sol: EquilibriumSolution, t: float, x) -> np.ndarray:
     """State gradient of V: 2 P(t) x + 2 phi(t)."""
-    x = np.asarray(x, dtype=float).reshape(sol.spec.dims.n)
+    x = _state(x, sol.spec.dims.n)
     i, w = _locate(sol.grid, t)
     P = _row(sol.riccati.P, i, w)
     phi = _row(sol.auxiliary.phi, i, w)
@@ -259,7 +268,7 @@ def feedback(sol: EquilibriumSolution, t: float, x) -> np.ndarray:
     P and phi).  The table's node rows were checked against the stored Gain
     and Upsilon when it was built.
     """
-    x = np.asarray(x, dtype=float).reshape(sol.spec.dims.n)
+    x = _state(x, sol.spec.dims.n)
     K, k = sol.feedback_table
     j, w = _locate_half(sol.grid, t)
     u = K[j].dot(x) + k[j]
@@ -371,7 +380,7 @@ def simulate_equilibrium(sol: EquilibriumSolution, t_idx: int, x) -> Trajectory:
     of :func:`simulate_control` run with the feedback law.
     """
     n = sol.spec.dims.n
-    x = np.asarray(x, dtype=float).reshape(n)
+    x = _state(x, n)
     N = sol.grid.N
     cl_full = sol.riccati.closed_loop.full_table()
     prop = cl_full[t_idx:, t_idx]

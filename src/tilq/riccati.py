@@ -26,29 +26,46 @@ depend on the evaluation time, Qbb vanishes and the fixed point is the
 classical Riccati solution (see :func:`classical_riccati`, the oracle).
 
 Both integrals use the node trapezoid rule with the weights W[i, j] of
-:func:`tilq.tables.suffix_weights`.  Qbb is a weighted row sum over the
-pair tables of :mod:`tilq.tables`, with the bracket K(t, s) of its integrand
-from :func:`tilq.tables.pair_costs`.  For a separable spec,
-K(t_i, s_j) = dlam(t_i, s_j) K_hat(s_j): K_hat is formed once per node from
-the diagonal values and the weights are W * dlam, so no kernel is
-contracted per node pair.  The open-loop integral is evaluated by
-the backward recursion
+:func:`tilq.tables.suffix_weights`, and both are sums of one form,
 
-    P_N = G(T),
-    P_i = Phi_i^T (P_{i+1} + h/2 inner_{i+1}) Phi_i + h/2 inner_i,
+    X_i = sum_{j >= i} C_ij E_ji^T K_j E_ji + E_Ni^T D_i E_Ni,
 
-with inner = Q(t,t) - Qbb - Gain^T M(t,t) Gain and Phi_i the open-loop RK4
-step from t_i to t_{i+1}.  This is the same trapezoid sum, reassociated, not
-a new discretization.  The propagators compose as
-E(t_j, t_i) = E(t_j, t_{i+1}) Phi_i, so Phi_i factors out of every j > i
-term of row i.  On the columns j > i, row i of W equals row i+1 except at
-j = i+1, where it is larger by exactly h/2 (h/2 becomes h, or W[N, N] = 0
-becomes W[N-1, N] = h/2); the recursion adds that h/2 inner_{i+1} inside
-the bracket and the j = i term h/2 inner_i outside it.  The sweep carries
-X_i = P_i + h/2 inner_i, so each node costs one congruence and one add:
-X_N = G(T) + h/2 inner_N, X_i = Phi_i^T X_{i+1} Phi_i + h inner_i, and
-P = X - h/2 inner.  A sweep costs O(N n^3) for P instead of O(N^2 n^3), and
-the open-loop pair table is never built.
+with E_ji = E(t_j, t_i).  For Qbb, E is the closed loop, K the bracket of
+its integrand from :func:`tilq.tables.pair_costs` and D = G'.  For P, E is
+the open loop, C = W, K = inner = Q(t,t) - Qbb - Gain^T M(t,t) Gain and
+D = G(T).  Neither sum forms a propagator per node pair.  They are anchored
+fundamental-matrix sums: for an anchor t_a <= t_i, Psi_j = E(t_j, t_a)
+gives E_ji = Psi_j Psi_i^{-1}, so row i is
+
+    X_i = Psi_i^{-T} [sum_j C_ij Psi_j^T K_j Psi_j] Psi_i^{-1}.
+
+For a separable spec K(t_i, s_j) = dlam(t_i, s_j) K_hat(s_j), so C = W * dlam
+and K_j = K_hat(s_j), formed once per node.  C is applied as h * dlam, and
+the half weights of W at j = i and j = N are restored separately, so the
+brackets of all rows are one matrix product of the dlam plane with the
+(N+1) x n^2 stack of Psi_j^T K_j Psi_j: O(N^2 n^2) per sweep.  For P the
+weights depend on the column only, and the bracket is a running sum,
+O(N n^2).  A spec without a recorded kernel has one K per node pair; its
+blocks are contracted with Psi_j in place of E_ji, still O(N^2 n^3) but
+with no pair table.
+
+Anchors.  Rounding in these sums grows like eps * kappa^2, kappa the
+condition number of Psi.  One anchor at t = 0 is exact on well-conditioned
+problems but loses every digit on a stiff, non-normal one, where Psi
+contracts one direction like e^{-40 t} and not the other.  So the nodes are
+cut into segments (:func:`tilq.grid._anchored`), each anchored at its first
+node, on which a bound on kappa stays within ``tilq.grid.ANCHOR_COND``.  Columns past
+a segment enter through the next segment's bracket and one link matrix
+L_k = E(t_{a_{k+1}}, t_{a_k}):
+
+    R^k_i = sum_{j in segment k} C_ij Psi_j^T K_j Psi_j + L_k^T R^{k+1}_i L_k,
+
+starting from R_i = D_i + C_iN K_N in the frame of node N.  With an anchor at
+every node this is the backward recursion P_i = Phi_i^T P_{i+1} Phi_i + ...
+over the one-step propagators Phi_i, and Qbb costs O(N^2 n^3), the order of
+the pair table it replaces.  The open-loop anchors depend on the spec only
+and are cached in :class:`tilq.tables.SpecTables`; the closed loop's are
+formed once per sweep.
 """
 
 from __future__ import annotations
@@ -59,13 +76,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AssumptionError, ConsistencyError, ConvergenceError, TilqError
-from .grid import (TimeGrid, TransitionTable, _rk4_linear_steps,
-                   closed_loop_matrices)
+from .grid import (TimeGrid, TransitionTable, _anchored, _Anchors,
+                   _rk4_linear_steps, closed_loop_matrices)
 # Not called here: the solvers read SpecTables.open_loop_steps.  The name
 # stays in this module because perfbench/spans.py wraps it here.
 from .grid import open_loop_transition  # noqa: F401
 from .problem import ProblemSpec
-from .tables import SpecTables, factor_md, pair_costs, solve_chol
+from .tables import SpecTables, _node_costs, factor_md, pair_costs, solve_chol
 
 SWEEP_ASYMMETRY_RTOL = 1e-8
 TIME_CONSISTENT_SUP = 1e-12
@@ -238,46 +255,138 @@ def _closed_loop_table(gain: np.ndarray, tables: SpecTables) -> TransitionTable:
     return TransitionTable(tables.grid, steps)
 
 
-def _qbb_table(gain: np.ndarray, cl_pairs: np.ndarray,
-               tables: SpecTables) -> np.ndarray:
-    """Qbb at every node from the closed-loop pair table.
+def _carry_back(anchors: _Anchors, out: np.ndarray, segment_sum) -> np.ndarray:
+    """Sum the segments' brackets into each row's frame, then map rows back.
 
-    The weighted row sums of E_cl^T K E_cl over the blocks of
-    :func:`tilq.tables.pair_costs`, plus the terminal term.
+    ``out`` (N+1, n, n) starts as each row's term in node N's frame, and
+    ``segment_sum(k)`` gives, for the rows before the end of segment k, their
+    sums over its columns in its frame.  From the last segment back, those
+    rows move into the segment's frame through its link and add their sums.
+    Each row ends in its own segment's frame, and is returned multiplied by
+    psi_i^{-T} on the left and psi_i^{-1} on the right.
+    """
+    starts, links = anchors.starts, anchors.links
+    n = out.shape[-1]
+    # R[a, i, d] = row i's [a, d]: both products of a link are then one call
+    R = np.ascontiguousarray(np.swapaxes(out, 0, 1))
+    for k in range(len(links) - 1, -1, -1):
+        b, L = starts[k + 1], links[k]
+        RL = np.matmul(R[:, :b], L).reshape(n, b * n)
+        np.add(np.dot(L.T, RL).reshape(n, b, n), np.swapaxes(segment_sum(k), 0, 1),
+               out=R[:, :b])
+    return np.swapaxes(anchors.inv, -1, -2) @ np.swapaxes(R, 0, 1) @ anchors.inv
+
+
+def _frame_terms(anchors: _Anchors, K: np.ndarray) -> np.ndarray:
+    """psi_j^T K_j psi_j: each column's term in its own segment's frame."""
+    return np.swapaxes(anchors.psi, -1, -2) @ K @ anchors.psi
+
+
+def _open_loop_integral(anchors: _Anchors, inner: np.ndarray,
+                        G_T: np.ndarray, h: float) -> np.ndarray:
+    """P_i = E_Ni^T G(T) E_Ni + sum_{j >= i} W_ij E_ji^T inner_j E_ji.
+
+    The weights depend on the column only, so every row before a segment
+    sees the same sum over it: one matrix is carried back through the links,
+    and each segment adds a running sum.  Every column is summed with the
+    weight h; the diagonal's half weight is restored at the end.
+    """
+    starts, links = anchors.starts, anchors.links
+    N = len(inner) - 1
+    hS = h * _frame_terms(anchors, inner)
+    out = np.empty_like(hS)
+    out[N] = G_T
+    R = G_T + 0.5 * h * inner[N]
+    for k in range(len(links) - 1, -1, -1):
+        a, b = starts[k], starts[k + 1]
+        R = links[k].T @ R @ links[k]
+        out[a:b] = R + np.cumsum(hS[a:b][::-1], axis=0)[::-1]
+        R = out[a]
+    out = np.swapaxes(anchors.inv, -1, -2) @ out @ anchors.inv
+    out[:N] -= 0.5 * h * inner[:N]
+    return out
+
+
+def _separable_sum(anchors: _Anchors, K: np.ndarray,
+                   tables: SpecTables) -> np.ndarray:
+    """Qbb before symmetrization for a separable spec, K = K_hat at the nodes.
+
+    The weights W * dlam are applied as h * dlam, one matrix product per
+    segment; column N enters with the terminal term and the diagonal's half
+    weight is restored at the end.
+    """
+    starts = anchors.starts
+    N, n, h = tables.grid.N, tables.n, tables.grid.h
+    dlam = tables.dlam
+    flat = h * _frame_terms(anchors, K).reshape(N + 1, n * n)
+
+    def segment_sum(k):
+        a, b = starts[k], starts[k + 1]
+        return (dlam[:b, a:b] @ flat[a:b]).reshape(b, n, n)
+
+    out = np.array(tables.Gdot)
+    out[:N] += (0.5 * h) * dlam[:N, N, None, None] * K[N]
+    out = _carry_back(anchors, out, segment_sum)
+    out[:N] -= (0.5 * h) * np.diagonal(dlam)[:N, None, None] * K[:N]
+    return out
+
+
+def _pair_sum(anchors: _Anchors, gain: np.ndarray,
+              tables: SpecTables) -> np.ndarray:
+    """Qbb before symmetrization from the per-pair blocks of ``pair_costs``.
+
+    One K per node pair, contracted with psi_j in place of E_ji at the exact
+    weights W, one segment's columns at a time; node N's column is a segment
+    of its own.
     """
     N, n = tables.grid.N, tables.n
-    out = np.empty((N + 1, n, n))
-    for rows, blk, weight, K, _, _ in pair_costs(tables, gain):
-        E = cl_pairs[blk]
-        buf = np.einsum("ceij,edij->cdij", K, E)
-        buf *= weight
-        out[rows] = np.einsum("caij,cdij->iad", E, buf)
-    EN = cl_pairs[..., N]  # E_cl(T, t_i) along i
-    out += np.einsum("cai,ice,edi->iad", EN, tables.Gdot, EN)
+    starts = np.append(anchors.starts, N + 1)  # node N's segment ends the grid
+    psi = np.ascontiguousarray(np.moveaxis(anchors.psi, 0, -1))  # psi_j at [..., j]
+
+    def segment_sum(k):
+        a, b = starts[k], starts[k + 1]
+        out = np.empty((b, n, n))
+        for rows, (_, _, cols), weight, K, _, _ in pair_costs(
+                tables, gain, columns=slice(a, b)):
+            p = psi[..., cols]
+            buf = np.einsum("ceij,edj->cdij", K, p)
+            buf *= weight
+            out[rows] = np.einsum("caj,cdij->iad", p, buf)
+        return out
+
+    node_N = len(starts) - 2
+    return _carry_back(anchors, tables.Gdot + segment_sum(node_N), segment_sum)
+
+
+def _qbb_table(gain: np.ndarray, anchors: _Anchors,
+               tables: SpecTables) -> np.ndarray:
+    """Qbb at every node from the closed loop's anchored propagators.
+
+    A separable spec sums K_hat(s_j) against the dlam plane; otherwise the
+    blocks of :func:`tilq.tables.pair_costs` are contracted pair by pair.
+    """
+    if tables.spec.kernel is not None:
+        K = np.moveaxis(_node_costs(tables, gain)[0][..., 0, :], -1, 0)
+        out = _separable_sum(anchors, K, tables)
+    else:
+        out = _pair_sum(anchors, gain, tables)
     return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 def _sweep_core(P: np.ndarray, tables: SpecTables):
     """One full sweep: gain, closed loop, Qbb, then the open-loop integral.
 
-    The integral is the backward recursion of the module docstring, over
-    the open-loop RK4 one-step propagators Phi_i of ``tables``.
+    Both nonlocal sums are the anchored sums of the module docstring; the
+    open-loop anchors are cached in ``tables``.
     """
-    grid = tables.grid
-    N = grid.N
+    N = tables.grid.N
     gain = _gain_table(P, tables)
     cl = _closed_loop_table(gain, tables)
-    qbb = _qbb_table(gain, cl.pair_table(), tables)
+    qbb = _qbb_table(gain, _anchored(cl.steps), tables)
     inner = (tables.Qd - qbb
              - np.einsum("jab,jac,jcd->jbd", gain, tables.Md, gain, optimize=True))
-    h_inner = grid.h * inner
-    steps = tables.open_loop_steps
-    stepsT = np.swapaxes(steps, -1, -2)
-    X = np.empty_like(inner)
-    X[N] = tables.G_T + 0.5 * h_inner[N]
-    for i in range(N - 1, -1, -1):
-        X[i] = stepsT[i] @ X[i + 1] @ steps[i] + h_inner[i]
-    P_out = X - 0.5 * h_inner
+    P_out = _open_loop_integral(tables.open_loop_anchors, inner, tables.G_T,
+                                tables.grid.h)
     asym = float(np.max(np.abs(P_out - np.swapaxes(P_out, -1, -2))))
     scale = max(1.0, float(np.max(np.abs(P_out))))
     if asym > SWEEP_ASYMMETRY_RTOL * scale:
@@ -348,7 +457,7 @@ def solve_equilibrium_riccati(spec: ProblemSpec, grid: TimeGrid,
 
     gain = _gain_table(P_final, tables)
     cl = _closed_loop_table(gain, tables)
-    qbb = _qbb_table(gain, cl.pair_table(), tables)
+    qbb = _qbb_table(gain, _anchored(cl.steps), tables)
     warn_if_indefinite(P_final, diag)
     return RiccatiSolution(grid=grid, P=P_final, gain=gain, qbb=qbb,
                            closed_loop=cl, diagnostics=diag, tables=tables)

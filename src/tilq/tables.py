@@ -2,9 +2,9 @@
 
 Everything the solvers touch repeatedly is evaluated once here: dynamics and
 diagonal kernel values K(t, t) at nodes and half nodes, the open-loop RK4
-steps, terminal weights, and the O(N^2) first-argument derivatives
-K_t(t_i, t_j), which only the fixed-point path and the verification checks
-build.  The solvers' closed-loop propagators
+steps and their anchored fundamental matrices, terminal weights, and the
+O(N^2) first-argument derivatives K_t(t_i, t_j), which only the fixed-point
+path and the verification checks build.  The solvers' closed-loop propagators
 (:func:`tilq.riccati._closed_loop_table`) and btilde
 (:func:`tilq.auxiliary._btilde_from_drive`) are built from these evaluations
 only, never again from the problem's callables.
@@ -38,13 +38,15 @@ t <= s and are exactly zero.  Concretely:
 * ``TransitionTable.pair_table()[a, b, i, j] = E_cl(t_j, t_i)[a, b]``;
 * the solver's btilde table ``[a, i, j] = btilde(t_j, t_i)[a]``.
 
-Quantities integrated over s for every t -- Qbb, Sbb, omega -- are then
+Quantities integrated over s for every t -- Sbb, omega -- are then
 weighted row sums of element-wise products of aligned planes, and a
 coefficient that depends on s only (the gain, Upsilon, a separable
 problem's closed-loop costs) broadcasts along the rows.  Row i of such a
 sum reads only row i of each table, so the kernels run over blocks of rows
 (:func:`pair_blocks`) whose temporaries stay in cache, and skip the columns
-left of each block, which are all zero.  The public node-major views
+left of each block, which are all zero.  The Riccati sweep forms Qbb from
+the same plane or blocks, but with no propagator table (see
+:mod:`tilq.riccati`).  The public node-major views
 (``TransitionTable.full_table()``, ``AuxiliarySolution.btilde``) index the
 later time first and are views of these arrays, not copies.
 """
@@ -56,7 +58,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AssumptionError
-from .grid import (TimeGrid, _eval_dynamics, _rk4_linear_steps,
+from .grid import (TimeGrid, _anchored, _eval_dynamics, _rk4_linear_steps,
                    zero_below_diagonal)
 from .problem import ProblemSpec, TwoTimeField, eval_pairs
 
@@ -70,17 +72,20 @@ PAIR_BLOCK_BYTES = 1 << 18
 DERIVATIVE_SCALE_SAMPLES = 64
 
 
-def pair_blocks(K: int, planes: int, first: int = 0):
+def pair_blocks(K: int, planes: int, first: int = 0,
+                columns: slice = slice(0, None)):
     """(rows, cols) slices covering a K x K pair table by blocks of rows.
 
-    The blocks cover rows ``first`` to K - 1.  ``cols`` starts at the
-    block's first row: every entry left of it lies below the diagonal and is
-    zero.  ``planes`` is the number of (K, K) planes a kernel reads per table
-    and sets the block height.
+    The blocks cover the ``columns`` and the rows from ``first`` to the last
+    of those columns.  A block's columns start no earlier than its first
+    row: every entry left of it lies below the diagonal and is zero.
+    ``planes`` is the number of (K, K) planes a kernel reads per table and
+    sets the block height.
     """
-    height = max(1, PAIR_BLOCK_BYTES // (8 * K * planes))
-    for start in range(first, K, height):
-        yield slice(start, start + height), slice(start, None)
+    lo, hi = columns.start, K if columns.stop is None else columns.stop
+    height = max(1, PAIR_BLOCK_BYTES // (8 * (hi - lo) * planes))
+    for start in range(first, hi, height):
+        yield slice(start, min(start + height, hi)), slice(max(lo, start), hi)
 
 
 def kernel_triangle(field, grid: TimeGrid) -> np.ndarray:
@@ -207,6 +212,11 @@ class SpecTables:
     def open_loop_steps(self) -> np.ndarray:
         """RK4 one-step propagators of x' = A x, one per grid interval."""
         return _rk4_linear_steps(self.A, self.A_half, self.grid.h)
+
+    @cached_property
+    def open_loop_anchors(self):
+        """Anchored fundamental matrices of x' = A x (:func:`tilq.grid._anchored`)."""
+        return _anchored(self.open_loop_steps)
 
     # -- diagonal kernel values K(t, t) -------------------------------------
 
@@ -373,8 +383,22 @@ def _closed_loop_costs(g, u, Q, S, M, q=None, rho=None) -> tuple:
     return K, k, np.einsum("pj,pij->ij", u, r)
 
 
+def _node_costs(tables: SpecTables, gain: np.ndarray, upsilon=None) -> tuple:
+    """K_hat, k_hat, kappa_hat of a separable spec at every node s_j.
+
+    The closed-loop costs of :func:`pair_costs` formed from the base values
+    K(s_j, s_j) / lam(s_j, s_j), indexed [..., 0, j]: the row axis of length
+    one broadcasts along the rows of a pair table.
+    """
+    g = np.ascontiguousarray(np.moveaxis(gain, 0, -1))  # Gain(t_j) on column j
+    u = None if upsilon is None else np.ascontiguousarray(upsilon.T)
+    return _closed_loop_costs(g, u, *(
+        np.moveaxis(d, 0, -1)[..., None, :] / tables.lam_diag
+        for d in (tables.Qd, tables.Sd, tables.Md, tables.qd, tables.rhod)))
+
+
 def pair_costs(tables: SpecTables, gain: np.ndarray, upsilon=None,
-               first: int = 0):
+               first: int = 0, columns: slice = slice(0, None)):
     """Closed-loop cost derivatives over the node pairs, by blocks of rows.
 
     Along the closed loop u = -Gain y - Upsilon the t-derivative of the
@@ -386,28 +410,25 @@ def pair_costs(tables: SpecTables, gain: np.ndarray, upsilon=None,
 
     with the kernels at (t, s) and Gain, Upsilon at s.  Yields
     ``(rows, blk, weight, K, k, kappa)`` for the blocks of :func:`pair_blocks`
-    from row ``first`` on: ``blk`` indexes the block's pairs, and K[a, b, i, j],
-    k[a, i, j], kappa[i, j] times weight[i, j] are the pair's coefficients
-    times its trapezoid weight in the integral over [t_i, T].  Without
+    from row ``first`` on, over the ``columns``: ``blk`` indexes the block's
+    pairs, and K[a, b, i, j], k[a, i, j], kappa[i, j] times weight[i, j] are
+    the pair's coefficients times its trapezoid weight in the integral over
+    [t_i, T].  Without
     ``upsilon`` only K is formed and k, kappa are None.
 
-    For a separable spec the coefficients are K_hat(s_j), k_hat(s_j) and
-    kappa_hat(s_j), formed once per node from the base values
-    K(s_j, s_j) / lam(s_j, s_j), with a row axis of length one that
-    broadcasts along the block's rows, and weight = W * dlam.  Otherwise
-    they are contracted pair by pair from the kernel triangles and
-    weight = W.
+    For a separable spec the coefficients are those of :func:`_node_costs`,
+    formed once per node, and weight = W * dlam.  Otherwise they are
+    contracted pair by pair from the kernel triangles and weight = W.
     """
-    g = np.ascontiguousarray(np.moveaxis(gain, 0, -1))  # Gain(t_j) on column j
-    u = None if upsilon is None else np.ascontiguousarray(upsilon.T)
     separable = tables.spec.kernel is not None
     if separable:
-        costs = _closed_loop_costs(g, u, *(
-            np.moveaxis(d, 0, -1)[..., None, :] / tables.lam_diag
-            for d in (tables.Qd, tables.Sd, tables.Md, tables.qd, tables.rhod)))
+        costs = _node_costs(tables, gain, upsilon)
     else:
+        g = np.ascontiguousarray(np.moveaxis(gain, 0, -1))  # Gain(t_j) on column j
+        u = None if upsilon is None else np.ascontiguousarray(upsilon.T)
         names = ("Qt", "St", "Mt") + (() if u is None else ("qt", "rhot"))
-    for rows, cols in pair_blocks(tables.grid.N + 1, tables.n * tables.n, first):
+    for rows, cols in pair_blocks(tables.grid.N + 1, tables.n * tables.n, first,
+                                  columns):
         blk = (Ellipsis, rows, cols)
         if separable:
             yield (rows, blk, tables.W[blk] * tables.dlam[blk]) + tuple(

@@ -110,6 +110,20 @@ class TestFeedback:
                 feedback(hyperbolic_solution, t, [0.0])
 
 
+class TestStateShape:
+    @pytest.mark.parametrize("entry", [feedback, value, grad_value])
+    @pytest.mark.parametrize("fixture, x", [
+        ("hyperbolic_solution", [1.0, 2.0, 3.0]),
+        ("twostate_solution", [1.0]),
+    ])
+    def test_wrong_size_state_refused(self, request, entry, fixture, x):
+        sol = request.getfixturevalue(fixture)
+        n = sol.spec.dims.n
+        with pytest.raises(TilqError, match=rf"state has shape \({len(x)},\); "
+                                            rf"expected \({n},\)"):
+            entry(sol, 0.5, x)
+
+
 class TestTimeLookup:
     @pytest.mark.parametrize("N", [400, 2000])
     def test_rk4_stage_times_snap(self, N):

@@ -8,8 +8,9 @@ from tilq import (AssumptionError, BaseCosts, Dimensions, DynamicsField,
                   exponential_kernel, gamma_from_p, hyperbolic_kernel,
                   local_expansion, make_discounted, open_loop_transition,
                   qbb_from_gamma, quadrature, solve_equilibrium,
-                  solve_equilibrium_riccati, tabulated_kernel)
+                  solve_equilibrium_riccati, tabulated_kernel, uniqueness_probe)
 from tilq.errors import ConvergenceError
+from tilq.grid import TransitionTable, _anchored
 from tilq.riccati import _closed_loop_table, _qbb_table, _sweep_core
 from tilq.tables import SpecTables
 from conftest import (classical_exact_p, classical_scalar_spec,
@@ -111,7 +112,7 @@ class TestQbb:
         tables = SpecTables(spec, grid)
         gain = np.ones((51, 1, 1))
         cl = _closed_loop_table(gain, tables)
-        qbb = _qbb_table(gain, cl.pair_table(), tables)
+        qbb = _qbb_table(gain, _anchored(cl.steps), tables)
         np.testing.assert_array_equal(qbb, np.zeros_like(qbb))
 
     def test_terminal_term_only(self):
@@ -246,6 +247,38 @@ class TestSweep:
         rhs = integral + np.einsum("cai,ce,edi->iad", EN, tbl.G_T, EN)
         scale = 1.0 + np.max(np.abs(sol.P))
         assert np.max(np.abs(rhs - sol.P)) <= 10 * grid.h ** 2 * scale
+
+
+class TestPairTableBuilds:
+    """The sweeps form Qbb and P without the closed-loop pair table."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        build = TransitionTable._build_full
+
+        def counted(table):
+            calls.append(table.grid.N)
+            return build(table)
+
+        monkeypatch.setattr(TransitionTable, "_build_full", counted)
+        return calls
+
+    def test_uniqueness_probe_builds_none(self, builds):
+        spec = twostate_spec()
+        G_T = np.asarray(spec.terminal.G(1.0), dtype=float)
+        probe = uniqueness_probe(spec, build_grid(1.0, 100),
+                                 ["zero", G_T, 5.0 * G_T])
+        assert probe.p_distance <= 1e-9
+        assert builds == []
+
+    def test_fixed_point_solve_builds_at_most_the_auxiliarys(self, builds):
+        times = np.linspace(0.0, 1.0, 101)
+        lag = np.clip(times[None, :] - times[:, None], 0.0, None)
+        spec = twostate_spec(tabulated_kernel(times, 1.0 / (1.0 + lag)))
+        sol = solve_equilibrium(spec, build_grid(1.0, 100))
+        assert sol.method == "fixed_point"
+        assert len(builds) <= 1
 
 
 class TestSolve:
