@@ -19,40 +19,39 @@ of the feedback law, btilde(s,t) is the zero-state closed-loop response
 and Sbb, omega aggregate the kernel time-derivatives along that response.
 Although the phi equation looks like a plain linear ODE, Sbb(t) depends on
 phi over all of [t, T] through Upsilon and btilde, so it is solved here by
-Picard iteration: freeze phi, rebuild Upsilon/btilde/Sbb, integrate backward
+Picard iteration: freeze phi, rebuild Upsilon and Sbb, integrate backward
 with RK4, repeat.  The nonlocal map is affine in phi, which keeps the
 iteration contractive at the scales this library targets; non-convergence
 is reported, never masked.
 
-btilde is tabulated by the node trapezoid rule in tau, which runs as a
-recursion over the start time t:
+Sbb and omega are blocks of one bordered correction, formed by the anchored
+sum that gives Qbb (:func:`tilq.riccati._correction_sum`) in n + 1
+dimensions.  With the drive d = b - B Upsilon, the closed loop's one-step
+propagators bordered with the affine coordinate are
 
-    btilde(s, s) = 0,
-    btilde(s, t_i) = btilde(s, t_{i+1})
-                     + h/2 (E_cl(s, t_i) d_i + E_cl(s, t_{i+1}) d_{i+1}),
+    Phi_bar_i = [[Phi_i, r_i], [0, 1]],   r_i = h/2 (Phi_i d_i + d_{i+1}),
 
-with the drive d = b - B Upsilon.  Each step adds the one trapezoid cell
-[t_i, t_{i+1}] that the sum over [t_i, s] has and the sum over [t_{i+1}, s]
-lacks, so the recursion is that sum term for term (only the order of
-additions differs).  The table is held in the pair layout of
-:mod:`tilq.tables`, where the recursion runs down the rows.  Sbb and omega
-are weighted row sums over the same layout.  With w(t,s) = Upsilon(s) +
-Gain(s) btilde(s,t), their integrands reduce to the closed-loop cost
-derivatives K, k, kappa of :func:`tilq.tables.pair_costs`:
+and their product from t_i to t_j is [[E_cl(t_j, t_i), btilde(t_j, t_i)],
+[0, 1]], its btilde column the node trapezoid rule in tau: E_cl(t_j,
+t_{k+1}) r_k is the cell h/2 (E_cl(t_j, t_k) d_k + E_cl(t_j, t_{k+1})
+d_{k+1}).  Along u = -Gain y - Upsilon the t-derivative of the running cost
+is <y_bar, K_bar y_bar> with y_bar = [y; 1] and the bordered closed-loop
+costs K_bar = [[K, k], [k^T, kappa]] of :func:`tilq.tables.pair_costs`, and
+the terminal term is [[G', g'], [g'^T, 0]].  So the sum run on the bordered
+steps and costs gives [[Qbb, Sbb], [Sbb^T, omega]] at every node:
 
     Sbb   = E_cl(T,t)^T (g'(t) + G'(t) btilde(T,t))
             + int_t^T E_cl(s,t)^T (K btilde + k)(t,s) ds,
     omega = <G'(t) btilde(T,t) + 2 g'(t), btilde(T,t)>
-            + int_t^T <btilde, K btilde + 2 k> + kappa ds,
+            + int_t^T <btilde, K btilde + 2 k> + kappa ds.
 
-since Q_t btilde + q_t - S_t^T w + Gain^T (M_t w - S_t btilde - rho_t)
-= K btilde + k, and <btilde, Q_t btilde + 2 q_t>
-+ <w, M_t w - 2 S_t btilde - 2 rho_t> = <btilde, K btilde + 2 k> + kappa,
-the kernels taken at (t, s).  For a separable spec K(t_i, s_j) =
-dlam(t_i, s_j) K_hat(s_j), and likewise k and kappa, so the per-node
-coefficients are formed once and the weights are W * dlam.  The left-hand
-forms are the defining integrands that :func:`sbb_at` and :func:`omega_at`
-evaluate row by row.
+These are the defining integrals: with w(t,s) = Upsilon(s) + Gain(s)
+btilde(s,t), Q_t btilde + q_t - S_t^T w + Gain^T (M_t w - S_t btilde -
+rho_t) = K btilde + k, and <btilde, Q_t btilde + 2 q_t> + <w, M_t w - 2 S_t
+btilde - 2 rho_t> = <btilde, K btilde + 2 k> + kappa, the kernels at (t, s).
+:func:`sbb_at` and :func:`omega_at` evaluate the left-hand forms row by
+row.  No table over node pairs is formed; :attr:`AuxiliarySolution.btilde`
+builds the btilde table when it is read.
 """
 
 from __future__ import annotations
@@ -62,13 +61,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TilqError
-from .grid import (TimeGrid, TransitionTable, _interp_half, closed_loop_drive,
-                   closed_loop_matrices, from_pair_layout, quadrature,
-                   to_pair_layout)
+from .grid import (TimeGrid, TransitionTable, _anchored, _border, _interp_half,
+                   closed_loop_drive, closed_loop_matrices, from_pair_layout,
+                   quadrature)
 from .problem import ProblemSpec
 from .riccati import (FixedPointDiagnostics, RiccatiSolution, SolveOptions,
-                      _initial_table, damped_fixed_point)
-from .tables import SpecTables, cumulative_trapezoid, pair_costs
+                      _correction_sum, _initial_table, damped_fixed_point)
+from .tables import SpecTables, cumulative_trapezoid
 
 
 @dataclass
@@ -77,12 +76,12 @@ class PhiSolution:
 
     phi: np.ndarray       # (N+1, n)
     upsilon: np.ndarray   # (N+1, m)
-    btilde: np.ndarray    # (N+1, N+1, n), [s_idx, t_idx], zero for s < t;
-                          # a view of the pair-layout table
     sbb: np.ndarray       # (N+1, n)
     diagnostics: FixedPointDiagnostics
-    # (N+1, n), b - B Upsilon; set by solve_phi
+    # set by solve_phi: (N+1, n) b - B Upsilon, and (N+1,) omega from the
+    # same bordered correction as sbb
     drive: np.ndarray = field(init=False, repr=False, compare=False)
+    _omega: np.ndarray = field(init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -123,9 +122,10 @@ class AuxiliarySolution:
 
 def _btilde_from_drive(cl_pairs: np.ndarray, drive: np.ndarray,
                        grid: TimeGrid) -> np.ndarray:
-    """Pair table [a, i, j] = btilde(t_j, t_i)[a] by the recursion over t.
+    """Pair table [a, i, j] = btilde(t_j, t_i)[a], zero where j <= i.
 
-    Zero where j <= i: below the diagonal and on it, btilde(t, t) = 0.
+    The trapezoid sum of the module docstring as a recursion over t: each
+    row i adds the cell [t_i, t_{i+1}] to row i + 1.
     """
     N = grid.N
     bt = np.einsum("abij,ib->aij", cl_pairs, drive)  # E_cl(t_j, t_i) d_i
@@ -207,38 +207,31 @@ def _upsilon_table(phi: np.ndarray, tables: SpecTables) -> np.ndarray:
     return tables.solve_md(rhs)
 
 
-def _sbb_table(gain, upsilon, bt, cl_pairs, tables: SpecTables) -> np.ndarray:
-    """Sbb at every node from the btilde and closed-loop pair tables."""
-    N = tables.grid.N
-    out = np.empty((N + 1, tables.n))
-    for rows, blk, weight, K, k, _ in pair_costs(tables, gain, upsilon):
-        vec = np.einsum("abij,bij->aij", K, bt[blk])
-        vec += k
-        vec *= weight
-        out[rows] = np.einsum("acij,aij->ic", cl_pairs[blk], vec)
-    btN = bt[..., N]  # btilde(T, t_i) along i
-    out += np.einsum("aci,ia->ic", cl_pairs[..., N],
-                     tables.gdot + np.einsum("iab,bi->ia", tables.Gdot, btN))
-    return out
+def _trapezoid_increments(steps: np.ndarray, drive: np.ndarray,
+                          h: float) -> np.ndarray:
+    """r_i = h/2 (Phi_i d_i + d_{i+1}): cell [t_i, t_{i+1}] of btilde's sum."""
+    return 0.5 * h * (np.einsum("iab,ib->ia", steps, drive[:-1]) + drive[1:])
 
 
-def _omega_table(gain, upsilon, bt, tables: SpecTables) -> np.ndarray:
-    """omega at every node from the btilde pair table."""
-    N = tables.grid.N
-    out = np.empty(N + 1)
-    for rows, blk, weight, K, k, kappa in pair_costs(tables, gain, upsilon):
-        b = bt[blk]
-        acc = np.einsum("abij,bij->aij", K, b)
-        acc += 2.0 * k
-        term = np.einsum("aij,aij->ij", b, acc)
-        term += kappa
-        term *= weight
-        out[rows] = term.sum(axis=-1)
-    btN = bt[..., N]
-    out += np.einsum("ia,ai->i",
-                     np.einsum("iab,bi->ia", tables.Gdot, btN) + 2.0 * tables.gdot,
-                     btN)
-    return out
+def _correction(gain, upsilon, steps, increments,
+                tables: SpecTables) -> np.ndarray:
+    """[[Qbb, Sbb], [Sbb^T, omega]] at every node, by the bordered sum.
+
+    The bordered steps are [[steps_i, increments_i], [0, 1]]: the closed
+    loop's one-step propagators and its zero-state response over each step.
+    """
+    anchors = _anchored(_border(steps, increments, 0.0, 1.0))
+    return _correction_sum(anchors, gain, tables, upsilon)
+
+
+def _sbb_table(correction: np.ndarray) -> np.ndarray:
+    """Sbb at every node: the last column of the bordered correction."""
+    return correction[:, :-1, -1]
+
+
+def _omega_table(correction: np.ndarray) -> np.ndarray:
+    """omega at every node: the corner of the bordered correction."""
+    return correction[:, -1, -1]
 
 
 def _affine_backward_rk4(D_nodes, D_half, c_nodes, c_half, terminal, h):
@@ -280,7 +273,7 @@ def solve_phi(spec: ProblemSpec, grid: TimeGrid, riccati: RiccatiSolution,
               opts: SolveOptions | None = None) -> PhiSolution:
     """Picard iteration for the linear value-function coefficient.
 
-    Each pass freezes phi, rebuilds Upsilon, btilde and Sbb from it, then
+    Each pass freezes phi, rebuilds Upsilon and Sbb from it, then
     integrates the backward equation with RK4 from phi(T) = g(T).  The
     returned tables are the ones rebuilt from the converged phi, so they are
     mutually consistent.
@@ -289,7 +282,7 @@ def solve_phi(spec: ProblemSpec, grid: TimeGrid, riccati: RiccatiSolution,
     tables = riccati.tables
     if tables.grid.N != grid.N or tables.grid.T != grid.T:
         raise TilqError("riccati solution was computed on a different grid")
-    cl_pairs = riccati.closed_loop.pair_table()
+    steps = riccati.closed_loop.steps
     gain = riccati.gain
     h = grid.h
 
@@ -300,11 +293,14 @@ def solve_phi(spec: ProblemSpec, grid: TimeGrid, riccati: RiccatiSolution,
     g_rho = np.einsum("ima,im->ia", gain, tables.rhod)
     g_rho_half = np.einsum("ima,im->ia", _interp_half(gain), tables.rhod_half)
 
-    def sweep(phi):
+    def correction(phi):
         ups = _upsilon_table(phi, tables)
         drive = closed_loop_drive(tables.b, tables.B, ups)
-        bt = _btilde_from_drive(cl_pairs, drive, grid)
-        sbb = _sbb_table(gain, ups, bt, cl_pairs, tables)
+        return ups, drive, _correction(
+            gain, ups, steps, _trapezoid_increments(steps, drive, h), tables)
+
+    def sweep(phi):
+        sbb = _sbb_table(correction(phi)[2])
         c_nodes = -sbb + Pb + tables.qd - g_rho
         c_half = -_interp_half(sbb) + Pb_half + tables.qd_half - g_rho_half
         return _affine_backward_rk4(D_nodes, D_half, c_nodes, c_half,
@@ -313,13 +309,11 @@ def solve_phi(spec: ProblemSpec, grid: TimeGrid, riccati: RiccatiSolution,
     phi0 = _initial_table(opts.initial, tables.g_T, grid.N, "phi")
     phi, diag = damped_fixed_point(phi0, sweep, opts, "affine coefficient")
 
-    ups = _upsilon_table(phi, tables)
-    drive = closed_loop_drive(tables.b, tables.B, ups)
-    bt = _btilde_from_drive(cl_pairs, drive, grid)
-    sbb = _sbb_table(gain, ups, bt, cl_pairs, tables)
-    phi_sol = PhiSolution(phi=phi, upsilon=ups, btilde=from_pair_layout(bt),
-                          sbb=sbb, diagnostics=diag)
+    ups, drive, corr = correction(phi)
+    phi_sol = PhiSolution(phi=phi, upsilon=ups, sbb=_sbb_table(corr),
+                          diagnostics=diag)
     phi_sol.drive = drive
+    phi_sol._omega = _omega_table(corr)
     return phi_sol
 
 
@@ -329,10 +323,8 @@ def solve_psi(spec: ProblemSpec, grid: TimeGrid, riccati: RiccatiSolution,
 
     Returns (psi, omega) on the nodes.
     """
-    tables = riccati.tables
-    omega = _omega_table(riccati.gain, phi_sol.upsilon,
-                         to_pair_layout(phi_sol.btilde), tables)
-    rate = _psi_rate(phi_sol.phi, phi_sol.upsilon, omega, tables)
+    omega = phi_sol._omega
+    rate = _psi_rate(phi_sol.phi, phi_sol.upsilon, omega, riccati.tables)
     running = cumulative_trapezoid(-rate, grid.h)
     psi = running[-1] - running
     return psi, omega
@@ -343,9 +335,7 @@ def solve_auxiliary(spec: ProblemSpec, grid: TimeGrid, riccati: RiccatiSolution,
     """phi then psi, with all dependent tables mutually consistent."""
     phi_sol = solve_phi(spec, grid, riccati, opts)
     psi, omega = solve_psi(spec, grid, riccati, phi_sol)
-    aux = AuxiliarySolution(
+    return AuxiliarySolution(
         phi=phi_sol.phi, psi=psi, upsilon=phi_sol.upsilon, sbb=phi_sol.sbb,
         omega=omega, diagnostics=phi_sol.diagnostics,
         closed_loop=riccati.closed_loop, drive=phi_sol.drive)
-    aux._btilde = phi_sol.btilde
-    return aux

@@ -11,7 +11,8 @@ F = A - B Gain (:func:`closed_loop_matrices`) from the grid evaluations of
 :class:`tilq.tables.SpecTables`.
 
 :func:`_anchored` forms the fundamental matrices of a system from its steps,
-anchored segment by segment, for the fixed-point sweep's sums.
+anchored segment by segment, for the fixed-point path's sums; the affine
+solve's system is the closed loop bordered with its drive (:func:`_border`).
 
 Tables over node pairs are stored in the pair layout described in
 :mod:`tilq.tables`; :func:`from_pair_layout` gives the node-major view the
@@ -24,6 +25,7 @@ may each build it, with identical results.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -113,11 +115,6 @@ def _rk4_linear_steps(A_nodes: np.ndarray, A_half: np.ndarray, h: float) -> np.n
 def from_pair_layout(pairs: np.ndarray) -> np.ndarray:
     """View [j, i, ...] of a pair table [..., i, j]: later time first."""
     return np.moveaxis(np.swapaxes(pairs, -1, -2), (-2, -1), (0, 1))
-
-
-def to_pair_layout(table: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`from_pair_layout`: view [..., i, j] of a [j, i, ...] table."""
-    return np.moveaxis(table, (0, 1), (-1, -2))
 
 
 def zero_below_diagonal(pairs: np.ndarray) -> np.ndarray:
@@ -223,10 +220,11 @@ def _anchored(steps: np.ndarray) -> _Anchors:
     step_log[ok] = np.log1p(delta[ok]) - np.log1p(-delta[ok])
     # capped past the limit, so the running sum stays finite for a finite bound
     bound = np.concatenate([[0.0], np.cumsum(np.minimum(step_log, limit + 1.0))])
+    bound = bound.tolist()  # one cheap bisection per segment, however many
     starts = [0]
     while starts[-1] < N:
         a = starts[-1]
-        b = int(np.searchsorted(bound, bound[a] + limit, side="right")) - 1
+        b = bisect.bisect_right(bound, bound[a] + limit) - 1
         starts.append(min(max(b, a + 1), N))
     starts = np.array(starts)
     lengths = np.diff(starts)
@@ -277,3 +275,12 @@ def closed_loop_drive(b: np.ndarray, B: np.ndarray,
                       upsilon: np.ndarray) -> np.ndarray:
     """The closed loop's drive b - B Upsilon at each tabulated time."""
     return b - np.einsum("tab,tb->ta", B, upsilon)
+
+
+def _border(X: np.ndarray, col, row=0.0, corner=0.0) -> np.ndarray:
+    """[[X, col], [row, corner]] for a stack X (..., n, n), the rest broadcast."""
+    n = X.shape[-1]
+    out = np.zeros(X.shape[:-2] + (n + 1, n + 1))
+    out[..., :n, :n], out[..., :n, n], out[..., n, :n] = X, col, row
+    out[..., n, n] = corner
+    return out

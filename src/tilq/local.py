@@ -27,10 +27,12 @@ split into R terms each,
              + int_t^T e^{-a_r (s-t)} (<bt, K_hat bt + 2 k_hat> + kappa_hat) ds,
 
 with E = E_cl(s, t) and bt = btilde(s, t) (at s = T in the terminal terms).
-The three integrands are the contractions of :mod:`tilq.auxiliary` with
-the common factor d/dt lam pulled out: expanding w = Upsilon + Gain bt
-there leaves exactly K_hat bt + k_hat and <bt, K_hat bt + 2 k_hat> +
-kappa_hat.  Differentiating in t with d/dt E_cl(s, t) = -E_cl(s, t) A_cl(t)
+The three integrands are the blocks of the bordered correction of
+:mod:`tilq.auxiliary`, [[Qbb, Sbb], [Sbb^T, omega]], with the common factor
+d/dt lam pulled out: E^T K_hat E, E^T (K_hat bt + k_hat) and
+<bt, K_hat bt + 2 k_hat> + kappa_hat are the blocks of
+E_bar^T K_hat_bar E_bar with E_bar = [[E, bt], [0, 1]] and K_hat_bar =
+[[K_hat, k_hat], [k_hat^T, kappa_hat]].  Differentiating in t with d/dt E_cl(s, t) = -E_cl(s, t) A_cl(t)
 and d/dt btilde(s, t) = -E_cl(s, t) d(t) gives local equations, integrated
 backward from T:
 
@@ -90,7 +92,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .auxiliary import AuxiliarySolution, _upsilon_table
-from .grid import TimeGrid, closed_loop_drive
+from .grid import TimeGrid, _border, closed_loop_drive
 from .problem import DiscountKernel, ProblemSpec
 from .riccati import (FixedPointDiagnostics, RiccatiSolution, _closed_loop_table,
                       _gain_table, warn_if_indefinite)
@@ -155,12 +157,8 @@ def _bordered(times, A, B, b, Q, S, M, q, rho):
     """A_bar_s, B_bar M^{-1} B_bar^T and Q_bar_s, each (k, n+1, n+1)."""
     factor_md(M, times)  # refuses a non-PD M(t,t), naming the first bad time
     M = 0.5 * (M + np.swapaxes(M, -1, -2))
-    k, n = b.shape
-    Ab = np.zeros((k, n + 1, n + 1))
-    Ab[:, :n, :n], Ab[:, :n, n] = A, b
-    Qb = np.zeros((k, n + 1, n + 1))
-    Qb[:, :n, :n], Qb[:, :n, n], Qb[:, n, :n] = Q, q, q
-    Bb = np.concatenate([B, np.zeros((k, 1, B.shape[-1]))], axis=1)
+    Ab, Qb = _border(A, b), _border(Q, q, q)
+    Bb = np.concatenate([B, np.zeros((len(B), 1, B.shape[-1]))], axis=1)
     Sb = np.concatenate([S, rho[..., None]], axis=2)
     Minv = np.linalg.inv(M)
     MS = Minv @ Sb

@@ -38,6 +38,7 @@ running-diagonal variant Q(s, s) appears only inside the recursion checks.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -371,6 +372,17 @@ def simulate_control(spec: ProblemSpec, grid: TimeGrid, u, t_idx: int, x,
                       states=states, controls=controls)
 
 
+def _node_index(t_idx, N: int) -> int:
+    """``t_idx`` as a node index: an integer in [0, N], else TilqError."""
+    try:
+        i = operator.index(t_idx)
+    except TypeError:
+        i = -1
+    if not 0 <= i <= N:
+        raise TilqError(f"node index {t_idx!r} invalid for N={N}")
+    return i
+
+
 def simulate_equilibrium(sol: EquilibriumSolution, t_idx: int, x) -> Trajectory:
     """Equilibrium trajectory from the stored propagators.
 
@@ -379,6 +391,7 @@ def simulate_equilibrium(sol: EquilibriumSolution, t_idx: int, x) -> Trajectory:
     closed-form analysis uses, and it doubles as an independent cross-check
     of :func:`simulate_control` run with the feedback law.
     """
+    t_idx = _node_index(t_idx, sol.grid.N)
     n = sol.spec.dims.n
     x = _state(x, n)
     N = sol.grid.N
@@ -480,8 +493,11 @@ def error_function_closed(sol: EquilibriumSolution, t_idx, x):
     ``t_idx`` is one node, giving a float for one state (n,), or a slice of
     nodes.  States (..., n) broadcast against the nodes' tables, so a slice
     takes one state per node on the second-to-last axis, below any stack
-    axes, and gives an array of the states' leading shape.
+    axes, and gives an array of the states' leading shape.  A node index
+    outside [0, N] raises TilqError.
     """
+    if not isinstance(t_idx, slice):
+        t_idx = _node_index(t_idx, sol.grid.N)
     R = _quadratic_form(sol.riccati.qbb[t_idx], sol.auxiliary.sbb[t_idx],
                         sol.auxiliary.omega[t_idx], np.asarray(x, dtype=float))
     return float(R) if R.ndim == 0 else R

@@ -65,7 +65,8 @@ every node this is the backward recursion P_i = Phi_i^T P_{i+1} Phi_i + ...
 over the one-step propagators Phi_i, and Qbb costs O(N^2 n^3), the order of
 the pair table it replaces.  The open-loop anchors depend on the spec only
 and are cached in :class:`tilq.tables.SpecTables`; the closed loop's are
-formed once per sweep.
+formed once per sweep.  Run over the closed loop bordered with its drive,
+the Qbb sum gives Sbb and omega too (:mod:`tilq.auxiliary`).
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ import numpy as np
 
 from .errors import AssumptionError, ConsistencyError, ConvergenceError, TilqError
 from .grid import (TimeGrid, TransitionTable, _anchored, _Anchors,
-                   _rk4_linear_steps, closed_loop_matrices)
+                   _border, _rk4_linear_steps, closed_loop_matrices)
 # Not called here: the solvers read SpecTables.open_loop_steps.  The name
 # stays in this module because perfbench/spans.py wraps it here.
 from .grid import open_loop_transition  # noqa: F401
@@ -307,47 +308,47 @@ def _open_loop_integral(anchors: _Anchors, inner: np.ndarray,
     return out
 
 
-def _separable_sum(anchors: _Anchors, K: np.ndarray,
+def _separable_sum(anchors: _Anchors, K: np.ndarray, D: np.ndarray,
                    tables: SpecTables) -> np.ndarray:
-    """Qbb before symmetrization for a separable spec, K = K_hat at the nodes.
+    """The sum for a separable spec, K = K_hat at the nodes, D the terminal term.
 
     The weights W * dlam are applied as h * dlam, one matrix product per
     segment; column N enters with the terminal term and the diagonal's half
     weight is restored at the end.
     """
     starts = anchors.starts
-    N, n, h = tables.grid.N, tables.n, tables.grid.h
+    N, h, d = tables.grid.N, tables.grid.h, K.shape[-1]
     dlam = tables.dlam
-    flat = h * _frame_terms(anchors, K).reshape(N + 1, n * n)
+    flat = h * _frame_terms(anchors, K).reshape(N + 1, d * d)
 
     def segment_sum(k):
         a, b = starts[k], starts[k + 1]
-        return (dlam[:b, a:b] @ flat[a:b]).reshape(b, n, n)
+        return (dlam[:b, a:b] @ flat[a:b]).reshape(b, d, d)
 
-    out = np.array(tables.Gdot)
+    out = np.array(D)
     out[:N] += (0.5 * h) * dlam[:N, N, None, None] * K[N]
     out = _carry_back(anchors, out, segment_sum)
     out[:N] -= (0.5 * h) * np.diagonal(dlam)[:N, None, None] * K[:N]
     return out
 
 
-def _pair_sum(anchors: _Anchors, gain: np.ndarray,
+def _pair_sum(anchors: _Anchors, gain: np.ndarray, upsilon, D: np.ndarray,
               tables: SpecTables) -> np.ndarray:
-    """Qbb before symmetrization from the per-pair blocks of ``pair_costs``.
+    """The sum from the per-pair blocks of ``pair_costs``, D the terminal term.
 
     One K per node pair, contracted with psi_j in place of E_ji at the exact
     weights W, one segment's columns at a time; node N's column is a segment
     of its own.
     """
-    N, n = tables.grid.N, tables.n
+    N, d = tables.grid.N, anchors.psi.shape[-1]
     starts = np.append(anchors.starts, N + 1)  # node N's segment ends the grid
     psi = np.ascontiguousarray(np.moveaxis(anchors.psi, 0, -1))  # psi_j at [..., j]
 
     def segment_sum(k):
         a, b = starts[k], starts[k + 1]
-        out = np.empty((b, n, n))
-        for rows, (_, _, cols), weight, K, _, _ in pair_costs(
-                tables, gain, columns=slice(a, b)):
+        out = np.empty((b, d, d))
+        for rows, (_, _, cols), weight, K in pair_costs(
+                tables, gain, upsilon, columns=slice(a, b)):
             p = psi[..., cols]
             buf = np.einsum("ceij,edj->cdij", K, p)
             buf *= weight
@@ -355,21 +356,31 @@ def _pair_sum(anchors: _Anchors, gain: np.ndarray,
         return out
 
     node_N = len(starts) - 2
-    return _carry_back(anchors, tables.Gdot + segment_sum(node_N), segment_sum)
+    return _carry_back(anchors, D + segment_sum(node_N), segment_sum)
+
+
+def _correction_sum(anchors: _Anchors, gain: np.ndarray, tables: SpecTables,
+                    upsilon=None) -> np.ndarray:
+    """Qbb at every node before symmetrization, or bordered with Upsilon.
+
+    With ``upsilon`` the anchors, the costs and G' are all bordered, and the
+    sum is [[Qbb, Sbb], [Sbb^T, omega]] (:mod:`tilq.auxiliary`).  A separable
+    spec sums K_hat(s_j) against the dlam plane, others the blocks of
+    :func:`tilq.tables.pair_costs` pair by pair.
+    """
+    D = tables.Gdot
+    if upsilon is not None:
+        D = _border(D, tables.gdot, tables.gdot)
+    if tables.spec.kernel is not None:
+        K = np.moveaxis(_node_costs(tables, gain, upsilon)[..., 0, :], -1, 0)
+        return _separable_sum(anchors, K, D, tables)
+    return _pair_sum(anchors, gain, upsilon, D, tables)
 
 
 def _qbb_table(gain: np.ndarray, anchors: _Anchors,
                tables: SpecTables) -> np.ndarray:
-    """Qbb at every node from the closed loop's anchored propagators.
-
-    A separable spec sums K_hat(s_j) against the dlam plane; otherwise the
-    blocks of :func:`tilq.tables.pair_costs` are contracted pair by pair.
-    """
-    if tables.spec.kernel is not None:
-        K = np.moveaxis(_node_costs(tables, gain)[0][..., 0, :], -1, 0)
-        out = _separable_sum(anchors, K, tables)
-    else:
-        out = _pair_sum(anchors, gain, tables)
+    """Qbb at every node from the closed loop's anchored propagators."""
+    out = _correction_sum(anchors, gain, tables)
     return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 

@@ -4,9 +4,8 @@ Everything the solvers touch repeatedly is evaluated once here: dynamics and
 diagonal kernel values K(t, t) at nodes and half nodes, the open-loop RK4
 steps and their anchored fundamental matrices, terminal weights, and the
 O(N^2) first-argument derivatives K_t(t_i, t_j), which only the fixed-point
-path and the verification checks build.  The solvers' closed-loop propagators
-(:func:`tilq.riccati._closed_loop_table`) and btilde
-(:func:`tilq.auxiliary._btilde_from_drive`) are built from these evaluations
+path and the verification checks build.  The solvers' closed-loop steps
+(:func:`tilq.riccati._closed_loop_table`) are built from these evaluations
 only, never again from the problem's callables.
 
 Separable problems.  When the spec records its discount kernel
@@ -20,14 +19,12 @@ one derivative triangle per cost kernel instead (``Qt``, ``St``, ``Mt``,
 ``qt``, ``rhot``).  Every nonlocal integrand reads its kernels through
 :func:`pair_costs`, the one place that chooses between the two.
 
-Pair layout.  Every (N+1)^2 table of the solver -- the kernel plane or
-triangles, the trapezoid weights W, the closed-loop propagators and
-btilde -- is one C-contiguous array of shape ``components + (N+1, N+1)``.
-Entry ``[..., i, j]`` belongs to the node pair (t, s) = (t_i, t_j): the
-evaluation time t runs along the rows and the integration time s >= t along
-the columns, and every component (a, b) of a matrix-valued table is a
-separate (N+1, N+1) plane.  Entries with j < i lie outside the domain
-t <= s and are exactly zero.  Concretely:
+Pair layout.  Every (N+1)^2 table is one C-contiguous array of shape
+``components + (N+1, N+1)``.  Entry ``[..., i, j]`` belongs to the node
+pair (t, s) = (t_i, t_j): the evaluation time t runs along the rows and the
+integration time s >= t along the columns, and every component (a, b) of a
+matrix-valued table is a separate (N+1, N+1) plane.  Entries with j < i lie
+outside the domain t <= s and are exactly zero.  Concretely:
 
 * ``dlam[i, j] = d/dt lam(t_i, t_j)``, and K_t(t_i, t_j) = dlam[i, j] K_hat(t_j)
   for every cost kernel K of a separable spec;
@@ -35,20 +32,17 @@ t <= s and are exactly zero.  Concretely:
   ``qt[a, i, j]``, ``rhot[p, i, j]`` for a spec without a recorded kernel;
 * ``W[i, j]`` is the trapezoid weight of node j in the integral over
   [t_i, T];
-* ``TransitionTable.pair_table()[a, b, i, j] = E_cl(t_j, t_i)[a, b]``;
-* the solver's btilde table ``[a, i, j] = btilde(t_j, t_i)[a]``.
+* ``TransitionTable.pair_table()[a, b, i, j] = E_cl(t_j, t_i)[a, b]`` and
+  btilde's ``[a, i, j] = btilde(t_j, t_i)[a]``, built only for the public
+  node-major views (``full_table()``, ``AuxiliarySolution.btilde``), which
+  index the later time first and are views, not copies.
 
-Quantities integrated over s for every t -- Sbb, omega -- are then
-weighted row sums of element-wise products of aligned planes, and a
-coefficient that depends on s only (the gain, Upsilon, a separable
-problem's closed-loop costs) broadcasts along the rows.  Row i of such a
-sum reads only row i of each table, so the kernels run over blocks of rows
-(:func:`pair_blocks`) whose temporaries stay in cache, and skip the columns
-left of each block, which are all zero.  The Riccati sweep forms Qbb from
-the same plane or blocks, but with no propagator table (see
-:mod:`tilq.riccati`).  The public node-major views
-(``TransitionTable.full_table()``, ``AuxiliarySolution.btilde``) index the
-later time first and are views of these arrays, not copies.
+:func:`pair_costs` yields each node pair's closed-loop cost derivative K,
+bordered to [[K, k], [k^T, kappa]] when Upsilon is given, times its
+trapezoid weight, by blocks of rows (:func:`pair_blocks`) whose temporaries
+stay in cache, skipping the all-zero columns left of each block.  The
+fixed-point sums for Qbb, Sbb and omega read the plane or these blocks and
+no propagator table (see :mod:`tilq.riccati`).
 """
 
 from __future__ import annotations
@@ -58,8 +52,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AssumptionError
-from .grid import (TimeGrid, _anchored, _eval_dynamics, _rk4_linear_steps,
-                   zero_below_diagonal)
+from .grid import (TimeGrid, _anchored, _border, _eval_dynamics,
+                   _rk4_linear_steps, zero_below_diagonal)
 from .problem import ProblemSpec, TwoTimeField, eval_pairs
 
 
@@ -361,79 +355,75 @@ class SpecTables:
         return sup
 
 
-def _closed_loop_costs(g, u, Q, S, M, q=None, rho=None) -> tuple:
-    """K, k, kappa of :func:`pair_costs` from kernel values over pairs (i, j).
+def _closed_loop_costs(g, Q, S, M) -> np.ndarray:
+    """K of :func:`pair_costs` from kernel values over pairs (i, j).
 
-    The kernels are indexed [..., i, j] and Gain ``g``, Upsilon ``u``
-    [..., j]; k and kappa are None without ``u``.
+    The kernels are indexed [..., i, j] and the gain ``g`` [..., j].
     """
     K = np.einsum("paj,pqij,qbj->abij", g, M, g)
     GS = np.einsum("paj,pbij->abij", g, S)
     K -= GS
     K -= np.swapaxes(GS, 0, 1)
     K += Q
-    if u is None:
-        return K, None, None
-    r = np.einsum("pqij,qj->pij", M, u)
-    r -= rho
-    k = np.einsum("paj,pij->aij", g, r)
-    k -= np.einsum("paij,pj->aij", S, u)
-    k += q
-    r -= rho
-    return K, k, np.einsum("pj,pij->ij", u, r)
+    return K
 
 
-def _node_costs(tables: SpecTables, gain: np.ndarray, upsilon=None) -> tuple:
-    """K_hat, k_hat, kappa_hat of a separable spec at every node s_j.
+def _bordered_gain(gain: np.ndarray, upsilon) -> np.ndarray:
+    """Gain(t_j) on column j, bordered to [Gain, Upsilon] when Upsilon is given."""
+    if upsilon is not None:
+        gain = np.concatenate([gain, upsilon[..., None]], axis=-1)
+    return np.ascontiguousarray(np.moveaxis(gain, 0, -1))
 
-    The closed-loop costs of :func:`pair_costs` formed from the base values
+
+def _node_costs(tables: SpecTables, gain: np.ndarray, upsilon=None) -> np.ndarray:
+    """K_hat of a separable spec at every node s_j, bordered with Upsilon.
+
+    The closed-loop cost of :func:`pair_costs` formed from the base values
     K(s_j, s_j) / lam(s_j, s_j), indexed [..., 0, j]: the row axis of length
     one broadcasts along the rows of a pair table.
     """
-    g = np.ascontiguousarray(np.moveaxis(gain, 0, -1))  # Gain(t_j) on column j
-    u = None if upsilon is None else np.ascontiguousarray(upsilon.T)
-    return _closed_loop_costs(g, u, *(
+    Q, S = tables.Qd, tables.Sd
+    if upsilon is not None:
+        Q, S = (_border(Q, tables.qd, tables.qd),
+                np.concatenate([S, tables.rhod[..., None]], axis=-1))
+    return _closed_loop_costs(_bordered_gain(gain, upsilon), *(
         np.moveaxis(d, 0, -1)[..., None, :] / tables.lam_diag
-        for d in (tables.Qd, tables.Sd, tables.Md, tables.qd, tables.rhod)))
+        for d in (Q, S, tables.Md)))
 
 
 def pair_costs(tables: SpecTables, gain: np.ndarray, upsilon=None,
                first: int = 0, columns: slice = slice(0, None)):
     """Closed-loop cost derivatives over the node pairs, by blocks of rows.
 
-    Along the closed loop u = -Gain y - Upsilon the t-derivative of the
-    running cost at (t, s) is <y, K y> + 2 <k, y> + kappa, where
+    Along the closed loop u = -Gain y the t-derivative of the running cost
+    at (t, s) is <y, K y> with K = Q_t - Gain^T S_t - S_t^T Gain + Gain^T
+    M_t Gain, the kernels at (t, s) and Gain at s.  Along u = -Gain y -
+    Upsilon it is <y_bar, K y_bar>, y_bar = [y; 1], with K the same formula
+    in [[Q, q], [q^T, 0]], [S, rho] and [Gain, Upsilon]: the bordered
+    [[K, k], [k^T, kappa]].  Yields ``(rows, blk, weight, K)`` for the
+    blocks of :func:`pair_blocks` from row ``first`` on, over the
+    ``columns``: ``blk`` indexes the block's pairs, and K[a, b, i, j] times
+    weight[i, j] is the pair's coefficient times its trapezoid weight in
+    the integral over [t_i, T].
 
-        K     = Q_t - Gain^T S_t - S_t^T Gain + Gain^T M_t Gain,
-        k     = q_t - S_t^T Upsilon + Gain^T (M_t Upsilon - rho_t),
-        kappa = <Upsilon, M_t Upsilon - 2 rho_t>,
-
-    with the kernels at (t, s) and Gain, Upsilon at s.  Yields
-    ``(rows, blk, weight, K, k, kappa)`` for the blocks of :func:`pair_blocks`
-    from row ``first`` on, over the ``columns``: ``blk`` indexes the block's
-    pairs, and K[a, b, i, j], k[a, i, j], kappa[i, j] times weight[i, j] are
-    the pair's coefficients times its trapezoid weight in the integral over
-    [t_i, T].  Without
-    ``upsilon`` only K is formed and k, kappa are None.
-
-    For a separable spec the coefficients are those of :func:`_node_costs`,
-    formed once per node, and weight = W * dlam.  Otherwise they are
-    contracted pair by pair from the kernel triangles and weight = W.
+    For a separable spec K is that of :func:`_node_costs`, formed once per
+    node, and weight = W * dlam.  Otherwise it is contracted pair by pair
+    from the kernel triangles and weight = W.
     """
-    separable = tables.spec.kernel is not None
-    if separable:
-        costs = _node_costs(tables, gain, upsilon)
+    dim = tables.n + (upsilon is not None)
+    if tables.spec.kernel is not None:
+        K = _node_costs(tables, gain, upsilon)
     else:
-        g = np.ascontiguousarray(np.moveaxis(gain, 0, -1))  # Gain(t_j) on column j
-        u = None if upsilon is None else np.ascontiguousarray(upsilon.T)
-        names = ("Qt", "St", "Mt") + (() if u is None else ("qt", "rhot"))
-    for rows, cols in pair_blocks(tables.grid.N + 1, tables.n * tables.n, first,
-                                  columns):
+        g = _bordered_gain(gain, upsilon)
+    for rows, cols in pair_blocks(tables.grid.N + 1, dim * dim, first, columns):
         blk = (Ellipsis, rows, cols)
-        if separable:
-            yield (rows, blk, tables.W[blk] * tables.dlam[blk]) + tuple(
-                None if c is None else c[..., cols] for c in costs)
-        else:
-            yield (rows, blk, tables.W[blk]) + _closed_loop_costs(
-                g[..., cols], None if u is None else u[:, cols],
-                *(getattr(tables, name)[blk] for name in names))
+        if tables.spec.kernel is not None:
+            yield rows, blk, tables.W[blk] * tables.dlam[blk], K[..., cols]
+            continue
+        Q, S, M = tables.Qt[blk], tables.St[blk], tables.Mt[blk]
+        if upsilon is not None:  # as _border() does, with the matrix axes first
+            n, q = tables.n, tables.qt[blk]
+            Qb = np.zeros((n + 1, n + 1) + q.shape[1:])
+            Qb[:n, :n], Qb[:n, n], Qb[n, :n] = Q, q, q
+            Q, S = Qb, np.concatenate([S, tables.rhot[blk][:, None]], axis=1)
+        yield rows, blk, tables.W[blk], _closed_loop_costs(g[..., cols], Q, S, M)

@@ -15,7 +15,9 @@ Four independent probes of a solved problem:
   stored tables would cancel algebraically to roundoff (the reconstruction
   embeds those very tables), so R is instead rebuilt along an independently
   re-integrated closed-loop response; the residual then measures the true
-  discretization defect and shrinks at second order.
+  discretization defect and shrinks at second order.  Its drive enters by
+  RK4 stages, not the trapezoid rule, and its Sbb and omega come from the
+  solver's bordered sum (:mod:`tilq.auxiliary`) over those increments.
 * integral-form residual: the value function must reproduce itself through
   the terminal term plus the nested running/correction integrals along the
   equilibrium path.
@@ -35,13 +37,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .auxiliary import _omega_table, _psi_rate, _sbb_table
+from .auxiliary import _correction, _omega_table, _psi_rate, _sbb_table
 # Not called here: the uniqueness probe solves for P only.  The name stays
 # in this module because perfbench/spans.py wraps it here.
 from .auxiliary import solve_auxiliary  # noqa: F401
 from .errors import TilqError
 from .grid import (TimeGrid, _interp_half, closed_loop_drive,
-                   closed_loop_matrices, quadrature, zero_below_diagonal)
+                   closed_loop_matrices, quadrature)
 from .policy import (EquilibriumSolution, _frozen_kernels, _quadratic_form,
                      _running_cost, _running_integral, _terminal_cost, cost,
                      error_function_closed, error_function_direct, feedback,
@@ -303,50 +305,38 @@ def random_candidate_controls(sol: EquilibriumSolution, t_idx: int, s_idx: int,
 # pointwise stationarity residual
 
 
-def _reintegrated_offsets(sol: EquilibriumSolution) -> np.ndarray:
-    """Zero-state responses rebuilt by RK4 affine accumulation, in pair layout.
+def _reintegrated_increments(sol: EquilibriumSolution) -> np.ndarray:
+    """Zero-state response to the drive b - B Upsilon over each step, by RK4.
 
-    Shares the closed-loop step matrices with the stored propagators but
-    accumulates the drive b - B Upsilon through the RK4 stages instead of
-    the node trapezoid rule, giving a second, independent discretization of
-    the same responses.
+    With the stored closed-loop steps, these bordered steps give btilde by a
+    second discretization, independent of the solver's trapezoid rule.
     """
     tbl = sol.tables
-    grid = sol.grid
-    gain = sol.riccati.gain
+    h = sol.grid.h
     ups = sol.auxiliary.upsilon
-    h = grid.h
-    F, Fm = closed_loop_matrices(tbl.A, tbl.A_half, tbl.B, tbl.B_half, gain)
+    F, Fm = closed_loop_matrices(tbl.A, tbl.A_half, tbl.B, tbl.B_half,
+                                 sol.riccati.gain)
     w = closed_loop_drive(tbl.b, tbl.B, ups)
     wm = closed_loop_drive(tbl.b_half, tbl.B_half, _interp_half(ups))
     k1 = w[:-1]
     k2 = 0.5 * h * np.einsum("iab,ib->ia", Fm, k1) + wm
     k3 = 0.5 * h * np.einsum("iab,ib->ia", Fm, k2) + wm
     k4 = h * np.einsum("iab,ib->ia", F[1:], k3) + w[1:]
-    r = (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    steps = sol.riccati.closed_loop.steps
-    N, n = grid.N, sol.spec.dims.n
-    Z = np.zeros((N + 1, n))
-    for i in range(N):
-        Z[i + 1] = steps[i] @ Z[i] + r[i]
-    bt = np.einsum("abij,ib->aij", sol.riccati.closed_loop.pair_table(), Z)
-    np.subtract(Z.T[:, None, :], bt, out=bt)
-    return zero_below_diagonal(bt)
+    return (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def _stationarity_residuals(sol: EquilibriumSolution, states) -> list:
     """The pointwise residual at every node, one array per state.
 
-    The state-independent tables, among them the re-integrated responses
-    and their Sbb and omega, are built once for all the states.  The rates
-    use the stored Sbb and omega (what phi and psi were solved against);
-    only R comes from the re-integrated route.
+    The state-independent tables, among them the re-integrated responses'
+    Sbb and omega, are built once for all the states.  The rates use the
+    stored Sbb and omega (what phi and psi were solved against); only R
+    comes from the re-integrated route.
     """
     gain, ups, qbb = sol.riccati.gain, sol.auxiliary.upsilon, sol.riccati.qbb
-    bt_re = _reintegrated_offsets(sol)
-    sbb_re = _sbb_table(gain, ups, bt_re, sol.riccati.closed_loop.pair_table(),
-                        sol.tables)
-    omega_re = _omega_table(gain, ups, bt_re, sol.tables)
+    corr_re = _correction(gain, ups, sol.riccati.closed_loop.steps,
+                          _reintegrated_increments(sol), sol.tables)
+    sbb_re, omega_re = _sbb_table(corr_re), _omega_table(corr_re)
     rates = _coefficient_rates(sol)
     out = []
     for x in np.atleast_2d(np.asarray(states, dtype=float)):
@@ -373,16 +363,15 @@ def hjb_integral_residual(sol: EquilibriumSolution, t_idx: int, x) -> float:
     Walks the equilibrium path Y from (t, x), evaluates the running
     Hamiltonian-like term through the minimizing-control map h as displayed
     in its defining formula, and the two-time correction integrand as the
-    closed-loop cost derivative <Y, K Y> + 2 <k, Y> + kappa of
-    :func:`tilq.tables.pair_costs` (the path's control h is Gain Y + Upsilon),
-    and compares the assembled right side against V(t, x).
+    bordered closed-loop cost derivative <Y_bar, K Y_bar>, Y_bar = [Y; 1],
+    of :func:`tilq.tables.pair_costs` (the path's control h is Gain Y +
+    Upsilon), and compares the assembled right side against V(t, x).
     """
     spec, grid = sol.spec, sol.grid
     tbl = sol.tables
     N = grid.N
-    t = float(grid.nodes[t_idx])
-    x = np.asarray(x, dtype=float).reshape(spec.dims.n)
-    traj = simulate_equilibrium(sol, t_idx, x)
+    traj = simulate_equilibrium(sol, t_idx, x)  # refuses a bad node index
+    t, x = float(grid.nodes[t_idx]), traj.start_state
     Y = traj.states
     sl = slice(t_idx, N + 1)
     grad = 2.0 * np.einsum("jab,jb->ja", sol.riccati.P[sl], Y) \
@@ -396,15 +385,13 @@ def hjb_integral_residual(sol: EquilibriumSolution, t_idx: int, x) -> float:
              + np.einsum("jab,jb,ja->j", tbl.Qd[sl], Y, Y)
              + 2.0 * np.einsum("ja,ja->j", tbl.qd[sl], Y))
     # F(tau, s, Y(s), grad V(s, Y(s))) on the node triangle, row sums weighted
-    Y_at = np.zeros((N + 1, spec.dims.n))
-    Y_at[sl] = Y
+    Y_bar = np.ones((N + 1, spec.dims.n + 1))  # [Y(s_j); 1]
+    Y_bar[sl, :-1] = Y
     inner = np.empty(N + 1)
-    for rows, blk, weight, K, k, kappa in pair_costs(
+    for rows, blk, weight, K in pair_costs(
             tbl, sol.riccati.gain, sol.auxiliary.upsilon, t_idx):
-        y = Y_at[blk[-1]]  # Y(s_j) on the block's columns
+        y = Y_bar[blk[-1]]  # on the block's columns
         F = np.einsum("abij,jb,ja->ij", K, y, y)
-        F += 2.0 * np.einsum("aij,ja->ij", k, y)
-        F += kappa
         inner[rows] = np.einsum("ij,ij->i", F, weight)
     outer = quadrature(H_run - inner[sl], grid, t_idx, N)
     # terminal weights frozen at the start time of the representation

@@ -29,7 +29,7 @@ def qbb_table(gain, cl_pairs, tables):
     """Qbb at every node from the closed-loop pair table."""
     N, n = tables.grid.N, tables.n
     out = np.empty((N + 1, n, n))
-    for rows, blk, weight, K, _, _ in pair_costs(tables, gain):
+    for rows, blk, weight, K in pair_costs(tables, gain):
         E = cl_pairs[blk]
         buf = np.einsum("ceij,edij->cdij", K, E)
         buf *= weight

@@ -1,0 +1,101 @@
+"""The bordered correction's Sbb, omega and checks against the pair-table reference.
+
+Every case is solved by the Riccati fixed point, then for phi and psi by
+the package and by :mod:`auxiliary_reference` from the same Riccati
+solution; phi, psi, Sbb and omega must agree to 1e-12 relative after the
+same number of Picard passes, and the stationarity and integral-form
+residuals must agree to rounding.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import tilq.auxiliary
+from tilq import (DynamicsField, build_grid, hjb_integral_residual,
+                  hjb_residual_sup, load_shipped_problem, shipped_problem_names,
+                  solve_auxiliary, solve_equilibrium_riccati)
+from tilq.policy import EquilibriumSolution
+from conftest import threestate_spec, twostate_spec
+from test_riccati_reference import (assert_rel, stiff_spec, tabulated_hyperbolic,
+                                    without_kernel)
+import auxiliary_reference as ref
+
+
+def large_drive(spec):
+    """The same problem with b = (500, 0).
+
+    Each bordered step's drive increment is then large, so every step is an
+    anchored segment of its own.
+    """
+    d = spec.dynamics
+    return dataclasses.replace(spec, dynamics=DynamicsField(
+        A=d.A, B=d.B, b=lambda t: np.array([500.0, 0.0])))
+
+
+# name -> (spec builder, N); every shipped problem is forced onto the fixed point
+CASES = {
+    **{name: (lambda name=name: load_shipped_problem(name).spec, 200)
+       for name in shipped_problem_names()},
+    "twostate_tabulated": (lambda: twostate_spec(tabulated_hyperbolic()), 200),
+    "threestate_tabulated": (lambda: threestate_spec(tabulated_hyperbolic()), 120),
+    "twostate_tabulated_triangles": (
+        lambda: without_kernel(twostate_spec(tabulated_hyperbolic())), 200),
+    "threestate_tabulated_triangles": (
+        lambda: without_kernel(threestate_spec(tabulated_hyperbolic())), 120),
+    "stiff_tabulated": (lambda: stiff_spec(tabulated_hyperbolic()), 400),
+    "stiff_triangles": (lambda: without_kernel(stiff_spec()), 200),
+    "large_drive": (lambda: large_drive(twostate_spec(tabulated_hyperbolic())), 200),
+}
+
+
+def solve_both(spec, N):
+    grid = build_grid(spec.horizon, N)
+    riccati = solve_equilibrium_riccati(spec, grid)
+    sol = EquilibriumSolution(spec=spec, grid=grid, riccati=riccati,
+                              auxiliary=solve_auxiliary(spec, grid, riccati))
+    return sol, ref.solve_auxiliary(riccati)
+
+
+@pytest.fixture(scope="module", params=sorted(CASES))
+def case(request):
+    build, N = CASES[request.param]
+    return solve_both(build(), N)
+
+
+def test_auxiliary_matches_reference(case):
+    sol, want = case
+    aux = sol.auxiliary
+    assert aux.diagnostics.iterations == want.diagnostics.iterations
+    for name in ("phi", "psi", "sbb", "omega"):
+        assert_rel(getattr(aux, name), getattr(want, name))
+
+
+def test_checks_match_reference(case):
+    sol, _ = case
+    n, N = sol.spec.dims.n, sol.grid.N
+    # the residuals are differences of terms of the value's size
+    scale = 1.0 + sum(float(np.max(np.abs(v))) for v in (
+        sol.riccati.P, sol.auxiliary.phi, sol.auxiliary.psi))
+    rng = np.random.default_rng(7)
+    states = rng.uniform(-2.0, 2.0, size=(3, n))
+    assert abs(hjb_residual_sup(sol, states)
+               - ref.hjb_residual_sup(sol, states)) <= 1e-12 * scale
+    for t_idx in (0, N // 3, N - 1):
+        x = rng.uniform(-2.0, 2.0, size=n)
+        assert abs(hjb_integral_residual(sol, t_idx, x)
+                   - ref.hjb_integral_residual(sol, t_idx, x)) <= 1e-12 * scale
+
+
+def test_right_point_drive_misses_reference(monkeypatch):
+    # each bordered step's drive increment taken as h d_{i+1} instead of the
+    # trapezoid cell h/2 (Phi_i d_i + d_{i+1}): the comparison must see it
+    monkeypatch.setattr(tilq.auxiliary, "_trapezoid_increments",
+                        lambda steps, drive, h: h * drive[1:])
+    build, N = CASES["twostate_tabulated"]
+    sol, want = solve_both(build(), N)
+    for name in ("sbb", "omega"):
+        got, ref_value = getattr(sol.auxiliary, name), getattr(want, name)
+        assert float(np.max(np.abs(got - ref_value))) > 1e-8 * float(
+            np.max(np.abs(ref_value)))

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ import tilq
 from tilq import (BaseCosts, ConsistencyError, Dimensions, DynamicsField,
                   TilqError, build_grid, cost, error_function_closed,
                   error_function_direct, exponential_kernel, feedback,
-                  grad_value, make_discounted, simulate_control,
-                  simulate_equilibrium, solve_equilibrium, value)
+                  grad_value, hjb_integral_residual, load_shipped_problem,
+                  make_discounted, simulate_control, simulate_equilibrium,
+                  solve_equilibrium, value)
 from tilq.policy import _locate_half, interp_table
 from conftest import (classical_scalar_spec, hyperbolic_scalar_spec,
                       threestate_spec, twostate_spec, zero_cost_spec)
@@ -122,6 +124,37 @@ class TestStateShape:
         with pytest.raises(TilqError, match=rf"state has shape \({len(x)},\); "
                                             rf"expected \({n},\)"):
             entry(sol, 0.5, x)
+
+
+class TestNodeIndex:
+    """A node index that is not an integer in [0, N] is refused by name."""
+
+    @pytest.fixture(scope="class")
+    def sol(self):
+        spec = load_shipped_problem("hyperbolic_scalar_k1").spec
+        return solve_equilibrium(spec, build_grid(spec.horizon, 50))
+
+    @pytest.mark.parametrize("entry", [simulate_equilibrium, error_function_closed,
+                                       error_function_direct,
+                                       hjb_integral_residual])
+    @pytest.mark.parametrize("t_idx", [-1, 51, 2.5])
+    def test_bad_index_refused(self, sol, entry, t_idx):
+        with pytest.raises(TilqError, match=re.escape(
+                f"node index {t_idx!r} invalid for N=50")):
+            entry(sol, t_idx, [1.0])
+
+    def test_ends_and_numpy_integers_accepted(self, sol):
+        for t_idx in (0, 50, np.int64(50)):
+            traj = simulate_equilibrium(sol, t_idx, [1.0])
+            assert traj.start_index == t_idx
+            assert len(traj.states) == 51 - t_idx
+        assert error_function_closed(sol, np.int64(50), [1.0]) == \
+            error_function_closed(sol, 50, [1.0])
+
+    def test_closed_form_takes_slices(self, sol):
+        R = error_function_closed(sol, slice(10, 13), np.ones((3, 1)))
+        assert R.shape == (3,)
+        assert R[0] == error_function_closed(sol, 10, [1.0])
 
 
 class TestTimeLookup:

@@ -5,10 +5,11 @@ import pytest
 
 from tilq import (AssumptionError, BaseCosts, Dimensions, DynamicsField,
                   SolveOptions, build_grid, classical_riccati,
-                  exponential_kernel, gamma_from_p, hyperbolic_kernel,
-                  local_expansion, make_discounted, open_loop_transition,
-                  qbb_from_gamma, quadrature, solve_equilibrium,
-                  solve_equilibrium_riccati, tabulated_kernel, uniqueness_probe)
+                  exponential_kernel, gamma_from_p, hjb_residual_sup,
+                  hyperbolic_kernel, local_expansion, make_discounted,
+                  open_loop_transition, qbb_from_gamma, quadrature,
+                  solve_equilibrium, solve_equilibrium_riccati,
+                  tabulated_kernel, uniqueness_probe)
 from tilq.errors import ConvergenceError
 from tilq.grid import TransitionTable, _anchored
 from tilq.riccati import _closed_loop_table, _qbb_table, _sweep_core
@@ -272,13 +273,31 @@ class TestPairTableBuilds:
         assert probe.p_distance <= 1e-9
         assert builds == []
 
-    def test_fixed_point_solve_builds_at_most_the_auxiliarys(self, builds):
+    @pytest.fixture(scope="class")
+    def tabulated_spec(self):
         times = np.linspace(0.0, 1.0, 101)
         lag = np.clip(times[None, :] - times[:, None], 0.0, None)
-        spec = twostate_spec(tabulated_kernel(times, 1.0 / (1.0 + lag)))
-        sol = solve_equilibrium(spec, build_grid(1.0, 100))
+        return twostate_spec(tabulated_kernel(times, 1.0 / (1.0 + lag)))
+
+    def test_fixed_point_solve_builds_none(self, builds, tabulated_spec):
+        sol = solve_equilibrium(tabulated_spec, build_grid(1.0, 100))
         assert sol.method == "fixed_point"
-        assert len(builds) <= 1
+        assert builds == []
+
+    def test_stationarity_residual_builds_none(self, builds, tabulated_spec):
+        sol = solve_equilibrium(tabulated_spec, build_grid(1.0, 100))
+        states = np.array([[1.0, -0.5], [0.2, 2.0]])
+        assert hjb_residual_sup(sol, states) <= 1e-5
+        assert builds == []
+
+    def test_btilde_builds_one_on_first_access(self, builds, tabulated_spec):
+        sol = solve_equilibrium(tabulated_spec, build_grid(1.0, 100))
+        assert builds == []
+        bt = sol.auxiliary.btilde
+        assert builds == [100]
+        assert bt.shape == (101, 101, 2)
+        assert sol.auxiliary.btilde is bt
+        assert builds == [100]
 
 
 class TestSolve:

@@ -124,6 +124,6 @@ class TestPlaneStructure:
         assert calls == [()]
         square = {name for name, v in vars(sol.tables).items()
                   if isinstance(v, np.ndarray) and v.shape[-2:] == (N + 1, N + 1)}
-        assert square == {"dlam", "W"}
+        assert square == {"dlam"}
         assert sol.tables.dlam.shape == (N + 1, N + 1)
         assert not TRIANGLES & set(vars(sol.tables))
