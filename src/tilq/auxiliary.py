@@ -51,19 +51,22 @@ rho_t) = K btilde + k, and <btilde, Q_t btilde + 2 q_t> + <w, M_t w - 2 S_t
 btilde - 2 rho_t> = <btilde, K btilde + 2 k> + kappa, the kernels at (t, s).
 :func:`sbb_at` and :func:`omega_at` evaluate the left-hand forms row by
 row.  No table over node pairs is formed; :attr:`AuxiliarySolution.btilde`
-builds the btilde table when it is read.
+builds the btilde table when it is read, for those cross-checks.  The
+bordered products themselves (:func:`_bordered_anchors`) also give the
+equilibrium path, :func:`tilq.policy.simulate_equilibrium`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import TilqError
-from .grid import (TimeGrid, TransitionTable, _anchored, _border, _interp_half,
-                   closed_loop_drive, closed_loop_matrices, from_pair_layout,
-                   quadrature)
+from .grid import (TimeGrid, TransitionTable, _anchored, _Anchors, _border,
+                   _interp_half, closed_loop_drive, closed_loop_matrices,
+                   from_pair_layout, quadrature)
 from .problem import ProblemSpec
 from .riccati import (FixedPointDiagnostics, RiccatiSolution, SolveOptions,
                       _correction_sum, _initial_table, damped_fixed_point)
@@ -89,7 +92,7 @@ class AuxiliarySolution:
     """phi, psi and every nonlocal quantity entering them.
 
     The btilde pair table is built from ``closed_loop`` and ``drive`` on its
-    first use and kept.
+    first use and kept; only the public cross-checks read it.
     """
 
     phi: np.ndarray
@@ -213,15 +216,33 @@ def _trapezoid_increments(steps: np.ndarray, drive: np.ndarray,
     return 0.5 * h * (np.einsum("iab,ib->ia", steps, drive[:-1]) + drive[1:])
 
 
+def _bordered_anchors(steps: np.ndarray, increments: np.ndarray) -> _Anchors:
+    """Anchored products of the bordered steps [[steps_i, increments_i], [0, 1]].
+
+    With the closed loop's one-step propagators and its zero-state response
+    over each step, the product from t_i to t_j is [[E_cl(t_j, t_i),
+    btilde(t_j, t_i)], [0, 1]].  The segments are cut in the coordinates
+    [y; c], where the steps are [[steps_i, increments_i / c], [0, 1]], with
+    c a power of two above 64 sum |increments|: the increments then add at
+    most about 1/32 to the log of the condition bound over the whole grid
+    (the limit is log ANCHOR_COND = 4.6), so a large drive cuts no more
+    segments than the closed loop.  Each product in those coordinates is the
+    unscaled one with its affine column divided by c, exactly since c is a
+    power of two, so multiplying that column by c undoes the scale exactly.
+    """
+    c = 2.0 ** max(math.frexp(64.0 * float(np.abs(increments).sum()))[1], 0)
+    anchors = _anchored(_border(steps, increments / c, 0.0, 1.0))
+    if c != 1.0:
+        for products in (anchors.psi, anchors.inv, anchors.links):
+            products[..., :-1, -1] *= c
+    return anchors
+
+
 def _correction(gain, upsilon, steps, increments,
                 tables: SpecTables) -> np.ndarray:
-    """[[Qbb, Sbb], [Sbb^T, omega]] at every node, by the bordered sum.
-
-    The bordered steps are [[steps_i, increments_i], [0, 1]]: the closed
-    loop's one-step propagators and its zero-state response over each step.
-    """
-    anchors = _anchored(_border(steps, increments, 0.0, 1.0))
-    return _correction_sum(anchors, gain, tables, upsilon)
+    """[[Qbb, Sbb], [Sbb^T, omega]] at every node, by the bordered sum."""
+    return _correction_sum(_bordered_anchors(steps, increments), gain, tables,
+                           upsilon)
 
 
 def _sbb_table(correction: np.ndarray) -> np.ndarray:

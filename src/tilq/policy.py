@@ -30,6 +30,12 @@ table's node rows are checked once, when it is built, against the Gain and
 Upsilon stored by the solver: a mismatch beyond FEEDBACK_MATCH_TOL at any
 node raises ConsistencyError naming the first failing t.
 
+The equilibrium path from (t_i, x) is Y(s) = E_cl(s, t_i) x + btilde(s,
+t_i).  It is read off the anchored products of the closed loop bordered
+with its drive (:attr:`EquilibriumSolution.path_anchors`, built once per
+solution on first use), in O(N n^2) per path; no table over node pairs is
+formed.
+
 Cost evaluation freezes the first kernel argument at the evaluation time:
 J(t, x; u) integrates Q(t, s), M(t, s), ... over s with t fixed.  That
 frozen argument is the defining feature of the whole problem class; the
@@ -44,9 +50,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .auxiliary import AuxiliarySolution, solve_auxiliary
+from .auxiliary import (AuxiliarySolution, _bordered_anchors,
+                        _trapezoid_increments, solve_auxiliary)
 from .errors import ConsistencyError, TilqError
-from .grid import TimeGrid, _interp_half, quadrature
+from .grid import TimeGrid, _Anchors, _interp_half, quadrature
 from .local import local_expansion, solve_local
 from .problem import ProblemSpec
 from .riccati import (RiccatiSolution, SolveOptions, _initial_table,
@@ -106,6 +113,22 @@ class EquilibriumSolution:
         K.flags.writeable = False
         k.flags.writeable = False
         return K, k
+
+    @cached_property
+    def path_anchors(self) -> _Anchors:
+        """Anchored products of the closed loop bordered with its drive.
+
+        Built on first use from the closed loop's one-step propagators and
+        the trapezoid cells of btilde's sum over the drive b - B Upsilon
+        (:func:`tilq.auxiliary._bordered_anchors`): the product from t_i to
+        t_j is [[E_cl(t_j, t_i), btilde(t_j, t_i)], [0, 1]].
+        """
+        steps = self.riccati.closed_loop.steps
+        anchors = _bordered_anchors(steps, _trapezoid_increments(
+            steps, self.auxiliary.drive, self.grid.h))
+        for products in (anchors.psi, anchors.inv, anchors.links):
+            products.flags.writeable = False
+        return anchors
 
 
 def _half_steps(at_nodes: np.ndarray, at_half: np.ndarray) -> np.ndarray:
@@ -174,8 +197,15 @@ class Trajectory:
     controls: np.ndarray  # (k, m), the control applied at each node
 
     def __post_init__(self):
-        if not np.allclose(self.states[..., 0, :], self.start_state):
-            raise TilqError("trajectory does not start at its start state")
+        # np.allclose's test (rtol 1e-5, atol 1e-8, NaN fails) without its
+        # overhead; the simulations start exactly at the start state
+        start, want = self.states[..., 0, :], self.start_state
+        close = start == want
+        if not close.all():
+            with np.errstate(invalid="ignore"):  # inf - inf
+                close |= abs(start - want) <= 1e-8 + 1e-5 * abs(want)
+            if not close.all():
+                raise TilqError("trajectory does not start at its start state")
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +330,9 @@ def simulate_control(spec: ProblemSpec, grid: TimeGrid, u, t_idx: int, x,
         tables = SpecTables(spec, grid)
     n, m = spec.dims.n, spec.dims.m
     N = grid.N
-    if stop_idx is None:
-        stop_idx = N
-    if not (0 <= t_idx <= stop_idx <= N):
+    t_idx = _node_index(t_idx, N)
+    stop_idx = N if stop_idx is None else _node_index(stop_idx, N)
+    if t_idx > stop_idx:
         raise TilqError(f"node range [{t_idx}, {stop_idx}] invalid for N={N}")
     k = stop_idx - t_idx + 1
     x = np.asarray(x, dtype=float)
@@ -384,20 +414,37 @@ def _node_index(t_idx, N: int) -> int:
 
 
 def simulate_equilibrium(sol: EquilibriumSolution, t_idx: int, x) -> Trajectory:
-    """Equilibrium trajectory from the stored propagators.
+    """Equilibrium trajectory from the closed loop's bordered anchors.
 
     Y(s) = E_cl(s, t) x + btilde(s, t) node for node, with the node controls
-    -Gain Y - Upsilon.  No re-integration: this is the representation the
-    closed-form analysis uses, and it doubles as an independent cross-check
-    of :func:`simulate_control` run with the feedback law.
+    -Gain Y - Upsilon.  [Y(t_j); 1] = psi_j psi_i^{-1} [x; 1] over the
+    anchors of :attr:`EquilibriumSolution.path_anchors`: v = psi_i^{-1}
+    [x; 1] fills i's segment with one matrix-vector product, and moves
+    through each link into the next segment.  Row 0 is x exactly.  No table
+    over node pairs is formed and nothing is re-integrated: this is the
+    representation the closed-form analysis uses, and it doubles as an
+    independent cross-check of :func:`simulate_control` run with the
+    feedback law.
     """
-    t_idx = _node_index(t_idx, sol.grid.N)
+    N = sol.grid.N
+    t_idx = _node_index(t_idx, N)
     n = sol.spec.dims.n
     x = _state(x, n)
-    N = sol.grid.N
-    cl_full = sol.riccati.closed_loop.full_table()
-    prop = cl_full[t_idx:, t_idx]
-    states = prop @ x + sol.auxiliary.btilde[t_idx:, t_idx]
+    anchors = sol.path_anchors
+    starts = anchors.starts
+    rows = anchors.psi.reshape(-1, n + 1)  # psi_j's rows, node after node
+    k = int(np.searchsorted(starts, t_idx, side="right")) - 1
+    v = anchors.inv[t_idx].dot(np.append(x, 1.0))
+    bordered = np.empty((N + 1 - t_idx, n + 1))  # [Y(t_j); 1]
+    a = t_idx
+    for seg, b in enumerate(starts[k + 1:].tolist() + [N + 1], k):
+        np.dot(rows[a * (n + 1):b * (n + 1)], v,
+               out=bordered[a - t_idx:b - t_idx].reshape(-1))
+        if b <= N:
+            v = anchors.links[seg].dot(v)
+        a = b
+    states = bordered[:, :n]
+    states[0] = x
     controls = -(np.einsum("jmn,jn->jm", sol.riccati.gain[t_idx:], states)
                  + sol.auxiliary.upsilon[t_idx:])
     return Trajectory(start_index=t_idx, start_state=x,

@@ -35,7 +35,9 @@ outside the domain t <= s and are exactly zero.  Concretely:
 * ``TransitionTable.pair_table()[a, b, i, j] = E_cl(t_j, t_i)[a, b]`` and
   btilde's ``[a, i, j] = btilde(t_j, t_i)[a]``, built only for the public
   node-major views (``full_table()``, ``AuxiliarySolution.btilde``), which
-  index the later time first and are views, not copies.
+  index the later time first and are views, not copies.  Only the public
+  cross-checks read them; equilibrium paths come from anchored products
+  (:func:`tilq.policy.simulate_equilibrium`).
 
 :func:`pair_costs` yields each node pair's closed-loop cost derivative K,
 bordered to [[K, k], [k^T, kappa]] when Upsilon is given, times its

@@ -44,10 +44,11 @@ from .auxiliary import solve_auxiliary  # noqa: F401
 from .errors import TilqError
 from .grid import (TimeGrid, _interp_half, closed_loop_drive,
                    closed_loop_matrices, quadrature)
-from .policy import (EquilibriumSolution, _frozen_kernels, _quadratic_form,
-                     _running_cost, _running_integral, _terminal_cost, cost,
-                     error_function_closed, error_function_direct, feedback,
-                     grad_value, simulate_control, simulate_equilibrium, value)
+from .policy import (EquilibriumSolution, _frozen_kernels, _node_index,
+                     _quadratic_form, _running_cost, _running_integral,
+                     _terminal_cost, cost, error_function_closed,
+                     error_function_direct, feedback, grad_value,
+                     simulate_control, simulate_equilibrium, value)
 from .problem import ProblemSpec
 from .riccati import SolveOptions, solve_equilibrium_riccati
 from .tables import SpecTables, pair_costs, solve_chol
@@ -105,6 +106,7 @@ def spike_quotient(sol: EquilibriumSolution, t_idx: int, x, v, eps: float) -> fl
     across a quadrature cell.
     """
     grid = sol.grid
+    t_idx = _node_index(t_idx, grid.N)
     if eps < 2 * grid.h * (1 - 1e-9):
         raise TilqError(f"spike width {eps} is below 2 grid steps")
     k = _snap_steps(eps, grid)
@@ -161,6 +163,7 @@ def run_spike_check(sol: EquilibriumSolution, t_idx: int, x, v):
     """
     grid = sol.grid
     spec = sol.spec
+    t_idx = _node_index(t_idx, grid.N)
     steps = []
     for frac in SPIKE_FRACTIONS:
         k = _snap_steps(frac * grid.T, grid)
@@ -260,11 +263,9 @@ def bellman_residual(sol: EquilibriumSolution, t_idx: int, s_idx: int, x,
     integrated as one stacked run and gives an array of S residuals.
     """
     spec, grid = sol.spec, sol.grid
-    if not (0 <= t_idx <= s_idx <= grid.N):
-        raise TilqError(f"node range [{t_idx}, {s_idx}] invalid")
     x = np.asarray(x, dtype=float).reshape(spec.dims.n)
     traj = simulate_control(spec, grid, u, t_idx, x, stop_idx=s_idx,
-                            tables=sol.tables)
+                            tables=sol.tables)  # refuses a bad node range
     tbl = sol.tables
     sl = slice(t_idx, s_idx + 1)
     Y, U = traj.states, traj.controls

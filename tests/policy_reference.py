@@ -8,6 +8,10 @@ and every product is ``@``.  The oracle tests require the package to give
 bit-identical results.  It reads the same feedback table and SpecTables
 grid evaluations as the package, so it checks the lookup and the
 integration, not how those tables are built.
+
+:func:`simulate_equilibrium` is the package's former equilibrium path, read
+off the closed-loop pair table and the btilde pair table; the package's
+path from the bordered anchors must match it to rounding.
 """
 
 import numpy as np
@@ -119,4 +123,14 @@ def simulate_control(spec, grid, tables, u, t_idx, x, stop_idx=None):
     if runs:
         states = np.moveaxis(states, -1, 0)
         controls = np.moveaxis(controls, -1, 0)
+    return states, controls
+
+
+def simulate_equilibrium(sol, t_idx, x):
+    """States and controls of Y(s) = E_cl(s, t) x + btilde(s, t) from the tables."""
+    x = np.asarray(x, dtype=float).reshape(sol.spec.dims.n)
+    prop = sol.riccati.closed_loop.full_table()[t_idx:, t_idx]
+    states = prop @ x + sol.auxiliary.btilde[t_idx:, t_idx]
+    controls = -(np.einsum("jmn,jn->jm", sol.riccati.gain[t_idx:], states)
+                 + sol.auxiliary.upsilon[t_idx:])
     return states, controls

@@ -11,7 +11,8 @@ from tilq import (BaseCosts, ConsistencyError, Dimensions, DynamicsField,
                   grad_value, hjb_integral_residual, load_shipped_problem,
                   make_discounted, simulate_control, simulate_equilibrium,
                   solve_equilibrium, value)
-from tilq.policy import _locate_half, interp_table
+from tilq.policy import Trajectory, _locate_half, interp_table
+from tilq.verification import bellman_residual, run_spike_check, spike_quotient
 from conftest import (classical_scalar_spec, hyperbolic_scalar_spec,
                       threestate_spec, twostate_spec, zero_cost_spec)
 
@@ -143,6 +144,32 @@ class TestNodeIndex:
                 f"node index {t_idx!r} invalid for N=50")):
             entry(sol, t_idx, [1.0])
 
+    @pytest.mark.parametrize("entry", [
+        lambda sol, i: simulate_control(sol.spec, sol.grid, lambda t, y: [0.0],
+                                        i, [1.0], tables=sol.tables),
+        lambda sol, i: simulate_control(sol.spec, sol.grid, lambda t, y: [0.0],
+                                        0, [1.0], stop_idx=i, tables=sol.tables),
+        lambda sol, i: spike_quotient(sol, i, [1.0], [0.0], 0.1),
+        lambda sol, i: run_spike_check(sol, i, [1.0], [0.0]),
+        lambda sol, i: bellman_residual(sol, i, 50, [1.0], lambda t, y: [0.0]),
+        lambda sol, i: bellman_residual(sol, 0, i, [1.0], lambda t, y: [0.0]),
+    ], ids=["simulate_control", "simulate_control_stop", "spike_quotient",
+            "run_spike_check", "bellman_residual", "bellman_residual_stop"])
+    @pytest.mark.parametrize("t_idx", [-1, 51, 2.5])
+    def test_bad_index_refused_by_checks(self, sol, entry, t_idx):
+        with pytest.raises(TilqError, match=re.escape(
+                f"node index {t_idx!r} invalid for N=50")):
+            entry(sol, t_idx)
+
+    def test_reversed_range_refused(self, sol):
+        with pytest.raises(TilqError, match=re.escape(
+                "node range [30, 20] invalid for N=50")):
+            simulate_control(sol.spec, sol.grid, lambda t, y: [0.0], 30, [1.0],
+                             stop_idx=20, tables=sol.tables)
+        with pytest.raises(TilqError, match=re.escape(
+                "node range [30, 20] invalid for N=50")):
+            bellman_residual(sol, 30, 20, [1.0], lambda t, y: [0.0])
+
     def test_ends_and_numpy_integers_accepted(self, sol):
         for t_idx in (0, 50, np.int64(50)):
             traj = simulate_equilibrium(sol, t_idx, [1.0])
@@ -155,6 +182,47 @@ class TestNodeIndex:
         R = error_function_closed(sol, slice(10, 13), np.ones((3, 1)))
         assert R.shape == (3,)
         assert R[0] == error_function_closed(sol, 10, [1.0])
+
+
+class TestTrajectoryStart:
+    """The start check has np.allclose's semantics: rtol 1e-5, atol 1e-8."""
+
+    def make(self, states, start):
+        k = states.shape[-2]
+        return Trajectory(start_index=0, start_state=np.asarray(start),
+                          times=np.arange(k, dtype=float), states=states,
+                          controls=np.zeros(states.shape[:-1] + (1,)))
+
+    @pytest.mark.parametrize("row0, start, ok", [
+        ([1.0, -2.0], [1.0, -2.0], True),
+        ([1.0, -2.0], [1.0 + 5e-6, -2.0], True),    # within rtol
+        ([0.0, -2.0], [1e-9, -2.0], True),          # within atol of 0
+        ([np.inf, -2.0], [np.inf, -2.0], True),     # equal infinities
+        ([1.0, -2.0], [1.0 + 2e-5, -2.0], False),   # a shifted start
+        ([1.0, -2.0], [np.nan, -2.0], False),
+    ])
+    def test_start_state(self, row0, start, ok):
+        assert np.allclose(row0, start) == ok
+        states = np.zeros((4, 2))
+        states[0] = row0
+        if ok:
+            self.make(states, start)
+        else:
+            with pytest.raises(TilqError, match="does not start"):
+                self.make(states, start)
+
+    def test_nan_states_fail(self):
+        states = np.full((3, 2), np.nan)
+        with pytest.raises(TilqError, match="does not start"):
+            self.make(states, [np.nan, np.nan])
+
+    def test_stacked_runs(self):
+        states = np.zeros((3, 5, 2))
+        states[:, 0] = [1.0, -2.0]
+        self.make(states, [1.0, -2.0])
+        states[1, 0, 1] += 1e-3  # one run of the stack starts elsewhere
+        with pytest.raises(TilqError, match="does not start"):
+            self.make(states, [1.0, -2.0])
 
 
 class TestTimeLookup:

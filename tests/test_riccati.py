@@ -9,7 +9,10 @@ from tilq import (AssumptionError, BaseCosts, Dimensions, DynamicsField,
                   hyperbolic_kernel, local_expansion, make_discounted,
                   open_loop_transition, qbb_from_gamma, quadrature,
                   solve_equilibrium, solve_equilibrium_riccati,
-                  tabulated_kernel, uniqueness_probe)
+                  run_verification, shipped_problem_path, tabulated_kernel,
+                  uniqueness_probe)
+from tilq import cli
+from tilq.auxiliary import AuxiliarySolution
 from tilq.errors import ConvergenceError
 from tilq.grid import TransitionTable, _anchored
 from tilq.riccati import _closed_loop_table, _qbb_table, _sweep_core
@@ -251,7 +254,10 @@ class TestSweep:
 
 
 class TestPairTableBuilds:
-    """The sweeps form Qbb and P without the closed-loop pair table."""
+    """Solves, checks and ``tilq solve`` build no table over node pairs.
+
+    Only the public accessors and cross-checks do.
+    """
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -289,6 +295,34 @@ class TestPairTableBuilds:
         states = np.array([[1.0, -0.5], [0.2, 2.0]])
         assert hjb_residual_sup(sol, states) <= 1e-5
         assert builds == []
+
+    @pytest.fixture
+    def btilde_reads(self, monkeypatch):
+        reads = []
+        btilde = AuxiliarySolution.btilde
+
+        def counted(aux):
+            reads.append(aux)
+            return btilde.fget(aux)
+
+        monkeypatch.setattr(AuxiliarySolution, "btilde", property(counted))
+        return reads
+
+    def test_verification_builds_none(self, builds, btilde_reads, tabulated_spec):
+        # the equilibrium paths of the spike, Bellman, value and integral-form
+        # checks come from the bordered anchors
+        sol = solve_equilibrium(tabulated_spec, build_grid(1.0, 200))
+        assert len(run_verification(sol).checks) == 11
+        assert builds == []
+        assert btilde_reads == []
+
+    def test_cli_solve_builds_none(self, builds, btilde_reads, tmp_path):
+        # trajectory.csv is one equilibrium path
+        problem = str(shipped_problem_path("twostate_hyperbolic"))
+        assert cli.main(["solve", problem, "-N", "200",
+                         "--out", str(tmp_path / "out")]) == 0
+        assert builds == []
+        assert btilde_reads == []
 
     def test_btilde_builds_one_on_first_access(self, builds, tabulated_spec):
         sol = solve_equilibrium(tabulated_spec, build_grid(1.0, 100))

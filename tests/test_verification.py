@@ -173,11 +173,15 @@ class TestBatchedChecks:
 
 
 # run_verification on the shipped twostate_hyperbolic problem (N = 400,
-# seed 42) before the Bellman trials and the spike checks were batched
+# seed 42) before the Bellman trials and the spike checks were batched.
+# The spike limits divide path differences by spikes of 2 steps, so a change
+# of one ulp in the path moves them by about 1e-8 relative: the quadratic
+# gap's entry was re-recorded when equilibrium paths moved from the pair
+# tables to the bordered anchors (both paths within 4e-15 relative)
 TWOSTATE_WORST = {
     "spike quotient nonnegative": 0.0,
     "spike limit zero at equilibrium": 2.4460120684466347e-05,
-    "spike limit matches quadratic gap": 2.4609892206095552e-05,
+    "spike limit matches quadratic gap": 2.460989353836318e-05,
     "recursion equality along equilibrium": 1.6108789191449091e-07,
     "recursion inequality for candidates": 0.0,
     "pointwise stationarity residual": 1.0930451366242266e-07,
