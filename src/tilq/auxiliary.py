@@ -49,11 +49,9 @@ These are the defining integrals: with w(t,s) = Upsilon(s) + Gain(s)
 btilde(s,t), Q_t btilde + q_t - S_t^T w + Gain^T (M_t w - S_t btilde -
 rho_t) = K btilde + k, and <btilde, Q_t btilde + 2 q_t> + <w, M_t w - 2 S_t
 btilde - 2 rho_t> = <btilde, K btilde + 2 k> + kappa, the kernels at (t, s).
-:func:`sbb_at` and :func:`omega_at` evaluate the left-hand forms row by
-row.  No table over node pairs is formed; :attr:`AuxiliarySolution.btilde`
-builds the btilde table when it is read, for those cross-checks.  The
-bordered products themselves (:func:`_bordered_anchors`) also give the
-equilibrium path, :func:`tilq.policy.simulate_equilibrium`.
+No table over node pairs is formed.  The bordered products themselves
+(:func:`_bordered_anchors`) also give the equilibrium path,
+:func:`tilq.policy.simulate_equilibrium`.
 """
 
 from __future__ import annotations
@@ -64,9 +62,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TilqError
-from .grid import (TimeGrid, TransitionTable, _anchored, _Anchors, _border,
-                   _interp_half, closed_loop_drive, closed_loop_matrices,
-                   from_pair_layout, quadrature)
+from .grid import (TimeGrid, _anchored, _Anchors, _border, _interp_half,
+                   closed_loop_drive, closed_loop_matrices)
 from .problem import ProblemSpec
 from .riccati import (FixedPointDiagnostics, RiccatiSolution, SolveOptions,
                       _correction_sum, _initial_table, damped_fixed_point)
@@ -81,19 +78,13 @@ class PhiSolution:
     upsilon: np.ndarray   # (N+1, m)
     sbb: np.ndarray       # (N+1, n)
     diagnostics: FixedPointDiagnostics
-    # set by solve_phi: (N+1, n) b - B Upsilon, and (N+1,) omega from the
-    # same bordered correction as sbb
-    drive: np.ndarray = field(init=False, repr=False, compare=False)
-    _omega: np.ndarray = field(init=False, repr=False, compare=False)
+    drive: np.ndarray     # (N+1, n), b - B Upsilon
+    omega: np.ndarray     # (N+1,), from the same bordered correction as sbb
 
 
 @dataclass
 class AuxiliarySolution:
-    """phi, psi and every nonlocal quantity entering them.
-
-    The btilde pair table is built from ``closed_loop`` and ``drive`` on its
-    first use and kept; only the public cross-checks read it.
-    """
+    """phi, psi and every nonlocal quantity entering them."""
 
     phi: np.ndarray
     psi: np.ndarray       # (N+1,)
@@ -101,28 +92,14 @@ class AuxiliarySolution:
     sbb: np.ndarray
     omega: np.ndarray     # (N+1,)
     diagnostics: FixedPointDiagnostics
-    closed_loop: TransitionTable = field(repr=False)
     drive: np.ndarray = field(repr=False)  # (N+1, n), b - B Upsilon
-    _btilde: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def converged(self) -> bool:
         return self.diagnostics.converged
 
-    @property
-    def btilde(self) -> np.ndarray:
-        """(N+1, N+1, n) [s_idx, t_idx]: a view of the pair-layout table."""
-        if self._btilde is None:
-            cl = self.closed_loop
-            self._btilde = from_pair_layout(
-                _btilde_from_drive(cl.pair_table(), self.drive, cl.grid))
-        return self._btilde
 
-
-# ---------------------------------------------------------------------------
-# public single-point / single-table operations
-
-
+# Not called by the solvers; perfbench/spans.py wraps it.
 def _btilde_from_drive(cl_pairs: np.ndarray, drive: np.ndarray,
                        grid: TimeGrid) -> np.ndarray:
     """Pair table [a, i, j] = btilde(t_j, t_i)[a], zero where j <= i.
@@ -141,64 +118,6 @@ def _btilde_from_drive(cl_pairs: np.ndarray, drive: np.ndarray,
     for i in range(N - 2, -1, -1):
         bt[:, i, i + 1:] += bt[:, i + 1, i + 1:]
     return bt
-
-
-def _row_terms(t_idx: int, spec: ProblemSpec, grid: TimeGrid, gain: np.ndarray,
-               upsilon: np.ndarray, btilde: np.ndarray) -> tuple:
-    """Gain, Upsilon, btilde(., t_i), w, the kernels' t-derivatives, g', G'."""
-    t = float(grid.nodes[t_idx])
-    s_range = grid.nodes[t_idx:]
-    G = np.asarray(gain, dtype=float)[t_idx:]
-    U = np.asarray(upsilon, dtype=float)[t_idx:]
-    bt = np.asarray(btilde, dtype=float)[t_idx:, t_idx]
-    w = U + np.einsum("jmn,jn->jm", G, bt)
-    rows = tuple(f.row(t, s_range, derivative=True)
-                 for f in (spec.Q, spec.S, spec.M, spec.q, spec.rho))
-    gdot = np.asarray(spec.terminal.dg_dt(t), dtype=float).reshape(-1)
-    Gdot = np.asarray(spec.terminal.dG_dt(t), dtype=float)
-    return (G, U, bt, w) + rows + (gdot, Gdot)
-
-
-def sbb_at(t_idx: int, spec: ProblemSpec, grid: TimeGrid,
-           closed_loop: TransitionTable, gain: np.ndarray,
-           upsilon: np.ndarray, btilde: np.ndarray) -> np.ndarray:
-    """Nonlocal drift correction Sbb(t_i) by direct node quadrature.
-
-    All five bracketed terms of the defining integral are assembled from the
-    supplied ingredient tables; independent of the batched solver path.
-    """
-    N = grid.N
-    G, U, bt, w, Qt, St, Mt, qt, rhot, gdot, Gdot = _row_terms(
-        t_idx, spec, grid, gain, upsilon, btilde)
-    vec = (np.einsum("jab,jb->ja", Qt, bt)
-           - np.einsum("jma,jmn,jn->ja", G, St, bt)
-           - np.einsum("jmn,jm->jn", St, np.einsum("jmn,jn->jm", G, bt))
-           + qt
-           - np.einsum("jmn,jm->jn", St, U)
-           + np.einsum("jma,jmp,jp->ja", G, Mt, w)
-           - np.einsum("jma,jm->ja", G, rhot))
-    prop = np.asarray([closed_loop.matrix(j, t_idx) for j in range(t_idx, N + 1)])
-    integ = quadrature(np.einsum("jba,jb->ja", prop, vec), grid, t_idx, N)
-    EN = closed_loop.matrix(N, t_idx)
-    return EN.T @ (gdot + Gdot @ bt[-1]) + integ
-
-
-def omega_at(t_idx: int, spec: ProblemSpec, grid: TimeGrid,
-             gain: np.ndarray, upsilon: np.ndarray,
-             btilde: np.ndarray) -> float:
-    """Scalar correction omega(t_i) by direct node quadrature."""
-    N = grid.N
-    G, U, bt, w, Qt, St, Mt, qt, rhot, gdot, Gdot = _row_terms(
-        t_idx, spec, grid, gain, upsilon, btilde)
-    quad_term = np.einsum("jac,jc,ja->j", Qt, bt, bt)
-    cross = qt - np.einsum("jma,jmn,jn->ja", G, St, bt) \
-        - np.einsum("jmn,jm->jn", St, U)
-    lin_term = 2.0 * np.einsum("ja,ja->j", cross, bt)
-    ctl_term = (np.einsum("jmp,jp,jm->j", Mt, w, w)
-                - 2.0 * np.einsum("jm,jm->j", rhot, w))
-    integ = float(quadrature(quad_term + lin_term + ctl_term, grid, t_idx, N))
-    bT = bt[-1]
-    return float(np.dot(Gdot @ bT + 2.0 * gdot, bT)) + integ
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +222,7 @@ def solve_phi(spec: ProblemSpec, grid: TimeGrid, riccati: RiccatiSolution,
     tables = riccati.tables
     if tables.grid.N != grid.N or tables.grid.T != grid.T:
         raise TilqError("riccati solution was computed on a different grid")
-    steps = riccati.closed_loop.steps
+    steps = riccati.closed_loop
     gain = riccati.gain
     h = grid.h
 
@@ -331,11 +250,8 @@ def solve_phi(spec: ProblemSpec, grid: TimeGrid, riccati: RiccatiSolution,
     phi, diag = damped_fixed_point(phi0, sweep, opts, "affine coefficient")
 
     ups, drive, corr = correction(phi)
-    phi_sol = PhiSolution(phi=phi, upsilon=ups, sbb=_sbb_table(corr),
-                          diagnostics=diag)
-    phi_sol.drive = drive
-    phi_sol._omega = _omega_table(corr)
-    return phi_sol
+    return PhiSolution(phi=phi, upsilon=ups, sbb=_sbb_table(corr),
+                       diagnostics=diag, drive=drive, omega=_omega_table(corr))
 
 
 def solve_psi(spec: ProblemSpec, grid: TimeGrid, riccati: RiccatiSolution,
@@ -344,7 +260,7 @@ def solve_psi(spec: ProblemSpec, grid: TimeGrid, riccati: RiccatiSolution,
 
     Returns (psi, omega) on the nodes.
     """
-    omega = phi_sol._omega
+    omega = phi_sol.omega
     rate = _psi_rate(phi_sol.phi, phi_sol.upsilon, omega, riccati.tables)
     running = cumulative_trapezoid(-rate, grid.h)
     psi = running[-1] - running
@@ -358,5 +274,4 @@ def solve_auxiliary(spec: ProblemSpec, grid: TimeGrid, riccati: RiccatiSolution,
     psi, omega = solve_psi(spec, grid, riccati, phi_sol)
     return AuxiliarySolution(
         phi=phi_sol.phi, psi=psi, upsilon=phi_sol.upsilon, sbb=phi_sol.sbb,
-        omega=omega, diagnostics=phi_sol.diagnostics,
-        closed_loop=riccati.closed_loop, drive=phi_sol.drive)
+        omega=omega, diagnostics=phi_sol.diagnostics, drive=phi_sol.drive)

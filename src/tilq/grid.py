@@ -1,26 +1,18 @@
-"""Uniform time grids, trapezoid quadrature, and state-transition tables.
+"""Uniform time grids, trapezoid quadrature, and one-step propagators.
 
 Propagators Phi(t_i, t_j) of a linear system x' = F(t) x are built one grid
 step at a time with classical fourth-order Runge-Kutta
 (:func:`_rk4_linear_steps`).  This coincides with the matrix-exponential
 formula exp(int F) whenever the system matrices commute pairwise and is the
-correct fundamental solution in general.  :func:`open_loop_transition`
-tabulates the open loop F = A from the dynamics callables.  The solvers
-never call it: they take the open-loop steps and the closed loop
-F = A - B Gain (:func:`closed_loop_matrices`) from the grid evaluations of
-:class:`tilq.tables.SpecTables`.
+correct fundamental solution in general.  The solvers take the open-loop
+steps and the closed loop F = A - B Gain (:func:`closed_loop_matrices`) from
+the grid evaluations of :class:`tilq.tables.SpecTables`, and keep only the
+one-step propagators.
 
 :func:`_anchored` forms the fundamental matrices of a system from its steps,
 anchored segment by segment, for the fixed-point path's sums; the affine
 solve's system is the closed loop bordered with its drive (:func:`_border`).
-
-Tables over node pairs are stored in the pair layout described in
-:mod:`tilq.tables`; :func:`from_pair_layout` gives the node-major view the
-public accessors return.
-
-A table's pair storage is built on first use and kept; every read after
-that is of an immutable array.  Two threads that both make the first use
-may each build it, with identical results.
+No propagator is formed for every node pair.
 """
 
 from __future__ import annotations
@@ -112,11 +104,6 @@ def _rk4_linear_steps(A_nodes: np.ndarray, A_half: np.ndarray, h: float) -> np.n
     return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def from_pair_layout(pairs: np.ndarray) -> np.ndarray:
-    """View [j, i, ...] of a pair table [..., i, j]: later time first."""
-    return np.moveaxis(np.swapaxes(pairs, -1, -2), (-2, -1), (0, 1))
-
-
 def zero_below_diagonal(pairs: np.ndarray) -> np.ndarray:
     """Zero the entries [..., i, j] with j < i of a pair table, in place."""
     for i in range(1, pairs.shape[-1]):
@@ -124,15 +111,12 @@ def zero_below_diagonal(pairs: np.ndarray) -> np.ndarray:
     return pairs
 
 
+# Not called by the solvers; perfbench/spans.py wraps _build_full.
 class TransitionTable:
     """Propagators Phi(t_i, t_j), j <= i, of a linear time-varying system.
 
-    Phi(i, i) is the identity and the table satisfies the semigroup property
-    Phi(i, j) = Phi(i, k) Phi(k, j) up to rounding.  Only the one-step
-    factors are computed up front; the (N+1)^2 pair table is built on the
-    first call of :meth:`pair_table`, :meth:`full_table` or :meth:`matrix`
-    and kept.  Construction is deterministic: identical inputs give
-    bit-identical tables.
+    Holds the one-step factors; :meth:`pair_table` builds the (N+1)^2 pair
+    table on first use and keeps it.
     """
 
     def __init__(self, grid: TimeGrid, steps: np.ndarray):
@@ -165,16 +149,6 @@ class TransitionTable:
         if self._pairs is None:
             self._pairs = self._build_full()
         return self._pairs
-
-    def full_table(self) -> np.ndarray:
-        """The (N+1, N+1, n, n) view [i, j] = Phi(t_i, t_j) of the pair table."""
-        return from_pair_layout(self.pair_table())
-
-    def matrix(self, i: int, j: int) -> np.ndarray:
-        """Phi(t_i, t_j) for j <= i."""
-        if not (0 <= j <= i <= self.grid.N):
-            raise TilqError(f"propagator indices must satisfy 0 <= {j} <= {i} <= N")
-        return self.pair_table()[:, :, j, i]
 
 
 # Bound on the 2-norm condition number of the anchored fundamental matrices
@@ -251,6 +225,7 @@ def _eval_dynamics(fn, times: np.ndarray, shape: tuple) -> np.ndarray:
     return out
 
 
+# Not called by the solvers; perfbench/spans.py wraps it in tilq.riccati.
 def open_loop_transition(dynamics, grid: TimeGrid) -> TransitionTable:
     """Fundamental-solution table of x' = A(t) x."""
     n = np.asarray(dynamics.A(0.0), dtype=float).shape[0]

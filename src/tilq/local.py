@@ -214,8 +214,7 @@ def solve_local(spec: ProblemSpec, grid: TimeGrid, expansion: ExponentialSum
     ``expansion`` is the kernel's exponential sum (:func:`local_expansion`);
     ``spec`` must be separable in that kernel.  Returns the Riccati and
     auxiliary parts with the same fields as the fixed-point path.  No
-    (N+1)^2 table is built: the closed-loop pair table and btilde are built
-    on their first use.
+    (N+1)^2 table is built.
     """
     tables = SpecTables(spec, grid)
     n, h = spec.dims.n, grid.h
@@ -238,12 +237,11 @@ def solve_local(spec: ProblemSpec, grid: TimeGrid, expansion: ExponentialSum
               f"terms, fit error {expansion.fit_error:.1e}"))
     warn_if_indefinite(P, diag)
     gain = _gain_table(P, tables)
-    closed_loop = _closed_loop_table(gain, tables)
     riccati = RiccatiSolution(grid=grid, P=P, gain=gain, qbb=qbb,
-                              closed_loop=closed_loop, diagnostics=diag,
-                              tables=tables, expansion=expansion)
+                              closed_loop=_closed_loop_table(gain, tables),
+                              diagnostics=diag, tables=tables, expansion=expansion)
     ups = _upsilon_table(phi, tables)
     auxiliary = AuxiliarySolution(
         phi=phi, psi=psi, upsilon=ups, sbb=sbb, omega=omega, diagnostics=diag,
-        closed_loop=closed_loop, drive=closed_loop_drive(tables.b, tables.B, ups))
+        drive=closed_loop_drive(tables.b, tables.B, ups))
     return riccati, auxiliary

@@ -123,7 +123,7 @@ class EquilibriumSolution:
         (:func:`tilq.auxiliary._bordered_anchors`): the product from t_i to
         t_j is [[E_cl(t_j, t_i), btilde(t_j, t_i)], [0, 1]].
         """
-        steps = self.riccati.closed_loop.steps
+        steps = self.riccati.closed_loop
         anchors = _bordered_anchors(steps, _trapezoid_increments(
             steps, self.auxiliary.drive, self.grid.h))
         for products in (anchors.psi, anchors.inv, anchors.links):

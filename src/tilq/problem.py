@@ -574,7 +574,10 @@ def time_consistent_projection(spec: ProblemSpec) -> ProblemSpec:
     independent of the first argument, and the terminal pair by its value at
     the horizon; all derivative fields become zero.  The result is the
     time-consistent problem a naive planner at any time would solve, and the
-    classical Riccati oracle applies to it.
+    classical Riccati oracle applies to it.  It is separable in the kernel
+    lam = 1 (``exponential_kernel(0.0)``), which it records: its tables hold
+    one zero plane instead of a derivative triangle per kernel, and
+    :func:`tilq.policy.solve_equilibrium` solves it by the local ODE sweep.
     """
 
     def project(f: TwoTimeField) -> TwoTimeField:
@@ -591,7 +594,7 @@ def time_consistent_projection(spec: ProblemSpec) -> ProblemSpec:
         Q=project(spec.Q), S=project(spec.S), M=project(spec.M),
         q=project(spec.q), rho=project(spec.rho), terminal=terminal,
         name=f"{spec.name}_time_consistent" if spec.name else "",
-        description=spec.description)
+        description=spec.description, kernel=exponential_kernel(0.0))
 
 
 # ---------------------------------------------------------------------------

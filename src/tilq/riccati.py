@@ -63,7 +63,7 @@ L_k = E(t_{a_{k+1}}, t_{a_k}):
 starting from R_i = D_i + C_iN K_N in the frame of node N.  With an anchor at
 every node this is the backward recursion P_i = Phi_i^T P_{i+1} Phi_i + ...
 over the one-step propagators Phi_i, and Qbb costs O(N^2 n^3), the order of
-the pair table it replaces.  The open-loop anchors depend on the spec only
+a propagator table over node pairs.  The open-loop anchors depend on the spec only
 and are cached in :class:`tilq.tables.SpecTables`; the closed loop's are
 formed once per sweep.  Run over the closed loop bordered with its drive,
 the Qbb sum gives Sbb and omega too (:mod:`tilq.auxiliary`).
@@ -77,8 +77,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AssumptionError, ConsistencyError, ConvergenceError, TilqError
-from .grid import (TimeGrid, TransitionTable, _anchored, _Anchors,
-                   _border, _rk4_linear_steps, closed_loop_matrices)
+from .grid import (TimeGrid, _anchored, _Anchors, _border, _rk4_linear_steps,
+                   closed_loop_matrices)
 # Not called here: the solvers read SpecTables.open_loop_steps.  The name
 # stays in this module because perfbench/spans.py wraps it here.
 from .grid import open_loop_transition  # noqa: F401
@@ -179,13 +179,14 @@ def damped_fixed_point(x0: np.ndarray, sweep, opts: SolveOptions,
 
 @dataclass
 class RiccatiSolution:
-    """Converged P, feedback gain, kernel-derivative correction, transitions."""
+    """Converged P, feedback gain, kernel-derivative correction, closed loop."""
 
     grid: TimeGrid
     P: np.ndarray          # (N+1, n, n), symmetric, P[N] = G(T)
     gain: np.ndarray       # (N+1, m, n)
     qbb: np.ndarray        # (N+1, n, n), symmetric
-    closed_loop: TransitionTable
+    # (N, n, n), read-only: closed_loop[i] = E_cl(t_{i+1}, t_i), by RK4
+    closed_loop: np.ndarray
     diagnostics: FixedPointDiagnostics
     tables: SpecTables
     # the kernel's exponential sum (tilq.local.ExponentialSum) when the local
@@ -209,37 +210,6 @@ def gamma_from_p(P: np.ndarray, spec: ProblemSpec, t: float) -> np.ndarray:
     return solve_chol(factor_md(spec.M(t, t), t), rhs)
 
 
-def qbb_from_gamma(gain: np.ndarray, closed_loop: TransitionTable,
-                   spec: ProblemSpec, grid: TimeGrid, t_idx: int) -> np.ndarray:
-    """Kernel-derivative correction Qbb(t_i) by direct node quadrature.
-
-    Self-contained row evaluation, deliberately independent of the batched
-    sweep path so the two can be cross-checked.
-    """
-    from .grid import quadrature
-
-    gain = np.asarray(gain, dtype=float)
-    n = spec.dims.n
-    nodes = grid.nodes
-    t = float(nodes[t_idx])
-    s_range = nodes[t_idx:]
-    Qt = spec.Q.row(t, s_range, derivative=True)
-    St = spec.S.row(t, s_range, derivative=True)
-    Mt = spec.M.row(t, s_range, derivative=True)
-    G = gain[t_idx:]
-    K = (Qt - np.einsum("jab,jac->jbc", G, St)
-         - np.einsum("jab,jac->jcb", G, St)
-         + np.einsum("jab,jac,jcd->jbd", G, Mt, G))
-    prop = np.asarray([closed_loop.matrix(j, t_idx)
-                       for j in range(t_idx, grid.N + 1)])
-    integrand = np.einsum("jba,jbc,jcd->jad", prop, K, prop)
-    out = quadrature(integrand, grid, t_idx, grid.N)
-    EN = closed_loop.matrix(grid.N, t_idx)
-    Gdot = np.asarray(spec.terminal.dG_dt(t), dtype=float).reshape(n, n)
-    out = out + EN.T @ Gdot @ EN
-    return 0.5 * (out + out.T)
-
-
 # ---------------------------------------------------------------------------
 # batched sweep machinery
 
@@ -249,11 +219,13 @@ def _gain_table(P: np.ndarray, tables: SpecTables) -> np.ndarray:
     return tables.solve_md(rhs)
 
 
-def _closed_loop_table(gain: np.ndarray, tables: SpecTables) -> TransitionTable:
+def _closed_loop_table(gain: np.ndarray, tables: SpecTables) -> np.ndarray:
+    """The closed loop's one-step RK4 propagators, (N, n, n) and read-only."""
     eff = closed_loop_matrices(tables.A, tables.A_half, tables.B, tables.B_half,
                                gain)
     steps = _rk4_linear_steps(*eff, tables.grid.h)
-    return TransitionTable(tables.grid, steps)
+    steps.flags.writeable = False
+    return steps
 
 
 def _carry_back(anchors: _Anchors, out: np.ndarray, segment_sum) -> np.ndarray:
@@ -393,7 +365,7 @@ def _sweep_core(P: np.ndarray, tables: SpecTables):
     N = tables.grid.N
     gain = _gain_table(P, tables)
     cl = _closed_loop_table(gain, tables)
-    qbb = _qbb_table(gain, _anchored(cl.steps), tables)
+    qbb = _qbb_table(gain, _anchored(cl), tables)
     inner = (tables.Qd - qbb
              - np.einsum("jab,jac,jcd->jbd", gain, tables.Md, gain, optimize=True))
     P_out = _open_loop_integral(tables.open_loop_anchors, inner, tables.G_T,
@@ -468,7 +440,7 @@ def solve_equilibrium_riccati(spec: ProblemSpec, grid: TimeGrid,
 
     gain = _gain_table(P_final, tables)
     cl = _closed_loop_table(gain, tables)
-    qbb = _qbb_table(gain, _anchored(cl.steps), tables)
+    qbb = _qbb_table(gain, _anchored(cl), tables)
     warn_if_indefinite(P_final, diag)
     return RiccatiSolution(grid=grid, P=P_final, gain=gain, qbb=qbb,
                            closed_loop=cl, diagnostics=diag, tables=tables)

@@ -31,13 +31,11 @@ outside the domain t <= s and are exactly zero.  Concretely:
 * ``Qt[a, b, i, j] = d/dt Q(t_i, t_j)[a, b]`` and likewise ``St``, ``Mt``,
   ``qt[a, i, j]``, ``rhot[p, i, j]`` for a spec without a recorded kernel;
 * ``W[i, j]`` is the trapezoid weight of node j in the integral over
-  [t_i, T];
-* ``TransitionTable.pair_table()[a, b, i, j] = E_cl(t_j, t_i)[a, b]`` and
-  btilde's ``[a, i, j] = btilde(t_j, t_i)[a]``, built only for the public
-  node-major views (``full_table()``, ``AuxiliarySolution.btilde``), which
-  index the later time first and are views, not copies.  Only the public
-  cross-checks read them; equilibrium paths come from anchored products
-  (:func:`tilq.policy.simulate_equilibrium`).
+  [t_i, T].
+
+No propagator or btilde is tabulated over node pairs: the nonlocal sums and
+the equilibrium paths read anchored products of the one-step propagators
+(:mod:`tilq.riccati`, :func:`tilq.policy.simulate_equilibrium`).
 
 :func:`pair_costs` yields each node pair's closed-loop cost derivative K,
 bordered to [[K, k], [k^T, kappa]] when Upsilon is given, times its

@@ -335,7 +335,7 @@ def _stationarity_residuals(sol: EquilibriumSolution, states) -> list:
     comes from the re-integrated route.
     """
     gain, ups, qbb = sol.riccati.gain, sol.auxiliary.upsilon, sol.riccati.qbb
-    corr_re = _correction(gain, ups, sol.riccati.closed_loop.steps,
+    corr_re = _correction(gain, ups, sol.riccati.closed_loop,
                           _reintegrated_increments(sol), sol.tables)
     sbb_re, omega_re = _sbb_table(corr_re), _omega_table(corr_re)
     rates = _coefficient_rates(sol)

@@ -15,6 +15,11 @@ The checks' re-integrated responses are a pair table too.  The oracle
 tests require the package to match it to rounding.  It reads the same
 gain, closed-loop steps, Picard pass and damped iteration as the package,
 so it checks how the sums are formed, not the data that enter them.
+
+:func:`sbb_at` and :func:`omega_at` are the row checks: one node's Sbb or
+omega by direct node quadrature of the left-hand forms of the defining
+integrals (:mod:`tilq.auxiliary`), the kernels' t-derivatives read straight
+from the spec.
 """
 
 import dataclasses
@@ -29,6 +34,70 @@ from tilq.policy import _quadratic_form, _terminal_cost, simulate_equilibrium, v
 from tilq.riccati import SolveOptions, _initial_table, damped_fixed_point
 from tilq.tables import cumulative_trapezoid, pair_blocks, solve_chol
 from tilq.verification import _coefficient_rates, _hamiltonian_gap
+from pair_tables import from_pair_layout, pair_table
+
+
+def btilde(cl_pairs, drive, grid):
+    """(N+1, N+1, n) [s_idx, t_idx] = btilde(t_s, t_t), zero where s <= t.
+
+    ``cl_pairs`` is the closed loop's pair table (:func:`pair_tables.pair_table`).
+    """
+    return from_pair_layout(_btilde_from_drive(cl_pairs, drive, grid))
+
+
+def row_terms(t_idx, spec, grid, gain, upsilon, btilde):
+    """Gain, Upsilon, btilde(., t_i), w, the kernels' t-derivatives, g', G'."""
+    t = float(grid.nodes[t_idx])
+    s_range = grid.nodes[t_idx:]
+    G = np.asarray(gain, dtype=float)[t_idx:]
+    U = np.asarray(upsilon, dtype=float)[t_idx:]
+    bt = np.asarray(btilde, dtype=float)[t_idx:, t_idx]
+    w = U + np.einsum("jmn,jn->jm", G, bt)
+    rows = tuple(f.row(t, s_range, derivative=True)
+                 for f in (spec.Q, spec.S, spec.M, spec.q, spec.rho))
+    gdot = np.asarray(spec.terminal.dg_dt(t), dtype=float).reshape(-1)
+    Gdot = np.asarray(spec.terminal.dG_dt(t), dtype=float)
+    return (G, U, bt, w) + rows + (gdot, Gdot)
+
+
+def sbb_at(t_idx, spec, grid, closed_loop, gain, upsilon, btilde):
+    """Nonlocal drift correction Sbb(t_i) by direct node quadrature.
+
+    ``closed_loop`` is the node-major propagator table
+    (:func:`pair_tables.full_table`).  All five bracketed terms of the
+    defining integral are assembled from the supplied ingredient tables;
+    independent of the batched solver path.
+    """
+    N = grid.N
+    G, U, bt, w, Qt, St, Mt, qt, rhot, gdot, Gdot = row_terms(
+        t_idx, spec, grid, gain, upsilon, btilde)
+    vec = (np.einsum("jab,jb->ja", Qt, bt)
+           - np.einsum("jma,jmn,jn->ja", G, St, bt)
+           - np.einsum("jmn,jm->jn", St, np.einsum("jmn,jn->jm", G, bt))
+           + qt
+           - np.einsum("jmn,jm->jn", St, U)
+           + np.einsum("jma,jmp,jp->ja", G, Mt, w)
+           - np.einsum("jma,jm->ja", G, rhot))
+    prop = np.ascontiguousarray(closed_loop[t_idx:, t_idx])
+    integ = quadrature(np.einsum("jba,jb->ja", prop, vec), grid, t_idx, N)
+    EN = closed_loop[N, t_idx]
+    return EN.T @ (gdot + Gdot @ bt[-1]) + integ
+
+
+def omega_at(t_idx, spec, grid, gain, upsilon, btilde):
+    """Scalar correction omega(t_i) by direct node quadrature."""
+    N = grid.N
+    G, U, bt, w, Qt, St, Mt, qt, rhot, gdot, Gdot = row_terms(
+        t_idx, spec, grid, gain, upsilon, btilde)
+    quad_term = np.einsum("jac,jc,ja->j", Qt, bt, bt)
+    cross = qt - np.einsum("jma,jmn,jn->ja", G, St, bt) \
+        - np.einsum("jmn,jm->jn", St, U)
+    lin_term = 2.0 * np.einsum("ja,ja->j", cross, bt)
+    ctl_term = (np.einsum("jmp,jp,jm->j", Mt, w, w)
+                - 2.0 * np.einsum("jm,jm->j", rhot, w))
+    integ = float(quadrature(quad_term + lin_term + ctl_term, grid, t_idx, N))
+    bT = bt[-1]
+    return float(np.dot(Gdot @ bT + 2.0 * gdot, bT)) + integ
 
 
 def closed_loop_costs(g, u, Q, S, M, q, rho):
@@ -115,7 +184,7 @@ def solve_auxiliary(riccati, opts=None):
     opts = opts or SolveOptions()
     tables = riccati.tables
     grid, h = tables.grid, tables.grid.h
-    cl_pairs = riccati.closed_loop.pair_table()
+    cl_pairs = pair_table(riccati.closed_loop, grid)
     gain = riccati.gain
     D_nodes, D_half = (np.swapaxes(F, -1, -2) for F in closed_loop_matrices(
         tables.A, tables.A_half, tables.B, tables.B_half, gain))
@@ -158,11 +227,11 @@ def reintegrated_offsets(sol):
     k3 = 0.5 * h * np.einsum("iab,ib->ia", Fm, k2) + wm
     k4 = h * np.einsum("iab,ib->ia", F[1:], k3) + w[1:]
     r = (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    steps = sol.riccati.closed_loop.steps
+    steps = sol.riccati.closed_loop
     Z = np.zeros((grid.N + 1, sol.spec.dims.n))
     for i in range(grid.N):
         Z[i + 1] = steps[i] @ Z[i] + r[i]
-    bt = np.einsum("abij,ib->aij", sol.riccati.closed_loop.pair_table(), Z)
+    bt = np.einsum("abij,ib->aij", pair_table(steps, grid), Z)
     np.subtract(Z.T[:, None, :], bt, out=bt)
     return zero_below_diagonal(bt)
 
@@ -171,7 +240,7 @@ def hjb_residual_sup(sol, states):
     """Sup of the pointwise stationarity residual, R re-integrated."""
     gain, ups, qbb = sol.riccati.gain, sol.auxiliary.upsilon, sol.riccati.qbb
     bt_re = reintegrated_offsets(sol)
-    sbb_re = sbb_table(gain, ups, bt_re, sol.riccati.closed_loop.pair_table(),
+    sbb_re = sbb_table(gain, ups, bt_re, pair_table(sol.riccati.closed_loop, sol.grid),
                        sol.tables)
     omega_re = omega_table(gain, ups, bt_re, sol.tables)
     rates = _coefficient_rates(sol)

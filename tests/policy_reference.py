@@ -19,6 +19,8 @@ import numpy as np
 from tilq.errors import TilqError
 from tilq.grid import _interp_half
 from tilq.policy import HALF_STEP_SNAP, _half_steps
+from auxiliary_reference import btilde
+from pair_tables import from_pair_layout, pair_table
 
 
 def locate(grid, t):
@@ -129,8 +131,10 @@ def simulate_control(spec, grid, tables, u, t_idx, x, stop_idx=None):
 def simulate_equilibrium(sol, t_idx, x):
     """States and controls of Y(s) = E_cl(s, t) x + btilde(s, t) from the tables."""
     x = np.asarray(x, dtype=float).reshape(sol.spec.dims.n)
-    prop = sol.riccati.closed_loop.full_table()[t_idx:, t_idx]
-    states = prop @ x + sol.auxiliary.btilde[t_idx:, t_idx]
+    pairs = pair_table(sol.riccati.closed_loop, sol.grid)
+    prop = from_pair_layout(pairs)[t_idx:, t_idx]
+    bt = btilde(pairs, sol.auxiliary.drive, sol.grid)
+    states = prop @ x + bt[t_idx:, t_idx]
     controls = -(np.einsum("jmn,jn->jm", sol.riccati.gain[t_idx:], states)
                  + sol.auxiliary.upsilon[t_idx:])
     return states, controls

@@ -3,23 +3,24 @@ import pytest
 
 from tilq import (BaseCosts, Dimensions, DynamicsField, SolveOptions,
                   TilqError, build_grid, exponential_kernel, make_discounted,
-                  omega_at, open_loop_transition, quadrature, sbb_at,
-                  solve_auxiliary, solve_equilibrium_riccati, solve_phi,
-                  solve_psi)
-from tilq.auxiliary import (_affine_backward_rk4, _btilde_from_drive,
-                            _upsilon_table)
-from tilq.grid import closed_loop_drive, from_pair_layout
+                  quadrature, solve_auxiliary, solve_equilibrium_riccati,
+                  solve_phi, solve_psi)
+from tilq.auxiliary import _affine_backward_rk4, _upsilon_table
+from tilq.grid import closed_loop_drive
 from tilq.tables import SpecTables
+from auxiliary_reference import omega_at, sbb_at
 from conftest import (classical_scalar_spec, dynamics_tables,
                       hyperbolic_scalar_spec, threestate_spec, twostate_spec,
                       zero_cost_spec)
+from pair_tables import from_pair_layout, full_table, pair_table
+import auxiliary_reference
 
 
-def btilde(closed_loop, upsilon, tables):
+def btilde(steps, upsilon, tables):
     """The solver's btilde, node-major [s_idx, t_idx], for a given Upsilon."""
     drive = closed_loop_drive(tables.b, tables.B, upsilon)
-    return from_pair_layout(_btilde_from_drive(closed_loop.pair_table(), drive,
-                                               tables.grid))
+    return auxiliary_reference.btilde(pair_table(steps, tables.grid), drive,
+                                      tables.grid)
 
 
 def forced_scalar_spec(kernel=None):
@@ -75,9 +76,9 @@ class TestBtilde:
         # A = B = 0, b = 1: response is s - t, and the trapezoid rule is
         # exact for the constant integrand
         dyn = DynamicsField.constant([[0.0]], [[0.0]], [1.0])
-        grid = build_grid(1.0, 50)
-        prop = open_loop_transition(dyn, grid)
-        bt = btilde(prop, np.zeros((51, 1)), dynamics_tables(dyn, grid))
+        tables = dynamics_tables(dyn, build_grid(1.0, 50))
+        grid = tables.grid
+        bt = btilde(tables.open_loop_steps, np.zeros((51, 1)), tables)
         for (j, i) in [(50, 0), (30, 10), (20, 20)]:
             expected = grid.nodes[j] - grid.nodes[i]
             assert bt[j, i, 0] == pytest.approx(expected, abs=1e-13)
@@ -85,9 +86,9 @@ class TestBtilde:
     def test_stable_drift_closed_form(self):
         # A = -1, b = 1, B = 0: response is 1 - exp(-(s - t))
         dyn = DynamicsField.constant([[-1.0]], [[0.0]], [1.0])
-        grid = build_grid(1.0, 1000)
-        prop = open_loop_transition(dyn, grid)
-        bt = btilde(prop, np.zeros((1001, 1)), dynamics_tables(dyn, grid))
+        tables = dynamics_tables(dyn, build_grid(1.0, 1000))
+        grid = tables.grid
+        bt = btilde(tables.open_loop_steps, np.zeros((1001, 1)), tables)
         worst = 0.0
         for (j, i) in [(1000, 0), (700, 200), (400, 399)]:
             exact = 1.0 - np.exp(-(grid.nodes[j] - grid.nodes[i]))
@@ -101,11 +102,11 @@ class TestBtilde:
         riccati = solve_equilibrium_riccati(spec, grid)
         ups = np.column_stack([0.3 - grid.nodes, 0.1 * np.cos(3 * grid.nodes)])
         bt = btilde(riccati.closed_loop, ups, riccati.tables)
-        cl = riccati.closed_loop
+        cl = full_table(riccati.closed_loop, grid)
         drive = [spec.dynamics.b(float(t)) - spec.dynamics.B(float(t)) @ ups[k]
                  for k, t in enumerate(grid.nodes)]
         for (j, i) in [(40, 0), (31, 7), (12, 11), (25, 25)]:
-            terms = np.array([cl.matrix(j, k) @ drive[k] for k in range(i, j + 1)])
+            terms = np.array([cl[j, k] @ drive[k] for k in range(i, j + 1)])
             np.testing.assert_allclose(bt[j, i], quadrature(terms, grid, i, j),
                                        rtol=0, atol=1e-13)
 
@@ -114,7 +115,8 @@ class TestBtilde:
         grid = build_grid(1.0, 80)
         riccati = solve_equilibrium_riccati(spec, grid)
         aux = solve_auxiliary(spec, grid, riccati)
-        diag = aux.btilde[np.arange(81), np.arange(81)]
+        bt = btilde(riccati.closed_loop, aux.upsilon, riccati.tables)
+        diag = bt[np.arange(81), np.arange(81)]
         np.testing.assert_array_equal(diag, np.zeros_like(diag))
 
 
@@ -141,7 +143,7 @@ class TestSbbOmegaPointwise:
                               dynamics=dyn, Q=spec.Q, S=spec.S, M=spec.M,
                               q=qfield, rho=spec.rho, terminal=spec.terminal)
         grid = build_grid(1.0, 40)
-        prop = open_loop_transition(dyn, grid)
+        prop = full_table(dynamics_tables(dyn, grid).open_loop_steps, grid)
         zero_gain = np.zeros((41, 1, 1))
         zero_ups = np.zeros((41, 1))
         zero_bt = np.zeros((41, 41, 1))
@@ -173,12 +175,13 @@ class TestSbbOmegaPointwise:
         for spec in (hyperbolic_scalar_spec(), threestate_spec()):
             riccati = solve_equilibrium_riccati(spec, grid)
             aux = solve_auxiliary(spec, grid, riccati)
+            pairs = pair_table(riccati.closed_loop, grid)
+            cl = from_pair_layout(pairs)
+            bt = auxiliary_reference.btilde(pairs, aux.drive, grid)
             for i in (0, 50, 149):
-                s_direct = sbb_at(i, spec, grid, riccati.closed_loop,
-                                  riccati.gain, aux.upsilon, aux.btilde)
+                s_direct = sbb_at(i, spec, grid, cl, riccati.gain, aux.upsilon, bt)
                 np.testing.assert_allclose(s_direct, aux.sbb[i], atol=1e-13)
-                w_direct = omega_at(i, spec, grid, riccati.gain, aux.upsilon,
-                                    aux.btilde)
+                w_direct = omega_at(i, spec, grid, riccati.gain, aux.upsilon, bt)
                 assert w_direct == pytest.approx(float(aux.omega[i]), abs=1e-13)
 
     def test_fine_grid_oracle(self):
@@ -192,9 +195,11 @@ class TestSbbOmegaPointwise:
         P_fine = np.interp(fine.nodes, grid.nodes,
                            riccati.P[:, 0, 0])[:, None, None]
         gain_f = _gain_table(P_fine, tables_f)
-        cl_f = _closed_loop_table(gain_f, tables_f)
+        pairs_f = pair_table(_closed_loop_table(gain_f, tables_f), fine)
+        cl_f = from_pair_layout(pairs_f)
         ups_f = np.interp(fine.nodes, grid.nodes, aux.upsilon[:, 0])[:, None]
-        bt_f = btilde(cl_f, ups_f, tables_f)
+        bt_f = auxiliary_reference.btilde(
+            pairs_f, closed_loop_drive(tables_f.b, tables_f.B, ups_f), fine)
         for i in (0, 120):
             s_f = sbb_at(10 * i, spec, fine, cl_f, gain_f, ups_f, bt_f)
             assert abs(s_f[0] - aux.sbb[i, 0]) < 1e-6

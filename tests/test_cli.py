@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import tilq
+import tilq.tables
 from tilq import ProblemFileError, load_problem
 from tilq.cli import main
 from tilq.problem_io import (PROBLEM_SCHEMA, format_number, load_shipped_problem,
@@ -274,6 +275,22 @@ class TestCommands:
         assert rc == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["sup_distance"] <= summary["bound"]
+
+    def test_compare_builds_one_kernel_plane(self, tmp_path, monkeypatch):
+        # the projection records lam = 1, so its tables hold the one dlam
+        # plane instead of a derivative triangle per cost kernel
+        calls = []
+        triangle = tilq.tables.kernel_triangle
+
+        def counted(field, grid):
+            calls.append(tuple(field.shape))
+            return triangle(field, grid)
+
+        monkeypatch.setattr(tilq.tables, "kernel_triangle", counted)
+        rc = main(["compare", str(shipped_problem_path("twostate_hyperbolic")),
+                   "-N", "200", "--out", str(tmp_path / "c")])
+        assert rc == 0
+        assert calls == [()]
 
     def test_sweep_monotone_in_discount_slope(self, tmp_path):
         out = tmp_path / "s"

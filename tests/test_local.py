@@ -178,10 +178,7 @@ class TestDispatch:
                                 [1.0], tables=sol.tables)
         assert np.isfinite(cost(spec, grid, traj, 3) - value(sol, grid.nodes[3],
                                                              [1.0]))
-        assert sol.riccati.closed_loop._pairs is None
-        assert sol.auxiliary._btilde is None
+        assert sol.riccati.closed_loop.shape == (100, 1, 1)
+        assert not sol.riccati.closed_loop.flags.writeable
         assert not ({"Qt", "St", "Mt", "qt", "rhot", "dlam", "W"}
                     & set(vars(sol.tables)))
-        # the pair tables appear on first use
-        assert sol.auxiliary.btilde.shape == (101, 101, 1)
-        assert sol.riccati.closed_loop._pairs is not None

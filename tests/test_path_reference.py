@@ -83,7 +83,7 @@ class TestLargeDrive:
 
     def test_segments_match_the_closed_loop(self, case):
         sol, _ = case
-        steps = sol.riccati.closed_loop.steps
+        steps = sol.riccati.closed_loop
         r = _trapezoid_increments(steps, sol.auxiliary.drive, sol.grid.h)
         closed = _anchored(steps).starts
         assert np.array_equal(sol.path_anchors.starts, closed)
@@ -106,7 +106,7 @@ def test_scale_is_undone_exactly():
     spec = twostate_spec(tabulated_hyperbolic())
     grid = build_grid(spec.horizon, 200)
     sol = solve_equilibrium(spec, grid)
-    steps = sol.riccati.closed_loop.steps
+    steps = sol.riccati.closed_loop
     r = _trapezoid_increments(steps, sol.auxiliary.drive, grid.h)
     assert 64.0 * float(np.abs(r).sum()) > 1.0  # the scale is not 1
     got, want = _bordered_anchors(steps, r), _anchored(_border(steps, r, 0.0, 1.0))

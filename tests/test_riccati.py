@@ -1,18 +1,18 @@
 import re
+import sys
 
 import numpy as np
 import pytest
 
+import tilq.auxiliary
 from tilq import (AssumptionError, BaseCosts, Dimensions, DynamicsField,
                   SolveOptions, build_grid, classical_riccati,
                   exponential_kernel, gamma_from_p, hjb_residual_sup,
                   hyperbolic_kernel, local_expansion, make_discounted,
-                  open_loop_transition, qbb_from_gamma, quadrature,
-                  solve_equilibrium, solve_equilibrium_riccati,
+                  quadrature, solve_equilibrium, solve_equilibrium_riccati,
                   run_verification, shipped_problem_path, tabulated_kernel,
                   uniqueness_probe)
 from tilq import cli
-from tilq.auxiliary import AuxiliarySolution
 from tilq.errors import ConvergenceError
 from tilq.grid import TransitionTable, _anchored
 from tilq.riccati import _closed_loop_table, _qbb_table, _sweep_core
@@ -20,6 +20,8 @@ from tilq.tables import SpecTables
 from conftest import (classical_exact_p, classical_scalar_spec,
                       hyperbolic_scalar_spec, threestate_spec, twostate_spec,
                       zero_cost_spec)
+from pair_tables import full_table, pair_table
+from riccati_reference import qbb_from_gamma
 
 
 class TestGainFromP:
@@ -116,7 +118,7 @@ class TestQbb:
         tables = SpecTables(spec, grid)
         gain = np.ones((51, 1, 1))
         cl = _closed_loop_table(gain, tables)
-        qbb = _qbb_table(gain, _anchored(cl.steps), tables)
+        qbb = _qbb_table(gain, _anchored(cl), tables)
         np.testing.assert_array_equal(qbb, np.zeros_like(qbb))
 
     def test_terminal_term_only(self):
@@ -134,7 +136,7 @@ class TestQbb:
                               dynamics=dyn, Q=spec.Q, S=spec.S, M=spec.M,
                               q=spec.q, rho=spec.rho, terminal=terminal)
         gain = np.zeros((41, 1, 1))
-        cl = _closed_loop_table(gain, SpecTables(spec, grid))
+        cl = full_table(_closed_loop_table(gain, SpecTables(spec, grid)), grid)
         qbb = qbb_from_gamma(gain, cl, spec, grid, 0)
         assert qbb[0, 0] == pytest.approx(-1.0, abs=1e-12)
 
@@ -144,8 +146,9 @@ class TestQbb:
         grid = build_grid(1.0, 200)
         for spec in (hyperbolic_scalar_spec(), threestate_spec()):
             sol = solve_equilibrium_riccati(spec, grid)
+            cl = full_table(sol.closed_loop, grid)
             for i in (0, 77, 199, 200):
-                direct = qbb_from_gamma(sol.gain, sol.closed_loop, spec, grid, i)
+                direct = qbb_from_gamma(sol.gain, cl, spec, grid, i)
                 np.testing.assert_allclose(direct, sol.qbb[i], atol=1e-13)
 
     def test_matches_fine_grid_quadrature(self):
@@ -161,7 +164,8 @@ class TestQbb:
         fine = build_grid(1.0, 4000)
         gain_fine = np.interp(fine.nodes, grid.nodes,
                               sol.gain[:, 0, 0])[:, None, None]
-        cl_fine = _closed_loop_table(gain_fine, SpecTables(spec, fine))
+        cl_fine = full_table(_closed_loop_table(gain_fine, SpecTables(spec, fine)),
+                             fine)
         for i in (0, 120):
             coarse_val = sol.qbb[i, 0, 0]
             fine_val = qbb_from_gamma(gain_fine, cl_fine, spec, fine,
@@ -215,18 +219,19 @@ class TestSweep:
         nodes = [float(t) for t in grid.nodes]
         gain = np.array([gamma_from_p(P_in[i], spec, nodes[i])
                          for i in range(N + 1)])
-        cl = _closed_loop_table(gain, SpecTables(spec, grid))
+        tables = SpecTables(spec, grid)
+        cl = full_table(_closed_loop_table(gain, tables), grid)
         inner = np.array([spec.Q(t, t) - qbb_from_gamma(gain, cl, spec, grid, i)
                           - gain[i].T @ spec.M(t, t) @ gain[i]
                           for i, t in enumerate(nodes)])
-        E = open_loop_transition(spec.dynamics, grid)
+        E = full_table(tables.open_loop_steps, grid)
         G_T = np.asarray(spec.terminal.G(T), dtype=float)
         expected = np.empty_like(P_in)
         for i in range(N + 1):
-            terms = np.array([E.matrix(j, i).T @ inner[j] @ E.matrix(j, i)
+            terms = np.array([E[j, i].T @ inner[j] @ E[j, i]
                               for j in range(i, N + 1)])
             expected[i] = (quadrature(terms, grid, i, N)
-                           + E.matrix(N, i).T @ G_T @ E.matrix(N, i))
+                           + E[N, i].T @ G_T @ E[N, i])
         got = one_sweep(P_in, spec, grid)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
 
@@ -240,7 +245,7 @@ class TestSweep:
         grid = build_grid(1.0, 300)
         sol = solve_equilibrium_riccati(spec, grid)
         tbl = sol.tables
-        cl = sol.closed_loop.pair_table()
+        cl = pair_table(sol.closed_loop, grid)
         SMS = np.einsum("jmn,jmp,jpk->jnk", tbl.Sd,
                         np.linalg.inv(tbl.Md), tbl.Sd)
         BP = np.einsum("jam,jab->jmb", tbl.B, sol.P)
@@ -254,22 +259,39 @@ class TestSweep:
 
 
 class TestPairTableBuilds:
-    """Solves, checks and ``tilq solve`` build no table over node pairs.
+    """Solves, checks and the CLI build no table over node pairs.
 
-    Only the public accessors and cross-checks do.
+    Every such table starts with a ``TransitionTable`` or a
+    ``_btilde_from_drive`` call, so both are counted.
     """
 
     @pytest.fixture
     def builds(self, monkeypatch):
         calls = []
-        build = TransitionTable._build_full
+        init = TransitionTable.__init__
 
-        def counted(table):
-            calls.append(table.grid.N)
-            return build(table)
+        def counted_init(table, grid, steps):
+            calls.append(("TransitionTable", grid.N))
+            init(table, grid, steps)
 
-        monkeypatch.setattr(TransitionTable, "_build_full", counted)
+        monkeypatch.setattr(TransitionTable, "__init__", counted_init)
+        btilde = tilq.auxiliary._btilde_from_drive
+
+        def counted_btilde(cl_pairs, drive, grid):
+            calls.append(("_btilde_from_drive", grid.N))
+            return btilde(cl_pairs, drive, grid)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "tilq" and hasattr(module, "_btilde_from_drive"):
+                monkeypatch.setattr(module, "_btilde_from_drive", counted_btilde)
         return calls
+
+    def test_counters_see_a_build(self, builds):
+        grid = build_grid(1.0, 10)
+        steps = np.broadcast_to(np.eye(2), (10, 2, 2))
+        tilq.auxiliary._btilde_from_drive(pair_table(steps, grid),
+                                          np.ones((11, 2)), grid)
+        assert builds == [("TransitionTable", 10), ("_btilde_from_drive", 10)]
 
     def test_uniqueness_probe_builds_none(self, builds):
         spec = twostate_spec()
@@ -290,48 +312,38 @@ class TestPairTableBuilds:
         assert sol.method == "fixed_point"
         assert builds == []
 
+    def test_local_solve_builds_none(self, builds):
+        sol = solve_equilibrium(twostate_spec(), build_grid(1.0, 100))
+        assert sol.method == "local"
+        assert builds == []
+
     def test_stationarity_residual_builds_none(self, builds, tabulated_spec):
         sol = solve_equilibrium(tabulated_spec, build_grid(1.0, 100))
         states = np.array([[1.0, -0.5], [0.2, 2.0]])
         assert hjb_residual_sup(sol, states) <= 1e-5
         assert builds == []
 
-    @pytest.fixture
-    def btilde_reads(self, monkeypatch):
-        reads = []
-        btilde = AuxiliarySolution.btilde
-
-        def counted(aux):
-            reads.append(aux)
-            return btilde.fget(aux)
-
-        monkeypatch.setattr(AuxiliarySolution, "btilde", property(counted))
-        return reads
-
-    def test_verification_builds_none(self, builds, btilde_reads, tabulated_spec):
+    def test_verification_builds_none(self, builds, tabulated_spec):
         # the equilibrium paths of the spike, Bellman, value and integral-form
         # checks come from the bordered anchors
         sol = solve_equilibrium(tabulated_spec, build_grid(1.0, 200))
         assert len(run_verification(sol).checks) == 11
         assert builds == []
-        assert btilde_reads == []
 
-    def test_cli_solve_builds_none(self, builds, btilde_reads, tmp_path):
+    def test_cli_solve_builds_none(self, builds, tmp_path):
         # trajectory.csv is one equilibrium path
         problem = str(shipped_problem_path("twostate_hyperbolic"))
         assert cli.main(["solve", problem, "-N", "200",
                          "--out", str(tmp_path / "out")]) == 0
         assert builds == []
-        assert btilde_reads == []
 
-    def test_btilde_builds_one_on_first_access(self, builds, tabulated_spec):
-        sol = solve_equilibrium(tabulated_spec, build_grid(1.0, 100))
+    @pytest.mark.parametrize("command", [["verify"], ["compare"],
+                                         ["sweep", "--values", "0.5,1.0"]])
+    def test_cli_commands_build_none(self, builds, tmp_path, command):
+        problem = str(shipped_problem_path("twostate_hyperbolic"))
+        assert cli.main([command[0], problem, "-N", "200", *command[1:],
+                         "--out", str(tmp_path / "out")]) == 0
         assert builds == []
-        bt = sol.auxiliary.btilde
-        assert builds == [100]
-        assert bt.shape == (101, 101, 2)
-        assert sol.auxiliary.btilde is bt
-        assert builds == [100]
 
 
 class TestSolve:

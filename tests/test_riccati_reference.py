@@ -110,7 +110,7 @@ def stiff():
 class TestStiffAnchors:
     def test_many_anchors_match_reference(self, stiff):
         tables, P = stiff
-        steps = _closed_loop_table(_gain_table(P, tables), tables).steps
+        steps = _closed_loop_table(_gain_table(P, tables), tables)
         # the starts end with N, so one anchor gives two
         assert len(tables.open_loop_anchors.starts) > 2
         assert len(_anchored(steps).starts) > 2

@@ -13,11 +13,13 @@ import pytest
 
 import tilq.tables
 from tilq import (build_grid, hjb_integral_residual, hyperbolic_kernel,
-                  omega_at, qbb_from_gamma, sbb_at, solve_auxiliary,
-                  solve_equilibrium, solve_equilibrium_riccati,
+                  solve_auxiliary, solve_equilibrium, solve_equilibrium_riccati,
                   tabulated_kernel, value)
 from tilq.policy import EquilibriumSolution
+from auxiliary_reference import btilde, omega_at, sbb_at
 from conftest import threestate_spec, twostate_spec
+from pair_tables import from_pair_layout, pair_table
+from riccati_reference import qbb_from_gamma
 
 N = 60
 TRIANGLES = {"Qt", "St", "Mt", "qt", "rhot"}
@@ -93,16 +95,17 @@ class TestPlaneAgainstTriangles:
         plane, _ = pair
         spec, grid = plane.spec, plane.grid
         ric, aux = plane.riccati, plane.auxiliary
+        pairs = pair_table(ric.closed_loop, grid)
+        cl, bt = from_pair_layout(pairs), btilde(pairs, aux.drive, grid)
         for i in (0, N // 2, N - 1):
             np.testing.assert_allclose(
-                qbb_from_gamma(ric.gain, ric.closed_loop, spec, grid, i),
+                qbb_from_gamma(ric.gain, cl, spec, grid, i),
                 ric.qbb[i], rtol=0, atol=1e-13)
             np.testing.assert_allclose(
-                sbb_at(i, spec, grid, ric.closed_loop, ric.gain, aux.upsilon,
-                       aux.btilde), aux.sbb[i], rtol=0, atol=1e-13)
+                sbb_at(i, spec, grid, cl, ric.gain, aux.upsilon, bt),
+                aux.sbb[i], rtol=0, atol=1e-13)
             assert omega_at(i, spec, grid, ric.gain, aux.upsilon,
-                            aux.btilde) == pytest.approx(float(aux.omega[i]),
-                                                         abs=1e-13)
+                            bt) == pytest.approx(float(aux.omega[i]), abs=1e-13)
 
     def test_off_unit_diagonal_is_divided_out(self):
         sol = fixed_point(SPECS["twostate_off_unit_diagonal"]())

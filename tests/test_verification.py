@@ -196,6 +196,13 @@ TWOSTATE_WORST = {
 # move by more than 1e-8 relative; they are held to an absolute 1e-10
 ROUNDOFF_WORST = {"gradient matches central differences",
                   "uniqueness across initializations"}
+# Nudging the start state x at each spike limit's witness by one ulp, in each
+# of the 8 sign patterns over its two components, moved "spike limit zero at
+# equilibrium" (t_idx=269) by up to 8.0e-13 and "spike limit matches
+# quadratic gap" (t_idx=275) by up to 1.1e-13: their rounding floors, the
+# first above 1e-8 of its value.  Each is held to a few times its floor.
+SPIKE_LIMIT_FLOOR = {"spike limit zero at equilibrium": 3e-12,
+                     "spike limit matches quadratic gap": 5e-13}
 
 
 def test_twostate_battery_matches_recorded_worst():
@@ -209,7 +216,8 @@ def test_twostate_battery_matches_recorded_worst():
     got = {c.name: c.worst for c in report.checks}
     assert set(got) == set(TWOSTATE_WORST)
     for name, want in TWOSTATE_WORST.items():
-        tol = 1e-10 if name in ROUNDOFF_WORST else 1e-8 * want
+        tol = 1e-10 if name in ROUNDOFF_WORST else SPIKE_LIMIT_FLOOR.get(
+            name, 1e-8 * want)
         assert abs(got[name] - want) <= tol, (name, got[name], want)
 
 
