@@ -6,6 +6,15 @@ Matrix and vector entries are numbers, {"poly": [c0, c1, ...]} polynomials
 in time (coefficients in increasing degree), or whole-field tabulations
 {"tabulated": {"times": [...], "values": [...]}} interpolated linearly.
 Unknown keys are rejected so typos fail loudly.
+
+``PROBLEM_SCHEMA`` is a JSON Schema (draft 2020-12) dict.  Documents are
+checked against it by :func:`schema_violation`, a walker over the eleven
+keywords the schema uses: ``type``, ``const``, ``oneOf``, ``required``,
+``properties``, ``additionalProperties`` (false only), ``items``,
+``minItems``, ``minimum``, ``exclusiveMinimum`` and ``maximum``.  Its
+messages use jsonschema's wording.  A bool is never a number, and an
+``integer`` is a Python int only: ``"n": 2.0`` is refused at its path, where
+jsonschema's default draft accepts integer-valued floats.
 """
 
 from __future__ import annotations
@@ -16,7 +25,6 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .errors import ProblemFileError
@@ -125,9 +133,74 @@ PROBLEM_SCHEMA = {
     },
 }
 
-# Built once: jsonschema.validate would check PROBLEM_SCHEMA against its
-# metaschema on every call, which costs more than the rest of a load.
-_VALIDATOR = jsonschema.validators.validator_for(PROBLEM_SCHEMA)(PROBLEM_SCHEMA)
+_TYPES = {"object": dict, "array": list, "string": str,
+          "number": (int, float), "integer": int}
+
+
+def _is_type(instance, kind: str) -> bool:
+    return isinstance(instance, _TYPES[kind]) and not isinstance(instance, bool)
+
+
+def schema_violation(instance, schema: dict = PROBLEM_SCHEMA, path: tuple = ()):
+    """First violation of ``schema`` by ``instance``: (path, message), or None.
+
+    The keywords are checked in a fixed order, an object's properties before
+    its ``additionalProperties`` and ``required``.  Where no branch of a
+    ``oneOf`` holds, the branch whose first violation lies deepest is
+    reported; on a tie, the ``oneOf`` itself is.
+    """
+    if "type" in schema and not _is_type(instance, schema["type"]):
+        return path, f"{instance!r} is not of type {schema['type']!r}"
+    if "const" in schema and not (type(instance) is type(schema["const"])
+                                  and instance == schema["const"]):
+        return path, f"{schema['const']!r} was expected"
+    if _is_type(instance, "number"):
+        if "minimum" in schema and instance < schema["minimum"]:
+            return path, (f"{instance!r} is less than the minimum of "
+                          f"{schema['minimum']!r}")
+        if "exclusiveMinimum" in schema and instance <= schema["exclusiveMinimum"]:
+            return path, (f"{instance!r} is less than or equal to the minimum of "
+                          f"{schema['exclusiveMinimum']!r}")
+        if "maximum" in schema and instance > schema["maximum"]:
+            return path, (f"{instance!r} is greater than the maximum of "
+                          f"{schema['maximum']!r}")
+    if _is_type(instance, "array"):
+        if len(instance) < schema.get("minItems", 0):
+            short = "should be non-empty" if schema["minItems"] == 1 else "is too short"
+            return path, f"{instance!r} {short}"
+        for index, item in enumerate(instance if "items" in schema else ()):
+            found = schema_violation(item, schema["items"], path + (index,))
+            if found:
+                return found
+    if _is_type(instance, "object"):
+        properties = schema.get("properties", {})
+        for key, sub in properties.items():
+            if key in instance:
+                found = schema_violation(instance[key], sub, path + (key,))
+                if found:
+                    return found
+        if schema.get("additionalProperties") is False:
+            extras = sorted((key for key in instance if key not in properties), key=str)
+            if extras:
+                verb = "was" if len(extras) == 1 else "were"
+                return path, (f"Additional properties are not allowed "
+                              f"({', '.join(map(repr, extras))} {verb} unexpected)")
+        for key in schema.get("required", ()):
+            if key not in instance:
+                return path, f"{key!r} is a required property"
+    if "oneOf" in schema:
+        found = [schema_violation(instance, sub, path) for sub in schema["oneOf"]]
+        valid = [sub for sub, f in zip(schema["oneOf"], found) if f is None]
+        if len(valid) > 1:
+            return path, (f"{instance!r} is valid under each of "
+                          f"{', '.join(map(repr, valid[1:] + valid[:1]))}")
+        if not valid:
+            depth = max(len(f[0]) for f in found)
+            deepest = [f for f in found if len(f[0]) == depth]
+            if len(deepest) == 1:
+                return deepest[0]
+            return path, f"{instance!r} is not valid under any of the given schemas"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +274,10 @@ class LoadedProblem:
 def parse_problem(document: dict, *, source: str = "<memory>",
                   force: bool = False) -> LoadedProblem:
     """Build a validated problem from a parsed JSON document."""
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(document))
-    if error is not None:
-        path = "/".join(str(p) for p in error.absolute_path)
-        raise ProblemFileError(
-            f"{source}: schema violation at /{path}: {error.message}") from error
+    found = schema_violation(document)
+    if found is not None:
+        path = "/".join(str(p) for p in found[0])
+        raise ProblemFileError(f"{source}: schema violation at /{path}: {found[1]}")
 
     dims = Dimensions(n=document["dims"]["n"], m=document["dims"]["m"])
     n, m = dims.n, dims.m

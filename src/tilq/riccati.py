@@ -366,8 +366,7 @@ def _sweep_core(P: np.ndarray, tables: SpecTables):
     gain = _gain_table(P, tables)
     cl = _closed_loop_table(gain, tables)
     qbb = _qbb_table(gain, _anchored(cl), tables)
-    inner = (tables.Qd - qbb
-             - np.einsum("jab,jac,jcd->jbd", gain, tables.Md, gain, optimize=True))
+    inner = tables.Qd - qbb - np.swapaxes(gain, -1, -2) @ (tables.Md @ gain)
     P_out = _open_loop_integral(tables.open_loop_anchors, inner, tables.G_T,
                                 tables.grid.h)
     asym = float(np.max(np.abs(P_out - np.swapaxes(P_out, -1, -2))))

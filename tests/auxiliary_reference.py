@@ -45,13 +45,16 @@ def btilde(cl_pairs, drive, grid):
     return from_pair_layout(_btilde_from_drive(cl_pairs, drive, grid))
 
 
-def row_terms(t_idx, spec, grid, gain, upsilon, btilde):
-    """Gain, Upsilon, btilde(., t_i), w, the kernels' t-derivatives, g', G'."""
+def row_terms(t_idx, spec, grid, gain, upsilon, bt_column):
+    """Gain, Upsilon, btilde(., t_i), w, the kernels' t-derivatives, g', G'.
+
+    ``bt_column`` holds btilde(t_j, t_i) for j = i..N.
+    """
     t = float(grid.nodes[t_idx])
     s_range = grid.nodes[t_idx:]
     G = np.asarray(gain, dtype=float)[t_idx:]
     U = np.asarray(upsilon, dtype=float)[t_idx:]
-    bt = np.asarray(btilde, dtype=float)[t_idx:, t_idx]
+    bt = np.asarray(bt_column, dtype=float)
     w = U + np.einsum("jmn,jn->jm", G, bt)
     rows = tuple(f.row(t, s_range, derivative=True)
                  for f in (spec.Q, spec.S, spec.M, spec.q, spec.rho))
@@ -60,17 +63,17 @@ def row_terms(t_idx, spec, grid, gain, upsilon, btilde):
     return (G, U, bt, w) + rows + (gdot, Gdot)
 
 
-def sbb_at(t_idx, spec, grid, closed_loop, gain, upsilon, btilde):
+def sbb_at(t_idx, spec, grid, column, gain, upsilon, bt_column):
     """Nonlocal drift correction Sbb(t_i) by direct node quadrature.
 
-    ``closed_loop`` is the node-major propagator table
-    (:func:`pair_tables.full_table`).  All five bracketed terms of the
-    defining integral are assembled from the supplied ingredient tables;
-    independent of the batched solver path.
+    ``column`` holds the closed loop's propagators E_cl(t_j, t_i) and
+    ``bt_column`` btilde(t_j, t_i), for j = i..N (:mod:`pair_tables`).  All
+    five bracketed terms of the defining integral are assembled from the
+    supplied ingredients; independent of the batched solver path.
     """
     N = grid.N
     G, U, bt, w, Qt, St, Mt, qt, rhot, gdot, Gdot = row_terms(
-        t_idx, spec, grid, gain, upsilon, btilde)
+        t_idx, spec, grid, gain, upsilon, bt_column)
     vec = (np.einsum("jab,jb->ja", Qt, bt)
            - np.einsum("jma,jmn,jn->ja", G, St, bt)
            - np.einsum("jmn,jm->jn", St, np.einsum("jmn,jn->jm", G, bt))
@@ -78,17 +81,17 @@ def sbb_at(t_idx, spec, grid, closed_loop, gain, upsilon, btilde):
            - np.einsum("jmn,jm->jn", St, U)
            + np.einsum("jma,jmp,jp->ja", G, Mt, w)
            - np.einsum("jma,jm->ja", G, rhot))
-    prop = np.ascontiguousarray(closed_loop[t_idx:, t_idx])
+    prop = np.ascontiguousarray(column)
     integ = quadrature(np.einsum("jba,jb->ja", prop, vec), grid, t_idx, N)
-    EN = closed_loop[N, t_idx]
+    EN = prop[-1]
     return EN.T @ (gdot + Gdot @ bt[-1]) + integ
 
 
-def omega_at(t_idx, spec, grid, gain, upsilon, btilde):
+def omega_at(t_idx, spec, grid, gain, upsilon, bt_column):
     """Scalar correction omega(t_i) by direct node quadrature."""
     N = grid.N
     G, U, bt, w, Qt, St, Mt, qt, rhot, gdot, Gdot = row_terms(
-        t_idx, spec, grid, gain, upsilon, btilde)
+        t_idx, spec, grid, gain, upsilon, bt_column)
     quad_term = np.einsum("jac,jc,ja->j", Qt, bt, bt)
     cross = qt - np.einsum("jma,jmn,jn->ja", G, St, bt) \
         - np.einsum("jmn,jm->jn", St, U)

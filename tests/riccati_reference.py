@@ -30,11 +30,12 @@ from tilq.tables import pair_costs
 from pair_tables import pair_table
 
 
-def qbb_from_gamma(gain, closed_loop, spec, grid, t_idx):
+def qbb_from_gamma(gain, column, spec, grid, t_idx):
     """Kernel-derivative correction Qbb(t_i) by direct node quadrature.
 
-    ``closed_loop`` is the node-major propagator table
-    (:func:`pair_tables.full_table`).  Self-contained row evaluation,
+    ``column`` holds the closed loop's propagators E_cl(t_j, t_i) for
+    j = i..N (:func:`pair_tables.column`, or a column of
+    :func:`pair_tables.full_table`).  Self-contained row evaluation,
     independent of the batched sweep path so the two can be cross-checked.
     """
     gain = np.asarray(gain, dtype=float)
@@ -49,10 +50,10 @@ def qbb_from_gamma(gain, closed_loop, spec, grid, t_idx):
     K = (Qt - np.einsum("jab,jac->jbc", G, St)
          - np.einsum("jab,jac->jcb", G, St)
          + np.einsum("jab,jac,jcd->jbd", G, Mt, G))
-    prop = np.ascontiguousarray(closed_loop[t_idx:, t_idx])
+    prop = np.ascontiguousarray(column)
     integrand = np.einsum("jba,jbc,jcd->jad", prop, K, prop)
     out = quadrature(integrand, grid, t_idx, grid.N)
-    EN = closed_loop[grid.N, t_idx]
+    EN = prop[-1]
     Gdot = np.asarray(spec.terminal.dG_dt(t), dtype=float).reshape(n, n)
     out = out + EN.T @ Gdot @ EN
     return 0.5 * (out + out.T)

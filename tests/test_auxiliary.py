@@ -12,7 +12,8 @@ from auxiliary_reference import omega_at, sbb_at
 from conftest import (classical_scalar_spec, dynamics_tables,
                       hyperbolic_scalar_spec, threestate_spec, twostate_spec,
                       zero_cost_spec)
-from pair_tables import from_pair_layout, full_table, pair_table
+from pair_tables import (btilde_column, column, from_pair_layout, full_table,
+                         pair_table)
 import auxiliary_reference
 
 
@@ -143,10 +144,10 @@ class TestSbbOmegaPointwise:
                               dynamics=dyn, Q=spec.Q, S=spec.S, M=spec.M,
                               q=qfield, rho=spec.rho, terminal=spec.terminal)
         grid = build_grid(1.0, 40)
-        prop = full_table(dynamics_tables(dyn, grid).open_loop_steps, grid)
+        prop = column(dynamics_tables(dyn, grid).open_loop_steps, 0)
         zero_gain = np.zeros((41, 1, 1))
         zero_ups = np.zeros((41, 1))
-        zero_bt = np.zeros((41, 41, 1))
+        zero_bt = np.zeros((41, 1))
         got = sbb_at(0, spec, grid, prop, zero_gain, zero_ups, zero_bt)
         assert got[0] == pytest.approx(c, abs=1e-12)
 
@@ -165,7 +166,7 @@ class TestSbbOmegaPointwise:
                               q=spec.q, rho=spec.rho, terminal=spec.terminal)
         grid = build_grid(1.0, 40)
         got = omega_at(0, spec, grid, np.zeros((41, 1, 1)),
-                       u0 * np.ones((41, 1)), np.zeros((41, 41, 1)))
+                       u0 * np.ones((41, 1)), np.zeros((41, 1)))
         assert got == pytest.approx(c * u0 * u0, abs=1e-12)
 
     def test_pointwise_matches_batched(self):
@@ -179,10 +180,24 @@ class TestSbbOmegaPointwise:
             cl = from_pair_layout(pairs)
             bt = auxiliary_reference.btilde(pairs, aux.drive, grid)
             for i in (0, 50, 149):
-                s_direct = sbb_at(i, spec, grid, cl, riccati.gain, aux.upsilon, bt)
+                s_direct = sbb_at(i, spec, grid, cl[i:, i], riccati.gain,
+                                  aux.upsilon, bt[i:, i])
                 np.testing.assert_allclose(s_direct, aux.sbb[i], atol=1e-13)
-                w_direct = omega_at(i, spec, grid, riccati.gain, aux.upsilon, bt)
+                w_direct = omega_at(i, spec, grid, riccati.gain, aux.upsilon,
+                                    bt[i:, i])
                 assert w_direct == pytest.approx(float(aux.omega[i]), abs=1e-13)
+
+    def test_btilde_column_matches_pair_table(self):
+        # the fine-grid oracle reads btilde one column at a time
+        grid = build_grid(1.0, 60)
+        riccati = solve_equilibrium_riccati(threestate_spec(), grid)
+        aux = solve_auxiliary(threestate_spec(), grid, riccati)
+        steps = riccati.closed_loop
+        bt = auxiliary_reference.btilde(pair_table(steps, grid), aux.drive, grid)
+        for i in (0, 23, 59, 60):
+            np.testing.assert_allclose(
+                btilde_column(steps, aux.drive, grid.h, i), bt[i:, i],
+                rtol=0, atol=1e-13)
 
     def test_fine_grid_oracle(self):
         spec = forced_scalar_spec(exponential_kernel(0.5))
@@ -195,12 +210,12 @@ class TestSbbOmegaPointwise:
         P_fine = np.interp(fine.nodes, grid.nodes,
                            riccati.P[:, 0, 0])[:, None, None]
         gain_f = _gain_table(P_fine, tables_f)
-        pairs_f = pair_table(_closed_loop_table(gain_f, tables_f), fine)
-        cl_f = from_pair_layout(pairs_f)
+        steps_f = _closed_loop_table(gain_f, tables_f)
         ups_f = np.interp(fine.nodes, grid.nodes, aux.upsilon[:, 0])[:, None]
-        bt_f = auxiliary_reference.btilde(
-            pairs_f, closed_loop_drive(tables_f.b, tables_f.B, ups_f), fine)
+        drive_f = closed_loop_drive(tables_f.b, tables_f.B, ups_f)
         for i in (0, 120):
+            cl_f = column(steps_f, 10 * i)
+            bt_f = btilde_column(steps_f, drive_f, fine.h, 10 * i)
             s_f = sbb_at(10 * i, spec, fine, cl_f, gain_f, ups_f, bt_f)
             assert abs(s_f[0] - aux.sbb[i, 0]) < 1e-6
             w_f = omega_at(10 * i, spec, fine, gain_f, ups_f, bt_f)

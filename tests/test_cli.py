@@ -68,7 +68,7 @@ class TestLoadProblem:
             load_problem(path)
 
     def test_schema_is_a_valid_schema(self):
-        # parse_problem builds its validator once and never re-checks this
+        # problem_io's walker reads the schema as given and never checks it
         jsonschema.validators.validator_for(PROBLEM_SCHEMA).check_schema(
             PROBLEM_SCHEMA)
 

@@ -5,7 +5,7 @@ from tilq import DynamicsField, TilqError, build_grid, quadrature
 from tilq.grid import TransitionTable, open_loop_transition
 from tilq.riccati import _closed_loop_table
 from conftest import dynamics_tables
-from pair_tables import from_pair_layout, full_table
+from pair_tables import column, from_pair_layout, full_table
 
 
 def open_loop_table(dyn, grid):
@@ -208,3 +208,12 @@ class TestStorageBudget:
                     if i < grid.N:
                         composed = table.steps[i] @ composed
             assert table.pair_table() is kept
+
+    def test_column_matches_full_table(self):
+        # the fine-grid oracles read one column, in O(N n^2) memory
+        grid = build_grid(1.0, 40)
+        steps = _varying_gain_closed_loop(grid).steps
+        full = full_table(steps, grid)
+        for i in (0, 17, 39, 40):
+            np.testing.assert_allclose(column(steps, i), full[i:, i],
+                                       rtol=0, atol=1e-13)

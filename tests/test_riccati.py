@@ -20,7 +20,7 @@ from tilq.tables import SpecTables
 from conftest import (classical_exact_p, classical_scalar_spec,
                       hyperbolic_scalar_spec, threestate_spec, twostate_spec,
                       zero_cost_spec)
-from pair_tables import full_table, pair_table
+from pair_tables import column, full_table, pair_table
 from riccati_reference import qbb_from_gamma
 
 
@@ -136,7 +136,7 @@ class TestQbb:
                               dynamics=dyn, Q=spec.Q, S=spec.S, M=spec.M,
                               q=spec.q, rho=spec.rho, terminal=terminal)
         gain = np.zeros((41, 1, 1))
-        cl = full_table(_closed_loop_table(gain, SpecTables(spec, grid)), grid)
+        cl = column(_closed_loop_table(gain, SpecTables(spec, grid)), 0)
         qbb = qbb_from_gamma(gain, cl, spec, grid, 0)
         assert qbb[0, 0] == pytest.approx(-1.0, abs=1e-12)
 
@@ -148,7 +148,7 @@ class TestQbb:
             sol = solve_equilibrium_riccati(spec, grid)
             cl = full_table(sol.closed_loop, grid)
             for i in (0, 77, 199, 200):
-                direct = qbb_from_gamma(sol.gain, cl, spec, grid, i)
+                direct = qbb_from_gamma(sol.gain, cl[i:, i], spec, grid, i)
                 np.testing.assert_allclose(direct, sol.qbb[i], atol=1e-13)
 
     def test_matches_fine_grid_quadrature(self):
@@ -164,12 +164,11 @@ class TestQbb:
         fine = build_grid(1.0, 4000)
         gain_fine = np.interp(fine.nodes, grid.nodes,
                               sol.gain[:, 0, 0])[:, None, None]
-        cl_fine = full_table(_closed_loop_table(gain_fine, SpecTables(spec, fine)),
-                             fine)
+        steps_fine = _closed_loop_table(gain_fine, SpecTables(spec, fine))
         for i in (0, 120):
             coarse_val = sol.qbb[i, 0, 0]
-            fine_val = qbb_from_gamma(gain_fine, cl_fine, spec, fine,
-                                      10 * i)[0, 0]
+            fine_val = qbb_from_gamma(gain_fine, column(steps_fine, 10 * i),
+                                      spec, fine, 10 * i)[0, 0]
             assert abs(coarse_val - fine_val) < 1e-6
 
 
@@ -221,7 +220,7 @@ class TestSweep:
                          for i in range(N + 1)])
         tables = SpecTables(spec, grid)
         cl = full_table(_closed_loop_table(gain, tables), grid)
-        inner = np.array([spec.Q(t, t) - qbb_from_gamma(gain, cl, spec, grid, i)
+        inner = np.array([spec.Q(t, t) - qbb_from_gamma(gain, cl[i:, i], spec, grid, i)
                           - gain[i].T @ spec.M(t, t) @ gain[i]
                           for i, t in enumerate(nodes)])
         E = full_table(tables.open_loop_steps, grid)

@@ -99,13 +99,14 @@ class TestPlaneAgainstTriangles:
         cl, bt = from_pair_layout(pairs), btilde(pairs, aux.drive, grid)
         for i in (0, N // 2, N - 1):
             np.testing.assert_allclose(
-                qbb_from_gamma(ric.gain, cl, spec, grid, i),
+                qbb_from_gamma(ric.gain, cl[i:, i], spec, grid, i),
                 ric.qbb[i], rtol=0, atol=1e-13)
             np.testing.assert_allclose(
-                sbb_at(i, spec, grid, cl, ric.gain, aux.upsilon, bt),
+                sbb_at(i, spec, grid, cl[i:, i], ric.gain, aux.upsilon, bt[i:, i]),
                 aux.sbb[i], rtol=0, atol=1e-13)
             assert omega_at(i, spec, grid, ric.gain, aux.upsilon,
-                            bt) == pytest.approx(float(aux.omega[i]), abs=1e-13)
+                            bt[i:, i]) == pytest.approx(float(aux.omega[i]),
+                                                        abs=1e-13)
 
     def test_off_unit_diagonal_is_divided_out(self):
         sol = fixed_point(SPECS["twostate_off_unit_diagonal"]())
