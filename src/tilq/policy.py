@@ -30,6 +30,12 @@ table's node rows are checked once, when it is built, against the Gain and
 Upsilon stored by the solver: a mismatch beyond FEEDBACK_MATCH_TOL at any
 node raises ConsistencyError naming the first failing t.
 
+For small n and m a rollout costs what its numpy calls cost, so each makes
+as few as give the same bits: ``feedback`` returns (-K) x - k from a cached
+-K; float64 states and controls of the right shape skip conversion; the
+step scales by 0-d arrays and doubles by k + k.  The tables are indexed per
+step: per-node lists of row views would cost megabytes of peak memory.
+
 The equilibrium path from (t_i, x) is Y(s) = E_cl(s, t_i) x + btilde(s,
 t_i).  It is read off the anchored products of the closed loop bordered
 with its drive (:attr:`EquilibriumSolution.path_anchors`, built once per
@@ -64,6 +70,7 @@ FEEDBACK_MATCH_TOL = 1e-10
 # A time within this many half steps of a node or half node reads that row
 # of a half-step table exactly; RK4 stage times t_i + h/2 carry rounding.
 HALF_STEP_SNAP = 1e-9
+_FLOAT = np.dtype(float)
 
 
 @dataclass(frozen=True)
@@ -113,6 +120,14 @@ class EquilibriumSolution:
         K.flags.writeable = False
         k.flags.writeable = False
         return K, k
+
+    @cached_property
+    def _negated_feedback(self) -> tuple[np.ndarray, np.ndarray]:
+        """(-K, k) of :attr:`feedback_table`: u = (-K) x - k, bit for bit."""
+        K, k = self.feedback_table
+        neg_K = -K
+        neg_K.flags.writeable = False
+        return neg_K, k
 
     @cached_property
     def path_anchors(self) -> _Anchors:
@@ -264,7 +279,11 @@ def _locate_half(grid: TimeGrid, t: float) -> tuple[int, float]:
 
 
 def _state(x, n: int) -> np.ndarray:
-    """The state x as an (n,) array; TilqError naming both shapes otherwise."""
+    """The state x as an (n,) array; TilqError naming both shapes otherwise.
+
+    A float64 ndarray of shape (n,) is returned as it is."""
+    if type(x) is np.ndarray and x.dtype == _FLOAT and x.shape == (n,):
+        return x
     x = np.asarray(x, dtype=float)
     try:
         return x.reshape(n)
@@ -300,12 +319,12 @@ def feedback(sol: EquilibriumSolution, t: float, x) -> np.ndarray:
     and Upsilon when it was built.
     """
     x = _state(x, sol.spec.dims.n)
-    K, k = sol.feedback_table
+    neg_K, k = sol._negated_feedback
     j, w = _locate_half(sol.grid, t)
-    u = K[j].dot(x) + k[j]
+    u = neg_K[j].dot(x) - k[j]
     if w:
-        u = (1.0 - w) * u + w * (K[j + 1].dot(x) + k[j + 1])
-    return -u
+        u = (1.0 - w) * u + w * (neg_K[j + 1].dot(x) - k[j + 1])
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +361,11 @@ def simulate_control(spec: ProblemSpec, grid: TimeGrid, u, t_idx: int, x,
         runs = 0
 
         def control(j, t, y):
-            out = np.asarray(u(t, y), dtype=float)
+            out = u(t, y)
+            if type(out) is np.ndarray and out.dtype == _FLOAT \
+                    and out.shape == (m,):
+                return out
+            out = np.asarray(out, dtype=float)
             try:
                 return out.reshape(m)
             except ValueError:
@@ -370,7 +393,8 @@ def simulate_control(spec: ProblemSpec, grid: TimeGrid, u, t_idx: int, x,
         b, b_half = b[..., None], b_half[..., None]
     times = grid._times
     h = grid.h
-    half, sixth = 0.5 * h, h / 6.0
+    half = 0.5 * h  # stage times stay Python floats
+    h_half, h_full, h_sixth = np.array(half), np.array(h), np.array(h / 6.0)
     states = np.empty((k,) + shape)
     controls = np.empty((k, m) + shape[1:])
     states[0] = x[:, None] if runs else x
@@ -385,13 +409,13 @@ def simulate_control(spec: ProblemSpec, grid: TimeGrid, u, t_idx: int, x,
         u0 = control(2 * i, t0, y)
         controls[step] = u0
         k1 = A0.dot(y) + B0.dot(u0) + b0
-        y2 = y + half * k1
+        y2 = y + h_half * k1
         k2 = Am.dot(y2) + Bm.dot(control(2 * i + 1, tm, y2)) + bm
-        y3 = y + half * k2
+        y3 = y + h_half * k2
         k3 = Am.dot(y3) + Bm.dot(control(2 * i + 1, tm, y3)) + bm
-        y4 = y + h * k3
+        y4 = y + h_full * k3
         k4 = A1.dot(y4) + B1.dot(control(2 * i + 2, t1, y4)) + b1
-        y = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+        y = y + h_sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)
         states[step + 1] = y
     controls[-1] = control(2 * stop_idx, t1, y)
     if runs:

@@ -50,9 +50,10 @@ _NUM_ARRAY_1D = {"type": "array", "minItems": 1, "items": {"type": "number"}}
 
 
 def _grid_spec(rank: int) -> dict:
-    inner = _ENTRY
+    inner, sample = _ENTRY, {"type": "number"}  # sample: values at one time
     for _ in range(rank):
         inner = {"type": "array", "minItems": 1, "items": inner}
+        sample = {"type": "array", "minItems": 1, "items": sample}
     return {
         "oneOf": [
             inner,
@@ -62,7 +63,8 @@ def _grid_spec(rank: int) -> dict:
                  "type": "object", "additionalProperties": False,
                  "required": ["times", "values"],
                  "properties": {"times": _NUM_ARRAY_1D,
-                                "values": {"type": "array", "minItems": 2}}}}},
+                                "values": {"type": "array", "minItems": 2,
+                                           "items": sample}}}}},
         ]
     }
 
@@ -87,7 +89,8 @@ _DISCOUNT = {
          "required": ["family", "times", "values"],
          "properties": {"family": {"const": "tabulated"},
                         "times": _NUM_ARRAY_1D,
-                        "values": {"type": "array", "minItems": 3}}},
+                        "values": {"type": "array", "minItems": 3,
+                                   "items": _NUM_ARRAY_1D}}},
     ]
 }
 
@@ -220,11 +223,13 @@ def _field_fn(node, shape, what):
     """Matrix/vector field -> callable of t."""
     if isinstance(node, dict) and "tabulated" in node:
         times = np.asarray(node["tabulated"]["times"], dtype=float)
-        vals = np.asarray(node["tabulated"]["values"], dtype=float)
+        # numbers at the schema's depth: a ragged table has a shorter shape
+        vals = np.asarray(node["tabulated"]["values"], dtype=object)
         if vals.shape != (len(times),) + shape:
             raise ProblemFileError(
                 f"{what}: tabulated values have shape {vals.shape}, expected "
                 f"{(len(times),) + shape}")
+        vals = vals.astype(float)
         if np.any(np.diff(times) <= 0):
             raise ProblemFileError(f"{what}: tabulation times must increase")
 

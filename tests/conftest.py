@@ -41,6 +41,20 @@ def twostate_spec(kernel=None):
         kernel or hyperbolic_kernel(1.0), name="twostate")
 
 
+def tabulated_twin(document, points=801):
+    """A problem document whose discount is 1 / (1 + (s - t)) tabulated.
+
+    A tabulated discount has no exponential-sum fit, so the twin is solved
+    by the fixed point.  The two-state demo needs 801 times: a 401-point
+    table fails validation.
+    """
+    times = np.linspace(0.0, document["horizon"], points)
+    lag = np.clip(times[None, :] - times[:, None], 0.0, None)
+    return dict(document, discount={"family": "tabulated",
+                                    "times": times.tolist(),
+                                    "values": (1.0 / (1.0 + lag)).tolist()})
+
+
 def threestate_spec(kernel=None):
     """n = 3, m = 2: A(t), B(t) vary in time and do not commute, G'(t) != 0.
 

@@ -5,9 +5,11 @@ This is the form the package used before the time lookup moved to Python
 floats and the step loop hoisted its constants: ``_locate`` works on the
 grid's numpy nodes, ``value`` and ``grad_value`` locate t once per table,
 and every product is ``@``.  The oracle tests require the package to give
-bit-identical results.  It reads the same feedback table and SpecTables
-grid evaluations as the package, so it checks the lookup and the
-integration, not how those tables are built.
+bit-identical results, and it still does after its later rewrites: the
+negated feedback rows, the fast paths for float64 states and controls, the
+0-d step factors and ``k + k`` for ``2 * k``.  It reads the same feedback
+table and SpecTables grid evaluations as the package, so it checks the
+lookup and the integration, not how those tables are built.
 
 :func:`simulate_equilibrium` is the package's former equilibrium path, read
 off the closed-loop pair table and the btilde pair table; the package's

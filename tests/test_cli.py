@@ -14,6 +14,7 @@ from tilq.cli import main
 from tilq.problem_io import (PROBLEM_SCHEMA, format_number, load_shipped_problem,
                              parse_problem, shipped_problem_names,
                              shipped_problem_path)
+from conftest import tabulated_twin
 
 
 def minimal_document(**overrides):
@@ -267,6 +268,19 @@ class TestCommands:
         assert summary["passed"] is True
         assert summary["grid_points"] == 400
         assert len(summary["checks"]) == 11
+
+    def test_verify_passes_on_fixed_point_twin(self, tmp_path):
+        # the battery on a fixed-point solve, as CI's installed-script step
+        doc = json.loads(shipped_problem_path("twostate_hyperbolic").read_text())
+        path = tmp_path / "twostate_tabulated.json"
+        path.write_text(json.dumps(tabulated_twin(doc)))
+        out = tmp_path / "fixed_point"
+        assert main(["verify", str(path), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["method"] == "fixed_point"
+        assert len(summary["checks"]) == 11
+        assert all(c["passed"] for c in summary["checks"].values())
+        assert summary["passed"] is True
 
     def test_compare_on_time_inconsistent_spec(self, tmp_path):
         out = tmp_path / "c"

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -492,6 +493,41 @@ class TestStackedSimulation:
                                             r"expected \(1,\)"):
             simulate_control(sol.spec, sol.grid, lambda t, y: np.zeros(3),
                              t_idx, [0.8, -0.3], tables=sol.tables)
+
+
+class TestRolloutMemory:
+    """A feedback rollout allocates O(k) for its k nodes, never O(N)."""
+
+    @pytest.fixture(scope="class")
+    def sol(self):
+        spec = load_shipped_problem("hyperbolic_scalar_k1").spec
+        return solve_equilibrium(spec, build_grid(spec.horizon, 4000))
+
+    @staticmethod
+    def peak(call):
+        tracemalloc.start()
+        try:
+            out = call()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_first_feedback_builds_only_its_tables(self, sol):
+        sol = dataclasses.replace(sol)  # nothing cached yet
+        _, peak = self.peak(lambda: feedback(sol, 0.0, [1.0]))
+        table_bytes = sum(a.nbytes for a in sol.feedback_table)
+        assert peak < 4 * table_bytes  # 3.0x: the build's temporaries
+
+    @pytest.mark.parametrize("stop_idx", [None, 2])
+    def test_rollout_peak_is_its_trajectory(self, sol, stop_idx):
+        def rollout():
+            return simulate_control(sol.spec, sol.grid,
+                                    lambda t, y: feedback(sol, t, y), 0, [1.0],
+                                    stop_idx=stop_idx, tables=sol.tables)
+
+        rollout()  # builds the feedback table
+        traj, peak = self.peak(rollout)
+        assert peak <= 2 * (traj.states.nbytes + traj.controls.nbytes) + 2 ** 14
 
 
 class TestCost:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tilq import build_grid, solve_equilibrium
+from tilq import TilqError, build_grid, solve_equilibrium
 from tilq.policy import (_locate, _locate_half, feedback, grad_value,
                          interp_table, simulate_control, value)
 from tilq.problem_io import load_shipped_problem
@@ -82,3 +82,77 @@ def test_open_loop_rollout_matches_reference(sol, runs):
                                             t_idx, x, stop_idx=stop_idx)
     assert np.array_equal(got.states, states)
     assert np.array_equal(got.controls, controls)
+
+
+# inputs off the float64 (n,) fast path take the converting path
+STATES = {
+    "list": lambda x: x.tolist(),
+    "int array": lambda x: np.round(x).astype(int),
+    "float32 array": lambda x: x.astype(np.float32),
+    "row array": lambda x: x[None, :],
+    "0-d array": lambda x: x.reshape(()),
+    "strided view": lambda x: np.repeat(x, 2)[::2],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STATES))
+def test_feedback_converts_states_as_reference(sol, kind):
+    grid, n = sol.grid, sol.spec.dims.n
+    if kind == "0-d array" and n != 1:
+        with pytest.raises(TilqError, match=rf"shape \(\); expected \({n},\)"):
+            feedback(sol, 0.5, np.array(1.0))
+        return
+    times = probe_times(grid)[::7]
+    states = np.random.default_rng(44).uniform(-2.0, 2.0, size=(len(times), n))
+    for t, x in zip(times, states):
+        x = STATES[kind](x)
+        assert_same(feedback(sol, t, x), ref.feedback(sol, t, x))
+
+
+# laws whose controls take the converting path; both problems have m = 1
+LAWS = {
+    "list": lambda u: u.tolist(),
+    "float": lambda u: float(u[0]),
+    "int array": lambda u: np.round(8.0 * u).astype(int),
+    "column array": lambda u: u[:, None],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LAWS))
+def test_converted_law_rollout_matches_reference(sol, kind):
+    spec, grid = sol.spec, sol.grid
+    assert spec.dims.m == 1
+    x = np.linspace(-1.5, 2.0, spec.dims.n)
+    convert = LAWS[kind]
+    got = simulate_control(spec, grid,
+                           lambda t, y: convert(feedback(sol, t, y)), 5, x,
+                           stop_idx=400, tables=sol.tables)
+    states, controls = ref.simulate_control(
+        spec, grid, sol.tables, lambda t, y: convert(ref.feedback(sol, t, y)),
+        5, x, stop_idx=400)
+    assert np.array_equal(got.states, states)
+    assert np.array_equal(got.controls, controls)
+
+
+@pytest.mark.parametrize("law", ["feedback", "table", "stack"])
+@pytest.mark.parametrize("end", ["start", "horizon"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_short_rollouts_match_reference(sol, law, end, k):
+    spec, grid = sol.spec, sol.grid
+    t_idx = 0 if end == "start" else grid.N + 1 - k
+    stop_idx = t_idx + k - 1
+    rng = np.random.default_rng(45)
+    x = rng.uniform(-2.0, 2.0, size=spec.dims.n)
+    if law == "feedback":
+        u = lambda t, y: feedback(sol, t, y)  # noqa: E731
+        u_ref = lambda t, y: ref.feedback(sol, t, y)  # noqa: E731
+    else:
+        u = u_ref = rng.uniform(-1.0, 1.0, size=((3,) if law == "stack" else ())
+                                + (k, spec.dims.m))
+    got = simulate_control(spec, grid, u, t_idx, x, stop_idx=stop_idx,
+                           tables=sol.tables)
+    states, controls = ref.simulate_control(spec, grid, sol.tables, u_ref,
+                                            t_idx, x, stop_idx=stop_idx)
+    assert np.array_equal(got.states, states)
+    assert np.array_equal(got.controls, controls)
+    assert got.states.shape[-2] == k

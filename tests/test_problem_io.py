@@ -36,6 +36,18 @@ INTEGER_FIELDS = [("dims", "n"), ("dims", "m"), ("solver", "grid_points"),
                   ("verification", "gradient_points")]
 
 
+# a non-number inside a tabulation's values, and where it is refused
+NON_NUMBER_TABLES = {
+    "field": ({"dynamics/b": {"tabulated": {
+        "times": [0.0, 1.0], "values": [["x", 0.0], [0.0, 0.0]]}}},
+        "dynamics/b/tabulated/values/0/0"),
+    "discount": ({"discount": {
+        "family": "tabulated", "times": [0.0, 0.5, 1.0],
+        "values": [[1.0, 0.8, 0.6], ["x", 1.0, 0.8], [1.0, 1.0, 1.0]]}},
+        "discount/values/1/0"),
+}
+
+
 def twostate(**edits):
     """A copy of the shipped two-state document with {"a/b": value} edits."""
     doc = copy.deepcopy(SHIPPED["twostate_hyperbolic"])
@@ -70,7 +82,8 @@ class TestWalkerMessages:
         ({"discount/family": "hyperbolc"}, "discount",
          "{'family': 'hyperbolc', 'k': 1.0} is not valid under any of the "
          "given schemas"),
-    ])
+    ] + [(edits, path, "'x' is not of type 'number'")
+         for edits, path in NON_NUMBER_TABLES.values()])
     def test_path_and_message(self, edits, path, message):
         doc = twostate(**edits)
         expected = f"<memory>: schema violation at /{path}: {message}"
@@ -140,6 +153,31 @@ class TestIntegerValuedFloats:
                                   f"/{'/'.join(field)}: {value!r} is not of "
                                   f"type 'integer'")
         assert not (tmp_path / "out").exists()
+
+
+class TestTabulatedValues:
+    """A tabulation's values are rank + 1 nested arrays of numbers."""
+
+    @pytest.mark.parametrize("case", sorted(NON_NUMBER_TABLES))
+    def test_cli_exits_with_error_json(self, case, tmp_path, capsys):
+        edits, where = NON_NUMBER_TABLES[case]
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(twostate(**edits)))
+        rc = main(["solve", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().out.strip())["error"]
+        assert err["type"] == "ProblemFileError"
+        assert err["message"] == (f"{path}: schema violation at /{where}: "
+                                  f"'x' is not of type 'number'")
+        assert not (tmp_path / "out").exists()
+
+    def test_ragged_field_refused_with_shape(self):
+        doc = twostate(**{"dynamics/b": {"tabulated": {
+            "times": [0.0, 1.0], "values": [[0.0], [0.0, 0.0]]}}})
+        with pytest.raises(ProblemFileError,
+                           match=r"^b: tabulated values have shape \(2,\), "
+                                 r"expected \(2, 2\)$"):
+            parse_problem(doc)
 
 
 def test_runtime_imports_no_jsonschema():
