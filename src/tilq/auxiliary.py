@@ -52,11 +52,23 @@ btilde - 2 rho_t> = <btilde, K btilde + 2 k> + kappa, the kernels at (t, s).
 No table over node pairs is formed.  The bordered products themselves
 (:func:`_bordered_anchors`) also give the equilibrium path,
 :func:`tilq.policy.simulate_equilibrium`.
+
+Bordering by a running sum.  The bordered steps are never anchored by a
+scan of their own: the closed loop's anchors, kept with the Riccati
+solution, are bordered per drive.  On a segment that starts at t_a,
+gamma_a = 0 and gamma_{j+1} = gamma_j + psi_{j+1}^{-1} r_j give the product
+[[psi_j, psi_j gamma_j], [0, 1]] from t_a to t_j, so the segments are the
+closed loop's however large the drive, and nothing is rescaled.
+
+The anchored affine scan.  RK4's backward one-step map of phi's equation is
+x_i = T_i x_{i+1} + r_i.  T_i depends on the closed loop only, so it is
+built and anchored once per :func:`solve_phi` (:func:`_affine_maps`); a
+Picard pass forms the offsets r_i and runs the recursion as the same
+running sum over the maps taken backward (:func:`_affine_backward_rk4`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,32 +147,54 @@ def _trapezoid_increments(steps: np.ndarray, drive: np.ndarray,
     return 0.5 * h * (np.einsum("iab,ib->ia", steps, drive[:-1]) + drive[1:])
 
 
-def _bordered_anchors(steps: np.ndarray, increments: np.ndarray) -> _Anchors:
-    """Anchored products of the bordered steps [[steps_i, increments_i], [0, 1]].
+def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """mats_i vecs_i for every i."""
+    return (mats @ vecs[..., None])[..., 0]
 
-    With the closed loop's one-step propagators and its zero-state response
-    over each step, the product from t_i to t_j is [[E_cl(t_j, t_i),
-    btilde(t_j, t_i)], [0, 1]].  The segments are cut in the coordinates
-    [y; c], where the steps are [[steps_i, increments_i / c], [0, 1]], with
-    c a power of two above 64 sum |increments|: the increments then add at
-    most about 1/32 to the log of the condition bound over the whole grid
-    (the limit is log ANCHOR_COND = 4.6), so a large drive cuts no more
-    segments than the closed loop.  Each product in those coordinates is the
-    unscaled one with its affine column divided by c, exactly since c is a
-    power of two, so multiplying that column by c undoes the scale exactly.
+
+def _running_offsets(anchors: _Anchors, increments: np.ndarray) -> np.ndarray:
+    """gamma_j = sum_{a <= k < j} psi_{k+1}^{-1} r_k, a the start of j's segment.
+
+    For the affine steps x_{k+1} = Phi_k x_k + r_k over the anchors of the
+    Phi_k, x_j = psi_j (x_a + gamma_j) on each segment; gamma_a = 0.
     """
-    c = 2.0 ** max(math.frexp(64.0 * float(np.abs(increments).sum()))[1], 0)
-    anchors = _anchored(_border(steps, increments / c, 0.0, 1.0))
-    if c != 1.0:
-        for products in (anchors.psi, anchors.inv, anchors.links):
-            products[..., :-1, -1] *= c
-    return anchors
+    terms = _matvec(anchors.inv[1:], increments)
+    gamma = np.zeros((len(terms) + 1, terms.shape[-1]))
+    starts = anchors.starts.tolist()
+    for a, b in zip(starts[:-1], starts[1:]):
+        if b - a > 1:
+            np.cumsum(terms[a:b - 1], axis=0, out=gamma[a + 1:b])
+    return gamma
 
 
-def _correction(gain, upsilon, steps, increments,
+def _bordered_anchors(anchors: _Anchors, increments: np.ndarray) -> _Anchors:
+    """Anchors of the bordered steps [[Phi_i, r_i], [0, 1]] from those of the Phi_i.
+
+    On a segment that starts at a, the bordered product from t_a to t_j is
+    [[psi_j, psi_j gamma_j], [0, 1]] with the running sum gamma of
+    :func:`_running_offsets`, its inverse is [[psi_j^{-1}, -gamma_j], [0,
+    1]], and the link out of a segment that ends before b is [[L_k, L_k
+    gamma_{b-1} + r_{b-1}], [0, 1]].  For the closed loop and the cells of
+    btilde's sum the product from t_i to t_j is [[E_cl(t_j, t_i),
+    btilde(t_j, t_i)], [0, 1]].  The segments are the closed loop's, however
+    large the drive.
+    """
+    gamma = _running_offsets(anchors, increments)
+    last = anchors.starts[1:] - 1
+    drift = _matvec(anchors.links, gamma[last]) + increments[last]
+    return _Anchors(starts=anchors.starts,
+                    psi=_border(anchors.psi, _matvec(anchors.psi, gamma), 0.0, 1.0),
+                    inv=_border(anchors.inv, -gamma, 0.0, 1.0),
+                    links=_border(anchors.links, drift, 0.0, 1.0))
+
+
+def _correction(gain, upsilon, anchors: _Anchors, increments,
                 tables: SpecTables) -> np.ndarray:
-    """[[Qbb, Sbb], [Sbb^T, omega]] at every node, by the bordered sum."""
-    return _correction_sum(_bordered_anchors(steps, increments), gain, tables,
+    """[[Qbb, Sbb], [Sbb^T, omega]] at every node, by the bordered sum.
+
+    ``anchors`` are the closed loop's, ``increments`` its drive's cells.
+    """
+    return _correction_sum(_bordered_anchors(anchors, increments), gain, tables,
                            upsilon)
 
 
@@ -174,30 +208,56 @@ def _omega_table(correction: np.ndarray) -> np.ndarray:
     return correction[:, -1, -1]
 
 
-def _affine_backward_rk4(D_nodes, D_half, c_nodes, c_half, terminal, h):
+@dataclass(frozen=True)
+class _AffineMaps:
+    """RK4's backward one-step maps x_i = T_i x_{i+1} + r_i of x' = -D x - c.
+
+    T_i depends on D alone and is anchored once, taken backward: node k of
+    ``anchors`` is t_{N-k} (:func:`tilq.grid._anchored`).  The offsets r_i
+    are formed per right side c (:func:`_affine_backward_rk4`).
+    """
+
+    D_nodes: np.ndarray
+    D_half: np.ndarray
+    h: float
+    anchors: _Anchors
+
+
+def _affine_maps(D_nodes, D_half, h) -> _AffineMaps:
+    eye = np.eye(D_nodes.shape[-1])
+    K1 = -D_nodes[1:]
+    K2 = -D_half @ (eye - 0.5 * h * K1)
+    K3 = -D_half @ (eye - 0.5 * h * K2)
+    K4 = -D_nodes[:-1] @ (eye - h * K3)
+    Tmat = eye - (h / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
+    return _AffineMaps(D_nodes, D_half, h, _anchored(Tmat[::-1]))
+
+
+def _affine_backward_rk4(maps: _AffineMaps, c_nodes, c_half, terminal):
     """Integrate x' = -D(t) x - c(t) backward from x(T) = terminal.
 
-    The one-step map of an affine system is affine, so the per-step matrices
-    and offsets are built in one batch and the time loop is two small
-    operations per step.
+    Forms the offsets r_i of the anchored maps and runs x_i = T_i x_{i+1} +
+    r_i as a scan: on each segment x_j = psi_j (x_a + gamma_j)
+    (:func:`_running_offsets`), and x at the next segment's start is the
+    link applied to x_a + gamma_{b-1}, plus r_{b-1}.  x(T) is ``terminal``
+    exactly.
     """
-    N, n = D_half.shape[0], D_half.shape[-1]
-    eye = np.eye(n)
-    K1 = -D_nodes[1:]
+    D_nodes, D_half, h = maps.D_nodes, maps.D_half, maps.h
     k1r = -c_nodes[1:]
-    K2 = -D_half @ (eye - 0.5 * h * K1)
-    k2r = 0.5 * h * np.einsum("iab,ib->ia", D_half, k1r) - c_half
-    K3 = -D_half @ (eye - 0.5 * h * K2)
-    k3r = 0.5 * h * np.einsum("iab,ib->ia", D_half, k2r) - c_half
-    K4 = -D_nodes[:-1] @ (eye - h * K3)
-    k4r = h * np.einsum("iab,ib->ia", D_nodes[:-1], k3r) - c_nodes[:-1]
-    Tmat = eye - (h / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
-    rvec = -(h / 6.0) * (k1r + 2 * k2r + 2 * k3r + k4r)
-    out = np.empty((N + 1, n))
-    out[N] = terminal
-    for i in range(N - 1, -1, -1):
-        out[i] = Tmat[i] @ out[i + 1] + rvec[i]
-    return out
+    k2r = 0.5 * h * _matvec(D_half, k1r) - c_half
+    k3r = 0.5 * h * _matvec(D_half, k2r) - c_half
+    k4r = h * _matvec(D_nodes[:-1], k3r) - c_nodes[:-1]
+    rvec = (-(h / 6.0) * (k1r + 2 * k2r + 2 * k3r + k4r))[::-1]
+    anchors = maps.anchors
+    gamma = _running_offsets(anchors, rvec)
+    starts = anchors.starts.tolist()
+    x = np.asarray(terminal, dtype=float)
+    for k, L in enumerate(anchors.links):
+        a, b = starts[k], starts[k + 1]
+        gamma[a:b] += x
+        x = L @ gamma[b - 1] + rvec[b - 1]
+    gamma[-1] = x
+    return _matvec(anchors.psi, gamma)[::-1]
 
 
 def _psi_rate(phi, upsilon, omega, tables: SpecTables) -> np.ndarray:
@@ -226,8 +286,9 @@ def solve_phi(spec: ProblemSpec, grid: TimeGrid, riccati: RiccatiSolution,
     gain = riccati.gain
     h = grid.h
 
-    D_nodes, D_half = (np.swapaxes(F, -1, -2) for F in closed_loop_matrices(
-        tables.A, tables.A_half, tables.B, tables.B_half, gain))
+    anchors = riccati.closed_loop_anchors
+    maps = _affine_maps(*(np.swapaxes(F, -1, -2) for F in closed_loop_matrices(
+        tables.A, tables.A_half, tables.B, tables.B_half, gain)), h)
     Pb = np.einsum("iab,ib->ia", riccati.P, tables.b)
     Pb_half = np.einsum("iab,ib->ia", _interp_half(riccati.P), tables.b_half)
     g_rho = np.einsum("ima,im->ia", gain, tables.rhod)
@@ -237,14 +298,13 @@ def solve_phi(spec: ProblemSpec, grid: TimeGrid, riccati: RiccatiSolution,
         ups = _upsilon_table(phi, tables)
         drive = closed_loop_drive(tables.b, tables.B, ups)
         return ups, drive, _correction(
-            gain, ups, steps, _trapezoid_increments(steps, drive, h), tables)
+            gain, ups, anchors, _trapezoid_increments(steps, drive, h), tables)
 
     def sweep(phi):
         sbb = _sbb_table(correction(phi)[2])
         c_nodes = -sbb + Pb + tables.qd - g_rho
         c_half = -_interp_half(sbb) + Pb_half + tables.qd_half - g_rho_half
-        return _affine_backward_rk4(D_nodes, D_half, c_nodes, c_half,
-                                    tables.g_T, h)
+        return _affine_backward_rk4(maps, c_nodes, c_half, tables.g_T)
 
     phi0 = _initial_table(opts.initial, tables.g_T, grid.N, "phi")
     phi, diag = damped_fixed_point(phi0, sweep, opts, "affine coefficient")

@@ -11,8 +11,9 @@ one-step propagators.
 
 :func:`_anchored` forms the fundamental matrices of a system from its steps,
 anchored segment by segment, for the fixed-point path's sums; the affine
-solve's system is the closed loop bordered with its drive (:func:`_border`).
-No propagator is formed for every node pair.
+solve borders the closed loop's anchors with its drive
+(:func:`tilq.auxiliary._bordered_anchors`).  No propagator is formed for
+every node pair.
 """
 
 from __future__ import annotations
@@ -173,6 +174,12 @@ class _Anchors:
     psi: np.ndarray
     inv: np.ndarray
     links: np.ndarray
+
+    def read_only(self) -> _Anchors:
+        """These anchors, their arrays made read-only in place."""
+        for products in (self.starts, self.psi, self.inv, self.links):
+            products.flags.writeable = False
+        return self
 
 
 def _anchored(steps: np.ndarray) -> _Anchors:

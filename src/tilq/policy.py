@@ -133,17 +133,15 @@ class EquilibriumSolution:
     def path_anchors(self) -> _Anchors:
         """Anchored products of the closed loop bordered with its drive.
 
-        Built on first use from the closed loop's one-step propagators and
-        the trapezoid cells of btilde's sum over the drive b - B Upsilon
+        Built on first use by bordering the closed loop's anchors
+        (:attr:`tilq.riccati.RiccatiSolution.closed_loop_anchors`) with the
+        trapezoid cells of btilde's sum over the drive b - B Upsilon
         (:func:`tilq.auxiliary._bordered_anchors`): the product from t_i to
         t_j is [[E_cl(t_j, t_i), btilde(t_j, t_i)], [0, 1]].
         """
-        steps = self.riccati.closed_loop
-        anchors = _bordered_anchors(steps, _trapezoid_increments(
-            steps, self.auxiliary.drive, self.grid.h))
-        for products in (anchors.psi, anchors.inv, anchors.links):
-            products.flags.writeable = False
-        return anchors
+        riccati = self.riccati
+        return _bordered_anchors(riccati.closed_loop_anchors, _trapezoid_increments(
+            riccati.closed_loop, self.auxiliary.drive, self.grid.h)).read_only()
 
 
 def _half_steps(at_nodes: np.ndarray, at_half: np.ndarray) -> np.ndarray:

@@ -219,19 +219,24 @@ def _entry_fn(entry):
     return lambda t: val
 
 
-def _field_fn(node, shape, what):
-    """Matrix/vector field -> callable of t."""
+def _shape_error(source: str, path: str, got, expected) -> ProblemFileError:
+    return ProblemFileError(
+        f"{source}: shape mismatch at {path}: {got}, expected {expected}")
+
+
+def _field_fn(node, shape, source: str, path: str):
+    """Matrix/vector field -> callable of t; errors name the source and path."""
     if isinstance(node, dict) and "tabulated" in node:
         times = np.asarray(node["tabulated"]["times"], dtype=float)
         # numbers at the schema's depth: a ragged table has a shorter shape
         vals = np.asarray(node["tabulated"]["values"], dtype=object)
         if vals.shape != (len(times),) + shape:
-            raise ProblemFileError(
-                f"{what}: tabulated values have shape {vals.shape}, expected "
-                f"{(len(times),) + shape}")
+            raise _shape_error(source, f"{path}/tabulated/values",
+                               f"shape {vals.shape}", (len(times),) + shape)
         vals = vals.astype(float)
         if np.any(np.diff(times) <= 0):
-            raise ProblemFileError(f"{what}: tabulation times must increase")
+            raise ProblemFileError(f"{source}: tabulation times must increase "
+                                   f"at {path}/tabulated/times")
 
         def fn(t, times=times, vals=vals):
             t = min(max(float(t), times[0]), times[-1])
@@ -243,7 +248,7 @@ def _field_fn(node, shape, what):
         return fn, False
     arr = np.asarray(node, dtype=object)
     if arr.shape != shape:
-        raise ProblemFileError(f"{what} has shape {arr.shape}, expected {shape}")
+        raise _shape_error(source, path, f"shape {arr.shape}", shape)
     flat = [arr[idx] for idx in np.ndindex(shape)]
     if all(not isinstance(e, dict) for e in flat):
         const = np.asarray(node, dtype=float).reshape(shape)
@@ -261,9 +266,21 @@ def _field_fn(node, shape, what):
     return fn, False
 
 
-def _base_coeff(node, shape, what):
-    fn, is_const = _field_fn(node, shape, what)
+def _base_coeff(node, shape, source: str, path: str):
+    fn, is_const = _field_fn(node, shape, source, path)
     return fn(0.0) if is_const else fn
+
+
+def _check_discount_table(disc: dict, source: str) -> None:
+    """A tabulated discount's values: one row per time, one entry per time."""
+    k = len(disc["times"])
+    if len(disc["values"]) != k:
+        raise _shape_error(source, "/discount/values",
+                           f"{len(disc['values'])} rows", f"{k}, one per time")
+    for i, row in enumerate(disc["values"]):
+        if len(row) != k:
+            raise _shape_error(source, f"/discount/values/{i}",
+                               f"{len(row)} entries", f"{k}, one per time")
 
 
 @dataclass
@@ -288,19 +305,18 @@ def parse_problem(document: dict, *, source: str = "<memory>",
     n, m = dims.n, dims.m
     horizon = float(document["horizon"])
     dyn_doc = document["dynamics"]
-    A_fn, _ = _field_fn(dyn_doc["A"], (n, n), "A")
-    B_fn, _ = _field_fn(dyn_doc["B"], (n, m), "B")
-    b_fn, _ = _field_fn(dyn_doc["b"], (n,), "b")
+    A_fn, _ = _field_fn(dyn_doc["A"], (n, n), source, "/dynamics/A")
+    B_fn, _ = _field_fn(dyn_doc["B"], (n, m), source, "/dynamics/B")
+    b_fn, _ = _field_fn(dyn_doc["b"], (n,), source, "/dynamics/b")
     dynamics = DynamicsField(A=A_fn, B=B_fn, b=b_fn)
 
     costs = document["base_costs"]
+    fields = {name: _base_coeff(costs[name], shape, source, f"/base_costs/{name}")
+              for name, shape in (("Q", (n, n)), ("S", (m, n)), ("M", (m, m)),
+                                  ("q", (n,)), ("rho", (m,)))}
     try:
         base = BaseCosts(
-            Q=_base_coeff(costs["Q"], (n, n), "Q"),
-            S=_base_coeff(costs["S"], (m, n), "S"),
-            M=_base_coeff(costs["M"], (m, m), "M"),
-            q=_base_coeff(costs["q"], (n,), "q"),
-            rho=_base_coeff(costs["rho"], (m,), "rho"),
+            **fields,
             G=np.asarray(costs["G"], dtype=float).reshape(n, n),
             g=np.asarray(costs["g"], dtype=float).reshape(n),
         )
@@ -310,6 +326,8 @@ def parse_problem(document: dict, *, source: str = "<memory>",
 
     disc = dict(document["discount"])
     family = disc.pop("family")
+    if family == "tabulated":
+        _check_discount_table(disc, source)
     try:
         kernel = make_kernel(family, **disc)
         spec = make_discounted(dims, horizon, dynamics, base, kernel,

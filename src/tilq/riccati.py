@@ -65,8 +65,11 @@ every node this is the backward recursion P_i = Phi_i^T P_{i+1} Phi_i + ...
 over the one-step propagators Phi_i, and Qbb costs O(N^2 n^3), the order of
 a propagator table over node pairs.  The open-loop anchors depend on the spec only
 and are cached in :class:`tilq.tables.SpecTables`; the closed loop's are
-formed once per sweep.  Run over the closed loop bordered with its drive,
-the Qbb sum gives Sbb and omega too (:mod:`tilq.auxiliary`).
+formed once per sweep.  The solution keeps those of its final closed loop
+(:attr:`RiccatiSolution.closed_loop_anchors`, read-only; the local path
+builds them on first use).  Bordered with the closed loop's drive, they run
+the Qbb sum for Sbb and omega too (:mod:`tilq.auxiliary`), and give the
+equilibrium paths.
 """
 
 from __future__ import annotations
@@ -192,10 +195,24 @@ class RiccatiSolution:
     # the kernel's exponential sum (tilq.local.ExponentialSum) when the local
     # ODE sweep produced this solution; None on the fixed-point path
     expansion: object = None
+    # closed_loop's anchors: given by the fixed point, else built on first use
+    _anchors: _Anchors | None = field(default=None, repr=False)
 
     @property
     def converged(self) -> bool:
         return self.diagnostics.converged
+
+    @property
+    def closed_loop_anchors(self) -> _Anchors:
+        """Anchored products of ``closed_loop`` (:func:`tilq.grid._anchored`), read-only.
+
+        The fixed-point solve keeps the ones its final Qbb was summed over;
+        the local path builds them on first use.  The affine solve, the
+        equilibrium paths and the stationarity check border them with a drive.
+        """
+        if self._anchors is None:
+            self._anchors = _anchored(self.closed_loop).read_only()
+        return self._anchors
 
 
 # ---------------------------------------------------------------------------
@@ -439,10 +456,12 @@ def solve_equilibrium_riccati(spec: ProblemSpec, grid: TimeGrid,
 
     gain = _gain_table(P_final, tables)
     cl = _closed_loop_table(gain, tables)
-    qbb = _qbb_table(gain, _anchored(cl), tables)
+    anchors = _anchored(cl).read_only()
+    qbb = _qbb_table(gain, anchors, tables)
     warn_if_indefinite(P_final, diag)
     return RiccatiSolution(grid=grid, P=P_final, gain=gain, qbb=qbb,
-                           closed_loop=cl, diagnostics=diag, tables=tables)
+                           closed_loop=cl, diagnostics=diag, tables=tables,
+                           _anchors=anchors)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,12 @@ Everything the solvers touch repeatedly is evaluated once here: dynamics and
 diagonal kernel values K(t, t) at nodes and half nodes, the open-loop RK4
 steps and their anchored fundamental matrices, terminal weights, and the
 O(N^2) first-argument derivatives K_t(t_i, t_j), which only the fixed-point
-path and the verification checks build.  The solvers' closed-loop steps
+path and the verification checks build.  M(t_i, t_i) is factored once: its
+Cholesky factors L_i and their inverses are cached, and every gain and
+Upsilon solve (:meth:`SpecTables.solve_md`) is the two batched products
+L_i^{-T} (L_i^{-1} rhs_i).  The base values of a separable spec's cost
+kernels, plain and bordered (:attr:`SpecTables.cost_bases`), which every
+sweep and Picard pass reads, are cached too.  The solvers' closed-loop steps
 (:func:`tilq.riccati._closed_loop_table`) are built from these evaluations
 only, never again from the problem's callables.
 
@@ -246,6 +251,13 @@ class SpecTables:
         return factor_md(self.Md, self.grid.nodes)
 
     @cached_property
+    def Md_chol_inv(self) -> np.ndarray:
+        """The inverses L_i^{-1} of :attr:`Md_chol`, read-only."""
+        inv = np.linalg.inv(self.Md_chol)
+        inv.flags.writeable = False
+        return inv
+
+    @cached_property
     def Qd_half(self) -> np.ndarray:
         return self._diag_half(self.spec.Q)
 
@@ -332,8 +344,34 @@ class SpecTables:
     # -- linear solves against the diagonal M --------------------------------
 
     def solve_md(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve M(t_i, t_i) X_i = rhs_i for every node via the Cholesky factors."""
-        return solve_chol(self.Md_chol, rhs)
+        """Solve M(t_i, t_i) X_i = rhs_i for every node: L_i^{-T} (L_i^{-1} rhs_i).
+
+        ``rhs`` holds one vector (N+1, m) or one matrix (N+1, m, k) per node.
+        """
+        inv = self.Md_chol_inv
+        vec = rhs.ndim == 2
+        if vec:
+            rhs = rhs[..., None]
+        x = np.swapaxes(inv, -1, -2) @ (inv @ rhs)
+        return x[..., 0] if vec else x
+
+    # -- separable cost bases --------------------------------------------------
+
+    @cached_property
+    def cost_bases(self) -> tuple:
+        """Q, S, M at (s_j, s_j) over lam(s_j, s_j), indexed [..., 0, j].
+
+        The base values K_hat of a separable spec's cost kernels, the layout
+        of :func:`_closed_loop_costs` with a row axis of length one.
+        """
+        return _cost_bases(self.Qd, self.Sd, self.Md, self.lam_diag)
+
+    @cached_property
+    def bordered_cost_bases(self) -> tuple:
+        """:attr:`cost_bases` of [[Q, q], [q^T, 0]], [S, rho] and M."""
+        return _cost_bases(_border(self.Qd, self.qd, self.qd),
+                           np.concatenate([self.Sd, self.rhod[..., None]], axis=-1),
+                           self.Md, self.lam_diag)
 
     def max_derivative_scale(self) -> float:
         """Sup of the t-derivative fields on a coarse probe; 0 means consistent.
@@ -353,6 +391,14 @@ class SpecTables:
             sup = max(sup, float(np.max(np.abs(self.spec.terminal.dG_dt(float(t))))))
             sup = max(sup, float(np.max(np.abs(self.spec.terminal.dg_dt(float(t))))))
         return sup
+
+
+def _cost_bases(Q, S, M, lam_diag) -> tuple:
+    """Node tables over lam(s_j, s_j), node axis last, read-only."""
+    out = tuple(np.moveaxis(d, 0, -1)[..., None, :] / lam_diag for d in (Q, S, M))
+    for d in out:
+        d.flags.writeable = False
+    return out
 
 
 def _closed_loop_costs(g, Q, S, M) -> np.ndarray:
@@ -378,17 +424,12 @@ def _bordered_gain(gain: np.ndarray, upsilon) -> np.ndarray:
 def _node_costs(tables: SpecTables, gain: np.ndarray, upsilon=None) -> np.ndarray:
     """K_hat of a separable spec at every node s_j, bordered with Upsilon.
 
-    The closed-loop cost of :func:`pair_costs` formed from the base values
-    K(s_j, s_j) / lam(s_j, s_j), indexed [..., 0, j]: the row axis of length
-    one broadcasts along the rows of a pair table.
+    The closed-loop cost of :func:`pair_costs` formed from the cached base
+    values K(s_j, s_j) / lam(s_j, s_j), indexed [..., 0, j]: the row axis of
+    length one broadcasts along the rows of a pair table.
     """
-    Q, S = tables.Qd, tables.Sd
-    if upsilon is not None:
-        Q, S = (_border(Q, tables.qd, tables.qd),
-                np.concatenate([S, tables.rhod[..., None]], axis=-1))
-    return _closed_loop_costs(_bordered_gain(gain, upsilon), *(
-        np.moveaxis(d, 0, -1)[..., None, :] / tables.lam_diag
-        for d in (Q, S, tables.Md)))
+    bases = tables.cost_bases if upsilon is None else tables.bordered_cost_bases
+    return _closed_loop_costs(_bordered_gain(gain, upsilon), *bases)
 
 
 def pair_costs(tables: SpecTables, gain: np.ndarray, upsilon=None,

@@ -13,8 +13,10 @@ table and the closed-loop costs K, k, kappa over node pairs,
 
 The checks' re-integrated responses are a pair table too.  The oracle
 tests require the package to match it to rounding.  It reads the same
-gain, closed-loop steps, Picard pass and damped iteration as the package,
-so it checks how the sums are formed, not the data that enter them.
+gain, closed-loop steps and damped iteration as the package, so it checks
+how the sums are formed, not the data that enter them; its Picard pass
+(:func:`affine_backward_rk4`) steps RK4's affine maps node by node, where
+the package runs them as an anchored scan.
 
 :func:`sbb_at` and :func:`omega_at` are the row checks: one node's Sbb or
 omega by direct node quadrature of the left-hand forms of the defining
@@ -26,8 +28,7 @@ import dataclasses
 
 import numpy as np
 
-from tilq.auxiliary import (_affine_backward_rk4, _btilde_from_drive, _psi_rate,
-                            _upsilon_table)
+from tilq.auxiliary import _btilde_from_drive, _psi_rate, _upsilon_table
 from tilq.grid import (_interp_half, closed_loop_drive, closed_loop_matrices,
                        quadrature, zero_below_diagonal)
 from tilq.policy import _quadratic_form, _terminal_cost, simulate_equilibrium, value
@@ -139,6 +140,32 @@ def pair_costs(tables, gain, upsilon, first=0):
                                             ("Qt", "St", "Mt", "qt", "rhot")))
 
 
+def affine_backward_rk4(D_nodes, D_half, c_nodes, c_half, terminal, h):
+    """x' = -D(t) x - c(t) backward from x(T) = terminal, node by node.
+
+    RK4's one-step map x_i = T_i x_{i+1} + r_i, built in one batch and
+    applied one node at a time: the recursion the package runs as an
+    anchored scan.
+    """
+    N, n = D_half.shape[0], D_half.shape[-1]
+    eye = np.eye(n)
+    K1 = -D_nodes[1:]
+    k1r = -c_nodes[1:]
+    K2 = -D_half @ (eye - 0.5 * h * K1)
+    k2r = 0.5 * h * np.einsum("iab,ib->ia", D_half, k1r) - c_half
+    K3 = -D_half @ (eye - 0.5 * h * K2)
+    k3r = 0.5 * h * np.einsum("iab,ib->ia", D_half, k2r) - c_half
+    K4 = -D_nodes[:-1] @ (eye - h * K3)
+    k4r = h * np.einsum("iab,ib->ia", D_nodes[:-1], k3r) - c_nodes[:-1]
+    Tmat = eye - (h / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
+    rvec = -(h / 6.0) * (k1r + 2 * k2r + 2 * k3r + k4r)
+    out = np.empty((N + 1, n))
+    out[N] = terminal
+    for i in range(N - 1, -1, -1):
+        out[i] = Tmat[i] @ out[i + 1] + rvec[i]
+    return out
+
+
 def sbb_table(gain, upsilon, bt, cl_pairs, tables):
     """Sbb at every node from the btilde and closed-loop pair tables."""
     N = tables.grid.N
@@ -206,8 +233,8 @@ def solve_auxiliary(riccati, opts=None):
         sbb = sbb_table(gain, ups, bt, cl_pairs, tables)
         c_nodes = -sbb + Pb + tables.qd - g_rho
         c_half = -_interp_half(sbb) + Pb_half + tables.qd_half - g_rho_half
-        return _affine_backward_rk4(D_nodes, D_half, c_nodes, c_half,
-                                    tables.g_T, h)
+        return affine_backward_rk4(D_nodes, D_half, c_nodes, c_half,
+                                   tables.g_T, h)
 
     phi0 = _initial_table(opts.initial, tables.g_T, grid.N, "phi")
     phi, diag = damped_fixed_point(phi0, sweep, opts, "reference affine")

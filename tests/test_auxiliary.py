@@ -5,7 +5,7 @@ from tilq import (BaseCosts, Dimensions, DynamicsField, SolveOptions,
                   TilqError, build_grid, exponential_kernel, make_discounted,
                   quadrature, solve_auxiliary, solve_equilibrium_riccati,
                   solve_phi, solve_psi)
-from tilq.auxiliary import _affine_backward_rk4, _upsilon_table
+from tilq.auxiliary import _upsilon_table
 from tilq.grid import closed_loop_drive
 from tilq.tables import SpecTables
 from auxiliary_reference import omega_at, sbb_at
@@ -284,8 +284,8 @@ class TestSolvePhi:
         gain_half = 0.5 * (gain[:-1] + gain[1:])
         c_half = (np.einsum("iab,ib->ia", P_half, tbl.b_half) + tbl.qd_half
                   - np.einsum("ima,im->ia", gain_half, tbl.rhod_half))
-        direct = _affine_backward_rk4(D_nodes, D_half, c_nodes, c_half,
-                                      tbl.g_T, grid.h)
+        direct = auxiliary_reference.affine_backward_rk4(
+            D_nodes, D_half, c_nodes, c_half, tbl.g_T, grid.h)
         assert np.max(np.abs(direct - phi_sol.phi)) <= 1e-10
 
     def test_initialization_independence(self):

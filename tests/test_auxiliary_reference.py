@@ -16,6 +16,7 @@ import tilq.auxiliary
 from tilq import (DynamicsField, build_grid, hjb_integral_residual,
                   hjb_residual_sup, load_shipped_problem, shipped_problem_names,
                   solve_auxiliary, solve_equilibrium_riccati)
+from tilq.grid import closed_loop_matrices
 from tilq.policy import EquilibriumSolution
 from conftest import threestate_spec, twostate_spec
 from test_riccati_reference import (assert_rel, stiff_spec, tabulated_hyperbolic,
@@ -86,6 +87,30 @@ def test_checks_match_reference(case):
         x = rng.uniform(-2.0, 2.0, size=n)
         assert abs(hjb_integral_residual(sol, t_idx, x)
                    - ref.hjb_integral_residual(sol, t_idx, x)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("name", ["stiff_tabulated", "large_drive"])
+def test_scanned_pass_matches_node_recursion(name):
+    # one Picard pass, its right side the drive term P b plus noise: the
+    # package's anchored scan against the reference's node-by-node steps
+    build, N = CASES[name]
+    spec = build()
+    grid = build_grid(spec.horizon, N)
+    riccati = solve_equilibrium_riccati(spec, grid)
+    tables = riccati.tables
+    D_nodes, D_half = (np.swapaxes(F, -1, -2) for F in closed_loop_matrices(
+        tables.A, tables.A_half, tables.B, tables.B_half, riccati.gain))
+    rng = np.random.default_rng(11)
+    c_nodes = (np.einsum("iab,ib->ia", riccati.P, tables.b)
+               + rng.standard_normal((N + 1, spec.dims.n)))
+    c_half = 0.5 * (c_nodes[:-1] + c_nodes[1:])
+    maps = tilq.auxiliary._affine_maps(D_nodes, D_half, grid.h)
+    if name.startswith("stiff"):
+        assert len(maps.anchors.starts) > 10  # the scan crosses many links
+    got = tilq.auxiliary._affine_backward_rk4(maps, c_nodes, c_half, tables.g_T)
+    assert np.array_equal(got[-1], tables.g_T)
+    assert_rel(got, ref.affine_backward_rk4(D_nodes, D_half, c_nodes, c_half,
+                                            tables.g_T, grid.h))
 
 
 def test_right_point_drive_misses_reference(monkeypatch):

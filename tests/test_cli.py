@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -281,6 +282,26 @@ class TestCommands:
         assert len(summary["checks"]) == 11
         assert all(c["passed"] for c in summary["checks"].values())
         assert summary["passed"] is True
+
+    @pytest.mark.parametrize("twin", ["stiff", "large_drive"])
+    def test_solve_on_fixed_point_twins(self, twin, tmp_path):
+        # CI's installed-script steps: A = V diag(-40, -0.1) V^-1, stiff and
+        # far from normal, or b = (500, 0); both run the bordered anchors
+        doc = json.loads(shipped_problem_path("twostate_hyperbolic").read_text())
+        if twin == "stiff":
+            V = np.array([[1.0, 1.0], [0.0, 0.5]])
+            doc["dynamics"]["A"] = (V @ np.diag([-40.0, -0.1])
+                                    @ np.linalg.inv(V)).tolist()
+        else:
+            doc["dynamics"]["b"] = [500.0, 0.0]
+        path = tmp_path / f"twostate_{twin}.json"
+        path.write_text(json.dumps(tabulated_twin(doc)))
+        out = tmp_path / twin
+        assert main(["solve", str(path), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["method"] == "fixed_point"
+        assert summary["converged"] is True
+        assert math.isfinite(summary["value_at_start"])
 
     def test_compare_on_time_inconsistent_spec(self, tmp_path):
         out = tmp_path / "c"

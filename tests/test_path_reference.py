@@ -19,7 +19,7 @@ from tilq.auxiliary import _bordered_anchors, _trapezoid_increments
 from tilq.grid import _anchored, _border
 from tilq.policy import EquilibriumSolution
 from conftest import twostate_spec
-from test_auxiliary_reference import large_drive
+from test_auxiliary_reference import CASES as auxiliary_reference_cases, large_drive
 from test_riccati_reference import assert_rel, stiff_spec, tabulated_hyperbolic
 import auxiliary_reference
 import policy_reference as ref
@@ -100,19 +100,24 @@ class TestLargeDrive:
             assert_rel(simulate_equilibrium(sol, t_idx, x).states, states)
 
 
-def test_scale_is_undone_exactly():
-    # a small drive whose power-of-two scale is above 1 but cuts the same
-    # segments as the unscaled bordered steps: the products are bit-identical
-    spec = twostate_spec(tabulated_hyperbolic())
-    grid = build_grid(spec.horizon, 200)
-    sol = solve_equilibrium(spec, grid)
-    steps = sol.riccati.closed_loop
-    r = _trapezoid_increments(steps, sol.auxiliary.drive, grid.h)
-    assert 64.0 * float(np.abs(r).sum()) > 1.0  # the scale is not 1
-    got, want = _bordered_anchors(steps, r), _anchored(_border(steps, r, 0.0, 1.0))
+@pytest.mark.parametrize("name", ["twostate_tabulated", "threestate_tabulated",
+                                  "stiff_tabulated"])
+def test_bordered_anchors_match_direct_anchoring(name):
+    # a small drive: the bordered steps, anchored directly, cut the closed
+    # loop's segments, so both give the same products up to rounding
+    build, N = auxiliary_reference_cases[name]
+    spec = build()
+    grid = build_grid(spec.horizon, N)
+    riccati = solve_equilibrium_riccati(spec, grid)
+    steps = riccati.closed_loop
+    r = _trapezoid_increments(
+        steps, solve_auxiliary(spec, grid, riccati).drive, grid.h)
+    got = _bordered_anchors(riccati.closed_loop_anchors, r)
+    want = _anchored(_border(steps, r, 0.0, 1.0))
     assert np.array_equal(got.starts, want.starts)
-    for name in ("psi", "inv", "links"):
-        assert np.array_equal(getattr(got, name), getattr(want, name))
+    for products in ("psi", "inv", "links"):
+        g, w = getattr(got, products), getattr(want, products)
+        assert float(np.max(np.abs(g - w))) <= 1e-13 * float(np.max(np.abs(w)))
 
 
 def test_one_path_allocates_under_one_mib():

@@ -47,6 +47,24 @@ NON_NUMBER_TABLES = {
         "discount/values/1/0"),
 }
 
+# data of the wrong shape that the schema passes, and where it is refused
+SHAPE_MISMATCHES = {
+    "ragged_discount": ({"discount": {
+        "family": "tabulated", "times": [0.0, 0.5, 1.0],
+        "values": [[1.0, 0.8, 0.6], [1.0, 0.8], [1.0, 1.0, 1.0]]}},
+        "discount/values/1", "2 entries, expected 3, one per time"),
+    "short_discount": ({"discount": {
+        "family": "tabulated", "times": [0.0, 0.25, 0.5, 1.0],
+        "values": [[1.0, 0.9, 0.8, 0.6], [1.0, 1.0, 0.9, 0.8],
+                   [1.0, 1.0, 1.0, 0.9]]}},
+        "discount/values", "3 rows, expected 4, one per time"),
+    "constant_field": ({"base_costs/Q": [[1.0, 0.1, 0.0], [0.1, 0.5, 0.0]]},
+                       "base_costs/Q", "shape (2, 3), expected (2, 2)"),
+    "ragged_tabulated_field": ({"base_costs/q": {"tabulated": {
+        "times": [0.0, 1.0], "values": [[0.02, 0.0], [0.02]]}}},
+        "base_costs/q/tabulated/values", "shape (2,), expected (2, 2)"),
+}
+
 
 def twostate(**edits):
     """A copy of the shipped two-state document with {"a/b": value} edits."""
@@ -175,9 +193,35 @@ class TestTabulatedValues:
         doc = twostate(**{"dynamics/b": {"tabulated": {
             "times": [0.0, 1.0], "values": [[0.0], [0.0, 0.0]]}}})
         with pytest.raises(ProblemFileError,
-                           match=r"^b: tabulated values have shape \(2,\), "
+                           match=r"^<memory>: shape mismatch at "
+                                 r"/dynamics/b/tabulated/values: shape \(2,\), "
                                  r"expected \(2, 2\)$"):
             parse_problem(doc)
+
+
+class TestShapeMismatches:
+    """Schema-valid data of the wrong shape is refused at its path."""
+
+    @pytest.mark.parametrize("case", sorted(SHAPE_MISMATCHES))
+    def test_parse_refuses_at_path(self, case):
+        edits, where, message = SHAPE_MISMATCHES[case]
+        doc = twostate(**edits)
+        assert schema_violation(doc) is None
+        with pytest.raises(ProblemFileError) as info:
+            parse_problem(doc)
+        assert str(info.value) == f"<memory>: shape mismatch at /{where}: {message}"
+
+    @pytest.mark.parametrize("case", sorted(SHAPE_MISMATCHES))
+    def test_cli_exits_with_error_json(self, case, tmp_path, capsys):
+        edits, where, message = SHAPE_MISMATCHES[case]
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(twostate(**edits)))
+        rc = main(["solve", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().out.strip())["error"]
+        assert err["type"] == "ProblemFileError"
+        assert err["message"] == f"{path}: shape mismatch at /{where}: {message}"
+        assert not (tmp_path / "out").exists()
 
 
 def test_runtime_imports_no_jsonschema():

@@ -5,16 +5,18 @@ import numpy as np
 import pytest
 
 import tilq.auxiliary
+import tilq.grid
 from tilq import (AssumptionError, BaseCosts, Dimensions, DynamicsField,
                   SolveOptions, build_grid, classical_riccati,
                   exponential_kernel, gamma_from_p, hjb_residual_sup,
                   hyperbolic_kernel, local_expansion, make_discounted,
                   quadrature, solve_equilibrium, solve_equilibrium_riccati,
-                  run_verification, shipped_problem_path, tabulated_kernel,
-                  uniqueness_probe)
+                  run_verification, shipped_problem_path, simulate_equilibrium,
+                  solve_auxiliary, tabulated_kernel, uniqueness_probe)
 from tilq import cli
 from tilq.errors import ConvergenceError
 from tilq.grid import TransitionTable, _anchored
+from tilq.policy import EquilibriumSolution
 from tilq.riccati import _closed_loop_table, _qbb_table, _sweep_core
 from tilq.tables import SpecTables
 from conftest import (classical_exact_p, classical_scalar_spec,
@@ -343,6 +345,52 @@ class TestPairTableBuilds:
         assert cli.main([command[0], problem, "-N", "200", *command[1:],
                          "--out", str(tmp_path / "out")]) == 0
         assert builds == []
+
+
+class TestAnchorings:
+    """The affine solve anchors each closed loop once, not once per pass.
+
+    Every anchoring is a ``tilq.grid._anchored`` call, so they are counted
+    wherever a module of the package looks that name up.
+    """
+
+    @pytest.fixture
+    def anchorings(self, monkeypatch):
+        calls = []
+        anchored = tilq.grid._anchored
+
+        def counted(steps):
+            calls.append(len(steps))
+            return anchored(steps)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "tilq" and hasattr(module, "_anchored"):
+                monkeypatch.setattr(module, "_anchored", counted)
+        return calls
+
+    def test_one_per_solve_auxiliary(self, anchorings):
+        times = np.linspace(0.0, 1.0, 101)
+        lag = np.clip(times[None, :] - times[:, None], 0.0, None)
+        spec = twostate_spec(tabulated_kernel(times, 1.0 / (1.0 + lag)))
+        grid = build_grid(1.0, 100)
+        riccati = solve_equilibrium_riccati(spec, grid)
+        del anchorings[:]
+        aux = solve_auxiliary(spec, grid, riccati)
+        assert aux.diagnostics.iterations > 2
+        assert anchorings == [grid.N]  # phi's backward maps; the closed loop's are kept
+        del anchorings[:]
+        sol = EquilibriumSolution(spec=spec, grid=grid, riccati=riccati, auxiliary=aux)
+        simulate_equilibrium(sol, 0, [1.0, -0.5])
+        simulate_equilibrium(sol, 50, [1.0, -0.5])
+        assert anchorings == []
+
+    def test_local_path_anchors_on_first_path(self, anchorings):
+        sol = solve_equilibrium(twostate_spec(), build_grid(1.0, 100))
+        assert sol.method == "local"
+        assert anchorings == []
+        simulate_equilibrium(sol, 0, [1.0, -0.5])
+        simulate_equilibrium(sol, 50, [1.0, -0.5])
+        assert anchorings == [100]
 
 
 class TestSolve:

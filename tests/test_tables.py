@@ -131,3 +131,18 @@ class TestPlaneStructure:
         assert square == {"dlam"}
         assert sol.tables.dlam.shape == (N + 1, N + 1)
         assert not TRIANGLES & set(vars(sol.tables))
+
+
+@pytest.mark.parametrize("build", [twostate_spec, threestate_spec])
+def test_solve_md_matches_cholesky_solves(build):
+    # m = 1 and m = 2: the cached inverse factor against two triangular solves
+    spec = build()
+    tables = tilq.tables.SpecTables(spec, build_grid(1.0, N))
+    m = spec.dims.m
+    rng = np.random.default_rng(5)
+    for rhs in (rng.standard_normal((N + 1, m)),
+                rng.standard_normal((N + 1, m, 3))):
+        got = tables.solve_md(rhs)
+        want = tilq.tables.solve_chol(tables.Md_chol, rhs)
+        assert got.shape == want.shape == rhs.shape
+        assert float(np.max(np.abs(got - want))) <= 1e-14 * float(np.max(np.abs(want)))
