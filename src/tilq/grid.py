@@ -10,8 +10,9 @@ the grid evaluations of :class:`tilq.tables.SpecTables`, and keep only the
 one-step propagators.
 
 :func:`_anchored` forms the fundamental matrices of a system from its steps,
-anchored segment by segment, for the fixed-point path's sums; the affine
-solve borders the closed loop's anchors with its drive
+anchored segment by segment, for the fixed-point path's sums, by one
+log-depth scan over all segments (unmasked when there is only one); the
+affine solve borders the closed loop's anchors with its drive
 (:func:`tilq.auxiliary._bordered_anchors`).  No propagator is formed for
 every node pair.
 """
@@ -19,12 +20,14 @@ every node pair.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import TilqError
+from .problem import _Constant
 
 
 @dataclass(frozen=True)
@@ -107,8 +110,7 @@ def _rk4_linear_steps(A_nodes: np.ndarray, A_half: np.ndarray, h: float) -> np.n
 
 def zero_below_diagonal(pairs: np.ndarray) -> np.ndarray:
     """Zero the entries [..., i, j] with j < i of a pair table, in place."""
-    for i in range(1, pairs.shape[-1]):
-        pairs[..., i, :i] = 0.0
+    np.copyto(pairs, 0.0, where=np.tri(*pairs.shape[-2:], k=-1, dtype=bool))
     return pairs
 
 
@@ -190,7 +192,10 @@ def _anchored(steps: np.ndarray) -> _Anchors:
     most the product of its factors'.  Each segment runs for as long as that
     bound stays within ANCHOR_COND, and for one step at least, so a step
     past the bound is a segment of its own.  The products within all
-    segments are formed together by a log-depth scan.
+    segments are formed together by a log-depth (Hillis-Steele) scan, each
+    pass masked to the nodes far enough into their segment; when the bound
+    leaves one segment (starts = [0, N]) nothing is masked and each pass is
+    a plain batched product, with the same floats.
     """
     N, n = steps.shape[0], steps.shape[-1]
     eye = np.eye(n)
@@ -209,35 +214,59 @@ def _anchored(steps: np.ndarray) -> _Anchors:
         starts.append(min(max(b, a + 1), N))
     starts = np.array(starts)
     lengths = np.diff(starts)
-    offset = np.arange(N + 1) - np.append(np.repeat(starts[:-1], lengths), N)
     psi = np.empty((N + 1, n, n))
     psi[1:] = steps
-    psi[offset == 0] = eye
     # Hillis-Steele: after the pass of stride d, psi[j] is the product of
-    # the last min(2d, offset[j]) steps into node j
+    # the last min(2d, offset[j]) steps into node j, offset[j] = j - a
     d = 1
-    while d < lengths.max():
-        np.copyto(psi[d:N], psi[d:N] @ psi[:N - d],
-                  where=(offset[d:N] >= d)[:, None, None])
-        d *= 2
+    if len(lengths) == 1:
+        # one segment: offset[j] = j >= d for every j >= d, so no node is masked
+        psi[0] = psi[N] = eye
+        while d < N:
+            psi[d:N] = psi[d:N] @ psi[:N - d]
+            d *= 2
+    else:
+        offset = np.arange(N + 1) - np.append(np.repeat(starts[:-1], lengths), N)
+        psi[offset == 0] = eye
+        while d < lengths.max():
+            np.copyto(psi[d:N], psi[d:N] @ psi[:N - d],
+                      where=(offset[d:N] >= d)[:, None, None])
+            d *= 2
     last = starts[1:] - 1
     return _Anchors(starts=starts, psi=psi, inv=np.linalg.inv(psi),
                     links=steps[last] @ psi[last])
 
 
-def _eval_dynamics(fn, times: np.ndarray, shape: tuple) -> np.ndarray:
-    out = np.empty((len(times),) + shape)
-    for i, t in enumerate(times):
-        out[i] = np.asarray(fn(float(t)), dtype=float).reshape(shape)
-    return out
+def _eval_dynamics(fn, times: np.ndarray, shape: tuple, name: str) -> np.ndarray:
+    """Table (len(times),) + shape of the dynamics coefficient ``name`` = fn(t).
+
+    A constant coefficient (:class:`tilq.problem._Constant`) is repeated,
+    not called; any other callable is called once per time, in one list
+    pass.  A value may come in any shape of the right size; one of another
+    size raises TilqError naming the coefficient and the first such time.
+    """
+    const = isinstance(fn, _Constant)
+    values = [fn.value] if const else [fn(t) for t in times.tolist()]
+    try:
+        table = np.asarray(values, dtype=float).reshape((len(values),) + shape)
+    except ValueError:
+        table = np.empty((len(values),) + shape)
+        for k, value in enumerate(values):
+            value = np.asarray(value, dtype=float)
+            if value.size != math.prod(shape):
+                raise TilqError(f"dynamics coefficient {name} has shape "
+                                f"{value.shape} at t={times[k]:.6g}, expected "
+                                f"{shape}") from None
+            table[k] = value.reshape(shape)
+    return np.repeat(table, len(times), axis=0) if const else table
 
 
 # Not called by the solvers; perfbench/spans.py wraps it in tilq.riccati.
 def open_loop_transition(dynamics, grid: TimeGrid) -> TransitionTable:
     """Fundamental-solution table of x' = A(t) x."""
     n = np.asarray(dynamics.A(0.0), dtype=float).shape[0]
-    A_nodes = _eval_dynamics(dynamics.A, grid.nodes, (n, n))
-    A_half = _eval_dynamics(dynamics.A, grid.half_nodes, (n, n))
+    A_nodes = _eval_dynamics(dynamics.A, grid.nodes, (n, n), "A")
+    A_half = _eval_dynamics(dynamics.A, grid.half_nodes, (n, n), "A")
     steps = _rk4_linear_steps(A_nodes, A_half, grid.h)
     return TransitionTable(grid, steps)
 

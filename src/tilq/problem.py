@@ -56,10 +56,20 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _const_time_fn(arr: np.ndarray) -> Callable[[float], np.ndarray]:
-    def fn(t: float) -> np.ndarray:
-        return arr
-    return fn
+class _Constant:
+    """A coefficient of time that returns the same array ``value`` at every t.
+
+    Tabulation repeats ``value`` instead of calling it once per time
+    (:func:`tilq.grid._eval_dynamics`).
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: np.ndarray):
+        self.value = value
+
+    def __call__(self, t: float) -> np.ndarray:
+        return self.value
 
 
 def eval_pairs(fn, t, s, shape: tuple) -> np.ndarray:
@@ -110,8 +120,7 @@ class DynamicsField:
         A = _freeze(np.atleast_2d(np.asarray(A, dtype=float)))
         B = _freeze(np.atleast_2d(np.asarray(B, dtype=float)))
         b = _freeze(np.atleast_1d(np.asarray(b, dtype=float)))
-        return DynamicsField(A=_const_time_fn(A), B=_const_time_fn(B),
-                             b=_const_time_fn(b))
+        return DynamicsField(A=_Constant(A), B=_Constant(B), b=_Constant(b))
 
 
 @dataclass(frozen=True)
@@ -196,9 +205,8 @@ class TerminalField:
         g = _freeze(np.atleast_1d(np.asarray(g, dtype=float)))
         zero_G = _freeze(np.zeros_like(G))
         zero_g = _freeze(np.zeros_like(g))
-        return TerminalField(G=_const_time_fn(G), g=_const_time_fn(g),
-                             dG_dt=_const_time_fn(zero_G),
-                             dg_dt=_const_time_fn(zero_g))
+        return TerminalField(G=_Constant(G), g=_Constant(g),
+                             dG_dt=_Constant(zero_G), dg_dt=_Constant(zero_g))
 
 
 @dataclass(frozen=True)
@@ -387,14 +395,20 @@ def tabulated_kernel(times, values) -> DiscountKernel:
     dtable = _freeze(_dt_table(table, h))
 
     # queries with t > s (outside the kernel's domain, touched only by
-    # broadcast tabulation of the unused triangle) clamp to the diagonal;
-    # scalar pairs skip the array lookup, which costs more on one pair
+    # broadcast tabulation of the unused triangle) clamp to the diagonal.
+    # Three paths with the same floats: scalar pairs skip the array lookup,
+    # which costs more on one pair; the outer grid of a column t and a row s
+    # (kernel_triangle's blocks) is computed per axis (_interp_outer); any
+    # other arrays are broadcast and looked up pair by pair
     def lookup(tab, t, s):
         if np.ndim(t) == 0 and np.ndim(s) == 0:
             t, s = float(t), float(s)
             return _interp(nodes, h, tab, min(t, s), s)
-        t, s = np.broadcast_arrays(np.asarray(t, dtype=float),
-                                   np.asarray(s, dtype=float))
+        t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
+        if (t.ndim == s.ndim == 2 and t.shape[1] == s.shape[0] == 1
+                and _outer_in_domain(nodes, t, s)):
+            return _interp_outer(nodes, h, tab, t[:, 0], s[0])
+        t, s = np.broadcast_arrays(t, s)
         return _interp_pairs(nodes, h, tab, np.minimum(t, s), s)
 
     def lam(t, s):
@@ -452,6 +466,51 @@ def _interp_pairs(times, h, table, t, s):
               + a * (1 - c) * f10 + a * c * f11)
     diagonal = f00 + a * (f11 - f01) + c * (f01 - f00)
     return np.where(i < j, inside, diagonal)
+
+
+def _outer_in_domain(times, t, s) -> bool:
+    """Whether the outer grid of a column t and a row s passes the domain
+    test of :func:`_interp_pairs` (t clamped to s), with every time finite."""
+    lo, hi = times[0], times[-1]
+    eps = 1e-9 * max(1.0, hi)
+    return bool(t.size and s.size and t.min() >= lo - eps
+                and s.min() >= lo - eps and s.max() <= hi + eps)
+
+
+def _interp_outer(times, h, table, t, s):
+    """:func:`_interp_pairs` at the pairs (t[k], s[l]) of 1-D t and s, per axis.
+
+    The same floats: each axis is clamped, and gets its cells and weights,
+    once, and each corner term is an outer product of weights times the
+    corner values, summed in _interp_pairs's order.  Where t's cell lies
+    past s's, _interp_pairs has clamped t to s and reads s's diagonal cell
+    at (s, s); within s's cell it does so where t >= s and takes the
+    triangle formula where t < s.
+    """
+    lo, hi = times[0], times[-1]
+    last = len(times) - 2
+    t = np.minimum(np.maximum(t, lo), hi)
+    s = np.minimum(np.maximum(s, lo), hi)
+    i = np.minimum(((t - lo) / h).astype(np.intp), last)
+    j = np.minimum(((s - lo) / h).astype(np.intp), last)
+    a = (t - times[i]) / h
+    c = (s - times[j]) / h
+    # the rows of the table that t's cells touch, at s's cells' columns
+    first = i.min()
+    band = table[first:i.max() + 2]
+    left, right = band[:, j], band[:, j + 1]
+    top, bottom = i - first, i - first + 1
+    out = np.multiply.outer(1 - a, 1 - c) * left[top]
+    out += np.multiply.outer(1 - a, c) * right[top]
+    out += np.multiply.outer(a, 1 - c) * left[bottom]
+    out += np.multiply.outer(a, c) * right[bottom]
+    f00, f01, f11 = table[j, j], table[j, j + 1], table[j + 1, j + 1]
+    np.copyto(out, f00 + c * (f11 - f01) + c * (f01 - f00),
+              where=np.greater.outer(i, j))
+    r, k = np.divmod(np.flatnonzero(np.equal.outer(i, j)), len(s))
+    at = np.where(t[r] >= s[k], c[k], a[r])
+    out[r, k] = f00[k] + at * (f11[k] - f01[k]) + c[k] * (f01[k] - f00[k])
+    return out
 
 
 def _dt_table(table: np.ndarray, h: float) -> np.ndarray:

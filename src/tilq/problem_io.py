@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ProblemFileError
 from .problem import (BaseCosts, Dimensions, DynamicsField, ProblemSpec,
-                      make_discounted, make_kernel, validate)
+                      _Constant, make_discounted, make_kernel, validate)
 from .riccati import SolveOptions
 from .verification import VerifyOptions
 
@@ -225,7 +225,11 @@ def _shape_error(source: str, path: str, got, expected) -> ProblemFileError:
 
 
 def _field_fn(node, shape, source: str, path: str):
-    """Matrix/vector field -> callable of t; errors name the source and path."""
+    """Matrix/vector field -> callable of t; errors name the source and path.
+
+    A field with no entry that depends on t is a constant
+    (:class:`tilq.problem._Constant`), which tabulation repeats.
+    """
     if isinstance(node, dict) and "tabulated" in node:
         times = np.asarray(node["tabulated"]["times"], dtype=float)
         # numbers at the schema's depth: a ragged table has a shorter shape
@@ -245,14 +249,13 @@ def _field_fn(node, shape, source: str, path: str):
             w = (t - times[i]) / (times[i + 1] - times[i])
             return (1.0 - w) * vals[i] + w * vals[i + 1]
 
-        return fn, False
+        return fn
     arr = np.asarray(node, dtype=object)
     if arr.shape != shape:
         raise _shape_error(source, path, f"shape {arr.shape}", shape)
     flat = [arr[idx] for idx in np.ndindex(shape)]
     if all(not isinstance(e, dict) for e in flat):
-        const = np.asarray(node, dtype=float).reshape(shape)
-        return (lambda t, c=const: c), True
+        return _Constant(np.asarray(node, dtype=float).reshape(shape))
     fns = np.empty(shape, dtype=object)
     for idx in np.ndindex(shape):
         fns[idx] = _entry_fn(arr[idx])
@@ -263,12 +266,12 @@ def _field_fn(node, shape, source: str, path: str):
             out[idx] = fns[idx](t)
         return out
 
-    return fn, False
+    return fn
 
 
 def _base_coeff(node, shape, source: str, path: str):
-    fn, is_const = _field_fn(node, shape, source, path)
-    return fn(0.0) if is_const else fn
+    fn = _field_fn(node, shape, source, path)
+    return fn.value if isinstance(fn, _Constant) else fn
 
 
 def _check_discount_table(disc: dict, source: str) -> None:
@@ -305,9 +308,9 @@ def parse_problem(document: dict, *, source: str = "<memory>",
     n, m = dims.n, dims.m
     horizon = float(document["horizon"])
     dyn_doc = document["dynamics"]
-    A_fn, _ = _field_fn(dyn_doc["A"], (n, n), source, "/dynamics/A")
-    B_fn, _ = _field_fn(dyn_doc["B"], (n, m), source, "/dynamics/B")
-    b_fn, _ = _field_fn(dyn_doc["b"], (n,), source, "/dynamics/b")
+    A_fn = _field_fn(dyn_doc["A"], (n, n), source, "/dynamics/A")
+    B_fn = _field_fn(dyn_doc["B"], (n, m), source, "/dynamics/B")
+    b_fn = _field_fn(dyn_doc["b"], (n,), source, "/dynamics/b")
     dynamics = DynamicsField(A=A_fn, B=B_fn, b=b_fn)
 
     costs = document["base_costs"]
@@ -394,7 +397,11 @@ def write_csv(path: Path, header: list, rows) -> None:
 
 
 def write_problem_echo(path: Path, document: dict) -> None:
-    Path(path).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    """The document as indented JSON, streamed to the file: as one string,
+    a tabulated discount's text would briefly take several times its size."""
+    with open(path, "w") as f:
+        json.dump(document, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def matrix_headers(prefix: str, shape: tuple) -> list:

@@ -150,7 +150,7 @@ def suffix_weights(grid: TimeGrid) -> np.ndarray:
     """W[i, j]: trapezoid weight of node j in the integral over [t_i, T]."""
     N = grid.N
     h = grid.h
-    W = np.triu(np.full((N + 1, N + 1), h))
+    W = zero_below_diagonal(np.full((N + 1, N + 1), h))
     idx = np.arange(N + 1)
     W[idx, idx] = 0.5 * h
     W[:N, N] = 0.5 * h
@@ -181,31 +181,33 @@ class SpecTables:
 
     # -- dynamics ----------------------------------------------------------
 
+    def _dynamics(self, name: str, times: np.ndarray) -> np.ndarray:
+        shape = {"A": (self.n, self.n), "B": (self.n, self.m), "b": (self.n,)}[name]
+        return _eval_dynamics(getattr(self.spec.dynamics, name), times, shape, name)
+
     @cached_property
     def A(self) -> np.ndarray:
-        return _eval_dynamics(self.spec.dynamics.A, self.grid.nodes, (self.n, self.n))
+        return self._dynamics("A", self.grid.nodes)
 
     @cached_property
     def A_half(self) -> np.ndarray:
-        return _eval_dynamics(self.spec.dynamics.A, self.grid.half_nodes,
-                              (self.n, self.n))
+        return self._dynamics("A", self.grid.half_nodes)
 
     @cached_property
     def B(self) -> np.ndarray:
-        return _eval_dynamics(self.spec.dynamics.B, self.grid.nodes, (self.n, self.m))
+        return self._dynamics("B", self.grid.nodes)
 
     @cached_property
     def B_half(self) -> np.ndarray:
-        return _eval_dynamics(self.spec.dynamics.B, self.grid.half_nodes,
-                              (self.n, self.m))
+        return self._dynamics("B", self.grid.half_nodes)
 
     @cached_property
     def b(self) -> np.ndarray:
-        return _eval_dynamics(self.spec.dynamics.b, self.grid.nodes, (self.n,))
+        return self._dynamics("b", self.grid.nodes)
 
     @cached_property
     def b_half(self) -> np.ndarray:
-        return _eval_dynamics(self.spec.dynamics.b, self.grid.half_nodes, (self.n,))
+        return self._dynamics("b", self.grid.half_nodes)
 
     @cached_property
     def open_loop_steps(self) -> np.ndarray:

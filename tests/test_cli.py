@@ -167,6 +167,9 @@ class TestCommands:
         for name in ("P.csv", "gain.csv", "affine.csv", "correction.csv",
                      "trajectory.csv", "summary.json", "problem_echo.json"):
             assert (out / name).exists(), name
+        document = json.loads(shipped_problem_path("classical_scalar").read_text())
+        assert (out / "problem_echo.json").read_text() == json.dumps(
+            document, indent=2, sort_keys=True) + "\n"
         header, first = (out / "P.csv").read_text().splitlines()[:2]
         assert header == "t,P_0_0"
         t0, p0 = first.split(",")

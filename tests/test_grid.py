@@ -1,10 +1,20 @@
+import dataclasses
+import json
+import re
+
 import numpy as np
 import pytest
 
-from tilq import DynamicsField, TilqError, build_grid, quadrature
+import tilq.grid
+from tilq import (DynamicsField, TilqError, build_grid, quadrature,
+                  solve_equilibrium)
 from tilq.grid import TransitionTable, open_loop_transition
+from tilq.problem import _Constant
+from tilq.problem_io import (load_shipped_problem, parse_problem,
+                             shipped_problem_path)
 from tilq.riccati import _closed_loop_table
-from conftest import dynamics_tables
+from tilq.tables import SpecTables
+from conftest import dynamics_tables, twostate_spec
 from pair_tables import column, from_pair_layout, full_table
 
 
@@ -217,3 +227,176 @@ class TestStorageBudget:
         for i in (0, 17, 39, 40):
             np.testing.assert_allclose(column(steps, i), full[i:, i],
                                        rtol=0, atol=1e-13)
+
+
+def masked_anchored(steps):
+    """The anchored products with every Hillis-Steele pass masked per node.
+
+    The reference for tilq.grid._anchored: the same segments and the same
+    scan, with each pass's update written through the mask offset[j] >= d
+    whether or not a node is masked.
+    """
+    N, n = steps.shape[0], steps.shape[-1]
+    starts = tilq.grid._anchored(steps).starts
+    lengths = np.diff(starts)
+    offset = np.arange(N + 1) - np.append(np.repeat(starts[:-1], lengths), N)
+    psi = np.empty((N + 1, n, n))
+    psi[1:] = steps
+    psi[offset == 0] = np.eye(n)
+    d = 1
+    while d < lengths.max():
+        np.copyto(psi[d:N], psi[d:N] @ psi[:N - d],
+                  where=(offset[d:N] >= d)[:, None, None])
+        d *= 2
+    last = starts[1:] - 1
+    return starts, psi, np.linalg.inv(psi), steps[last] @ psi[last]
+
+
+class TestAnchored:
+    @staticmethod
+    def assert_same_bits(steps):
+        got = tilq.grid._anchored(steps)
+        for name, want in zip(("starts", "psi", "inv", "links"),
+                              masked_anchored(steps)):
+            np.testing.assert_array_equal(getattr(got, name), want, err_msg=name)
+        return got
+
+    def test_one_segment_matches_masked_scan(self):
+        # open-loop steps of a time-varying n = 2 problem, random small
+        # steps of n = 3, and the shortest grids
+        grid = build_grid(1.0, 300)
+        tables = dynamics_tables(
+            DynamicsField(A=lambda t: np.array([[0.0, 1.0], [-0.5 - 0.2 * t, -0.3]]),
+                          B=lambda t: np.array([[0.0], [1.0]]),
+                          b=lambda t: np.zeros(2)), grid)
+        rng = np.random.default_rng(5)
+        cases = [tables.open_loop_steps,
+                 np.eye(3) + 1e-3 * rng.standard_normal((257, 3, 3))]
+        cases += [np.eye(2) + 1e-3 * rng.standard_normal((N, 2, 2))
+                  for N in (1, 2, 3)]
+        for steps in cases:
+            got = self.assert_same_bits(steps)
+            np.testing.assert_array_equal(got.starts, [0, len(steps)])
+
+    @pytest.mark.parametrize("cond", [None, 1.3])
+    def test_segments_match_masked_scan_and_composed_steps(self, cond,
+                                                           monkeypatch):
+        # this closed loop cuts two segments at the default bound, and a low
+        # bound cuts many of uneven length; within each, psi is the product
+        # of the segment's steps and links close it
+        if cond is not None:
+            monkeypatch.setattr(tilq.grid, "ANCHOR_COND", cond)
+        grid = build_grid(1.0, 200)
+        steps = _varying_gain_closed_loop(grid).steps
+        got = self.assert_same_bits(steps)
+        starts = got.starts
+        assert len(starts) >= (3 if cond is None else 10)
+        assert len(set(np.diff(starts))) > 1
+        for k, (a, b) in enumerate(zip(starts[:-1], starts[1:])):
+            composed = np.eye(steps.shape[-1])
+            for j in range(a, b):
+                np.testing.assert_allclose(got.psi[j], composed, rtol=0, atol=1e-13)
+                composed = steps[j] @ composed
+            np.testing.assert_allclose(got.links[k], composed, rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(got.psi[grid.N], np.eye(steps.shape[-1]))
+
+
+class TestDynamicsTables:
+    FIELDS = (("A", "A", "nodes"), ("A_half", "A", "half_nodes"),
+              ("B", "B", "nodes"), ("B_half", "B", "half_nodes"),
+              ("b", "b", "nodes"), ("b_half", "b", "half_nodes"))
+
+    @staticmethod
+    def per_node(fn, times, shape):
+        out = np.empty((len(times),) + shape)
+        for i, t in enumerate(times):
+            out[i] = np.asarray(fn(float(t)), dtype=float).reshape(shape)
+        return out
+
+    def test_tables_match_per_node_loop(self):
+        # constant fields, problem-file fields (constant entries, polynomial
+        # entries) and callables, some of them returning flat values
+        doc = json.loads(shipped_problem_path("twostate_hyperbolic").read_text())
+        doc["dynamics"]["A"] = [[{"poly": [0.0, 1.0]}, 1.0], [-0.5, -0.3]]
+        fields = [
+            DynamicsField.constant([[0.0, 1.0], [-0.5, -0.3]], [[0.0], [1.0]],
+                                   [0.05, 0.0]),
+            load_shipped_problem("twostate_hyperbolic").spec.dynamics,
+            parse_problem(doc).spec.dynamics,
+            DynamicsField(A=lambda t: [0.0, 1.0 + t, -t * t, np.sin(t)],
+                          B=lambda t: np.array([[0.3 * t], [1.0]]),
+                          b=lambda t: (0.05 * t, 0.0)),
+        ]
+        # a problem file's constant entries are repeated, its others called
+        assert isinstance(fields[1].A, _Constant)
+        assert not isinstance(fields[2].A, _Constant)
+        grid = build_grid(1.0, 37)
+        for dyn in fields:
+            tables = dynamics_tables(dyn, grid)
+            shapes = {"A": (2, 2), "B": (2, 1), "b": (2,)}
+            for attr, name, where in self.FIELDS:
+                np.testing.assert_array_equal(
+                    getattr(tables, attr),
+                    self.per_node(getattr(dyn, name), getattr(grid, where),
+                                  shapes[name]), err_msg=attr)
+
+    def test_constant_field_is_not_called_per_node(self):
+        calls = {"constant": 0, "varying": 0}
+
+        class Counted(_Constant):
+            __slots__ = ()
+
+            def __call__(self, t):
+                calls["constant"] += 1
+                return self.value
+
+        def varying(t):
+            calls["varying"] += 1
+            return np.array([[0.0], [1.0 + t]])
+
+        dyn = DynamicsField(A=Counted(np.array([[0.0, 1.0], [-0.5, -0.3]])),
+                            B=varying, b=Counted(np.zeros(2)))
+        grid = build_grid(1.0, 50)
+        tables = dynamics_tables(dyn, grid)
+        calls.update(constant=0, varying=0)
+        for attr, _, _ in self.FIELDS:
+            getattr(tables, attr)
+        # one call per node and half node for the callable, none for constants
+        assert calls == {"constant": 0, "varying": 2 * grid.N + 1}
+
+
+class TestMisshapedDynamics:
+    """A dynamics value of the wrong size raises TilqError naming where."""
+
+    GOOD = {"A": np.array([[0.0, 1.0], [-0.5, -0.3]]),
+            "B": np.array([[0.0], [1.0]]), "b": np.array([0.05, 0.0])}
+    BAD = {"A": np.eye(3), "B": np.ones((2, 2)), "b": np.zeros(3)}
+    EXPECTED = {"A": (2, 2), "B": (2, 1), "b": (2,)}
+
+    def spec(self, fields):
+        return dataclasses.replace(twostate_spec(),
+                                   dynamics=DynamicsField(**fields))
+
+    @pytest.mark.parametrize("name", ["A", "B", "b"])
+    def test_constant_field(self, name):
+        fields = {k: _Constant(v) for k, v in self.GOOD.items()}
+        fields[name] = _Constant(self.BAD[name])
+        want = (f"dynamics coefficient {name} has shape "
+                f"{self.BAD[name].shape} at t=0, expected {self.EXPECTED[name]}")
+        with pytest.raises(TilqError, match=re.escape(want)):
+            solve_equilibrium(self.spec(fields), build_grid(1.0, 20))
+
+    @pytest.mark.parametrize("name", ["A", "B", "b"])
+    def test_callable_names_first_failing_time(self, name):
+        good, bad = self.GOOD[name], self.BAD[name]
+        fields = dict(self.GOOD)
+        fields[name] = lambda t: bad if t >= 0.5 else good
+        want = (f"dynamics coefficient {name} has shape {bad.shape} at "
+                f"t=0.5, expected {self.EXPECTED[name]}")
+        spec = self.spec({k: (v if callable(v) else _Constant(v))
+                          for k, v in fields.items()})
+        grid = build_grid(1.0, 20)
+        with pytest.raises(TilqError, match=re.escape(want)):
+            getattr(SpecTables(spec, grid), name)
+        with pytest.raises(TilqError, match=f"dynamics coefficient {name} "):
+            solve_equilibrium(spec, grid)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+import tilq.problem
 from tilq import (BaseCosts, Dimensions, DynamicsField, TilqError,
                   TwoTimeField, exponential_kernel, hyperbolic_kernel,
                   make_discounted, quasi_hyperbolic_kernel, tabulated_kernel,
                   time_consistent_projection, validate)
-from tilq.problem import _dt_table
+from tilq.problem import _dt_table, _interp, _interp_outer
 from conftest import classical_scalar_spec, hyperbolic_scalar_spec
 
 
@@ -160,6 +161,57 @@ class TestKernelTriangle:
                 for j in range(i, 31):
                     np.testing.assert_array_equal(tri[..., i, j],
                                                   field.dt(nodes[i], nodes[j]))
+
+
+class TestOuterGridLookup:
+    """kernel_triangle's blocks reach a tabulated kernel as the outer grid of
+    a column t and a row s, which it evaluates per axis: the floats must be
+    the scalar lookup's, pair by pair."""
+
+    @staticmethod
+    def kernel():
+        rng = np.random.default_rng(21)
+        times = np.linspace(0.0, 1.0, 201)
+        table = rng.uniform(0.5, 1.5, (201, 201))
+        np.fill_diagonal(table, 1.0)
+        return times, table, tabulated_kernel(times, table)
+
+    # a grid finer than the table's 200 cells, a coarser one, an aligned one
+    @pytest.mark.parametrize("N", [300, 100, 200])
+    def test_matches_scalar_lookup_pair_by_pair(self, N, monkeypatch):
+        per_axis = []
+
+        def counted(*args):
+            per_axis.append(args)
+            return _interp_outer(*args)
+
+        monkeypatch.setattr(tilq.problem, "_interp_outer", counted)
+        times, table, k = self.kernel()
+        h = float(times[1] - times[0])
+        s = np.linspace(0.0, 1.0, N + 1)
+        t = np.random.default_rng(N).permutation(s)  # rows in any order
+        for tab, fn in ((table, k.lam), (_dt_table(table, h), k.dlam_dt)):
+            want = [[_interp(times, h, tab, min(a, c), c) for c in s.tolist()]
+                    for a in t.tolist()]
+            np.testing.assert_array_equal(fn(t[:, None], s[None, :]), want)
+        assert len(per_axis) == 2
+        # the grid holds pairs below the diagonal, and (but for the coarse
+        # grid, whose nodes all sit on cell edges) pairs t < s in one cell
+        cell = np.minimum((s / h).astype(int), len(times) - 2)
+        same_cell = (cell[:, None] == cell[None, :]) & (s[:, None] < s[None, :])
+        assert N == 100 or same_cell.any()
+
+    def test_outside_domain_raises_as_pair_lookup(self):
+        _, _, k = self.kernel()
+        x = np.linspace(0.0, 1.0, 31)
+        for t, s in ((x - 0.1, x), (x, x + 0.1), (x, x - 0.2)):
+            with pytest.raises(TilqError) as outer:
+                k.dlam_dt(t[:, None], s[None, :])
+            pairs = [a.ravel() for a in np.broadcast_arrays(t[:, None], s[None, :])]
+            with pytest.raises(TilqError) as flat:
+                k.dlam_dt(*pairs)
+            assert str(outer.value) == str(flat.value)
+            assert "outside its domain" in str(outer.value)
 
 
 class TestFieldContract:
