@@ -60,11 +60,12 @@ gamma_a = 0 and gamma_{j+1} = gamma_j + psi_{j+1}^{-1} r_j give the product
 [[psi_j, psi_j gamma_j], [0, 1]] from t_a to t_j, so the segments are the
 closed loop's however large the drive, and nothing is rescaled.
 
-The anchored affine scan.  RK4's backward one-step map of phi's equation is
-x_i = T_i x_{i+1} + r_i.  T_i depends on the closed loop only, so it is
-built and anchored once per :func:`solve_phi` (:func:`_affine_maps`); a
-Picard pass forms the offsets r_i and runs the recursion as the same
-running sum over the maps taken backward (:func:`_affine_backward_rk4`).
+The anchored affine scan.  With D = (A - B Gain)^T, RK4's backward
+one-step map of phi's equation, x_i = T_i x_{i+1} + r_i, has T_i = Phi_i^T
+term by term, Phi_i the closed loop's forward step.  So a Picard pass
+forms only the offsets r_i and runs the recursion on the closed loop's
+anchors, the ones its Sbb is summed over (:func:`_affine_backward_rk4`);
+phi's solve anchors nothing of its own.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TilqError
-from .grid import (TimeGrid, _anchored, _Anchors, _border, _interp_half,
+from .grid import (TimeGrid, _Anchors, _border, _interp_half,
                    closed_loop_drive, closed_loop_matrices)
 from .problem import ProblemSpec
 from .riccati import (FixedPointDiagnostics, RiccatiSolution, SolveOptions,
@@ -208,56 +209,33 @@ def _omega_table(correction: np.ndarray) -> np.ndarray:
     return correction[:, -1, -1]
 
 
-@dataclass(frozen=True)
-class _AffineMaps:
-    """RK4's backward one-step maps x_i = T_i x_{i+1} + r_i of x' = -D x - c.
+def _affine_backward_rk4(anchors: _Anchors, D_nodes, D_half, c_nodes, c_half,
+                         terminal, h):
+    """Integrate x' = -D(t) x - c(t) backward from x(T) = terminal, D = A_cl^T.
 
-    T_i depends on D alone and is anchored once, taken backward: node k of
-    ``anchors`` is t_{N-k} (:func:`tilq.grid._anchored`).  The offsets r_i
-    are formed per right side c (:func:`_affine_backward_rk4`).
+    RK4's backward one-step map is then x_i = Phi_i^T x_{i+1} + r_i, Phi_i
+    the closed loop's RK4 step, so on segment k = [t_a, t_b) of ``anchors``
+
+        psi_i^T x_i = L_k^T x_b + sum_{j=i}^{b-1} psi_j^T r_j,
+
+    one reversed running sum per segment, the vector twin of
+    :func:`tilq.riccati._open_loop_integral`.  x(T) is ``terminal`` exactly.
     """
-
-    D_nodes: np.ndarray
-    D_half: np.ndarray
-    h: float
-    anchors: _Anchors
-
-
-def _affine_maps(D_nodes, D_half, h) -> _AffineMaps:
-    eye = np.eye(D_nodes.shape[-1])
-    K1 = -D_nodes[1:]
-    K2 = -D_half @ (eye - 0.5 * h * K1)
-    K3 = -D_half @ (eye - 0.5 * h * K2)
-    K4 = -D_nodes[:-1] @ (eye - h * K3)
-    Tmat = eye - (h / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
-    return _AffineMaps(D_nodes, D_half, h, _anchored(Tmat[::-1]))
-
-
-def _affine_backward_rk4(maps: _AffineMaps, c_nodes, c_half, terminal):
-    """Integrate x' = -D(t) x - c(t) backward from x(T) = terminal.
-
-    Forms the offsets r_i of the anchored maps and runs x_i = T_i x_{i+1} +
-    r_i as a scan: on each segment x_j = psi_j (x_a + gamma_j)
-    (:func:`_running_offsets`), and x at the next segment's start is the
-    link applied to x_a + gamma_{b-1}, plus r_{b-1}.  x(T) is ``terminal``
-    exactly.
-    """
-    D_nodes, D_half, h = maps.D_nodes, maps.D_half, maps.h
     k1r = -c_nodes[1:]
     k2r = 0.5 * h * _matvec(D_half, k1r) - c_half
     k3r = 0.5 * h * _matvec(D_half, k2r) - c_half
     k4r = h * _matvec(D_nodes[:-1], k3r) - c_nodes[:-1]
-    rvec = (-(h / 6.0) * (k1r + 2 * k2r + 2 * k3r + k4r))[::-1]
-    anchors = maps.anchors
-    gamma = _running_offsets(anchors, rvec)
+    rvec = -(h / 6.0) * (k1r + 2 * k2r + 2 * k3r + k4r)
+    terms = _matvec(np.swapaxes(anchors.psi[:-1], -1, -2), rvec)
     starts = anchors.starts.tolist()
-    x = np.asarray(terminal, dtype=float)
-    for k, L in enumerate(anchors.links):
+    out = np.empty((len(terms) + 1, terms.shape[-1]))
+    out[-1] = terminal
+    for k in range(len(anchors.links) - 1, -1, -1):
         a, b = starts[k], starts[k + 1]
-        gamma[a:b] += x
-        x = L @ gamma[b - 1] + rvec[b - 1]
-    gamma[-1] = x
-    return _matvec(anchors.psi, gamma)[::-1]
+        tail = np.cumsum(terms[a:b][::-1], axis=0)[::-1]
+        out[a:b] = anchors.links[k].T @ out[b] + tail
+    out[:-1] = _matvec(np.swapaxes(anchors.inv[:-1], -1, -2), out[:-1])
+    return out
 
 
 def _psi_rate(phi, upsilon, omega, tables: SpecTables) -> np.ndarray:
@@ -287,8 +265,8 @@ def solve_phi(spec: ProblemSpec, grid: TimeGrid, riccati: RiccatiSolution,
     h = grid.h
 
     anchors = riccati.closed_loop_anchors
-    maps = _affine_maps(*(np.swapaxes(F, -1, -2) for F in closed_loop_matrices(
-        tables.A, tables.A_half, tables.B, tables.B_half, gain)), h)
+    D_nodes, D_half = (np.swapaxes(F, -1, -2) for F in closed_loop_matrices(
+        tables.A, tables.A_half, tables.B, tables.B_half, gain))
     Pb = np.einsum("iab,ib->ia", riccati.P, tables.b)
     Pb_half = np.einsum("iab,ib->ia", _interp_half(riccati.P), tables.b_half)
     g_rho = np.einsum("ima,im->ia", gain, tables.rhod)
@@ -304,7 +282,8 @@ def solve_phi(spec: ProblemSpec, grid: TimeGrid, riccati: RiccatiSolution,
         sbb = _sbb_table(correction(phi)[2])
         c_nodes = -sbb + Pb + tables.qd - g_rho
         c_half = -_interp_half(sbb) + Pb_half + tables.qd_half - g_rho_half
-        return _affine_backward_rk4(maps, c_nodes, c_half, tables.g_T)
+        return _affine_backward_rk4(anchors, D_nodes, D_half, c_nodes,
+                                    c_half, tables.g_T, h)
 
     phi0 = _initial_table(opts.initial, tables.g_T, grid.N, "phi")
     phi, diag = damped_fixed_point(phi0, sweep, opts, "affine coefficient")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -57,9 +58,23 @@ def _load(args) -> LoadedProblem:
     return loaded
 
 
+def _numbers(text: str, flag: str) -> list[float]:
+    """The comma-separated entries of ``flag``; each must be a finite number."""
+    values = []
+    for entry in text.split(","):
+        try:
+            value = float(entry)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise TilqError(f"{flag} entry {entry.strip()!r} is not a finite number")
+        values.append(value)
+    return values
+
+
 def _x0(args, n: int) -> np.ndarray:
     if getattr(args, "x0", None):
-        vals = [float(v) for v in args.x0.split(",")]
+        vals = _numbers(args.x0, "--x0")
         if len(vals) != n:
             raise TilqError(f"--x0 needs {n} comma-separated entries")
         return np.asarray(vals)
@@ -128,13 +143,13 @@ def _method(sol: EquilibriumSolution, tolerance: float) -> tuple[dict, str]:
 
 def cmd_solve(args) -> int:
     loaded = _load(args)
+    x0 = _x0(args, loaded.spec.dims.n)
     out = _out_dir(args)
     grid = build_grid(loaded.spec.horizon, loaded.grid_points)
     started = time.perf_counter()
     sol = solve_equilibrium(loaded.spec, grid, loaded.solve_options,
                             loaded.solve_options)
     elapsed = time.perf_counter() - started
-    x0 = _x0(args, loaded.spec.dims.n)
     head = _write_solution_tables(out, loaded, sol, x0)
     method, described = _method(sol, loaded.solve_options.tolerance)
     summary = {
@@ -248,13 +263,13 @@ _SWEEP_PARAM = {"exponential": "delta", "hyperbolic": "k",
 
 def cmd_sweep(args) -> int:
     loaded = _load(args)
-    out = _out_dir(args)
     family = loaded.document["discount"]["family"]
     if family not in _SWEEP_PARAM:
         raise TilqError(f"sweep does not support the {family!r} family")
     param = _SWEEP_PARAM[family]
-    values = [float(v) for v in args.values.split(",")]
+    values = _numbers(args.values, "--values")
     x0 = _x0(args, loaded.spec.dims.n)
+    out = _out_dir(args)
     n = loaded.spec.dims.n
     rows = []
     for v in values:

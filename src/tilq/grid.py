@@ -11,9 +11,11 @@ one-step propagators.
 
 :func:`_anchored` forms the fundamental matrices of a system from its steps,
 anchored segment by segment, for the fixed-point path's sums, by one
-log-depth scan over all segments (unmasked when there is only one); the
-affine solve borders the closed loop's anchors with its drive
-(:func:`tilq.auxiliary._bordered_anchors`).  No propagator is formed for
+log-depth scan over all segments (unmasked when there is only one).  The
+affine solve anchors nothing of its own: it borders the closed loop's
+anchors with its drive (:func:`tilq.auxiliary._bordered_anchors`), and its
+Picard pass steps phi backward over them, transposed
+(:func:`tilq.auxiliary._affine_backward_rk4`).  No propagator is formed for
 every node pair.
 """
 

@@ -69,7 +69,8 @@ formed once per sweep.  The solution keeps those of its final closed loop
 (:attr:`RiccatiSolution.closed_loop_anchors`, read-only; the local path
 builds them on first use).  Bordered with the closed loop's drive, they run
 the Qbb sum for Sbb and omega too (:mod:`tilq.auxiliary`), and give the
-equilibrium paths.
+equilibrium paths; transposed, they carry phi's Picard pass backward, since
+RK4's backward map of phi's equation is the transposed closed-loop step.
 """
 
 from __future__ import annotations
@@ -208,7 +209,8 @@ class RiccatiSolution:
 
         The fixed-point solve keeps the ones its final Qbb was summed over;
         the local path builds them on first use.  The affine solve, the
-        equilibrium paths and the stationarity check border them with a drive.
+        equilibrium paths and the stationarity check border them with a drive,
+        and phi's Picard pass runs on them transposed.
         """
         if self._anchors is None:
             self._anchors = _anchored(self.closed_loop).read_only()

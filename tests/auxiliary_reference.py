@@ -14,9 +14,11 @@ table and the closed-loop costs K, k, kappa over node pairs,
 The checks' re-integrated responses are a pair table too.  The oracle
 tests require the package to match it to rounding.  It reads the same
 gain, closed-loop steps and damped iteration as the package, so it checks
-how the sums are formed, not the data that enter them; its Picard pass
-(:func:`affine_backward_rk4`) steps RK4's affine maps node by node, where
-the package runs them as an anchored scan.
+how the sums are formed, not the data that enter them.  Its Picard pass
+(:func:`affine_backward_rk4`) builds RK4's backward maps of phi's equation
+from D = A_cl^T (:func:`adjoint_maps`) and steps them node by node, where
+the package runs the transposed closed-loop steps as a scan over the closed
+loop's anchors.
 
 :func:`sbb_at` and :func:`omega_at` are the row checks: one node's Sbb or
 omega by direct node quadrature of the left-hand forms of the defining
@@ -140,24 +142,33 @@ def pair_costs(tables, gain, upsilon, first=0):
                                             ("Qt", "St", "Mt", "qt", "rhot")))
 
 
+def adjoint_maps(D_nodes, D_half, h):
+    """RK4's backward one-step maps T_i of x' = -D(t) x, built from D.
+
+    With D = A_cl^T these are the transposes of the closed loop's forward
+    steps, which the package's Picard pass uses in their place.
+    """
+    eye = np.eye(D_half.shape[-1])
+    K1 = -D_nodes[1:]
+    K2 = -D_half @ (eye - 0.5 * h * K1)
+    K3 = -D_half @ (eye - 0.5 * h * K2)
+    K4 = -D_nodes[:-1] @ (eye - h * K3)
+    return eye - (h / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
+
+
 def affine_backward_rk4(D_nodes, D_half, c_nodes, c_half, terminal, h):
     """x' = -D(t) x - c(t) backward from x(T) = terminal, node by node.
 
-    RK4's one-step map x_i = T_i x_{i+1} + r_i, built in one batch and
-    applied one node at a time: the recursion the package runs as an
-    anchored scan.
+    RK4's one-step map x_i = T_i x_{i+1} + r_i, T_i from
+    :func:`adjoint_maps`, applied one node at a time: the recursion the
+    package runs as a scan over the closed loop's anchors.
     """
     N, n = D_half.shape[0], D_half.shape[-1]
-    eye = np.eye(n)
-    K1 = -D_nodes[1:]
+    Tmat = adjoint_maps(D_nodes, D_half, h)
     k1r = -c_nodes[1:]
-    K2 = -D_half @ (eye - 0.5 * h * K1)
     k2r = 0.5 * h * np.einsum("iab,ib->ia", D_half, k1r) - c_half
-    K3 = -D_half @ (eye - 0.5 * h * K2)
     k3r = 0.5 * h * np.einsum("iab,ib->ia", D_half, k2r) - c_half
-    K4 = -D_nodes[:-1] @ (eye - h * K3)
     k4r = h * np.einsum("iab,ib->ia", D_nodes[:-1], k3r) - c_nodes[:-1]
-    Tmat = eye - (h / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
     rvec = -(h / 6.0) * (k1r + 2 * k2r + 2 * k3r + k4r)
     out = np.empty((N + 1, n))
     out[N] = terminal

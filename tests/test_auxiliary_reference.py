@@ -21,6 +21,7 @@ from tilq.policy import EquilibriumSolution
 from conftest import threestate_spec, twostate_spec
 from test_riccati_reference import (assert_rel, stiff_spec, tabulated_hyperbolic,
                                     without_kernel)
+from test_validate import tabulated_poly_spec
 import auxiliary_reference as ref
 
 
@@ -33,6 +34,13 @@ def large_drive(spec):
     d = spec.dynamics
     return dataclasses.replace(spec, dynamics=DynamicsField(
         A=d.A, B=d.B, b=lambda t: np.array([500.0, 0.0])))
+
+
+def adjoint_rates(riccati):
+    """D = A_cl^T at the nodes and half nodes: the matrix of phi's equation."""
+    t = riccati.tables
+    return (np.swapaxes(F, -1, -2) for F in closed_loop_matrices(
+        t.A, t.A_half, t.B, t.B_half, riccati.gain))
 
 
 # name -> (spec builder, N); every shipped problem is forced onto the fixed point
@@ -98,19 +106,34 @@ def test_scanned_pass_matches_node_recursion(name):
     grid = build_grid(spec.horizon, N)
     riccati = solve_equilibrium_riccati(spec, grid)
     tables = riccati.tables
-    D_nodes, D_half = (np.swapaxes(F, -1, -2) for F in closed_loop_matrices(
-        tables.A, tables.A_half, tables.B, tables.B_half, riccati.gain))
+    D_nodes, D_half = adjoint_rates(riccati)
     rng = np.random.default_rng(11)
     c_nodes = (np.einsum("iab,ib->ia", riccati.P, tables.b)
                + rng.standard_normal((N + 1, spec.dims.n)))
     c_half = 0.5 * (c_nodes[:-1] + c_nodes[1:])
-    maps = tilq.auxiliary._affine_maps(D_nodes, D_half, grid.h)
+    anchors = riccati.closed_loop_anchors
     if name.startswith("stiff"):
-        assert len(maps.anchors.starts) > 10  # the scan crosses many links
-    got = tilq.auxiliary._affine_backward_rk4(maps, c_nodes, c_half, tables.g_T)
+        assert len(anchors.starts) > 10  # the scan crosses many links
+    got = tilq.auxiliary._affine_backward_rk4(anchors, D_nodes, D_half, c_nodes,
+                                              c_half, tables.g_T, grid.h)
     assert np.array_equal(got[-1], tables.g_T)
     assert_rel(got, ref.affine_backward_rk4(D_nodes, D_half, c_nodes, c_half,
                                             tables.g_T, grid.h))
+
+
+@pytest.mark.parametrize("build, N", [(tabulated_poly_spec, 300),
+                                      CASES["stiff_tabulated"]],
+                         ids=["tabulated_poly", "stiff_tabulated"])
+def test_adjoint_maps_are_closed_loop_transposes(build, N):
+    # the Picard pass steps phi by closed_loop[i]^T in place of RK4's
+    # backward map built from D = A_cl^T; the two agree term by term
+    spec = build()
+    grid = build_grid(spec.horizon, N)
+    riccati = solve_equilibrium_riccati(spec, grid)
+    steps = riccati.closed_loop
+    got = ref.adjoint_maps(*adjoint_rates(riccati), grid.h)
+    gap = float(np.max(np.abs(got - np.swapaxes(steps, -1, -2))))
+    assert gap <= 4 * np.spacing(float(np.max(np.abs(steps))))
 
 
 def test_right_point_drive_misses_reference(monkeypatch):

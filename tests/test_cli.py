@@ -251,6 +251,24 @@ class TestCommands:
             assert "tolerance must be positive" in err["message"]
         assert not (tmp_path / "out" / "P.csv").exists()
 
+    @pytest.mark.parametrize("command, flag, text, entry", [
+        ("solve", "--x0", "abc", "abc"),
+        ("solve", "--x0", "1,nan", "nan"),
+        ("solve", "--x0", "inf", "inf"),
+        ("sweep", "--values", "1,x", "x"),
+        ("sweep", "--values", "0.5,-inf", "-inf"),
+    ])
+    def test_bad_number_refused_up_front(self, tmp_path, capsys, command, flag,
+                                         text, entry):
+        problem = str(shipped_problem_path("hyperbolic_scalar_k1"))
+        rc = main([command, problem, "-N", "60", flag, text,
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().out.strip())["error"]
+        assert err["type"] == "TilqError"
+        assert err["message"] == f"{flag} entry {entry!r} is not a finite number"
+        assert not (tmp_path / "out").exists()
+
     def test_verify_passes_on_demo(self, tmp_path):
         out = tmp_path / "v"
         rc = main(["verify", str(shipped_problem_path("hyperbolic_scalar_k1")),

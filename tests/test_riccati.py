@@ -348,7 +348,10 @@ class TestPairTableBuilds:
 
 
 class TestAnchorings:
-    """The affine solve anchors each closed loop once, not once per pass.
+    """The affine solve and the paths read the closed loop's kept anchors.
+
+    The fixed point keeps those of its final closed loop; the local path
+    builds them on first use.
 
     Every anchoring is a ``tilq.grid._anchored`` call, so they are counted
     wherever a module of the package looks that name up.
@@ -377,7 +380,7 @@ class TestAnchorings:
         del anchorings[:]
         aux = solve_auxiliary(spec, grid, riccati)
         assert aux.diagnostics.iterations > 2
-        assert anchorings == [grid.N]  # phi's backward maps; the closed loop's are kept
+        assert anchorings == []  # phi's pass runs on the closed loop's kept anchors
         del anchorings[:]
         sol = EquilibriumSolution(spec=spec, grid=grid, riccati=riccati, auxiliary=aux)
         simulate_equilibrium(sol, 0, [1.0, -0.5])
