@@ -32,7 +32,7 @@ from .problem_io import (LoadedProblem, format_number, load_problem,
                          matrix_headers, parse_problem, write_csv,
                          write_problem_echo)
 from .riccati import classical_riccati, solve_equilibrium_riccati
-from .verification import run_spike_check, run_verification
+from .verification import _spike_steps, run_spike_check, run_verification
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -184,24 +184,25 @@ def cmd_verify(args) -> int:
                      f"{format_number(c.worst)},{c.witness}")
     (out / "verification.csv").write_text("\n".join(lines) + "\n")
 
+    # up to 8 spike probes in one batch; those whose widest spike leaves
+    # the horizon are dropped, and a grid too coarse for two widths has none
     rng = np.random.default_rng(loaded.verify_options.seed)
-    detail = []
-    for _ in range(min(8, loaded.verify_options.spike_points)):
-        t_idx = int(rng.integers(0, int(grid.N * 0.9)))
-        x = rng.uniform(-2.0, 2.0, size=loaded.spec.dims.n)
-        v = rng.uniform(-2.0, 2.0, size=loaded.spec.dims.m)
-        try:
-            rep = run_spike_check(sol, t_idx, x, v)
-        except TilqError:
-            continue  # probe too close to the horizon for this grid
-        detail.append([grid.nodes[t_idx]] + list(rep.quotients)
-                      + [rep.extrapolated, rep.analytic_reference])
-    if detail:
-        k = max(len(row) for row in detail) - 3
-        detail = [row for row in detail if len(row) == k + 3]
+    probes = [(int(rng.integers(0, int(grid.N * 0.9))),
+               rng.uniform(-2.0, 2.0, size=loaded.spec.dims.n),
+               rng.uniform(-2.0, 2.0, size=loaded.spec.dims.m))
+              for _ in range(min(8, loaded.verify_options.spike_points))]
+    steps = _spike_steps(grid, 0)
+    probes = [p for p in probes if p[0] + steps[0] <= grid.N]
+    if probes and len(steps) > 1:
+        reports = run_spike_check(sol, [i for i, _, _ in probes],
+                                  np.array([x for _, x, _ in probes]),
+                                  np.array([v for _, _, v in probes]))
         write_csv(out / "spike_detail.csv",
-                  ["t"] + [f"quotient_{i}" for i in range(k)]
-                  + ["extrapolated", "reference"], detail)
+                  ["t"] + [f"quotient_{i}" for i in range(len(steps))]
+                  + ["extrapolated", "reference"],
+                  [[grid.nodes[rep.t_idx]] + rep.quotients
+                   + [rep.extrapolated, rep.analytic_reference]
+                   for rep in reports])
     summary = {
         "command": "verify",
         "problem": loaded.spec.name,

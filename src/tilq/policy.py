@@ -42,6 +42,20 @@ with its drive (:attr:`EquilibriumSolution.path_anchors`, built once per
 solution on first use), in O(N n^2) per path; no table over node pairs is
 formed.
 
+Paths and costs are batched.  :func:`_equilibrium_paths` reads the paths
+from many (node, state) starts with one batched matrix-vector product per
+anchor segment, and stores them flat, path after path (:class:`_Paths`).
+:func:`_running_integrals` calls each cost kernel once per batch, on the
+flat (t, s) pairs of all its rows, so only where s >= t, and
+:func:`_terminal_costs` evaluates the terminal weights once per distinct t.
+Each path keeps the one-path trapezoid rule's dot product, and the batched
+products are those a single path makes, so a path's states, controls and
+costs do not depend on the batch it is in: :func:`simulate_equilibrium`,
+:func:`cost` and :func:`error_function_direct` are the one-start case.  A
+batch holds about BATCH_BYTES of paths, kernels and costs
+(:func:`_batches`, neighbouring starts together), which bounds the memory
+of the check battery (:mod:`tilq.verification`) whatever its sample counts.
+
 Cost evaluation freezes the first kernel argument at the evaluation time:
 J(t, x; u) integrates Q(t, s), M(t, s), ... over s with t fixed.  That
 frozen argument is the defining feature of the whole problem class; the
@@ -59,9 +73,9 @@ import numpy as np
 from .auxiliary import (AuxiliarySolution, _bordered_anchors,
                         _trapezoid_increments, solve_auxiliary)
 from .errors import ConsistencyError, TilqError
-from .grid import TimeGrid, _Anchors, _interp_half, quadrature
+from .grid import TimeGrid, _Anchors, _interp_half
 from .local import local_expansion, solve_local
-from .problem import ProblemSpec
+from .problem import ProblemSpec, eval_pairs
 from .riccati import (RiccatiSolution, SolveOptions, _initial_table,
                       solve_equilibrium_riccati)
 from .tables import SpecTables, factor_md, solve_chol
@@ -439,57 +453,162 @@ def simulate_equilibrium(sol: EquilibriumSolution, t_idx: int, x) -> Trajectory:
     """Equilibrium trajectory from the closed loop's bordered anchors.
 
     Y(s) = E_cl(s, t) x + btilde(s, t) node for node, with the node controls
-    -Gain Y - Upsilon.  [Y(t_j); 1] = psi_j psi_i^{-1} [x; 1] over the
-    anchors of :attr:`EquilibriumSolution.path_anchors`: v = psi_i^{-1}
-    [x; 1] fills i's segment with one matrix-vector product, and moves
-    through each link into the next segment.  Row 0 is x exactly.  No table
-    over node pairs is formed and nothing is re-integrated: this is the
-    representation the closed-form analysis uses, and it doubles as an
-    independent cross-check of :func:`simulate_control` run with the
-    feedback law.
+    -Gain Y - Upsilon: the one-start case of :func:`_equilibrium_paths`.
+    Row 0 is x exactly.  No table over node pairs is formed and nothing is
+    re-integrated: this is the representation the closed-form analysis
+    uses, and it doubles as an independent cross-check of
+    :func:`simulate_control` run with the feedback law.
     """
-    N = sol.grid.N
-    t_idx = _node_index(t_idx, N)
-    n = sol.spec.dims.n
-    x = _state(x, n)
-    anchors = sol.path_anchors
-    starts = anchors.starts
-    rows = anchors.psi.reshape(-1, n + 1)  # psi_j's rows, node after node
-    k = int(np.searchsorted(starts, t_idx, side="right")) - 1
-    v = anchors.inv[t_idx].dot(np.append(x, 1.0))
-    bordered = np.empty((N + 1 - t_idx, n + 1))  # [Y(t_j); 1]
-    a = t_idx
-    for seg, b in enumerate(starts[k + 1:].tolist() + [N + 1], k):
-        np.dot(rows[a * (n + 1):b * (n + 1)], v,
-               out=bordered[a - t_idx:b - t_idx].reshape(-1))
-        if b <= N:
-            v = anchors.links[seg].dot(v)
-        a = b
-    states = bordered[:, :n]
-    states[0] = x
-    controls = -(np.einsum("jmn,jn->jm", sol.riccati.gain[t_idx:], states)
-                 + sol.auxiliary.upsilon[t_idx:])
+    t_idx = _node_index(t_idx, sol.grid.N)
+    x = _state(x, sol.spec.dims.n)
+    paths = _equilibrium_paths(sol, np.array([t_idx]), x[None])
     return Trajectory(start_index=t_idx, start_state=x,
                       times=sol.grid.nodes[t_idx:],
-                      states=states, controls=controls)
+                      states=paths.states, controls=paths.controls)
+
+
+# ---------------------------------------------------------------------------
+# batched paths and costs
+
+
+# Bytes of one batch of paths: a batch's states, controls, kernel rows and
+# running costs together stay within about this much memory.
+BATCH_BYTES = 1 << 20
+
+
+@dataclass(frozen=True)
+class _Paths:
+    """Node-by-node paths stored flat: path p is rows offsets[p]:offsets[p+1].
+
+    Its rows belong to the nodes first[p], first[p] + 1, ... in turn.
+    """
+
+    first: np.ndarray     # (P,) node of each path's first row
+    offsets: np.ndarray   # (P + 1,)
+    states: np.ndarray    # (rows, n)
+    controls: np.ndarray  # (rows, m)
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """The node of every row."""
+        lengths = np.diff(self.offsets)
+        return (np.arange(self.offsets[-1])
+                - np.repeat(self.offsets[:-1] - self.first, lengths))
+
+    @property
+    def ends(self) -> np.ndarray:
+        """Each path's last state, (P, n)."""
+        return self.states[self.offsets[1:] - 1]
+
+
+def _joined(a: _Paths, b: _Paths) -> _Paths:
+    """The paths of ``a`` followed by those of ``b``, as one flat set."""
+    offsets = np.concatenate([a.offsets, a.offsets[-1] + b.offsets[1:]])
+    return _Paths(first=np.concatenate([a.first, b.first]), offsets=offsets,
+                  states=np.concatenate([a.states, b.states]),
+                  controls=np.concatenate([a.controls, b.controls]))
+
+
+def _row_bytes(spec: ProblemSpec) -> int:
+    """Bytes a batch holds per path node: states, kernels, costs, temporaries."""
+    n, m = spec.dims.n, spec.dims.m
+    return 8 * (n * n + m * n + m * m + 2 * n + 2 * m + 8)
+
+
+def _batches(starts, rows, row_bytes: int):
+    """Index arrays of the items, taken by increasing start, in batches.
+
+    Item k has ``rows[k]`` path nodes of ``row_bytes`` each, and a batch's
+    rows add up to about BATCH_BYTES; every batch holds one item at least.
+    Neighbouring starts share a batch, so its paths span few unused nodes.
+    """
+    order = np.argsort(starts, kind="stable")
+    ends = np.cumsum(np.asarray(rows)[order]) * row_bytes
+    lo = 0
+    while lo < len(order):
+        base = ends[lo - 1] if lo else 0
+        hi = max(int(np.searchsorted(ends, base + BATCH_BYTES, side="right")),
+                 lo + 1)
+        yield order[lo:hi]
+        lo = hi
+
+
+def _equilibrium_paths(sol: EquilibriumSolution, starts: np.ndarray,
+                       X: np.ndarray) -> _Paths:
+    """Equilibrium paths from the nodes ``starts`` (P,) at the states X (P, n).
+
+    [Y(t_j); 1] = psi_j psi_i^{-1} [x; 1] over the anchors of
+    :attr:`EquilibriumSolution.path_anchors`.  Per anchor segment, the
+    vectors v = psi_i^{-1} [x; 1] of the paths under way there are moved
+    into it (through the previous segment's link, or from their start) and
+    its rows psi_j are applied to all of them by one batched matrix-vector
+    product, from the first node any of them needs.  A path's rows do not
+    depend on the batch it is in.  Each path's first state is its x exactly.
+    """
+    N, n = sol.grid.N, sol.spec.dims.n
+    anchors = sol.path_anchors
+    order = np.argsort(starts, kind="stable")
+    first = starts[order]   # sorted: the paths under way are a prefix
+    P, lo = len(first), int(first[0])
+    X_bar = np.ones((P, n + 1))
+    X_bar[:, :n] = X[order]
+    rows = anchors.psi.reshape(-1, n + 1)  # psi_j's rows, node after node
+    bordered = np.empty((P, N + 1 - lo, n + 1))  # [Y(t_j); 1], from node lo
+    v = np.empty((P, n + 1, 1))
+    bounds = anchors.starts.tolist() + [N + 1]
+    begun = 0
+    for seg in range(int(np.searchsorted(anchors.starts, lo, side="right")) - 1,
+                     len(bounds) - 1):
+        a, b = max(bounds[seg], lo), bounds[seg + 1]
+        upto = int(np.searchsorted(first, b))  # paths begun before b
+        if upto > begun:
+            v[begun:upto] = np.matmul(anchors.inv[first[begun:upto]],
+                                      X_bar[begun:upto, :, None])
+            begun = upto
+        out = np.matmul(rows[a * (n + 1):b * (n + 1)], v[:upto])
+        bordered[:upto, a - lo:b - lo] = out.reshape(upto, b - a, n + 1)
+        if b <= N:
+            v[:upto] = np.matmul(anchors.links[seg], v[:upto])
+    lengths = N + 1 - starts
+    offsets = np.zeros(P + 1, dtype=np.intp)
+    np.cumsum(lengths, out=offsets[1:])
+    if P == 1:
+        states, nodes = bordered[0, :, :n], slice(lo, N + 1)
+    else:
+        # flat row r of path p (caller's order) is its node's row of bordered
+        where = np.empty(P, dtype=np.intp)
+        where[order] = np.arange(P)
+        shift = where * (N + 1 - lo) + (starts - lo) - offsets[:-1]
+        flat = np.arange(offsets[-1]) + np.repeat(shift, lengths)
+        states = bordered.reshape(-1, n + 1)[flat, :n]
+        nodes = flat % (N + 1 - lo) + lo
+    states[offsets[:-1]] = X
+    controls = -(np.einsum("jmn,jn->jm", sol.riccati.gain[nodes], states)
+                 + sol.auxiliary.upsilon[nodes])
+    return _Paths(first=starts, offsets=offsets, states=states,
+                  controls=controls)
 
 
 # ---------------------------------------------------------------------------
 # cost and error functions
 
 
-def _running_cost(Q, S, M, q, rho, Y: np.ndarray, U: np.ndarray,
+def _running_cost(kernels, Y: np.ndarray, U: np.ndarray,
                   start=0.0) -> np.ndarray:
     """start + <Q y, y> + 2 <S y, u> + <M u, u> + 2 <q, y> + 2 <rho, u> per node.
 
-    The terms are added left to right onto ``start``.  ``Y`` and ``U`` may
-    carry leading stack axes, one path per run.
+    ``kernels`` yields Q, S, M, q, rho in turn; a generator that evaluates
+    each as it is asked for holds one kernel table at a time.  The terms are
+    added left to right onto ``start``.  ``Y`` and ``U`` may carry leading
+    stack axes, one path per run.
     """
-    return (start + np.einsum("jab,...jb,...ja->...j", Q, Y, Y)
-            + 2.0 * np.einsum("jmn,...jn,...jm->...j", S, Y, U)
-            + np.einsum("jmp,...jp,...jm->...j", M, U, U)
-            + 2.0 * np.einsum("ja,...ja->...j", q, Y)
-            + 2.0 * np.einsum("jm,...jm->...j", rho, U))
+    kernels = iter(kernels)
+    out = start + np.einsum("jab,...jb,...ja->...j", next(kernels), Y, Y)
+    out += 2.0 * np.einsum("jmn,...jn,...jm->...j", next(kernels), Y, U)
+    out += np.einsum("jmp,...jp,...jm->...j", next(kernels), U, U)
+    out += 2.0 * np.einsum("ja,...ja->...j", next(kernels), Y)
+    out += 2.0 * np.einsum("jm,...jm->...j", next(kernels), U)
+    return out
 
 
 def _quadratic_form(mat, vec, const, x) -> np.ndarray:
@@ -498,33 +617,74 @@ def _quadratic_form(mat, vec, const, x) -> np.ndarray:
             + 2.0 * np.einsum("...a,...a->...", vec, x) + const)
 
 
-def _terminal_cost(spec: ProblemSpec, t: float, yT: np.ndarray,
-                  derivative: bool = False) -> float:
-    """<G(t) y, y> + 2 <g(t), y>, or the same form in G'(t), g'(t)."""
+def _running_integrals(spec: ProblemSpec, grid: TimeGrid, frozen: np.ndarray,
+                       paths: _Paths, derivative: bool = False) -> np.ndarray:
+    """Trapezoid integral of each path's running cost, kernels frozen at t.
+
+    Path p's kernels Q, S, M, q, rho are taken at (t, s), t =
+    nodes[frozen[p]], over its nodes s.  Each kernel is called once, on the
+    flat (t, s) pairs of all rows, so only where s >= t.  With
+    ``derivative`` they are the kernels' t-derivatives.  Each integral is
+    the one-path rule's dot product, so it does not depend on the batch.
+    """
+    lengths = np.diff(paths.offsets)
+    t_rows = np.repeat(grid.nodes[frozen], lengths)
+    s = grid.nodes[paths.nodes]
+    kernels = (
+        eval_pairs(f.dvalue_dt if derivative else f.value, t_rows, s, f.shape)
+        for f in (spec.Q, spec.S, spec.M, spec.q, spec.rho))
+    run = _running_cost(kernels, paths.states, paths.controls)
+    weights = np.full(len(run), grid.h)
+    weights[paths.offsets[:-1]] = weights[paths.offsets[1:] - 1] = 0.5 * grid.h
+    out = np.zeros(len(lengths))
+    for p, (a, b) in enumerate(zip(paths.offsets[:-1].tolist(),
+                                   paths.offsets[1:].tolist())):
+        if b - a > 1:
+            out[p] = weights[a:b].dot(run[a:b])
+    return out
+
+
+def _terminal_costs(spec: ProblemSpec, grid: TimeGrid, frozen: np.ndarray,
+                    ends: np.ndarray, derivative: bool = False) -> np.ndarray:
+    """<G(t) y, y> + 2 <g(t), y> per end state y = ends[p], t = nodes[frozen[p]].
+
+    With ``derivative`` the form is in G'(t), g'(t).  The weights are
+    evaluated once per distinct t, and the forms by batched products whose
+    floats are the one-state form's.
+    """
     term = spec.terminal
     G, g = (term.dG_dt, term.dg_dt) if derivative else (term.G, term.g)
-    G = np.asarray(G(t), dtype=float)
-    g = np.asarray(g(t), dtype=float).reshape(-1)
-    return float(yT @ G @ yT + 2.0 * g @ yT)
+    times = grid.nodes[frozen].tolist()
+    at = {}
+    for t in times:
+        if t not in at:
+            at[t] = (np.asarray(G(t), dtype=float),
+                     2.0 * np.asarray(g(t), dtype=float).reshape(-1))
+    G_p = np.array([at[t][0] for t in times])
+    g2_p = np.array([at[t][1] for t in times])
+    col = ends[:, :, None]
+    return (np.matmul(np.matmul(ends[:, None, :], G_p), col)
+            + np.matmul(g2_p[:, None, :], col))[:, 0, 0]
 
 
-def _frozen_kernels(spec: ProblemSpec, t: float, s: np.ndarray,
-                    derivative: bool = False) -> tuple:
-    """Q, S, M, q, rho at (t, s) for every s, the first argument frozen at t.
+def _equilibrium_costs(sol: EquilibriumSolution, starts, X,
+                       derivative: bool = False) -> np.ndarray:
+    """J(t, x) along the equilibrium from each start, kernels frozen at t.
 
-    With ``derivative`` the kernels are their t-derivatives.
+    With ``derivative`` it is the error function R(t, x) instead.  The
+    starts go through :func:`_equilibrium_paths`, :func:`_running_integrals`
+    and :func:`_terminal_costs` in batches of about BATCH_BYTES.
     """
-    return tuple(f.row(t, s, derivative)
-                 for f in (spec.Q, spec.S, spec.M, spec.q, spec.rho))
-
-
-def _running_integral(kernels: tuple, grid: TimeGrid, a_idx: int, b_idx: int,
-                      Y: np.ndarray, U: np.ndarray) -> float:
-    """Trapezoid integral over nodes a..b of the running cost of one path.
-
-    ``kernels`` are the five kernel rows over the same nodes.
-    """
-    return float(quadrature(_running_cost(*kernels, Y, U), grid, a_idx, b_idx))
+    spec, grid = sol.spec, sol.grid
+    starts = np.asarray(starts, dtype=np.intp)
+    X = np.asarray(X, dtype=float)
+    out = np.empty(len(starts))
+    for part in _batches(starts, grid.N + 1 - starts, _row_bytes(spec)):
+        at = starts[part]
+        paths = _equilibrium_paths(sol, at, X[part])
+        out[part] = (_running_integrals(spec, grid, at, paths, derivative)
+                     + _terminal_costs(spec, grid, at, paths.ends, derivative))
+    return out
 
 
 def cost(spec: ProblemSpec, grid: TimeGrid, traj: Trajectory, t_idx: int) -> float:
@@ -534,11 +694,11 @@ def cost(spec: ProblemSpec, grid: TimeGrid, traj: Trajectory, t_idx: int) -> flo
                         f"cost requested from node {t_idx}")
     if traj.states.shape[0] != grid.N + 1 - t_idx:
         raise TilqError("trajectory does not span [t, T] on this grid")
-    t = float(grid.nodes[t_idx])
-    kernels = _frozen_kernels(spec, t, grid.nodes[t_idx:])
-    return (_running_integral(kernels, grid, t_idx, grid.N, traj.states,
-                              traj.controls)
-            + _terminal_cost(spec, t, traj.states[-1]))
+    start = np.array([t_idx])
+    paths = _Paths(first=start, offsets=np.array([0, grid.N + 1 - t_idx]),
+                   states=traj.states, controls=traj.controls)
+    return float(_running_integrals(spec, grid, start, paths)[0]
+                 + _terminal_costs(spec, grid, start, paths.ends)[0])
 
 
 def error_function_direct(sol: EquilibriumSolution, t_idx: int, x) -> float:
@@ -547,13 +707,9 @@ def error_function_direct(sol: EquilibriumSolution, t_idx: int, x) -> float:
     Simulates the equilibrium path from (t, x) and integrates the kernel
     time-derivatives along it; the terminal term uses G'(t), g'(t).
     """
-    grid = sol.grid
-    traj = simulate_equilibrium(sol, t_idx, x)
-    t = float(grid.nodes[t_idx])
-    kernels = _frozen_kernels(sol.spec, t, grid.nodes[t_idx:], derivative=True)
-    return (_running_integral(kernels, grid, t_idx, grid.N, traj.states,
-                              traj.controls)
-            + _terminal_cost(sol.spec, t, traj.states[-1], derivative=True))
+    t_idx = _node_index(t_idx, sol.grid.N)
+    x = _state(x, sol.spec.dims.n)
+    return float(_equilibrium_costs(sol, [t_idx], x[None], derivative=True)[0])
 
 
 def error_function_closed(sol: EquilibriumSolution, t_idx, x):

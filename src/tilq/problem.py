@@ -131,11 +131,18 @@ class TwoTimeField:
     included) and return an array that broadcasts to
     broadcast(t, s).shape + shape: the time axes lead and the field's own
     axes trail.  Kernels are evaluated over whole blocks of node pairs.
+
+    A separable field (:meth:`separable`) records its discount ``kernel``
+    and ``weigh``, the map (w, s) -> w * base(s) that its value and
+    derivative apply to lam(t, s) and dlam_dt(t, s), so that lam values
+    looked up once serve every field of a problem.
     """
 
     value: Callable
     dvalue_dt: Callable
     shape: tuple
+    kernel: DiscountKernel | None = dc_field(default=None, compare=False)
+    weigh: Callable | None = dc_field(default=None, compare=False, repr=False)
 
     def __call__(self, t: float, s: float) -> np.ndarray:
         return np.asarray(self.value(t, s), dtype=float).reshape(self.shape)
@@ -160,34 +167,30 @@ class TwoTimeField:
         shape = tuple(shape)
         pad = (1,) * len(shape)
         if callable(base):
-            # base is called once per element of s (once per node for a
-            # broadcast grid of pairs)
-            def weighted(weight, t, s):
-                w = np.asarray(weight(t, s), dtype=float)
+            # base is called once per distinct time of s, in increasing
+            # order where s repeats or is unordered (flat batches of pairs
+            # repeat every node), and scattered back to s's elements
+            def weigh(w, s):
                 s = np.asarray(s, dtype=float)
-                at_s = np.asarray([base(float(x)) for x in s.ravel()],
-                                  dtype=float).reshape(s.shape + shape)
-                return w.reshape(w.shape + pad) * at_s
+                times, where = s.ravel(), slice(None)
+                if times.size > 1 and not (times[1:] > times[:-1]).all():
+                    times, where = np.unique(times, return_inverse=True)
+                at_s = np.asarray([base(x) for x in times.tolist()], dtype=float)
+                return (w.reshape(w.shape + pad)
+                        * at_s[where].reshape(s.shape + shape))
+        else:
+            base_arr = _freeze(np.asarray(base, dtype=float).reshape(shape))
 
-            def value(t, s):
-                return weighted(kernel.lam, t, s)
-
-            def dvalue(t, s):
-                return weighted(kernel.dlam_dt, t, s)
-
-            return TwoTimeField(value, dvalue, shape)
-
-        base_arr = _freeze(np.asarray(base, dtype=float).reshape(shape))
+            def weigh(w, s):
+                return w.reshape(w.shape + pad) * base_arr
 
         def value(t, s):
-            lam = np.asarray(kernel.lam(t, s), dtype=float)
-            return lam.reshape(lam.shape + pad) * base_arr
+            return weigh(np.asarray(kernel.lam(t, s), dtype=float), s)
 
         def dvalue(t, s):
-            dl = np.asarray(kernel.dlam_dt(t, s), dtype=float)
-            return dl.reshape(dl.shape + pad) * base_arr
+            return weigh(np.asarray(kernel.dlam_dt(t, s), dtype=float), s)
 
-        return TwoTimeField(value, dvalue, shape)
+        return TwoTimeField(value, dvalue, shape, kernel=kernel, weigh=weigh)
 
 
 @dataclass(frozen=True)

@@ -196,6 +196,8 @@ class RiccatiSolution:
     # the kernel's exponential sum (tilq.local.ExponentialSum) when the local
     # ODE sweep produced this solution; None on the fixed-point path
     expansion: object = None
+    # the fixed point's options; None on the local path
+    options: SolveOptions | None = None
     # closed_loop's anchors: given by the fixed point, else built on first use
     _anchors: _Anchors | None = field(default=None, repr=False)
 
@@ -449,13 +451,7 @@ def solve_equilibrium_riccati(spec: ProblemSpec, grid: TimeGrid,
     opts = opts or SolveOptions()
     if tables is None:
         tables = SpecTables(spec, grid)
-
-    def sweep(P):
-        return _sweep_core(P, tables)[0]
-
-    P0 = _initial_table(opts.initial, tables.G_T, grid.N, "P")
-    P_final, diag = damped_fixed_point(P0, sweep, opts, "equilibrium Riccati")
-
+    P_final, diag = _fixed_point_p(opts, tables)
     gain = _gain_table(P_final, tables)
     cl = _closed_loop_table(gain, tables)
     anchors = _anchored(cl).read_only()
@@ -463,7 +459,22 @@ def solve_equilibrium_riccati(spec: ProblemSpec, grid: TimeGrid,
     warn_if_indefinite(P_final, diag)
     return RiccatiSolution(grid=grid, P=P_final, gain=gain, qbb=qbb,
                            closed_loop=cl, diagnostics=diag, tables=tables,
-                           _anchors=anchors)
+                           options=opts, _anchors=anchors)
+
+
+def _fixed_point_p(opts: SolveOptions,
+                   tables: SpecTables) -> tuple[np.ndarray, FixedPointDiagnostics]:
+    """The damped fixed point for P alone, from ``opts.initial``.
+
+    What :func:`solve_equilibrium_riccati` iterates, without the gain, closed
+    loop and Qbb it then rebuilds from the converged P.  Raises
+    ConvergenceError with the run's diagnostics.
+    """
+    def sweep(P):
+        return _sweep_core(P, tables)[0]
+
+    P0 = _initial_table(opts.initial, tables.G_T, tables.grid.N, "P")
+    return damped_fixed_point(P0, sweep, opts, "equilibrium Riccati")
 
 
 # ---------------------------------------------------------------------------

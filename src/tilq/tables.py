@@ -4,7 +4,9 @@ Everything the solvers touch repeatedly is evaluated once here: dynamics and
 diagonal kernel values K(t, t) at nodes and half nodes, the open-loop RK4
 steps and their anchored fundamental matrices, terminal weights, and the
 O(N^2) first-argument derivatives K_t(t_i, t_j), which only the fixed-point
-path and the verification checks build.  M(t_i, t_i) is factored once: its
+path and the verification checks build.  The diagonal tables of a
+separable spec's fields weigh the kernel's lam(t, t), looked up once on the
+nodes and once on the half nodes.  M(t_i, t_i) is factored once: its
 Cholesky factors L_i and their inverses are cached, and every gain and
 Upsilon solve (:meth:`SpecTables.solve_md`) is the two batched products
 L_i^{-T} (L_i^{-1} rhs_i).  The base values of a separable spec's cost
@@ -146,6 +148,11 @@ def _on_diagonal(field, times: np.ndarray) -> np.ndarray:
     return np.array(eval_pairs(field.value, times, times, field.shape))
 
 
+def _kernel_diagonal(kernel, times: np.ndarray) -> np.ndarray:
+    """lam(t, t) at every time, in one call of the kernel."""
+    return np.array(eval_pairs(kernel.lam, times, times, ()))
+
+
 def suffix_weights(grid: TimeGrid) -> np.ndarray:
     """W[i, j]: trapezoid weight of node j in the integral over [t_i, T]."""
     N = grid.N
@@ -222,10 +229,22 @@ class SpecTables:
     # -- diagonal kernel values K(t, t) -------------------------------------
 
     def _diag(self, field) -> np.ndarray:
-        return _on_diagonal(field, self.grid.nodes)
+        return self._diagonal(field, self.grid.nodes, "lam_diag")
 
     def _diag_half(self, field) -> np.ndarray:
-        return _on_diagonal(field, self.grid.half_nodes)
+        return self._diagonal(field, self.grid.half_nodes, "_lam_half")
+
+    def _diagonal(self, field, times: np.ndarray, lam: str) -> np.ndarray:
+        """K(t, t) at every time, in one call of the field.
+
+        A separable field of the spec's kernel weighs the kernel's cached
+        lam(t, t) instead (attribute ``lam``), with the same floats, so the
+        kernel is looked up twice per solve: on the nodes and half nodes.
+        """
+        if field.kernel is None or field.kernel is not self.spec.kernel:
+            return _on_diagonal(field, times)
+        values = field.weigh(getattr(self, lam), times)
+        return np.array(np.broadcast_to(values, (len(times),) + tuple(field.shape)))
 
     @cached_property
     def Qd(self) -> np.ndarray:
@@ -316,8 +335,12 @@ class SpecTables:
     @cached_property
     def lam_diag(self) -> np.ndarray:
         """lam(t_j, t_j) of a separable spec's kernel at every node."""
-        nodes = self.grid.nodes
-        return np.array(eval_pairs(self.spec.kernel.lam, nodes, nodes, ()))
+        return _kernel_diagonal(self.spec.kernel, self.grid.nodes)
+
+    @cached_property
+    def _lam_half(self) -> np.ndarray:
+        """lam(t, t) of a separable spec's kernel at every half node."""
+        return _kernel_diagonal(self.spec.kernel, self.grid.half_nodes)
 
     @cached_property
     def Qt(self) -> np.ndarray:

@@ -27,6 +27,24 @@ finite schedule with first-order Richardson extrapolation; a finite
 schedule cannot distinguish liminf from lim, which is recorded in every
 report.  Candidate-control sampling can falsify the recursion inequality
 but never certify the infimum over all square-integrable controls.
+
+Batches.  :func:`run_verification` draws each section's sample points in
+turn, in the order a point-by-point loop draws them, and then runs the
+spike, error-function, V = J and gradient sections as batches.  Their
+equilibrium paths and costs go through the batched path-and-cost layer of
+:mod:`tilq.policy`, in batches of about ``tilq.policy.BATCH_BYTES``: a
+batch of spike points holds, for each point, the equilibrium from it, the
+equilibrium tail from every spike's switch node and every spike's head,
+with the kernels frozen at the point's t.  Each path keeps its own sums, so
+every quotient, cost and R equals its one-point value bit for bit.  The
+gradient section interpolates P, phi and psi at all its times at once and
+forms V at all shifted states in one quadratic form; its worst value moves
+by rounding, about 1e-12 absolute against a point-by-point loop.  The
+Bellman recursion and the integral-form residual stay per point: the
+recorded worst values of the two are held to about 2e-15 and 5e-15
+absolute, which a regrouped sum could move.  The uniqueness probe iterates
+the fixed point for P alone, and on a fixed-point solution solved with the
+default options from "terminal" it takes the G(T) start from the solve.
 """
 
 from __future__ import annotations
@@ -38,19 +56,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .auxiliary import _correction, _omega_table, _psi_rate, _sbb_table
-# Not called here: the uniqueness probe solves for P only.  The name stays
-# in this module because perfbench/spans.py wraps it here.
+# Not called here: the uniqueness probe solves for P only.  The names stay
+# in this module because perfbench/spans.py wraps them here.
 from .auxiliary import solve_auxiliary  # noqa: F401
 from .errors import TilqError
 from .grid import (TimeGrid, _interp_half, closed_loop_drive,
                    closed_loop_matrices, quadrature)
-from .policy import (EquilibriumSolution, _frozen_kernels, _node_index,
-                     _quadratic_form, _running_cost, _running_integral,
-                     _terminal_cost, cost, error_function_closed,
-                     error_function_direct, feedback, grad_value,
-                     simulate_control, simulate_equilibrium, value)
+from .policy import (EquilibriumSolution, _batches, _equilibrium_costs,
+                     _equilibrium_paths, _joined, _locate, _node_index, _Paths,
+                     _quadratic_form, _row_bytes, _running_cost,
+                     _running_integrals, _terminal_costs, error_function_closed,
+                     feedback, simulate_control, simulate_equilibrium, value)
 from .problem import ProblemSpec
-from .riccati import SolveOptions, solve_equilibrium_riccati
+from .riccati import (RiccatiSolution, SolveOptions, _fixed_point_p,
+                      warn_if_indefinite)
+from .riccati import solve_equilibrium_riccati  # noqa: F401
 from .tables import SpecTables, pair_costs, solve_chol
 
 # Pass thresholds of the check battery and its fixed sample sizes.
@@ -95,6 +115,19 @@ def _snap_steps(eps: float, grid: TimeGrid) -> int:
     return max(k, 2)
 
 
+def _spike_steps(grid: TimeGrid, t_idx: int) -> list:
+    """The spike schedule's widths, in grid steps, that fit after node t_idx.
+
+    Distinct and widest first.
+    """
+    steps = []
+    for frac in SPIKE_FRACTIONS:
+        k = _snap_steps(frac * grid.T, grid)
+        if t_idx + k <= grid.N and k not in steps:
+            steps.append(k)
+    return sorted(steps, reverse=True)
+
+
 def spike_quotient(sol: EquilibriumSolution, t_idx: int, x, v, eps: float) -> float:
     """(J(t,x; perturbed) - J(t,x; equilibrium)) / eps.
 
@@ -112,87 +145,112 @@ def spike_quotient(sol: EquilibriumSolution, t_idx: int, x, v, eps: float) -> fl
     k = _snap_steps(eps, grid)
     if t_idx + k > grid.N:
         raise TilqError(f"spike [{t_idx}, {t_idx + k}] leaves the horizon")
-    v = np.asarray(v, dtype=float).reshape(1, sol.spec.dims.m)
-    return float(_spike_quotients(sol, t_idx, x, v, [k])[0, 0])
+    x = np.asarray(x, dtype=float).reshape(1, sol.spec.dims.n)
+    v = np.asarray(v, dtype=float).reshape(1, 1, sol.spec.dims.m)
+    return float(_spike_quotients(sol, np.array([t_idx]), x, v, [k])[0, 0, 0])
 
 
-def _spike_quotients(sol: EquilibriumSolution, t_idx: int, x, vs: np.ndarray,
-                     steps: list) -> np.ndarray:
-    """Spike quotients (S, W) of the constant controls ``vs`` (S, m).
+def _spike_quotients(sol: EquilibriumSolution, t_idx: np.ndarray, X: np.ndarray,
+                     vs: np.ndarray, steps: list) -> np.ndarray:
+    """Spike quotients (P, S, W) at the points (t_idx[p], X[p]).
 
-    Column w belongs to a spike of ``steps[w]`` grid steps.  What depends on
-    (t, x) alone is done once: the kernel rows at t over [t, T], sliced for
-    each width, the equilibrium cost, and one stacked head integration to
-    the widest spike.  A constant control is an open-loop table, so each
-    narrower head is a prefix of that integration.
+    ``vs`` (P, S, m) holds each point's constant controls, and column w
+    belongs to a spike of ``steps[w]`` grid steps.  Per point, one stacked
+    head integration to the widest spike serves every control and width: a
+    constant control is an open-loop table, so each narrower head is a
+    prefix of it.  The equilibrium paths from the points and from every
+    spike's switch node, and the costs along them and the heads, go through
+    the batched path-and-cost layer of :mod:`tilq.policy`, a batch of
+    points at a time.  The kernels stay frozen at each point's t throughout.
     """
     spec, grid = sol.spec, sol.grid
-    n, m, N = spec.dims.n, spec.dims.m, grid.N
-    x = np.asarray(x, dtype=float).reshape(n)
-    t = float(grid.nodes[t_idx])
-    kernels = _frozen_kernels(spec, t, grid.nodes[t_idx:])
-    eq = simulate_equilibrium(sol, t_idx, x)
-    J_eq = (_running_integral(kernels, grid, t_idx, N, eq.states, eq.controls)
-            + _terminal_cost(spec, t, eq.states[-1]))
-    widest = max(steps)
-    head = simulate_control(spec, grid, np.broadcast_to(
-        vs[:, None, :], (len(vs), widest + 1, m)), t_idx, x,
-        stop_idx=t_idx + widest, tables=sol.tables)
-    out = np.empty((len(vs), len(steps)))
-    for w, k in enumerate(steps):
-        switch = t_idx + k
-        head_kernels = tuple(r[:k + 1] for r in kernels)
-        tail_kernels = tuple(r[k:] for r in kernels)
-        for j in range(len(vs)):
-            Y = head.states[j, :k + 1]
-            tail = simulate_equilibrium(sol, switch, Y[-1])
-            J_pert = (_running_integral(head_kernels, grid, t_idx, switch, Y,
-                                        head.controls[j, :k + 1])
-                      + _running_integral(tail_kernels, grid, switch, N,
-                                          tail.states, tail.controls)
-                      + _terminal_cost(spec, t, tail.states[-1]))
-            out[j, w] = (J_pert - J_eq) / (k * grid.h)
+    N, n, m = grid.N, spec.dims.n, spec.dims.m
+    S, W, widest = vs.shape[1], len(steps), max(steps)
+    steps = np.asarray(steps)
+    out = np.empty((len(t_idx), S, W))
+    rows = (1 + S * W) * (N + 1 - t_idx) + S * W * (widest + 1)
+    for part in _batches(t_idx, rows, _row_bytes(spec)):
+        at, Xp = t_idx[part], X[part]
+        P, spikes = len(at), len(at) * S * W
+        heads = [simulate_control(
+            spec, grid, np.broadcast_to(v[:, None, :], (S, widest + 1, m)),
+            int(i), x, stop_idx=int(i) + widest, tables=sol.tables)
+            for i, x, v in zip(at, Xp, vs[part])]
+        # spike (p, j, w) is frozen at point p and switches at at[p] + steps[w]
+        spike_t = np.repeat(at, S * W)
+        switch = spike_t + np.tile(steps, P * S)
+        # the equilibrium from each point, then each spike's tail from its
+        # switch; then each spike's head
+        eq = _equilibrium_paths(sol, np.concatenate([at, switch]), np.concatenate(
+            [Xp, np.stack([tr.states[:, steps] for tr in heads]).reshape(-1, n)]))
+        head = _Paths(
+            first=spike_t,
+            offsets=np.concatenate([[0], np.cumsum(np.tile(steps + 1, P * S))]),
+            states=np.concatenate([Y[:k + 1] for tr in heads
+                                   for Y in tr.states for k in steps]),
+            controls=np.concatenate([U[:k + 1] for tr in heads
+                                     for U in tr.controls for k in steps]))
+        frozen = np.concatenate([at, spike_t])
+        run = _running_integrals(spec, grid, np.concatenate([frozen, spike_t]),
+                                 _joined(eq, head))
+        term = _terminal_costs(spec, grid, frozen, eq.ends)
+        J_eq = run[:P] + term[:P]
+        J_pert = run[P + spikes:] + run[P:P + spikes] + term[P:]
+        out[part] = ((J_pert.reshape(-1, S, W) - J_eq[:, None, None])
+                     / (steps * grid.h))
     return out
 
 
-def run_spike_check(sol: EquilibriumSolution, t_idx: int, x, v):
+def run_spike_check(sol: EquilibriumSolution, t_idx, x, v):
     """Quotients over the spike schedule plus the extrapolated limit.
 
     ``v`` is one constant control (m,), giving one report, or a stack
-    (S, m), giving a list of S reports that share the work on (t, x).
+    (S, m), giving a list of S reports that share the work on (t, x).  The
+    schedule keeps the widths that fit before the horizon.
+
+    ``t_idx`` may also be a sequence of P nodes, with x (P, n) and v (P, m)
+    or (P, S, m): the points then run as one batch and give a list of P
+    reports, or of P lists.  Every point must fit the whole schedule, else
+    TilqError names the first that does not.
     """
     grid = sol.grid
     spec = sol.spec
-    t_idx = _node_index(t_idx, grid.N)
-    steps = []
-    for frac in SPIKE_FRACTIONS:
-        k = _snap_steps(frac * grid.T, grid)
-        if t_idx + k <= grid.N and k not in steps:
-            steps.append(k)
-    steps.sort(reverse=True)
+    n, m = spec.dims.n, spec.dims.m
+    single = np.ndim(t_idx) == 0
+    points = [_node_index(i, grid.N) for i in np.ravel(t_idx).tolist()]
+    if not points:
+        return []
+    steps = _spike_steps(grid, points[0] if single else 0)
     if len(steps) < 2:
         raise TilqError("spike schedule leaves fewer than two usable widths; "
                         "refine the grid or move the probe point away from "
                         "the horizon")
+    for i in points:
+        if i + steps[0] > grid.N:
+            raise TilqError(f"spike [{i}, {i + steps[0]}] leaves the horizon")
     eps_list = [k * grid.h for k in steps]
-    x = np.asarray(x, dtype=float).reshape(spec.dims.n)
+    X = np.asarray(x, dtype=float).reshape(len(points), n)
     vs = np.asarray(v, dtype=float)
-    single = vs.ndim <= 1
-    vs = vs.reshape(-1, spec.dims.m)
-    t = float(grid.nodes[t_idx])
-    u_eq = feedback(sol, t, x)
-    M = np.asarray(spec.M(t, t), dtype=float)
+    stacked = vs.ndim > (1 if single else 2)
+    vs = vs.reshape(len(points), -1, m)
+    quotients = _spike_quotients(sol, np.array(points), X, vs, steps)
     e1, e2 = eps_list[-2], eps_list[-1]
-    reports = []
-    for v_j, quotients in zip(vs, _spike_quotients(sol, t_idx, x, vs, steps)):
-        q1, q2 = quotients[-2], quotients[-1]
-        extrapolated = float((e1 * q2 - e2 * q1) / (e1 - e2))
-        du = v_j - u_eq
-        reports.append(SpikeReport(t_idx=t_idx, x=x, v=v_j, epsilons=eps_list,
-                                   quotients=quotients.tolist(),
-                                   extrapolated=extrapolated,
-                                   analytic_reference=float(du @ M @ du)))
-    return reports[0] if single else reports
+    out = []
+    for i, x_p, v_p, q_p in zip(points, X, vs, quotients):
+        t = float(grid.nodes[i])
+        u_eq = feedback(sol, t, x_p)
+        M = np.asarray(spec.M(t, t), dtype=float)
+        reports = []
+        for v_j, q in zip(v_p, q_p):
+            q1, q2 = q[-2], q[-1]
+            extrapolated = float((e1 * q2 - e2 * q1) / (e1 - e2))
+            du = v_j - u_eq
+            reports.append(SpikeReport(t_idx=i, x=x_p, v=v_j, epsilons=eps_list,
+                                       quotients=q.tolist(),
+                                       extrapolated=extrapolated,
+                                       analytic_reference=float(du @ M @ du)))
+        out.append(reports if stacked else reports[0])
+    return out[0] if single else out
 
 
 def spike_limit_analytic(sol: EquilibriumSolution, t_idx: int, x, v) -> float:
@@ -240,8 +298,8 @@ def _hamiltonian_gap(sol: EquilibriumSolution, rates: tuple, sl: slice,
     grad = 2.0 * (sol.riccati.P[sl] @ x) + 2.0 * sol.auxiliary.phi[sl]
     flow = (np.einsum("iab,b->ia", tbl.A[sl], x)
             + np.einsum("iam,im->ia", tbl.B[sl], u) + tbl.b[sl])
-    ham = _running_cost(tbl.Qd[sl], tbl.Sd[sl], tbl.Md[sl], tbl.qd[sl],
-                        tbl.rhod[sl], np.broadcast_to(x, flow.shape), u,
+    ham = _running_cost((tbl.Qd[sl], tbl.Sd[sl], tbl.Md[sl], tbl.qd[sl],
+                         tbl.rhod[sl]), np.broadcast_to(x, flow.shape), u,
                         start=np.einsum("ia,ia->i", grad, flow))
     return V_t + ham - R
 
@@ -269,8 +327,8 @@ def bellman_residual(sol: EquilibriumSolution, t_idx: int, s_idx: int, x,
     tbl = sol.tables
     sl = slice(t_idx, s_idx + 1)
     Y, U = traj.states, traj.controls
-    run = _running_cost(tbl.Qd[sl], tbl.Sd[sl], tbl.Md[sl], tbl.qd[sl],
-                        tbl.rhod[sl], Y, U)
+    run = _running_cost((tbl.Qd[sl], tbl.Sd[sl], tbl.Md[sl], tbl.qd[sl],
+                         tbl.rhod[sl]), Y, U)
     run -= error_function_closed(sol, sl, Y)
     t, s = float(grid.nodes[t_idx]), float(grid.nodes[s_idx])
     # one trapezoid sum and one V(s, y(s)) per run, so that a stacked run
@@ -396,7 +454,8 @@ def hjb_integral_residual(sol: EquilibriumSolution, t_idx: int, x) -> float:
         inner[rows] = np.einsum("ij,ij->i", F, weight)
     outer = quadrature(H_run - inner[sl], grid, t_idx, N)
     # terminal weights frozen at the start time of the representation
-    rhs = float(outer) + _terminal_cost(spec, t, Y[-1])
+    rhs = float(outer) + float(
+        _terminal_costs(spec, grid, np.array([t_idx]), Y[-1:])[0])
     return rhs - value(sol, t, x)
 
 
@@ -417,14 +476,19 @@ def uniqueness_probe(spec: ProblemSpec, grid: TimeGrid, inits,
                      tables: SpecTables | None = None) -> UniquenessProbe:
     """Solve for P from each initial table; report the max pairwise distance.
 
-    Only the Riccati fixed point runs: once P is fixed, phi and psi solve
-    linear equations, so a second start could not move them.  Every start
+    Only the Riccati fixed point for P runs: once P is fixed, phi and psi
+    solve linear equations, so a second start could not move them, and the
+    gain, closed loop and Qbb of a converged P are not needed.  Every start
     runs the damped fixed point, whatever path
     :func:`tilq.policy.solve_equilibrium` would take, because the iteration
     from distinct starts is what the probe measures.  ``opts`` applies to
-    every start.  ``tables`` (for example a solution's own) saves
+    every start.  An entry of ``inits`` may also be a fixed-point
+    :class:`tilq.riccati.RiccatiSolution` on this grid, solved with those
+    options from its own start; its P and iteration count are taken as that
+    start's run.  ``tables`` (for example a solution's own) saves
     rebuilding the kernel plane or triangles.  A run that fails to converge
-    raises ConvergenceError with that run's diagnostics attached.
+    raises ConvergenceError with that run's diagnostics attached, and a P
+    with negative eigenvalues warns, as a solve does.
     """
     if len(inits) < 2:
         raise TilqError("uniqueness probe needs at least two initial tables")
@@ -433,13 +497,32 @@ def uniqueness_probe(spec: ProblemSpec, grid: TimeGrid, inits,
         tables = SpecTables(spec, grid)
     Ps, iterations = [], []
     for init in inits:
-        riccati = solve_equilibrium_riccati(
-            spec, grid, dataclasses.replace(base, initial=init), tables=tables)
-        Ps.append(riccati.P)
-        iterations.append(riccati.diagnostics.iterations)
+        if isinstance(init, RiccatiSolution):
+            if init.grid.N != grid.N:
+                raise TilqError(f"uniqueness probe on N={grid.N} given a "
+                                f"solution on N={init.grid.N}")
+            P, diag = init.P, init.diagnostics
+        else:
+            P, diag = _fixed_point_p(dataclasses.replace(base, initial=init),
+                                     tables)
+            warn_if_indefinite(P, diag)
+        Ps.append(P)
+        iterations.append(diag.iterations)
     p_dist = max(float(np.max(np.abs(a - b)))
                  for a, b in itertools.combinations(Ps, 2))
     return UniquenessProbe(p_distance=p_dist, iterations=iterations)
+
+
+def _probe_start(sol: EquilibriumSolution):
+    """The probe's G(T) start: the solution's own Riccati run where it is one.
+
+    A fixed-point solve with the probe's options, SolveOptions() from
+    "terminal" on the same tables, is the probe's G(T) run bit for bit.
+    """
+    opts = sol.riccati.options  # None on the local path
+    if isinstance(getattr(opts, "initial", None), str) and opts == SolveOptions():
+        return sol.riccati
+    return sol.tables.G_T
 
 
 # ---------------------------------------------------------------------------
@@ -500,16 +583,18 @@ def run_verification(sol: EquilibriumSolution,
     report = VerificationReport(seed=vopts.seed)
     box = vopts.state_box
 
-    # spike variation
+    # spike variation: the points drawn in turn, then run as one batch
+    max_frac = max(SPIKE_FRACTIONS)
+    points = [(int(rng.integers(0, int(grid.N * (1 - 2 * max_frac)))),
+               rng.uniform(-box, box, size=n), rng.uniform(-box, box, size=m))
+              for _ in range(vopts.spike_points)]
+    spikes = run_spike_check(
+        sol, [i for i, _, _ in points], np.array([x for _, x, _ in points]),
+        np.array([[v, feedback(sol, float(grid.nodes[i]), x)]
+                  for i, x, v in points]))
     worst_neg, worst_at_u, worst_match = 0.0, 0.0, 0.0
     wit_neg = wit_u = wit_match = ""
-    max_frac = max(SPIKE_FRACTIONS)
-    for _ in range(vopts.spike_points):
-        t_idx = int(rng.integers(0, int(grid.N * (1 - 2 * max_frac))))
-        x = rng.uniform(-box, box, size=n)
-        v = rng.uniform(-box, box, size=m)
-        u_here = feedback(sol, float(grid.nodes[t_idx]), x)
-        rep, rep_u = run_spike_check(sol, t_idx, x, np.stack([v, u_here]))
+    for (t_idx, _, _), (rep, rep_u) in zip(points, spikes):
         if -rep.extrapolated > worst_neg:
             worst_neg = -rep.extrapolated
             wit_neg = f"t_idx={t_idx}"
@@ -566,41 +651,39 @@ def run_verification(sol: EquilibriumSolution,
         sup_int = max(sup_int, abs(hjb_integral_residual(sol, t_idx, x)))
     report.add("integral-form residual", sup_int <= hjb_tol, hjb_tol, sup_int)
 
-    # error-function equivalence
+    # error-function equivalence, its points drawn in turn, then batched
+    t_idxs, X = _node_states(rng, grid, n, box, vopts.value_points)
+    rds = _equilibrium_costs(sol, t_idxs, X, derivative=True)
     worst_eqv = 0.0
-    for _ in range(vopts.value_points):
-        t_idx = int(rng.integers(0, grid.N + 1))
-        x = rng.uniform(-box, box, size=n)
-        rd = error_function_direct(sol, t_idx, x)
+    for t_idx, x, rd in zip(t_idxs.tolist(), X, rds.tolist()):
         rc = error_function_closed(sol, t_idx, x)
         worst_eqv = max(worst_eqv, abs(rd - rc) / (1.0 + max(abs(rd), abs(rc))))
     report.add("error-function equivalence", worst_eqv <= EQUIVALENCE_RTOL,
                EQUIVALENCE_RTOL, worst_eqv)
 
-    # value representation V = J along the equilibrium
+    # value representation V = J along the equilibrium, batched alike
+    t_idxs, X = _node_states(rng, grid, n, box, vopts.value_points)
+    Js = _equilibrium_costs(sol, t_idxs, X)
     worst_rep = 0.0
-    for _ in range(vopts.value_points):
-        t_idx = int(rng.integers(0, grid.N + 1))
-        x = rng.uniform(-box, box, size=n)
+    for t_idx, x, J in zip(t_idxs.tolist(), X, Js.tolist()):
         V = value(sol, float(grid.nodes[t_idx]), x)
-        J = cost(spec, grid, simulate_equilibrium(sol, t_idx, x), t_idx)
         worst_rep = max(worst_rep, abs(V - J) / (1.0 + abs(V)))
     report.add("value equals equilibrium cost", worst_rep <= VALUE_MATCH_TOL,
                VALUE_MATCH_TOL, worst_rep)
 
-    # gradient versus central differences
-    worst_grad = 0.0
-    for _ in range(vopts.gradient_points):
-        t = float(rng.uniform(0.0, grid.T))
-        x = rng.uniform(-box, box, size=n)
-        g = grad_value_fd_gap(sol, t, x)
-        worst_grad = max(worst_grad, g)
+    # gradient versus central differences, all points in one batch
+    ts = np.empty(vopts.gradient_points)
+    X = np.empty((vopts.gradient_points, n))
+    for k in range(vopts.gradient_points):
+        ts[k] = rng.uniform(0.0, grid.T)
+        X[k] = rng.uniform(-box, box, size=n)
+    worst_grad = float(np.max(_grad_fd_gaps(sol, ts, X), initial=0.0))
     report.add("gradient matches central differences",
                worst_grad <= GRADIENT_RTOL, GRADIENT_RTOL, worst_grad)
 
     # uniqueness across initializations
     G_T = sol.tables.G_T
-    probe = uniqueness_probe(spec, grid, ["zero", G_T, 5.0 * G_T],
+    probe = uniqueness_probe(spec, grid, ["zero", _probe_start(sol), 5.0 * G_T],
                              tables=sol.tables)
     report.add("uniqueness across initializations",
                probe.p_distance <= UNIQUENESS_TOL, UNIQUENESS_TOL,
@@ -608,15 +691,48 @@ def run_verification(sol: EquilibriumSolution,
     return report
 
 
+def _node_states(rng: np.random.Generator, grid: TimeGrid, n: int, box: float,
+                 count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` draws of a node index and then a state in the box, in turn."""
+    t_idxs = np.empty(count, dtype=np.intp)
+    X = np.empty((count, n))
+    for k in range(count):
+        t_idxs[k] = rng.integers(0, grid.N + 1)
+        X[k] = rng.uniform(-box, box, size=n)
+    return t_idxs, X
+
+
 def grad_value_fd_gap(sol: EquilibriumSolution, t: float, x) -> float:
     """Relative gap between grad V and central differences of V."""
+    x = np.asarray(x, dtype=float).reshape(1, sol.spec.dims.n)
+    return float(_grad_fd_gaps(sol, np.array([float(t)]), x)[0])
+
+
+def _grad_fd_gaps(sol: EquilibriumSolution, ts: np.ndarray,
+                  X: np.ndarray) -> np.ndarray:
+    """:func:`grad_value_fd_gap` at the points (ts[p], X[p]), as one batch.
+
+    P, phi and psi are interpolated at every time at once, and V at all
+    2 n shifted states of every point by one quadratic form.
+    """
     n = sol.spec.dims.n
-    x = np.asarray(x, dtype=float).reshape(n)
-    g = grad_value(sol, t, x)
-    fd = np.empty(n)
-    step = 1e-5 * (1.0 + float(np.max(np.abs(x))))
-    for a in range(n):
-        e = np.zeros(n)
-        e[a] = step
-        fd[a] = (value(sol, t, x + e) - value(sol, t, x - e)) / (2 * step)
-    return float(np.max(np.abs(fd - g)) / (1.0 + float(np.max(np.abs(g)))))
+    grid = sol.grid
+    located = [_locate(grid, t) for t in ts.tolist()]
+    i = np.array([k for k, _ in located], dtype=np.intp)
+    w = np.array([c for _, c in located])
+    P, phi, psi = (_rows_at(table, i, w) for table in
+                   (sol.riccati.P, sol.auxiliary.phi, sol.auxiliary.psi))
+    g = 2.0 * np.einsum("pab,pb->pa", P, X) + 2.0 * phi
+    step = 1e-5 * (1.0 + np.max(np.abs(X), axis=1))
+    shifted = X[:, None, None, :] + np.array([1.0, -1.0])[:, None, None] \
+        * step[:, None, None, None] * np.eye(n)  # (P, 2, n, n): x +- step e_a
+    V = _quadratic_form(P[:, None, None], phi[:, None, None],
+                        psi[:, None, None], shifted)
+    fd = (V[:, 0] - V[:, 1]) / (2 * step[:, None])
+    return np.max(np.abs(fd - g), axis=1) / (1.0 + np.max(np.abs(g), axis=1))
+
+
+def _rows_at(table: np.ndarray, i: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rows i of a node table, each w of the way to row i + 1."""
+    w = w.reshape(w.shape + (1,) * (table.ndim - 1))
+    return (1.0 - w) * table[i] + w * table[i + 1]

@@ -33,7 +33,7 @@ import numpy as np
 from tilq.auxiliary import _btilde_from_drive, _psi_rate, _upsilon_table
 from tilq.grid import (_interp_half, closed_loop_drive, closed_loop_matrices,
                        quadrature, zero_below_diagonal)
-from tilq.policy import _quadratic_form, _terminal_cost, simulate_equilibrium, value
+from tilq.policy import _quadratic_form, simulate_equilibrium, value
 from tilq.riccati import SolveOptions, _initial_table, damped_fixed_point
 from tilq.tables import cumulative_trapezoid, pair_blocks, solve_chol
 from tilq.verification import _coefficient_rates, _hamiltonian_gap
@@ -320,4 +320,7 @@ def hjb_integral_residual(sol, t_idx, x):
         F += kappa
         inner[rows] = np.einsum("ij,ij->i", F, weight)
     outer = quadrature(H_run - inner[sl], grid, t_idx, N)
-    return float(outer) + _terminal_cost(spec, t, Y[-1]) - value(sol, t, x)
+    yT = Y[-1]
+    G = np.asarray(spec.terminal.G(t), dtype=float)
+    g = np.asarray(spec.terminal.g(t), dtype=float).reshape(-1)
+    return float(outer) + float(yT @ G @ yT + 2.0 * g @ yT) - value(sol, t, x)

@@ -280,6 +280,28 @@ class TestCommands:
         assert (out / "verification.csv").exists()
         assert (out / "spike_detail.csv").exists()
 
+    def test_spike_detail_rows_are_single_probes(self, tmp_path):
+        # the batched probes give each row what a probe alone gives
+        out = tmp_path / "v"
+        path = shipped_problem_path("hyperbolic_scalar_k1")
+        assert main(["verify", str(path), "-N", "250", "--out", str(out)]) == 0
+        loaded = load_problem(path)
+        sol = tilq.solve_equilibrium(loaded.spec, tilq.build_grid(1.0, 250),
+                                     loaded.solve_options, loaded.solve_options)
+        rng = np.random.default_rng(loaded.verify_options.seed)
+        rows = []
+        for _ in range(min(8, loaded.verify_options.spike_points)):
+            t_idx = int(rng.integers(0, int(250 * 0.9)))
+            x, v = rng.uniform(-2.0, 2.0, size=1), rng.uniform(-2.0, 2.0, size=1)
+            rep = tilq.run_spike_check(sol, t_idx, x, v)
+            rows.append(",".join(format_number(float(a)) for a in (
+                [sol.grid.nodes[t_idx]] + rep.quotients
+                + [rep.extrapolated, rep.analytic_reference])))
+        lines = (out / "spike_detail.csv").read_text().splitlines()
+        # widths of 5 and 2 steps at N = 250
+        assert lines[0] == "t,quotient_0,quotient_1,extrapolated,reference"
+        assert lines[1:] == rows
+
     def test_verify_passes_on_two_state_demo(self, tmp_path):
         # the n = 2 battery at the problem's own grid and verification keys
         out = tmp_path / "v2"

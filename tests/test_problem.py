@@ -256,6 +256,58 @@ class TestFieldContract:
         assert sup == 1.0
 
 
+class TestSeparableCallableBase:
+    """A callable base is called once per distinct time of s."""
+
+    @staticmethod
+    def field(calls, kernel=None):
+        def base(s):
+            calls.append(s)
+            return [[1.0 + s, 0.5 * s], [0.5 * s, 2.0 - s * s]]
+        return TwoTimeField.separable(kernel or hyperbolic_kernel(1.0), base, (2, 2))
+
+    @staticmethod
+    def per_element(kernel, t, s):
+        t, s = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                   np.asarray(s, dtype=float))
+        out = np.empty(t.shape + (2, 2))
+        for k in np.ndindex(t.shape):
+            x = float(s[k])
+            base = np.array([[1.0 + x, 0.5 * x], [0.5 * x, 2.0 - x * x]])
+            out[k] = float(kernel.lam(t[k], s[k])) * base
+        return out
+
+    @pytest.mark.parametrize("kernel", [hyperbolic_kernel(1.0), tabulated_kernel(
+        np.linspace(0.0, 1.0, 41), 1.0 / (1.0 + np.clip(
+            np.linspace(0.0, 1.0, 41)[None, :] - np.linspace(0.0, 1.0, 41)[:, None],
+            0.0, None)))])
+    def test_flat_pairs_with_repeats(self, kernel):
+        # the flat (t, s) pairs of several paths repeat every node
+        nodes = np.linspace(0.0, 1.0, 21)
+        t = np.repeat(nodes[[0, 5, 12]], [21, 16, 9])
+        s = np.concatenate([nodes, nodes[5:], nodes[12:]])
+        calls = []
+        values = self.field(calls, kernel).value(t, s)
+        assert sorted(calls) == calls and len(calls) == 21
+        assert np.array_equal(values, self.per_element(kernel, t, s))
+
+    def test_increasing_times_called_in_order(self):
+        nodes = np.linspace(0.0, 1.0, 31)
+        calls = []
+        values = self.field(calls).value(0.0, nodes)
+        assert calls == nodes.tolist()
+        want = self.per_element(hyperbolic_kernel(1.0), 0.0, nodes)
+        assert np.array_equal(values, want)
+
+    @pytest.mark.parametrize("s", [0.4, np.array([0.7]), np.array([[0.2, 0.9]])])
+    def test_small_s(self, s):
+        calls = []
+        values = self.field(calls).value(0.1, s)
+        assert len(calls) == np.size(s)
+        want = self.per_element(hyperbolic_kernel(1.0), 0.1, s)
+        assert np.array_equal(values, want)
+
+
 class TestValidate:
     def test_clean_scalar_passes(self):
         assert validate(scalar_spec(), 100).ok

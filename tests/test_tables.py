@@ -146,3 +146,45 @@ def test_solve_md_matches_cholesky_solves(build):
         want = tilq.tables.solve_chol(tables.Md_chol, rhs)
         assert got.shape == want.shape == rhs.shape
         assert float(np.max(np.abs(got - want))) <= 1e-14 * float(np.max(np.abs(want)))
+
+
+DIAGONALS = ("Qd", "Sd", "Md", "qd", "rhod",
+             "Qd_half", "Sd_half", "Md_half", "qd_half", "rhod_half")
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_diagonals_look_the_kernel_up_twice(name, monkeypatch):
+    # lam(t, t) once on the nodes and once on the half nodes serves every
+    # separable field, with the floats of one field call per table
+    spec = SPECS[name]()
+    grid = build_grid(1.0, N)
+    lookups = []
+    interp = tilq.problem._interp_pairs
+
+    def counted(*args):
+        lookups.append(args[3].shape)
+        return interp(*args)
+
+    monkeypatch.setattr(tilq.problem, "_interp_pairs", counted)
+    tables = tilq.tables.SpecTables(spec, grid)
+    got = {d: getattr(tables, d) for d in DIAGONALS + ("lam_diag",)}
+    if spec.kernel.family == "tabulated":
+        assert sorted(lookups) == [(N,), (N + 1,)]
+    for d in DIAGONALS:
+        field = getattr(spec, d.removesuffix("_half")[:-1])
+        times = grid.half_nodes if d.endswith("_half") else grid.nodes
+        assert np.array_equal(got[d], tilq.tables._on_diagonal(field, times)), d
+    assert np.array_equal(got["lam_diag"],
+                          np.array(spec.kernel.lam(grid.nodes, grid.nodes)))
+
+
+def test_diagonal_of_a_foreign_kernel_field():
+    # a separable field of another kernel is evaluated through its own call
+    spec = twostate_spec(tabulated())
+    spec = dataclasses.replace(spec, M=tilq.TwoTimeField.separable(
+        hyperbolic_kernel(2.0), [[1.0]], (1, 1)))
+    grid = build_grid(1.0, N)
+    tables = tilq.tables.SpecTables(spec, grid)
+    assert np.array_equal(tables.Md, tilq.tables._on_diagonal(spec.M, grid.nodes))
+    assert np.array_equal(tables.Md_half,
+                          tilq.tables._on_diagonal(spec.M, grid.half_nodes))

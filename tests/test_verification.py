@@ -8,9 +8,11 @@ from tilq import (ConvergenceError, SolveOptions, TilqError, bellman_residual,
                   simulate_equilibrium, solve_equilibrium,
                   spike_limit_analytic, spike_quotient, uniqueness_probe)
 from tilq.problem_io import load_shipped_problem
-from tilq.verification import (VerifyOptions, _stationarity_residuals,
+from tilq.verification import (VerifyOptions, _grad_fd_gaps,
+                               _stationarity_residuals, grad_value_fd_gap,
                                random_candidate_controls)
 from conftest import hyperbolic_scalar_spec, zero_cost_spec
+from test_riccati_reference import tabulated_hyperbolic
 
 
 class TestSpikeQuotient:
@@ -56,6 +58,18 @@ class TestSpikeQuotient:
             v = rng.uniform(-2, 2, size=1)
             rep = run_spike_check(sol, i, x, v)
             assert rep.extrapolated >= -1e-4
+
+
+    def test_batched_point_past_the_horizon_refused(self, hyperbolic_solution):
+        sol = hyperbolic_solution
+        N, widest = sol.grid.N, sol.grid.N // 50
+        with pytest.raises(TilqError, match=rf"spike \[{N - widest + 1}, "
+                                            rf"{N + 1}\] leaves the horizon"):
+            run_spike_check(sol, [0, N - widest + 1], [[1.0], [0.5]], [[0.2], [0.3]])
+        # alone, that point runs on the widths that still fit
+        short = run_spike_check(sol, N - widest + 1, [0.5], [0.3])
+        full = run_spike_check(sol, 0, [1.0], [0.2])
+        assert len(short.quotients) < len(full.quotients)
 
 
 class TestSpikeLimitAnalytic:
@@ -307,6 +321,144 @@ class TestUniqueness:
         spec = hyperbolic_scalar_spec()
         with pytest.raises(TilqError):
             uniqueness_probe(spec, build_grid(1.0, 100), ["zero"])
+
+    def test_probe_solves_for_p_only(self, monkeypatch):
+        # after convergence nothing is rebuilt from P: one Qbb per sweep
+        calls = {"sweep": 0, "qbb": 0}
+        for name, key in (("_sweep_core", "sweep"), ("_qbb_table", "qbb")):
+            original = getattr(tilq.riccati, name)
+
+            def counted(*args, original=original, key=key, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(tilq.riccati, name, counted)
+        probe = uniqueness_probe(hyperbolic_scalar_spec(), build_grid(1.0, 100),
+                                 ["zero", "terminal"])
+        assert calls["sweep"] == sum(probe.iterations) > 2
+        assert calls["qbb"] == calls["sweep"]
+
+    def test_failing_start_reports_its_diagnostics(self):
+        spec = hyperbolic_scalar_spec()
+        with pytest.raises(ConvergenceError) as info:
+            uniqueness_probe(spec, build_grid(1.0, 60), ["zero", "terminal"],
+                             SolveOptions(max_iterations=3))
+        assert info.value.diagnostics.iterations == 3
+        assert not info.value.diagnostics.converged
+
+    def test_indefinite_p_warns(self):
+        spec = tilq.make_discounted(
+            tilq.Dimensions(1, 1), 1.0,
+            tilq.DynamicsField.constant([[0.0]], [[1.0]], [0.0]),
+            tilq.BaseCosts(Q=[[0.0]], S=[[1.0]], M=[[1.0]], q=[0.0],
+                           rho=[0.0], G=[[0.01]], g=[0.0]),
+            tilq.exponential_kernel(0.0))
+        with pytest.warns(UserWarning, match="negative eigenvalues"):
+            probe = uniqueness_probe(spec, build_grid(1.0, 200),
+                                     ["zero", "terminal"])
+        assert probe.p_distance <= 1e-6
+
+
+def tabulated_solution(opts=None):
+    """The scalar hyperbolic problem with its kernel tabulated, which takes
+    the fixed-point path."""
+    spec = tilq.make_discounted(
+        tilq.Dimensions(1, 1), 1.0,
+        tilq.DynamicsField.constant([[-0.2]], [[1.0]], [0.1]),
+        tilq.BaseCosts(Q=[[1.0]], S=[[0.1]], M=[[1.0]], q=[0.05], rho=[0.02],
+                       G=[[1.0]], g=[0.1]),
+        tabulated_hyperbolic())
+    sol = solve_equilibrium(spec, build_grid(1.0, 200), opts)
+    assert sol.method == "fixed_point"
+    return sol
+
+
+class TestProbeReusesTheSolve:
+    """On a fixed-point solution solved as the probe would solve it, the
+    probe's G(T) start is the solution's own run."""
+
+    @staticmethod
+    def sweeps_of_battery(sol, monkeypatch):
+        count = [0]
+        original = tilq.riccati._sweep_core
+
+        def counted(*args, **kwargs):
+            count[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(tilq.riccati, "_sweep_core", counted)
+        report = run_verification(sol, VerifyOptions(
+            spike_points=2, bellman_controls=10, value_points=2,
+            gradient_points=2))
+        monkeypatch.setattr(tilq.riccati, "_sweep_core", original)
+        return count[0], report
+
+    def test_g_t_start_taken_from_the_solve(self, monkeypatch):
+        sol = tabulated_solution()
+        G_T = sol.tables.G_T
+        full = uniqueness_probe(sol.spec, sol.grid, ["zero", G_T, 5.0 * G_T],
+                                tables=sol.tables)
+        rerun = tilq.riccati._fixed_point_p(SolveOptions(initial=G_T), sol.tables)[0]
+        assert np.array_equal(rerun, sol.riccati.P)
+        assert full.iterations[1] == sol.riccati.diagnostics.iterations
+        sweeps, report = self.sweeps_of_battery(sol, monkeypatch)
+        assert sweeps == full.iterations[0] + full.iterations[2]
+        check = report.checks[-1]
+        assert check.name == "uniqueness across initializations"
+        assert check.worst == full.p_distance
+
+    @pytest.mark.parametrize("opts", [SolveOptions(damping=0.5),
+                                      SolveOptions(initial="zero"),
+                                      SolveOptions(tolerance=1e-11)])
+    def test_other_options_rerun_every_start(self, opts, monkeypatch):
+        sol = tabulated_solution(opts)
+        G_T = sol.tables.G_T
+        full = uniqueness_probe(sol.spec, sol.grid, ["zero", G_T, 5.0 * G_T],
+                                tables=sol.tables)
+        sweeps, _ = self.sweeps_of_battery(sol, monkeypatch)
+        assert sweeps == sum(full.iterations)
+
+    def test_local_solution_reruns_every_start(self, monkeypatch):
+        sol = solve_equilibrium(hyperbolic_scalar_spec(), build_grid(1.0, 200))
+        assert sol.method == "local"
+        G_T = sol.tables.G_T
+        full = uniqueness_probe(sol.spec, sol.grid, ["zero", G_T, 5.0 * G_T],
+                                tables=sol.tables)
+        sweeps, _ = self.sweeps_of_battery(sol, monkeypatch)
+        assert sweeps == sum(full.iterations)
+
+    def test_solution_on_another_grid_refused(self):
+        sol = tabulated_solution()
+        with pytest.raises(TilqError, match="N=200"):
+            uniqueness_probe(sol.spec, build_grid(1.0, 100), ["zero", sol.riccati])
+
+
+def loop_fd_gap(sol, t, x):
+    """The gradient gap point by point: grad V and 2n calls of V."""
+    n = sol.spec.dims.n
+    g = tilq.grad_value(sol, t, x)
+    fd = np.empty(n)
+    step = 1e-5 * (1.0 + float(np.max(np.abs(x))))
+    for a in range(n):
+        e = np.zeros(n)
+        e[a] = step
+        fd[a] = (tilq.value(sol, t, x + e) - tilq.value(sol, t, x - e)) / (2 * step)
+    return float(np.max(np.abs(fd - g)) / (1.0 + float(np.max(np.abs(g)))))
+
+
+@pytest.mark.parametrize("fixture", ["hyperbolic_solution", "twostate_solution"])
+def test_batched_gradient_gaps_match_the_loop(request, fixture):
+    # one quadratic form for all shifted states rounds differently from V
+    # called per state; the check's worst value may move by 1e-10 at most
+    sol = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(31)
+    ts = rng.uniform(0.0, sol.grid.T, size=40)
+    ts[:3] = [0.0, sol.grid.T, sol.grid.nodes[7]]
+    X = rng.uniform(-2.0, 2.0, size=(40, sol.spec.dims.n))
+    gaps = _grad_fd_gaps(sol, ts, X)
+    want = [loop_fd_gap(sol, t, x) for t, x in zip(ts.tolist(), X)]
+    assert np.max(np.abs(gaps - want)) <= 1e-10
+    assert grad_value_fd_gap(sol, ts[5], X[5]) == gaps[5]
 
 
 class TestBattery:
