@@ -65,7 +65,7 @@ one-step map of phi's equation, x_i = T_i x_{i+1} + r_i, has T_i = Phi_i^T
 term by term, Phi_i the closed loop's forward step.  So a Picard pass
 forms only the offsets r_i and runs the recursion on the closed loop's
 anchors, the ones its Sbb is summed over (:func:`_affine_backward_rk4`);
-phi's solve anchors nothing of its own.
+phi's solve anchors nothing of its own.  D and c are stage tables.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TilqError
-from .grid import (TimeGrid, _Anchors, _border, _interp_half,
-                   closed_loop_drive, closed_loop_matrices)
+from .grid import (TimeGrid, _Anchors, _border, closed_loop_drive,
+                   closed_loop_matrices, stage_table)
 from .problem import ProblemSpec
 from .riccati import (FixedPointDiagnostics, RiccatiSolution, SolveOptions,
                       _correction_sum, _initial_table, damped_fixed_point)
@@ -209,22 +209,22 @@ def _omega_table(correction: np.ndarray) -> np.ndarray:
     return correction[:, -1, -1]
 
 
-def _affine_backward_rk4(anchors: _Anchors, D_nodes, D_half, c_nodes, c_half,
-                         terminal, h):
+def _affine_backward_rk4(anchors: _Anchors, D, c, terminal, h):
     """Integrate x' = -D(t) x - c(t) backward from x(T) = terminal, D = A_cl^T.
 
-    RK4's backward one-step map is then x_i = Phi_i^T x_{i+1} + r_i, Phi_i
-    the closed loop's RK4 step, so on segment k = [t_a, t_b) of ``anchors``
+    D and c are stage tables.  RK4's backward one-step map is then x_i =
+    Phi_i^T x_{i+1} + r_i, Phi_i the closed loop's RK4 step, so on segment
+    k = [t_a, t_b) of ``anchors``
 
         psi_i^T x_i = L_k^T x_b + sum_{j=i}^{b-1} psi_j^T r_j,
 
     one reversed running sum per segment, the vector twin of
     :func:`tilq.riccati._open_loop_integral`.  x(T) is ``terminal`` exactly.
     """
-    k1r = -c_nodes[1:]
-    k2r = 0.5 * h * _matvec(D_half, k1r) - c_half
-    k3r = 0.5 * h * _matvec(D_half, k2r) - c_half
-    k4r = h * _matvec(D_nodes[:-1], k3r) - c_nodes[:-1]
+    k1r = -c[2::2]
+    k2r = 0.5 * h * _matvec(D[1::2], k1r) - c[1::2]
+    k3r = 0.5 * h * _matvec(D[1::2], k2r) - c[1::2]
+    k4r = h * _matvec(D[:-1:2], k3r) - c[:-1:2]
     rvec = -(h / 6.0) * (k1r + 2 * k2r + 2 * k3r + k4r)
     terms = _matvec(np.swapaxes(anchors.psi[:-1], -1, -2), rvec)
     starts = anchors.starts.tolist()
@@ -265,12 +265,10 @@ def solve_phi(spec: ProblemSpec, grid: TimeGrid, riccati: RiccatiSolution,
     h = grid.h
 
     anchors = riccati.closed_loop_anchors
-    D_nodes, D_half = (np.swapaxes(F, -1, -2) for F in closed_loop_matrices(
-        tables.A, tables.A_half, tables.B, tables.B_half, gain))
-    Pb = np.einsum("iab,ib->ia", riccati.P, tables.b)
-    Pb_half = np.einsum("iab,ib->ia", _interp_half(riccati.P), tables.b_half)
-    g_rho = np.einsum("ima,im->ia", gain, tables.rhod)
-    g_rho_half = np.einsum("ima,im->ia", _interp_half(gain), tables.rhod_half)
+    D = np.swapaxes(closed_loop_matrices(tables.stages("A"), tables.stages("B"),
+                                         gain), -1, -2)
+    Pb = np.einsum("iab,ib->ia", stage_table(riccati.P), tables.stages("b"))
+    g_rho = np.einsum("ima,im->ia", stage_table(gain), tables.stages("rhod"))
 
     def correction(phi):
         ups = _upsilon_table(phi, tables)
@@ -279,11 +277,9 @@ def solve_phi(spec: ProblemSpec, grid: TimeGrid, riccati: RiccatiSolution,
             gain, ups, anchors, _trapezoid_increments(steps, drive, h), tables)
 
     def sweep(phi):
-        sbb = _sbb_table(correction(phi)[2])
-        c_nodes = -sbb + Pb + tables.qd - g_rho
-        c_half = -_interp_half(sbb) + Pb_half + tables.qd_half - g_rho_half
-        return _affine_backward_rk4(anchors, D_nodes, D_half, c_nodes,
-                                    c_half, tables.g_T, h)
+        c = (-stage_table(_sbb_table(correction(phi)[2])) + Pb
+             + tables.stages("qd") - g_rho)
+        return _affine_backward_rk4(anchors, D, c, tables.g_T, h)
 
     phi0 = _initial_table(opts.initial, tables.g_T, grid.N, "phi")
     phi, diag = damped_fixed_point(phi0, sweep, opts, "affine coefficient")

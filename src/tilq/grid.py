@@ -2,12 +2,14 @@
 
 Propagators Phi(t_i, t_j) of a linear system x' = F(t) x are built one grid
 step at a time with classical fourth-order Runge-Kutta
-(:func:`_rk4_linear_steps`).  This coincides with the matrix-exponential
-formula exp(int F) whenever the system matrices commute pairwise and is the
-correct fundamental solution in general.  The solvers take the open-loop
-steps and the closed loop F = A - B Gain (:func:`closed_loop_matrices`) from
-the grid evaluations of :class:`tilq.tables.SpecTables`, and keep only the
-one-step propagators.
+(:func:`_rk4_linear_steps`) from F's stage table: F at the 2N + 1 stage
+times t_0, t_0 + h/2, t_1, ..., t_N (:func:`stage_table`), whose rows 2i,
+2i + 1 and 2i + 2 the step over [t_i, t_{i+1}] reads.  This coincides with
+the matrix-exponential formula exp(int F) whenever the system matrices
+commute pairwise and is the correct fundamental solution in general.  The
+solvers take the open-loop steps and the closed loop F = A - B Gain
+(:func:`closed_loop_matrices`) from the stage tables of
+:class:`tilq.tables.SpecTables`, and keep only the one-step propagators.
 
 :func:`_anchored` forms the fundamental matrices of a system from its steps,
 anchored segment by segment, for the fixed-point path's sums, by one
@@ -47,6 +49,13 @@ class TimeGrid:
     @property
     def half_nodes(self) -> np.ndarray:
         return 0.5 * (self.nodes[:-1] + self.nodes[1:])
+
+    @cached_property
+    def stage_times(self) -> np.ndarray:
+        """t_0, t_0 + h/2, t_1, ..., t_N: the 2N + 1 RK4 stage times, read-only."""
+        times = stage_table(self.nodes)
+        times.flags.writeable = False
+        return times
 
     @cached_property
     def _times(self) -> list[float]:
@@ -94,19 +103,30 @@ def quadrature(samples: np.ndarray, grid: TimeGrid, a_idx: int = 0,
     return np.tensordot(w, samples, axes=(0, 0))
 
 
-def _rk4_linear_steps(A_nodes: np.ndarray, A_half: np.ndarray, h: float) -> np.ndarray:
+def stage_table(at_nodes: np.ndarray, at_half: np.ndarray | None = None) -> np.ndarray:
+    """Row 2i ``at_nodes[i]``, row 2i + 1 ``at_half[i]``, by default the
+    linear interpolant 0.5 (at_nodes[i] + at_nodes[i + 1])."""
+    if at_half is None:
+        at_half = 0.5 * (at_nodes[:-1] + at_nodes[1:])
+    out = np.empty((2 * len(at_half) + 1,) + at_nodes.shape[1:])
+    out[0::2] = at_nodes
+    out[1::2] = at_half
+    return out
+
+
+def _rk4_linear_steps(A: np.ndarray, h: float) -> np.ndarray:
     """One-step RK4 propagators for X' = A(s) X on every grid interval.
 
-    The one-step map of a linear system is itself linear, so each factor is
-    the matrix I + h/6 (k1 + 2 k2 + 2 k3 + k4) with the stages evaluated on
-    the identity.
+    ``A`` is a stage table.  The one-step map of a linear system is itself
+    linear, so each factor is the matrix I + h/6 (k1 + 2 k2 + 2 k3 + k4)
+    with the stages evaluated on the identity.
     """
-    n = A_nodes.shape[-1]
+    n = A.shape[-1]
     eye = np.eye(n)
-    k1 = A_nodes[:-1]
-    k2 = A_half @ (eye + 0.5 * h * k1)
-    k3 = A_half @ (eye + 0.5 * h * k2)
-    k4 = A_nodes[1:] @ (eye + h * k3)
+    k1 = A[:-1:2]
+    k2 = A[1::2] @ (eye + 0.5 * h * k1)
+    k3 = A[1::2] @ (eye + 0.5 * h * k2)
+    k4 = A[2::2] @ (eye + h * k3)
     return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -267,21 +287,13 @@ def _eval_dynamics(fn, times: np.ndarray, shape: tuple, name: str) -> np.ndarray
 def open_loop_transition(dynamics, grid: TimeGrid) -> TransitionTable:
     """Fundamental-solution table of x' = A(t) x."""
     n = np.asarray(dynamics.A(0.0), dtype=float).shape[0]
-    A_nodes = _eval_dynamics(dynamics.A, grid.nodes, (n, n), "A")
-    A_half = _eval_dynamics(dynamics.A, grid.half_nodes, (n, n), "A")
-    steps = _rk4_linear_steps(A_nodes, A_half, grid.h)
-    return TransitionTable(grid, steps)
+    A = _eval_dynamics(dynamics.A, grid.stage_times, (n, n), "A")
+    return TransitionTable(grid, _rk4_linear_steps(A, grid.h))
 
 
-def _interp_half(table: np.ndarray) -> np.ndarray:
-    """Linear interpolant at the half nodes of a node table."""
-    return 0.5 * (table[:-1] + table[1:])
-
-
-def closed_loop_matrices(A: np.ndarray, A_half: np.ndarray, B: np.ndarray,
-                         B_half: np.ndarray, gain: np.ndarray):
-    """A - B Gain at the nodes and at the half nodes, from Gain at the nodes."""
-    return A - B @ gain, A_half - B_half @ _interp_half(gain)
+def closed_loop_matrices(A: np.ndarray, B: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    """A - B Gain on the stage table, from A and B there and Gain at the nodes."""
+    return A - B @ stage_table(gain)
 
 
 def closed_loop_drive(b: np.ndarray, B: np.ndarray,

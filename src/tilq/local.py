@@ -72,9 +72,10 @@ B_bar M^{-1} S_bar and Q_bar_s = Q_bar - S_bar^T M^{-1} S_bar.
 The R + 1 bordered matrices (Pi, Y_bar_1..R) are stacked and stepped
 backward together, one step per grid interval, in one Python loop over
 numpy arrays of shape (R + 1, n + 1, n + 1); the work per step is
-O(R n^3).  The scheme is Lawson RK4: the a_r terms enter through the exact
-integrating factor exp(-a_r h) over a step (and exp(-a_r h/2) at the
-stages), so a large a_r h only damps and can never destabilize the step.
+O(R n^3), on coefficients formed once as stage tables.  The scheme is
+Lawson RK4: the a_r terms enter through the exact integrating factor
+exp(-a_r h) over a step (and exp(-a_r h/2) at the stages), so a large
+a_r h only damps and can never destabilize the step.
 The error is O(h^4) plus the relative fit error of the exponential sum,
 which :func:`fit_exponential_sum` keeps at or below ``FIT_RTOL``.
 
@@ -148,11 +149,6 @@ def local_expansion(spec: ProblemSpec) -> ExponentialSum | None:
 # the bordered sweep
 
 
-def _stages(at_nodes: np.ndarray, at_half: np.ndarray) -> np.ndarray:
-    """(4, N, ...) values at the stages of each backward step t_{i+1} -> t_i."""
-    return np.stack([at_nodes[1:], at_half, at_half, at_nodes[:-1]])
-
-
 def _bordered(times, A, B, b, Q, S, M, q, rho):
     """A_bar_s, B_bar M^{-1} B_bar^T and Q_bar_s, each (k, n+1, n+1)."""
     factor_md(M, times)  # refuses a non-PD M(t,t), naming the first bad time
@@ -168,13 +164,10 @@ def _bordered(times, A, B, b, Q, S, M, q, rho):
             0.5 * (Qs + np.swapaxes(Qs, -1, -2)))
 
 
-def _coefficients(t: SpecTables) -> list[np.ndarray]:
-    """A_bar_s, B_bar M^{-1} B_bar^T, Q_bar_s at the RK4 stages, (4, N, ...)."""
-    nodes = _bordered(t.grid.nodes, t.A, t.B, t.b, t.Qd, t.Sd, t.Md, t.qd,
-                      t.rhod)
-    half = _bordered(t.grid.half_nodes, t.A_half, t.B_half, t.b_half, t.Qd_half,
-                     t.Sd_half, t.Md_half, t.qd_half, t.rhod_half)
-    return [_stages(x, y) for x, y in zip(nodes, half)]
+def _coefficients(t: SpecTables) -> tuple:
+    """A_bar_s, B_bar M^{-1} B_bar^T, Q_bar_s on the stage table, (2N+1, ...)."""
+    return _bordered(t.grid.stage_times, *(t.stages(name) for name in (
+        "A", "B", "b", "Qd", "Sd", "Md", "qd", "rhod")))
 
 
 def _rate(X, c, As, BMB, Qs):
@@ -191,19 +184,19 @@ def _rate(X, c, As, BMB, Qs):
 def _sweep(X_T, c, eh, ef, coefficients, h: float) -> np.ndarray:
     """The stack (Pi, Y_bar_1..R) at the nodes, (N+1, R+1, n+1, n+1)."""
     As, BMB, Qs = coefficients
-    N = As.shape[1]
+    N = len(As) // 2
     X = np.broadcast_to(X_T, (len(c) + 1,) + X_T.shape).copy()
     nodes = np.empty((N + 1,) + X.shape)
     nodes[N] = X
     hh, h6, heh, eh2 = 0.5 * h, h / 6.0, h * eh, 2.0 * eh
-    for i in range(N - 1, -1, -1):
-        k1 = _rate(X, c, As[0, i], BMB[0, i], Qs[0, i])
-        k2 = _rate(eh * (X + hh * k1), c, As[1, i], BMB[1, i], Qs[1, i])
-        k3 = _rate(eh * X + hh * k2, c, As[2, i], BMB[2, i], Qs[2, i])
-        k4 = _rate(ef * X + heh * k3, c, As[3, i], BMB[3, i], Qs[3, i])
+    for j in range(2 * N - 2, -1, -2):  # t_{j/2+1} -> t_{j/2}: stages j + 2 .. j
+        k1 = _rate(X, c, As[j + 2], BMB[j + 2], Qs[j + 2])
+        k2 = _rate(eh * (X + hh * k1), c, As[j + 1], BMB[j + 1], Qs[j + 1])
+        k3 = _rate(eh * X + hh * k2, c, As[j + 1], BMB[j + 1], Qs[j + 1])
+        k4 = _rate(ef * X + heh * k3, c, As[j], BMB[j], Qs[j])
         X = ef * X + h6 * (ef * k1 + eh2 * (k2 + k3) + k4)
         X = 0.5 * (X + X.transpose(0, 2, 1))
-        nodes[i] = X
+        nodes[j // 2] = X
     return nodes
 
 

@@ -16,9 +16,10 @@ Tabulated quantities are interpolated linearly between nodes, consistent
 with the trapezoid quadrature used everywhere else (both O(h^2)).
 
 The feedback coefficients K and k are tabulated once per solution, on its
-first feedback call, at the nodes and at the half nodes t_i + h/2 where RK4
-evaluates its middle stages (:attr:`EquilibriumSolution.feedback_table`);
-P and phi enter the half nodes by the same linear interpolation.  A feedback
+first feedback call, as a stage table (:mod:`tilq.grid`): at the nodes
+and at the half nodes t_i + h/2 where RK4 evaluates its middle stages
+(:attr:`EquilibriumSolution.feedback_table`); P and phi enter the half
+nodes by the same linear interpolation.  A feedback
 call then reads one table row, or interpolates linearly between two, and
 never factors M(t,t).  Every point evaluation (``feedback``, ``value``,
 ``grad_value``, ``interp_table``) locates its time once, in Python floats
@@ -33,8 +34,9 @@ node raises ConsistencyError naming the first failing t.
 For small n and m a rollout costs what its numpy calls cost, so each makes
 as few as give the same bits: ``feedback`` returns (-K) x - k from a cached
 -K; float64 states and controls of the right shape skip conversion; the
-step scales by 0-d arrays and doubles by k + k.  The tables are indexed per
-step: per-node lists of row views would cost megabytes of peak memory.
+step scales by 0-d arrays and doubles by k + k.  The stage tables of A, B
+and b are indexed per step: per-node lists of row views would cost
+megabytes of peak memory.
 
 The equilibrium path from (t_i, x) is Y(s) = E_cl(s, t_i) x + btilde(s,
 t_i).  It is read off the anchored products of the closed loop bordered
@@ -73,7 +75,7 @@ import numpy as np
 from .auxiliary import (AuxiliarySolution, _bordered_anchors,
                         _trapezoid_increments, solve_auxiliary)
 from .errors import ConsistencyError, TilqError
-from .grid import TimeGrid, _Anchors, _interp_half
+from .grid import TimeGrid, _Anchors, stage_table
 from .local import local_expansion, solve_local
 from .problem import ProblemSpec, eval_pairs
 from .riccati import (RiccatiSolution, SolveOptions, _initial_table,
@@ -120,15 +122,13 @@ class EquilibriumSolution:
         the first failing t and nothing is cached.
         """
         tbl, grid = self.tables, self.grid
-        P, phi = self.riccati.P, self.auxiliary.phi
-        B = _half_steps(tbl.B, tbl.B_half)
-        L = factor_md(_half_steps(tbl.Md, tbl.Md_half),
-                      _half_steps(grid.nodes, grid.half_nodes))
-        K = solve_chol(L, np.swapaxes(B, -1, -2) @ _half_steps(P, _interp_half(P))
-                       + _half_steps(tbl.Sd, tbl.Sd_half))
+        B = tbl.stages("B")
+        L = factor_md(tbl.stages("Md"), grid.stage_times)
+        K = solve_chol(L, np.swapaxes(B, -1, -2) @ stage_table(self.riccati.P)
+                       + tbl.stages("Sd"))
         k = solve_chol(L, np.einsum("inm,in->im", B,
-                                    _half_steps(phi, _interp_half(phi)))
-                       + _half_steps(tbl.rhod, tbl.rhod_half))
+                                    stage_table(self.auxiliary.phi))
+                       + tbl.stages("rhod"))
         _check_node_rows(K[::2], k[::2], self.riccati.gain,
                          self.auxiliary.upsilon, grid)
         K.flags.writeable = False
@@ -156,14 +156,6 @@ class EquilibriumSolution:
         riccati = self.riccati
         return _bordered_anchors(riccati.closed_loop_anchors, _trapezoid_increments(
             riccati.closed_loop, self.auxiliary.drive, self.grid.h)).read_only()
-
-
-def _half_steps(at_nodes: np.ndarray, at_half: np.ndarray) -> np.ndarray:
-    """Node and half-node values interleaved: t_0, t_0 + h/2, t_1, ..., t_N."""
-    out = np.empty((2 * len(at_half) + 1,) + at_nodes.shape[1:])
-    out[0::2] = at_nodes
-    out[1::2] = at_half
-    return out
 
 
 def _check_node_rows(K: np.ndarray, k: np.ndarray, gain: np.ndarray,
@@ -290,8 +282,8 @@ def _locate_half(grid: TimeGrid, t: float) -> tuple[int, float]:
 # value function and feedback
 
 
-def _state(x, n: int) -> np.ndarray:
-    """The state x as an (n,) array; TilqError naming both shapes otherwise.
+def _state(x, n: int, what: str = "state") -> np.ndarray:
+    """x as an (n,) array; TilqError naming ``what`` and both shapes otherwise.
 
     A float64 ndarray of shape (n,) is returned as it is."""
     if type(x) is np.ndarray and x.dtype == _FLOAT and x.shape == (n,):
@@ -300,7 +292,7 @@ def _state(x, n: int) -> np.ndarray:
     try:
         return x.reshape(n)
     except ValueError:
-        raise TilqError(f"state has shape {x.shape}; expected ({n},)") from None
+        raise TilqError(f"{what} has shape {x.shape}; expected ({n},)") from None
 
 
 def value(sol: EquilibriumSolution, t: float, x) -> float:
@@ -366,6 +358,7 @@ def simulate_control(spec: ProblemSpec, grid: TimeGrid, u, t_idx: int, x,
     if t_idx > stop_idx:
         raise TilqError(f"node range [{t_idx}, {stop_idx}] invalid for N={N}")
     k = stop_idx - t_idx + 1
+    first = 2 * t_idx  # the start node's row of a stage table
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
         raise TilqError(f"start state has shape {x.shape}; expected ({n},)")
@@ -392,17 +385,16 @@ def simulate_control(spec: ProblemSpec, grid: TimeGrid, u, t_idx: int, x,
         runs = len(u) if u.ndim == 3 else 0
         if runs:
             u = np.moveaxis(u, 0, -1)  # runs along the last axis, like y
-        stages = _half_steps(u, _interp_half(u))
+        stages = stage_table(u)
 
         def control(j, t, y):
-            return stages[j - 2 * t_idx]
+            return stages[j - first]
     # a stack of runs is carried as the columns of y, so the stages below
     # are the same matrix products for one run and for many
-    A, A_half, B, B_half = tables.A, tables.A_half, tables.B, tables.B_half
-    b, b_half = tables.b, tables.b_half
+    A, B, b = tables.stages("A"), tables.stages("B"), tables.stages("b")
     shape = (n, runs) if runs else (n,)
     if runs:
-        b, b_half = b[..., None], b_half[..., None]
+        b = b[..., None]
     times = grid._times
     h = grid.h
     half = 0.5 * h  # stage times stay Python floats
@@ -411,22 +403,23 @@ def simulate_control(spec: ProblemSpec, grid: TimeGrid, u, t_idx: int, x,
     controls = np.empty((k, m) + shape[1:])
     states[0] = x[:, None] if runs else x
     y = states[0]
-    # each step's end-node operands are the next step's start-node operands
-    t1, A1, B1, b1 = times[t_idx], A[t_idx], B[t_idx], b[t_idx]
-    for step, i in enumerate(range(t_idx, stop_idx)):
+    # each step's end-node operands are the next step's; node i is stage 2i
+    t1, A1, B1, b1 = times[t_idx], A[first], B[first], b[first]
+    for step, j in enumerate(range(first, 2 * stop_idx, 2)):
         t0, A0, B0, b0 = t1, A1, B1, b1
-        t1, A1, B1, b1 = times[i + 1], A[i + 1], B[i + 1], b[i + 1]
+        jm, j1 = j + 1, j + 2
+        t1, A1, B1, b1 = times[t_idx + step + 1], A[j1], B[j1], b[j1]
         tm = t0 + half
-        Am, Bm, bm = A_half[i], B_half[i], b_half[i]
-        u0 = control(2 * i, t0, y)
+        Am, Bm, bm = A[jm], B[jm], b[jm]
+        u0 = control(j, t0, y)
         controls[step] = u0
         k1 = A0.dot(y) + B0.dot(u0) + b0
         y2 = y + h_half * k1
-        k2 = Am.dot(y2) + Bm.dot(control(2 * i + 1, tm, y2)) + bm
+        k2 = Am.dot(y2) + Bm.dot(control(jm, tm, y2)) + bm
         y3 = y + h_half * k2
-        k3 = Am.dot(y3) + Bm.dot(control(2 * i + 1, tm, y3)) + bm
+        k3 = Am.dot(y3) + Bm.dot(control(jm, tm, y3)) + bm
         y4 = y + h_full * k3
-        k4 = A1.dot(y4) + B1.dot(control(2 * i + 2, t1, y4)) + b1
+        k4 = A1.dot(y4) + B1.dot(control(j1, t1, y4)) + b1
         y = y + h_sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)
         states[step + 1] = y
     controls[-1] = control(2 * stop_idx, t1, y)
@@ -692,8 +685,11 @@ def cost(spec: ProblemSpec, grid: TimeGrid, traj: Trajectory, t_idx: int) -> flo
     if traj.start_index != t_idx:
         raise TilqError(f"trajectory starts at node {traj.start_index}, "
                         f"cost requested from node {t_idx}")
-    if traj.states.shape[0] != grid.N + 1 - t_idx:
-        raise TilqError("trajectory does not span [t, T] on this grid")
+    k, (n, m) = grid.N + 1 - t_idx, (spec.dims.n, spec.dims.m)
+    if traj.states.shape != (k, n) or traj.controls.shape != (k, m):
+        raise TilqError(f"trajectory has states {traj.states.shape} and controls "
+                        f"{traj.controls.shape}; cost from node {t_idx} expects "
+                        f"one run over [t, T], ({k}, {n}) and ({k}, {m})")
     start = np.array([t_idx])
     paths = _Paths(first=start, offsets=np.array([0, grid.N + 1 - t_idx]),
                    states=traj.states, controls=traj.controls)

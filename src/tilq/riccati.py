@@ -242,9 +242,8 @@ def _gain_table(P: np.ndarray, tables: SpecTables) -> np.ndarray:
 
 def _closed_loop_table(gain: np.ndarray, tables: SpecTables) -> np.ndarray:
     """The closed loop's one-step RK4 propagators, (N, n, n) and read-only."""
-    eff = closed_loop_matrices(tables.A, tables.A_half, tables.B, tables.B_half,
-                               gain)
-    steps = _rk4_linear_steps(*eff, tables.grid.h)
+    steps = _rk4_linear_steps(closed_loop_matrices(
+        tables.stages("A"), tables.stages("B"), gain), tables.grid.h)
     steps.flags.writeable = False
     return steps
 

@@ -1,17 +1,17 @@
 """Per-solve tabulation of a problem's coefficients on a time grid.
 
 Everything the solvers touch repeatedly is evaluated once here: dynamics and
-diagonal kernel values K(t, t) at nodes and half nodes, the open-loop RK4
-steps and their anchored fundamental matrices, terminal weights, and the
-O(N^2) first-argument derivatives K_t(t_i, t_j), which only the fixed-point
-path and the verification checks build.  The diagonal tables of a
-separable spec's fields weigh the kernel's lam(t, t), looked up once on the
-nodes and once on the half nodes.  M(t_i, t_i) is factored once: its
-Cholesky factors L_i and their inverses are cached, and every gain and
-Upsilon solve (:meth:`SpecTables.solve_md`) is the two batched products
-L_i^{-T} (L_i^{-1} rhs_i).  The base values of a separable spec's cost
-kernels, plain and bordered (:attr:`SpecTables.cost_bases`), which every
-sweep and Picard pass reads, are cached too.  The solvers' closed-loop steps
+diagonal kernel values K(t, t) at the nodes and on the RK4 stage times
+(:meth:`SpecTables.stages`), the open-loop RK4 steps and their anchored
+fundamental matrices, terminal weights, and the O(N^2) first-argument
+derivatives K_t(t_i, t_j), which only the fixed-point path and the
+verification checks build.  The diagonal tables of a separable spec's
+fields weigh the kernel's lam(t, t), looked up once on the nodes and once
+on the half nodes.  M(t_i, t_i) is factored once: its Cholesky factors and
+their inverses are cached, and every gain and Upsilon solve
+(:meth:`SpecTables.solve_md`) is two batched products.  The base values of
+a separable spec's cost kernels, plain and bordered
+(:attr:`SpecTables.cost_bases`), are cached too.  The closed-loop steps
 (:func:`tilq.riccati._closed_loop_table`) are built from these evaluations
 only, never again from the problem's callables.
 
@@ -36,9 +36,9 @@ outside the domain t <= s and are exactly zero.  Concretely:
 * ``dlam[i, j] = d/dt lam(t_i, t_j)``, and K_t(t_i, t_j) = dlam[i, j] K_hat(t_j)
   for every cost kernel K of a separable spec;
 * ``Qt[a, b, i, j] = d/dt Q(t_i, t_j)[a, b]`` and likewise ``St``, ``Mt``,
-  ``qt[a, i, j]``, ``rhot[p, i, j]`` for a spec without a recorded kernel;
-* ``W[i, j]`` is the trapezoid weight of node j in the integral over
-  [t_i, T].
+  ``qt[a, i, j]``, ``rhot[p, i, j]`` for a spec without a recorded kernel.
+
+No plane of trapezoid weights is kept: :func:`suffix_weights` forms a block's.
 
 No propagator or btilde is tabulated over node pairs: the nonlocal sums and
 the equilibrium paths read anchored products of the one-step propagators
@@ -60,7 +60,7 @@ import numpy as np
 
 from .errors import AssumptionError
 from .grid import (TimeGrid, _anchored, _border, _eval_dynamics,
-                   _rk4_linear_steps, zero_below_diagonal)
+                   _rk4_linear_steps, stage_table, zero_below_diagonal)
 from .problem import ProblemSpec, TwoTimeField, eval_pairs
 
 
@@ -153,15 +153,19 @@ def _kernel_diagonal(kernel, times: np.ndarray) -> np.ndarray:
     return np.array(eval_pairs(kernel.lam, times, times, ()))
 
 
-def suffix_weights(grid: TimeGrid) -> np.ndarray:
-    """W[i, j]: trapezoid weight of node j in the integral over [t_i, T]."""
-    N = grid.N
-    h = grid.h
-    W = zero_below_diagonal(np.full((N + 1, N + 1), h))
-    idx = np.arange(N + 1)
-    W[idx, idx] = 0.5 * h
-    W[:N, N] = 0.5 * h
-    W[N, N] = 0.0
+def suffix_weights(grid: TimeGrid, rows: slice = slice(0, None),
+                   cols: slice = slice(0, None)) -> np.ndarray:
+    """W[i, j]: trapezoid weight of node j in the integral over [t_i, T].
+
+    Formed for the block ``rows`` x ``cols`` only: h above the diagonal, h/2
+    on it and in column N for the rows before N, and 0 below it.
+    """
+    N, h = grid.N, grid.h
+    i = np.arange(N + 1)[rows, None]
+    j = np.arange(N + 1)[cols]
+    W = np.where(j > i, h, 0.0)
+    # the end points of [t_i, T]; W[N, N] = 0 is both, the empty integral
+    W[(j == i) != (j == N)] = 0.5 * h
     return W
 
 
@@ -185,6 +189,7 @@ class SpecTables:
         self.grid = grid
         self.n = spec.dims.n
         self.m = spec.dims.m
+        self._stage_tables = {}
 
     # -- dynamics ----------------------------------------------------------
 
@@ -197,29 +202,32 @@ class SpecTables:
         return self._dynamics("A", self.grid.nodes)
 
     @cached_property
-    def A_half(self) -> np.ndarray:
-        return self._dynamics("A", self.grid.half_nodes)
-
-    @cached_property
     def B(self) -> np.ndarray:
         return self._dynamics("B", self.grid.nodes)
-
-    @cached_property
-    def B_half(self) -> np.ndarray:
-        return self._dynamics("B", self.grid.half_nodes)
 
     @cached_property
     def b(self) -> np.ndarray:
         return self._dynamics("b", self.grid.nodes)
 
-    @cached_property
-    def b_half(self) -> np.ndarray:
-        return self._dynamics("b", self.grid.half_nodes)
+    def stages(self, name: str) -> np.ndarray:
+        """The node table ``name`` (A, B, b, Qd, Sd, Md, qd or rhod), evaluated
+        first, and its values at the half nodes, as a read-only stage table
+        (:func:`tilq.grid.stage_table`), built on first use."""
+        table = self._stage_tables.get(name)
+        if table is None:
+            at_nodes = getattr(self, name)
+            if name in ("A", "B", "b"):
+                at_half = self._dynamics(name, self.grid.half_nodes)
+            else:  # Qd -> Q, ..., rhod -> rho
+                at_half = self._diag_half(getattr(self.spec, name[:-1]))
+            table = self._stage_tables[name] = stage_table(at_nodes, at_half)
+            table.flags.writeable = False
+        return table
 
     @cached_property
     def open_loop_steps(self) -> np.ndarray:
         """RK4 one-step propagators of x' = A x, one per grid interval."""
-        return _rk4_linear_steps(self.A, self.A_half, self.grid.h)
+        return _rk4_linear_steps(self.stages("A"), self.grid.h)
 
     @cached_property
     def open_loop_anchors(self):
@@ -277,26 +285,6 @@ class SpecTables:
         inv = np.linalg.inv(self.Md_chol)
         inv.flags.writeable = False
         return inv
-
-    @cached_property
-    def Qd_half(self) -> np.ndarray:
-        return self._diag_half(self.spec.Q)
-
-    @cached_property
-    def Sd_half(self) -> np.ndarray:
-        return self._diag_half(self.spec.S)
-
-    @cached_property
-    def Md_half(self) -> np.ndarray:
-        return self._diag_half(self.spec.M)
-
-    @cached_property
-    def qd_half(self) -> np.ndarray:
-        return self._diag_half(self.spec.q)
-
-    @cached_property
-    def rhod_half(self) -> np.ndarray:
-        return self._diag_half(self.spec.rho)
 
     # -- terminal weights ----------------------------------------------------
 
@@ -361,10 +349,6 @@ class SpecTables:
     @cached_property
     def rhot(self) -> np.ndarray:
         return kernel_triangle(self.spec.rho, self.grid)
-
-    @cached_property
-    def W(self) -> np.ndarray:
-        return suffix_weights(self.grid)
 
     # -- linear solves against the diagonal M --------------------------------
 
@@ -474,7 +458,8 @@ def pair_costs(tables: SpecTables, gain: np.ndarray, upsilon=None,
 
     For a separable spec K is that of :func:`_node_costs`, formed once per
     node, and weight = W * dlam.  Otherwise it is contracted pair by pair
-    from the kernel triangles and weight = W.
+    from the kernel triangles and weight = W.  W is the block's
+    :func:`suffix_weights`.
     """
     dim = tables.n + (upsilon is not None)
     if tables.spec.kernel is not None:
@@ -483,8 +468,9 @@ def pair_costs(tables: SpecTables, gain: np.ndarray, upsilon=None,
         g = _bordered_gain(gain, upsilon)
     for rows, cols in pair_blocks(tables.grid.N + 1, dim * dim, first, columns):
         blk = (Ellipsis, rows, cols)
+        W = suffix_weights(tables.grid, rows, cols)
         if tables.spec.kernel is not None:
-            yield rows, blk, tables.W[blk] * tables.dlam[blk], K[..., cols]
+            yield rows, blk, W * tables.dlam[blk], K[..., cols]
             continue
         Q, S, M = tables.Qt[blk], tables.St[blk], tables.Mt[blk]
         if upsilon is not None:  # as _border() does, with the matrix axes first
@@ -492,4 +478,4 @@ def pair_costs(tables: SpecTables, gain: np.ndarray, upsilon=None,
             Qb = np.zeros((n + 1, n + 1) + q.shape[1:])
             Qb[:n, :n], Qb[:n, n], Qb[n, :n] = Q, q, q
             Q, S = Qb, np.concatenate([S, tables.rhot[blk][:, None]], axis=1)
-        yield rows, blk, tables.W[blk], _closed_loop_costs(g[..., cols], Q, S, M)
+        yield rows, blk, W, _closed_loop_costs(g[..., cols], Q, S, M)

@@ -60,12 +60,12 @@ from .auxiliary import _correction, _omega_table, _psi_rate, _sbb_table
 # in this module because perfbench/spans.py wraps them here.
 from .auxiliary import solve_auxiliary  # noqa: F401
 from .errors import TilqError
-from .grid import (TimeGrid, _interp_half, closed_loop_drive,
-                   closed_loop_matrices, quadrature)
+from .grid import (TimeGrid, closed_loop_drive, closed_loop_matrices, quadrature,
+                   stage_table)
 from .policy import (EquilibriumSolution, _batches, _equilibrium_costs,
                      _equilibrium_paths, _joined, _locate, _node_index, _Paths,
                      _quadratic_form, _row_bytes, _running_cost,
-                     _running_integrals, _terminal_costs, error_function_closed,
+                     _running_integrals, _state, _terminal_costs, error_function_closed,
                      feedback, simulate_control, simulate_equilibrium, value)
 from .problem import ProblemSpec
 from .riccati import (RiccatiSolution, SolveOptions, _fixed_point_p,
@@ -145,8 +145,8 @@ def spike_quotient(sol: EquilibriumSolution, t_idx: int, x, v, eps: float) -> fl
     k = _snap_steps(eps, grid)
     if t_idx + k > grid.N:
         raise TilqError(f"spike [{t_idx}, {t_idx + k}] leaves the horizon")
-    x = np.asarray(x, dtype=float).reshape(1, sol.spec.dims.n)
-    v = np.asarray(v, dtype=float).reshape(1, 1, sol.spec.dims.m)
+    x = _state(x, sol.spec.dims.n)[None]
+    v = _state(v, sol.spec.dims.m, "control")[None, None]
     return float(_spike_quotients(sol, np.array([t_idx]), x, v, [k])[0, 0, 0])
 
 
@@ -229,10 +229,18 @@ def run_spike_check(sol: EquilibriumSolution, t_idx, x, v):
         if i + steps[0] > grid.N:
             raise TilqError(f"spike [{i}, {i + steps[0]}] leaves the horizon")
     eps_list = [k * grid.h for k in steps]
-    X = np.asarray(x, dtype=float).reshape(len(points), n)
-    vs = np.asarray(v, dtype=float)
-    stacked = vs.ndim > (1 if single else 2)
-    vs = vs.reshape(len(points), -1, m)
+    P = len(points)
+    X, vs = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
+    if single:
+        X, vs = X[None], vs[None]
+    if (X.shape != (P, n) or vs.ndim not in (2, 3)
+            or (vs.shape[0], vs.shape[-1]) != (P, m)):
+        want = (f"({n},) and v ({m},) or (S, {m})" if single else
+                f"({P}, {n}) and v ({P}, {m}) or ({P}, S, {m})")
+        raise TilqError(f"spike check got x {np.shape(x)} and v {np.shape(v)}; "
+                        f"expected x {want}")
+    stacked = vs.ndim == 3
+    vs = vs.reshape(P, -1, m)
     quotients = _spike_quotients(sol, np.array(points), X, vs, steps)
     e1, e2 = eps_list[-2], eps_list[-1]
     out = []
@@ -262,8 +270,8 @@ def spike_limit_analytic(sol: EquilibriumSolution, t_idx: int, x, v) -> float:
     shifting v adds exactly <M(t,t)(v - u), v - u>.
     """
     spec = sol.spec
-    x = np.asarray(x, dtype=float).reshape(spec.dims.n)
-    v = np.asarray(v, dtype=float).reshape(1, spec.dims.m)
+    x = _state(x, spec.dims.n)
+    v = _state(v, spec.dims.m, "control")[None]
     R = error_function_closed(sol, t_idx, x)
     return float(_hamiltonian_gap(sol, _coefficient_rates(sol),
                                   slice(t_idx, t_idx + 1), x, v, R)[0])
@@ -276,7 +284,7 @@ def _coefficient_rates(sol: EquilibriumSolution) -> tuple:
     GMG = np.einsum("iam,iap,ipc->imc", gain, tbl.Md, gain, optimize=True)
     P_dot = -(np.swapaxes(tbl.A, -1, -2) @ P + P @ tbl.A + tbl.Qd
               - sol.riccati.qbb - GMG)
-    A_cl = closed_loop_matrices(tbl.A, tbl.A_half, tbl.B, tbl.B_half, gain)[0]
+    A_cl = tbl.A - tbl.B @ gain
     phi_dot = (sol.auxiliary.sbb
                - np.einsum("iab,ib->ia", np.swapaxes(A_cl, -1, -2), phi)
                - np.einsum("iab,ib->ia", P, tbl.b) - tbl.qd
@@ -321,7 +329,7 @@ def bellman_residual(sol: EquilibriumSolution, t_idx: int, s_idx: int, x,
     integrated as one stacked run and gives an array of S residuals.
     """
     spec, grid = sol.spec, sol.grid
-    x = np.asarray(x, dtype=float).reshape(spec.dims.n)
+    x = _state(x, spec.dims.n)
     traj = simulate_control(spec, grid, u, t_idx, x, stop_idx=s_idx,
                             tables=sol.tables)  # refuses a bad node range
     tbl = sol.tables
@@ -343,10 +351,15 @@ def bellman_residual(sol: EquilibriumSolution, t_idx: int, s_idx: int, x,
 def random_candidate_controls(sol: EquilibriumSolution, t_idx: int, s_idx: int,
                               x, count: int, rng: np.random.Generator) -> list:
     """Piecewise-constant candidates scaled to the local equilibrium control."""
-    m = sol.spec.dims.m
-    scale = 1.0 + float(np.max(np.abs(
-        simulate_equilibrium(sol, t_idx, x).controls)))
-    k = s_idx - t_idx + 1
+    return _candidates(simulate_equilibrium(sol, t_idx, x).controls,
+                       s_idx - t_idx + 1, count, rng)
+
+
+def _candidates(eq_controls: np.ndarray, k: int, count: int,
+                rng: np.random.Generator) -> list:
+    """``count`` piecewise-constant (k, m) tables, scaled to ``eq_controls``."""
+    m = eq_controls.shape[-1]
+    scale = 1.0 + float(np.max(np.abs(eq_controls)))
     out = []
     for _ in range(count):
         breaks = np.sort(rng.integers(0, k, size=CANDIDATE_PIECES - 1))
@@ -372,15 +385,14 @@ def _reintegrated_increments(sol: EquilibriumSolution) -> np.ndarray:
     """
     tbl = sol.tables
     h = sol.grid.h
-    ups = sol.auxiliary.upsilon
-    F, Fm = closed_loop_matrices(tbl.A, tbl.A_half, tbl.B, tbl.B_half,
-                                 sol.riccati.gain)
-    w = closed_loop_drive(tbl.b, tbl.B, ups)
-    wm = closed_loop_drive(tbl.b_half, tbl.B_half, _interp_half(ups))
-    k1 = w[:-1]
+    B = tbl.stages("B")
+    F = closed_loop_matrices(tbl.stages("A"), B, sol.riccati.gain)
+    w = closed_loop_drive(tbl.stages("b"), B, stage_table(sol.auxiliary.upsilon))
+    Fm, wm = F[1::2], w[1::2]
+    k1 = w[:-1:2]
     k2 = 0.5 * h * np.einsum("iab,ib->ia", Fm, k1) + wm
     k3 = 0.5 * h * np.einsum("iab,ib->ia", Fm, k2) + wm
-    k4 = h * np.einsum("iab,ib->ia", F[1:], k3) + w[1:]
+    k4 = h * np.einsum("iab,ib->ia", F[2::2], k3) + w[2::2]
     return (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
@@ -392,14 +404,18 @@ def _stationarity_residuals(sol: EquilibriumSolution, states) -> list:
     stored Sbb and omega (what phi and psi were solved against); only R
     comes from the re-integrated route.
     """
+    n = sol.spec.dims.n
+    states = np.asarray(states, dtype=float)
+    if states.ndim not in (1, 2) or states.shape[-1:] != (n,):
+        raise TilqError(f"states have shape {states.shape}; expected ({n},) or "
+                        f"(S, {n})")
     gain, ups, qbb = sol.riccati.gain, sol.auxiliary.upsilon, sol.riccati.qbb
     corr_re = _correction(gain, ups, sol.riccati.closed_loop_anchors,
                           _reintegrated_increments(sol), sol.tables)
     sbb_re, omega_re = _sbb_table(corr_re), _omega_table(corr_re)
     rates = _coefficient_rates(sol)
     out = []
-    for x in np.atleast_2d(np.asarray(states, dtype=float)):
-        x = x.reshape(sol.spec.dims.n)
+    for x in np.atleast_2d(states):
         R_re = _quadratic_form(qbb, sbb_re, omega_re, x)
         out.append(_hamiltonian_gap(sol, rates, slice(None), x,
                                     -(gain @ x) - ups, R_re))
@@ -621,12 +637,13 @@ def run_verification(sol: EquilibriumSolution,
         t_idx = int(rng.integers(0, grid.N - 2))
         s_idx = int(rng.integers(t_idx + 1, grid.N))
         x = rng.uniform(-box, box, size=n)
-        eq_traj = simulate_equilibrium(sol, t_idx, x)
-        cands = random_candidate_controls(sol, t_idx, s_idx, x, count=10,
-                                          rng=rng)
+        # random_candidate_controls' draws, scaled to this one path
+        eq_controls = simulate_equilibrium(sol, t_idx, x).controls
+        k = s_idx - t_idx + 1
+        cands = _candidates(eq_controls, k, 10, rng)
         # the equilibrium's controls and the candidates as one stack
-        res = bellman_residual(sol, t_idx, s_idx, x, np.stack(
-            [eq_traj.controls[: s_idx - t_idx + 1]] + cands))
+        res = bellman_residual(sol, t_idx, s_idx, x,
+                               np.stack([eq_controls[:k]] + cands))
         if abs(res[0]) > worst_eq:
             worst_eq, wit_eq = abs(res[0]), f"t_idx={t_idx}; s_idx={s_idx}"
         worst_here = -res[1:].min()
@@ -704,7 +721,7 @@ def _node_states(rng: np.random.Generator, grid: TimeGrid, n: int, box: float,
 
 def grad_value_fd_gap(sol: EquilibriumSolution, t: float, x) -> float:
     """Relative gap between grad V and central differences of V."""
-    x = np.asarray(x, dtype=float).reshape(1, sol.spec.dims.n)
+    x = _state(x, sol.spec.dims.n)[None]
     return float(_grad_fd_gaps(sol, np.array([float(t)]), x)[0])
 
 

@@ -31,11 +31,11 @@ import dataclasses
 import numpy as np
 
 from tilq.auxiliary import _btilde_from_drive, _psi_rate, _upsilon_table
-from tilq.grid import (_interp_half, closed_loop_drive, closed_loop_matrices,
-                       quadrature, zero_below_diagonal)
+from tilq.grid import closed_loop_drive, quadrature, zero_below_diagonal
 from tilq.policy import _quadratic_form, simulate_equilibrium, value
 from tilq.riccati import SolveOptions, _initial_table, damped_fixed_point
-from tilq.tables import cumulative_trapezoid, pair_blocks, solve_chol
+from tilq.tables import (cumulative_trapezoid, pair_blocks, solve_chol,
+                         suffix_weights)
 from tilq.verification import _coefficient_rates, _hamiltonian_gap
 from pair_tables import from_pair_layout, pair_table
 
@@ -131,15 +131,37 @@ def pair_costs(tables, gain, upsilon, first=0):
         costs = closed_loop_costs(g, u, *(
             np.moveaxis(d, 0, -1)[..., None, :] / tables.lam_diag
             for d in (tables.Qd, tables.Sd, tables.Md, tables.qd, tables.rhod)))
+    W = suffix_weights(tables.grid)
     for rows, cols in pair_blocks(tables.grid.N + 1, tables.n * tables.n, first):
         blk = (Ellipsis, rows, cols)
         if separable:
-            yield (rows, blk, tables.W[blk] * tables.dlam[blk]) + tuple(
+            yield (rows, blk, W[blk] * tables.dlam[blk]) + tuple(
                 c[..., cols] for c in costs)
         else:
-            yield (rows, blk, tables.W[blk]) + closed_loop_costs(
+            yield (rows, blk, W[blk]) + closed_loop_costs(
                 g[..., cols], u[:, cols], *(getattr(tables, name)[blk] for name in
                                             ("Qt", "St", "Mt", "qt", "rhot")))
+
+
+def half(table):
+    """Linear interpolant at the half nodes of a node table."""
+    return 0.5 * (table[:-1] + table[1:])
+
+
+def at_half_nodes(tables, name):
+    """The coefficient ``name`` of ``tables`` at the half nodes."""
+    return tables.stages(name)[1::2]
+
+
+def closed_loop_rates(tables, gain):
+    """A - B Gain at the nodes and at the half nodes, Gain interpolated."""
+    return (tables.A - tables.B @ gain,
+            at_half_nodes(tables, "A") - at_half_nodes(tables, "B") @ half(gain))
+
+
+def adjoint_rates(tables, gain):
+    """D = A_cl^T at the nodes and half nodes: the matrix of phi's equation."""
+    return tuple(np.swapaxes(F, -1, -2) for F in closed_loop_rates(tables, gain))
 
 
 def adjoint_maps(D_nodes, D_half, h):
@@ -227,12 +249,12 @@ def solve_auxiliary(riccati, opts=None):
     grid, h = tables.grid, tables.grid.h
     cl_pairs = pair_table(riccati.closed_loop, grid)
     gain = riccati.gain
-    D_nodes, D_half = (np.swapaxes(F, -1, -2) for F in closed_loop_matrices(
-        tables.A, tables.A_half, tables.B, tables.B_half, gain))
+    D_nodes, D_half = adjoint_rates(tables, gain)
     Pb = np.einsum("iab,ib->ia", riccati.P, tables.b)
-    Pb_half = np.einsum("iab,ib->ia", _interp_half(riccati.P), tables.b_half)
+    Pb_half = np.einsum("iab,ib->ia", half(riccati.P), at_half_nodes(tables, "b"))
     g_rho = np.einsum("ima,im->ia", gain, tables.rhod)
-    g_rho_half = np.einsum("ima,im->ia", _interp_half(gain), tables.rhod_half)
+    g_rho_half = np.einsum("ima,im->ia", half(gain), at_half_nodes(tables, "rhod"))
+    qd_half = at_half_nodes(tables, "qd")
 
     def tables_of(phi):
         ups = _upsilon_table(phi, tables)
@@ -243,7 +265,7 @@ def solve_auxiliary(riccati, opts=None):
         ups, bt = tables_of(phi)
         sbb = sbb_table(gain, ups, bt, cl_pairs, tables)
         c_nodes = -sbb + Pb + tables.qd - g_rho
-        c_half = -_interp_half(sbb) + Pb_half + tables.qd_half - g_rho_half
+        c_half = -half(sbb) + Pb_half + qd_half - g_rho_half
         return affine_backward_rk4(D_nodes, D_half, c_nodes, c_half,
                                    tables.g_T, h)
 
@@ -260,9 +282,10 @@ def reintegrated_offsets(sol):
     """The checks' zero-state responses as a pair table, by RK4 accumulation."""
     tbl, grid = sol.tables, sol.grid
     gain, ups, h = sol.riccati.gain, sol.auxiliary.upsilon, grid.h
-    F, Fm = closed_loop_matrices(tbl.A, tbl.A_half, tbl.B, tbl.B_half, gain)
+    F, Fm = closed_loop_rates(tbl, gain)
     w = closed_loop_drive(tbl.b, tbl.B, ups)
-    wm = closed_loop_drive(tbl.b_half, tbl.B_half, _interp_half(ups))
+    wm = closed_loop_drive(at_half_nodes(tbl, "b"), at_half_nodes(tbl, "B"),
+                           half(ups))
     k1 = w[:-1]
     k2 = 0.5 * h * np.einsum("iab,ib->ia", Fm, k1) + wm
     k3 = 0.5 * h * np.einsum("iab,ib->ia", Fm, k2) + wm

@@ -19,8 +19,7 @@ path from the bordered anchors must match it to rounding.
 import numpy as np
 
 from tilq.errors import TilqError
-from tilq.grid import _interp_half
-from tilq.policy import HALF_STEP_SNAP, _half_steps
+from tilq.policy import HALF_STEP_SNAP
 from auxiliary_reference import btilde
 from pair_tables import from_pair_layout, pair_table
 
@@ -92,11 +91,13 @@ def simulate_control(spec, grid, tables, u, t_idx, x, stop_idx=None):
         runs = len(u) if u.ndim == 3 else 0
         if runs:
             u = np.moveaxis(u, 0, -1)
-        stages = _half_steps(u, _interp_half(u))
+        stages = np.empty((2 * k - 1,) + u.shape[1:])
+        stages[0::2], stages[1::2] = u, 0.5 * (u[:-1] + u[1:])
 
         def control(j, t, y):
             return stages[j - 2 * t_idx]
-    b, b_half = tables.b, tables.b_half
+    A_half, B_half, b_half = (tables.stages(name)[1::2] for name in ("A", "B", "b"))
+    b = tables.b
     shape = (n, runs) if runs else (n,)
     if runs:
         b, b_half = b[..., None], b_half[..., None]
@@ -109,8 +110,8 @@ def simulate_control(spec, grid, tables, u, t_idx, x, stop_idx=None):
         t0 = float(grid.nodes[i])
         tm = t0 + 0.5 * h
         t1 = float(grid.nodes[i + 1])
-        A0, Am, A1 = tables.A[i], tables.A_half[i], tables.A[i + 1]
-        B0, Bm, B1 = tables.B[i], tables.B_half[i], tables.B[i + 1]
+        A0, Am, A1 = tables.A[i], A_half[i], tables.A[i + 1]
+        B0, Bm, B1 = tables.B[i], B_half[i], tables.B[i + 1]
         b0, bm, b1 = b[i], b_half[i], b[i + 1]
         u0 = control(2 * i, t0, y)
         controls[step] = u0

@@ -276,14 +276,16 @@ class TestSolvePhi:
         tbl = riccati.tables
         gain = riccati.gain
         D_nodes = np.swapaxes(tbl.A - tbl.B @ gain, -1, -2)
+        A_half, B_half, b_half, qd_half, rhod_half = (
+            tbl.stages(name)[1::2] for name in ("A", "B", "b", "qd", "rhod"))
         D_half = np.swapaxes(
-            tbl.A_half - tbl.B_half @ (0.5 * (gain[:-1] + gain[1:])), -1, -2)
+            A_half - B_half @ (0.5 * (gain[:-1] + gain[1:])), -1, -2)
         c_nodes = (np.einsum("iab,ib->ia", riccati.P, tbl.b) + tbl.qd
                    - np.einsum("ima,im->ia", gain, tbl.rhod))
         P_half = 0.5 * (riccati.P[:-1] + riccati.P[1:])
         gain_half = 0.5 * (gain[:-1] + gain[1:])
-        c_half = (np.einsum("iab,ib->ia", P_half, tbl.b_half) + tbl.qd_half
-                  - np.einsum("ima,im->ia", gain_half, tbl.rhod_half))
+        c_half = (np.einsum("iab,ib->ia", P_half, b_half) + qd_half
+                  - np.einsum("ima,im->ia", gain_half, rhod_half))
         direct = auxiliary_reference.affine_backward_rk4(
             D_nodes, D_half, c_nodes, c_half, tbl.g_T, grid.h)
         assert np.max(np.abs(direct - phi_sol.phi)) <= 1e-10

@@ -16,7 +16,7 @@ import tilq.auxiliary
 from tilq import (DynamicsField, build_grid, hjb_integral_residual,
                   hjb_residual_sup, load_shipped_problem, shipped_problem_names,
                   solve_auxiliary, solve_equilibrium_riccati)
-from tilq.grid import closed_loop_matrices
+from tilq.grid import stage_table
 from tilq.policy import EquilibriumSolution
 from conftest import threestate_spec, twostate_spec
 from test_riccati_reference import (assert_rel, stiff_spec, tabulated_hyperbolic,
@@ -34,13 +34,6 @@ def large_drive(spec):
     d = spec.dynamics
     return dataclasses.replace(spec, dynamics=DynamicsField(
         A=d.A, B=d.B, b=lambda t: np.array([500.0, 0.0])))
-
-
-def adjoint_rates(riccati):
-    """D = A_cl^T at the nodes and half nodes: the matrix of phi's equation."""
-    t = riccati.tables
-    return (np.swapaxes(F, -1, -2) for F in closed_loop_matrices(
-        t.A, t.A_half, t.B, t.B_half, riccati.gain))
 
 
 # name -> (spec builder, N); every shipped problem is forced onto the fixed point
@@ -106,7 +99,7 @@ def test_scanned_pass_matches_node_recursion(name):
     grid = build_grid(spec.horizon, N)
     riccati = solve_equilibrium_riccati(spec, grid)
     tables = riccati.tables
-    D_nodes, D_half = adjoint_rates(riccati)
+    D_nodes, D_half = ref.adjoint_rates(tables, riccati.gain)
     rng = np.random.default_rng(11)
     c_nodes = (np.einsum("iab,ib->ia", riccati.P, tables.b)
                + rng.standard_normal((N + 1, spec.dims.n)))
@@ -114,8 +107,9 @@ def test_scanned_pass_matches_node_recursion(name):
     anchors = riccati.closed_loop_anchors
     if name.startswith("stiff"):
         assert len(anchors.starts) > 10  # the scan crosses many links
-    got = tilq.auxiliary._affine_backward_rk4(anchors, D_nodes, D_half, c_nodes,
-                                              c_half, tables.g_T, grid.h)
+    got = tilq.auxiliary._affine_backward_rk4(
+        anchors, stage_table(D_nodes, D_half), stage_table(c_nodes, c_half),
+        tables.g_T, grid.h)
     assert np.array_equal(got[-1], tables.g_T)
     assert_rel(got, ref.affine_backward_rk4(D_nodes, D_half, c_nodes, c_half,
                                             tables.g_T, grid.h))
@@ -131,7 +125,7 @@ def test_adjoint_maps_are_closed_loop_transposes(build, N):
     grid = build_grid(spec.horizon, N)
     riccati = solve_equilibrium_riccati(spec, grid)
     steps = riccati.closed_loop
-    got = ref.adjoint_maps(*adjoint_rates(riccati), grid.h)
+    got = ref.adjoint_maps(*ref.adjoint_rates(riccati.tables, riccati.gain), grid.h)
     gap = float(np.max(np.abs(got - np.swapaxes(steps, -1, -2))))
     assert gap <= 4 * np.spacing(float(np.max(np.abs(steps))))
 

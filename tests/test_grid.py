@@ -302,9 +302,13 @@ class TestAnchored:
 
 
 class TestDynamicsTables:
-    FIELDS = (("A", "A", "nodes"), ("A_half", "A", "half_nodes"),
-              ("B", "B", "nodes"), ("B_half", "B", "half_nodes"),
-              ("b", "b", "nodes"), ("b_half", "b", "half_nodes"))
+    FIELDS = (("A", "nodes"), ("A", "half_nodes"), ("B", "nodes"),
+              ("B", "half_nodes"), ("b", "nodes"), ("b", "half_nodes"))
+
+    @staticmethod
+    def table(tables, name, where):
+        """The table of ``name`` at the nodes, or the half-node rows of its stages."""
+        return getattr(tables, name) if where == "nodes" else tables.stages(name)[1::2]
 
     @staticmethod
     def per_node(fn, times, shape):
@@ -334,11 +338,11 @@ class TestDynamicsTables:
         for dyn in fields:
             tables = dynamics_tables(dyn, grid)
             shapes = {"A": (2, 2), "B": (2, 1), "b": (2,)}
-            for attr, name, where in self.FIELDS:
+            for name, where in self.FIELDS:
                 np.testing.assert_array_equal(
-                    getattr(tables, attr),
+                    self.table(tables, name, where),
                     self.per_node(getattr(dyn, name), getattr(grid, where),
-                                  shapes[name]), err_msg=attr)
+                                  shapes[name]), err_msg=f"{name} at {where}")
 
     def test_constant_field_is_not_called_per_node(self):
         calls = {"constant": 0, "varying": 0}
@@ -359,8 +363,8 @@ class TestDynamicsTables:
         grid = build_grid(1.0, 50)
         tables = dynamics_tables(dyn, grid)
         calls.update(constant=0, varying=0)
-        for attr, _, _ in self.FIELDS:
-            getattr(tables, attr)
+        for name, where in self.FIELDS:
+            self.table(tables, name, where)
         # one call per node and half node for the callable, none for constants
         assert calls == {"constant": 0, "varying": 2 * grid.N + 1}
 

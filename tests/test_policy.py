@@ -320,6 +320,7 @@ class TestFeedbackTable:
         got = simulate_control(spec, grid, table[t_idx:], t_idx, x,
                                tables=sol.tables)
         tbl, h = sol.tables, grid.h
+        A_half, B_half, b_half = (tbl.stages(name)[1::2] for name in ("A", "B", "b"))
         y = x
         states = [y]
         for i in range(t_idx, N):
@@ -327,7 +328,7 @@ class TestFeedbackTable:
             u0 = interp_table(table, grid, t0)
             um = interp_table(table, grid, t0 + 0.5 * h)
             u1 = interp_table(table, grid, float(grid.nodes[i + 1]))
-            Am, Bm, bm = tbl.A_half[i], tbl.B_half[i], tbl.b_half[i]
+            Am, Bm, bm = A_half[i], B_half[i], b_half[i]
             k1 = tbl.A[i] @ y + tbl.B[i] @ u0 + tbl.b[i]
             k2 = Am @ (y + 0.5 * h * k1) + Bm @ um + bm
             k3 = Am @ (y + 0.5 * h * k2) + Bm @ um + bm
@@ -580,6 +581,19 @@ class TestCost:
         grid = build_grid(1.0, 200)
         traj = simulate_control(spec, grid, np.zeros((201, 1)), 0, [1.0])
         assert cost(spec, grid, traj, 0) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("runs", [2, 11])
+    def test_stacked_trajectory_refused(self, runs):
+        # a stack of open-loop runs is no trajectory over [t, T]; with as
+        # many runs as nodes (11) its first axis used to pass as the nodes'
+        spec, grid = twostate_spec(), build_grid(1.0, 10)
+        traj = simulate_control(spec, grid, np.zeros((runs, 11, 1)), 0,
+                                [1.0, 0.0])
+        with pytest.raises(TilqError, match=re.escape(
+                f"trajectory has states ({runs}, 11, 2) and controls "
+                f"({runs}, 11, 1); cost from node 0 expects one run over "
+                f"[t, T], (11, 2) and (11, 1)")):
+            cost(spec, grid, traj, 0)
 
     def test_start_mismatch_rejected(self, hyperbolic_solution):
         sol = hyperbolic_solution

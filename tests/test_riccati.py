@@ -18,7 +18,7 @@ from tilq.errors import ConvergenceError
 from tilq.grid import TransitionTable, _anchored
 from tilq.policy import EquilibriumSolution
 from tilq.riccati import _closed_loop_table, _qbb_table, _sweep_core
-from tilq.tables import SpecTables
+from tilq.tables import SpecTables, suffix_weights
 from conftest import (classical_exact_p, classical_scalar_spec,
                       hyperbolic_scalar_spec, threestate_spec, twostate_spec,
                       zero_cost_spec)
@@ -252,7 +252,8 @@ class TestSweep:
         BP = np.einsum("jam,jab->jmb", tbl.B, sol.P)
         PBMBP = np.einsum("jma,jmp,jpb->jab", BP, np.linalg.inv(tbl.Md), BP)
         inner = tbl.Qd - SMS - sol.qbb + PBMBP
-        integral = np.einsum("caij,jce,edij,ij->iad", cl, inner, cl, tbl.W)
+        integral = np.einsum("caij,jce,edij,ij->iad", cl, inner, cl,
+                             suffix_weights(grid))
         EN = cl[..., grid.N]
         rhs = integral + np.einsum("cai,ce,edi->iad", EN, tbl.G_T, EN)
         scale = 1.0 + np.max(np.abs(sol.P))

@@ -152,6 +152,13 @@ DIAGONALS = ("Qd", "Sd", "Md", "qd", "rhod",
              "Qd_half", "Sd_half", "Md_half", "qd_half", "rhod_half")
 
 
+def diagonal_table(tables, d):
+    """The node table ``d``, or for a name ending in _half its stages' odd rows."""
+    if d.endswith("_half"):
+        return tables.stages(d.removesuffix("_half"))[1::2]
+    return getattr(tables, d)
+
+
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_diagonals_look_the_kernel_up_twice(name, monkeypatch):
     # lam(t, t) once on the nodes and once on the half nodes serves every
@@ -167,7 +174,8 @@ def test_diagonals_look_the_kernel_up_twice(name, monkeypatch):
 
     monkeypatch.setattr(tilq.problem, "_interp_pairs", counted)
     tables = tilq.tables.SpecTables(spec, grid)
-    got = {d: getattr(tables, d) for d in DIAGONALS + ("lam_diag",)}
+    got = {d: diagonal_table(tables, d) for d in DIAGONALS}
+    got["lam_diag"] = tables.lam_diag
     if spec.kernel.family == "tabulated":
         assert sorted(lookups) == [(N,), (N + 1,)]
     for d in DIAGONALS:
@@ -186,5 +194,37 @@ def test_diagonal_of_a_foreign_kernel_field():
     grid = build_grid(1.0, N)
     tables = tilq.tables.SpecTables(spec, grid)
     assert np.array_equal(tables.Md, tilq.tables._on_diagonal(spec.M, grid.nodes))
-    assert np.array_equal(tables.Md_half,
+    assert np.array_equal(tables.stages("Md")[1::2],
                           tilq.tables._on_diagonal(spec.M, grid.half_nodes))
+
+
+STAGED = ("A", "B", "b", "Qd", "Sd", "Md", "qd", "rhod")
+
+
+@pytest.mark.parametrize("name", ["twostate_hyperbolic", "threestate_hyperbolic",
+                                  "twostate_tabulated"])
+def test_stage_tables_interleave_nodes_and_half_nodes(name):
+    # constant coefficients, callable ones (threestate) and a tabulated
+    # kernel: even rows are the node tables, odd rows the half-node values
+    spec = SPECS[name]()
+    grid = build_grid(1.0, N)
+    tables = tilq.tables.SpecTables(spec, grid)
+    half = grid.half_nodes
+    for d in STAGED:
+        got = tables.stages(d)
+        nodes = getattr(tables, d)
+        assert got.shape == (2 * N + 1,) + nodes.shape[1:], d
+        assert np.array_equal(got[0::2], nodes), d
+        if d in ("A", "B", "b"):
+            fn = getattr(spec.dynamics, d)
+            want = np.array([np.asarray(fn(t), dtype=float).reshape(nodes.shape[1:])
+                             for t in half.tolist()])
+        else:
+            want = tilq.tables._on_diagonal(getattr(spec, d[:-1]), half)
+        assert np.array_equal(got[1::2], want), d
+        assert not got.flags.writeable, d
+        assert tables.stages(d) is got, d
+    times = grid.stage_times
+    assert np.array_equal(times[0::2], grid.nodes)
+    assert np.array_equal(times[1::2], half)
+    assert not times.flags.writeable

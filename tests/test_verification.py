@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,50 @@ class TestBellman:
             assert bellman_residual(sol, t_idx, s_idx, x, cand) >= -1e-4
 
 
+class TestMisshapedInputs:
+    """The entry points refuse a misshaped state or control, naming both shapes."""
+
+    def test_single_spike_point_refuses_a_second_control(self, hyperbolic_solution):
+        # m = 1: a (2,) control is neither one control nor a stack of them
+        with pytest.raises(TilqError, match=re.escape(
+                "spike check got x (1,) and v (2,); expected x (1,) and v (1,) "
+                "or (S, 1)")):
+            run_spike_check(hyperbolic_solution, 3, np.array([0.5]),
+                            np.array([1.0, 5.0]))
+
+    def test_spike_points_refuse_a_misshaped_state_table(self, hyperbolic_solution):
+        with pytest.raises(TilqError, match=re.escape(
+                "spike check got x (3,) and v (2, 1); expected x (2, 1) and "
+                "v (2, 1) or (2, S, 1)")):
+            run_spike_check(hyperbolic_solution, [3, 4], np.zeros(3),
+                            np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda sol: spike_quotient(sol, 0, [1.0, 2.0], [0.5], 0.1),
+         "state has shape (2,); expected (1,)"),
+        (lambda sol: spike_quotient(sol, 0, [1.0], [0.5, 0.5], 0.1),
+         "control has shape (2,); expected (1,)"),
+        (lambda sol: spike_limit_analytic(sol, 0, np.zeros((2, 2)), [0.5]),
+         "state has shape (2, 2); expected (1,)"),
+        (lambda sol: spike_limit_analytic(sol, 0, [1.0], [0.5, 0.5]),
+         "control has shape (2,); expected (1,)"),
+        (lambda sol: bellman_residual(sol, 0, 5, [1.0, 2.0], np.zeros((6, 1))),
+         "state has shape (2,); expected (1,)"),
+        (lambda sol: grad_value_fd_gap(sol, 0.3, np.zeros(3)),
+         "state has shape (3,); expected (1,)"),
+        (lambda sol: hjb_residual_sup(sol, np.zeros((4, 2))),
+         "states have shape (4, 2); expected (1,) or (S, 1)"),
+        (lambda sol: hjb_residual_sup(sol, np.zeros((2, 2, 1))),
+         "states have shape (2, 2, 1); expected (1,) or (S, 1)"),
+    ], ids=["spike_quotient_x", "spike_quotient_v", "spike_limit_x",
+            "spike_limit_v", "bellman_x", "grad_gap_x", "hjb_states",
+            "hjb_states_3d"])
+    def test_entry_point_names_both_shapes(self, hyperbolic_solution, call,
+                                           message):
+        with pytest.raises(TilqError, match=re.escape(message)):
+            call(hyperbolic_solution)
+
+
 class TestBatchedChecks:
     """Stacked Bellman trials and shared spike work against one call each."""
 
@@ -233,6 +279,27 @@ def test_twostate_battery_matches_recorded_worst():
         tol = 1e-10 if name in ROUNDOFF_WORST else SPIKE_LIMIT_FLOOR.get(
             name, 1e-8 * want)
         assert abs(got[name] - want) <= tol, (name, got[name], want)
+
+
+def test_bellman_trials_simulate_each_path_once(monkeypatch):
+    # each trial's equilibrium path serves its own controls and the
+    # candidates' scale; the rng draws and worst values stay the parent's
+    loaded = load_shipped_problem("twostate_hyperbolic")
+    sol = solve_equilibrium(loaded.spec, build_grid(loaded.spec.horizon,
+                                                    loaded.grid_points),
+                            loaded.solve_options, loaded.solve_options)
+    calls = []
+    simulate = tilq.verification.simulate_equilibrium
+
+    def counted(*args):
+        calls.append(args[1])
+        return simulate(*args)
+
+    monkeypatch.setattr(tilq.verification, "simulate_equilibrium", counted)
+    run_verification(sol, loaded.verify_options)
+    trials = max(1, loaded.verify_options.bellman_controls // 10)
+    # one path per Bellman trial and one per integral-form residual point
+    assert len(calls) == trials + 8
 
 
 class TestHJBResiduals:
