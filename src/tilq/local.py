@@ -69,13 +69,15 @@ gain eliminated, K_hat_bar = Q_bar_s + Pi B_bar M^{-1} B_bar^T Pi and
 A_bar_cl = A_bar_s - B_bar M^{-1} B_bar^T Pi, where A_bar_s = A_bar -
 B_bar M^{-1} S_bar and Q_bar_s = Q_bar - S_bar^T M^{-1} S_bar.
 
-The R + 1 bordered matrices (Pi, Y_bar_1..R) are stacked and stepped
+The R + 1 bordered matrices X = (Pi, Y_bar_1..R) are stacked and stepped
 backward together, one step per grid interval, in one Python loop over
 numpy arrays of shape (R + 1, n + 1, n + 1); the work per step is
-O(R n^3), on coefficients formed once as stage tables.  The scheme is
-Lawson RK4: the a_r terms enter through the exact integrating factor
-exp(-a_r h) over a step (and exp(-a_r h/2) at the stages), so a large
-a_r h only damps and can never destabilize the step.
+O(R n^3), on coefficients formed once as stage tables.  In backward time
+the stack obeys dX/dtau = -Lambda X + N(X): the stack operator Lambda =
+[[0, c^T], [0, diag(a)]] holds the decays a_r and the coupling Qbb, and N
+the Lyapunov and quadratic terms.  The scheme is Lawson RK4 with Lambda's
+exact propagators exp(-Lambda h/2) and exp(-Lambda h), in closed form, so
+a large a_r h only damps and can never destabilize the step.
 The error is O(h^4) plus the relative fit error of the exponential sum,
 which :func:`fit_exponential_sum` keeps at or below ``FIT_RTOL``.
 
@@ -93,6 +95,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .auxiliary import AuxiliarySolution, _upsilon_table
+from .errors import ConvergenceError
 from .grid import TimeGrid, _border, closed_loop_drive
 from .problem import DiscountKernel, ProblemSpec
 from .riccati import (FixedPointDiagnostics, RiccatiSolution, _closed_loop_table,
@@ -170,32 +173,48 @@ def _coefficients(t: SpecTables) -> tuple:
         "A", "B", "b", "Qd", "Sd", "Md", "qd", "rhod")))
 
 
-def _rate(X, c, As, BMB, Qs):
-    """Backward-time rate of the stack (Pi, Y_bar_r) without the a_r terms."""
+def _stack_propagator(c, a, s: float) -> np.ndarray:
+    """exp(-s Lambda) for the stack operator Lambda = [[0, c^T], [0, diag(a)]]."""
+    E = np.diag(np.exp(np.concatenate([[0.0], -s * a])))
+    phi = np.full(len(a), float(s))  # int_0^s exp(-a u) du, s where a = 0
+    np.divide(-np.expm1(-s * a), a, out=phi, where=a != 0.0)
+    E[0, 1:] = -c * phi
+    return E
+
+
+def _rate(X, As, BMB, Qs, out):
+    """Backward-time rate N(X) of the stack (Pi, Y_bar_r) into ``out``."""
     P = X[0]
-    BP = BMB @ P
-    AX = np.matmul((As - BP).T, X)
-    k = AX + AX.transpose(0, 2, 1)
-    k += Qs + P @ BP
-    k[0] -= (c @ X[1:].reshape(len(c), -1)).reshape(P.shape)
-    return k
+    BP = np.dot(BMB, P)
+    XL = np.dot(X.reshape(-1, len(P)), As - BP).reshape(X.shape)
+    np.add(XL, XL.transpose(0, 2, 1), out=out)
+    out += Qs + np.dot(P, BP)
 
 
-def _sweep(X_T, c, eh, ef, coefficients, h: float) -> np.ndarray:
+def _sweep(X_T, E_half, E_full, coefficients, h: float) -> np.ndarray:
     """The stack (Pi, Y_bar_1..R) at the nodes, (N+1, R+1, n+1, n+1)."""
     As, BMB, Qs = coefficients
-    N = len(As) // 2
-    X = np.broadcast_to(X_T, (len(c) + 1,) + X_T.shape).copy()
+    N, K = len(As) // 2, len(E_full)
+    hh, h6, eye = 0.5 * h, h / 6.0, np.eye(K)
+    S = np.empty((5, K) + X_T.shape)  # the slots (k1, X, k2, k3, k4)
+    k1, X, k2, k3, k4 = S
+    X[:] = X_T
+    flat = S.reshape(5 * K, -1)
+    # stage inputs and update: block rows of the Lawson tableau on the slots
+    rows = ((np.hstack([hh * E_half, E_half]), flat[:2 * K]),  # (k1, X)
+            (np.hstack([E_half, hh * eye]), flat[K:3 * K]),  # (X, k2)
+            (np.hstack([E_full, 0 * eye, h * E_half]), flat[K:4 * K]))  # (X, k2, k3)
+    update = np.hstack([h6 * E_full, E_full, 2 * h6 * E_half, 2 * h6 * E_half,
+                        h6 * eye])
     nodes = np.empty((N + 1,) + X.shape)
     nodes[N] = X
-    hh, h6, heh, eh2 = 0.5 * h, h / 6.0, h * eh, 2.0 * eh
     for j in range(2 * N - 2, -1, -2):  # t_{j/2+1} -> t_{j/2}: stages j + 2 .. j
-        k1 = _rate(X, c, As[j + 2], BMB[j + 2], Qs[j + 2])
-        k2 = _rate(eh * (X + hh * k1), c, As[j + 1], BMB[j + 1], Qs[j + 1])
-        k3 = _rate(eh * X + hh * k2, c, As[j + 1], BMB[j + 1], Qs[j + 1])
-        k4 = _rate(ef * X + heh * k3, c, As[j], BMB[j], Qs[j])
-        X = ef * X + h6 * (ef * k1 + eh2 * (k2 + k3) + k4)
-        X = 0.5 * (X + X.transpose(0, 2, 1))
+        _rate(X, As[j + 2], BMB[j + 2], Qs[j + 2], k1)
+        for (E, slots), i, k in zip(rows, (j + 1, j + 1, j), (k2, k3, k4)):
+            _rate(np.dot(E, slots).reshape(X.shape), As[i], BMB[i], Qs[i], k)
+        Y = np.dot(update, flat).reshape(X.shape)
+        np.add(Y, Y.transpose(0, 2, 1), out=X)
+        X *= 0.5
         nodes[j // 2] = X
     return nodes
 
@@ -206,28 +225,33 @@ def solve_local(spec: ProblemSpec, grid: TimeGrid, expansion: ExponentialSum
 
     ``expansion`` is the kernel's exponential sum (:func:`local_expansion`);
     ``spec`` must be separable in that kernel.  Returns the Riccati and
-    auxiliary parts with the same fields as the fixed-point path.  No
-    (N+1)^2 table is built.
+    auxiliary parts with the same fields as the fixed-point path, and raises
+    ConvergenceError if P escapes.  No (N+1)^2 table is built.
     """
     tables = SpecTables(spec, grid)
     n, h = spec.dims.n, grid.h
-    c = expansion.weights
-    rates = np.concatenate([[0.0], expansion.rates])[:, None, None]
+    c, a = expansion.weights, expansion.rates
     X_T = np.zeros((n + 1, n + 1))
     X_T[:n, :n] = tables.G_T
     X_T[:n, n] = X_T[n, :n] = tables.g_T
-    X = _sweep(X_T, c, np.exp(-0.5 * h * rates), np.exp(-h * rates),
-               _coefficients(tables), h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = _sweep(X_T, _stack_propagator(c, a, 0.5 * h),
+                   _stack_propagator(c, a, h), _coefficients(tables), h)
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=(1, 2, 3)))
+    diag = FixedPointDiagnostics(
+        iterations=1, deltas=[expansion.fit_error], converged=not len(bad),
+        note=(f"local ODE sweep (Lawson RK4), R={expansion.terms} exponential "
+              f"terms, fit error {expansion.fit_error:.1e}"))
+    if len(bad):  # P escapes in finite time: name where, counting back from T
+        diag.note += (f": the stack is not finite from t = {grid.nodes[bad[-1]]:.6g}"
+                      f" (node {bad[-1]} of {grid.N}) backward")
+        raise ConvergenceError(diag.note, diagnostics=diag)
     Pi, bar = X[:, 0], np.einsum("r,irab->iab", c, X[:, 1:])
     P, phi, psi = (np.ascontiguousarray(v)
                    for v in (Pi[:, :n, :n], Pi[:, :n, n], Pi[:, n, n]))
     qbb, sbb, omega = (np.ascontiguousarray(v)
                        for v in (bar[:, :n, :n], bar[:, :n, n], bar[:, n, n]))
 
-    diag = FixedPointDiagnostics(
-        iterations=1, deltas=[expansion.fit_error], converged=True,
-        note=(f"local ODE sweep (Lawson RK4), R={expansion.terms} exponential "
-              f"terms, fit error {expansion.fit_error:.1e}"))
     warn_if_indefinite(P, diag)
     gain = _gain_table(P, tables)
     riccati = RiccatiSolution(grid=grid, P=P, gain=gain, qbb=qbb,

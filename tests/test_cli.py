@@ -211,6 +211,20 @@ class TestCommands:
         assert "tolerance" not in summary  # the local path iterates nothing
         assert "method local (R=16" in capsys.readouterr().out
 
+    def test_solve_refuses_an_escaping_solution(self, tmp_path, capsys):
+        # Q = -50: P escapes in finite time backward from T on the local path
+        doc = json.loads(shipped_problem_path("hyperbolic_scalar_k1").read_text())
+        doc["base_costs"]["Q"] = [[-50.0]]
+        path = tmp_path / "escape.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        rc = main(["solve", str(path), "--force", "--out", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().out.strip())["error"]
+        assert err["type"] == "ConvergenceError"
+        assert "not finite from t = " in err["message"]
+        assert not (out / "summary.json").exists()
+
     def test_solve_reports_fixed_point_method(self, tmp_path, capsys):
         doc = minimal_document(discount={"family": "tabulated",
                                          "times": [0.0, 0.5, 1.0],

@@ -1,15 +1,20 @@
-"""The local ODE sweep against the fixed-point path and against itself."""
+"""The local ODE sweep against the fixed-point path, its former scheme and
+itself."""
+
+import warnings
 
 import numpy as np
 import pytest
 
-from tilq import (BaseCosts, SolveOptions, TilqError, build_grid,
-                  classical_riccati, cost, exponential_kernel, feedback,
-                  hyperbolic_kernel, make_discounted, quasi_hyperbolic_kernel,
-                  simulate_control, solve_auxiliary, solve_equilibrium,
-                  solve_equilibrium_riccati, tabulated_kernel, value)
-from tilq.local import (FIT_RTOL, TERM_LADDER, fit_exponential_sum,
-                        local_expansion, solve_local)
+import local_reference
+from tilq import (BaseCosts, ConvergenceError, SolveOptions, TilqError,
+                  build_grid, classical_riccati, cost, exponential_kernel,
+                  feedback, hyperbolic_kernel, make_discounted,
+                  quasi_hyperbolic_kernel, simulate_control, solve_auxiliary,
+                  solve_equilibrium, solve_equilibrium_riccati, tabulated_kernel,
+                  value)
+from tilq.local import (FIT_RTOL, TERM_LADDER, _stack_propagator, _sweep,
+                        fit_exponential_sum, local_expansion, solve_local)
 from conftest import (classical_scalar_spec, hyperbolic_scalar_spec,
                       threestate_spec, twostate_spec)
 
@@ -93,6 +98,127 @@ class TestSelfConvergence:
             assert sol.method == "local"
             gap = np.max(np.abs(sol.riccati.P - classical_riccati(spec, grid)))
             assert gap <= 1e-12
+
+
+def package_stack(spec, grid, expansion):
+    """The package sweep's stack at the nodes, on the reference's inputs."""
+    X_T, coefficients = local_reference.sweep_inputs(spec, grid)
+    c, a, h = expansion.weights, expansion.rates, grid.h
+    return _sweep(X_T, _stack_propagator(c, a, 0.5 * h),
+                  _stack_propagator(c, a, h), coefficients, h)
+
+
+def relative_gap(spec, N):
+    grid = build_grid(spec.horizon, N)
+    expansion = local_expansion(spec)
+    new = package_stack(spec, grid, expansion)
+    ref = local_reference.sweep(spec, grid, expansion)
+    return float(np.max(np.abs(new - ref)) / (1.0 + np.max(np.abs(ref))))
+
+
+class TestAgainstReference:
+    # Both sweeps are Lawson RK4 schemes of the same equations; they differ
+    # in which linear part the integrating factor holds, so they agree to
+    # O(h^4), not to rounding: 0.2 h^4 relative at worst (quasi_hyperbolic:
+    # 4.8e-9 at N = 80, 7.8e-12 at N = 400), held to 0.5 h^4 at N = 80.
+    @pytest.mark.parametrize("N, tol", [(80, 0.5 / 80 ** 4), (400, 1e-11)])
+    @pytest.mark.parametrize("name", SPECS)
+    def test_agrees_with_the_scalar_factor_sweep(self, name, N, tol):
+        gap = relative_gap(SPECS[name](), N)
+        assert gap <= tol, gap
+
+    @pytest.mark.parametrize("name", ["scalar_hyperbolic", "quasi_hyperbolic"])
+    def test_gap_shrinks_at_fourth_order(self, name):
+        assert relative_gap(SPECS[name](), 80) >= 300.0 * relative_gap(
+            SPECS[name](), 400)
+
+    def test_identical_where_every_rate_is_zero(self):
+        # exponential_kernel(0.0) has c = 0 and a = 0: both factors are I
+        spec = twostate_spec(exponential_kernel(0.0))
+        for N in (80, 400):
+            assert relative_gap(spec, N) <= 1e-14
+
+
+class TestStackPropagator:
+    @staticmethod
+    def taylor_expm(A):
+        """Scaling and squaring of a 30-term Taylor series."""
+        j = max(0, int(np.ceil(np.log2(max(np.max(np.abs(A)) * len(A), 1.0)))) + 1)
+        B = A / 2.0 ** j
+        E, term = np.eye(len(A)), np.eye(len(A))
+        for k in range(1, 31):
+            term = term @ B / k
+            E = E + term
+        for _ in range(j):
+            E = E @ E
+        return E
+
+    @pytest.fixture
+    def expansion(self):
+        return local_expansion(hyperbolic_scalar_spec())
+
+    def test_half_steps_compose_to_a_step(self, expansion):
+        c, a = expansion.weights, expansion.rates
+        for h in (1.0 / 2000, 1.0 / 80, 0.5):
+            half = _stack_propagator(c, a, 0.5 * h)
+            full = _stack_propagator(c, a, h)
+            assert np.max(np.abs(half @ half - full)) <= 1e-15 * (
+                1.0 + np.max(np.abs(full)))
+
+    def test_matches_a_dense_matrix_exponential(self, expansion):
+        c, a = expansion.weights, expansion.rates
+        K = len(c) + 1
+        Lam = np.zeros((K, K))
+        Lam[0, 1:] = c
+        Lam[1:, 1:] = np.diag(a)
+        for s in (1.0 / 4000, 1.0 / 160, 1.0 / 40):  # a s up to 1.3
+            dense = self.taylor_expm(-s * Lam)
+            E = _stack_propagator(c, a, s)
+            assert np.max(np.abs(E - dense)) <= 1e-14 * (1.0 + np.max(np.abs(E)))
+
+    def test_zero_rate_integrates_exactly(self):
+        s = 0.37
+        E = _stack_propagator(np.array([2.0, -3.0]), np.array([0.0, 1.5]), s)
+        assert E[0, 1] == -2.0 * s  # phi = s exactly where a = 0
+        assert E[1, 1] == 1.0 and E[0, 0] == 1.0
+        assert E[0, 2] == pytest.approx(3.0 * (1.0 - np.exp(-1.5 * s)) / 1.5,
+                                        rel=1e-15)
+
+    def test_stiff_rate_stays_finite(self):
+        E = _stack_propagator(np.array([4.0]), np.array([800.0]), 1.0)
+        assert np.all(np.isfinite(E))
+        assert E[1, 1] == 0.0
+        assert E[0, 1] == -4.0 / 800.0
+
+
+def escaping_spec():
+    """hyperbolic_scalar_spec with Q = -50: P escapes in finite time."""
+    base = hyperbolic_scalar_spec()
+    return make_discounted(
+        base.dims, 1.0, base.dynamics,
+        BaseCosts(Q=[[-50.0]], S=[[0.1]], M=[[1.0]], q=[0.05], rho=[0.02],
+                  G=[[1.0]], g=[0.1]),
+        hyperbolic_kernel(1.0))
+
+
+class TestEscape:
+    def test_nonfinite_stack_raises_naming_the_first_node_back_from_T(self):
+        grid = build_grid(1.0, 800)
+        spec = escaping_spec()
+        with np.errstate(all="ignore"):
+            stack = package_stack(spec, grid, local_expansion(spec))
+        finite = np.isfinite(stack).all(axis=(1, 2, 3))
+        i = int(np.flatnonzero(~finite)[-1])
+        assert 0 < i < grid.N and finite[i + 1:].all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning leaks
+            with pytest.raises(ConvergenceError, match=(
+                    rf"not finite from t = {grid.nodes[i]:.6g} "
+                    rf"\(node {i} of 800\)")) as info:
+                solve_equilibrium(spec, grid)
+        diag = info.value.diagnostics
+        assert diag.iterations == 1 and not diag.converged
+        assert "local ODE sweep" in diag.note
 
 
 class TestExpansion:
