@@ -62,10 +62,11 @@ closed loop's however large the drive, and nothing is rescaled.
 
 The anchored affine scan.  With D = (A - B Gain)^T, RK4's backward
 one-step map of phi's equation, x_i = T_i x_{i+1} + r_i, has T_i = Phi_i^T
-term by term, Phi_i the closed loop's forward step.  So a Picard pass
-forms only the offsets r_i and runs the recursion on the closed loop's
-anchors, the ones its Sbb is summed over (:func:`_affine_backward_rk4`);
-phi's solve anchors nothing of its own.  D and c are stage tables.
+term by term, Phi_i the closed loop's forward step, and r_i is the drive
+increment (:func:`tilq.grid._rk4_drive_increments`) of dx/dtau = D x + c
+in reversed time.  So a Picard pass forms only the offsets r_i and runs the
+recursion on the closed loop's anchors, the ones its Sbb is summed over
+(:func:`_affine_backward_rk4`); phi's solve anchors nothing of its own.
 """
 
 from __future__ import annotations
@@ -75,8 +76,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TilqError
-from .grid import (TimeGrid, _Anchors, _border, closed_loop_drive,
-                   closed_loop_matrices, stage_table)
+from .grid import (TimeGrid, _Anchors, _border, _matvec, _rk4_drive_increments,
+                   closed_loop_drive, closed_loop_matrices, stage_table)
 from .problem import ProblemSpec
 from .riccati import (FixedPointDiagnostics, RiccatiSolution, SolveOptions,
                       _correction_sum, _initial_table, damped_fixed_point)
@@ -148,11 +149,6 @@ def _trapezoid_increments(steps: np.ndarray, drive: np.ndarray,
     return 0.5 * h * (np.einsum("iab,ib->ia", steps, drive[:-1]) + drive[1:])
 
 
-def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """mats_i vecs_i for every i."""
-    return (mats @ vecs[..., None])[..., 0]
-
-
 def _running_offsets(anchors: _Anchors, increments: np.ndarray) -> np.ndarray:
     """gamma_j = sum_{a <= k < j} psi_{k+1}^{-1} r_k, a the start of j's segment.
 
@@ -221,11 +217,7 @@ def _affine_backward_rk4(anchors: _Anchors, D, c, terminal, h):
     one reversed running sum per segment, the vector twin of
     :func:`tilq.riccati._open_loop_integral`.  x(T) is ``terminal`` exactly.
     """
-    k1r = -c[2::2]
-    k2r = 0.5 * h * _matvec(D[1::2], k1r) - c[1::2]
-    k3r = 0.5 * h * _matvec(D[1::2], k2r) - c[1::2]
-    k4r = h * _matvec(D[:-1:2], k3r) - c[:-1:2]
-    rvec = -(h / 6.0) * (k1r + 2 * k2r + 2 * k3r + k4r)
+    rvec = _rk4_drive_increments(D[::-1], c[::-1], h)[::-1]
     terms = _matvec(np.swapaxes(anchors.psi[:-1], -1, -2), rvec)
     starts = anchors.starts.tolist()
     out = np.empty((len(terms) + 1, terms.shape[-1]))

@@ -10,15 +10,17 @@ commute pairwise and is the correct fundamental solution in general.  The
 solvers take the open-loop steps and the closed loop F = A - B Gain
 (:func:`closed_loop_matrices`) from the stage tables of
 :class:`tilq.tables.SpecTables`, and keep only the one-step propagators.
+A drive, y' = F y + w, adds its zero-state response over each step, by the
+same tableau (:func:`_rk4_drive_increments`).
 
 :func:`_anchored` forms the fundamental matrices of a system from its steps,
 anchored segment by segment, for the fixed-point path's sums, by one
-log-depth scan over all segments (unmasked when there is only one).  The
-affine solve anchors nothing of its own: it borders the closed loop's
-anchors with its drive (:func:`tilq.auxiliary._bordered_anchors`), and its
-Picard pass steps phi backward over them, transposed
-(:func:`tilq.auxiliary._affine_backward_rk4`).  No propagator is formed for
-every node pair.
+log-depth scan within each segment.  The affine solve anchors nothing of its
+own: it borders the closed loop's anchors with its drive
+(:func:`tilq.auxiliary._bordered_anchors`), and its Picard pass steps phi
+backward over them, transposed (:func:`tilq.auxiliary._affine_backward_rk4`).
+Anchors are read-only once built.  No propagator is formed for every node
+pair.
 """
 
 from __future__ import annotations
@@ -66,11 +68,12 @@ class TimeGrid:
 def build_grid(T: float, N: int) -> TimeGrid:
     """Uniform grid with nodes i*T/N, i = 0..N.
 
-    Raises for non-positive horizons and for N < 2 (a single interval cannot
-    support the interior quadrature and differencing stencils used here).
+    Raises for horizons that are not positive and finite, and for N < 2 (a
+    single interval cannot support the interior quadrature and differencing
+    stencils used here).
     """
-    if T <= 0:
-        raise TilqError(f"horizon must be positive, got {T!r}")
+    if not 0 < T < math.inf:
+        raise TilqError(f"horizon must be positive and finite, got {T!r}")
     if N < 2:
         raise TilqError(f"grid needs at least 2 intervals, got {N!r}")
     nodes = np.linspace(0.0, float(T), N + 1)
@@ -128,6 +131,25 @@ def _rk4_linear_steps(A: np.ndarray, h: float) -> np.ndarray:
     k3 = A[1::2] @ (eye + 0.5 * h * k2)
     k4 = A[2::2] @ (eye + h * k3)
     return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _rk4_drive_increments(F: np.ndarray, w: np.ndarray, h: float) -> np.ndarray:
+    """Zero-state RK4 response of y' = F(s) y + w(s) over every grid interval.
+
+    ``F`` and ``w`` are stage tables.  RK4's step from y_i is Phi_i y_i plus
+    this increment, Phi_i the factor of :func:`_rk4_linear_steps`.
+    """
+    Fm, wm = F[1::2], w[1::2]
+    k1 = w[:-1:2]
+    k2 = 0.5 * h * _matvec(Fm, k1) + wm
+    k3 = 0.5 * h * _matvec(Fm, k2) + wm
+    k4 = h * _matvec(F[2::2], k3) + w[2::2]
+    return (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """mats_i vecs_i for every i."""
+    return (mats @ vecs[..., None])[..., 0]
 
 
 def zero_below_diagonal(pairs: np.ndarray) -> np.ndarray:
@@ -199,11 +221,9 @@ class _Anchors:
     inv: np.ndarray
     links: np.ndarray
 
-    def read_only(self) -> _Anchors:
-        """These anchors, their arrays made read-only in place."""
+    def __post_init__(self):
         for products in (self.starts, self.psi, self.inv, self.links):
             products.flags.writeable = False
-        return self
 
 
 def _anchored(steps: np.ndarray) -> _Anchors:
@@ -213,11 +233,8 @@ def _anchored(steps: np.ndarray) -> _Anchors:
     most (1 + delta) / (1 - delta), and a product's condition number is at
     most the product of its factors'.  Each segment runs for as long as that
     bound stays within ANCHOR_COND, and for one step at least, so a step
-    past the bound is a segment of its own.  The products within all
-    segments are formed together by a log-depth (Hillis-Steele) scan, each
-    pass masked to the nodes far enough into their segment; when the bound
-    leaves one segment (starts = [0, N]) nothing is masked and each pass is
-    a plain batched product, with the same floats.
+    past the bound is a segment of its own.  The products within each
+    segment are formed by a log-depth (Hillis-Steele) scan of its own.
     """
     N, n = steps.shape[0], steps.shape[-1]
     eye = np.eye(n)
@@ -234,26 +251,18 @@ def _anchored(steps: np.ndarray) -> _Anchors:
         a = starts[-1]
         b = bisect.bisect_right(bound, bound[a] + limit) - 1
         starts.append(min(max(b, a + 1), N))
-    starts = np.array(starts)
-    lengths = np.diff(starts)
     psi = np.empty((N + 1, n, n))
     psi[1:] = steps
-    # Hillis-Steele: after the pass of stride d, psi[j] is the product of
-    # the last min(2d, offset[j]) steps into node j, offset[j] = j - a
-    d = 1
-    if len(lengths) == 1:
-        # one segment: offset[j] = j >= d for every j >= d, so no node is masked
-        psi[0] = psi[N] = eye
-        while d < N:
-            psi[d:N] = psi[d:N] @ psi[:N - d]
+    for a, b in zip(starts, starts[1:] + [N + 1]):
+        # Hillis-Steele: after the pass of stride d, seg[j] is the product
+        # of the last min(2d, j) steps into node a + j
+        seg = psi[a:b]
+        seg[0] = eye
+        d = 1
+        while d < len(seg):
+            seg[d:] = seg[d:] @ seg[:-d]
             d *= 2
-    else:
-        offset = np.arange(N + 1) - np.append(np.repeat(starts[:-1], lengths), N)
-        psi[offset == 0] = eye
-        while d < lengths.max():
-            np.copyto(psi[d:N], psi[d:N] @ psi[:N - d],
-                      where=(offset[d:N] >= d)[:, None, None])
-            d *= 2
+    starts = np.array(starts)
     last = starts[1:] - 1
     return _Anchors(starts=starts, psi=psi, inv=np.linalg.inv(psi),
                     links=steps[last] @ psi[last])

@@ -155,7 +155,7 @@ class EquilibriumSolution:
         """
         riccati = self.riccati
         return _bordered_anchors(riccati.closed_loop_anchors, _trapezoid_increments(
-            riccati.closed_loop, self.auxiliary.drive, self.grid.h)).read_only()
+            riccati.closed_loop, self.auxiliary.drive, self.grid.h))
 
 
 def _check_node_rows(K: np.ndarray, k: np.ndarray, gain: np.ndarray,
@@ -565,16 +565,13 @@ def _equilibrium_paths(sol: EquilibriumSolution, starts: np.ndarray,
     lengths = N + 1 - starts
     offsets = np.zeros(P + 1, dtype=np.intp)
     np.cumsum(lengths, out=offsets[1:])
-    if P == 1:
-        states, nodes = bordered[0, :, :n], slice(lo, N + 1)
-    else:
-        # flat row r of path p (caller's order) is its node's row of bordered
-        where = np.empty(P, dtype=np.intp)
-        where[order] = np.arange(P)
-        shift = where * (N + 1 - lo) + (starts - lo) - offsets[:-1]
-        flat = np.arange(offsets[-1]) + np.repeat(shift, lengths)
-        states = bordered.reshape(-1, n + 1)[flat, :n]
-        nodes = flat % (N + 1 - lo) + lo
+    # flat row r of path p (caller's order) is its node's row of bordered
+    where = np.empty(P, dtype=np.intp)
+    where[order] = np.arange(P)
+    shift = where * (N + 1 - lo) + (starts - lo) - offsets[:-1]
+    flat = np.arange(offsets[-1]) + np.repeat(shift, lengths)
+    states = bordered.reshape(-1, n + 1)[flat, :n]
+    nodes = flat % (N + 1 - lo) + lo
     states[offsets[:-1]] = X
     controls = -(np.einsum("jmn,jn->jm", sol.riccati.gain[nodes], states)
                  + sol.auxiliary.upsilon[nodes])

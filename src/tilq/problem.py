@@ -237,8 +237,9 @@ class ProblemSpec:
     kernel: DiscountKernel | None = dc_field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise TilqError(f"horizon must be positive, got {self.horizon!r}")
+        if not 0 < self.horizon < math.inf:
+            raise TilqError(f"horizon must be positive and finite, got "
+                            f"{self.horizon!r}")
         n, m = self.dims.n, self.dims.m
         expected = {"Q": (n, n), "S": (m, n), "M": (m, m), "q": (n,), "rho": (m,)}
         for fname, shape in expected.items():

@@ -12,9 +12,12 @@ checked against it by :func:`schema_violation`, a walker over the eleven
 keywords the schema uses: ``type``, ``const``, ``oneOf``, ``required``,
 ``properties``, ``additionalProperties`` (false only), ``items``,
 ``minItems``, ``minimum``, ``exclusiveMinimum`` and ``maximum``.  Its
-messages use jsonschema's wording.  A bool is never a number, and an
-``integer`` is a Python int only: ``"n": 2.0`` is refused at its path, where
-jsonschema's default draft accepts integer-valued floats.
+messages use jsonschema's wording.  A bool is never a number.  It departs
+from jsonschema's default draft twice, on purpose: an ``integer`` is a
+Python int only, so ``"n": 2.0`` is refused at its path, where jsonschema
+accepts integer-valued floats; and a ``number`` is finite, so the NaN,
+Infinity and -Infinity that ``json.loads`` reads are refused at their path
+("nan is not of type 'number'"), where jsonschema accepts them.
 """
 
 from __future__ import annotations
@@ -141,7 +144,10 @@ _TYPES = {"object": dict, "array": list, "string": str,
 
 
 def _is_type(instance, kind: str) -> bool:
-    return isinstance(instance, _TYPES[kind]) and not isinstance(instance, bool)
+    if not isinstance(instance, _TYPES[kind]) or isinstance(instance, bool):
+        return False
+    # json.loads reads NaN, Infinity and -Infinity as floats
+    return kind != "number" or not isinstance(instance, float) or math.isfinite(instance)
 
 
 def schema_violation(instance, schema: dict = PROBLEM_SCHEMA, path: tuple = ()):

@@ -75,6 +75,7 @@ RK4's backward map of phi's equation is the transposed closed-loop step.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -96,6 +97,13 @@ PSD_WARN_FLOOR = -1e-8
 DAMPING_FLOOR = 0.0625
 
 
+def _require_count(name: str, value) -> None:
+    """Raise TilqError unless ``value`` is an integer >= 1 (not a bool)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < 1):
+        raise TilqError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass
 class SolveOptions:
     """Fixed-point controls shared by the Riccati and affine-term solvers."""
@@ -106,8 +114,10 @@ class SolveOptions:
     initial: object = "terminal"  # "terminal" | "zero" | explicit table
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise TilqError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise TilqError(f"tolerance must be positive and finite, got "
+                            f"{self.tolerance!r}")
+        _require_count("max_iterations", self.max_iterations)
         if not (0 < self.damping <= 1):
             raise TilqError("damping must lie in (0, 1]")
 
@@ -215,7 +225,7 @@ class RiccatiSolution:
         and phi's Picard pass runs on them transposed.
         """
         if self._anchors is None:
-            self._anchors = _anchored(self.closed_loop).read_only()
+            self._anchors = _anchored(self.closed_loop)
         return self._anchors
 
 
@@ -453,7 +463,7 @@ def solve_equilibrium_riccati(spec: ProblemSpec, grid: TimeGrid,
     P_final, diag = _fixed_point_p(opts, tables)
     gain = _gain_table(P_final, tables)
     cl = _closed_loop_table(gain, tables)
-    anchors = _anchored(cl).read_only()
+    anchors = _anchored(cl)
     qbb = _qbb_table(gain, anchors, tables)
     warn_if_indefinite(P_final, diag)
     return RiccatiSolution(grid=grid, P=P_final, gain=gain, qbb=qbb,

@@ -16,8 +16,9 @@ Four independent probes of a solved problem:
   embeds those very tables), so R is instead rebuilt along an independently
   re-integrated closed-loop response; the residual then measures the true
   discretization defect and shrinks at second order.  Its drive enters by
-  RK4 stages, not the trapezoid rule, and its Sbb and omega come from the
-  solver's bordered sum (:mod:`tilq.auxiliary`) over those increments.
+  RK4 stages (:func:`tilq.grid._rk4_drive_increments`), not the trapezoid
+  rule, and its Sbb and omega come from the solver's bordered sum
+  (:mod:`tilq.auxiliary`) over those increments.
 * integral-form residual: the value function must reproduce itself through
   the terminal term plus the nested running/correction integrals along the
   equilibrium path.
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,8 +62,8 @@ from .auxiliary import _correction, _omega_table, _psi_rate, _sbb_table
 # in this module because perfbench/spans.py wraps them here.
 from .auxiliary import solve_auxiliary  # noqa: F401
 from .errors import TilqError
-from .grid import (TimeGrid, closed_loop_drive, closed_loop_matrices, quadrature,
-                   stage_table)
+from .grid import (TimeGrid, _rk4_drive_increments, closed_loop_drive,
+                   closed_loop_matrices, quadrature, stage_table)
 from .policy import (EquilibriumSolution, _batches, _equilibrium_costs,
                      _equilibrium_paths, _joined, _locate, _node_index, _Paths,
                      _quadratic_form, _row_bytes, _running_cost,
@@ -69,7 +71,7 @@ from .policy import (EquilibriumSolution, _batches, _equilibrium_costs,
                      feedback, simulate_control, simulate_equilibrium, value)
 from .problem import ProblemSpec
 from .riccati import (RiccatiSolution, SolveOptions, _fixed_point_p,
-                      warn_if_indefinite)
+                      _require_count, warn_if_indefinite)
 from .riccati import solve_equilibrium_riccati  # noqa: F401
 from .tables import SpecTables, pair_costs, solve_chol
 
@@ -377,32 +379,13 @@ def _candidates(eq_controls: np.ndarray, k: int, count: int,
 # pointwise stationarity residual
 
 
-def _reintegrated_increments(sol: EquilibriumSolution) -> np.ndarray:
-    """Zero-state response to the drive b - B Upsilon over each step, by RK4.
-
-    With the stored closed-loop steps, these bordered steps give btilde by a
-    second discretization, independent of the solver's trapezoid rule.
-    """
-    tbl = sol.tables
-    h = sol.grid.h
-    B = tbl.stages("B")
-    F = closed_loop_matrices(tbl.stages("A"), B, sol.riccati.gain)
-    w = closed_loop_drive(tbl.stages("b"), B, stage_table(sol.auxiliary.upsilon))
-    Fm, wm = F[1::2], w[1::2]
-    k1 = w[:-1:2]
-    k2 = 0.5 * h * np.einsum("iab,ib->ia", Fm, k1) + wm
-    k3 = 0.5 * h * np.einsum("iab,ib->ia", Fm, k2) + wm
-    k4 = h * np.einsum("iab,ib->ia", F[2::2], k3) + w[2::2]
-    return (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
 def _stationarity_residuals(sol: EquilibriumSolution, states) -> list:
     """The pointwise residual at every node, one array per state.
 
-    The state-independent tables, among them the re-integrated responses'
-    Sbb and omega, are built once for all the states.  The rates use the
-    stored Sbb and omega (what phi and psi were solved against); only R
-    comes from the re-integrated route.
+    The state-independent tables, among them Sbb and omega of the RK4
+    responses to the drive b - B Upsilon, are built once for all the states.
+    The rates use the stored Sbb and omega (what phi and psi were solved
+    against); only R comes from the re-integrated route.
     """
     n = sol.spec.dims.n
     states = np.asarray(states, dtype=float)
@@ -410,8 +393,12 @@ def _stationarity_residuals(sol: EquilibriumSolution, states) -> list:
         raise TilqError(f"states have shape {states.shape}; expected ({n},) or "
                         f"(S, {n})")
     gain, ups, qbb = sol.riccati.gain, sol.auxiliary.upsilon, sol.riccati.qbb
+    tbl = sol.tables
+    B = tbl.stages("B")
+    F = closed_loop_matrices(tbl.stages("A"), B, gain)
+    w = closed_loop_drive(tbl.stages("b"), B, stage_table(ups))
     corr_re = _correction(gain, ups, sol.riccati.closed_loop_anchors,
-                          _reintegrated_increments(sol), sol.tables)
+                          _rk4_drive_increments(F, w, sol.grid.h), tbl)
     sbb_re, omega_re = _sbb_table(corr_re), _omega_table(corr_re)
     rates = _coefficient_rates(sol)
     out = []
@@ -581,6 +568,15 @@ class VerifyOptions:
     value_points: int = 50
     gradient_points: int = 100
     state_box: float = 2.0
+
+    def __post_init__(self):
+        # the minimums PROBLEM_SCHEMA sets on a problem file's settings
+        for name in ("spike_points", "bellman_controls", "value_points",
+                     "gradient_points"):
+            _require_count(name, getattr(self, name))
+        if not 0 < self.state_box < math.inf:
+            raise TilqError(f"state_box must be positive and finite, got "
+                            f"{self.state_box!r}")
 
 
 def _hjb_reference_tol(grid: TimeGrid) -> float:

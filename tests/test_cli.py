@@ -246,7 +246,7 @@ class TestCommands:
         err = json.loads(capsys.readouterr().out.strip())
         assert "file not found" in err["error"]["message"]
 
-    @pytest.mark.parametrize("tol", ["0", "-1"])
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
     def test_bad_tolerance_refused_up_front(self, tmp_path, capsys, tol):
         # refused before any solve, on the local path (which iterates
         # nothing) and on the fixed-point path alike

@@ -8,11 +8,13 @@ import pytest
 import tilq.grid
 from tilq import (DynamicsField, TilqError, build_grid, quadrature,
                   solve_equilibrium)
-from tilq.grid import TransitionTable, open_loop_transition
+from tilq.auxiliary import _bordered_anchors, _trapezoid_increments
+from tilq.grid import (TransitionTable, closed_loop_drive, closed_loop_matrices,
+                       open_loop_transition, stage_table)
 from tilq.problem import _Constant
 from tilq.problem_io import (load_shipped_problem, parse_problem,
                              shipped_problem_path)
-from tilq.riccati import _closed_loop_table
+from tilq.riccati import _closed_loop_table, solve_equilibrium_riccati
 from tilq.tables import SpecTables
 from conftest import dynamics_tables, twostate_spec
 from pair_tables import column, from_pair_layout, full_table
@@ -39,6 +41,11 @@ class TestBuildGrid:
     def test_negative_horizon_rejected(self):
         with pytest.raises(TilqError):
             build_grid(-1.0, 10)
+
+    @pytest.mark.parametrize("T", [np.nan, np.inf])
+    def test_non_finite_horizon_rejected(self, T):
+        with pytest.raises(TilqError, match="horizon must be positive and finite"):
+            build_grid(T, 10)
 
 
 class TestQuadrature:
@@ -299,6 +306,83 @@ class TestAnchored:
                 composed = steps[j] @ composed
             np.testing.assert_allclose(got.links[k], composed, rtol=0, atol=1e-13)
         np.testing.assert_array_equal(got.psi[grid.N], np.eye(steps.shape[-1]))
+
+
+def rk4_steps(F, w, h, starts=None):
+    """RK4 of y' = F y + w over each interval from starts[i] (default 0),
+    one node at a time."""
+    if starts is None:
+        starts = np.zeros(((len(F) - 1) // 2, F.shape[-1]))
+    out = []
+    for i, y in enumerate(starts):
+        (F0, Fm, F1), (w0, wm, w1) = F[2 * i:2 * i + 3], w[2 * i:2 * i + 3]
+        k1 = F0 @ y + w0
+        k2 = Fm @ (y + 0.5 * h * k1) + wm
+        k3 = Fm @ (y + 0.5 * h * k2) + wm
+        k4 = F1 @ (y + h * k3) + w1
+        out.append(y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
+    return np.array(out)
+
+
+class TestDriveIncrements:
+    @staticmethod
+    def twostate_closed_loop():
+        sol = solve_equilibrium(twostate_spec(), build_grid(1.0, 120))
+        tables, B = sol.tables, sol.tables.stages("B")
+        F = closed_loop_matrices(tables.stages("A"), B, sol.riccati.gain)
+        w = closed_loop_drive(tables.stages("b"), B, stage_table(sol.auxiliary.upsilon))
+        return F, w, sol.grid.h
+
+    @staticmethod
+    def random_system():
+        rng = np.random.default_rng(11)
+        return (rng.standard_normal((2 * 90 + 1, 3, 3)),
+                rng.standard_normal((2 * 90 + 1, 3)), 0.02)
+
+    @pytest.mark.parametrize("system", ["twostate_closed_loop", "random_system"])
+    @pytest.mark.parametrize("reversed_", [False, True], ids=["forward", "reversed"])
+    def test_matches_node_by_node_rk4(self, system, reversed_):
+        F, w, h = getattr(self, system)()
+        if reversed_:
+            F, w = F[::-1], w[::-1]
+        got = tilq.grid._rk4_drive_increments(F, w, h)
+        want = rk4_steps(F, w, h)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_step_is_linear_factor_plus_increment(self):
+        # RK4 from y_i is Phi_i y_i plus the zero-state increment
+        F, w, h = self.random_system()
+        y = np.random.default_rng(12).standard_normal((len(F) // 2, 3))
+        steps = tilq.grid._rk4_linear_steps(F, h)
+        got = (steps @ y[..., None])[..., 0] + tilq.grid._rk4_drive_increments(F, w, h)
+        np.testing.assert_allclose(got, rk4_steps(F, w, h, y), rtol=0, atol=1e-14)
+
+
+class TestAnchorsReadOnly:
+    """Every anchors object is read-only once built, whoever built it."""
+
+    @staticmethod
+    def anchors():
+        grid = build_grid(1.0, 60)
+        local = solve_equilibrium(twostate_spec(), grid)
+        fixed = solve_equilibrium_riccati(twostate_spec(), grid)
+        increments = _trapezoid_increments(local.riccati.closed_loop,
+                                           local.auxiliary.drive, grid.h)
+        return {"open_loop_anchors": local.tables.open_loop_anchors,
+                "closed_loop_anchors (local)": local.riccati.closed_loop_anchors,
+                "closed_loop_anchors (fixed point)": fixed.closed_loop_anchors,
+                "path_anchors": local.path_anchors,
+                "_bordered_anchors": _bordered_anchors(
+                    local.riccati.closed_loop_anchors, increments)}
+
+    @pytest.mark.parametrize("field", ["starts", "psi", "inv", "links"])
+    def test_writes_raise(self, field):
+        for what, anchors in self.anchors().items():
+            products = getattr(anchors, field)
+            with pytest.raises(ValueError, match="read-only"):
+                products[0] = products[0]
+            assert not products.flags.writeable, what
 
 
 class TestDynamicsTables:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,11 @@ class TestMakeDiscounted:
                                base, hyperbolic_kernel(1.0))
         Q = spec.Q(0.1, 0.6)
         np.testing.assert_array_equal(Q, Q.T)
+
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), 0.0])
+    def test_unusable_horizon_rejected(self, horizon):
+        with pytest.raises(TilqError, match="horizon must be positive and finite"):
+            dataclasses.replace(scalar_spec(), horizon=horizon)
 
 
 class TestKernelTriangle:

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -173,6 +174,57 @@ class TestIntegerValuedFloats:
         assert not (tmp_path / "out").exists()
 
 
+# where a non-finite number is put, where it is refused, and the message
+NON_FINITE = {
+    "horizon": ("horizon", "{v!r} is not of type 'number'"),
+    "solver/tolerance": ("solver/tolerance", "{v!r} is not of type 'number'"),
+    # no branch of the discount's oneOf reaches deeper than /discount/k
+    "discount/k": ("discount", "{{'family': 'hyperbolic', 'k': {v!r}}} is not "
+                               "valid under any of the given schemas"),
+    "base_costs/Q/0/0": ("base_costs/Q/0/0",
+                         "{v!r} is not valid under any of the given schemas"),
+}
+
+
+def non_finite(where, value):
+    """The two-state document with ``value`` put at the path ``where``."""
+    if where == "base_costs/Q/0/0":
+        return twostate(**{"base_costs/Q": [[value, 0.1], [0.1, 0.5]]})
+    return twostate(**{where: value})
+
+
+class TestNonFiniteNumbers:
+    """A number is finite: json.loads reads NaN and the infinities as floats."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=repr)
+    @pytest.mark.parametrize("where", sorted(NON_FINITE))
+    def test_parse_refuses_at_path(self, where, value):
+        doc = json.loads(json.dumps(non_finite(where, value)))
+        path, message = NON_FINITE[where]
+        if value != value:
+            assert ORACLE.is_valid(doc)  # jsonschema's draft takes NaN
+        with pytest.raises(ProblemFileError) as info:
+            parse_problem(doc)
+        assert str(info.value) == (f"<memory>: schema violation at /{path}: "
+                                   + message.format(v=value))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=repr)
+    @pytest.mark.parametrize("where", sorted(NON_FINITE))
+    def test_cli_exits_with_error_json(self, where, value, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(non_finite(where, value)))  # writes NaN, Infinity
+        rc = main(["solve", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().out.strip())["error"]
+        where_at, message = NON_FINITE[where]
+        assert err["type"] == "ProblemFileError"
+        assert err["message"] == (f"{path}: schema violation at /{where_at}: "
+                                  + message.format(v=value))
+        assert not (tmp_path / "out").exists()
+
+
 class TestTabulatedValues:
     """A tabulation's values are rank + 1 nested arrays of numbers."""
 
@@ -306,9 +358,17 @@ def test_walker_agrees_with_jsonschema(doc):
     found = schema_violation(doc)
     if ORACLE.is_valid(doc) == (found is None):
         return
-    # the one deliberate difference: an integer-valued float in an integer field
+    # the two deliberate differences: an integer-valued float in an integer
+    # field, and a NaN or infinity where a number goes (refused at it, or
+    # past a oneOf at the deepest node its branches reach)
     assert ORACLE.is_valid(doc), found
     path, message = found
     value = lookup(doc, path)
+    nodes = (lookup(value, p) for p in node_paths(value))
+    if any(isinstance(v, float) and not math.isfinite(v) for v in nodes):
+        assert message in (f"{value!r} is not of type 'number'",
+                           f"{value!r} is not valid under any of the given "
+                           f"schemas"), found
+        return
     assert isinstance(value, float) and value.is_integer(), found
     assert message == f"{value!r} is not of type 'integer'"

@@ -14,7 +14,7 @@ from tilq import (AssumptionError, BaseCosts, Dimensions, DynamicsField,
                   run_verification, shipped_problem_path, simulate_equilibrium,
                   solve_auxiliary, tabulated_kernel, uniqueness_probe)
 from tilq import cli
-from tilq.errors import ConvergenceError
+from tilq.errors import ConvergenceError, TilqError
 from tilq.grid import TransitionTable, _anchored
 from tilq.policy import EquilibriumSolution
 from tilq.riccati import _closed_loop_table, _qbb_table, _sweep_core
@@ -457,6 +457,19 @@ class TestSolve:
                                       SolveOptions(max_iterations=2))
         assert info.value.diagnostics.iterations == 2
         assert not info.value.diagnostics.converged
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_iterations": 0}, "max_iterations must be an integer >= 1, got 0"),
+        ({"max_iterations": -3}, "max_iterations must be an integer >= 1, got -3"),
+        ({"max_iterations": 2.5}, "max_iterations must be an integer >= 1, got 2.5"),
+        ({"max_iterations": True}, "max_iterations must be an integer >= 1, got True"),
+        ({"tolerance": float("nan")}, "tolerance must be positive and finite, got nan"),
+        ({"tolerance": float("inf")}, "tolerance must be positive and finite, got inf"),
+    ])
+    def test_unusable_options_refused(self, kwargs, message):
+        # max_iterations=0 reached the fixed point and raised a bare IndexError
+        with pytest.raises(TilqError, match=f"^{re.escape(message)}$"):
+            SolveOptions(**kwargs)
 
     def test_indefinite_p_warns_not_errors(self):
         # strong cross-weight with weak state costs drives P negative, which

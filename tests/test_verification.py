@@ -532,6 +532,29 @@ def test_batched_gradient_gaps_match_the_loop(request, fixture):
     assert grad_value_fd_gap(sol, ts[5], X[5]) == gaps[5]
 
 
+class TestVerifyOptions:
+    """A battery that would check nothing, or draw nothing, is refused."""
+
+    @pytest.mark.parametrize("name", ["spike_points", "bellman_controls",
+                                      "value_points", "gradient_points"])
+    @pytest.mark.parametrize("count", [0, -1, 2.0])
+    def test_counts_at_least_one(self, name, count):
+        with pytest.raises(TilqError, match=f"^{name} must be an integer >= 1, "
+                                            f"got {re.escape(repr(count))}$"):
+            VerifyOptions(**{name: count})
+
+    @pytest.mark.parametrize("box", [0.0, -1.0, float("nan"), float("inf")])
+    def test_state_box_positive_and_finite(self, box):
+        with pytest.raises(TilqError, match=f"^state_box must be positive and "
+                                            f"finite, got {box!r}$"):
+            VerifyOptions(state_box=box)
+
+    def test_defaults_and_smallest_battery_accepted(self):
+        VerifyOptions()
+        VerifyOptions(spike_points=1, bellman_controls=1, value_points=1,
+                      gradient_points=1, state_box=1e-3)
+
+
 class TestBattery:
     def test_full_battery_passes(self):
         spec = hyperbolic_scalar_spec()
