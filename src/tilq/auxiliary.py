@@ -36,7 +36,7 @@ and their product from t_i to t_j is [[E_cl(t_j, t_i), btilde(t_j, t_i)],
 t_{k+1}) r_k is the cell h/2 (E_cl(t_j, t_k) d_k + E_cl(t_j, t_{k+1})
 d_{k+1}).  Along u = -Gain y - Upsilon the t-derivative of the running cost
 is <y_bar, K_bar y_bar> with y_bar = [y; 1] and the bordered closed-loop
-costs K_bar = [[K, k], [k^T, kappa]] of :func:`tilq.tables.pair_costs`, and
+costs K_bar = [[K, k], [k^T, kappa]] of :func:`tilq.tables.cost_terms`, and
 the terminal term is [[G', g'], [g'^T, 0]].  So the sum run on the bordered
 steps and costs gives [[Qbb, Sbb], [Sbb^T, omega]] at every node:
 

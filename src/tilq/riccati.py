@@ -31,23 +31,24 @@ Both integrals use the node trapezoid rule with the weights W[i, j] of
     X_i = sum_{j >= i} C_ij E_ji^T K_j E_ji + E_Ni^T D_i E_Ni,
 
 with E_ji = E(t_j, t_i).  For Qbb, E is the closed loop, K the bracket of
-its integrand from :func:`tilq.tables.pair_costs` and D = G'.  For P, E is
-the open loop, C = W, K = inner = Q(t,t) - Qbb - Gain^T M(t,t) Gain and
-D = G(T).  Neither sum forms a propagator per node pair.  They are anchored
-fundamental-matrix sums: for an anchor t_a <= t_i, Psi_j = E(t_j, t_a)
-gives E_ji = Psi_j Psi_i^{-1}, so row i is
+its integrand and D = G'.  For P, E is the open loop, C = W, K = inner =
+Q(t,t) - Qbb - Gain^T M(t,t) Gain and D = G(T).  Neither sum forms a
+propagator per node pair.  They are anchored fundamental-matrix sums: for
+an anchor t_a <= t_i, Psi_j = E(t_j, t_a) gives E_ji = Psi_j Psi_i^{-1}, so
+row i is
 
     X_i = Psi_i^{-T} [sum_j C_ij Psi_j^T K_j Psi_j] Psi_i^{-1}.
 
-For a separable spec K(t_i, s_j) = dlam(t_i, s_j) K_hat(s_j), so C = W * dlam
-and K_j = K_hat(s_j), formed once per node.  C is applied as h * dlam, and
-the half weights of W at j = i and j = N are restored separately, so the
-brackets of all rows are one matrix product of the dlam plane with the
-(N+1) x n^2 stack of Psi_j^T K_j Psi_j: O(N^2 n^2) per sweep.  For P the
-weights depend on the column only, and the bracket is a running sum,
-O(N n^2).  A spec without a recorded kernel has one K per node pair; its
-blocks are contracted with Psi_j in place of E_ji, still O(N^2 n^3) but
-with no pair table.
+The bracket of Qbb is a short sum of planes times node terms,
+K(t_i, s_j) = sum plane(t_i, s_j) K_hat(s_j) (:func:`tilq.tables.cost_terms`),
+so each term has C = W * plane and K_j = K_hat(s_j), formed once per node.
+C is applied as h * plane, and the half weights of W at j = i and j = N are
+restored separately, so the brackets of all rows are one matrix product per
+term of its plane with the (N+1) x n^2 stack of Psi_j^T K_j Psi_j:
+O(N^2 n^2) per term and sweep (:func:`_plane_sum`).  A separable spec has
+the one term dlam; a spec without a recorded kernel has one per component
+of its derivative triangles, n^2 + mn + m^2 of them.  For P the weights
+depend on the column only, and the bracket is a running sum, O(N n^2).
 
 Anchors.  Rounding in these sums grows like eps * kappa^2, kappa the
 condition number of Psi.  One anchor at t = 0 is exact on well-conditioned
@@ -88,7 +89,7 @@ from .grid import (TimeGrid, _anchored, _Anchors, _border, _rk4_linear_steps,
 # stays in this module because perfbench/spans.py wraps it here.
 from .grid import open_loop_transition  # noqa: F401
 from .problem import ProblemSpec
-from .tables import SpecTables, _node_costs, factor_md, pair_costs, solve_chol
+from .tables import SpecTables, cost_terms, factor_md, solve_chol
 
 SWEEP_ASYMMETRY_RTOL = 1e-8
 TIME_CONSISTENT_SUP = 1e-12
@@ -310,55 +311,34 @@ def _open_loop_integral(anchors: _Anchors, inner: np.ndarray,
     return out
 
 
-def _separable_sum(anchors: _Anchors, K: np.ndarray, D: np.ndarray,
-                   tables: SpecTables) -> np.ndarray:
-    """The sum for a separable spec, K = K_hat at the nodes, D the terminal term.
+def _plane_sum(anchors: _Anchors, terms: list, D: np.ndarray,
+               tables: SpecTables) -> np.ndarray:
+    """The sum over ``(plane, K)`` terms (:func:`tilq.tables.cost_terms`), D terminal.
 
-    The weights W * dlam are applied as h * dlam, one matrix product per
-    segment; column N enters with the terminal term and the diagonal's half
-    weight is restored at the end.
+    C_ij K_j of the module docstring is sum over the terms of W_ij
+    plane[i, j] K[j].  The weights are applied as h * plane, one matrix
+    product per term and segment; column N enters with the terminal term and
+    the diagonal's half weight is restored at the end.
     """
     starts = anchors.starts
-    N, h, d = tables.grid.N, tables.grid.h, K.shape[-1]
-    dlam = tables.dlam
-    flat = h * _frame_terms(anchors, K).reshape(N + 1, d * d)
+    N, h, d = tables.grid.N, tables.grid.h, D.shape[-1]
+    flats = [(plane, h * _frame_terms(anchors, K).reshape(N + 1, d * d))
+             for plane, K in terms]
 
     def segment_sum(k):
         a, b = starts[k], starts[k + 1]
-        return (dlam[:b, a:b] @ flat[a:b]).reshape(b, d, d)
+        out = flats[0][0][:b, a:b] @ flats[0][1][a:b]
+        for plane, flat in flats[1:]:
+            out += plane[:b, a:b] @ flat[a:b]
+        return out.reshape(b, d, d)
 
     out = np.array(D)
-    out[:N] += (0.5 * h) * dlam[:N, N, None, None] * K[N]
+    for plane, K in terms:
+        out[:N] += (0.5 * h) * plane[:N, N, None, None] * K[N]
     out = _carry_back(anchors, out, segment_sum)
-    out[:N] -= (0.5 * h) * np.diagonal(dlam)[:N, None, None] * K[:N]
+    for plane, K in terms:
+        out[:N] -= (0.5 * h) * np.diagonal(plane)[:N, None, None] * K[:N]
     return out
-
-
-def _pair_sum(anchors: _Anchors, gain: np.ndarray, upsilon, D: np.ndarray,
-              tables: SpecTables) -> np.ndarray:
-    """The sum from the per-pair blocks of ``pair_costs``, D the terminal term.
-
-    One K per node pair, contracted with psi_j in place of E_ji at the exact
-    weights W, one segment's columns at a time; node N's column is a segment
-    of its own.
-    """
-    N, d = tables.grid.N, anchors.psi.shape[-1]
-    starts = np.append(anchors.starts, N + 1)  # node N's segment ends the grid
-    psi = np.ascontiguousarray(np.moveaxis(anchors.psi, 0, -1))  # psi_j at [..., j]
-
-    def segment_sum(k):
-        a, b = starts[k], starts[k + 1]
-        out = np.empty((b, d, d))
-        for rows, (_, _, cols), weight, K in pair_costs(
-                tables, gain, upsilon, columns=slice(a, b)):
-            p = psi[..., cols]
-            buf = np.einsum("ceij,edj->cdij", K, p)
-            buf *= weight
-            out[rows] = np.einsum("caj,cdij->iad", p, buf)
-        return out
-
-    node_N = len(starts) - 2
-    return _carry_back(anchors, D + segment_sum(node_N), segment_sum)
 
 
 def _correction_sum(anchors: _Anchors, gain: np.ndarray, tables: SpecTables,
@@ -366,17 +346,12 @@ def _correction_sum(anchors: _Anchors, gain: np.ndarray, tables: SpecTables,
     """Qbb at every node before symmetrization, or bordered with Upsilon.
 
     With ``upsilon`` the anchors, the costs and G' are all bordered, and the
-    sum is [[Qbb, Sbb], [Sbb^T, omega]] (:mod:`tilq.auxiliary`).  A separable
-    spec sums K_hat(s_j) against the dlam plane, others the blocks of
-    :func:`tilq.tables.pair_costs` pair by pair.
+    sum is [[Qbb, Sbb], [Sbb^T, omega]] (:mod:`tilq.auxiliary`).
     """
     D = tables.Gdot
     if upsilon is not None:
         D = _border(D, tables.gdot, tables.gdot)
-    if tables.spec.kernel is not None:
-        K = np.moveaxis(_node_costs(tables, gain, upsilon)[..., 0, :], -1, 0)
-        return _separable_sum(anchors, K, D, tables)
-    return _pair_sum(anchors, gain, upsilon, D, tables)
+    return _plane_sum(anchors, cost_terms(tables, gain, upsilon), D, tables)
 
 
 def _qbb_table(gain: np.ndarray, anchors: _Anchors,

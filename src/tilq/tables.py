@@ -23,8 +23,7 @@ K_hat(s_j) = K(s_j, s_j) / lam(s_j, s_j) read off the diagonal tables.  The
 terminal derivatives G'(t_i) = dlam(t_i, T) G(T) / lam(T, T), and g' alike,
 come from the plane's last column.  A spec without a recorded kernel gets
 one derivative triangle per cost kernel instead (``Qt``, ``St``, ``Mt``,
-``qt``, ``rhot``).  Every nonlocal integrand reads its kernels through
-:func:`pair_costs`, the one place that chooses between the two.
+``qt``, ``rhot``).
 
 Pair layout.  Every (N+1)^2 table is one C-contiguous array of shape
 ``components + (N+1, N+1)``.  Entry ``[..., i, j]`` belongs to the node
@@ -38,18 +37,21 @@ outside the domain t <= s and are exactly zero.  Concretely:
 * ``Qt[a, b, i, j] = d/dt Q(t_i, t_j)[a, b]`` and likewise ``St``, ``Mt``,
   ``qt[a, i, j]``, ``rhot[p, i, j]`` for a spec without a recorded kernel.
 
-No plane of trapezoid weights is kept: :func:`suffix_weights` forms a block's.
+No plane of trapezoid weights is kept: :func:`suffix_weights` forms them
+where a check needs them.
 
 No propagator or btilde is tabulated over node pairs: the nonlocal sums and
 the equilibrium paths read anchored products of the one-step propagators
 (:mod:`tilq.riccati`, :func:`tilq.policy.simulate_equilibrium`).
 
-:func:`pair_costs` yields each node pair's closed-loop cost derivative K,
-bordered to [[K, k], [k^T, kappa]] when Upsilon is given, times its
-trapezoid weight, by blocks of rows (:func:`pair_blocks`) whose temporaries
-stay in cache, skipping the all-zero columns left of each block.  The
-fixed-point sums for Qbb, Sbb and omega read the plane or these blocks and
-no propagator table (see :mod:`tilq.riccati`).
+Closed-loop costs.  :func:`cost_terms` writes each node pair's closed-loop
+cost derivative K, bordered to [[K, k], [k^T, kappa]] when Upsilon is
+given, as a short sum of planes times node terms, K(t_i, s_j) = sum
+plane[i, j] K_hat[j]: the one place that chooses between the two layouts
+above.  A separable spec has the one term (``dlam``, K_hat); a spec without
+a recorded kernel has one term per component of its derivative triangles.
+The fixed-point sums for Qbb, Sbb and omega and the integral-form check
+read these terms and no propagator table (see :mod:`tilq.riccati`).
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AssumptionError
+from .errors import AssumptionError, TilqError
 from .grid import (TimeGrid, _anchored, _border, _eval_dynamics,
                    _rk4_linear_steps, stage_table, zero_below_diagonal)
 from .problem import ProblemSpec, TwoTimeField, eval_pairs
@@ -72,21 +74,21 @@ PAIR_BLOCK_BYTES = 1 << 18
 # Grid nodes per axis probed by SpecTables.max_derivative_scale.
 DERIVATIVE_SCALE_SAMPLES = 64
 
+# Relative gap between a grid's horizon and its problem's that SpecTables
+# accepts: rounding of the same T, not another problem.
+HORIZON_RTOL = 1e-12
 
-def pair_blocks(K: int, planes: int, first: int = 0,
-                columns: slice = slice(0, None)):
+
+def pair_blocks(K: int, planes: int):
     """(rows, cols) slices covering a K x K pair table by blocks of rows.
 
-    The blocks cover the ``columns`` and the rows from ``first`` to the last
-    of those columns.  A block's columns start no earlier than its first
-    row: every entry left of it lies below the diagonal and is zero.
-    ``planes`` is the number of (K, K) planes a kernel reads per table and
-    sets the block height.
+    A block's columns start at its first row: every entry left of it lies
+    below the diagonal and is zero.  ``planes`` is the number of (K, K)
+    planes a kernel reads per table and sets the block height.
     """
-    lo, hi = columns.start, K if columns.stop is None else columns.stop
-    height = max(1, PAIR_BLOCK_BYTES // (8 * (hi - lo) * planes))
-    for start in range(first, hi, height):
-        yield slice(start, min(start + height, hi)), slice(max(lo, start), hi)
+    height = max(1, PAIR_BLOCK_BYTES // (8 * K * planes))
+    for start in range(0, K, height):
+        yield slice(start, min(start + height, K)), slice(start, K)
 
 
 def kernel_triangle(field, grid: TimeGrid) -> np.ndarray:
@@ -182,9 +184,15 @@ class SpecTables:
 
     Instances are read-only after each property materializes; they may be
     shared by every solver stage working on the same (spec, grid) pair.
+    Every solve tabulates through here, so a grid that does not span the
+    problem's horizon [0, T] is refused here, before any coefficient is
+    evaluated outside it.
     """
 
     def __init__(self, spec: ProblemSpec, grid: TimeGrid):
+        if abs(grid.T - spec.horizon) > HORIZON_RTOL * spec.horizon:
+            raise TilqError(f"grid horizon {grid.T!r} is not the problem's "
+                            f"horizon {spec.horizon!r}")
         self.spec = spec
         self.grid = grid
         self.n = spec.dims.n
@@ -411,7 +419,7 @@ def _cost_bases(Q, S, M, lam_diag) -> tuple:
 
 
 def _closed_loop_costs(g, Q, S, M) -> np.ndarray:
-    """K of :func:`pair_costs` from kernel values over pairs (i, j).
+    """K of :func:`cost_terms` from kernel values over pairs (i, j).
 
     The kernels are indexed [..., i, j] and the gain ``g`` [..., j].
     """
@@ -423,59 +431,49 @@ def _closed_loop_costs(g, Q, S, M) -> np.ndarray:
     return K
 
 
-def _bordered_gain(gain: np.ndarray, upsilon) -> np.ndarray:
-    """Gain(t_j) on column j, bordered to [Gain, Upsilon] when Upsilon is given."""
-    if upsilon is not None:
-        gain = np.concatenate([gain, upsilon[..., None]], axis=-1)
-    return np.ascontiguousarray(np.moveaxis(gain, 0, -1))
+def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u_j v_j^T at every node j."""
+    return u[:, :, None] * v[:, None, :]
 
 
-def _node_costs(tables: SpecTables, gain: np.ndarray, upsilon=None) -> np.ndarray:
-    """K_hat of a separable spec at every node s_j, bordered with Upsilon.
-
-    The closed-loop cost of :func:`pair_costs` formed from the cached base
-    values K(s_j, s_j) / lam(s_j, s_j), indexed [..., 0, j]: the row axis of
-    length one broadcasts along the rows of a pair table.
-    """
-    bases = tables.cost_bases if upsilon is None else tables.bordered_cost_bases
-    return _closed_loop_costs(_bordered_gain(gain, upsilon), *bases)
-
-
-def pair_costs(tables: SpecTables, gain: np.ndarray, upsilon=None,
-               first: int = 0, columns: slice = slice(0, None)):
-    """Closed-loop cost derivatives over the node pairs, by blocks of rows.
+def cost_terms(tables: SpecTables, gain: np.ndarray, upsilon=None) -> list:
+    """Closed-loop cost derivatives as ``(plane, K_hat)`` terms.
 
     Along the closed loop u = -Gain y the t-derivative of the running cost
     at (t, s) is <y, K y> with K = Q_t - Gain^T S_t - S_t^T Gain + Gain^T
     M_t Gain, the kernels at (t, s) and Gain at s.  Along u = -Gain y -
     Upsilon it is <y_bar, K y_bar>, y_bar = [y; 1], with K the same formula
     in [[Q, q], [q^T, 0]], [S, rho] and [Gain, Upsilon]: the bordered
-    [[K, k], [k^T, kappa]].  Yields ``(rows, blk, weight, K)`` for the
-    blocks of :func:`pair_blocks` from row ``first`` on, over the
-    ``columns``: ``blk`` indexes the block's pairs, and K[a, b, i, j] times
-    weight[i, j] is the pair's coefficient times its trapezoid weight in
-    the integral over [t_i, T].
+    [[K, k], [k^T, kappa]].  Over the node pairs K(t_i, s_j) = sum over the
+    terms of plane[i, j] K_hat[j], each plane an (N+1, N+1) pair table and
+    each K_hat an (N+1, d, d) stack.
 
-    For a separable spec K is that of :func:`_node_costs`, formed once per
-    node, and weight = W * dlam.  Otherwise it is contracted pair by pair
-    from the kernel triangles and weight = W.  W is the block's
-    :func:`suffix_weights`.
+    A separable spec has one term: ``dlam`` with K_hat formed once per node
+    from :attr:`SpecTables.cost_bases`.  A spec without a recorded kernel
+    has one per component of its derivative triangles: ``Qt[a, b]`` with
+    e_a e_b^T, ``qt[a]`` with e_a e_n^T + e_n e_a^T, ``St[p, b]`` (and
+    ``rhot[p]`` as b = n) with -(g_p e_b^T + e_b g_p^T) and ``Mt[p, q]`` with
+    g_p g_q^T, where e_a is a unit vector and g_p row p of [Gain, Upsilon].
     """
-    dim = tables.n + (upsilon is not None)
+    if upsilon is not None:
+        gain = np.concatenate([gain, upsilon[..., None]], axis=-1)
     if tables.spec.kernel is not None:
-        K = _node_costs(tables, gain, upsilon)
-    else:
-        g = _bordered_gain(gain, upsilon)
-    for rows, cols in pair_blocks(tables.grid.N + 1, dim * dim, first, columns):
-        blk = (Ellipsis, rows, cols)
-        W = suffix_weights(tables.grid, rows, cols)
-        if tables.spec.kernel is not None:
-            yield rows, blk, W * tables.dlam[blk], K[..., cols]
-            continue
-        Q, S, M = tables.Qt[blk], tables.St[blk], tables.Mt[blk]
-        if upsilon is not None:  # as _border() does, with the matrix axes first
-            n, q = tables.n, tables.qt[blk]
-            Qb = np.zeros((n + 1, n + 1) + q.shape[1:])
-            Qb[:n, :n], Qb[:n, n], Qb[n, :n] = Q, q, q
-            Q, S = Qb, np.concatenate([S, tables.rhot[blk][:, None]], axis=1)
-        yield rows, blk, W, _closed_loop_costs(g[..., cols], Q, S, M)
+        bases = tables.cost_bases if upsilon is None else tables.bordered_cost_bases
+        K_hat = _closed_loop_costs(np.ascontiguousarray(np.moveaxis(gain, 0, -1)),
+                                   *bases)
+        return [(tables.dlam, np.moveaxis(K_hat[..., 0, :], -1, 0))]
+    n, m, d = tables.n, tables.m, gain.shape[-1]
+    e = np.broadcast_to(np.eye(d)[:, None], (d, len(gain), d))
+    g = np.moveaxis(gain, 1, 0)
+    terms = [(tables.Qt[a, b], _outer(e[a], e[b]))
+             for a in range(n) for b in range(n)]
+    S = tables.St  # S[p][b]: the plane of [S_t, rho_t][p, b]
+    if upsilon is not None:
+        terms += [(tables.qt[a], _outer(e[a], e[n]) + _outer(e[n], e[a]))
+                  for a in range(n)]
+        S = [[*tables.St[p], tables.rhot[p]] for p in range(m)]
+    terms += [(plane, -(_outer(g[p], e[b]) + _outer(e[b], g[p])))
+              for p in range(m) for b, plane in enumerate(S[p])]
+    terms += [(tables.Mt[p, q], _outer(g[p], g[q]))
+              for p in range(m) for q in range(m)]
+    return terms

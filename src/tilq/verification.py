@@ -73,7 +73,7 @@ from .problem import ProblemSpec
 from .riccati import (RiccatiSolution, SolveOptions, _fixed_point_p,
                       _require_count, warn_if_indefinite)
 from .riccati import solve_equilibrium_riccati  # noqa: F401
-from .tables import SpecTables, pair_costs, solve_chol
+from .tables import SpecTables, cost_terms, solve_chol, suffix_weights
 
 # Pass thresholds of the check battery and its fixed sample sizes.
 SPIKE_TOL = 1e-4
@@ -426,8 +426,10 @@ def hjb_integral_residual(sol: EquilibriumSolution, t_idx: int, x) -> float:
     Hamiltonian-like term through the minimizing-control map h as displayed
     in its defining formula, and the two-time correction integrand as the
     bordered closed-loop cost derivative <Y_bar, K Y_bar>, Y_bar = [Y; 1],
-    of :func:`tilq.tables.pair_costs` (the path's control h is Gain Y +
-    Upsilon), and compares the assembled right side against V(t, x).
+    of :func:`tilq.tables.cost_terms` (the path's control h is Gain Y +
+    Upsilon): one mat-vec of each term's plane, weighted by
+    :func:`tilq.tables.suffix_weights`.  The assembled right side is
+    compared against V(t, x).
     """
     spec, grid = sol.spec, sol.grid
     tbl = sol.tables
@@ -447,15 +449,12 @@ def hjb_integral_residual(sol: EquilibriumSolution, t_idx: int, x) -> float:
              + np.einsum("jab,jb,ja->j", tbl.Qd[sl], Y, Y)
              + 2.0 * np.einsum("ja,ja->j", tbl.qd[sl], Y))
     # F(tau, s, Y(s), grad V(s, Y(s))) on the node triangle, row sums weighted
-    Y_bar = np.ones((N + 1, spec.dims.n + 1))  # [Y(s_j); 1]
-    Y_bar[sl, :-1] = Y
-    inner = np.empty(N + 1)
-    for rows, blk, weight, K in pair_costs(
-            tbl, sol.riccati.gain, sol.auxiliary.upsilon, t_idx):
-        y = Y_bar[blk[-1]]  # on the block's columns
-        F = np.einsum("abij,jb,ja->ij", K, y, y)
-        inner[rows] = np.einsum("ij,ij->i", F, weight)
-    outer = quadrature(H_run - inner[sl], grid, t_idx, N)
+    Y_bar = np.ones((N + 1 - t_idx, spec.dims.n + 1))  # [Y(s_j); 1]
+    Y_bar[:, :-1] = Y
+    W = suffix_weights(grid, sl, sl)
+    inner = sum((W * plane[sl, sl]) @ np.einsum("jab,jb,ja->j", K[sl], Y_bar, Y_bar)
+                for plane, K in cost_terms(tbl, sol.riccati.gain, sol.auxiliary.upsilon))
+    outer = quadrature(H_run - inner, grid, t_idx, N)
     # terminal weights frozen at the start time of the representation
     rhs = float(outer) + float(
         _terminal_costs(spec, grid, np.array([t_idx]), Y[-1:])[0])
@@ -488,7 +487,8 @@ def uniqueness_probe(spec: ProblemSpec, grid: TimeGrid, inits,
     every start.  An entry of ``inits`` may also be a fixed-point
     :class:`tilq.riccati.RiccatiSolution` on this grid, solved with those
     options from its own start; its P and iteration count are taken as that
-    start's run.  ``tables`` (for example a solution's own) saves
+    start's run.  A solution on another grid (N or T) or from the local path
+    is refused with TilqError: its P is not that of a fixed-point run here.  ``tables`` (for example a solution's own) saves
     rebuilding the kernel plane or triangles.  A run that fails to converge
     raises ConvergenceError with that run's diagnostics attached, and a P
     with negative eigenvalues warns, as a solve does.
@@ -501,9 +501,13 @@ def uniqueness_probe(spec: ProblemSpec, grid: TimeGrid, inits,
     Ps, iterations = [], []
     for init in inits:
         if isinstance(init, RiccatiSolution):
-            if init.grid.N != grid.N:
-                raise TilqError(f"uniqueness probe on N={grid.N} given a "
-                                f"solution on N={init.grid.N}")
+            if init.grid.N != grid.N or init.grid.T != grid.T:
+                raise TilqError(
+                    f"uniqueness probe on N={grid.N}, T={grid.T!r} given a "
+                    f"solution on N={init.grid.N}, T={init.grid.T!r}")
+            if init.options is None:
+                raise TilqError("uniqueness probe given a local-path solution; "
+                                "a start must be a fixed-point run")
             P, diag = init.P, init.diagnostics
         else:
             P, diag = _fixed_point_p(dataclasses.replace(base, initial=init),

@@ -122,9 +122,15 @@ def closed_loop_costs(g, u, Q, S, M, q, rho):
     return K, k, np.einsum("pj,pij->ij", u, r)
 
 
-def pair_costs(tables, gain, upsilon, first=0):
-    """``(rows, blk, weight, K, k, kappa)`` over blocks of rows from ``first``."""
+def pair_costs(tables, gain, upsilon=None):
+    """``(rows, blk, weight, K, k, kappa)`` over blocks of rows.
+
+    K does not depend on Upsilon; without one, k and kappa are those of
+    Upsilon = 0.
+    """
     g = np.ascontiguousarray(np.moveaxis(gain, 0, -1))
+    if upsilon is None:
+        upsilon = np.zeros((tables.grid.N + 1, tables.m))
     u = np.ascontiguousarray(upsilon.T)
     separable = tables.spec.kernel is not None
     if separable:
@@ -132,7 +138,7 @@ def pair_costs(tables, gain, upsilon, first=0):
             np.moveaxis(d, 0, -1)[..., None, :] / tables.lam_diag
             for d in (tables.Qd, tables.Sd, tables.Md, tables.qd, tables.rhod)))
     W = suffix_weights(tables.grid)
-    for rows, cols in pair_blocks(tables.grid.N + 1, tables.n * tables.n, first):
+    for rows, cols in pair_blocks(tables.grid.N + 1, tables.n * tables.n):
         blk = (Ellipsis, rows, cols)
         if separable:
             yield (rows, blk, W[blk] * tables.dlam[blk]) + tuple(
@@ -332,11 +338,11 @@ def hjb_integral_residual(sol, t_idx, x):
     H_run = (np.einsum("jm,jm->j", half_bp - SxY - tbl.rhod[sl], h_ctrl)
              + np.einsum("jab,jb,ja->j", tbl.Qd[sl], Y, Y)
              + 2.0 * np.einsum("ja,ja->j", tbl.qd[sl], Y))
-    Y_at = np.zeros((N + 1, spec.dims.n))
+    Y_at = np.zeros((N + 1, spec.dims.n))  # rows before t_i are not read
     Y_at[sl] = Y
     inner = np.empty(N + 1)
     for rows, blk, weight, K, k, kappa in pair_costs(
-            tbl, sol.riccati.gain, sol.auxiliary.upsilon, t_idx):
+            tbl, sol.riccati.gain, sol.auxiliary.upsilon):
         y = Y_at[blk[-1]]
         F = np.einsum("abij,jb,ja->ij", K, y, y)
         F += 2.0 * np.einsum("aij,ja->ij", k, y)

@@ -130,5 +130,5 @@ def dynamics_tables(dynamics, grid):
     the cost tables would fail for want of cost kernels.
     """
     n, m = np.atleast_2d(np.asarray(dynamics.B(0.0), dtype=float)).shape
-    return SpecTables(SimpleNamespace(dynamics=dynamics, dims=Dimensions(n, m)),
-                      grid)
+    return SpecTables(SimpleNamespace(dynamics=dynamics, dims=Dimensions(n, m),
+                                      horizon=grid.T), grid)

@@ -10,9 +10,11 @@ one-step propagators,
     P = X - h/2 inner.
 
 The oracle tests require the package's sweep to match it to rounding.  It
-reads the same gain, closed-loop steps, ``pair_costs`` blocks and damped
-iteration as the package, so it checks how the sums are formed, not the
-data that enter them.
+reads the same gain, closed-loop steps and damped iteration as the
+package, so it checks how the sums are formed, not the data that enter
+them.  Its closed-loop costs are contracted pair by pair from the kernel
+values (:func:`auxiliary_reference.pair_costs`), not read from the
+package's plane terms.
 
 :func:`qbb_from_gamma` is the row check: one node's Qbb by direct node
 quadrature, with the kernels' t-derivatives read straight from the spec.
@@ -26,7 +28,7 @@ from tilq.errors import ConsistencyError
 from tilq.grid import quadrature
 from tilq.riccati import (SWEEP_ASYMMETRY_RTOL, SolveOptions, _closed_loop_table,
                           _gain_table, _initial_table, damped_fixed_point)
-from tilq.tables import pair_costs
+from auxiliary_reference import pair_costs
 from pair_tables import pair_table
 
 
@@ -64,7 +66,7 @@ def qbb_table(gain, tables):
     N, n = tables.grid.N, tables.n
     cl_pairs = pair_table(_closed_loop_table(gain, tables), tables.grid)
     out = np.empty((N + 1, n, n))
-    for rows, blk, weight, K in pair_costs(tables, gain):
+    for rows, blk, weight, K, _, _ in pair_costs(tables, gain):
         E = cl_pairs[blk]
         buf = np.einsum("ceij,edij->cdij", K, E)
         buf *= weight

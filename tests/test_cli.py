@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import tilq
+import tilq.cli
 import tilq.tables
 from tilq import ProblemFileError, load_problem
 from tilq.cli import main
@@ -223,6 +224,19 @@ class TestCommands:
         err = json.loads(capsys.readouterr().out.strip())["error"]
         assert err["type"] == "ConvergenceError"
         assert "not finite from t = " in err["message"]
+        assert not (out / "summary.json").exists()
+
+    def test_solve_refuses_a_grid_of_another_horizon(self, tmp_path, capsys,
+                                                      monkeypatch):
+        monkeypatch.setattr(tilq.cli, "build_grid",
+                            lambda T, N: tilq.build_grid(2.0 * T, N))
+        out = tmp_path / "out"
+        rc = main(["solve", str(shipped_problem_path("twostate_exponential")),
+                   "-N", "100", "--out", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().out.strip())["error"]
+        assert err["type"] == "TilqError"
+        assert err["message"] == "grid horizon 2.0 is not the problem's horizon 1.0"
         assert not (out / "summary.json").exists()
 
     def test_solve_reports_fixed_point_method(self, tmp_path, capsys):

@@ -185,6 +185,32 @@ class TestNodeIndex:
         assert R[0] == error_function_closed(sol, 10, [1.0])
 
 
+class TestGridHorizon:
+    """A grid that does not span the problem's horizon is refused up front,
+    on both paths, before any coefficient is evaluated outside [0, T]."""
+
+    @pytest.mark.parametrize("name, T", [("twostate_exponential", 0.5),
+                                         ("twostate_exponential", 2.0),
+                                         ("hyperbolic_scalar_k1", 2.0)])
+    def test_solve_refuses_another_horizon(self, name, T):
+        spec = load_shipped_problem(name).spec
+        with pytest.raises(TilqError) as info:
+            solve_equilibrium(spec, build_grid(T, 100))
+        assert type(info.value) is TilqError  # not a ConvergenceError
+        assert str(info.value) == (f"grid horizon {T!r} is not the problem's "
+                                   f"horizon {spec.horizon!r}")
+
+    def test_fixed_point_refuses_another_horizon(self):
+        spec = dataclasses.replace(twostate_spec(), kernel=None)
+        with pytest.raises(TilqError, match="grid horizon 2.0 is not"):
+            tilq.solve_equilibrium_riccati(spec, build_grid(2.0, 40))
+
+    def test_rounding_of_the_horizon_accepted(self):
+        spec = load_shipped_problem("twostate_exponential").spec
+        grid = build_grid(spec.horizon * (1.0 + 1e-13), 50)
+        assert solve_equilibrium(spec, grid).converged
+
+
 class TestTrajectoryStart:
     """The start check has np.allclose's semantics: rtol 1e-5, atol 1e-8."""
 

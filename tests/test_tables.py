@@ -16,7 +16,7 @@ from tilq import (build_grid, hjb_integral_residual, hyperbolic_kernel,
                   solve_auxiliary, solve_equilibrium, solve_equilibrium_riccati,
                   tabulated_kernel, value)
 from tilq.policy import EquilibriumSolution
-from auxiliary_reference import btilde, omega_at, sbb_at
+from auxiliary_reference import btilde, closed_loop_costs, omega_at, sbb_at
 from conftest import threestate_spec, twostate_spec
 from pair_tables import from_pair_layout, pair_table
 from riccati_reference import qbb_from_gamma
@@ -131,6 +131,60 @@ class TestPlaneStructure:
         assert square == {"dlam"}
         assert sol.tables.dlam.shape == (N + 1, N + 1)
         assert not TRIANGLES & set(vars(sol.tables))
+
+
+def closed_loop_gain(spec, bordered):
+    """A random Gain table, and an Upsilon one when ``bordered``."""
+    n, m = spec.dims.n, spec.dims.m
+    rng = np.random.default_rng(11)
+    gain = rng.standard_normal((N + 1, m, n))
+    return gain, rng.standard_normal((N + 1, m)) if bordered else None
+
+
+def bordered_costs(K, k, kappa):
+    """[[K, k], [k^T, kappa]] over the pairs, matrix axes first."""
+    n = K.shape[0]
+    out = np.empty((n + 1, n + 1) + K.shape[2:])
+    out[:n, :n], out[:n, n], out[n, :n], out[n, n] = K, k, k, kappa
+    return out
+
+
+class TestCostTerms:
+    """cost_terms against the closed-loop costs contracted pair by pair."""
+
+    @pytest.mark.parametrize("bordered", [False, True])
+    @pytest.mark.parametrize("build", [twostate_spec, threestate_spec])
+    def test_kernel_less_terms_sum_to_the_pair_costs(self, build, bordered):
+        spec = dataclasses.replace(build(), kernel=None)
+        tables = tilq.tables.SpecTables(spec, build_grid(1.0, N))
+        n, m = spec.dims.n, spec.dims.m
+        gain, upsilon = closed_loop_gain(spec, bordered)
+        terms = tilq.tables.cost_terms(tables, gain, upsilon)
+        assert len(terms) == n * n + m * n + m * m + bordered * (n + m)
+        got = sum(np.einsum("ij,jab->abij", plane, K) for plane, K in terms)
+        u = np.zeros((m, N + 1)) if upsilon is None else upsilon.T
+        K, k, kappa = closed_loop_costs(np.moveaxis(gain, 0, -1), u, tables.Qt,
+                                        tables.St, tables.Mt, tables.qt, tables.rhot)
+        want = bordered_costs(K, k, kappa) if bordered else K
+        scale = float(np.max(np.abs(want)))
+        assert float(np.max(np.abs(got - want))) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("bordered", [False, True])
+    def test_separable_spec_has_one_dlam_term(self, bordered):
+        spec = twostate_spec(tabulated(1.0 + 5e-9))
+        tables = tilq.tables.SpecTables(spec, build_grid(1.0, N))
+        m = spec.dims.m
+        gain, upsilon = closed_loop_gain(spec, bordered)
+        [(plane, K_hat)] = tilq.tables.cost_terms(tables, gain, upsilon)
+        assert plane is tables.dlam
+        u = np.zeros((m, N + 1)) if upsilon is None else upsilon.T
+        bases = [np.moveaxis(d, 0, -1)[..., None, :] / tables.lam_diag
+                 for d in (tables.Qd, tables.Sd, tables.Md, tables.qd, tables.rhod)]
+        costs = closed_loop_costs(np.moveaxis(gain, 0, -1), u, *bases)
+        want = bordered_costs(*costs) if bordered else costs[0]
+        want = np.moveaxis(want[..., 0, :], -1, 0)
+        scale = float(np.max(np.abs(want)))
+        assert float(np.max(np.abs(K_hat - want))) <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("build", [twostate_spec, threestate_spec])

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -502,6 +503,25 @@ class TestProbeReusesTheSolve:
         sol = tabulated_solution()
         with pytest.raises(TilqError, match="N=200"):
             uniqueness_probe(sol.spec, build_grid(1.0, 100), ["zero", sol.riccati])
+
+    def test_solution_on_another_horizon_refused(self):
+        # same N, another T: the start is a run of another problem
+        spec = hyperbolic_scalar_spec()
+        riccati = tilq.solve_equilibrium_riccati(spec, build_grid(1.0, 100))
+        longer = dataclasses.replace(spec, horizon=2.0)
+        with pytest.raises(TilqError, match="given a solution on N=100, T=1.0"):
+            uniqueness_probe(longer, build_grid(2.0, 100), [riccati, "zero"])
+
+    def test_local_solution_refused_as_a_start(self):
+        # its P is the local sweep's, not a fixed-point run's: comparing the
+        # two would report their discretization gap as non-uniqueness
+        loaded = load_shipped_problem("twostate_hyperbolic")
+        grid = build_grid(loaded.spec.horizon, 100)
+        sol = solve_equilibrium(loaded.spec, grid)
+        assert sol.method == "local"
+        with pytest.raises(TilqError, match="local-path solution"):
+            uniqueness_probe(sol.spec, grid, ["zero", sol.riccati],
+                             tables=sol.tables)
 
 
 def loop_fd_gap(sol, t, x):
