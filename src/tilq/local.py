@@ -72,10 +72,13 @@ B_bar M^{-1} S_bar and Q_bar_s = Q_bar - S_bar^T M^{-1} S_bar.
 The R + 1 bordered matrices X = (Pi, Y_bar_1..R) are stacked and stepped
 backward together, one step per grid interval, in one Python loop over
 numpy arrays of shape (R + 1, n + 1, n + 1); the work per step is
-O(R n^3), on coefficients formed once as stage tables.  In backward time
-the stack obeys dX/dtau = -Lambda X + N(X): the stack operator Lambda =
-[[0, c^T], [0, diag(a)]] holds the decays a_r and the coupling Qbb, and N
-the Lyapunov and quadratic terms.  The scheme is Lawson RK4 with Lambda's
+O(R n^3), on coefficients formed once as stage tables.  For small n a step
+costs what its numpy calls cost: it reads each stage row once and writes
+every product into a buffer allocated once per sweep, with the floats that
+fresh arrays would hold.  In backward time the stack obeys dX/dtau =
+-Lambda X + N(X): the stack operator Lambda = [[0, c^T], [0, diag(a)]]
+holds the decays a_r and the coupling Qbb, and N the Lyapunov and quadratic
+terms.  The scheme is Lawson RK4 with Lambda's
 exact propagators exp(-Lambda h/2) and exp(-Lambda h), in closed form, so
 a large a_r h only damps and can never destabilize the step.
 The error is O(h^4) plus the relative fit error of the exponential sum,
@@ -182,38 +185,49 @@ def _stack_propagator(c, a, s: float) -> np.ndarray:
     return E
 
 
-def _rate(X, As, BMB, Qs, out):
-    """Backward-time rate N(X) of the stack (Pi, Y_bar_r) into ``out``."""
-    P = X[0]
-    BP = np.dot(BMB, P)
-    XL = np.dot(X.reshape(-1, len(P)), As - BP).reshape(X.shape)
-    np.add(XL, XL.transpose(0, 2, 1), out=out)
-    out += Qs + np.dot(P, BP)
-
-
 def _sweep(X_T, E_half, E_full, coefficients, h: float) -> np.ndarray:
     """The stack (Pi, Y_bar_1..R) at the nodes, (N+1, R+1, n+1, n+1)."""
     As, BMB, Qs = coefficients
-    N, K = len(As) // 2, len(E_full)
+    N, K, n1 = len(As) // 2, len(E_full), len(X_T)
     hh, h6, eye = 0.5 * h, h / 6.0, np.eye(K)
     S = np.empty((5, K) + X_T.shape)  # the slots (k1, X, k2, k3, k4)
     k1, X, k2, k3, k4 = S
     X[:] = X_T
     flat = S.reshape(5 * K, -1)
+    # a stage input Z, L = X (As - BMB P) and the update U, and their views
+    Z, L, U = np.empty((3, K) + X_T.shape)
+    Zf, Uf, L2, LT, UT = (Z.reshape(K, -1), U.reshape(K, -1), L.reshape(-1, n1),
+                          L.transpose(0, 2, 1), U.transpose(0, 2, 1))
+    X2, Z2, PX, PZ = X.reshape(-1, n1), Z.reshape(-1, n1), X[0], Z[0]
+
+    def rate(Xr, P, A, BM, Q, out):  # backward-time rate N(X) into out
+        BP = BM.dot(P)
+        Xr.dot(A - BP, out=L2)  # Xr: the stack's rows, (K (n+1), n+1)
+        np.add(L, LT, out=out)
+        out += Q + P.dot(BP)
+
     # stage inputs and update: block rows of the Lawson tableau on the slots
-    rows = ((np.hstack([hh * E_half, E_half]), flat[:2 * K]),  # (k1, X)
-            (np.hstack([E_half, hh * eye]), flat[K:3 * K]),  # (X, k2)
-            (np.hstack([E_full, 0 * eye, h * E_half]), flat[K:4 * K]))  # (X, k2, k3)
+    (E2, S2), (E3, S3), (E4, S4) = (
+        (np.hstack([hh * E_half, E_half]), flat[:2 * K]),  # (k1, X)
+        (np.hstack([E_half, hh * eye]), flat[K:3 * K]),  # (X, k2)
+        (np.hstack([E_full, 0 * eye, h * E_half]), flat[K:4 * K]))  # (X, k2, k3)
     update = np.hstack([h6 * E_full, E_full, 2 * h6 * E_half, 2 * h6 * E_half,
                         h6 * eye])
     nodes = np.empty((N + 1,) + X.shape)
     nodes[N] = X
+    A1, B1, Q1 = As[-1], BMB[-1], Qs[-1]
     for j in range(2 * N - 2, -1, -2):  # t_{j/2+1} -> t_{j/2}: stages j + 2 .. j
-        _rate(X, As[j + 2], BMB[j + 2], Qs[j + 2], k1)
-        for (E, slots), i, k in zip(rows, (j + 1, j + 1, j), (k2, k3, k4)):
-            _rate(np.dot(E, slots).reshape(X.shape), As[i], BMB[i], Qs[i], k)
-        Y = np.dot(update, flat).reshape(X.shape)
-        np.add(Y, Y.transpose(0, 2, 1), out=X)
+        rate(X2, PX, A1, B1, Q1, k1)  # stage j + 2: the last step's k4 row
+        Am, Bm, Qm = As[j + 1], BMB[j + 1], Qs[j + 1]  # the midpoint, k2 and k3
+        E2.dot(S2, out=Zf)
+        rate(Z2, PZ, Am, Bm, Qm, k2)
+        E3.dot(S3, out=Zf)
+        rate(Z2, PZ, Am, Bm, Qm, k3)
+        A1, B1, Q1 = As[j], BMB[j], Qs[j]
+        E4.dot(S4, out=Zf)
+        rate(Z2, PZ, A1, B1, Q1, k4)
+        update.dot(flat, out=Uf)
+        np.add(U, UT, out=X)
         X *= 0.5
         nodes[j // 2] = X
     return nodes

@@ -21,12 +21,14 @@ and at the half nodes t_i + h/2 where RK4 evaluates its middle stages
 (:attr:`EquilibriumSolution.feedback_table`); P and phi enter the half
 nodes by the same linear interpolation.  A feedback
 call then reads one table row, or interpolates linearly between two, and
-never factors M(t,t).  Every point evaluation (``feedback``, ``value``,
+never factors M(t,t).  A Python float that is exactly a stage time t_i or
+t_i + h/2 below T reads ``feedback``'s row 2i or 2i + 1 directly, with
+i = int(t / h).  Any other point evaluation (``feedback``, ``value``,
 ``grad_value``, ``interp_table``) locates its time once, in Python floats
 against the grid's cached node list (:func:`_locate`); ``feedback`` reads
 its table's row exactly at a time within HALF_STEP_SNAP half steps of a
-node or half node, which is where the RK4 stages fall.  A NaN time, or one
-outside [0, T] by more than 1e-12, raises TilqError naming it.  The
+node or half node.  A NaN time, or one outside [0, T] by more than 1e-12,
+raises TilqError naming it.  The
 table's node rows are checked once, when it is built, against the Gain and
 Upsilon stored by the solver: a mismatch beyond FEEDBACK_MATCH_TOL at any
 node raises ConsistencyError naming the first failing t.
@@ -324,7 +326,14 @@ def feedback(sol: EquilibriumSolution, t: float, x) -> np.ndarray:
     """
     x = _state(x, sol.spec.dims.n)
     neg_K, k = sol._negated_feedback
-    j, w = _locate_half(sol.grid, t)
+    grid = sol.grid
+    if type(t) is float and 0.0 <= t < grid.T:  # an RK4 stage time: its row
+        i = int(t / grid.h)
+        t_i = grid._times[i]
+        j = 2 * i if t == t_i else 2 * i + 1 if t == t_i + 0.5 * grid.h else -1
+        if j >= 0:
+            return neg_K[j].dot(x) - k[j]
+    j, w = _locate_half(grid, t)
     u = neg_K[j].dot(x) - k[j]
     if w:
         u = (1.0 - w) * u + w * (neg_K[j + 1].dot(x) - k[j + 1])

@@ -488,16 +488,24 @@ def uniqueness_probe(spec: ProblemSpec, grid: TimeGrid, inits,
     :class:`tilq.riccati.RiccatiSolution` on this grid, solved with those
     options from its own start; its P and iteration count are taken as that
     start's run.  A solution on another grid (N or T) or from the local path
-    is refused with TilqError: its P is not that of a fixed-point run here.  ``tables`` (for example a solution's own) saves
-    rebuilding the kernel plane or triangles.  A run that fails to converge
-    raises ConvergenceError with that run's diagnostics attached, and a P
-    with negative eigenvalues warns, as a solve does.
+    is refused with TilqError: its P is not that of a fixed-point run here.
+    ``tables`` (for example a solution's own) saves rebuilding the kernel
+    plane or triangles; tables built for another spec object, or on a grid
+    of another N or T, are refused with TilqError naming both.  A run that
+    fails to converge raises ConvergenceError with that run's diagnostics
+    attached, and a P with negative eigenvalues warns, as a solve does.
     """
     if len(inits) < 2:
         raise TilqError("uniqueness probe needs at least two initial tables")
     base = opts or SolveOptions()
     if tables is None:
         tables = SpecTables(spec, grid)
+    elif (tables.spec is not spec or tables.grid.N != grid.N
+          or tables.grid.T != grid.T):
+        owner = "its" if tables.spec is spec else f"another spec's ({tables.spec.name!r})"
+        raise TilqError(
+            f"uniqueness probe of {spec.name!r} on N={grid.N}, T={grid.T!r} given "
+            f"{owner} tables on N={tables.grid.N}, T={tables.grid.T!r}")
     Ps, iterations = [], []
     for init in inits:
         if isinstance(init, RiccatiSolution):

@@ -11,6 +11,12 @@ tests hold the package's sweep to 0.5 h^4 at N = 80 and 1e-11 at N = 400,
 and to rounding where every rate and weight is 0.  It reads the same stage
 coefficients and terminal stack as the package, so it checks how the sweep
 steps, not the data that enter it.
+
+``lawson_sweep`` is the package's own scheme in its plain form: the same
+Lawson tableau as block rows on the slots (k1, X, k2, k3, k4), with every
+rate formed by fresh ``np.dot`` products and reshapes.  The package's sweep
+steps it with buffers and views formed once, the same products in the same
+order, so the two agree bit for bit.
 """
 
 import numpy as np
@@ -45,6 +51,43 @@ def _sweep(X_T, c, eh, ef, coefficients, h: float) -> np.ndarray:
         k4 = _rate(ef * X + heh * k3, c, As[j], BMB[j], Qs[j])
         X = ef * X + h6 * (ef * k1 + eh2 * (k2 + k3) + k4)
         X = 0.5 * (X + X.transpose(0, 2, 1))
+        nodes[j // 2] = X
+    return nodes
+
+
+def _lawson_rate(X, As, BMB, Qs, out):
+    """Backward-time rate N(X) of the stack (Pi, Y_bar_r) into ``out``."""
+    P = X[0]
+    BP = np.dot(BMB, P)
+    XL = np.dot(X.reshape(-1, len(P)), As - BP).reshape(X.shape)
+    np.add(XL, XL.transpose(0, 2, 1), out=out)
+    out += Qs + np.dot(P, BP)
+
+
+def lawson_sweep(X_T, E_half, E_full, coefficients, h: float) -> np.ndarray:
+    """The stack (Pi, Y_bar_1..R) at the nodes, (N+1, R+1, n+1, n+1)."""
+    As, BMB, Qs = coefficients
+    N, K = len(As) // 2, len(E_full)
+    hh, h6, eye = 0.5 * h, h / 6.0, np.eye(K)
+    S = np.empty((5, K) + X_T.shape)  # the slots (k1, X, k2, k3, k4)
+    k1, X, k2, k3, k4 = S
+    X[:] = X_T
+    flat = S.reshape(5 * K, -1)
+    # stage inputs and update: block rows of the Lawson tableau on the slots
+    rows = ((np.hstack([hh * E_half, E_half]), flat[:2 * K]),  # (k1, X)
+            (np.hstack([E_half, hh * eye]), flat[K:3 * K]),  # (X, k2)
+            (np.hstack([E_full, 0 * eye, h * E_half]), flat[K:4 * K]))  # (X, k2, k3)
+    update = np.hstack([h6 * E_full, E_full, 2 * h6 * E_half, 2 * h6 * E_half,
+                        h6 * eye])
+    nodes = np.empty((N + 1,) + X.shape)
+    nodes[N] = X
+    for j in range(2 * N - 2, -1, -2):  # t_{j/2+1} -> t_{j/2}: stages j + 2 .. j
+        _lawson_rate(X, As[j + 2], BMB[j + 2], Qs[j + 2], k1)
+        for (E, slots), i, k in zip(rows, (j + 1, j + 1, j), (k2, k3, k4)):
+            _lawson_rate(np.dot(E, slots).reshape(X.shape), As[i], BMB[i], Qs[i], k)
+        Y = np.dot(update, flat).reshape(X.shape)
+        np.add(Y, Y.transpose(0, 2, 1), out=X)
+        X *= 0.5
         nodes[j // 2] = X
     return nodes
 

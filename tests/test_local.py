@@ -1,6 +1,7 @@
 """The local ODE sweep against the fixed-point path, its former scheme and
 itself."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,8 +10,9 @@ import pytest
 import local_reference
 from tilq import (BaseCosts, ConvergenceError, SolveOptions, TilqError,
                   build_grid, classical_riccati, cost, exponential_kernel,
-                  feedback, hyperbolic_kernel, make_discounted,
-                  quasi_hyperbolic_kernel, simulate_control, solve_auxiliary,
+                  feedback, hyperbolic_kernel, load_shipped_problem,
+                  make_discounted, quasi_hyperbolic_kernel,
+                  shipped_problem_names, simulate_control, solve_auxiliary,
                   solve_equilibrium, solve_equilibrium_riccati, tabulated_kernel,
                   value)
 from tilq.local import (FIT_RTOL, TERM_LADDER, _stack_propagator, _sweep,
@@ -189,6 +191,72 @@ class TestStackPropagator:
         assert np.all(np.isfinite(E))
         assert E[1, 1] == 0.0
         assert E[0, 1] == -4.0 / 800.0
+
+
+def shipped_spec(name):
+    return load_shipped_problem(name).spec
+
+
+class TestBitForBit:
+    """The package's buffered sweep against the same tableau stepped with
+    fresh products (``local_reference.lawson_sweep``): equal bit for bit."""
+
+    @staticmethod
+    def both(spec, N):
+        grid = build_grid(spec.horizon, N)
+        expansion = local_expansion(spec)
+        X_T, coefficients = local_reference.sweep_inputs(spec, grid)
+        c, a, h = expansion.weights, expansion.rates, grid.h
+        args = (X_T, _stack_propagator(c, a, 0.5 * h), _stack_propagator(c, a, h),
+                coefficients, h)
+        return _sweep(*args), local_reference.lawson_sweep(*args)
+
+    @pytest.mark.parametrize("N", [80, 400, 2000])
+    @pytest.mark.parametrize("name", shipped_problem_names())
+    def test_shipped_problems(self, name, N):
+        got, want = self.both(shipped_spec(name), N)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("N", [80, 400, 2000])
+    @pytest.mark.parametrize("make", [
+        lambda: twostate_spec(exponential_kernel(0.5)),  # R = 1
+        lambda: twostate_spec(quasi_hyperbolic_kernel(0.7, 0.1, 0.2)),  # R = 2
+        lambda: twostate_spec(exponential_kernel(0.0))],  # every rate zero
+        ids=["exponential", "quasi_hyperbolic", "zero_rate"])
+    def test_exact_sums(self, make, N):
+        got, want = self.both(make(), N)
+        assert np.array_equal(got, want)
+
+    def test_escape_stops_at_the_same_node(self):
+        with np.errstate(all="ignore"):
+            got, want = self.both(escaping_spec(), 800)
+        assert np.array_equal(got, want, equal_nan=True)
+        first = [int(np.flatnonzero(~np.isfinite(X).all(axis=(1, 2, 3)))[-1])
+                 for X in (got, want)]
+        assert first[0] == first[1] > 0
+
+
+class TestSweepMemory:
+    """The sweep allocates its node table and O(R n^2) work buffers; a
+    per-node list of coefficient rows or stack copies would show here."""
+
+    @pytest.mark.parametrize("name, N", [("hyperbolic_scalar_k1", 2000),
+                                         ("twostate_hyperbolic", 4000)])
+    def test_peak_is_its_output(self, name, N):
+        spec = shipped_spec(name)
+        grid = build_grid(spec.horizon, N)
+        expansion = local_expansion(spec)
+        X_T, coefficients = local_reference.sweep_inputs(spec, grid)
+        c, a, h = expansion.weights, expansion.rates, grid.h
+        E_half, E_full = _stack_propagator(c, a, 0.5 * h), _stack_propagator(c, a, h)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            nodes = _sweep(X_T, E_half, E_full, coefficients, h)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= nodes.nbytes + 64 * 1024, (peak - nodes.nbytes)
 
 
 def escaping_spec():

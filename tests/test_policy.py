@@ -278,6 +278,69 @@ class TestTimeLookup:
             call()
 
 
+def located_feedback(sol, t, x):
+    """u(t, x) with its table row found by ``_locate_half`` alone."""
+    neg_K, k = sol._negated_feedback
+    j, w = _locate_half(sol.grid, t)
+    u = neg_K[j].dot(x) - k[j]
+    if w:
+        u = (1.0 - w) * u + w * (neg_K[j + 1].dot(x) - k[j + 1])
+    return u
+
+
+class TestFeedbackStageRows:
+    """``feedback`` reads the row of an exact RK4 stage time without
+    locating it; every other time takes ``_locate_half`` as before."""
+
+    @pytest.fixture(scope="class", params=[1.0, 0.7], ids=["T1", "T07"])
+    def spec(self, request):
+        spec = load_shipped_problem("twostate_hyperbolic").spec
+        return dataclasses.replace(spec, horizon=request.param)
+
+    @pytest.mark.parametrize("N", [60, 300, 777, 2000, 4000])
+    def test_stage_times_give_the_located_rows(self, spec, N, monkeypatch):
+        sol = solve_equilibrium(spec, build_grid(spec.horizon, N))
+        x = np.array([0.8, -1.3])
+        half = 0.5 * sol.grid.h  # the stage times simulate_control forms
+        times = [t for t0 in sol.grid.nodes[:-1].tolist() for t in (t0, t0 + half)]
+        times.append(float(sol.grid.nodes[-1]))
+        want = [located_feedback(sol, t, x).tobytes() for t in times]
+        located = []
+
+        def counted(grid, t):
+            located.append(t)
+            return _locate_half(grid, t)
+
+        monkeypatch.setattr(tilq.policy, "_locate_half", counted)
+        assert [feedback(sol, t, x).tobytes() for t in times] == want
+        # T itself, and the times int(t / h) puts an interval low (up to
+        # 4.1% of them here, at T = 0.7 and N = 2000), are located; the rest
+        # are read directly
+        assert located[-1] == spec.horizon
+        assert len(located) <= 0.1 * len(times)
+
+    def test_other_times_as_before(self, spec):
+        sol = solve_equilibrium(spec, build_grid(spec.horizon, 300))
+        x, T, h = np.array([0.8, -1.3]), spec.horizon, sol.grid.h
+
+        def same(t, want=None):
+            got = feedback(sol, t, x).tobytes()
+            want = located_feedback(sol, t if want is None else want, x)
+            assert got == want.tobytes()
+
+        for t in (-1e-13, T + 1e-13):  # clamped into [0, T]
+            same(t, min(max(t, 0.0), T))
+        for t in (0.3 * h, 17.25 * h, T - 0.1 * h):  # interpolated
+            same(t)
+        for t in (0.0, 3 * h, 100.5 * h, T):  # numpy times
+            same(np.float64(t))
+        for t in {0, int(T)}:  # integer times in [0, T]
+            same(t)
+        for bad in (float("nan"), -1e-9, T + 1e-9, float("inf")):
+            with pytest.raises(TilqError, match="outside"):
+                feedback(sol, bad, x)
+
+
 def gradient_form(sol, t, P, phi, x):
     """-M^{-1}(1/2 B^T grad V + S x + rho) from the spec's callables."""
     spec = sol.spec

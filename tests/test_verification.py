@@ -11,6 +11,7 @@ from tilq import (ConvergenceError, SolveOptions, TilqError, bellman_residual,
                   simulate_equilibrium, solve_equilibrium,
                   spike_limit_analytic, spike_quotient, uniqueness_probe)
 from tilq.problem_io import load_shipped_problem
+from tilq.tables import SpecTables
 from tilq.verification import (VerifyOptions, _grad_fd_gaps,
                                _stationarity_residuals, grad_value_fd_gap,
                                random_candidate_controls)
@@ -511,6 +512,28 @@ class TestProbeReusesTheSolve:
         longer = dataclasses.replace(spec, horizon=2.0)
         with pytest.raises(TilqError, match="given a solution on N=100, T=1.0"):
             uniqueness_probe(longer, build_grid(2.0, 100), [riccati, "zero"])
+
+    @pytest.mark.parametrize("k, N, owner", [
+        (1.0, 100, "its tables on N=100"),
+        (3.0, 200, r"another spec's \('hyperbolic_scalar_k3.0'\) tables on N=200")])
+    def test_tables_of_another_problem_refused(self, k, N, owner):
+        # before, the probe solved every start on the tables' own grid and
+        # spec, and answered for the k = 1 problem at N = 200 from them
+        spec = hyperbolic_scalar_spec(1.0)
+        tables = SpecTables(spec if k == 1.0 else hyperbolic_scalar_spec(k),
+                            build_grid(1.0, N))
+        with pytest.raises(TilqError, match=(
+                rf"uniqueness probe of 'hyperbolic_scalar_k1.0' on N=200, "
+                rf"T=1.0 given {owner}, T=1.0")):
+            uniqueness_probe(spec, build_grid(1.0, 200), ["zero", "terminal"],
+                             tables=tables)
+
+    def test_tables_on_an_equal_grid_accepted(self):
+        spec = hyperbolic_scalar_spec()
+        tables = SpecTables(spec, build_grid(1.0, 100))
+        probe = uniqueness_probe(spec, build_grid(1.0, 100), ["zero", "terminal"],
+                                 tables=tables)
+        assert probe.p_distance <= 1e-6
 
     def test_local_solution_refused_as_a_start(self):
         # its P is the local sweep's, not a fixed-point run's: comparing the
