@@ -21,9 +21,12 @@ and at the half nodes t_i + h/2 where RK4 evaluates its middle stages
 (:attr:`EquilibriumSolution.feedback_table`); P and phi enter the half
 nodes by the same linear interpolation.  A feedback
 call then reads one table row, or interpolates linearly between two, and
-never factors M(t,t).  A Python float that is exactly a stage time t_i or
-t_i + h/2 below T reads ``feedback``'s row 2i or 2i + 1 directly, with
-i = int(t / h).  Any other point evaluation (``feedback``, ``value``,
+never factors M(t,t).  A Python float that is exactly a stage time, as
+:func:`simulate_control` forms them, reads ``feedback``'s row directly: row
+2i or 2i + 1 for t_i or t_i + h/2, i = int(t / h), and row 2i + 2 for the
+nodes t_{i+1} that int(t / h) puts an interval low, T among them; these
+are the rows :func:`_locate_half` finds, at w = 0.  Any other point
+evaluation (``feedback``, ``value``,
 ``grad_value``, ``interp_table``) locates its time once, in Python floats
 against the grid's cached node list (:func:`_locate`); ``feedback`` reads
 its table's row exactly at a time within HALF_STEP_SNAP half steps of a
@@ -34,11 +37,18 @@ Upsilon stored by the solver: a mismatch beyond FEEDBACK_MATCH_TOL at any
 node raises ConsistencyError naming the first failing t.
 
 For small n and m a rollout costs what its numpy calls cost, so each makes
-as few as give the same bits: ``feedback`` returns (-K) x - k from a cached
+as few as give the same bits.  Under a feedback law with n = m = 1,
+:func:`simulate_control` steps on Python floats (:func:`_scalar_rollout`),
+and ``feedback`` computes a stage row's control as the float
+(-K_j) x - k_j: every numpy product there is a single multiplication, so
+the floats are the array loop's.  The law still gets a fresh (1,) float64
+array of each stage state.  Stacks, open-loop tables and n or m >= 2 take
+the array loop, and ``feedback`` otherwise returns (-K) x - k from a cached
 -K; float64 states and controls of the right shape skip conversion; the
-step scales by 0-d arrays and doubles by k + k.  The stage tables of A, B
-and b are indexed per step: per-node lists of row views would cost
-megabytes of peak memory.
+step scales by 0-d arrays and doubles by k + k.  Both loops check a law's control with
+one helper (:func:`_law_control`).  The stage tables of A, B and b are
+indexed per step (with ``item`` on the float loop): per-node lists of row
+views or floats would cost megabytes of peak memory.
 
 The equilibrium path from (t_i, x) is Y(s) = E_cl(s, t_i) x + btilde(s,
 t_i).  It is read off the anchored products of the closed loop bordered
@@ -324,14 +334,25 @@ def feedback(sol: EquilibriumSolution, t: float, x) -> np.ndarray:
     P and phi).  The table's node rows were checked against the stored Gain
     and Upsilon when it was built.
     """
-    x = _state(x, sol.spec.dims.n)
+    dims = sol.spec.dims
+    x = _state(x, dims.n)
     neg_K, k = sol._negated_feedback
     grid = sol.grid
-    if type(t) is float and 0.0 <= t < grid.T:  # an RK4 stage time: its row
-        i = int(t / grid.h)
-        t_i = grid._times[i]
-        j = 2 * i if t == t_i else 2 * i + 1 if t == t_i + 0.5 * grid.h else -1
+    if type(t) is float and 0.0 <= t <= grid.T:  # an RK4 stage time: its row
+        i = int(t / grid.h)  # at most N, since t <= T
+        times = grid._times
+        t_i = times[i]
+        if t == t_i:
+            j = 2 * i
+        elif t == t_i + 0.5 * grid.h:
+            j = 2 * i + 1
+        elif i < grid.N and t == times[i + 1]:  # int(t / h) one interval low
+            j = 2 * i + 2
+        else:
+            j = -1
         if j >= 0:
+            if dims.n == dims.m == 1:  # one multiplication, as the dot makes it
+                return np.array([neg_K.item(j) * x.item() - k.item(j)])
             return neg_K[j].dot(x) - k[j]
     j, w = _locate_half(grid, t)
     u = neg_K[j].dot(x) - k[j]
@@ -356,7 +377,8 @@ def simulate_control(spec: ProblemSpec, grid: TimeGrid, u, t_idx: int, x,
     nodes, interpolated linearly onto the stage times once per call.  A
     stack of S such tables (S, k, m) advances S runs from x in one RK4
     loop; their trajectory holds states (S, k, n) and controls (S, k, m).
-    Any other shape raises TilqError.
+    Any other shape raises TilqError.  A feedback law with n = m = 1 is
+    stepped on Python floats, to the same bits (:func:`_scalar_rollout`).
     """
     if tables is None:
         tables = SpecTables(spec, grid)
@@ -372,19 +394,12 @@ def simulate_control(spec: ProblemSpec, grid: TimeGrid, u, t_idx: int, x,
     if x.shape != (n,):
         raise TilqError(f"start state has shape {x.shape}; expected ({n},)")
     if callable(u):
+        if n == m == 1:
+            return _scalar_rollout(u, tables, grid, t_idx, stop_idx, x)
         runs = 0
 
         def control(j, t, y):
-            out = u(t, y)
-            if type(out) is np.ndarray and out.dtype == _FLOAT \
-                    and out.shape == (m,):
-                return out
-            out = np.asarray(out, dtype=float)
-            try:
-                return out.reshape(m)
-            except ValueError:
-                raise TilqError(f"feedback law returned shape {out.shape} at "
-                                f"t={t!r}; expected ({m},)") from None
+            return _law_control(u(t, y), m, t)
     else:
         u = np.asarray(u, dtype=float)
         if u.ndim not in (2, 3) or u.shape[-2:] != (k, m) or not u.size:
@@ -438,6 +453,63 @@ def simulate_control(spec: ProblemSpec, grid: TimeGrid, u, t_idx: int, x,
     return Trajectory(start_index=t_idx, start_state=np.array(x),
                       times=grid.nodes[t_idx:stop_idx + 1],
                       states=states, controls=controls)
+
+
+def _law_control(out, m: int, t) -> np.ndarray:
+    """A feedback law's control at t as an (m,) float64 array, else TilqError.
+
+    A float64 ndarray of shape (m,) is returned as it is."""
+    if type(out) is np.ndarray and out.dtype == _FLOAT and out.shape == (m,):
+        return out
+    out = np.asarray(out, dtype=float)
+    try:
+        return out.reshape(m)
+    except ValueError:
+        raise TilqError(f"feedback law returned shape {out.shape} at "
+                        f"t={t!r}; expected ({m},)") from None
+
+
+def _scalar_rollout(law, tables: SpecTables, grid: TimeGrid, t_idx: int,
+                    stop_idx: int, x: np.ndarray) -> Trajectory:
+    """:func:`simulate_control`'s loop under a feedback law for n = m = 1.
+
+    Every product of the array loop is then one multiplication, so this loop
+    makes the same operations on Python floats, in the same order, and its
+    states and controls are that loop's bits.  The stage coefficients are
+    read per step with ``item``; the law gets a fresh (1,) float64 array of
+    each stage state.
+    """
+    A, B, b = (tables.stages(name).ravel() for name in ("A", "B", "b"))
+    times, h = grid._times, grid.h
+    half, sixth = 0.5 * h, h / 6.0
+    k = stop_idx - t_idx + 1
+    states, controls = np.empty(k), np.empty(k)
+
+    def control(t, y):
+        return _law_control(law(t, np.array([y])), 1, t).item()
+
+    y = states[0] = x.item()
+    j = 2 * t_idx  # the start node's row of a stage table
+    t1, A1, B1, b1 = times[t_idx], A.item(j), B.item(j), b.item(j)
+    for step in range(k - 1):
+        t0, A0, B0, b0 = t1, A1, B1, b1
+        Am, Bm, bm = A.item(j + 1), B.item(j + 1), b.item(j + 1)
+        j += 2
+        t1, A1, B1, b1 = times[t_idx + step + 1], A.item(j), B.item(j), b.item(j)
+        tm = t0 + half
+        u0 = controls[step] = control(t0, y)
+        k1 = A0 * y + B0 * u0 + b0
+        y2 = y + half * k1
+        k2 = Am * y2 + Bm * control(tm, y2) + bm
+        y3 = y + half * k2
+        k3 = Am * y3 + Bm * control(tm, y3) + bm
+        y4 = y + h * k3
+        k4 = A1 * y4 + B1 * control(t1, y4) + b1
+        y = states[step + 1] = y + sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)
+    controls[-1] = control(t1, y)
+    return Trajectory(start_index=t_idx, start_state=np.array(x),
+                      times=grid.nodes[t_idx:stop_idx + 1],
+                      states=states.reshape(k, 1), controls=controls.reshape(k, 1))
 
 
 def _node_index(t_idx, N: int) -> int:

@@ -17,7 +17,10 @@ from jsonschema's default draft twice, on purpose: an ``integer`` is a
 Python int only, so ``"n": 2.0`` is refused at its path, where jsonschema
 accepts integer-valued floats; and a ``number`` is finite, so the NaN,
 Infinity and -Infinity that ``json.loads`` reads are refused at their path
-("nan is not of type 'number'"), where jsonschema accepts them.
+("nan is not of type 'number'"), where jsonschema accepts them.  Where a
+``oneOf`` fails, it reports the violation inside the one branch whose
+``const`` the document meets, so a bad hyperbolic ``k`` is refused at
+``/discount/k``; jsonschema's best match names ``/discount`` there.
 """
 
 from __future__ import annotations
@@ -155,8 +158,10 @@ def schema_violation(instance, schema: dict = PROBLEM_SCHEMA, path: tuple = ()):
 
     The keywords are checked in a fixed order, an object's properties before
     its ``additionalProperties`` and ``required``.  Where no branch of a
-    ``oneOf`` holds, the branch whose first violation lies deepest is
-    reported; on a tie, the ``oneOf`` itself is.
+    ``oneOf`` holds, the one branch whose ``const`` properties the instance
+    meets (a discount's ``family``) is reported, where jsonschema's best
+    match names the ``oneOf``; failing that, the branch whose first
+    violation lies deepest; on a tie, the ``oneOf`` itself.
     """
     if "type" in schema and not _is_type(instance, schema["type"]):
         return path, f"{instance!r} is not of type {schema['type']!r}"
@@ -204,12 +209,26 @@ def schema_violation(instance, schema: dict = PROBLEM_SCHEMA, path: tuple = ()):
             return path, (f"{instance!r} is valid under each of "
                           f"{', '.join(map(repr, valid[1:] + valid[:1]))}")
         if not valid:
+            meant = [f for sub, f in zip(schema["oneOf"], found)
+                     if _consts_hold(instance, sub)]
+            if len(meant) == 1:
+                return meant[0]
             depth = max(len(f[0]) for f in found)
             deepest = [f for f in found if len(f[0]) == depth]
             if len(deepest) == 1:
                 return deepest[0]
             return path, f"{instance!r} is not valid under any of the given schemas"
     return None
+
+
+def _consts_hold(instance, schema: dict) -> bool:
+    """Whether ``schema`` has ``const`` properties and the object ``instance``
+    has each of them, at its value."""
+    consts = [(key, sub) for key, sub in schema.get("properties", {}).items()
+              if "const" in sub]
+    return bool(consts) and _is_type(instance, "object") and all(
+        key in instance and schema_violation(instance[key], sub) is None
+        for key, sub in consts)
 
 
 # ---------------------------------------------------------------------------

@@ -313,11 +313,27 @@ class TestFeedbackStageRows:
 
         monkeypatch.setattr(tilq.policy, "_locate_half", counted)
         assert [feedback(sol, t, x).tobytes() for t in times] == want
-        # T itself, and the times int(t / h) puts an interval low (up to
-        # 4.1% of them here, at T = 0.7 and N = 2000), are located; the rest
-        # are read directly
-        assert located[-1] == spec.horizon
-        assert len(located) <= 0.1 * len(times)
+        # every stage time is read directly: T itself, and the nodes that
+        # int(t / h) puts an interval low (4.1% of them at T = 0.7 and
+        # N = 2000), included
+        assert located == []
+
+    @pytest.mark.parametrize("name, N", [("twostate_hyperbolic", 400),
+                                         ("hyperbolic_scalar_k1", 800),
+                                         ("hyperbolic_scalar_k1", 2000)])
+    def test_rollout_locates_no_time(self, name, N, monkeypatch):
+        spec = load_shipped_problem(name).spec
+        sol = solve_equilibrium(spec, build_grid(spec.horizon, N))
+        located = []
+
+        def counted(grid, t):
+            located.append(t)
+            return _locate_half(grid, t)
+
+        monkeypatch.setattr(tilq.policy, "_locate_half", counted)
+        simulate_control(spec, sol.grid, lambda t, y: feedback(sol, t, y), 0,
+                         np.full(spec.dims.n, 0.5), tables=sol.tables)
+        assert located == []
 
     def test_other_times_as_before(self, spec):
         sol = solve_equilibrium(spec, build_grid(spec.horizon, 300))
@@ -583,6 +599,26 @@ class TestStackedSimulation:
                                             r"expected \(1,\)"):
             simulate_control(sol.spec, sol.grid, lambda t, y: np.zeros(3),
                              t_idx, [0.8, -0.3], tables=sol.tables)
+
+    # the scalar rollout runs on Python floats, the two-state one on arrays;
+    # both refuse a control of the wrong size with the same message
+    @pytest.mark.parametrize("fixture, x", [("hyperbolic_solution", [0.5]),
+                                            ("twostate_solution", [0.8, -0.3])])
+    @pytest.mark.parametrize("out", [np.zeros(2), [], [[1.0, 2.0]]],
+                             ids=["pair", "empty", "row"])
+    @pytest.mark.parametrize("stage", ["node", "midpoint"])
+    def test_wrong_size_control_refused(self, request, fixture, x, out, stage):
+        sol = request.getfixturevalue(fixture)
+        t0 = float(sol.grid.nodes[7])
+        bad = t0 if stage == "node" else t0 + 0.5 * sol.grid.h
+
+        def law(t, y):
+            return out if t == bad else feedback(sol, t, y)
+
+        message = (f"feedback law returned shape {np.shape(out)} at t={bad!r}; "
+                   f"expected (1,)")
+        with pytest.raises(TilqError, match=re.escape(message)):
+            simulate_control(sol.spec, sol.grid, law, 7, x, tables=sol.tables)
 
 
 class TestRolloutMemory:

@@ -9,8 +9,11 @@ from tilq.policy import (_locate, _locate_half, feedback, grad_value,
 from tilq.problem_io import load_shipped_problem
 import policy_reference as ref
 
-# the benchmark's problems at its N
-CASES = {"hyperbolic_scalar_k1": 2000, "twostate_hyperbolic": 400}
+# the benchmark's problems at its N, and an exponential kernel on a grid
+# whose nodes int(t / h) puts an interval low (n = m = 1 rollouts run on
+# Python floats, the two-state one on arrays)
+CASES = {"hyperbolic_scalar_k1": 2000, "twostate_hyperbolic": 400,
+         "classical_scalar": 800}
 
 
 @pytest.fixture(scope="module", params=sorted(CASES))
@@ -156,3 +159,20 @@ def test_short_rollouts_match_reference(sol, law, end, k):
     assert np.array_equal(got.states, states)
     assert np.array_equal(got.controls, controls)
     assert got.states.shape[-2] == k
+
+
+def test_runaway_rollout_matches_reference(sol):
+    # a law that drives the state past the float64 range: the same inf and
+    # nan as the reference, whichever loop runs
+    spec, grid = sol.spec, sol.grid
+    x = np.linspace(-1.5, 2.0, spec.dims.n)
+
+    def law(t, y):
+        return 1e8 * y[:1]  # m = 1
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = simulate_control(spec, grid, law, 0, x, tables=sol.tables)
+        states, controls = ref.simulate_control(spec, grid, sol.tables, law, 0, x)
+    assert np.isnan(states[-1]).all()
+    assert np.array_equal(got.states, states, equal_nan=True)
+    assert np.array_equal(got.controls, controls, equal_nan=True)

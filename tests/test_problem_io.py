@@ -114,6 +114,27 @@ class TestWalkerMessages:
         assert "/".join(map(str, best.absolute_path)) == path
         assert best.message == message
 
+    # the branch a discount's family names is reported; jsonschema's best
+    # match ties the branches and names the oneOf
+    @pytest.mark.parametrize("discount, path, message", [
+        ({"family": "hyperbolic", "k": "x"}, "discount/k",
+         "'x' is not of type 'number'"),
+        ({"family": "hyperbolic"}, "discount", "'k' is a required property"),
+        ({"family": "exponential", "delta": 0.1, "k": 1.0}, "discount",
+         "Additional properties are not allowed ('k' was unexpected)"),
+        ({"family": "tabulated", "times": [0.0, 1.0], "values": "x"},
+         "discount/values", "'x' is not of type 'array'"),
+    ])
+    def test_discount_refused_in_its_family(self, discount, path, message):
+        doc = twostate(discount=discount)
+        with pytest.raises(ProblemFileError) as info:
+            parse_problem(doc)
+        assert str(info.value) == (f"<memory>: schema violation at /{path}: "
+                                   f"{message}")
+        best = jsonschema.exceptions.best_match(ORACLE.iter_errors(doc))
+        assert list(best.absolute_path) == ["discount"]
+        assert best.message.endswith("is not valid under any of the given schemas")
+
     def test_schema_uses_only_walker_keywords(self):
         def keywords(schema):
             yield from schema
@@ -178,9 +199,8 @@ class TestIntegerValuedFloats:
 NON_FINITE = {
     "horizon": ("horizon", "{v!r} is not of type 'number'"),
     "solver/tolerance": ("solver/tolerance", "{v!r} is not of type 'number'"),
-    # no branch of the discount's oneOf reaches deeper than /discount/k
-    "discount/k": ("discount", "{{'family': 'hyperbolic', 'k': {v!r}}} is not "
-                               "valid under any of the given schemas"),
+    # refused in the branch its family names
+    "discount/k": ("discount/k", "{v!r} is not of type 'number'"),
     "base_costs/Q/0/0": ("base_costs/Q/0/0",
                          "{v!r} is not valid under any of the given schemas"),
 }
