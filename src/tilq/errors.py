@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument checks."""
+
+import numbers
 
 
 class TilqError(Exception):
@@ -23,3 +25,15 @@ class ConsistencyError(TilqError):
 
 class ProblemFileError(TilqError):
     """A problem file failed to parse, validate, or satisfy the assumptions."""
+
+
+def _require_count(name: str, value) -> None:
+    """Raise TilqError unless ``value`` is an integer >= 1 (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise TilqError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _require_real(name: str, value) -> None:
+    """Raise TilqError unless ``value`` is a real number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TilqError(f"{name} must be a real number, got {value!r}")

@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import TilqError
+from .errors import TilqError, _require_count, _require_real
 from .problem import _Constant
 
 
@@ -72,8 +72,10 @@ def build_grid(T: float, N: int) -> TimeGrid:
     single interval cannot support the interior quadrature and differencing
     stencils used here).
     """
+    _require_real("horizon", T)
     if not 0 < T < math.inf:
         raise TilqError(f"horizon must be positive and finite, got {T!r}")
+    _require_count("N", N)
     if N < 2:
         raise TilqError(f"grid needs at least 2 intervals, got {N!r}")
     nodes = np.linspace(0.0, float(T), N + 1)

@@ -67,7 +67,11 @@ are the six equations above, term by term (the off-diagonal block of
 -Pi A_bar_cl - K_hat_bar is -P d - k_hat = -P b - q + Gain^T rho).  With the
 gain eliminated, K_hat_bar = Q_bar_s + Pi B_bar M^{-1} B_bar^T Pi and
 A_bar_cl = A_bar_s - B_bar M^{-1} B_bar^T Pi, where A_bar_s = A_bar -
-B_bar M^{-1} S_bar and Q_bar_s = Q_bar - S_bar^T M^{-1} S_bar.
+B_bar M^{-1} S_bar and Q_bar_s = Q_bar - S_bar^T M^{-1} S_bar.  No inverse
+of M is formed: with the tables' inverse Cholesky factor L^{-1} of M(t, t)
+(:attr:`tilq.tables.SpecTables.Md_chol_inv`), X = L^{-1} S_bar and Y =
+L^{-1} B_bar^T give B_bar M^{-1} B_bar^T = Y^T Y, S_bar^T M^{-1} S_bar =
+X^T X and B_bar M^{-1} S_bar = Y^T X.
 
 The R + 1 bordered matrices X = (Pi, Y_bar_1..R) are stacked and stepped
 backward together, one step per grid interval, in one Python loop over
@@ -103,7 +107,7 @@ from .grid import TimeGrid, _border, closed_loop_drive
 from .problem import DiscountKernel, ProblemSpec
 from .riccati import (FixedPointDiagnostics, RiccatiSolution, _closed_loop_table,
                       _gain_table, warn_if_indefinite)
-from .tables import SpecTables, factor_md
+from .tables import SpecTables
 
 # An expansion is used only when its relative sup error on [0, T] is at most
 # FIT_RTOL; the term counts tried, smallest first.  Both are constants of
@@ -155,25 +159,22 @@ def local_expansion(spec: ProblemSpec) -> ExponentialSum | None:
 # the bordered sweep
 
 
-def _bordered(times, A, B, b, Q, S, M, q, rho):
-    """A_bar_s, B_bar M^{-1} B_bar^T and Q_bar_s, each (k, n+1, n+1)."""
-    factor_md(M, times)  # refuses a non-PD M(t,t), naming the first bad time
-    M = 0.5 * (M + np.swapaxes(M, -1, -2))
+def _bordered(A, B, b, Q, S, Linv, q, rho):
+    """A_bar_s, B_bar M^{-1} B_bar^T and Q_bar_s, each (k, n+1, n+1), from M's
+    inverse Cholesky factors ``Linv`` (module docstring)."""
     Ab, Qb = _border(A, b), _border(Q, q, q)
-    Bb = np.concatenate([B, np.zeros((len(B), 1, B.shape[-1]))], axis=1)
-    Sb = np.concatenate([S, rho[..., None]], axis=2)
-    Minv = np.linalg.inv(M)
-    MS = Minv @ Sb
-    BMB = Bb @ Minv @ np.swapaxes(Bb, -1, -2)
-    Qs = Qb - np.swapaxes(Sb, -1, -2) @ MS
-    return (Ab - Bb @ MS, 0.5 * (BMB + np.swapaxes(BMB, -1, -2)),
-            0.5 * (Qs + np.swapaxes(Qs, -1, -2)))
+    X = Linv @ np.concatenate([S, rho[..., None]], axis=2)
+    Y = np.concatenate([Linv @ np.swapaxes(B, -1, -2),
+                        np.zeros((len(B), B.shape[-1], 1))], axis=2)
+    YT = np.swapaxes(Y, -1, -2)
+    Qs = Qb - np.swapaxes(X, -1, -2) @ X
+    return Ab - YT @ X, YT @ Y, 0.5 * (Qs + np.swapaxes(Qs, -1, -2))
 
 
 def _coefficients(t: SpecTables) -> tuple:
     """A_bar_s, B_bar M^{-1} B_bar^T, Q_bar_s on the stage table, (2N+1, ...)."""
-    return _bordered(t.grid.stage_times, *(t.stages(name) for name in (
-        "A", "B", "b", "Qd", "Sd", "Md", "qd", "rhod")))
+    return _bordered(*(t.stages(name) for name in ("A", "B", "b", "Qd", "Sd")),
+                     t.Md_chol_inv, t.stages("qd"), t.stages("rhod"))
 
 
 def _stack_propagator(c, a, s: float) -> np.ndarray:

@@ -16,25 +16,26 @@ Tabulated quantities are interpolated linearly between nodes, consistent
 with the trapezoid quadrature used everywhere else (both O(h^2)).
 
 The feedback coefficients K and k are tabulated once per solution, on its
-first feedback call, as a stage table (:mod:`tilq.grid`): at the nodes
-and at the half nodes t_i + h/2 where RK4 evaluates its middle stages
+first feedback call, as a stage table (:mod:`tilq.grid`): at the nodes and
+at the half nodes t_i + h/2 where RK4 evaluates its middle stages
 (:attr:`EquilibriumSolution.feedback_table`); P and phi enter the half
-nodes by the same linear interpolation.  A feedback
-call then reads one table row, or interpolates linearly between two, and
-never factors M(t,t).  A Python float that is exactly a stage time, as
-:func:`simulate_control` forms them, reads ``feedback``'s row directly: row
-2i or 2i + 1 for t_i or t_i + h/2, i = int(t / h), and row 2i + 2 for the
-nodes t_{i+1} that int(t / h) puts an interval low, T among them; these
-are the rows :func:`_locate_half` finds, at w = 0.  Any other point
-evaluation (``feedback``, ``value``,
-``grad_value``, ``interp_table``) locates its time once, in Python floats
-against the grid's cached node list (:func:`_locate`); ``feedback`` reads
-its table's row exactly at a time within HALF_STEP_SNAP half steps of a
-node or half node.  A NaN time, or one outside [0, T] by more than 1e-12,
-raises TilqError naming it.  The
-table's node rows are checked once, when it is built, against the Gain and
-Upsilon stored by the solver: a mismatch beyond FEEDBACK_MATCH_TOL at any
-node raises ConsistencyError naming the first failing t.
+nodes by the same linear interpolation.  It solves through the stage factor
+of M(t,t) that :class:`tilq.tables.SpecTables` holds, so its node rows are
+the solver's Gain and Upsilon bit for bit.  A feedback call reads one row,
+or interpolates linearly between two.  A Python float that is exactly a
+stage time, as :func:`simulate_control` forms them, reads ``feedback``'s
+row directly: row 2i or 2i + 1 for t_i or t_i + h/2, i = int(t / h), and
+row 2i + 2 for the nodes t_{i+1} that int(t / h) puts an interval low, T
+among them; these are the rows :func:`_locate_half` finds, at w = 0.  Any
+other point evaluation (``feedback``, ``value``, ``grad_value``,
+``interp_table``) locates its time once, in Python floats against the
+grid's cached node list (:func:`_locate`); ``feedback`` reads its table's
+row exactly at a time within HALF_STEP_SNAP half steps of a node or half
+node.  A NaN time, or one outside [0, T] by more than 1e-12, raises
+TilqError naming it.  The table's node rows are checked once, when it is
+built, against the Gain and Upsilon stored by the solver (a guard on an
+edited solution): a mismatch beyond FEEDBACK_MATCH_TOL at any node raises
+ConsistencyError naming the first failing t.
 
 For small n and m a rollout costs what its numpy calls cost, so each makes
 as few as give the same bits.  Under a feedback law with n = m = 1,
@@ -92,7 +93,7 @@ from .local import local_expansion, solve_local
 from .problem import ProblemSpec, eval_pairs
 from .riccati import (RiccatiSolution, SolveOptions, _initial_table,
                       solve_equilibrium_riccati)
-from .tables import SpecTables, factor_md, solve_chol
+from .tables import SpecTables
 
 FEEDBACK_MATCH_TOL = 1e-10
 # A time within this many half steps of a node or half node reads that row
@@ -128,21 +129,20 @@ class EquilibriumSolution:
         """(K, k) of the feedback u = -(K x + k) on the half-step grid.
 
         Shapes (2N+1, m, n) and (2N+1, m): row 2i belongs to node t_i and row
-        2i+1 to the half node t_i + h/2.  Built on first use, with one
-        batched factorization of M(t,t); its node rows must match the stored
-        Gain and Upsilon to FEEDBACK_MATCH_TOL, else ConsistencyError names
-        the first failing t and nothing is cached.
+        2i+1 to the half node t_i + h/2.  Built on first use through the
+        tables' factor of M(t,t) (:meth:`SpecTables.solve_stages`); its node
+        rows must match the stored Gain and Upsilon to FEEDBACK_MATCH_TOL,
+        else ConsistencyError names the first failing t and nothing is cached.
         """
-        tbl, grid = self.tables, self.grid
+        tbl = self.tables
         B = tbl.stages("B")
-        L = factor_md(tbl.stages("Md"), grid.stage_times)
-        K = solve_chol(L, np.swapaxes(B, -1, -2) @ stage_table(self.riccati.P)
-                       + tbl.stages("Sd"))
-        k = solve_chol(L, np.einsum("inm,in->im", B,
-                                    stage_table(self.auxiliary.phi))
-                       + tbl.stages("rhod"))
+        K = tbl.solve_stages(np.swapaxes(B, -1, -2) @ stage_table(self.riccati.P)
+                             + tbl.stages("Sd"))
+        k = tbl.solve_stages(np.einsum("inm,in->im", B,
+                                       stage_table(self.auxiliary.phi))
+                             + tbl.stages("rhod"))
         _check_node_rows(K[::2], k[::2], self.riccati.gain,
-                         self.auxiliary.upsilon, grid)
+                         self.auxiliary.upsilon, self.grid)
         K.flags.writeable = False
         k.flags.writeable = False
         return K, k

@@ -369,24 +369,13 @@ def parse_problem(document: dict, *, source: str = "<memory>",
         raise ProblemFileError(
             f"{source}: problem violates the standing assumptions:\n{report}")
 
-    solver = document.get("solver", {})
-    solve_options = SolveOptions(
-        tolerance=solver.get("tolerance", 1e-10),
-        max_iterations=solver.get("max_iterations", 200),
-        damping=solver.get("damping", 1.0))
-    grid_points = solver.get("grid_points", 1000)
-    vdoc = document.get("verification", {})
-    verify_options = VerifyOptions(
-        seed=vdoc.get("seed", 42),
-        spike_points=vdoc.get("spike_points", 30),
-        bellman_controls=vdoc.get("bellman_controls", 100),
-        value_points=vdoc.get("value_points", 50),
-        gradient_points=vdoc.get("gradient_points", 100),
-        state_box=vdoc.get("state_box", 2.0))
-    return LoadedProblem(spec=spec, solve_options=solve_options,
-                         verify_options=verify_options,
-                         grid_points=grid_points, document=document,
-                         validation=report)
+    # the schema admits only the options' fields and grid_points; absent keys default
+    solver = dict(document.get("solver", {}))
+    grid_points = solver.pop("grid_points", 1000)
+    verify_options = VerifyOptions(**document.get("verification", {}))
+    return LoadedProblem(spec=spec, solve_options=SolveOptions(**solver),
+                         verify_options=verify_options, grid_points=grid_points,
+                         document=document, validation=report)
 
 
 def load_problem(path, *, force: bool = False) -> LoadedProblem:

@@ -82,27 +82,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AssumptionError, ConsistencyError, ConvergenceError, TilqError
+from .errors import (AssumptionError, ConsistencyError, ConvergenceError, TilqError,
+                     _require_count, _require_real)
 from .grid import (TimeGrid, _anchored, _Anchors, _border, _rk4_linear_steps,
                    closed_loop_matrices)
 # Not called here: the solvers read SpecTables.open_loop_steps.  The name
 # stays in this module because perfbench/spans.py wraps it here.
 from .grid import open_loop_transition  # noqa: F401
 from .problem import ProblemSpec
-from .tables import SpecTables, cost_terms, factor_md, solve_chol
+from .tables import SpecTables, cost_terms, factor_md
 
 SWEEP_ASYMMETRY_RTOL = 1e-8
 TIME_CONSISTENT_SUP = 1e-12
 PSD_WARN_FLOOR = -1e-8
 # the fixed point's damping is never halved below this
 DAMPING_FLOOR = 0.0625
-
-
-def _require_count(name: str, value) -> None:
-    """Raise TilqError unless ``value`` is an integer >= 1 (not a bool)."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < 1):
-        raise TilqError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass
@@ -115,6 +109,8 @@ class SolveOptions:
     initial: object = "terminal"  # "terminal" | "zero" | explicit table
 
     def __post_init__(self):
+        _require_real("tolerance", self.tolerance)
+        _require_real("damping", self.damping)
         if not 0 < self.tolerance < math.inf:
             raise TilqError(f"tolerance must be positive and finite, got "
                             f"{self.tolerance!r}")
@@ -239,7 +235,8 @@ def gamma_from_p(P: np.ndarray, spec: ProblemSpec, t: float) -> np.ndarray:
     P = np.asarray(P, dtype=float)
     rhs = np.asarray(spec.dynamics.B(t), dtype=float).T @ P + np.asarray(
         spec.S(t, t), dtype=float)
-    return solve_chol(factor_md(spec.M(t, t), t), rhs)
+    L = factor_md(spec.M(t, t), t)
+    return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
 
 
 # ---------------------------------------------------------------------------

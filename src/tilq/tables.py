@@ -7,10 +7,11 @@ fundamental matrices, terminal weights, and the O(N^2) first-argument
 derivatives K_t(t_i, t_j), which only the fixed-point path and the
 verification checks build.  The diagonal tables of a separable spec's
 fields weigh the kernel's lam(t, t), looked up once on the nodes and once
-on the half nodes.  M(t_i, t_i) is factored once: its Cholesky factors and
-their inverses are cached, and every gain and Upsilon solve
-(:meth:`SpecTables.solve_md`) is two batched products.  The base values of
-a separable spec's cost kernels, plain and bordered
+on the half nodes.  M(t, t) is factored once, on its stage table, which is
+the one positive-definiteness check of it, between the nodes too; every
+solve against M reads the cached inverse factors, two batched products
+(:meth:`SpecTables.solve_md`, :meth:`SpecTables.solve_stages`).  The base
+values of a separable spec's cost kernels, plain and bordered
 (:attr:`SpecTables.cost_bases`), are cached too.  The closed-loop steps
 (:func:`tilq.riccati._closed_loop_table`) are built from these evaluations
 only, never again from the problem's callables.
@@ -132,17 +133,6 @@ def factor_md(M: np.ndarray, times) -> np.ndarray:
     raise AssumptionError(
         f"M(t,t) is not positive definite at t={times[k]:.6g}; the running "
         f"control weight must be positive definite") from error
-
-
-def solve_chol(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """X with (L L^T) X = rhs, for one vector or matrix per factor L."""
-    rhs = np.asarray(rhs, dtype=float)
-    vec = rhs.ndim == L.ndim - 1
-    if vec:
-        rhs = rhs[..., None]
-    y = np.linalg.solve(L, rhs)
-    x = np.linalg.solve(np.swapaxes(L, -1, -2), y)
-    return x[..., 0] if vec else x
 
 
 def _on_diagonal(field, times: np.ndarray) -> np.ndarray:
@@ -283,14 +273,11 @@ class SpecTables:
         return self._diag(self.spec.rho)
 
     @cached_property
-    def Md_chol(self) -> np.ndarray:
-        """Stacked Cholesky factors of M(t_i, t_i); fails fast on non-PD data."""
-        return factor_md(self.Md, self.grid.nodes)
-
-    @cached_property
     def Md_chol_inv(self) -> np.ndarray:
-        """The inverses L_i^{-1} of :attr:`Md_chol`, read-only."""
-        inv = np.linalg.inv(self.Md_chol)
+        """Inverse Cholesky factors L^{-1} of M(t, t) on the stage table,
+        read-only; AssumptionError names the first stage time where M is not
+        positive definite."""
+        inv = np.linalg.inv(factor_md(self.stages("Md"), self.grid.stage_times))
         inv.flags.writeable = False
         return inv
 
@@ -361,16 +348,14 @@ class SpecTables:
     # -- linear solves against the diagonal M --------------------------------
 
     def solve_md(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve M(t_i, t_i) X_i = rhs_i for every node: L_i^{-T} (L_i^{-1} rhs_i).
+        """Solve M(t_i, t_i) X_i = rhs_i at the last k = len(rhs) nodes, for one
+        vector (k, m) or matrix (k, m, p) per node."""
+        inv = self.Md_chol_inv[2 * (self.grid.N + 1 - len(rhs))::2]
+        return _solve_factored(inv, rhs)
 
-        ``rhs`` holds one vector (N+1, m) or one matrix (N+1, m, k) per node.
-        """
-        inv = self.Md_chol_inv
-        vec = rhs.ndim == 2
-        if vec:
-            rhs = rhs[..., None]
-        x = np.swapaxes(inv, -1, -2) @ (inv @ rhs)
-        return x[..., 0] if vec else x
+    def solve_stages(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve M(t, t) X = rhs on every row of the stage table, (2N+1, ...)."""
+        return _solve_factored(self.Md_chol_inv, rhs)
 
     # -- separable cost bases --------------------------------------------------
 
@@ -408,6 +393,15 @@ class SpecTables:
             sup = max(sup, float(np.max(np.abs(self.spec.terminal.dG_dt(float(t))))))
             sup = max(sup, float(np.max(np.abs(self.spec.terminal.dg_dt(float(t))))))
         return sup
+
+
+def _solve_factored(inv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """L_i^{-T} (L_i^{-1} rhs_i) for each inverse factor and vector or matrix."""
+    vec = rhs.ndim == inv.ndim - 1
+    if vec:
+        rhs = rhs[..., None]
+    x = np.swapaxes(inv, -1, -2) @ (inv @ rhs)
+    return x[..., 0] if vec else x
 
 
 def _cost_bases(Q, S, M, lam_diag) -> tuple:

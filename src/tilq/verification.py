@@ -61,7 +61,7 @@ from .auxiliary import _correction, _omega_table, _psi_rate, _sbb_table
 # Not called here: the uniqueness probe solves for P only.  The names stay
 # in this module because perfbench/spans.py wraps them here.
 from .auxiliary import solve_auxiliary  # noqa: F401
-from .errors import TilqError
+from .errors import TilqError, _require_count, _require_real
 from .grid import (TimeGrid, _rk4_drive_increments, closed_loop_drive,
                    closed_loop_matrices, quadrature, stage_table)
 from .policy import (EquilibriumSolution, _batches, _equilibrium_costs,
@@ -71,9 +71,9 @@ from .policy import (EquilibriumSolution, _batches, _equilibrium_costs,
                      feedback, simulate_control, simulate_equilibrium, value)
 from .problem import ProblemSpec
 from .riccati import (RiccatiSolution, SolveOptions, _fixed_point_p,
-                      _require_count, warn_if_indefinite)
+                      warn_if_indefinite)
 from .riccati import solve_equilibrium_riccati  # noqa: F401
-from .tables import SpecTables, cost_terms, solve_chol, suffix_weights
+from .tables import SpecTables, cost_terms, suffix_weights
 
 # Pass thresholds of the check battery and its fixed sample sizes.
 SPIKE_TOL = 1e-4
@@ -249,7 +249,7 @@ def run_spike_check(sol: EquilibriumSolution, t_idx, x, v):
     for i, x_p, v_p, q_p in zip(points, X, vs, quotients):
         t = float(grid.nodes[i])
         u_eq = feedback(sol, t, x_p)
-        M = np.asarray(spec.M(t, t), dtype=float)
+        M = sol.tables.Md[i]
         reports = []
         for v_j, q in zip(v_p, q_p):
             q1, q2 = q[-2], q[-1]
@@ -444,7 +444,7 @@ def hjb_integral_residual(sol: EquilibriumSolution, t_idx: int, x) -> float:
     half_bp = 0.5 * np.einsum("jam,ja->jm", tbl.B[sl], grad)
     SxY = np.einsum("jmn,jn->jm", tbl.Sd[sl], Y)
     rhs_h = half_bp + SxY + tbl.rhod[sl]
-    h_ctrl = solve_chol(tbl.Md_chol[sl], rhs_h)
+    h_ctrl = tbl.solve_md(rhs_h)  # at the nodes from t_idx on
     H_run = (np.einsum("jm,jm->j", half_bp - SxY - tbl.rhod[sl], h_ctrl)
              + np.einsum("jab,jb,ja->j", tbl.Qd[sl], Y, Y)
              + 2.0 * np.einsum("ja,ja->j", tbl.qd[sl], Y))
@@ -586,6 +586,7 @@ class VerifyOptions:
         for name in ("spike_points", "bellman_controls", "value_points",
                      "gradient_points"):
             _require_count(name, getattr(self, name))
+        _require_real("state_box", self.state_box)
         if not 0 < self.state_box < math.inf:
             raise TilqError(f"state_box must be positive and finite, got "
                             f"{self.state_box!r}")

@@ -34,8 +34,7 @@ from tilq.auxiliary import _btilde_from_drive, _psi_rate, _upsilon_table
 from tilq.grid import closed_loop_drive, quadrature, zero_below_diagonal
 from tilq.policy import _quadratic_form, simulate_equilibrium, value
 from tilq.riccati import SolveOptions, _initial_table, damped_fixed_point
-from tilq.tables import (cumulative_trapezoid, pair_blocks, solve_chol,
-                         suffix_weights)
+from tilq.tables import cumulative_trapezoid, pair_blocks, suffix_weights
 from tilq.verification import _coefficient_rates, _hamiltonian_gap
 from pair_tables import from_pair_layout, pair_table
 
@@ -334,7 +333,8 @@ def hjb_integral_residual(sol, t_idx, x):
         + 2.0 * sol.auxiliary.phi[sl]
     half_bp = 0.5 * np.einsum("jam,ja->jm", tbl.B[sl], grad)
     SxY = np.einsum("jmn,jn->jm", tbl.Sd[sl], Y)
-    h_ctrl = solve_chol(tbl.Md_chol[sl], half_bp + SxY + tbl.rhod[sl])
+    rhs = (half_bp + SxY + tbl.rhod[sl])[..., None]
+    h_ctrl = np.linalg.solve(tbl.Md[sl], rhs)[..., 0]
     H_run = (np.einsum("jm,jm->j", half_bp - SxY - tbl.rhod[sl], h_ctrl)
              + np.einsum("jab,jb,ja->j", tbl.Qd[sl], Y, Y)
              + 2.0 * np.einsum("ja,ja->j", tbl.qd[sl], Y))

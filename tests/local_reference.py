@@ -12,6 +12,11 @@ and to rounding where every rate and weight is 0.  It reads the same stage
 coefficients and terminal stack as the package, so it checks how the sweep
 steps, not the data that enter it.
 
+``bordered_explicit_inverse`` forms the sweep's stage coefficients the way
+the package did before it solved through the tables' inverse Cholesky
+factor: through an explicit inverse of the symmetric part of M, with
+B_bar M^{-1} B_bar^T and Q_bar_s symmetrized afterwards.
+
 ``lawson_sweep`` is the package's own scheme in its plain form: the same
 Lawson tableau as block rows on the slots (k1, X, k2, k3, k4), with every
 rate formed by fresh ``np.dot`` products and reshapes.  The package's sweep
@@ -21,6 +26,7 @@ order, so the two agree bit for bit.
 
 import numpy as np
 
+from tilq.grid import _border
 from tilq.local import _coefficients
 from tilq.tables import SpecTables
 
@@ -90,6 +96,22 @@ def lawson_sweep(X_T, E_half, E_full, coefficients, h: float) -> np.ndarray:
         X *= 0.5
         nodes[j // 2] = X
     return nodes
+
+
+def bordered_explicit_inverse(tables):
+    """A_bar_s, B_bar M^{-1} B_bar^T and Q_bar_s on the stage table."""
+    A, B, b, Q, S, M, q, rho = (tables.stages(name) for name in (
+        "A", "B", "b", "Qd", "Sd", "Md", "qd", "rhod"))
+    M = 0.5 * (M + np.swapaxes(M, -1, -2))
+    Ab, Qb = _border(A, b), _border(Q, q, q)
+    Bb = np.concatenate([B, np.zeros((len(B), 1, B.shape[-1]))], axis=1)
+    Sb = np.concatenate([S, rho[..., None]], axis=2)
+    Minv = np.linalg.inv(M)
+    MS = Minv @ Sb
+    BMB = Bb @ Minv @ np.swapaxes(Bb, -1, -2)
+    Qs = Qb - np.swapaxes(Sb, -1, -2) @ MS
+    return (Ab - Bb @ MS, 0.5 * (BMB + np.swapaxes(BMB, -1, -2)),
+            0.5 * (Qs + np.swapaxes(Qs, -1, -2)))
 
 
 def sweep_inputs(spec, grid):

@@ -48,6 +48,20 @@ class TestBuildGrid:
             build_grid(T, 10)
 
 
+    @pytest.mark.parametrize("N", [10.0, "10", None, True])
+    def test_non_integer_intervals_rejected(self, N):
+        # all but True raised a bare TypeError
+        with pytest.raises(TilqError, match=f"^N must be an integer >= 1, "
+                                            f"got {re.escape(repr(N))}$"):
+            build_grid(1.0, N)
+
+    @pytest.mark.parametrize("T", ["1", None, True])
+    def test_non_real_horizon_rejected(self, T):
+        with pytest.raises(TilqError, match=f"^horizon must be a real number, "
+                                            f"got {re.escape(repr(T))}$"):
+            build_grid(T, 10)
+
+
 class TestQuadrature:
     def test_constant_exact(self):
         # bit-exact when h is a dyadic rational, machine precision otherwise

@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 
 import local_reference
-from tilq import (BaseCosts, ConvergenceError, SolveOptions, TilqError,
-                  build_grid, classical_riccati, cost, exponential_kernel,
+from tilq import (BaseCosts, ConvergenceError, Dimensions, SolveOptions,
+                  TilqError, build_grid, classical_riccati, cost, exponential_kernel,
                   feedback, hyperbolic_kernel, load_shipped_problem,
                   make_discounted, quasi_hyperbolic_kernel,
                   shipped_problem_names, simulate_control, solve_auxiliary,
                   solve_equilibrium, solve_equilibrium_riccati, tabulated_kernel,
                   value)
-from tilq.local import (FIT_RTOL, TERM_LADDER, _stack_propagator, _sweep,
-                        fit_exponential_sum, local_expansion, solve_local)
+from tilq.local import (FIT_RTOL, TERM_LADDER, _coefficients, _stack_propagator,
+                        _sweep, fit_exponential_sum, local_expansion, solve_local)
+from tilq.tables import SpecTables
 from conftest import (classical_scalar_spec, hyperbolic_scalar_spec,
                       threestate_spec, twostate_spec)
 
@@ -139,6 +140,36 @@ class TestAgainstReference:
         spec = twostate_spec(exponential_kernel(0.0))
         for N in (80, 400):
             assert relative_gap(spec, N) <= 1e-14
+
+
+def varying_m_spec():
+    """threestate_spec's dynamics with a time-varying, full 2 x 2 M(s)."""
+    def M(s):
+        return np.array([[1.0 + 0.3 * s, 0.2 - 0.1 * s],
+                         [0.2 - 0.1 * s, 0.7 + s * s]])
+
+    return make_discounted(
+        Dimensions(3, 2), 1.0, threestate_spec().dynamics,
+        BaseCosts(Q=[[1.0, 0.2, 0.1], [0.2, 0.8, 0.0], [0.1, 0.0, 0.6]],
+                  S=[[0.1, 0.05, 0.0], [0.0, 0.1, -0.05]], M=M,
+                  q=[0.02, -0.01, 0.03], rho=[0.01, -0.02],
+                  G=[[0.5, 0.1, 0.0], [0.1, 0.4, 0.05], [0.0, 0.05, 0.3]],
+                  g=[0.05, 0.0, -0.02]),
+        hyperbolic_kernel(1.0), name="varying_m")
+
+
+class TestCoefficients:
+    def test_factor_form_matches_explicit_inverse(self):
+        # Y^T Y, X^T X and Y^T X through the tables' inverse Cholesky factor
+        # against the explicit inverse of M, for m = 2 and M varying in time
+        tables = SpecTables(varying_m_spec(), build_grid(1.0, 200))
+        got = _coefficients(tables)
+        want = local_reference.bordered_explicit_inverse(tables)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert float(np.max(np.abs(g - w))) <= 1e-14 * float(np.max(np.abs(w)))
+        BMB = got[1]
+        assert np.array_equal(BMB, np.swapaxes(BMB, -1, -2))
 
 
 class TestStackPropagator:

@@ -11,7 +11,7 @@ import jsonschema
 import pytest
 
 import tilq
-from tilq import ProblemFileError
+from tilq import ProblemFileError, SolveOptions, VerifyOptions
 from tilq.cli import main
 from tilq.problem_io import (PROBLEM_SCHEMA, parse_problem, schema_violation,
                              shipped_problem_names, shipped_problem_path)
@@ -294,6 +294,34 @@ class TestShapeMismatches:
         assert err["type"] == "ProblemFileError"
         assert err["message"] == f"{path}: shape mismatch at /{where}: {message}"
         assert not (tmp_path / "out").exists()
+
+
+class TestOptionDefaults:
+    """Absent keys take the option dataclasses' own defaults."""
+
+    def test_absent_sections_give_default_options(self):
+        doc = twostate()
+        del doc["solver"], doc["verification"]
+        loaded = parse_problem(doc)
+        assert loaded.solve_options == SolveOptions()
+        assert loaded.verify_options == VerifyOptions()
+        assert loaded.grid_points == 1000
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("solver", "grid_points", 123), ("solver", "tolerance", 3e-9),
+        ("solver", "max_iterations", 17), ("solver", "damping", 0.25),
+        ("verification", "seed", 7), ("verification", "spike_points", 3),
+        ("verification", "bellman_controls", 4),
+        ("verification", "value_points", 5),
+        ("verification", "gradient_points", 6),
+        ("verification", "state_box", 1.5)])
+    def test_each_key_reaches_its_field(self, section, key, value):
+        doc = twostate()
+        doc[section] = {key: value}
+        loaded = parse_problem(doc)
+        opts = (loaded.verify_options if section == "verification" else
+                loaded if key == "grid_points" else loaded.solve_options)
+        assert getattr(opts, key) == value
 
 
 def test_runtime_imports_no_jsonschema():

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import sys
 
@@ -85,7 +86,7 @@ class TestNonPositiveControlWeight:
     def test_md_chol_names_first_bad_node(self):
         grid = build_grid(1.0, 40)
         with pytest.raises(AssumptionError) as exc:
-            SpecTables(losing_pd_spec(hyperbolic_kernel(1.0)), grid).Md_chol
+            SpecTables(losing_pd_spec(hyperbolic_kernel(1.0)), grid).Md_chol_inv
         assert failing_time(exc) == 0.5
 
     def test_local_path_refuses(self):
@@ -103,6 +104,25 @@ class TestNonPositiveControlWeight:
         with pytest.raises(AssumptionError) as exc:
             solve_equilibrium(spec, build_grid(1.0, 41))
         assert failing_time(exc) >= 0.5
+
+    @pytest.mark.parametrize("kernel_less", [False, True])
+    def test_solve_refuses_m_not_pd_between_nodes(self, kernel_less):
+        # M(s) = cos(2 pi 40 s) is 1 at every node of N = 40 and -1 at every
+        # half node: the stage-table factor refuses it on both paths, before
+        # any feedback call
+        spec = make_discounted(
+            Dimensions(1, 1), 1.0,
+            DynamicsField.constant([[-0.2]], [[1.0]], [0.1]),
+            BaseCosts(Q=[[1.0]], S=[[0.1]],
+                      M=lambda s: np.array([[np.cos(2 * np.pi * 40 * s)]]),
+                      q=[0.05], rho=[0.02], G=[[1.0]], g=[0.1]),
+            hyperbolic_kernel(1.0))
+        if kernel_less:
+            spec = dataclasses.replace(spec, kernel=None)
+        assert (local_expansion(spec) is None) == kernel_less
+        with pytest.raises(AssumptionError) as exc:
+            solve_equilibrium(spec, build_grid(1.0, 40))
+        assert failing_time(exc) == 0.0125
 
     def test_pointwise_solve_names_its_time(self):
         spec = losing_pd_spec(hyperbolic_kernel(1.0))
@@ -465,9 +485,14 @@ class TestSolve:
         ({"max_iterations": True}, "max_iterations must be an integer >= 1, got True"),
         ({"tolerance": float("nan")}, "tolerance must be positive and finite, got nan"),
         ({"tolerance": float("inf")}, "tolerance must be positive and finite, got inf"),
+        ({"tolerance": True}, "tolerance must be a real number, got True"),
+        ({"tolerance": "1e-8"}, "tolerance must be a real number, got '1e-8'"),
+        ({"damping": True}, "damping must be a real number, got True"),
+        ({"damping": "0.5"}, "damping must be a real number, got '0.5'"),
     ])
     def test_unusable_options_refused(self, kwargs, message):
-        # max_iterations=0 reached the fixed point and raised a bare IndexError
+        # max_iterations=0 reached the fixed point and raised a bare IndexError;
+        # a bool was taken as 1, and a string raised a bare TypeError
         with pytest.raises(TilqError, match=f"^{re.escape(message)}$"):
             SolveOptions(**kwargs)
 

@@ -246,11 +246,11 @@ class TestBatchedChecks:
 # 1e-12 relative at N = 400, and these O(h^2) residuals in their 6th-8th digit
 TWOSTATE_WORST = {
     "spike quotient nonnegative": 0.0,
-    "spike limit zero at equilibrium": 2.4460120684466347e-05,
-    "spike limit matches quadratic gap": 2.460989353836318e-05,
+    "spike limit zero at equilibrium": 2.446011775347756e-05,
+    "spike limit matches quadratic gap": 2.4609893807481242e-05,
     "recursion equality along equilibrium": 1.6108644196322075e-07,
     "recursion inequality for candidates": 0.0,
-    "pointwise stationarity residual": 1.0930451366242266e-07,
+    "pointwise stationarity residual": 1.0930451321833345e-07,
     "integral-form residual": 5.029664946754053e-07,
     "error-function equivalence": 2.289048341659825e-06,
     "value equals equilibrium cost": 8.565685649015143e-07,
@@ -590,6 +590,13 @@ class TestVerifyOptions:
     def test_state_box_positive_and_finite(self, box):
         with pytest.raises(TilqError, match=f"^state_box must be positive and "
                                             f"finite, got {box!r}$"):
+            VerifyOptions(state_box=box)
+
+    @pytest.mark.parametrize("box", [True, "2"])
+    def test_state_box_a_real_number(self, box):
+        # True was taken as 1, and "2" raised a bare TypeError
+        with pytest.raises(TilqError, match=f"^state_box must be a real number, "
+                                            f"got {re.escape(repr(box))}$"):
             VerifyOptions(state_box=box)
 
     def test_defaults_and_smallest_battery_accepted(self):
